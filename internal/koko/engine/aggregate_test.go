@@ -13,7 +13,7 @@ import (
 // ice cream" contains "ice", mentions "choc", but does not contain "choc".
 func TestContainsMentionsSemantics(t *testing.T) {
 	value := "chocolate ice cream"
-	ag := newAggregator(&normQuery{}, nil, nil, newRECache(), nil, nil)
+	ag := newAggregator(nil, nil, newRECache(), newGlobalCache())
 	cases := []struct {
 		kind lang.SatKind
 		arg  string
@@ -29,7 +29,7 @@ func TestContainsMentionsSemantics(t *testing.T) {
 		{lang.CondMatches, "choc", 0}, // full match only
 	}
 	for _, tc := range cases {
-		got := ag.confidence(lang.SatCond{Kind: tc.kind, Arg: tc.arg, Var: "x"}, value)
+		got := ag.valueConfidence(&normCond{SatCond: lang.SatCond{Kind: tc.kind, Arg: tc.arg, Var: "x"}}, value)
 		if got != tc.want {
 			t.Errorf("%v(%q) on %q = %v, want %v", tc.kind, tc.arg, value, got, tc.want)
 		}
@@ -40,19 +40,37 @@ func TestContainsMentionsSemantics(t *testing.T) {
 func TestNearScoreFormula(t *testing.T) {
 	c := index.NewCorpus(nil, []string{"Cafe Benz serves great coffee."})
 	s := &c.Sentences[0]
-	ag := newAggregator(&normQuery{}, nil, nil, newRECache(), nil, []*nlp.Sentence{s})
+	nq, err := normalize(lang.MustParse(`extract x:Entity from f if () satisfying x
+		(x near "coffee" {1}) or (x near "serves" {1}) or (x near "missing" {1})
+		or (x "serves great" {1}) or ("serves" x {1}) or ("." x {1})`), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag := newAggregator(nil, nil, newRECache(), newGlobalCache())
+	ag.reset([]*nlp.Sentence{s})
+	// The value is handed over as its token span: "Cafe Benz" is tokens 0-1.
+	cafeBenz := &spanValue{s: s, sp: span{0, 1}}
+	cond := func(i int) float64 { return ag.confidence(&nq.satisfying[0].conds[i], cafeBenz) }
 	// "Cafe Benz" tokens 0-1; "coffee" token 4; gap = tokens 2,3 => dist 2.
-	got := ag.near("Cafe Benz", "coffee")
+	got := cond(0)
 	want := 1.0 / 3.0
 	if got != want {
 		t.Errorf("near = %v, want %v", got, want)
 	}
 	// Adjacent: "serves" at 2, dist 0 => 1.
-	if got := ag.near("Cafe Benz", "serves"); got != 1 {
+	if got := cond(1); got != 1 {
 		t.Errorf("adjacent near = %v", got)
 	}
-	if got := ag.near("Cafe Benz", "missing"); got != 0 {
+	if got := cond(2); got != 0 {
 		t.Errorf("absent near = %v", got)
+	}
+	// Adjacency: followed by "serves great"; not preceded by anything (the
+	// mention opens the sentence, so the probe position is negative).
+	if got := cond(3); got != 1 {
+		t.Errorf("followed-by = %v", got)
+	}
+	if got, got2 := cond(4), cond(5); got != 0 || got2 != 0 {
+		t.Errorf("preceded-by = %v, %v", got, got2)
 	}
 }
 

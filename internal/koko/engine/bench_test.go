@@ -99,9 +99,11 @@ func benchHappyDB(n int, seed int64) *index.Corpus {
 
 func benchEngine(b *testing.B) *Engine {
 	b.Helper()
-	c := benchHappyDB(benchCorpusSents, benchCorpusSeed)
-	ix := index.Build(c)
-	return New(c, ix, embed.NewModel(), Options{})
+	return benchEngineOver(benchHappyDB(benchCorpusSents, benchCorpusSeed))
+}
+
+func benchEngineOver(c *index.Corpus) *Engine {
+	return New(c, index.Build(c), embed.NewModel(), Options{})
 }
 
 // BenchmarkExtractHotPath measures one full evaluation of the HappyDB

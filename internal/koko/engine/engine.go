@@ -234,23 +234,37 @@ func mergeDocCounters(res *Result, dr docEvalResult) {
 }
 
 // docWorker is one evaluation worker's private state: the reusable
-// per-sentence scratch and the forward cursor into the DPLI count tables.
-// One exists per goroutine in parallel mode, so nothing here needs locks.
+// per-sentence scratch, the per-document aggregator, and the forward cursor
+// into the DPLI count tables. One exists per goroutine in parallel mode, so
+// nothing here needs locks.
 type docWorker struct {
 	e  *Engine
 	nq *normQuery
 	ro RunOptions
 	ev *sentEval
 	cc countCursor
+
+	ag    *aggregator     // nil when the query has no satisfying/excluding clause
+	sents []*nlp.Sentence // the current document's sentences, for the aggregator
+
+	// finishTuple scratch: the candidate value per variable slot and the
+	// score per satisfying clause.
+	vals   []spanValue
+	scores []float64
 }
 
 func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, plan *queryPlan) *docWorker {
 	w := &docWorker{
-		e:  e,
-		nq: nq,
-		ro: ro,
-		ev: newSentEval(nq, e.rc, e.opts.DisableSkipPlan),
-		cc: newCountCursor(dpli, len(nq.vars)),
+		e:      e,
+		nq:     nq,
+		ro:     ro,
+		ev:     newSentEval(nq, e.rc, e.opts.DisableSkipPlan),
+		cc:     newCountCursor(dpli, len(nq.vars)),
+		vals:   make([]spanValue, len(nq.vars)),
+		scores: make([]float64, len(nq.satisfying)),
+	}
+	if len(nq.satisfying) > 0 || len(nq.excluding) > 0 {
+		w.ag = newAggregator(e.model, e.opts.Dicts, e.rc, e.globalScores)
 	}
 	w.ev.setPlan(plan)
 	return w
@@ -258,30 +272,27 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 
 // evalDoc evaluates every candidate sentence of one document: GSP + nested
 // loops per sentence, then satisfying/excluding per assignment against the
-// document-scoped aggregator.
+// aggregator, reset to this document.
 func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
-	e, nq := w.e, w.nq
+	e := w.e
 	var dr docEvalResult
-	needAg := len(nq.satisfying) > 0 || len(nq.excluding) > 0
 	first, end := e.corpus.DocSentences(d)
 
 	if e.opts.ArticleDB == nil {
-		// In-memory corpus: sentences are addressed directly — no sentence
-		// slice and no accessor closure, so a document with no aggregate
-		// clauses costs zero allocations to set up.
-		var ag *aggregator
-		if needAg {
-			sents := make([]*nlp.Sentence, 0, end-first)
+		// In-memory corpus: sentences are addressed directly, so setting up a
+		// document allocates nothing (the aggregator's window is reused).
+		if w.ag != nil {
+			w.sents = w.sents[:0]
 			for sid := first; sid < end; sid++ {
-				sents = append(sents, e.corpus.Sentence(sid))
+				w.sents = append(w.sents, e.corpus.Sentence(sid))
 			}
-			ag = newAggregator(nq, e.model, e.opts.Dicts, e.rc, e.globalScores, sents)
+			w.ag.reset(w.sents)
 		}
 		for _, sid := range sids {
 			if int(sid) < first || int(sid) >= end {
 				continue
 			}
-			w.evalOneSentence(&dr, d, e.corpus.Sentence(int(sid)), sid, ag)
+			w.evalOneSentence(&dr, d, e.corpus.Sentence(int(sid)), sid)
 		}
 		return dr
 	}
@@ -289,35 +300,34 @@ func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 	// Article-DB mode: candidate articles load from the on-disk parsed
 	// corpus (the paper's LoadArticle phase).
 	t0 := time.Now()
-	sents := make([]*nlp.Sentence, 0, end-first)
+	w.sents = w.sents[:0]
 	bySid := map[int32]*nlp.Sentence{}
 	for sid := first; sid < end; sid++ {
 		s, err := index.LoadSentence(e.opts.ArticleDB, sid)
 		if err != nil {
 			continue
 		}
-		sents = append(sents, s)
+		w.sents = append(w.sents, s)
 		bySid[int32(sid)] = s
 	}
 	dr.times.LoadArticle = time.Since(t0)
-	var ag *aggregator
-	if needAg {
-		ag = newAggregator(nq, e.model, e.opts.Dicts, e.rc, e.globalScores, sents)
+	if w.ag != nil {
+		w.ag.reset(w.sents)
 	}
 	for _, sid := range sids {
 		s := bySid[sid]
 		if s == nil {
 			continue
 		}
-		w.evalOneSentence(&dr, d, s, sid, ag)
+		w.evalOneSentence(&dr, d, s, sid)
 	}
 	return dr
 }
 
 // evalOneSentence runs GSP + extract + satisfying over one sentence,
 // accumulating phase times and tuples into dr.
-func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, sid int32, ag *aggregator) {
-	e, nq, ev := w.e, w.nq, w.ev
+func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, sid int32) {
+	e, ev := w.e, w.ev
 	dr.evaluated++
 	// GSP timing: the plan-generation step is measured apart from the
 	// nested-loop evaluation (Table 2's GSP vs extract columns).
@@ -338,7 +348,7 @@ func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, s
 
 	ts := time.Now()
 	for i := 0; i < nout; i++ {
-		tuple, ok := e.finishTuple(nq, s, d, ev.out(i), ag, w.ro.Explain)
+		tuple, ok := w.finishTuple(s, d, ev.out(i))
 		if ok {
 			dr.tuples = append(dr.tuples, tuple)
 		}
@@ -346,37 +356,44 @@ func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, s
 	dr.times.Satisfying += time.Since(ts)
 }
 
-// finishTuple renders output values, applies satisfying clauses (threshold)
-// and excluding conditions. The assignment is fully bound (deriveAndEmit
-// only emits complete assignments), so every access is a direct slot index.
-func (e *Engine) finishTuple(nq *normQuery, s *nlp.Sentence, doc int, a assignment, ag *aggregator, explain bool) (Tuple, bool) {
-	t := Tuple{Sid: s.ID, Doc: doc, Values: make([]string, len(nq.outputs))}
-	for i, slot := range nq.outSlots {
-		t.Values[i] = valueOf(s, a[slot])
+// finishTuple applies satisfying clauses (threshold) and excluding
+// conditions to the assignment's spans, then — only for a surviving
+// assignment — renders the output values and builds the tuple, so a rejected
+// candidate allocates nothing unless a condition had to read its string. The
+// assignment is fully bound (deriveAndEmit only emits complete assignments),
+// so every access is a direct slot index.
+func (w *docWorker) finishTuple(s *nlp.Sentence, doc int, a assignment) (Tuple, bool) {
+	nq, ag := w.nq, w.ag
+	for slot := range w.vals {
+		w.vals[slot] = spanValue{s: s, sp: a[slot].sp}
 	}
 	// Satisfying clauses: one per variable; the clause's value must
 	// accumulate enough evidence.
-	if len(nq.satisfying) > 0 {
-		t.Scores = map[string]float64{}
-		for i, sc := range nq.satisfying {
-			val := valueOf(s, a[nq.satSlots[i]])
-			score := ag.clauseScore(i, val)
-			t.Scores[sc.Var] = score
-			if score < sc.Threshold {
-				return t, false
-			}
-			if explain {
-				t.Evidence = append(t.Evidence, ag.explainClause(i, val)...)
-			}
+	for i := range nq.satisfying {
+		sc := &nq.satisfying[i]
+		w.scores[i] = ag.clauseScore(sc, &w.vals[sc.slot])
+		if w.scores[i] < sc.threshold {
+			return Tuple{}, false
 		}
 	}
-	for i, c := range nq.excluding {
-		slot := nq.exclSlots[i]
-		if slot < 0 {
-			continue
+	for i := range nq.excluding {
+		c := &nq.excluding[i]
+		if c.slot >= 0 && ag.excluded(c, &w.vals[c.slot]) {
+			return Tuple{}, false
 		}
-		if ag != nil && ag.excluded(c, valueOf(s, a[slot])) {
-			return t, false
+	}
+	t := Tuple{Sid: s.ID, Doc: doc, Values: make([]string, len(nq.outputs))}
+	for i, slot := range nq.outSlots {
+		t.Values[i] = w.vals[slot].text()
+	}
+	if len(nq.satisfying) > 0 {
+		t.Scores = make(map[string]float64, len(nq.satisfying))
+		for i := range nq.satisfying {
+			sc := &nq.satisfying[i]
+			t.Scores[sc.name] = w.scores[i]
+			if w.ro.Explain {
+				t.Evidence = append(t.Evidence, ag.explainClause(sc, &w.vals[sc.slot])...)
+			}
 		}
 	}
 	return t, true

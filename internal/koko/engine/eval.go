@@ -3,9 +3,7 @@ package engine
 import (
 	"sort"
 	"strconv"
-	"strings"
 
-	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
 
@@ -65,7 +63,7 @@ type sentEval struct {
 	skip  []bool      // slot -> skipped by the plan this sentence
 	cands [][]binding // slot -> candidate bindings (buffers reused)
 
-	// nodeTids caches the sorted matchPathTokens result per node-variable
+	// nodeTids caches the sorted matchPath result per node-variable
 	// slot for O(log n) validation of skipped node variables; nodeDone marks
 	// which slots are valid for the current sentence.
 	nodeTids [][]int32
@@ -393,7 +391,7 @@ func (ev *sentEval) nodeMatches(v *normVar) []int32 {
 	if ev.nodeDone[v.slot] {
 		return ev.nodeTids[v.slot]
 	}
-	ev.nodeTids[v.slot] = ev.matchPath(v.path, ev.nodeTids[v.slot][:0])
+	ev.nodeTids[v.slot] = ev.matchPath(v.steps, ev.nodeTids[v.slot][:0])
 	ev.nodeDone[v.slot] = true
 	return ev.nodeTids[v.slot]
 }
@@ -414,10 +412,10 @@ func (ev *sentEval) nodeMatchHas(v *normVar, tid int) bool {
 	return lo < len(tids) && tids[lo] == int32(tid)
 }
 
-// matchPath is matchPathTokens against the scratch buffers: the memo table
-// and match bitmap are reused across sentences and the matching tids are
+// matchPath is MatchPath against the scratch buffers: the memo table and
+// match bitmap are reused across sentences and the matching tids are
 // appended to dst, ascending.
-func (ev *sentEval) matchPath(steps []lang.PathStep, dst []int32) []int32 {
+func (ev *sentEval) matchPath(steps []compiledStep, dst []int32) []int32 {
 	s := ev.s
 	n := len(s.Tokens)
 	if n == 0 || len(steps) == 0 {
@@ -701,22 +699,4 @@ func (ev *sentEval) validateDerived(v *normVar, sp span) bool {
 		return sp.l == tok.SubL && sp.r == tok.SubR
 	}
 	return false
-}
-
-// valueOf renders a binding as the output string value.
-func valueOf(s *nlp.Sentence, b binding) string {
-	if b.sp.empty() {
-		return ""
-	}
-	return s.Text(b.sp.l, b.sp.r)
-}
-
-// tokensOfValue splits an output value back into lowercase tokens for the
-// aggregate conditions.
-func tokensOfValue(v string) []string {
-	toks := nlp.Tokenize(v)
-	for i := range toks {
-		toks[i] = strings.ToLower(toks[i])
-	}
-	return toks
 }

@@ -96,45 +96,46 @@ func stepPOS(st lang.PathStep) string {
 	return ""
 }
 
-// stepMatchesToken checks a step's label and all bracket conditions against
-// a concrete token (the validation-side test).
-func stepMatchesToken(s *nlp.Sentence, tid int, st lang.PathStep, rc *reCache) bool {
+// stepMatchesToken checks a compiled step's label and all bracket conditions
+// against a concrete token (the validation-side test). Everything the query
+// fixes was resolved by compilePath; this only compares.
+func stepMatchesToken(s *nlp.Sentence, tid int, st *compiledStep, rc *reCache) bool {
 	tok := &s.Tokens[tid]
-	cls, canon := classifyStep(st)
-	switch cls {
+	switch st.class {
 	case scParse:
-		if nlp.NormalizeLabel(tok.Label) != canon {
+		if nlp.NormalizeLabel(tok.Label) != st.canon {
 			return false
 		}
 	case scPOS:
-		if tok.POS != canon {
+		if tok.POS != st.canon {
 			return false
 		}
 	case scWord:
-		if tok.Lower != canon {
+		if tok.Lower != st.canon {
 			return false
 		}
 	case scWild:
-		if nlp.IsEntityType(st.Label) && st.Label != "*" && st.Label != "" {
+		if st.etype != "" {
 			e := s.EntityAt(tid)
-			if e == nil || !nlp.GPEAlias(nlp.CanonicalEntityType(st.Label), e.Type) {
+			if e == nil || !nlp.GPEAlias(st.etype, e.Type) {
 				return false
 			}
 		}
 	}
-	for _, c := range st.Conds {
+	for i := range st.conds {
+		c := &st.conds[i]
 		switch c.Key {
 		case "pos":
-			if tok.POS != nlp.NormalizePOS(c.Value) {
+			if tok.POS != c.Value {
 				return false
 			}
 		case "text":
-			if tok.Lower != strings.ToLower(c.Value) {
+			if tok.Lower != c.Value {
 				return false
 			}
 		case "etype":
 			e := s.EntityAt(tid)
-			if e == nil || !nlp.GPEAlias(nlp.CanonicalEntityType(c.Value), e.Type) {
+			if e == nil || !nlp.GPEAlias(c.Value, e.Type) {
 				return false
 			}
 		case "regex":
@@ -146,25 +147,18 @@ func stepMatchesToken(s *nlp.Sentence, tid int, st lang.PathStep, rc *reCache) b
 	return true
 }
 
-// MatchPath is the exported form of matchPathTokens for harness code that
-// needs sound ground-truth path matching (index-effectiveness experiments).
+// MatchPath returns the token ids of a sentence whose root path matches the
+// absolute path pattern, in ascending order: sound ground-truth path
+// matching for harness code (index-effectiveness experiments). It compiles
+// the steps and runs the evaluator's own matcher.
 func MatchPath(s *nlp.Sentence, steps []lang.PathStep) []int {
-	return matchPathTokens(s, steps, newRECache())
-}
-
-// matchPathTokens returns the token ids of a sentence whose root path
-// matches the absolute path pattern, in ascending order. This is the sound
-// per-sentence matcher used for validation (§4.3's "check that b satisfies
-// the path ...") and by the naïve reference evaluator. The traversal is
-// memoized on (token, step) so wildcard-heavy patterns stay linear.
-func matchPathTokens(s *nlp.Sentence, steps []lang.PathStep, rc *reCache) []int {
 	n := len(s.Tokens)
 	if n == 0 || len(steps) == 0 {
 		return nil
 	}
 	seen := make([]bool, (n+1)*(len(steps)+1))
 	matched := make([]bool, n)
-	matchPathVisit(s, steps, rc, seen, matched, -1, 0)
+	matchPathVisit(s, compilePath(steps), newRECache(), seen, matched, -1, 0)
 	var out []int
 	for i, ok := range matched {
 		if ok {
@@ -174,12 +168,13 @@ func matchPathTokens(s *nlp.Sentence, steps []lang.PathStep, rc *reCache) []int 
 	return out
 }
 
-// matchPathVisit is the shared memoized traversal behind matchPathTokens
-// and the hot path's scratch-backed sentEval.matchPath: seen is the
-// (n+1)×(m+1) memo indexed [(tok+1)*(m+1)+step], matched collects the
-// tokens reaching the end of the pattern. It is a plain recursive function
-// (no closure) so scratch-buffer callers allocate nothing.
-func matchPathVisit(s *nlp.Sentence, steps []lang.PathStep, rc *reCache, seen, matched []bool, tok, step int) {
+// matchPathVisit is the memoized traversal behind MatchPath and the hot
+// path's scratch-backed sentEval.matchPath (§4.3's "check that b satisfies
+// the path ..."): seen is the (n+1)×(m+1) memo indexed
+// [(tok+1)*(m+1)+step], so wildcard-heavy patterns stay linear; matched
+// collects the tokens reaching the end of the pattern. It is a plain
+// recursive function (no closure) so scratch-buffer callers allocate nothing.
+func matchPathVisit(s *nlp.Sentence, steps []compiledStep, rc *reCache, seen, matched []bool, tok, step int) {
 	m := len(steps)
 	idx := (tok+1)*(m+1) + step
 	if seen[idx] {
@@ -192,13 +187,13 @@ func matchPathVisit(s *nlp.Sentence, steps []lang.PathStep, rc *reCache, seen, m
 		}
 		return
 	}
-	st := steps[step]
+	st := &steps[step]
 	if tok < 0 {
 		if r := s.Root(); r >= 0 {
 			if stepMatchesToken(s, r, st, rc) {
 				matchPathVisit(s, steps, rc, seen, matched, r, step+1)
 			}
-			if st.Desc {
+			if st.desc {
 				matchPathVisit(s, steps, rc, seen, matched, r, step)
 			}
 		}
@@ -208,31 +203,8 @@ func matchPathVisit(s *nlp.Sentence, steps []lang.PathStep, rc *reCache, seen, m
 		if stepMatchesToken(s, c, st, rc) {
 			matchPathVisit(s, steps, rc, seen, matched, c, step+1)
 		}
-		if st.Desc {
+		if st.desc {
 			matchPathVisit(s, steps, rc, seen, matched, c, step)
 		}
 	}
-}
-
-// findTokenSeq returns every start position where the lowercase word
-// sequence occurs contiguously in the sentence.
-func findTokenSeq(s *nlp.Sentence, words []string) []int {
-	if len(words) == 0 {
-		return nil
-	}
-	var out []int
-	n := len(s.Tokens)
-	for i := 0; i+len(words) <= n; i++ {
-		ok := true
-		for j, w := range words {
-			if s.Tokens[i+j].Lower != w {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
 }

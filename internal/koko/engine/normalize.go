@@ -32,6 +32,7 @@ type normVar struct {
 	synthetic bool
 
 	path   []lang.PathStep // vkNode: absolute path from the root
+	steps  []compiledStep  // vkNode: path compiled for per-token matching
 	anchor string          // vkNode: declared anchor variable, if any
 	etype  string          // vkEntity: canonical entity type
 	base   string          // vkSubtree: the underlying node variable
@@ -76,6 +77,61 @@ type descriptor struct {
 	seqs       [][]string     // tokenized expansions
 }
 
+// compiledStep is a path step with everything the query fixes resolved once,
+// so matching a token is comparisons only: the label's class and canonical
+// form, the entity type a typed wildcard demands, and the bracket conditions
+// with their values normalised for their key.
+type compiledStep struct {
+	desc  bool
+	class stepClass
+	canon string           // scParse/scPOS/scWord: the canonical label
+	etype string           // scWild over an entity-type label: its canonical type
+	conds []lang.LabelCond // pos, text and etype values canonical; regex as written
+}
+
+// compilePath compiles an absolute path.
+func compilePath(steps []lang.PathStep) []compiledStep {
+	out := make([]compiledStep, len(steps))
+	for i, st := range steps {
+		cs := &out[i]
+		cs.desc = st.Desc
+		cs.class, cs.canon = classifyStep(st)
+		if cs.class == scWild && nlp.IsEntityType(st.Label) {
+			cs.etype = nlp.CanonicalEntityType(st.Label)
+		}
+		for _, c := range st.Conds {
+			switch c.Key {
+			case "pos":
+				c.Value = nlp.NormalizePOS(c.Value)
+			case "text":
+				c.Value = strings.ToLower(c.Value)
+			case "etype":
+				c.Value = nlp.CanonicalEntityType(c.Value)
+			}
+			cs.conds = append(cs.conds, c)
+		}
+	}
+	return out
+}
+
+// normCond is a satisfying/excluding condition with its constant argument
+// resolved once per query.
+type normCond struct {
+	lang.SatCond
+	id   int32       // ordinal among the query's conditions (confidence-cache key)
+	slot int         // slot of Var (-1 when the condition names none)
+	args []string    // near/followed-by/preceded-by: lowercase tokens of Arg; similarTo: lowercase fields
+	desc *descriptor // descriptor conditions: the expanded descriptor
+}
+
+// normClause is a satisfying clause over one variable slot.
+type normClause struct {
+	name      string
+	slot      int
+	threshold float64
+	conds     []normCond
+}
+
 // normQuery is the engine's normalized query form.
 type normQuery struct {
 	src         *lang.Query
@@ -84,28 +140,22 @@ type normQuery struct {
 	constraints []normConstraint
 	outputs     []lang.OutVar
 	horizontals []*normVar // vkSpan vars with >1 component
-	descriptors map[string]*descriptor
-	satisfying  []lang.SatClause
-	excluding   []lang.SatCond
+	satisfying  []normClause
+	excluding   []normCond
 
 	// Slot-compiled views, filled by compileSlots: the hot path never
 	// touches byName.
-	outSlots  []int // slot per output, aligned with outputs
-	satSlots  []int // slot per satisfying clause's variable
-	exclSlots []int // slot per excluding condition's variable
-	maxComps  int   // widest horizontal (scratch sizing)
+	outSlots []int // slot per output, aligned with outputs
+	maxComps int   // widest horizontal (scratch sizing)
 }
 
 // normalize implements §4.1: absolute-form expansion, synthesized variables
 // for elastic spans and inline atoms, and derived constraints.
 func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuery, error) {
 	nq := &normQuery{
-		src:         q,
-		byName:      map[string]*normVar{},
-		outputs:     q.Outputs,
-		descriptors: map[string]*descriptor{},
-		satisfying:  q.Satisfying,
-		excluding:   q.Excluding,
+		src:     q,
+		byName:  map[string]*normVar{},
+		outputs: q.Outputs,
 	}
 	nsynth := 0
 	synthName := func(prefix string) string {
@@ -314,24 +364,58 @@ func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuer
 		nq.constraints = append(nq.constraints, normConstraint{kind: kind, a: a, b: b})
 	}
 
-	// Satisfying/excluding variables must exist.
+	// Satisfying/excluding: variables must exist, and every constant argument
+	// is tokenised, lower-cased or expanded here — once per query, not per
+	// candidate value.
+	var descs map[string]*descriptor // descriptor text -> its expansion, shared by conditions
+	var nconds int32
+	compileCond := func(c lang.SatCond, what string) (normCond, error) {
+		nc := normCond{SatCond: c, id: nconds, slot: -1}
+		nconds++
+		if c.Var != "" {
+			v := nq.byName[c.Var]
+			if v == nil {
+				return nc, fmt.Errorf("koko: %s condition over undefined variable %q", what, c.Var)
+			}
+			nc.slot = v.slot
+		}
+		switch c.Kind {
+		case lang.CondFollowedBy, lang.CondPrecededBy, lang.CondNear:
+			nc.args = lowerTokens(c.Arg)
+		case lang.CondSimilarTo:
+			nc.args = lowerFields(c.Arg)
+		case lang.CondDescLeft, lang.CondDescRight:
+			if descs[c.Arg] == nil {
+				if descs == nil {
+					descs = map[string]*descriptor{}
+				}
+				descs[c.Arg] = expandDescriptor(c.Arg, model, expansionLimit)
+			}
+			nc.desc = descs[c.Arg]
+		}
+		return nc, nil
+	}
 	for _, sc := range q.Satisfying {
-		if nq.byName[sc.Var] == nil {
+		v := nq.byName[sc.Var]
+		if v == nil {
 			return nil, fmt.Errorf("koko: satisfying clause over undefined variable %q", sc.Var)
 		}
+		cl := normClause{name: sc.Var, slot: v.slot, threshold: sc.Threshold}
 		for _, c := range sc.Conds {
-			if c.Var != "" && nq.byName[c.Var] == nil {
-				return nil, fmt.Errorf("koko: satisfying condition over undefined variable %q", c.Var)
+			nc, err := compileCond(c, "satisfying")
+			if err != nil {
+				return nil, err
 			}
-			if c.Kind == lang.CondDescLeft || c.Kind == lang.CondDescRight {
-				nq.addDescriptor(c.Arg, model, expansionLimit)
-			}
+			cl.conds = append(cl.conds, nc)
 		}
+		nq.satisfying = append(nq.satisfying, cl)
 	}
 	for _, c := range q.Excluding {
-		if c.Var != "" && nq.byName[c.Var] == nil {
-			return nil, fmt.Errorf("koko: excluding condition over undefined variable %q", c.Var)
+		nc, err := compileCond(c, "excluding")
+		if err != nil {
+			return nil, err
 		}
+		nq.excluding = append(nq.excluding, nc)
 	}
 	nq.compileSlots()
 	return nq, nil
@@ -342,6 +426,7 @@ func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuer
 // all variables and constraints exist.
 func (nq *normQuery) compileSlots() {
 	for _, v := range nq.vars {
+		v.steps = compilePath(v.path)
 		if v.base != "" {
 			v.baseSlot = nq.byName[v.base].slot
 		}
@@ -364,25 +449,11 @@ func (nq *normQuery) compileSlots() {
 	for i, o := range nq.outputs {
 		nq.outSlots[i] = nq.byName[o.Name].slot
 	}
-	nq.satSlots = make([]int, len(nq.satisfying))
-	for i, sc := range nq.satisfying {
-		nq.satSlots[i] = nq.byName[sc.Var].slot
-	}
-	nq.exclSlots = make([]int, len(nq.excluding))
-	for i, c := range nq.excluding {
-		nq.exclSlots[i] = -1
-		if c.Var != "" {
-			nq.exclSlots[i] = nq.byName[c.Var].slot
-		}
-	}
 }
 
-// addDescriptor pre-expands a descriptor through the paraphrase model
+// expandDescriptor pre-expands a descriptor through the paraphrase model
 // (§4.4.1(a)); expansion happens once per query.
-func (nq *normQuery) addDescriptor(text string, model *embed.Model, limit int) {
-	if _, ok := nq.descriptors[text]; ok {
-		return
-	}
+func expandDescriptor(text string, model *embed.Model, limit int) *descriptor {
 	d := &descriptor{text: text}
 	if model != nil {
 		d.expansions = model.Expand(text, limit)
@@ -393,7 +464,7 @@ func (nq *normQuery) addDescriptor(text string, model *embed.Model, limit int) {
 	for _, e := range d.expansions {
 		d.seqs = append(d.seqs, strings.Fields(e.Text))
 	}
-	nq.descriptors[text] = d
+	return d
 }
 
 // nodeVars returns the node variables in declaration order.

@@ -3,7 +3,11 @@ package engine
 import (
 	"sort"
 	"strconv"
+	"strings"
 
+	"repro/internal/decompose"
+	"repro/internal/embed"
+	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
 
@@ -166,7 +170,7 @@ func (ev *refSentEval) nodeMatches(v *normVar) []int {
 		sort.Ints(out)
 		return out
 	}
-	tids := matchPathTokens(ev.s, v.path, ev.rc)
+	tids := refMatchPathTokens(ev.s, v.path, ev.rc)
 	set := make(map[int]bool, len(tids))
 	for _, tid := range tids {
 		set[tid] = true
@@ -386,4 +390,312 @@ func (ev *refSentEval) validateDerived(v *normVar, sp span, a refAssignment) boo
 		return sp.l == tok.SubL && sp.r == tok.SubR
 	}
 	return false
+}
+
+// --- frozen seed path matcher -------------------------------------------
+//
+// The seed matched uncompiled lang.PathStep values, re-classifying the step
+// and re-normalising its conditions for every token. The compiled matcher
+// (compilePath + stepMatchesToken) must accept exactly the same tokens.
+
+func refStepMatchesToken(s *nlp.Sentence, tid int, st lang.PathStep, rc *reCache) bool {
+	tok := &s.Tokens[tid]
+	cls, canon := classifyStep(st)
+	switch cls {
+	case scParse:
+		if nlp.NormalizeLabel(tok.Label) != canon {
+			return false
+		}
+	case scPOS:
+		if tok.POS != canon {
+			return false
+		}
+	case scWord:
+		if tok.Lower != canon {
+			return false
+		}
+	case scWild:
+		if nlp.IsEntityType(st.Label) && st.Label != "*" && st.Label != "" {
+			e := s.EntityAt(tid)
+			if e == nil || !nlp.GPEAlias(nlp.CanonicalEntityType(st.Label), e.Type) {
+				return false
+			}
+		}
+	}
+	for _, c := range st.Conds {
+		switch c.Key {
+		case "pos":
+			if tok.POS != nlp.NormalizePOS(c.Value) {
+				return false
+			}
+		case "text":
+			if tok.Lower != strings.ToLower(c.Value) {
+				return false
+			}
+		case "etype":
+			e := s.EntityAt(tid)
+			if e == nil || !nlp.GPEAlias(nlp.CanonicalEntityType(c.Value), e.Type) {
+				return false
+			}
+		case "regex":
+			if !rc.fullMatch(c.Value, tok.Text) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func refMatchPathTokens(s *nlp.Sentence, steps []lang.PathStep, rc *reCache) []int {
+	n, m := len(s.Tokens), len(steps)
+	if n == 0 || m == 0 {
+		return nil
+	}
+	seen := make([]bool, (n+1)*(m+1))
+	matched := make([]bool, n)
+	var visit func(tok, step int)
+	visit = func(tok, step int) {
+		idx := (tok+1)*(m+1) + step
+		if seen[idx] {
+			return
+		}
+		seen[idx] = true
+		if step == m {
+			if tok >= 0 {
+				matched[tok] = true
+			}
+			return
+		}
+		st := steps[step]
+		next := s.Children(tok)
+		if tok < 0 {
+			next = nil
+			if r := s.Root(); r >= 0 {
+				next = []int{r}
+			}
+		}
+		for _, c := range next {
+			if refStepMatchesToken(s, c, st, rc) {
+				visit(c, step+1)
+			}
+			if st.Desc {
+				visit(c, step)
+			}
+		}
+	}
+	visit(-1, 0)
+	var out []int
+	for i, ok := range matched {
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// findTokenSeq returns every start position where the lowercase word
+// sequence occurs contiguously in the sentence.
+func findTokenSeq(s *nlp.Sentence, words []string) []int {
+	if len(words) == 0 {
+		return nil
+	}
+	var out []int
+	n := len(s.Tokens)
+	for i := 0; i+len(words) <= n; i++ {
+		ok := true
+		for j, w := range words {
+			if s.Tokens[i+j].Lower != w {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// --- frozen seed aggregator ---------------------------------------------
+//
+// The seed aggregator took a candidate value as its rendered string: it
+// re-tokenised and lower-cased the string to find the value's mentions by
+// scanning the document, and re-tokenised the condition argument on every
+// call. One was built per document. The span-based aggregator must produce
+// the same confidences, scores, and evidence.
+
+type refAggregator struct {
+	model    *embed.Model
+	dicts    map[string]map[string]bool
+	rc       *reCache
+	docSents []*nlp.Sentence
+}
+
+// tokensOfValue splits an output value back into lowercase tokens.
+func tokensOfValue(v string) []string {
+	toks := nlp.Tokenize(v)
+	for i := range toks {
+		toks[i] = strings.ToLower(toks[i])
+	}
+	return toks
+}
+
+func (ag *refAggregator) valueMentions(value string) []mention {
+	words := tokensOfValue(value)
+	var ms []mention
+	for si, s := range ag.docSents {
+		for _, pos := range findTokenSeq(s, words) {
+			ms = append(ms, mention{sent: s, si: int32(si), l: pos, r: pos + len(words) - 1})
+		}
+	}
+	return ms
+}
+
+func (ag *refAggregator) confidence(c *normCond, value string) float64 {
+	if value == "" {
+		return 0
+	}
+	b2f := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	switch c.Kind {
+	case lang.CondContains:
+		return b2f(containsTokens(value, c.Arg))
+	case lang.CondMentions:
+		return b2f(strings.Contains(value, c.Arg))
+	case lang.CondMatches:
+		return b2f(ag.rc.fullMatch(c.Arg, value))
+	case lang.CondSimilarTo:
+		if ag.model == nil {
+			return 0
+		}
+		return ag.model.PhraseSimilarity(lowerFields(value), lowerFields(c.Arg))
+	case lang.CondInDict:
+		d := ag.dicts[c.Arg]
+		return b2f(d != nil && d[strings.ToLower(value)])
+	case lang.CondFollowedBy, lang.CondPrecededBy:
+		arg := tokensOfValue(c.Arg)
+		if len(arg) == 0 {
+			return 0
+		}
+		for _, m := range ag.valueMentions(value) {
+			start := m.r + 1
+			if c.Kind == lang.CondPrecededBy {
+				start = m.l - len(arg)
+			}
+			for _, pos := range findTokenSeq(m.sent, arg) {
+				if pos == start {
+					return 1
+				}
+			}
+		}
+		return 0
+	case lang.CondNear:
+		arg := tokensOfValue(c.Arg)
+		best := 0.0
+		for _, m := range ag.valueMentions(value) {
+			for _, pos := range findTokenSeq(m.sent, arg) {
+				dist, end := 0, pos+len(arg)-1
+				switch {
+				case pos > m.r:
+					dist = pos - m.r - 1
+				case end < m.l:
+					dist = m.l - end - 1
+				}
+				if s := 1.0 / float64(1+dist); s > best {
+					best = s
+				}
+			}
+		}
+		return best
+	case lang.CondDescRight, lang.CondDescLeft:
+		return ag.descriptorScore(value, c.desc, c.Kind == lang.CondDescRight)
+	}
+	return 0
+}
+
+func (ag *refAggregator) descriptorScore(value string, d *descriptor, right bool) float64 {
+	bySent := map[int32][]mention{}
+	var order []int32
+	for _, m := range ag.valueMentions(value) {
+		if _, ok := bySent[m.si]; !ok {
+			order = append(order, m.si)
+		}
+		bySent[m.si] = append(bySent[m.si], m)
+	}
+	var total float64
+	for _, si := range order {
+		clauses := decompose.Decompose(ag.docSents[si])
+		best := 0.0
+		for di, seq := range d.seqs {
+			var sum float64
+			for _, cl := range clauses {
+				bestProx := 0.0
+				for _, m := range bySent[si] {
+					if ok, dist := clauseContainsDirectional(&cl, seq, m, right); ok {
+						if prox := 1.0 / float64(1+dist); prox > bestProx {
+							bestProx = prox
+						}
+					}
+				}
+				sum += d.expansions[di].Score * cl.Score * bestProx
+			}
+			if sum > best {
+				best = sum
+			}
+		}
+		total += best
+	}
+	return total
+}
+
+// refFinishTuple is the seed finishTuple: render every value, score each
+// satisfying clause on the rendered string, then apply excluding conditions.
+func refFinishTuple(nq *normQuery, s *nlp.Sentence, doc int, a refAssignment, ag *refAggregator, explain bool) (Tuple, bool) {
+	value := func(name string) string {
+		b := a[name]
+		if b.sp.empty() {
+			return ""
+		}
+		return s.Text(b.sp.l, b.sp.r)
+	}
+	t := Tuple{Sid: s.ID, Doc: doc, Values: make([]string, len(nq.outputs))}
+	for i, o := range nq.outputs {
+		t.Values[i] = value(o.Name)
+	}
+	if len(nq.satisfying) > 0 {
+		t.Scores = map[string]float64{}
+		for i := range nq.satisfying {
+			sc := &nq.satisfying[i]
+			val := value(sc.name)
+			var score float64
+			for j := range sc.conds {
+				score += sc.conds[j].Weight * ag.confidence(&sc.conds[j], val)
+			}
+			t.Scores[sc.name] = score
+			if score < sc.threshold {
+				return t, false
+			}
+			if explain {
+				for j := range sc.conds {
+					c := &sc.conds[j]
+					conf := ag.confidence(c, val)
+					t.Evidence = append(t.Evidence, CondEvidence{
+						Var: sc.name, Condition: c.Display(), Weight: c.Weight,
+						Confidence: conf, Contribution: c.Weight * conf,
+					})
+				}
+			}
+		}
+	}
+	for i := range nq.excluding {
+		c := &nq.excluding[i]
+		if c.Var != "" && ag.confidence(c, value(c.Var)) > 0 {
+			return t, false
+		}
+	}
+	return t, true
 }

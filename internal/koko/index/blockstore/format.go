@@ -299,18 +299,20 @@ func decodeEntityBlock(enc []byte, n int, types, texts []string) ([]index.Entity
 		if err != nil {
 			return nil, err
 		}
-		ty, err := r.count("type id")
+		// Dictionary ids index the store-wide tables, so the tables bound
+		// them — not this block's byte length, which is what count checks.
+		ty, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		tx, err := r.count("text id")
+		tx, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if ty >= len(types) {
+		if ty >= uint64(len(types)) {
 			return nil, fmt.Errorf("blockstore: type id %d out of range", ty)
 		}
-		if tx >= len(texts) {
+		if tx >= uint64(len(texts)) {
 			return nil, fmt.Errorf("blockstore: text id %d out of range", tx)
 		}
 		if u > math.MaxInt32-dv {

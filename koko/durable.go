@@ -508,8 +508,12 @@ func (m *Mutable) Dir() string {
 
 // Close releases the WAL handle and stops its sync loop (memory-only
 // corpora no-op). Mutations after Close fail; snapshots already handed out
-// keep working.
+// keep working. A compaction in flight finishes first: it uses the WAL
+// outside mu (the post-swap prefix truncation), so Close takes compactMu to
+// wait for it, and any later Compact sees the corpus closed.
 func (m *Mutable) Close() error {
+	m.compactMu.Lock()
+	defer m.compactMu.Unlock()
 	m.mu.Lock()
 	w := m.wal
 	m.wal = nil

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/koko/index"
@@ -360,6 +361,63 @@ func TestDurableCrashPoints(t *testing.T) {
 			}
 			checkLive(t, "recompacted "+stage, m2.Snapshot(), live)
 		})
+	}
+}
+
+// TestDurableCloseDuringCompaction: Close while a background compaction is
+// past the manifest swap but before its WAL truncation must wait for it, not
+// pull the WAL out from under it (a nil dereference before the fix), and the
+// directory must reopen identical to a from-scratch rebuild.
+func TestDurableCloseDuringCompaction(t *testing.T) {
+	full := WrapCorpus(corpus.GenHappyDB(120, 13))
+	docs := allDocs(full)
+	dir := t.TempDir()
+	m, live := durableFixture(t, dir, docs, full, wal.SyncNone)
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	m.failpoint = func(stage string) error {
+		if stage == "pre-wal-truncate" {
+			close(parked)
+			<-release
+		}
+		return nil
+	}
+	compacted := make(chan error, 1)
+	go func() {
+		_, err := m.Compact()
+		compacted <- err
+	}()
+	<-parked
+
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	// Close must not finish while the compaction is parked. The bounded wait
+	// only gives a Close that does not wait (the defect) time to get ahead of
+	// the compaction; with the fix either order of the two goroutines is safe.
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a compaction was in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatalf("compaction overlapped by Close: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := m.Compact(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Compact after Close: %v", err)
+	}
+
+	m2, err := OpenDurable(nil, DurableConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer m2.Close()
+	checkLive(t, "reopened", m2.Snapshot(), live)
+	if ds := m2.Durability(); ds.Generation != 2 || ds.ReplayedDocs != 0 {
+		t.Fatalf("reopen after compact+close: %+v", ds)
 	}
 }
 

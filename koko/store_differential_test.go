@@ -3,6 +3,8 @@ package koko
 import (
 	"path/filepath"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 // TestBlockStoreDifferential: the block store must be invisible to query
@@ -103,4 +105,34 @@ func TestStoreFormatConversion(t *testing.T) {
 		t.Fatal("row store reloaded as block-backed")
 	}
 	sameResults(t, "block->row", want, mustRun(t, e3, src, nil))
+}
+
+// TestBlockStoreTypedEntityQueries: typed-entity variables read the entity
+// posting blocks, whose dictionary ids index store-wide tables. A corpus with
+// more distinct entity texts than an entity block has bytes (Wikipedia: one
+// new person per article) used to be rejected at decode time ("text id count
+// 67 exceeds section size 66").
+func TestBlockStoreTypedEntityQueries(t *testing.T) {
+	wiki, _ := corpus.GenWikipedia(600, 5)
+	c := WrapCorpus(wiki)
+	heap := NewShardedEngine(c, 2, nil)
+	path := filepath.Join(t.TempDir(), "wiki.koko")
+	if err := heap.SaveAs(path, FormatBlock); err != nil {
+		t.Fatalf("SaveAs(FormatBlock): %v", err)
+	}
+	blk, err := Open(path, nil)
+	if err != nil {
+		t.Fatalf("Open block manifest: %v", err)
+	}
+	for _, src := range []string{
+		`extract a:Person, b:Date from wiki.article if (/ROOT:{ v = //"born" } (v) in (v))`,
+		`extract c:Entity from wiki.article if () satisfying c (c near "chocolate" {1}) or ("called" c {1}) with threshold 0.3`,
+		`extract p:Person, g:GPE from wiki.article if (/ROOT:{ v = //verb, s = v/nsubj } (s) in (p))`,
+	} {
+		want := mustRun(t, heap, src, nil)
+		if len(want.Tuples) == 0 {
+			t.Fatalf("query matched nothing on the heap engine — test too weak:\n%s", src)
+		}
+		sameResults(t, "wiki/typed", want, mustRun(t, blk, src, nil))
+	}
 }
