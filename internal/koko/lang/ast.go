@@ -7,6 +7,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -155,7 +156,7 @@ func (q *Query) String() string {
 		}
 		fmt.Fprintf(&b, "%s:%s", o.Name, o.Type)
 	}
-	fmt.Fprintf(&b, " from %q if (", q.Source)
+	fmt.Fprintf(&b, " from %s if (", quote(q.Source))
 	if len(q.Block) > 0 {
 		b.WriteString("/ROOT:{")
 		for i, d := range q.Block {
@@ -180,9 +181,9 @@ func (q *Query) String() string {
 			if i > 0 {
 				b.WriteString(" or ")
 			}
-			fmt.Fprintf(&b, "(%s {%g})", c.condString(), c.Weight)
+			fmt.Fprintf(&b, "(%s {%s})", c.condString(), number(c.Weight))
 		}
-		fmt.Fprintf(&b, " with threshold %g", sc.Threshold)
+		fmt.Fprintf(&b, " with threshold %s", number(sc.Threshold))
 	}
 	if len(q.Excluding) > 0 {
 		b.WriteString(" excluding ")
@@ -211,7 +212,7 @@ func (a Atom) String() string {
 	case AtomSubtree:
 		return a.Var + ".subtree"
 	case AtomTokens:
-		return fmt.Sprintf("%q", strings.Join(a.Tokens, " "))
+		return quote(strings.Join(a.Tokens, " "))
 	case AtomElastic:
 		s := "^"
 		if len(a.Conds) > 0 {
@@ -246,10 +247,22 @@ func condsString(conds []LabelCond) string {
 	}
 	parts := make([]string, len(conds))
 	for i, c := range conds {
-		parts[i] = fmt.Sprintf("%s=%q", c.Key, c.Value)
+		parts[i] = c.Key + "=" + quote(c.Value)
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
 }
+
+// quoteEscaper escapes exactly the two characters the lexer decodes inside a
+// string literal; every other rune (tabs and control characters included)
+// prints raw, so the printed query re-parses to the same literal.
+var quoteEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`)
+
+// quote renders s as a query string literal.
+func quote(s string) string { return `"` + quoteEscaper.Replace(s) + `"` }
+
+// number renders a weight or threshold without an exponent, which the lexer
+// does not read; it matches %g for every value in [1e-4, 1e21).
+func number(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
 
 // Display renders the condition in query syntax (used by extraction
 // explanations).
@@ -258,25 +271,25 @@ func (c SatCond) Display() string { return c.condString() }
 func (c SatCond) condString() string {
 	switch c.Kind {
 	case CondContains:
-		return fmt.Sprintf("str(%s) contains %q", c.Var, c.Arg)
+		return fmt.Sprintf("str(%s) contains %s", c.Var, quote(c.Arg))
 	case CondMentions:
-		return fmt.Sprintf("str(%s) mentions %q", c.Var, c.Arg)
+		return fmt.Sprintf("str(%s) mentions %s", c.Var, quote(c.Arg))
 	case CondMatches:
-		return fmt.Sprintf("str(%s) matches %q", c.Var, c.Arg)
+		return fmt.Sprintf("str(%s) matches %s", c.Var, quote(c.Arg))
 	case CondFollowedBy:
-		return fmt.Sprintf("%s %q", c.Var, c.Arg)
+		return fmt.Sprintf("%s %s", c.Var, quote(c.Arg))
 	case CondPrecededBy:
-		return fmt.Sprintf("%q %s", c.Arg, c.Var)
+		return fmt.Sprintf("%s %s", quote(c.Arg), c.Var)
 	case CondNear:
-		return fmt.Sprintf("%s near %q", c.Var, c.Arg)
+		return fmt.Sprintf("%s near %s", c.Var, quote(c.Arg))
 	case CondDescRight:
-		return fmt.Sprintf("%s [[%q]]", c.Var, c.Arg)
+		return fmt.Sprintf("%s [[%s]]", c.Var, quote(c.Arg))
 	case CondDescLeft:
-		return fmt.Sprintf("[[%q]] %s", c.Arg, c.Var)
+		return fmt.Sprintf("[[%s]] %s", quote(c.Arg), c.Var)
 	case CondSimilarTo:
-		return fmt.Sprintf("%s similarTo %q", c.Var, c.Arg)
+		return fmt.Sprintf("%s similarTo %s", c.Var, quote(c.Arg))
 	case CondInDict:
-		return fmt.Sprintf("str(%s) in dict(%q)", c.Var, c.Arg)
+		return fmt.Sprintf("str(%s) in dict(%s)", c.Var, quote(c.Arg))
 	}
 	return "?"
 }

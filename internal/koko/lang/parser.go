@@ -179,6 +179,14 @@ func (p *parser) parseIfBody(q *Query) error {
 				if err != nil {
 					return err
 				}
+				for _, d := range q.Block {
+					if d.Name == name.text {
+						// A redeclaration has no single meaning: which binding a
+						// later reference sees would depend on declaration order,
+						// which canonicalization is free to change.
+						return p.errf("variable %q declared twice in /ROOT block", name.text)
+					}
+				}
 				if _, err := p.expect(tEquals, "'=' in declaration"); err != nil {
 					return err
 				}

@@ -321,8 +321,9 @@ func TestParseErrors(t *testing.T) {
 		"extract x:Entity from f.txt if (", // unclosed
 		"extract x:Entity from f.txt if () satisfying x", // no conditions
 		`extract x:Entity from f.txt if () satisfying x (str(x) frobs "y" {1})`,
-		`extract x:Entity from f.txt if () satisfying x (x [["d"]] {2})`, // weight > 1
-		`extract x:Entity from f.txt if (/ROOT:{ a = b/dobj })`,          // undefined anchor
+		`extract x:Entity from f.txt if () satisfying x (x [["d"]] {2})`,    // weight > 1
+		`extract x:Entity from f.txt if (/ROOT:{ a = b/dobj })`,             // undefined anchor
+		`extract x:Entity from f.txt if (/ROOT:{ a = //verb, a = a/dobj })`, // redeclared variable
 		`extract x:Entity from f.txt if () trailing`,
 		`extract x:Entity from "unterminated if ()`,
 	}

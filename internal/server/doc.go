@@ -18,7 +18,7 @@
 //     LRU result cache (keyed corpus × generation × canonical text, so any
 //     mutation invalidates implicitly; admission is bounded by size and by
 //     a cost floor), and runs cache misses through a bounded worker pool
-//     over the snapshot's concurrency-safe QueryWith. It also drives the
+//     over the snapshot's concurrency-safe Run. It also drives the
 //     mutable-corpus lifecycle: ingest, auto- and interval compaction, and
 //     corpus deletion.
 //

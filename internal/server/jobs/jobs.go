@@ -1,15 +1,16 @@
 // Package jobs runs query batches asynchronously over the koko serving
 // stack: a job is submitted with POST /v1/jobs, executed shard-at-a-time on
 // the server's bounded worker pool, and observed through a handle — status
-// with per-query/per-shard progress, a merged prefix of completed partials
-// fetchable before the job finishes, and context-based cancellation that
-// stops in-flight shard evaluations.
+// with per-query/per-shard progress, a merged prefix of the tuples streamed
+// so far fetchable before the job finishes, and context-based cancellation
+// that stops in-flight shard evaluations.
 //
 // The design leans on the sharded execution layer (PR 3): a query over a
-// K-shard corpus is K independent shard evaluations whose completed prefix
-// is already mergeable in document order (koko.MergePartials), so progress
-// reporting and partial results fall out of the Partial type rather than
-// needing a separate accounting scheme. Because each shard evaluation
+// K-shard corpus is K independent StreamShard evaluations in shard order,
+// each streaming tuple batches already in global document order, so the
+// tuples delivered so far always concatenate into a document-ordered prefix
+// (koko.MergeResults) and progress reporting needs no separate accounting
+// scheme. Because each shard evaluation
 // claims one slot of the same pool interactive queries use — and releases
 // it between shards — a long batch job interleaves with interactive
 // traffic instead of starving it.
@@ -137,8 +138,10 @@ type QueryResults struct {
 	Complete    bool
 	ShardsTotal int
 	ShardsDone  int
-	// Result is the merge of the completed shard prefix, in global document
-	// order — for a finished query, exactly the synchronous query result.
+	// Result is the merge of every tuple batch streamed so far (completed
+	// shards plus the running shard's delivered batches), in global document
+	// order, and the counters of the completed shards — for a finished
+	// query, exactly the synchronous query result.
 	Result *koko.Result
 }
 
@@ -172,9 +175,9 @@ type Snapshot struct {
 	RetainedTuples int `json:"retained_tuples"`
 }
 
-// job is the manager-internal record. mu guards the mutable fields; parts
-// are appended in shard order per query, so the locked prefix is always
-// mergeable.
+// job is the manager-internal record. mu guards the mutable fields; results
+// are appended in stream order per query (tuple batches, then each shard's
+// counters-only summary), so the locked prefix is always mergeable.
 type job struct {
 	mu       sync.Mutex
 	id       string
@@ -186,7 +189,7 @@ type job struct {
 	shards   int
 	parsed   []*koko.ParsedQuery
 	progress []QueryProgress
-	parts    [][]koko.Partial
+	results  [][]*koko.Result
 	cancel   context.CancelFunc
 	ctx      context.Context
 	created  time.Time
@@ -289,7 +292,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		gen:     gen,
 		shards:  eng.NumShards(),
 		parsed:  parsed,
-		parts:   make([][]koko.Partial, len(parsed)),
+		results: make([][]*koko.Result, len(parsed)),
 		cancel:  cancel,
 		ctx:     ctx,
 		created: time.Now().UTC(),
@@ -327,16 +330,16 @@ func (m *Manager) run(j *job) {
 			if err := m.rt.Acquire(j.ctx); err != nil {
 				return // cancelled while queued for a slot
 			}
-			// Stream the shard: every delivered batch becomes a zero-offset
-			// sub-partial (tuples arrive already in global coordinates), so
-			// the fetchable result prefix and the tuple progress counter grow
+			// Stream the shard: every delivered batch becomes a tuples-only
+			// result (tuples arrive already in global coordinates), so the
+			// fetchable result prefix and the tuple progress counter grow
 			// while the shard is still evaluating — a giant shard's result is
-			// visible long before its summary. The counters land once, in the
-			// tuple-less summary partial, so the merged prefix stays exactly
-			// what a buffered RunShard per shard would have produced.
+			// visible long before its summary, and before ShardsDone counts
+			// it. The counters land once, in the tuple-less summary, so the
+			// merged result of a finished query is exactly the buffered one.
 			sum, err := j.eng.StreamShard(j.ctx, si, j.parsed[qi], qo, func(ts []koko.Tuple) error {
 				j.mu.Lock()
-				j.parts[qi] = append(j.parts[qi], koko.Partial{Res: &koko.Result{Tuples: ts}})
+				j.results[qi] = append(j.results[qi], &koko.Result{Tuples: ts})
 				j.progress[qi].Tuples += len(ts)
 				j.mu.Unlock()
 				return nil
@@ -353,7 +356,7 @@ func (m *Manager) run(j *job) {
 			}
 			j.mu.Lock()
 			if sum != nil {
-				j.parts[qi] = append(j.parts[qi], koko.Partial{Res: sum})
+				j.results[qi] = append(j.results[qi], sum)
 			}
 			pr := &j.progress[qi]
 			pr.ShardsDone++
@@ -382,7 +385,7 @@ func (m *Manager) finalize(j *job) {
 		j.expires = j.finished.Add(m.ttl)
 	}
 	// Drop the pinned engine and parsed queries: status/results reads only
-	// need progress and parts, and holding the engine would keep a whole
+	// need progress and results, and holding the engine would keep a whole
 	// superseded generation (indices + corpus) alive for the retention
 	// window after a hot reload.
 	j.eng = nil
@@ -458,29 +461,31 @@ func (m *Manager) Get(id string) (Status, error) {
 	return j.status(), nil
 }
 
-// Results returns the job's merged result prefix: for every query, the
-// completed shards merged in document order. For a done job this is exactly
-// the batch's final answer; for a running or cancelled one it is the
-// consistent prefix available so far.
+// Results returns the job's merged result prefix: for every query, every
+// tuple streamed so far in document order — the completed shards plus the
+// batches the running shard has already delivered — with the completed
+// shards' counters. For a done job this is exactly the batch's final
+// answer; for a running or cancelled one it is the document-order prefix
+// available so far.
 func (m *Manager) Results(id string) (Results, error) {
 	j, err := m.lookup(id)
 	if err != nil {
 		return Results{}, err
 	}
-	// Snapshot under the lock is O(shards) — slice-of-Partial copies and
+	// Snapshot under the lock is O(batches) — slice-of-pointer copies and
 	// progress counters. The O(tuples) merge happens outside j.mu so a
 	// client polling results on a large running job never stalls the
-	// executor's progress appends. Stored partials are immutable once
+	// executor's progress appends. Stored results are immutable once
 	// appended, so the copied prefix stays consistent.
 	j.mu.Lock()
 	out := Results{ID: j.id, State: j.state, Corpus: j.spec.Corpus, Generation: j.gen, Error: j.err}
 	progress := append([]QueryProgress(nil), j.progress...)
-	parts := make([][]koko.Partial, len(j.parts))
-	for qi := range j.parts {
-		parts[qi] = append([]koko.Partial(nil), j.parts[qi]...)
+	results := make([][]*koko.Result, len(j.results))
+	for qi := range j.results {
+		results[qi] = append([]*koko.Result(nil), j.results[qi]...)
 	}
 	j.mu.Unlock()
-	for qi := range parts {
+	for qi := range results {
 		pr := progress[qi]
 		out.Queries = append(out.Queries, QueryResults{
 			Index:       qi,
@@ -488,7 +493,7 @@ func (m *Manager) Results(id string) (Results, error) {
 			Complete:    pr.ShardsDone == pr.ShardsTotal,
 			ShardsTotal: pr.ShardsTotal,
 			ShardsDone:  pr.ShardsDone,
-			Result:      koko.MergePartials(parts[qi]),
+			Result:      koko.MergeResults(results[qi]),
 		})
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -224,21 +225,101 @@ func TestShardEvalEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid shard-eval status = %d: %s", resp.StatusCode, body)
 	}
-	var ser remote.ShardEvalResponse
-	if err := json.Unmarshal(body, &ser); err != nil {
-		t.Fatal(err)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("content type = %q, want application/x-ndjson", ct)
 	}
-	if ser.Generation != 1 {
-		t.Errorf("response generation = %d, want 1", ser.Generation)
+	tuples, done := readChunks(t, body)
+	if len(tuples) == 0 {
+		t.Fatal("valid shard-eval streamed no tuples; the endpoint check is vacuous")
 	}
-	if got := remote.PartialChecksum(ser.Result); got != ser.Checksum {
-		t.Errorf("stamped checksum %x does not match payload %x", ser.Checksum, got)
+	if done.Generation != 1 {
+		t.Errorf("done generation = %d, want 1", done.Generation)
 	}
-	if ser.Result == nil {
-		t.Fatal("nil result in 200 shard-eval response")
+	if done.Summary == nil {
+		t.Fatal("nil summary in the done line")
 	}
 	if svc.Metrics().ShardEvalsServed != 1 {
 		t.Errorf("shard_evals_served = %d, want 1", svc.Metrics().ShardEvalsServed)
+	}
+}
+
+// readChunks decodes a shard-eval NDJSON body: every line before the last
+// must be a tuple batch whose stamped checksum matches its payload, and the
+// last a done line whose tuple count and counters checksum match the
+// stream. Returns the concatenated tuples and the done line.
+func readChunks(t *testing.T, body []byte) ([]koko.Tuple, *remote.ChunkDone) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var tuples []koko.Tuple
+	for {
+		var line remote.ChunkLine
+		if err := dec.Decode(&line); err != nil {
+			t.Fatalf("stream ended without a done line after %d tuples: %v", len(tuples), err)
+		}
+		switch {
+		case line.Error != "":
+			t.Fatalf("worker error line: %s", line.Error)
+		case line.Done != nil:
+			d := line.Done
+			if d.Tuples != len(tuples) {
+				t.Fatalf("done line claims %d tuples, stream carried %d", d.Tuples, len(tuples))
+			}
+			var cand, matched int
+			if d.Summary != nil {
+				cand, matched = d.Summary.Candidates, d.Summary.Matched
+			}
+			if got := remote.CountersChecksum(cand, matched, d.Tuples); got != d.Checksum {
+				t.Fatalf("done checksum %x does not match its counters %x", d.Checksum, got)
+			}
+			if dec.More() {
+				t.Fatal("lines after the done line")
+			}
+			return tuples, d
+		default:
+			if len(line.Tuples) == 0 {
+				t.Fatal("empty batch line")
+			}
+			if got := remote.TuplesChecksum(line.Tuples); got != line.Checksum {
+				t.Fatalf("batch checksum %x does not match its payload %x", line.Checksum, got)
+			}
+			tuples = append(tuples, line.Tuples...)
+		}
+	}
+}
+
+// TestShardEvalSkipResumesSuffix: the worker half of retry-resume. A
+// request with Skip=n streams exactly the suffix of the Skip=0 stream after
+// its first n tuples — with valid per-batch checksums and done.tuples =
+// total-n — including skips that end inside or on a batch boundary.
+func TestShardEvalSkipResumesSuffix(t *testing.T) {
+	c := koko.WrapCorpus(corpus.GenCafes(corpus.BaristaMagConfig(11)).Corpus)
+	_, ts := startWorker(t, "c", c, 1)
+	q := `extract x:Entity from "blogs" if () satisfying x (str(x) contains "Cafe" {1.0}) with threshold 0.5`
+	eval := func(skip int) ([]koko.Tuple, *remote.ChunkDone) {
+		t.Helper()
+		resp, body := postJSON(t, ts, remote.EvalPath, remote.ShardEvalRequest{Corpus: "c", Query: q, Skip: skip})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("skip=%d: status %d: %s", skip, resp.StatusCode, body)
+		}
+		return readChunks(t, body)
+	}
+	all, full := eval(0)
+	total := len(all)
+	if total <= 2*16 {
+		t.Fatalf("shard streams %d tuples; need several batches for the skip cases", total)
+	}
+	for _, n := range []int{1, 15, 16, 17, total / 2, total - 1, total} {
+		got, done := eval(n)
+		if done.Tuples != total-n {
+			t.Errorf("skip=%d: done.tuples = %d, want %d", n, done.Tuples, total-n)
+		}
+		if want := all[n:]; len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("skip=%d: streamed %d tuples that are not the suffix all[%d:] (%d tuples)", n, len(got), n, total-n)
+		}
+		if done.Summary.Candidates != full.Summary.Candidates || done.Summary.Matched != full.Summary.Matched {
+			t.Errorf("skip=%d: counters %d/%d differ from the unskipped %d/%d", n,
+				done.Summary.Candidates, done.Summary.Matched, full.Summary.Candidates, full.Summary.Matched)
+		}
 	}
 }
 

@@ -11,10 +11,20 @@ import (
 
 // handleShardEval is the worker side of distributed execution:
 // POST /v1/internal/shard-eval evaluates exactly one shard of a local
-// corpus and returns the partial with its rebasing offsets, the serving
-// generation, and a payload checksum. The evaluation claims one slot of
-// the same worker pool interactive queries use, so a coordinator fanning
-// out cannot oversubscribe a worker that also serves direct traffic.
+// corpus and streams it back as NDJSON ChunkLines. The evaluation claims one
+// slot of the same worker pool interactive queries use, so a coordinator
+// fanning out cannot oversubscribe a worker that also serves direct traffic.
+//
+// The shard evaluates through the engine's streaming path and tuple batches
+// leave while evaluation is still running, so the worker never materializes
+// the shard's full result. Batches are already in global corpus coordinates
+// and carry per-batch checksums; the terminal done line carries the
+// counters-only summary, the after-Skip tuple count, the serving generation,
+// and the end-of-stream checksum the coordinator cross-checks. Skip
+// implements retry-resume: evaluation is deterministic and generation-pinned,
+// so dropping the first Skip tuples re-creates exactly the suffix a resuming
+// coordinator is missing. Errors after the 200 header travel as a terminal
+// Error line.
 func (s *Service) handleShardEval(w http.ResponseWriter, r *http.Request) {
 	var req remote.ShardEvalRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -51,47 +61,7 @@ func (s *Service) handleShardEval(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.Chunk {
-		defer s.Release()
-		s.streamShardEval(w, r, eng, gen, &req, parsed)
-		return
-	}
-	part, err := eng.RunShard(r.Context(), req.Shard, parsed, &koko.QueryOptions{
-		Explain: req.Explain,
-		Workers: s.ShardWorkers(req.Workers),
-		Plan:    s.effectivePlan(req.Plan),
-	})
-	s.Release()
-	if err != nil {
-		if ctxDone(err) {
-			writeError(w, err)
-			return
-		}
-		writeError(w, fmt.Errorf("%w: %v", ErrBadQuery, err))
-		return
-	}
-	s.metrics.shardEvalsServed.Add(1)
-	writeJSON(w, http.StatusOK, remote.ShardEvalResponse{
-		Result:     part.Res,
-		DocOffset:  part.DocOffset,
-		SentOffset: part.SentOffset,
-		Generation: gen,
-		Checksum:   remote.PartialChecksum(part.Res),
-	})
-}
-
-// streamShardEval is the chunked (ShardEvalRequest.Chunk) delivery mode:
-// the shard evaluates through the engine's streaming path and tuple batches
-// leave as NDJSON ChunkLines while evaluation is still running, so the
-// worker never materializes the shard's full result. Batches are already in
-// global corpus coordinates and carry per-batch checksums; the terminal done
-// line carries the counters-only summary, the after-Skip tuple count, and
-// the end-of-stream checksum the coordinator cross-checks. Skip implements
-// retry-resume: evaluation is deterministic and generation-pinned, so
-// dropping the first Skip tuples re-creates exactly the suffix a resuming
-// coordinator is missing. Errors after the 200 header travel as a terminal
-// Error line.
-func (s *Service) streamShardEval(w http.ResponseWriter, r *http.Request, eng koko.Querier, gen uint64, req *remote.ShardEvalRequest, parsed *koko.ParsedQuery) {
+	defer s.Release()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

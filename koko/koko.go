@@ -93,8 +93,8 @@ type Options struct {
 
 // Engine indexes a corpus and evaluates KOKO queries against it.
 //
-// An Engine is safe for concurrent use: Query and QueryWith may be called
-// from multiple goroutines sharing one Engine (the cross-run regexp and
+// An Engine is safe for concurrent use: Query and Run may be called from
+// multiple goroutines sharing one Engine (the cross-run regexp and
 // score caches are internally synchronized). Save is also read-only with
 // respect to query state.
 type Engine struct {
@@ -103,7 +103,7 @@ type Engine struct {
 	model  *embed.Model
 	eng    *engine.Engine
 	// optExplain / optWorkers / optNoPlan retain the Options defaults so
-	// QueryWith can fall back to them per field.
+	// runOptions can fall back to them per field.
 	optExplain bool
 	optWorkers int
 	optNoPlan  bool
@@ -301,22 +301,7 @@ func ParseQuery(src string) (*ParsedQuery, error) {
 func (p *ParsedQuery) Canonical() string { return p.canon }
 
 // Query parses and evaluates a KOKO query with the engine's options.
-func (e *Engine) Query(src string) (*Result, error) {
-	return e.QueryWith(src, nil)
-}
-
-// QueryWith parses and evaluates a KOKO query with per-query overrides.
-// qo may be nil (engine defaults).
-//
-// Deprecated: parse with ParseQuery and evaluate with Run (or its Collect
-// for a buffered Result).
-func (e *Engine) QueryWith(src string, qo *QueryOptions) (*Result, error) {
-	p, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunParsed(p, qo)
-}
+func (e *Engine) Query(src string) (*Result, error) { return query(e, src, nil) }
 
 // runOptions resolves per-query overrides against the engine's defaults —
 // the one translation from the public QueryOptions to the internal run knobs.
@@ -406,55 +391,6 @@ func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo 
 		}
 	}
 	return summaryFromEngine(st.Result()), nil
-}
-
-// RunParsed evaluates an already-parsed query with per-query overrides.
-// qo may be nil (engine defaults). Safe for concurrent use.
-//
-// Deprecated: use Run and collect the stream (Run + TupleSeq.Collect is the
-// buffered mode).
-func (e *Engine) RunParsed(p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	return e.RunParsedCtx(context.Background(), p, qo)
-}
-
-// RunParsedCtx evaluates like RunParsed but honors ctx: a done context stops
-// the evaluation between documents and the call returns ctx.Err(). This is
-// the cancellation point the server's jobs and streaming modes rely on — a
-// deleted job or disconnected client stops consuming CPU mid-run.
-//
-// Deprecated: use Run and collect the stream with TupleSeq.Collect.
-func (e *Engine) RunParsedCtx(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	seq, err := e.Run(ctx, p, qo)
-	if err != nil {
-		return nil, err
-	}
-	return seq.Collect()
-}
-
-// RunShard evaluates one shard of the corpus. A plain Engine is a single
-// shard, so only shard 0 is valid and the returned Partial has zero offsets.
-// The method makes Engine and ShardedEngine interchangeable for callers —
-// like the server's job executor — that schedule work shard-at-a-time.
-func (e *Engine) RunShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions) (Partial, error) {
-	if shard != 0 {
-		return Partial{}, fmt.Errorf("koko: shard %d out of range (plain engine has 1 shard)", shard)
-	}
-	res, err := e.RunParsedCtx(ctx, p, qo)
-	if err != nil {
-		return Partial{}, err
-	}
-	return Partial{Res: res}, nil
-}
-
-// RunParsedEach evaluates the query and delivers the result as a single
-// shard-0 Partial through each — the one-shard form of
-// ShardedEngine.RunParsedEach, so streaming callers handle plain and sharded
-// corpora identically.
-//
-// Deprecated: use Run; ShardEnd events mark the per-shard boundaries a
-// Partial consumer regrouped on.
-func (e *Engine) RunParsedEach(ctx context.Context, p *ParsedQuery, qo *QueryOptions, each func(shard int, part Partial) error) error {
-	return runParsedEachVia(e, ctx, p, qo, each)
 }
 
 // summaryFromEngine converts the internal engine result's counters, phase

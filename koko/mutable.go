@@ -636,18 +636,7 @@ func (s *Snapshot) Fanout() int {
 }
 
 // Query parses and evaluates a KOKO query against the snapshot.
-func (s *Snapshot) Query(src string) (*Result, error) { return s.QueryWith(src, nil) }
-
-// QueryWith parses and evaluates with per-query overrides (qo may be nil).
-//
-// Deprecated: parse with ParseQuery and evaluate with Run.
-func (s *Snapshot) QueryWith(src string, qo *QueryOptions) (*Result, error) {
-	p, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunParsed(p, qo)
-}
+func (s *Snapshot) Query(src string) (*Result, error) { return query(s, src, nil) }
 
 // Run evaluates an already-parsed query across base shards and the sealed
 // delta as a lazy stream: base shards deliver first in shard order, the
@@ -672,8 +661,10 @@ func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*
 // StreamShard evaluates one shard of the snapshot as a stream: base shards
 // keep their indices, and the sealed delta is addressable as the last
 // shard, its tuples rebased after the base's. Tombstoned documents are
-// masked out of every batch and the returned summary (the streaming form of
-// maskPartial), so emitted tuples are already in masked global coordinates.
+// masked out of every batch and the returned summary, so emitted tuples are
+// already in masked global coordinates. This is the progress unit the
+// server's job executor schedules — a job submitted against a snapshot stays
+// pinned to it however many ingests happen meanwhile.
 func (s *Snapshot) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
 	dropped := map[int]bool{}
 	masked := s.maskEmit(emit, dropped)
@@ -726,9 +717,12 @@ func (s *Snapshot) maskEmit(emit func([]Tuple) error, dropped map[int]bool) func
 	}
 }
 
-// maskSummary applies maskPartial's counter semantics to a streamed shard's
-// summary: Candidates keeps the raw pre-mask count, Matched drops by the
-// distinct tombstoned sentences whose tuples were masked.
+// maskSummary masks a streamed shard's counters. Matched and Candidates are
+// pruning diagnostics, not visible rows: Candidates keeps the raw pre-mask
+// count (the index did scan those sentences), and Matched drops by the
+// distinct tombstoned sentences whose tuples were masked — a tombstoned
+// sentence whose extractions the satisfying clause already filtered stays
+// counted, so Matched can exceed a from-scratch rebuild's by those sentences.
 func (s *Snapshot) maskSummary(sum *Result, dropped map[int]bool) *Result {
 	if s.tombs.numDocs() == 0 {
 		return sum
@@ -739,102 +733,6 @@ func (s *Snapshot) maskSummary(sum *Result, dropped map[int]bool) *Result {
 		Elapsed:    sum.Elapsed,
 		Phases:     sum.Phases,
 	}
-}
-
-// RunParsed evaluates an already-parsed query across base and delta.
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (s *Snapshot) RunParsed(p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	return s.RunParsedCtx(context.Background(), p, qo)
-}
-
-// RunParsedCtx evaluates like RunParsed but honors ctx between documents.
-// Phases report summed CPU time; Elapsed reports wall time (as with the
-// sharded fan-out).
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (s *Snapshot) RunParsedCtx(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	seq, err := s.Run(ctx, p, qo)
-	if err != nil {
-		return nil, err
-	}
-	return seq.Collect()
-}
-
-// RunShard evaluates one shard: base shards keep their indices, and the
-// sealed delta is addressable as the last shard, its Partial carrying the
-// offsets that rebase delta-local ids after the base. This is the progress
-// unit the server's job executor schedules — a job submitted against a
-// snapshot stays pinned to it however many ingests happen meanwhile.
-func (s *Snapshot) RunShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions) (Partial, error) {
-	if shard >= 0 && shard < s.baseShards {
-		part, err := s.base.RunShard(ctx, shard, p, qo)
-		if err != nil {
-			return Partial{}, err
-		}
-		return s.maskPartial(part), nil
-	}
-	if s.delta != nil && shard == s.baseShards {
-		seq, err := s.delta.Run(ctx, p, qo)
-		if err != nil {
-			return Partial{}, err
-		}
-		res, err := seq.Collect()
-		if err != nil {
-			return Partial{}, err
-		}
-		return s.maskPartial(Partial{Res: res, DocOffset: s.baseDocs, SentOffset: s.baseSents}), nil
-	}
-	return Partial{}, fmt.Errorf("koko: shard %d out of range (snapshot has %d)", shard, s.NumShards())
-}
-
-// maskPartial filters tombstoned documents out of one shard's partial and
-// renumbers the survivors to masked global coordinates. The returned
-// partial carries zero offsets — its tuples are already global — which
-// keeps MergePartials, the NDJSON stream renderer, and the job executor
-// (all of which apply the offsets downstream) exact without knowing about
-// tombstones. Matched and Candidates are pruning diagnostics, not visible
-// rows: Candidates keeps the raw pre-mask count (the index did scan those
-// sentences), and Matched drops by the distinct tombstoned sentences whose
-// tuples were masked here — a tombstoned sentence whose extractions the
-// satisfying clause already filtered stays counted, so Matched can exceed a
-// from-scratch rebuild's by those sentences.
-func (s *Snapshot) maskPartial(p Partial) Partial {
-	if s.tombs.numDocs() == 0 || p.Res == nil {
-		return p
-	}
-	res := p.Res
-	out := &Result{
-		Tuples:     make([]Tuple, 0, len(res.Tuples)),
-		Candidates: res.Candidates,
-		Matched:    res.Matched,
-		Elapsed:    res.Elapsed,
-		Phases:     res.Phases,
-	}
-	dropped := map[int]bool{}
-	for _, t := range res.Tuples {
-		gd := t.Document + p.DocOffset
-		gs := t.SentenceID + p.SentOffset
-		if s.tombs.contains(gd) {
-			dropped[gs] = true
-			continue
-		}
-		t.Document = gd - s.tombs.docsBefore(gd)
-		t.SentenceID = gs - s.tombs.sentsBefore(gs)
-		out.Tuples = append(out.Tuples, t)
-	}
-	out.Matched -= len(dropped)
-	return Partial{Res: out}
-}
-
-// RunParsedEach delivers per-shard Partials in shard order — base shards
-// first, the delta's last — already in masked global coordinates (zero
-// offsets), so the stream of partials concatenates into the exact merged
-// result.
-//
-// Deprecated: use Run; ShardEnd events mark the per-shard boundaries.
-func (s *Snapshot) RunParsedEach(ctx context.Context, p *ParsedQuery, qo *QueryOptions, each func(shard int, part Partial) error) error {
-	return runParsedEachVia(s, ctx, p, qo, each)
 }
 
 // Stats aggregates index statistics across base shards and delta.

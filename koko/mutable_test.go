@@ -1,7 +1,6 @@
 package koko
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -116,21 +115,21 @@ func TestMutableIngestDifferential(t *testing.T) {
 				}
 
 				// Shard-at-a-time execution (the job executor's path): the
-				// merged RunShard prefix equals the whole-query result.
+				// merged StreamShard prefix equals the whole-query result.
 				p, err := ParseQuery(tc.queries[0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts := make([]Partial, 0, snap.NumShards())
+				parts := make([]*Result, 0, snap.NumShards())
 				for si := 0; si < snap.NumShards(); si++ {
-					part, err := snap.RunShard(context.Background(), si, p, nil)
+					part, err := streamShardResult(snap, si, p, nil)
 					if err != nil {
-						t.Fatalf("k=%d RunShard(%d): %v", k, si, err)
+						t.Fatalf("k=%d StreamShard(%d): %v", k, si, err)
 					}
 					parts = append(parts, part)
 				}
 				sameResults(t, fmt.Sprintf("k=%d shard-merge", k),
-					mustRun(t, ref, tc.queries[0], nil), MergePartials(parts))
+					mustRun(t, ref, tc.queries[0], nil), MergeResults(parts))
 			}
 		})
 	}

@@ -39,13 +39,13 @@ type EngineConfig struct {
 }
 
 // Engine is a koko.Querier whose shards evaluate on remote kokod workers:
-// the coordinator side of distributed execution. Each RunShard call walks
+// the coordinator side of distributed execution. Each StreamShard call walks
 // the shard's replica placement with per-attempt deadlines, exponential
 // backoff + jitter between attempts, hedged requests after a latency
 // threshold, and the pool's per-node breaker/health state deciding which
-// replica to try first. Results merge through the same koko.MergePartials
-// path as local shards, so a distributed query is byte-identical to a
-// single-node run. Safe for concurrent use.
+// replica to try first. Shards merge through the same ordered fan-out
+// (koko.StreamShards) as local shards, so a distributed query is
+// byte-identical to a single-node run. Safe for concurrent use.
 type Engine struct {
 	pool      *Pool
 	corpus    string
@@ -127,17 +127,16 @@ func (e *Engine) Save(path string) error {
 }
 
 // Query parses and evaluates a KOKO query across all remote shards.
-func (e *Engine) Query(src string) (*koko.Result, error) { return e.QueryWith(src, nil) }
-
-// QueryWith parses and evaluates with per-query overrides (qo may be nil).
-//
-// Deprecated: parse with koko.ParseQuery and evaluate with Run.
-func (e *Engine) QueryWith(src string, qo *koko.QueryOptions) (*koko.Result, error) {
+func (e *Engine) Query(src string) (*koko.Result, error) {
 	p, err := koko.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return e.RunParsed(p, qo)
+	seq, err := e.Run(context.Background(), p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return seq.Collect()
 }
 
 // Run fans an already-parsed query out across remote shards (bounded by the
@@ -155,27 +154,6 @@ func (e *Engine) Run(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOpt
 		}, degraded), nil
 }
 
-// RunParsed fans an already-parsed query out to every remote shard and
-// merges the partials in document order.
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (e *Engine) RunParsed(p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.Result, error) {
-	return e.RunParsedCtx(context.Background(), p, qo)
-}
-
-// RunParsedCtx fans out like RunParsed but honors ctx. Elapsed reports the
-// fan-out's wall time; phase times sum worker-side CPU as with local
-// shards.
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (e *Engine) RunParsedCtx(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.Result, error) {
-	seq, err := e.Run(ctx, p, qo)
-	if err != nil {
-		return nil, err
-	}
-	return seq.Collect()
-}
-
 // request renders the wire request for one shard.
 func (e *Engine) request(shard int, p *koko.ParsedQuery, qo *koko.QueryOptions) *ShardEvalRequest {
 	req := &ShardEvalRequest{
@@ -190,41 +168,6 @@ func (e *Engine) request(shard int, p *koko.ParsedQuery, qo *koko.QueryOptions) 
 		req.Plan = qo.Plan
 	}
 	return req
-}
-
-// RunShard evaluates one shard remotely: up to MaxAttempts tries across
-// the shard's replicas (rotating the starting replica by attempt), each
-// bounded by the per-attempt deadline, with jittered exponential backoff
-// between tries and a hedged second request racing on another replica once
-// the hedge threshold passes. Exhausting every attempt yields a typed
-// *ShardUnavailableError (errors.Is(err, ErrShardUnavailable)).
-func (e *Engine) RunShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions) (koko.Partial, error) {
-	if shard < 0 || shard >= e.NumShards() {
-		return koko.Partial{}, fmt.Errorf("remote: shard %d out of range (corpus %q has %d)", shard, e.corpus, e.NumShards())
-	}
-	req := e.request(shard, p, qo)
-	max := e.pool.cfg.MaxAttempts
-	var lastErr error
-	for try := 0; try < max; try++ {
-		if try > 0 {
-			e.pool.counters.Retries.Add(1)
-			select {
-			case <-time.After(e.pool.backoffFor(try)):
-			case <-ctx.Done():
-				return koko.Partial{}, ctx.Err()
-			}
-		}
-		resp, err := e.evalAttempt(ctx, shard, try, req)
-		if err == nil {
-			return koko.Partial{Res: resp.Result, DocOffset: resp.DocOffset, SentOffset: resp.SentOffset}, nil
-		}
-		if ctx.Err() != nil {
-			// The caller gave up; that is a cancellation, not shard death.
-			return koko.Partial{}, ctx.Err()
-		}
-		lastErr = err
-	}
-	return koko.Partial{}, &ShardUnavailableError{Corpus: e.corpus, Shard: shard, Attempts: max, Last: lastErr}
 }
 
 // pickNode selects the replica to try for (shard, rotation), preferring
@@ -251,77 +194,24 @@ func (e *Engine) pickNode(shard, rot int, exclude *nodeState) *nodeState {
 	return fallback
 }
 
-// evalAttempt runs one try of a shard: a primary attempt, plus a hedged
-// attempt on a different replica if the hedge threshold passes first. The
-// first success wins and cancels the loser; both failing returns the last
-// error.
-func (e *Engine) evalAttempt(ctx context.Context, shard, rot int, req *ShardEvalRequest) (*ShardEvalResponse, error) {
-	primary := e.pickNode(shard, rot, nil)
-	if primary == nil {
-		return nil, fmt.Errorf("remote: corpus %q shard %d has no replica to try", e.corpus, shard)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp  *ShardEvalResponse
-		err   error
-		hedge bool
-	}
-	ch := make(chan outcome, 2) // buffered: a losing attempt must not leak its goroutine
-	launch := func(n *nodeState, hedge bool) {
-		go func() {
-			resp, err := e.pool.EvalShard(cctx, n, req)
-			ch <- outcome{resp: resp, err: err, hedge: hedge}
-		}()
-	}
-	launch(primary, false)
-	inFlight := 1
-	var hedgeC <-chan time.Time
-	if d, ok := e.pool.hedgeDelay(primary); ok {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var lastErr error
-	for inFlight > 0 {
-		select {
-		case o := <-ch:
-			inFlight--
-			if o.err == nil {
-				if o.hedge {
-					e.pool.counters.HedgeWins.Add(1)
-				}
-				return o.resp, nil
-			}
-			lastErr = o.err
-		case <-hedgeC:
-			hedgeC = nil // fire at most one hedge per try
-			if h := e.pickNode(shard, rot+1, primary); h != nil {
-				e.pool.counters.HedgesFired.Add(1)
-				launch(h, true)
-				inFlight++
-			}
-		}
-	}
-	return nil, lastErr
-}
-
 // StreamShard evaluates one shard remotely as a chunked stream: tuple
 // batches arrive over /v1/internal/shard-eval as the worker evaluates,
 // already in global coordinates, each batch checksum-verified before emit.
-// Retries walk the shard's replicas like RunShard — but since earlier
-// batches may already have escaped downstream, a retry resumes instead of
-// restarting: evaluation is deterministic and generation-pinned, so the
-// next replica re-evaluates and skips the exact prefix already delivered
-// (ShardEvalRequest.Skip). Hedging applies until a replica delivers its
-// first batch: from that point the stream is claimed and the hedge is
-// cancelled, so two replicas never interleave into one consumer.
+// Up to MaxAttempts tries walk the shard's replicas (rotating the starting
+// replica by attempt), with jittered exponential backoff between tries.
+// Since earlier batches may already have escaped downstream, a retry
+// resumes instead of restarting: evaluation is deterministic and
+// generation-pinned, so the next replica re-evaluates and skips the exact
+// prefix already delivered (ShardEvalRequest.Skip). Hedging applies until a
+// replica delivers its first batch: from that point the stream is claimed
+// and the hedge is cancelled, so two replicas never interleave into one
+// consumer. Exhausting every attempt yields a typed *ShardUnavailableError
+// (errors.Is(err, ErrShardUnavailable)).
 func (e *Engine) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(tuples []koko.Tuple) error) (*koko.Result, error) {
 	if shard < 0 || shard >= e.NumShards() {
 		return nil, fmt.Errorf("remote: shard %d out of range (corpus %q has %d)", shard, e.corpus, e.NumShards())
 	}
 	req := e.request(shard, p, qo)
-	req.Chunk = true
 	max := e.pool.cfg.MaxAttempts
 	delivered := 0
 	var lastErr error
@@ -469,49 +359,4 @@ func (e *Engine) chunkTry(ctx context.Context, shard, rot int, req *ShardEvalReq
 		}
 	}
 	return nil, 0, lastErr
-}
-
-// RunParsedEach fans the query out across remote shards and delivers
-// per-shard partials in strict shard order, already in global coordinates
-// (zero offsets): a shard error cancels the rest of the fan-out, a consumer
-// error cancels it too, and no goroutine outlives the call.
-//
-// Deprecated: use Run; ShardEnd events mark the per-shard boundaries.
-func (e *Engine) RunParsedEach(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions, each func(shard int, part koko.Partial) error) error {
-	seq, err := e.Run(ctx, p, qo)
-	if err != nil {
-		return err
-	}
-	return koko.EachPartial(seq, each)
-}
-
-// RunParsedDegraded is the graceful-degradation surface: every shard is
-// attempted (failures do NOT cancel the others), and the merge of the
-// surviving shards is returned together with the failed shard indices.
-// Surviving tuples keep their exact global attribution. Only when every
-// shard fails (or ctx is done) does the call error. A non-empty failed list
-// means the result is NOT the full answer; callers must mark it degraded
-// and keep it out of result caches.
-//
-// Deprecated: use Run with QueryOptions.Degraded; TupleSeq.FailedShards
-// reports the skipped shards after the stream drains.
-func (e *Engine) RunParsedDegraded(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.Result, []int, error) {
-	qd := koko.QueryOptions{}
-	if qo != nil {
-		qd = *qo
-	}
-	qd.Degraded = true
-	seq, err := e.Run(ctx, p, &qd)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := seq.Collect()
-	if err != nil {
-		return nil, nil, err
-	}
-	failed := seq.FailedShards()
-	if n := e.NumShards(); len(failed) == n {
-		return nil, failed, fmt.Errorf("remote: corpus %q: all %d shards failed: %w", e.corpus, n, seq.FailedErr())
-	}
-	return res, failed, nil
 }

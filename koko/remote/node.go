@@ -15,8 +15,8 @@ const (
 	breakerHalfOpen
 )
 
-// latencyWindow is how many recent successful-attempt latencies a node
-// retains for the adaptive hedge threshold.
+// latencyWindow is how many recent successful-attempt latencies (time to
+// the first response line) a node retains for the adaptive hedge threshold.
 const latencyWindow = 64
 
 // nodeState is everything the pool tracks about one worker: health from

@@ -22,12 +22,12 @@ type PoolConfig struct {
 	// AttemptTimeout bounds each individual shard-eval attempt (default 2s);
 	// the caller's context still bounds the whole call.
 	AttemptTimeout time.Duration
-	// MaxAttempts is how many attempts RunShard makes per shard across
-	// replicas before giving up with ErrShardUnavailable (default 3).
+	// MaxAttempts is how many attempts Engine.StreamShard makes per shard
+	// across replicas before giving up with ErrShardUnavailable (default 3).
 	MaxAttempts int
 	// HedgeAfter controls hedged requests: > 0 fires a second attempt on
 	// another replica after that fixed delay; 0 (default) adapts to the
-	// primary node's observed p95 attempt latency; < 0 disables hedging.
+	// primary node's observed p95 time to first line; < 0 disables hedging.
 	HedgeAfter time.Duration
 	// BackoffBase / BackoffMax shape the exponential backoff between retry
 	// attempts (defaults 10ms and 500ms); each sleep is jittered ±50%.
@@ -172,92 +172,6 @@ func (p *Pool) hedgeDelay(n *nodeState) (time.Duration, bool) {
 	return 0, false
 }
 
-// EvalShard runs one shard-eval attempt against node n: fault injection,
-// per-attempt deadline, HTTP round trip, generation pinning, and checksum
-// verification, with the outcome folded into n's breaker and latency
-// state. Retry/hedge orchestration lives in Engine.RunShard; this is the
-// single-attempt primitive it composes.
-func (p *Pool) EvalShard(ctx context.Context, n *nodeState, req *ShardEvalRequest) (*ShardEvalResponse, error) {
-	p.counters.Attempts.Add(1)
-	actx, cancel := context.WithTimeout(ctx, p.cfg.AttemptTimeout)
-	defer cancel()
-	t0 := time.Now()
-	resp, err := p.attempt(actx, n.addr, req)
-	if err != nil {
-		if n.onFailure(p.cfg.BreakerThreshold, p.cfg.BreakerCooloff, time.Now()) {
-			p.counters.BreakerOpen.Add(1)
-		}
-		return nil, err
-	}
-	n.onSuccess(time.Since(t0))
-	return resp, nil
-}
-
-// attempt is the raw transport: injected faults first, then the POST.
-func (p *Pool) attempt(ctx context.Context, addr string, req *ShardEvalRequest) (*ShardEvalResponse, error) {
-	corrupt := false
-	if p.cfg.Fault != nil {
-		switch kind, delay := p.cfg.Fault.Decide(addr); kind {
-		case FaultDrop:
-			// Black hole: nothing is sent and nothing comes back until the
-			// attempt deadline fires.
-			<-ctx.Done()
-			return nil, fmt.Errorf("remote: node %s: %w", addr, ctx.Err())
-		case FaultError:
-			return nil, fmt.Errorf("remote: node %s: injected transport error", addr)
-		case FaultDelay:
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("remote: node %s: %w", addr, ctx.Err())
-			}
-		case FaultCorrupt:
-			corrupt = true
-		}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("remote: encode shard-eval request: %w", err)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+EvalPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("remote: node %s: %w", addr, err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := p.client.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("remote: node %s: %w", addr, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		// Bounded read: error bodies are one JSON line, not bulk data.
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
-		return nil, fmt.Errorf("remote: node %s: shard-eval status %d: %s", addr, hresp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var resp ShardEvalResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("remote: node %s: decode shard-eval response: %w", addr, err)
-	}
-	if corrupt {
-		// Injected payload bit-flip: mutate the decoded result so checksum
-		// verification below must catch it (exactly what a real corruption
-		// between stamp and merge would look like).
-		if resp.Result != nil {
-			resp.Result.Candidates += 1 << 20
-		} else {
-			resp.Checksum ^= 0x6b6f6b6f
-		}
-	}
-	if got := PartialChecksum(resp.Result); got != resp.Checksum {
-		p.counters.CorruptPartials.Add(1)
-		return nil, fmt.Errorf("remote: node %s: checksum mismatch (got %x, stamped %x): %w", addr, got, resp.Checksum, ErrCorruptPartial)
-	}
-	if req.Generation != 0 && resp.Generation != req.Generation {
-		return nil, fmt.Errorf("remote: node %s: generation moved (pinned %d, serving %d)", addr, req.Generation, resp.Generation)
-	}
-	return &resp, nil
-}
-
 // emitError wraps a failure of the coordinator-side batch consumer during a
 // chunked attempt: the consumer is gone (disconnect, downstream error), so
 // the attempt must not be retried and the node's breaker is not charged.
@@ -276,7 +190,10 @@ func (e *emitError) Unwrap() error { return e.err }
 // reached emit either way (the resume point for a retry with
 // ShardEvalRequest.Skip). An error from emit itself comes back wrapped as a
 // consumer error (emitError), which the retry ladder must treat as
-// terminal.
+// terminal. The latency a success feeds the adaptive hedge threshold is the
+// time to the first line: that is the window a hedge races in (the first
+// batch claims the stream), and unlike the whole stream's duration it
+// excludes time spent blocked in emit on downstream pacing.
 func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEvalRequest, emit func([]koko.Tuple) error) (done *ChunkDone, sent int, err error) {
 	p.counters.Attempts.Add(1)
 	actx, cancel := context.WithCancel(ctx)
@@ -284,7 +201,8 @@ func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEva
 	idle := time.AfterFunc(p.cfg.AttemptTimeout, cancel)
 	defer idle.Stop()
 	t0 := time.Now()
-	done, sent, err = p.chunkAttempt(actx, n.addr, req, idle, emit)
+	var firstLine time.Time
+	done, sent, err = p.chunkAttempt(actx, n.addr, req, idle, &firstLine, emit)
 	if err != nil {
 		var ee *emitError
 		if errors.As(err, &ee) {
@@ -302,14 +220,14 @@ func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEva
 		}
 		return nil, sent, err
 	}
-	n.onSuccess(time.Since(t0))
+	n.onSuccess(firstLine.Sub(t0))
 	return done, sent, nil
 }
 
 // chunkAttempt is the raw chunked transport: injected faults first, then
 // the POST and the NDJSON line loop, verifying each batch's checksum before
-// releasing it downstream.
-func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequest, idle *time.Timer, emit func([]koko.Tuple) error) (*ChunkDone, int, error) {
+// releasing it downstream. firstLine is set when the first line arrives.
+func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequest, idle *time.Timer, firstLine *time.Time, emit func([]koko.Tuple) error) (*ChunkDone, int, error) {
 	corrupt := false
 	if p.cfg.Fault != nil {
 		switch kind, delay := p.cfg.Fault.Decide(addr); kind {
@@ -353,6 +271,9 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 		var line ChunkLine
 		if err := dec.Decode(&line); err != nil {
 			return nil, sent, fmt.Errorf("remote: node %s: chunked stream broke after %d tuples: %w", addr, sent, err)
+		}
+		if firstLine.IsZero() {
+			*firstLine = time.Now()
 		}
 		idle.Reset(p.cfg.AttemptTimeout)
 		switch {

@@ -10,13 +10,16 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,11 +79,11 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch mode {
 	case "abort":
-		// Die mid-stream: a 200 header, half a JSON body, then the
+		// Die mid-stream: a 200 header, half an NDJSON line, then the
 		// connection snaps (http.ErrAbortHandler resets it).
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(`{"result":{"tu`))
+		w.Write([]byte(`{"tuples":[{"SentenceID":`))
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
@@ -362,11 +365,8 @@ func TestDegradedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, failed, err := eng.RunParsedDegraded(context.Background(), p, nil)
-	if err != nil {
-		t.Fatalf("degraded run failed outright: %v", err)
-	}
-	if len(failed) != 1 || failed[0] != 1 {
+	res, seq := runDegraded(t, eng, p)
+	if failed := seq.FailedShards(); len(failed) != 1 || failed[0] != 1 {
 		t.Fatalf("failed shards = %v, want [1]", failed)
 	}
 	ref, err := koko.NewEngine(c, nil).Query(cafeExtract)
@@ -396,9 +396,28 @@ func TestDegradedExecution(t *testing.T) {
 		Corpus: "cafes", Placement: placementOver(dead.URL),
 		Meta: remote.Meta{Generation: 1, Documents: c.NumDocuments(), Sentences: c.NumSentences()},
 	})
-	if _, failed, err := allDead.RunParsedDegraded(context.Background(), p, nil); err == nil {
-		t.Fatalf("all-shards-dead degraded run returned failed=%v and no error", failed)
+	res, seq = runDegraded(t, allDead, p)
+	if failed := seq.FailedShards(); len(failed) != workerShards || len(res.Tuples) != 0 {
+		t.Fatalf("all-shards-dead degraded run: failed=%v, %d tuples; want every shard failed and no tuples", failed, len(res.Tuples))
 	}
+	if !errors.Is(seq.FailedErr(), remote.ErrShardUnavailable) {
+		t.Fatalf("all-shards-dead degraded run: FailedErr = %v, want ErrShardUnavailable", seq.FailedErr())
+	}
+}
+
+// runDegraded collects Run with QueryOptions.Degraded: the surviving
+// shards' merge, plus the drained stream for FailedShards/FailedErr.
+func runDegraded(t *testing.T, eng *remote.Engine, p *koko.ParsedQuery) (*koko.Result, *koko.TupleSeq) {
+	t.Helper()
+	seq, err := eng.Run(context.Background(), p, &koko.QueryOptions{Degraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := seq.Collect()
+	if err != nil {
+		t.Fatalf("degraded run failed outright: %v", err)
+	}
+	return res, seq
 }
 
 // TestChunkedSlowConsumerDoesNotTripIdleTimeout: the chunked attempt's idle
@@ -481,6 +500,111 @@ func TestChunkedSlowConsumerDoesNotTripIdleTimeout(t *testing.T) {
 	}
 }
 
+// resumeProxy fronts a one-shard worker and records the Skip of every
+// shard-eval request it sees. With abort set it forwards only the first
+// chunk line of the worker's response, recording that line's tuple count,
+// and then kills the connection mid-stream.
+type resumeProxy struct {
+	inner     http.Handler
+	abort     bool
+	mu        sync.Mutex
+	skips     []int
+	forwarded []int
+}
+
+func (p *resumeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != remote.EvalPath {
+		p.inner.ServeHTTP(w, r)
+		return
+	}
+	body, _ := io.ReadAll(r.Body)
+	var req remote.ShardEvalRequest
+	json.Unmarshal(body, &req)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	p.mu.Lock()
+	p.skips = append(p.skips, req.Skip)
+	p.mu.Unlock()
+	if !p.abort {
+		p.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	p.inner.ServeHTTP(rec, r)
+	first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+	var line remote.ChunkLine
+	json.Unmarshal(first, &line)
+	p.mu.Lock()
+	p.forwarded = append(p.forwarded, len(line.Tuples))
+	p.mu.Unlock()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	w.Write(append(first, '\n'))
+	w.(http.Flusher).Flush()
+	panic(http.ErrAbortHandler)
+}
+
+// recorded returns copies of the recorded skips and forwarded counts.
+func (p *resumeProxy) recorded() (skips, forwarded []int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int(nil), p.skips...), append([]int(nil), p.forwarded...)
+}
+
+// TestChunkedRetryResumesAfterDeliveredPrefix: the coordinator half of
+// retry-resume. The first replica streams one batch and dies; that batch
+// has already gone downstream, so the retry on the other replica must ask
+// to skip exactly the delivered tuples (ShardEvalRequest.Skip), and the
+// stitched stream must equal a single-node run.
+func TestChunkedRetryResumesAfterDeliveredPrefix(t *testing.T) {
+	c := cafesCorpus()
+	ref, err := koko.NewEngine(c, nil).Query(cafeExtract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(abort bool) (*httptest.Server, *resumeProxy) {
+		svc := server.NewService(server.Config{MaxConcurrent: 8})
+		if err := svc.Registry().Register("cafes", koko.NewEngine(c, nil)); err != nil {
+			t.Fatal(err)
+		}
+		p := &resumeProxy{inner: svc.Handler(), abort: abort}
+		ts := httptest.NewServer(p)
+		t.Cleanup(ts.Close)
+		return ts, p
+	}
+	dying, dp := serve(true)
+	healthy, hp := serve(false)
+	pool := remote.NewPool(remote.PoolConfig{
+		AttemptTimeout: 5 * time.Second, HedgeAfter: -1,
+		BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+	})
+	eng := remote.NewEngine(pool, remote.EngineConfig{
+		Corpus:    "cafes",
+		Placement: koko.Placement{Replicas: [][]string{{dying.URL, healthy.URL}}},
+		Meta:      remote.Meta{Generation: 1, Documents: c.NumDocuments(), Sentences: c.NumSentences()},
+	})
+	got, err := eng.Query(cafeExtract)
+	if err != nil {
+		t.Fatalf("query did not survive a mid-stream abort: %v", err)
+	}
+	_, forwarded := dp.recorded()
+	skips, _ := hp.recorded()
+	if len(forwarded) != 1 || forwarded[0] == 0 || forwarded[0] >= len(ref.Tuples) {
+		t.Fatalf("dying replica forwarded %v tuples of %d; want one batch that is a strict prefix", forwarded, len(ref.Tuples))
+	}
+	if len(skips) != 1 || skips[0] != forwarded[0] {
+		t.Fatalf("retry skips = %v, want [%d] (the tuples already delivered)", skips, forwarded[0])
+	}
+	if !reflect.DeepEqual(got.Tuples, ref.Tuples) {
+		t.Fatalf("resumed stream differs from the single-node run:\n got %v\nwant %v", got.Tuples, ref.Tuples)
+	}
+	if got.Candidates != ref.Candidates || got.Matched != ref.Matched {
+		t.Errorf("candidates/matched = %d/%d, want %d/%d", got.Candidates, got.Matched, ref.Candidates, ref.Matched)
+	}
+	if r := pool.Counters().Retries.Load(); r < 1 {
+		t.Errorf("retries = %d, want >= 1", r)
+	}
+}
+
 // TestGenerationPinning: an engine pinned to a generation the workers do not
 // serve must fail cleanly rather than merge mismatched snapshots.
 func TestGenerationPinning(t *testing.T) {
@@ -542,41 +666,43 @@ func TestFaultPolicyDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartialChecksum: stable for equal content, sensitive to every
-// merge-relevant field, nil-safe.
+// TestPartialChecksum: the two checksums guarding a shard's streamed
+// partial (TuplesChecksum per batch, CountersChecksum on the done line) are
+// stable for equal content and sensitive to every merge-relevant field.
 func TestPartialChecksum(t *testing.T) {
-	res := &koko.Result{
-		Candidates: 5, Matched: 2,
-		Tuples: []koko.Tuple{{
+	batch := func() []koko.Tuple {
+		return []koko.Tuple{{
 			SentenceID: 3, Document: 1, Values: []string{"Cafe Vita"},
-			Scores: map[string]float64{"x": 0.7},
-		}},
+			Scores:   map[string]float64{"x": 0.7},
+			Evidence: []koko.Evidence{{Variable: "x", Condition: "c", Weight: 1, Confidence: 0.7, Contribution: 0.7}},
+		}}
 	}
-	base := remote.PartialChecksum(res)
-	if remote.PartialChecksum(res) != base {
-		t.Fatal("checksum not deterministic")
+	base := remote.TuplesChecksum(batch())
+	if remote.TuplesChecksum(batch()) != base {
+		t.Fatal("tuple checksum not deterministic")
 	}
-	mutations := []func(*koko.Result){
-		func(r *koko.Result) { r.Candidates++ },
-		func(r *koko.Result) { r.Matched++ },
-		func(r *koko.Result) { r.Tuples[0].SentenceID++ },
-		func(r *koko.Result) { r.Tuples[0].Values[0] = "Cafe Vitb" },
-		func(r *koko.Result) { r.Tuples[0].Scores["x"] = 0.8 },
-		func(r *koko.Result) { r.Tuples = nil },
+	mutations := []func([]koko.Tuple) []koko.Tuple{
+		func(ts []koko.Tuple) []koko.Tuple { ts[0].SentenceID++; return ts },
+		func(ts []koko.Tuple) []koko.Tuple { ts[0].Document++; return ts },
+		func(ts []koko.Tuple) []koko.Tuple { ts[0].Values[0] = "Cafe Vitb"; return ts },
+		func(ts []koko.Tuple) []koko.Tuple { ts[0].Scores["x"] = 0.8; return ts },
+		func(ts []koko.Tuple) []koko.Tuple { ts[0].Evidence[0].Confidence = 0.8; return ts },
+		func(ts []koko.Tuple) []koko.Tuple { return nil },
 	}
 	for i, mutate := range mutations {
-		clone := *res
-		clone.Tuples = []koko.Tuple{{
-			SentenceID: 3, Document: 1, Values: []string{"Cafe Vita"},
-			Scores: map[string]float64{"x": 0.7},
-		}}
-		mutate(&clone)
-		if remote.PartialChecksum(&clone) == base {
-			t.Errorf("mutation %d not reflected in checksum", i)
+		if remote.TuplesChecksum(mutate(batch())) == base {
+			t.Errorf("tuple mutation %d not reflected in checksum", i)
 		}
 	}
-	if remote.PartialChecksum(nil) == base {
-		t.Error("nil result hashes like a populated one")
+
+	counters := remote.CountersChecksum(5, 2, 1)
+	if remote.CountersChecksum(5, 2, 1) != counters {
+		t.Fatal("counters checksum not deterministic")
+	}
+	for i, c := range [][3]int{{6, 2, 1}, {5, 3, 1}, {5, 2, 0}} {
+		if remote.CountersChecksum(c[0], c[1], c[2]) == counters {
+			t.Errorf("counters mutation %d not reflected in checksum", i)
+		}
 	}
 }
 

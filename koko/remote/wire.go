@@ -1,6 +1,8 @@
 // Package remote makes a shard set served by other kokod processes look
-// like a local koko.Querier: an Engine fans RunShard calls out over HTTP to
-// worker nodes (POST /v1/internal/shard-eval) and merges the partials with
+// like a local koko.Querier: an Engine fans StreamShard calls out over HTTP
+// to worker nodes (POST /v1/internal/shard-eval), each answering with one
+// chunked NDJSON stream — checksummed tuple batches as the shard evaluates,
+// then a done line with the shard's counters — and merges the streams with
 // the same ordered merge a local sharded engine uses, so a distributed run
 // is byte-identical to a single-node one.
 //
@@ -10,11 +12,12 @@
 //
 //   - per-node health state flipped by consecutive ping failures
 //     (Pool.HealthLoop), so dead nodes stop being first choice;
-//   - per-attempt deadlines with retry + exponential backoff + jitter
-//     against the shard's replica placement (Engine.RunShard);
+//   - per-line idle deadlines with retry + exponential backoff + jitter
+//     against the shard's replica placement, resuming after the tuples
+//     already delivered (Engine.StreamShard, ShardEvalRequest.Skip);
 //   - hedged requests: after a latency threshold (fixed, or adaptive from
 //     the node's observed p95) a second attempt races on another replica
-//     and the first success wins;
+//     and the first to deliver a line claims the stream;
 //   - a per-node circuit breaker (closed / open / half-open single probe)
 //     that sheds load from flapping workers;
 //   - opt-in graceful degradation (koko.QueryOptions.Degraded) streaming
@@ -29,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"math"
 	"sort"
@@ -42,6 +44,9 @@ import (
 const EvalPath = "/v1/internal/shard-eval"
 
 // ShardEvalRequest asks a worker to evaluate one shard of a named corpus.
+// The worker answers with NDJSON ChunkLines: bounded tuple batches as they
+// are evaluated, then a terminal done line, so a giant shard result never
+// materializes on the worker.
 type ShardEvalRequest struct {
 	Corpus string `json:"corpus"`
 	Shard  int    `json:"shard"`
@@ -58,30 +63,12 @@ type ShardEvalRequest struct {
 	// coordinator discovered: a worker whose corpus has moved on answers
 	// 409 rather than silently evaluating different data.
 	Generation uint64 `json:"generation,omitempty"`
-	// Chunk asks for streamed delivery: the worker answers with NDJSON
-	// ChunkLines (bounded tuple batches as they are evaluated, then a
-	// terminal done line) instead of one buffered ShardEvalResponse, so a
-	// giant shard result never materializes on the worker.
-	Chunk bool `json:"chunk,omitempty"`
-	// Skip, with Chunk, omits the first Skip tuples of the shard's stream —
-	// the retry-resume protocol: evaluation is deterministic and generation
+	// Skip omits the first Skip tuples of the shard's stream — the
+	// retry-resume protocol: evaluation is deterministic and generation
 	// pinning fixes the data, so a replica re-evaluating the shard produces
 	// the identical tuple sequence and the coordinator can resume exactly
 	// after the prefix it already delivered downstream.
 	Skip int `json:"skip,omitempty"`
-}
-
-// ShardEvalResponse is one shard's partial result plus the offsets that
-// rebase it into the global corpus (the fields of koko.Partial, flattened
-// for the wire) and a checksum the coordinator verifies before merging.
-type ShardEvalResponse struct {
-	Result     *koko.Result `json:"result"`
-	DocOffset  int          `json:"doc_offset"`
-	SentOffset int          `json:"sent_offset"`
-	Generation uint64       `json:"generation"`
-	// Checksum is PartialChecksum(Result): end-to-end corruption detection
-	// for the tuple payload, independent of TCP's per-segment checks.
-	Checksum uint64 `json:"checksum"`
 }
 
 // ChunkLine is one NDJSON line of a chunked shard-eval response. Exactly
@@ -111,9 +98,12 @@ type ChunkDone struct {
 	Checksum uint64 `json:"checksum"`
 }
 
-// hashTuples folds the merge-relevant content of a tuple batch — ids,
-// values, scores, evidence — into h, in order.
-func hashTuples(h hash.Hash64, ts []koko.Tuple) {
+// TuplesChecksum hashes the merge-relevant content of one chunk's tuple
+// batch — ids, values, scores, evidence — in order, with FNV-1a. Workers
+// stamp it on every ChunkLine; the coordinator verifies before releasing the
+// batch downstream.
+func TuplesChecksum(ts []koko.Tuple) uint64 {
+	h := fnv.New64a()
 	var buf [8]byte
 	writeInt := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
@@ -154,14 +144,6 @@ func hashTuples(h hash.Hash64, ts []koko.Tuple) {
 			writeFloat(ev.Contribution)
 		}
 	}
-}
-
-// TuplesChecksum hashes one chunk's tuple batch with FNV-1a. Workers stamp
-// it on every ChunkLine; the coordinator verifies before releasing the
-// batch downstream.
-func TuplesChecksum(ts []koko.Tuple) uint64 {
-	h := fnv.New64a()
-	hashTuples(h, ts)
 	return h.Sum64()
 }
 
@@ -177,40 +159,18 @@ func CountersChecksum(candidates, matched, tuples int) uint64 {
 	return h.Sum64()
 }
 
-// PartialChecksum hashes the merge-relevant content of a shard result —
-// tuple ids, values, scores, evidence shape, and the candidate/match
-// counts — with FNV-1a. Workers stamp it on every response and the
-// coordinator recomputes it after decoding; a mismatch is treated like any
-// other attempt failure and retried on a replica.
-func PartialChecksum(res *koko.Result) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	if res == nil {
-		return h.Sum64()
-	}
-	writeInt(int64(res.Candidates))
-	writeInt(int64(res.Matched))
-	writeInt(int64(len(res.Tuples)))
-	hashTuples(h, res.Tuples)
-	return h.Sum64()
-}
-
 // ErrShardUnavailable marks a shard whose every replica (across all retry
 // attempts) failed. Callers match it with errors.Is; the concrete error is
 // a *ShardUnavailableError carrying the last per-attempt failure.
 var ErrShardUnavailable = errors.New("shard unavailable")
 
-// ErrCorruptPartial marks a shard response whose recomputed checksum
-// disagreed with the one the worker stamped — the attempt-level failure
+// ErrCorruptPartial marks a chunk line whose recomputed checksum disagreed
+// with the one the worker stamped — the attempt-level failure
 // that corruption detection turns into a retry.
 var ErrCorruptPartial = errors.New("corrupt shard partial")
 
-// ShardUnavailableError is the typed terminal failure of Engine.RunShard:
-// every replica of the shard failed on every attempt.
+// ShardUnavailableError is the typed terminal failure of
+// Engine.StreamShard: every replica of the shard failed on every attempt.
 type ShardUnavailableError struct {
 	Corpus   string
 	Shard    int

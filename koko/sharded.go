@@ -18,18 +18,14 @@ import (
 // one type and route queries without knowing whether the corpus is
 // partitioned, mutable, or distributed.
 //
-// Run is the canonical evaluation method: context-first, returning a lazy
-// TupleSeq whose memory is bounded by batching rather than result size.
-// Every other evaluation surface is defined in terms of it — buffered
-// results are Run + TupleSeq.Collect, per-shard Partial delivery is Run
-// regrouped on ShardEnd markers. StreamShard is the per-shard unit beneath
-// Run: exactly one shard evaluated as a stream of bounded batches (the
-// progress unit of the server's job executor and the chunked remote
-// protocol). RunShard is its buffered sibling.
-//
-// The RunParsed* family and QueryWith predate Run and remain as thin
-// wrappers for compatibility.
+// Run is the one evaluation method: context-first, returning a lazy
+// TupleSeq whose memory is bounded by batching rather than result size; a
+// buffered Result is Run + TupleSeq.Collect, which is all Query does.
+// StreamShard is the per-shard unit beneath Run: exactly one shard evaluated
+// as a stream of bounded batches (the progress unit of the server's job
+// executor and of the remote shard-eval protocol).
 type Querier interface {
+	// Query parses src and collects its Run with the engine's defaults.
 	Query(src string) (*Result, error)
 	// Run evaluates an already-parsed query as a single-use lazy stream of
 	// tuples in global document order with per-shard end markers. qo may be
@@ -38,19 +34,9 @@ type Querier interface {
 	// through TupleSeq.Err after iteration.
 	Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error)
 	// StreamShard evaluates exactly one shard, delivering tuples through
-	// emit in bounded batches already rebased to global coordinates, and
-	// returns the shard's counters-only summary.
+	// emit in bounded batches already in global coordinates, and returns
+	// the shard's counters-only summary.
 	StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error)
-	RunShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions) (Partial, error)
-
-	// Deprecated: parse with ParseQuery and use Run.
-	QueryWith(src string, qo *QueryOptions) (*Result, error)
-	// Deprecated: use Run with TupleSeq.Collect.
-	RunParsed(p *ParsedQuery, qo *QueryOptions) (*Result, error)
-	// Deprecated: use Run with TupleSeq.Collect.
-	RunParsedCtx(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*Result, error)
-	// Deprecated: use Run; ShardEnd events mark the per-shard boundaries.
-	RunParsedEach(ctx context.Context, p *ParsedQuery, qo *QueryOptions, each func(shard int, part Partial) error) error
 
 	Stats() IndexStats
 	ShardStats() []ShardStat
@@ -78,36 +64,20 @@ type ShardStat struct {
 	Delta bool `json:"delta,omitempty"`
 }
 
-// Partial is one shard's contribution to a query: a complete Result in
-// shard-local document and sentence coordinates, plus the offsets that
-// rebase it into the global corpus. Merging partials in shard order yields
-// exactly the single-engine result.
-type Partial struct {
-	Res *Result
-	// DocOffset / SentOffset rebase the shard-local Tuple.Document and
-	// Tuple.SentenceID to corpus-global values.
-	DocOffset  int
-	SentOffset int
-}
-
-// MergePartials concatenates shard partials in the order given, rebasing
-// tuple attribution to global ids. Shards cover ascending doc ranges and
-// each shard emits tuples in document order, so concatenation preserves
-// global document order. Phase times and Elapsed are summed across shards
-// (CPU time, as with Workers > 1); callers that want fan-out wall time
-// overwrite Elapsed afterwards.
-func MergePartials(parts []Partial) *Result {
+// MergeResults concatenates per-shard results in the order given. Every
+// Querier emits tuples already in global coordinates, shards cover
+// ascending doc ranges, and each shard emits in document order, so the
+// concatenation is in global document order. Phase times and Elapsed are
+// summed across shards (CPU time, as with Workers > 1); callers that want
+// fan-out wall time overwrite Elapsed afterwards. Nil entries are skipped.
+func MergeResults(parts []*Result) *Result {
 	out := &Result{}
-	for _, p := range parts {
-		if p.Res == nil {
+	for _, r := range parts {
+		if r == nil {
 			continue
 		}
-		for _, t := range p.Res.Tuples {
-			t.SentenceID += p.SentOffset
-			t.Document += p.DocOffset
-			out.Tuples = append(out.Tuples, t)
-		}
-		mergeResultInto(out, p.Res)
+		out.Tuples = append(out.Tuples, r.Tuples...)
+		mergeResultInto(out, r)
 	}
 	return out
 }
@@ -249,30 +219,16 @@ func (e *ShardedEngine) DocumentName(i int) string {
 }
 
 // Query parses and evaluates a KOKO query across all shards.
-func (e *ShardedEngine) Query(src string) (*Result, error) {
-	return e.QueryWith(src, nil)
-}
-
-// QueryWith parses and evaluates with per-query overrides (qo may be nil).
-// Workers applies within each shard; shard fan-out is bounded separately by
-// SetParallelism.
-//
-// Deprecated: parse with ParseQuery and evaluate with Run.
-func (e *ShardedEngine) QueryWith(src string, qo *QueryOptions) (*Result, error) {
-	p, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunParsed(p, qo)
-}
+func (e *ShardedEngine) Query(src string) (*Result, error) { return query(e, src, nil) }
 
 // Run fans an already-parsed query out across shards (bounded by the
 // engine's parallelism) as a lazy stream: each shard delivers bounded
 // batches into the K-way ordered merge, so tuples yield in global document
 // order — the first shard's first documents stream out while later shards
 // are still evaluating — and memory stays bounded regardless of result
-// size. Safe for concurrent use; each call returns an independent
-// single-use stream.
+// size. qo.Workers applies within each shard; the shard fan-out is bounded
+// separately by SetParallelism. Safe for concurrent use; each call returns
+// an independent single-use stream.
 func (e *ShardedEngine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	return StreamShards(ctx, len(e.shards), int(e.parallel.Load()),
 		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
@@ -296,61 +252,6 @@ func (e *ShardedEngine) StreamShard(ctx context.Context, shard int, p *ParsedQue
 		}
 		return emit(ts)
 	})
-}
-
-// RunParsed fans an already-parsed query out to every shard on a bounded
-// pool and merges the partials in document order. Phases report summed CPU
-// time across shards; Elapsed reports the fan-out's wall time. Safe for
-// concurrent use.
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (e *ShardedEngine) RunParsed(p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	return e.RunParsedCtx(context.Background(), p, qo)
-}
-
-// RunParsedCtx fans out like RunParsed but honors ctx: shards not yet
-// started are skipped and in-flight shard evaluations stop between
-// documents; the call then returns ctx.Err() (possibly wrapped with the
-// failing shard's number).
-//
-// Deprecated: use Run with TupleSeq.Collect.
-func (e *ShardedEngine) RunParsedCtx(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	seq, err := e.Run(ctx, p, qo)
-	if err != nil {
-		return nil, err
-	}
-	return seq.Collect()
-}
-
-// RunShard evaluates shard i only, returning its Partial with the offsets
-// that rebase it into the global corpus. It is the buffered sibling of
-// StreamShard: K calls in shard order, each individually cancellable, whose
-// accumulated prefix is always mergeable with MergePartials.
-func (e *ShardedEngine) RunShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions) (Partial, error) {
-	if shard < 0 || shard >= len(e.shards) {
-		return Partial{}, fmt.Errorf("koko: shard %d out of range (engine has %d)", shard, len(e.shards))
-	}
-	seq, err := e.shards[shard].Run(ctx, p, qo)
-	if err != nil {
-		return Partial{}, err
-	}
-	res, err := seq.Collect()
-	if err != nil {
-		return Partial{}, err
-	}
-	return Partial{Res: res, DocOffset: e.specs[shard].LoDoc, SentOffset: e.specs[shard].FirstSID}, nil
-}
-
-// RunParsedEach fans the query out and delivers each shard's Partial to
-// each in strict shard order, already rebased to global coordinates (zero
-// offsets). A shard error cancels the rest of the fan-out; an error from
-// each cancels remaining shard evaluations and is returned. All fan-out
-// goroutines have exited by the time RunParsedEach returns.
-//
-// Deprecated: use Run; ShardEnd events mark the per-shard boundaries, and
-// tuples stream instead of buffering per shard.
-func (e *ShardedEngine) RunParsedEach(ctx context.Context, p *ParsedQuery, qo *QueryOptions, each func(shard int, part Partial) error) error {
-	return runParsedEachVia(e, ctx, p, qo, each)
 }
 
 // Stats sums index statistics across shards. Counts are per-shard sizes

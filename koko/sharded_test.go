@@ -70,7 +70,7 @@ func diffCases() []diffCase {
 
 func mustRun(t *testing.T, q Querier, src string, qo *QueryOptions) *Result {
 	t.Helper()
-	res, err := q.QueryWith(src, qo)
+	res, err := query(q, src, qo)
 	if err != nil {
 		t.Fatalf("query failed: %v\n%s", err, src)
 	}
@@ -287,7 +287,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 4; i++ {
-				res, err := e.QueryWith(src, &QueryOptions{Workers: 1 + g%3})
+				res, err := query(e, src, &QueryOptions{Workers: 1 + g%3})
 				if err != nil {
 					done <- err
 					return

@@ -11,12 +11,12 @@ import (
 // Streaming results: TupleSeq is the canonical form every Querier's Run
 // returns. Tuples flow lazily from the per-document evaluation loop through
 // the shard fan-out to the consumer; buffered results, the server's result
-// cache, and Partial merging are thin collectors over the same sequence.
+// cache, and job results are thin collectors over the same sequence.
 
 // streamBatchTuples bounds how many tuples a shard accumulates before
 // flushing a batch downstream. Small enough that the first batch of a large
 // result arrives long before evaluation completes; large enough that
-// per-batch overhead (channel hops, job result partials, NDJSON flushes)
+// per-batch overhead (channel hops, job result appends, NDJSON flushes)
 // amortizes.
 const streamBatchTuples = 256
 
@@ -142,12 +142,11 @@ func (s *TupleSeq) Summary() *Result {
 
 // Collect drains the stream into a materialized Result, byte-identical to
 // the historical buffered mode: tuples concatenated in shard order, counters
-// and plan reports merged exactly as MergePartials would, Elapsed set to the
+// and plan reports merged exactly as MergeResults would, Elapsed set to the
 // fan-out's wall time. In a degraded stream a shard may fail after some of
 // its tuples were already yielded; Collect keeps only tuples confirmed by a
-// completed shard's ShardEnd, so the result holds surviving shards only —
-// the same semantics as EachPartial — and FailedShards never names a shard
-// whose tuples are in the result.
+// completed shard's ShardEnd, so the result holds surviving shards only and
+// FailedShards never names a shard whose tuples are in the result.
 func (s *TupleSeq) Collect() (*Result, error) {
 	t0 := time.Now()
 	var tuples []Tuple
@@ -369,7 +368,7 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 }
 
 // mergeResultInto folds one shard's counters, phase times, and plan report
-// into a merged result — the non-tuple half of MergePartials, shared with
+// into a merged result — the non-tuple half of MergeResults, shared with
 // the streaming collectors so both modes merge identically.
 func mergeResultInto(out *Result, res *Result) {
 	out.Candidates += res.Candidates
@@ -385,47 +384,15 @@ func mergeResultInto(out *Result, res *Result) {
 	mergePlanInfo(out, res.Plan)
 }
 
-// EachPartial drains a stream into the historical per-shard-Partial
-// callback shape: tuples regroup into one Partial per completed shard,
-// already in global coordinates (zero offsets), delivered in strict shard
-// order. Failed shards of a degraded stream are skipped. An error from each
-// stops the drain (cancelling the remaining evaluation) and is returned;
-// otherwise EachPartial returns the stream's terminal error. The compat
-// surface beneath the deprecated RunParsedEach wrappers.
-func EachPartial(seq *TupleSeq, each func(shard int, part Partial) error) error {
-	var tuples []Tuple
-	var eachErr error
-	for ev := range seq.Events() {
-		if ev.Tuple != nil {
-			tuples = append(tuples, *ev.Tuple)
-			continue
-		}
-		if sh := ev.Shard; sh != nil {
-			if sh.Failed {
-				tuples = nil
-				continue
-			}
-			res := &Result{Tuples: tuples}
-			tuples = nil
-			if sh.Summary != nil {
-				mergeResultInto(res, sh.Summary)
-			}
-			if eachErr = each(sh.Shard, Partial{Res: res}); eachErr != nil {
-				break
-			}
-		}
-	}
-	if eachErr != nil {
-		return eachErr
-	}
-	return seq.Err()
-}
-
-// runParsedEachVia is the deprecated-wrapper plumbing: Run + EachPartial.
-func runParsedEachVia(q Querier, ctx context.Context, p *ParsedQuery, qo *QueryOptions, each func(shard int, part Partial) error) error {
-	seq, err := q.Run(ctx, p, qo)
+// query is Query for every local Querier: parse, Run, and Collect.
+func query(q Querier, src string, qo *QueryOptions) (*Result, error) {
+	p, err := ParseQuery(src)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return EachPartial(seq, each)
+	seq, err := q.Run(context.Background(), p, qo)
+	if err != nil {
+		return nil, err
+	}
+	return seq.Collect()
 }

@@ -276,8 +276,8 @@ func TestStreamOrderedAdmission(t *testing.T) {
 // TestStreamDegradedCollectDropsFailedShardPrefix: in degraded mode a shard
 // can fail after some of its tuples were already yielded into the stream.
 // Collect must keep surviving shards only — the failed shard's partial
-// prefix is dropped, matching EachPartial — so FailedShards never names a
-// shard whose tuples are in the collected result.
+// prefix is dropped — so FailedShards never names a shard whose tuples are
+// in the collected result.
 func TestStreamDegradedCollectDropsFailedShardPrefix(t *testing.T) {
 	boom := errors.New("replica died mid-stream")
 	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
