@@ -20,17 +20,16 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id: fig3 fig4 fig5 nell fig6 fig7 fig8 tab1 tab2 odin ablation server all, or hotpath / plan / shard / jobs / ingest / wal / dist / stream / store (JSON snapshots, excluded from all)")
+	exp := flag.String("exp", "all", "experiment id: fig3 fig4 fig5 nell fig6 fig7 fig8 tab1 tab2 odin ablation all")
 	scale := flag.Int("scale", 1, "corpus scale multiplier")
 	seed := flag.Int64("seed", 1, "generator seed")
-	iters := flag.Int("iters", 3, "timing iterations for -exp shard (best-of-N) and -exp jobs (probe count multiplier)")
 	flag.Parse()
 
 	run := func(id string) bool { return *exp == "all" || *exp == id }
 	any := false
 	if run("fig3") {
 		any = true
-		fig3(*seed, *scale)
+		fig3(*seed)
 	}
 	if run("fig4") {
 		any = true
@@ -72,64 +71,6 @@ func main() {
 		any = true
 		ablation(*seed, *scale)
 	}
-	if run("server") {
-		any = true
-		serverLoad(*seed, *scale)
-	}
-	if *exp == "hotpath" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_engine.json snapshot) on stdout for redirection.
-		any = true
-		hotpath(*iters)
-	}
-	if *exp == "plan" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_plan.json snapshot) on stdout for redirection.
-		any = true
-		planBench(*iters)
-	}
-	if *exp == "shard" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_shard.json snapshot) on stdout for redirection.
-		any = true
-		shard(*iters)
-	}
-	if *exp == "jobs" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_jobs.json snapshot) on stdout for redirection.
-		any = true
-		jobsBench(*iters)
-	}
-	if *exp == "ingest" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_ingest.json snapshot) on stdout for redirection.
-		any = true
-		ingestBench(*iters)
-	}
-	if *exp == "wal" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_wal.json snapshot) on stdout for redirection.
-		any = true
-		walBench(*iters)
-	}
-	if *exp == "dist" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_dist.json snapshot) on stdout for redirection.
-		any = true
-		distBench(*iters)
-	}
-	if *exp == "stream" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_stream.json snapshot) on stdout for redirection.
-		any = true
-		streamBench(*iters)
-	}
-	if *exp == "store" {
-		// Not part of -exp all: emits pure JSON (the committed
-		// BENCH_store.json snapshot) on stdout for redirection.
-		any = true
-		storeBench(*iters)
-	}
 	if !any {
 		fmt.Fprintf(os.Stderr, "kokobench: unknown experiment %q\n", *exp)
 		os.Exit(2)
@@ -143,19 +84,15 @@ func header(title string) {
 	fmt.Println(strings.Repeat("=", len(title)))
 }
 
-func fig3(seed int64, scale int) {
+func fig3(seed int64) {
 	header("Figure 3 — extracting cafe names (Koko vs IKE vs CRFsuite)")
 	bm := corpus.GenCafes(corpus.BaristaMagConfig(seed))
 	res, err := experiments.RunCafeExtraction("Barista Magazine", bm)
 	check(err)
 	fmt.Print(experiments.FormatQuality(res))
 
-	sp := corpus.SprudgeConfig(seed + 1)
-	if scale < 1 {
-		scale = 1
-	}
-	// Sprudge is large; scale=1 keeps the paper's full 1645 articles.
-	res2, err := experiments.RunCafeExtraction("Sprudge", corpus.GenCafes(sp))
+	// Sprudge is large; its config keeps the paper's full 1645 articles.
+	res2, err := experiments.RunCafeExtraction("Sprudge", corpus.GenCafes(corpus.SprudgeConfig(seed+1)))
 	check(err)
 	fmt.Print(experiments.FormatQuality(res2))
 }
@@ -269,57 +206,6 @@ func ablation(seed int64, scale int) {
 	header("Ablation — DPLI with index families removed")
 	c := corpus.GenHappyDB(3000*scale, seed)
 	fmt.Print(experiments.FormatAblation(experiments.RunIndexAblation(c, seed+5)))
-}
-
-// hotpath writes the engine hot-path perf snapshot as JSON:
-//
-//	kokobench -exp hotpath > BENCH_engine.json
-//
-// The snapshot pairs the current engine's ns/op, B/op, allocs/op on the
-// HappyDB extract workload with the committed pre-refactor baseline, so
-// future PRs have a trajectory to beat.
-func hotpath(iters int) {
-	snap := experiments.RunHotPathBench()
-	snap.Plan = experiments.RunPlanBench(iters).Points
-	fmt.Print(experiments.FormatHotPath(snap))
-}
-
-// planBench writes the planner on/off comparison as JSON:
-//
-//	kokobench -exp plan > BENCH_plan.json
-func planBench(iters int) {
-	fmt.Print(experiments.FormatPlan(experiments.RunPlanBench(iters)))
-}
-
-// shard writes the sharded-execution scaling snapshot as JSON:
-//
-//	kokobench -exp shard > BENCH_shard.json
-//
-// The snapshot records wall-clock time and speedup of the HappyDB extract
-// workload at K ∈ {1,2,4,8} doc-range shards.
-func shard(iters int) {
-	fmt.Print(experiments.FormatShardBench(experiments.RunShardBench(iters)))
-}
-
-// streamBench writes the streaming-execution snapshot as JSON:
-//
-//	kokobench -exp stream > BENCH_stream.json
-//
-// The snapshot compares first-tuple latency and peak heap growth of the
-// streamed event drain against the materialized Collect at two result sizes.
-func streamBench(iters int) {
-	fmt.Print(experiments.FormatStreamBench(experiments.RunStreamBench(iters)))
-}
-
-// storeBench writes the storage-paging snapshot as JSON:
-//
-//	kokobench -exp store > BENCH_store.json
-//
-// The snapshot compares open latency, cold- and warm-cache query latency,
-// and live-heap residency of the mmap block store against the heap-resident
-// row store at one fixed corpus.
-func storeBench(iters int) {
-	fmt.Print(experiments.FormatStoreBench(experiments.RunStoreBench(iters)))
 }
 
 func check(err error) {

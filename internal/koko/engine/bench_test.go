@@ -12,9 +12,7 @@ import (
 
 // The hot-path benchmark workload: a HappyDB corpus and the three query
 // shapes that dominate real runs — a GSP-heavy horizontal extract, an
-// aggregator-bound satisfying query, and DPLI word-path joins. The same
-// workload (same sizes, seeds, and query text) is measured end-to-end by
-// `kokobench -exp hotpath`, which refreshes BENCH_engine.json.
+// aggregator-bound satisfying query, and DPLI word-path joins.
 //
 // The corpus generator mirrors corpus.GenHappyDB (that package depends on
 // the engine through the indexing baselines, so it cannot be imported from
@@ -107,8 +105,7 @@ func benchEngineOver(c *index.Corpus) *Engine {
 }
 
 // BenchmarkExtractHotPath measures one full evaluation of the HappyDB
-// extract workload (DPLI + GSP + nested loops + derivation); allocs/op and
-// B/op are the numbers BENCH_engine.json tracks.
+// extract workload (DPLI + GSP + nested loops + derivation).
 func BenchmarkExtractHotPath(b *testing.B) {
 	e := benchEngine(b)
 	q := lang.MustParse(benchExtractQuery)

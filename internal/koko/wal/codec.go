@@ -144,18 +144,37 @@ func (d *decoder) str() string {
 	return v
 }
 
-func (d *decoder) sentences() []nlp.Sentence {
-	ns := d.uvarint()
-	if d.err != nil || ns > maxPayload {
+// Minimum encoded sizes, in bytes, of one element of each counted list: a
+// sentence is at least its two empty counts, a token four empty strings and
+// a one-byte head, an entity two empty strings and two one-byte offsets.
+const (
+	minSentenceSize = 2
+	minTokenSize    = 5
+	minEntitySize   = 4
+)
+
+// count reads an element count and rejects any that the remaining bytes
+// cannot hold at minSize bytes per element, so a corrupt count can never
+// size an allocation beyond what the payload itself backs.
+func (d *decoder) count(minSize int) uint64 {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.b)/minSize) {
 		d.fail()
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) sentences() []nlp.Sentence {
+	ns := d.count(minSentenceSize)
+	if d.err != nil {
 		return nil
 	}
 	sents := make([]nlp.Sentence, 0, ns)
 	for si := uint64(0); si < ns && d.err == nil; si++ {
 		var s nlp.Sentence
-		nt := d.uvarint()
-		if d.err != nil || nt > maxPayload {
-			d.fail()
+		nt := d.count(minTokenSize)
+		if d.err != nil {
 			return nil
 		}
 		s.Tokens = make([]nlp.Token, 0, nt)
@@ -173,9 +192,8 @@ func (d *decoder) sentences() []nlp.Sentence {
 		// Rebuild derived geometry first (entity construction in
 		// LoadSentence follows the same order).
 		s.RecomputeDerived()
-		ne := d.uvarint()
-		if d.err != nil || ne > maxPayload {
-			d.fail()
+		ne := d.count(minEntitySize)
+		if d.err != nil {
 			return nil
 		}
 		for i := uint64(0); i < ne && d.err == nil; i++ {

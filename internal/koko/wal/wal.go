@@ -167,7 +167,7 @@ func (l *Log) recover(replay func(*Record) error) error {
 	l.seq = binary.LittleEndian.Uint64(hdr[8:]) - 1
 	good := int64(headerSize)
 	for {
-		rec, n, err := readRecord(r)
+		rec, n, err := readRecord(r, st.Size()-good)
 		if err != nil {
 			break // torn or corrupt tail: keep the good prefix
 		}
@@ -194,15 +194,18 @@ func (l *Log) recover(replay func(*Record) error) error {
 	return nil
 }
 
-// readRecord decodes one framed record, returning it and its on-disk size.
-func readRecord(r *bufio.Reader) (*Record, int, error) {
+// readRecord decodes one framed record from r, which holds left bytes before
+// EOF, returning the record and its on-disk size. The checksum does not
+// cover the length field, so a torn tail can declare any length: one that
+// runs past EOF is rejected before anything is allocated.
+func readRecord(r *bufio.Reader, left int64) (*Record, int, error) {
 	var frame [8]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		return nil, 0, err
 	}
 	n := binary.LittleEndian.Uint32(frame[:4])
 	sum := binary.LittleEndian.Uint32(frame[4:])
-	if n == 0 || n > maxPayload {
+	if n == 0 || n > maxPayload || int64(n) > left-8 {
 		return nil, 0, fmt.Errorf("wal: bad record length %d", n)
 	}
 	payload := make([]byte, n)
@@ -323,11 +326,12 @@ func (l *Log) TruncatePrefix(applied uint64) error {
 	}
 	r := bufio.NewReader(l.f)
 	var keep []byte
-	for {
-		rec, _, err := readRecord(r)
+	for off := int64(headerSize); ; {
+		rec, n, err := readRecord(r, l.size-off)
 		if err != nil {
 			break
 		}
+		off += int64(n)
 		if rec.Seq > applied {
 			keep = appendRecord(keep, rec)
 		}

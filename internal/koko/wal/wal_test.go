@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/nlp"
@@ -130,6 +132,44 @@ func TestTornTailTruncated(t *testing.T) {
 	_, recs = openCollect(t, path, SyncNone)
 	if len(recs) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(recs))
+	}
+}
+
+func TestTornTailLengthPastEOF(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _ := openCollect(t, path, SyncAlways)
+	if _, err := l.Append(Record{Kind: KindAdd, Name: "a.txt", Sents: parsedDoc(t, "I ate a pie.")}); err != nil {
+		t.Fatal(err)
+	}
+	good := l.Size()
+	l.Close()
+
+	// The length field is outside the checksum, so a torn tail can declare
+	// a near-maxPayload frame with only a few bytes behind it.
+	var frame [8]byte
+	binary.LittleEndian.PutUint32(frame[:4], maxPayload-1)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame[:], "torn"...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l2, recs := openCollect(t, path, SyncNone)
+	runtime.ReadMemStats(&after)
+	defer l2.Close()
+	if len(recs) != 1 || recs[0].Name != "a.txt" {
+		t.Fatalf("replayed %d records, want the 1 intact prefix record", len(recs))
+	}
+	if l2.Size() != good {
+		t.Fatalf("torn tail not truncated: size %d, want %d", l2.Size(), good)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("recovery allocated %d bytes for a frame that runs past EOF", grew)
 	}
 }
 

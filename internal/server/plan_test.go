@@ -92,8 +92,8 @@ func TestPlanSurface(t *testing.T) {
 	ctx := context.Background()
 
 	before := svc.Metrics()
-	// Adversarial writing: elastic first, phrase last — the planner must
-	// reorder (see internal/experiments/planbench.go for the shape).
+	// Adversarial writing: the O(t²) elastic span first, the rarely-adjacent
+	// two-word phrase last — the planner must move the phrase to the front.
 	src := `extract a:Str from "moments" if (
 		/ROOT:{ a = ^[min=1,max=2], v = //verb, w = "today and" } (w) in (a))`
 	r, err := svc.Query(ctx, QueryRequest{Corpus: "moments", Query: src})

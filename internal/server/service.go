@@ -116,8 +116,7 @@ type Config struct {
 
 // Service executes queries against a Registry through a result cache and a
 // bounded worker pool. It is the shared execution path of kokod's HTTP
-// handlers, the koko CLI, the async job executor, and the kokobench load
-// experiment.
+// handlers, the koko CLI, and the async job executor.
 type Service struct {
 	reg          *Registry
 	cache        *resultCache

@@ -15,9 +15,11 @@ import (
 // reordered candidate build concurrently.
 
 // planDiffQueries extends a diffCase's workload with a query shaped to make
-// the planner reorder: the O(t²) elastic span is written first and the
-// rarely-adjacent two-word phrase last, so the plan moves the phrase to the
-// front (see internal/experiments/planbench.go).
+// the planner reorder: the elastic span, whose candidate build scans O(t²)
+// spans per sentence, is written first, and a two-word phrase whose words
+// co-occur often but are rarely adjacent is written last. The phrase's DPLI
+// estimate is the smallest, so the plan moves it to the front and most
+// sentences bail before the elastic build.
 func planDiffQueries(tc diffCase, source, phrase string) []string {
 	q := fmt.Sprintf(`extract a:Str from %q if (
 		/ROOT:{ a = ^[min=1,max=2], v = //verb, w = %q } (w) in (a))`, source, phrase)
