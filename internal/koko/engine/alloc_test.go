@@ -3,8 +3,11 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 )
 
@@ -77,5 +80,34 @@ func TestSatisfyingAllocationCeilings(t *testing.T) {
 	})
 	if perRun > 4500 {
 		t.Errorf("BenchmarkExtractSatisfying workload: %v allocations per run, ceiling 4500", perRun)
+	}
+}
+
+// TestDPLIDoesNotMaterializeUnions: the planned DPLI of a query whose POS
+// path `//verb/*` matches several hierarchy nodes walks their lazy union,
+// restricted by the query's word, so it allocates less than one
+// materialized copy of that union would take.
+func TestDPLIDoesNotMaterializeUnions(t *testing.T) {
+	e := benchEngineOver(benchHappyDB(benchCorpusSents, benchCorpusSeed))
+	src := benchJoinQueries[1] // //verb/dobj[text="cake"]
+	nq, err := normalize(lang.MustParse(src), e.model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := e.ix.POS.LookupList(index.Path{{Desc: true, Label: "verb"}, {Label: "*"}})
+	if _, ok := u.(index.Union); !ok {
+		t.Fatalf("//verb/* is a %T, want a multi-node index.Union", u)
+	}
+	oneCopy := uint64(index.ListLen(u)) * uint64(unsafe.Sizeof(index.Posting{}))
+	if d := runDPLI(nq, e.ix, true); d.exhausted || len(d.candSids) == 0 {
+		t.Fatal("query pruned to nothing")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runDPLI(nq, e.ix, true)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= oneCopy {
+		t.Errorf("runDPLI(planned) allocated %d B, not below one materialized //verb/* union (%d postings, %d B)",
+			got, index.ListLen(u), oneCopy)
 	}
 }

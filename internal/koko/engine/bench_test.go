@@ -148,7 +148,8 @@ func BenchmarkExtractSatisfying(b *testing.B) {
 
 // BenchmarkDPLIJoin measures the index-pruning module alone: decomposition,
 // posting-list joins, and the candidate-sid intersection, with
-// normalization hoisted out of the loop.
+// normalization hoisted out of the loop — in written order (plan=off) and
+// words first (plan=on).
 func BenchmarkDPLIJoin(b *testing.B) {
 	e := benchEngine(b)
 	nqs := make([]*normQuery, 0, len(benchJoinQueries))
@@ -159,16 +160,24 @@ func BenchmarkDPLIJoin(b *testing.B) {
 		}
 		nqs = append(nqs, nq)
 	}
-	for _, nq := range nqs {
-		if d := runDPLI(nq, e.ix, false); d.exhausted || len(d.candSids) == 0 {
-			b.Fatal("benchmark join query pruned to nothing")
+	for _, planned := range []bool{false, true} {
+		name := "plan=off"
+		if planned {
+			name = "plan=on"
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, nq := range nqs {
-			runDPLI(nq, e.ix, false)
-		}
+		b.Run(name, func(b *testing.B) {
+			for _, nq := range nqs {
+				if d := runDPLI(nq, e.ix, planned); d.exhausted || len(d.candSids) == 0 {
+					b.Fatal("benchmark join query pruned to nothing")
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, nq := range nqs {
+					runDPLI(nq, e.ix, planned)
+				}
+			}
+		})
 	}
 }

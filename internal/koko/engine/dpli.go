@@ -242,16 +242,18 @@ func LookupDecomposedMode(ix *index.Index, steps []lang.PathStep, mode AblationM
 	return lookupDecomposed(ix, steps, mode, false)
 }
 
-// lookupDecomposed is the shared implementation. planned reorders the
-// word-chain joins by selectivity: every decomposed posting list is fetched
-// up front, their sentence-id sets are intersected smallest-first, and each
-// list (and the hierarchy join result) is restricted to the surviving
-// sentences before the pairwise joinAncestorDescendant / joinSameToken /
-// joinHasAncestor merges run. Any posting the unfiltered joins would emit
-// has a same-sentence witness in every list, so its sentence survives the
-// intersection and the filtered joins emit it too — the pre-filter only
-// removes sentences that could never join, making the expensive per-sid
-// merge work proportional to the most selective list instead of the first.
+// lookupDecomposed is the shared implementation. planned evaluates words
+// first: the depth-filtered word lists' sentence-id sets are intersected
+// smallest-first, the lazy hierarchy lists are restricted to the survivors
+// by seeking through them (skipping undecoded blocks and never merging a
+// union's other sentences), then the PL⋈POS join runs, and its sid set in
+// turn restricts the word lists before the pairwise joinAncestorDescendant /
+// joinSameToken / joinHasAncestor merges. Every join is per sentence, and any
+// posting the unfiltered joins would emit has a same-sentence witness in
+// every list, so its sentence survives each restriction and the filtered
+// joins emit it too: the output is identical, and the merge work is
+// proportional to the most selective list instead of the first. planned=false
+// keeps the written order (PL⋈POS first), over the same lazy lists.
 func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode, planned bool) ([]index.Posting, bool) {
 	m := len(steps)
 	plPath := make(index.Path, m)
@@ -300,46 +302,45 @@ func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode,
 			posPath[i].Label = "*"
 		}
 	}
-	plHas, posHas := hasConcrete(plPath), hasConcrete(posPath)
-	// p stays a lazy PostingList until a join forces it: a single matched
-	// hierarchy node's list never materializes as a whole — the cursor joins
+	// The hierarchy lists stay lazy: one matched node's list is the node's
+	// own (block-backed) list, several are an index.Union walked by a merging
+	// cursor. No union is ever materialized — the cursor joins and filters
 	// below decode only the blocks whose sid bounds survive the merge.
-	var p index.PostingList
-	pAll := false // set when neither hierarchy path has concrete labels
-	switch {
-	case plHas && posHas:
-		p1 := ix.PL.LookupList(plPath)
-		if index.ListLen(p1) == 0 {
-			return nil, false
-		}
-		p2 := ix.POS.LookupList(posPath)
-		if index.ListLen(p2) == 0 {
-			return nil, false
-		}
-		p = index.SlicePostings(joinSameToken(p1, p2))
-	case plHas:
-		p = ix.PL.LookupList(plPath)
-	case posHas:
-		p = ix.POS.LookupList(posPath)
-	default:
-		// Pure-wildcard path: only the word path (if any) can prune. With
-		// no words either, fall back to a full POS-hierarchy walk so the
-		// depth constraint still applies.
-		if len(words) == 0 {
-			ps := ix.POS.Lookup(posPath)
-			if len(ps) == 0 {
-				return nil, false
-			}
-			return ps, true
-		}
-		pAll = true
+	var hier []index.PostingList
+	if hasConcrete(plPath) {
+		hier = append(hier, ix.PL.LookupList(plPath))
 	}
-	if index.ListLen(p) == 0 && !pAll {
-		return nil, false
+	if hasConcrete(posPath) {
+		hier = append(hier, ix.POS.LookupList(posPath))
+	}
+	for _, l := range hier {
+		if index.ListLen(l) == 0 {
+			return nil, false
+		}
+	}
+	pAll := len(hier) == 0 // neither hierarchy path has concrete labels
+	if pAll && len(words) == 0 {
+		// Pure-wildcard path with no words: fall back to a full
+		// POS-hierarchy walk so the depth constraint still applies.
+		ps := ix.POS.Lookup(posPath)
+		if len(ps) == 0 {
+			return nil, false
+		}
+		return ps, true
+	}
+	// joinHier is P: the PL⋈POS same-token join, or the one hierarchy list.
+	joinHier := func() index.PostingList {
+		if len(hier) == 2 {
+			return index.SlicePostings(joinSameToken(hier[0], hier[1]))
+		}
+		return hier[0]
 	}
 
 	if len(words) == 0 {
-		return index.Materialize(p), true
+		if p := index.Materialize(joinHier()); len(p) > 0 {
+			return p, true
+		}
+		return nil, false
 	}
 
 	// Word path: access the word index per word left-to-right and join with
@@ -370,20 +371,21 @@ func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode,
 			return nil, false
 		}
 	}
-	if planned && (len(words) > 1 || !pAll) {
-		// Selectivity pre-filter: intersect every list's sentence ids
-		// smallest-first, then restrict all join inputs to the survivors.
-		// p's sid set streams off its block directory-guided cursor, and the
-		// restriction of p decodes only blocks overlapping the survivors.
-		sets := make([][]int32, 0, len(words)+1)
+	// One word against at most one lazy hierarchy list is a single merge
+	// join that already seeks through both; restricting first would only
+	// walk them twice.
+	planFilter := planned && (len(words) > 1 || len(hier) == 2)
+	var allowed []int32
+	if planFilter {
+		// Words first: intersect the word lists' sentence ids smallest-first,
+		// then restrict each lazy hierarchy list to the survivors by seeking
+		// through it, so the PL⋈POS join below sees only those sentences.
+		sets := make([][]int32, 0, len(words))
 		for _, l := range lists {
 			sets = append(sets, index.SidsOf(l))
 		}
-		if !pAll {
-			sets = append(sets, sidsOfList(p))
-		}
 		sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-		allowed := sets[0]
+		allowed = sets[0]
 		for _, s := range sets[1:] {
 			if len(allowed) == 0 {
 				break
@@ -393,11 +395,25 @@ func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode,
 		if len(allowed) == 0 {
 			return nil, false
 		}
+		for i, l := range hier {
+			hier[i] = index.SlicePostings(filterBySids(l, allowed))
+		}
+	}
+	var p index.PostingList
+	if !pAll {
+		p = joinHier()
+		if index.ListLen(p) == 0 {
+			return nil, false
+		}
+	}
+	if planFilter {
+		// P already lies within the word survivors, so its own sid set is the
+		// intersection of every list's: restrict the word lists to it.
+		if !pAll {
+			allowed = sidsOfList(p)
+		}
 		for k := range lists {
 			lists[k] = filterBySids(index.SlicePostings(lists[k]), allowed)
-		}
-		if !pAll {
-			p = index.SlicePostings(filterBySids(p, allowed))
 		}
 	}
 	cur := lists[0]
@@ -426,8 +442,8 @@ func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode,
 		return out, true
 	}
 	if pAll {
-		// The trailing steps are wildcards: materialize them via the
-		// depth-pruned POS walk before the ancestor join.
+		// The trailing steps are wildcards: the ancestor join seeks through
+		// the depth-pruned POS walk's lazy union.
 		p = ix.POS.LookupList(posPath)
 		if index.ListLen(p) == 0 {
 			return nil, false
@@ -537,7 +553,7 @@ func seekSid(ps []index.Posting, from int, sid int32) int {
 // skipped with galloping cursor seeks, which for block-backed lists skip
 // whole blocks by directory bounds without decoding them.
 func joinSameToken(a, b index.PostingList) []index.Posting {
-	var out []index.Posting
+	out := make([]index.Posting, 0, min(index.ListLen(a), index.ListLen(b)))
 	var ca, cb index.ListCursor
 	ca.Reset(a)
 	cb.Reset(b)

@@ -133,11 +133,10 @@ func (h *Hierarchy) Lookup(p Path) []Posting {
 	return Materialize(h.LookupList(p))
 }
 
-// LookupList is Lookup without forced materialization: a pattern matching a
-// single hierarchy node returns that node's list as-is — lazy when the
-// hierarchy is backed by a block store, so no block decodes until the
-// engine's cursors touch it. Only multi-node unions materialize (merged
-// output only; input blocks stream through the cache).
+// LookupList is Lookup without materialization: a pattern matching a single
+// hierarchy node returns that node's list as-is, and one matching several
+// returns their lazy Union. Lists stay lazy when the hierarchy is backed by a
+// block store, so no block decodes until the engine's cursors touch it.
 func (h *Hierarchy) LookupList(p Path) PostingList {
 	if len(p) == 0 {
 		return nil
@@ -155,7 +154,7 @@ func (h *Hierarchy) LookupList(p Path) PostingList {
 	case 1:
 		return lists[0]
 	}
-	return SlicePostings(MergeLists(lists))
+	return Union(lists)
 }
 
 // nodeList returns one node's posting list, lazy when source-backed.

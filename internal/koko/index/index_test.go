@@ -175,7 +175,7 @@ func TestEntitiesOfType(t *testing.T) {
 func TestPostingHelpers(t *testing.T) {
 	a := []Posting{{Sid: 0, Tid: 1}, {Sid: 2, Tid: 0}}
 	b := []Posting{{Sid: 0, Tid: 1}, {Sid: 1, Tid: 5}}
-	u := UnionPostings(a, b)
+	u := Materialize(Union{SlicePostings(a), SlicePostings(b)})
 	if len(u) != 3 {
 		t.Errorf("union = %v", u)
 	}

@@ -36,60 +36,6 @@ func SortPostings(ps []Posting) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 }
 
-// UnionPostings merges sorted posting lists into one sorted, deduplicated
-// list. Inputs must each be sorted by (sid, tid) — true for every index
-// posting list after Finish — so the union is a k-way merge (pairwise,
-// O(n log k)) rather than a re-sort.
-func UnionPostings(lists ...[]Posting) []Posting {
-	// Drop empties.
-	live := lists[:0:0]
-	for _, l := range lists {
-		if len(l) > 0 {
-			live = append(live, l)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return append([]Posting(nil), live[0]...)
-	}
-	for len(live) > 1 {
-		var next [][]Posting
-		for i := 0; i < len(live); i += 2 {
-			if i+1 == len(live) {
-				next = append(next, live[i])
-				break
-			}
-			next = append(next, mergeTwo(live[i], live[i+1]))
-		}
-		live = next
-	}
-	return live[0]
-}
-
-func mergeTwo(a, b []Posting) []Posting {
-	out := make([]Posting, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i].Less(b[j]):
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // EntityPosting is the entity index entry: the paper's triple (x, u-v) plus
 // the entity's type and a reference to its text.
 type EntityPosting struct {

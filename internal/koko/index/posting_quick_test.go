@@ -2,10 +2,8 @@ package index
 
 import (
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 // genSortedPostings builds a random sorted, deduplicated posting list. The
@@ -28,44 +26,6 @@ func genSortedPostings(r *rand.Rand, n int) []Posting {
 	}
 	SortPostings(out)
 	return out
-}
-
-// naiveUnion is the reference implementation: concat, sort, dedup by value.
-func naiveUnion(lists ...[]Posting) []Posting {
-	var all []Posting
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	SortPostings(all)
-	var out []Posting
-	for i, p := range all {
-		if i == 0 || p != all[i-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// TestUnionPostingsQuick: the k-way merge equals the naive reference for
-// arbitrary sorted inputs.
-func TestUnionPostingsQuick(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	f := func() bool {
-		k := 1 + r.Intn(6)
-		lists := make([][]Posting, k)
-		for i := range lists {
-			lists[i] = genSortedPostings(r, r.Intn(20))
-		}
-		got := UnionPostings(lists...)
-		want := naiveUnion(lists...)
-		if len(got) == 0 && len(want) == 0 {
-			return true
-		}
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(func(struct{}) bool { return f() }, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestAncestorArithmeticComplete: on ARBITRARY trees the quintuple

@@ -51,13 +51,20 @@ func ListLen(l PostingList) int {
 
 // Materialize concatenates a list's blocks into one contiguous slice. A
 // SlicePostings comes back as-is (no copy), so heap-path callers see the
-// exact slice the index holds.
+// exact slice the index holds; a Union is drained through its cursor.
 func Materialize(l PostingList) []Posting {
-	if l == nil {
+	switch l := l.(type) {
+	case nil:
 		return nil
-	}
-	if s, ok := l.(SlicePostings); ok {
-		return s
+	case SlicePostings:
+		return l
+	case Union:
+		out := make([]Posting, 0, l.Len())
+		var c ListCursor
+		for c.Reset(l); c.Valid(); c.NextRun() {
+			out = append(out, c.Run()...)
+		}
+		return out
 	}
 	out := make([]Posting, 0, l.Len())
 	for i := 0; i < l.NumBlocks(); i++ {
@@ -71,7 +78,8 @@ func Materialize(l PostingList) []Posting {
 // per-block min/max bounds so blocks wholly below the target are skipped
 // without being decoded. This is how the engine's merge joins consume lazy
 // lists: only the touched blocks ever materialize, and a run spanning a
-// block boundary is stitched into a small reusable scratch buffer.
+// block boundary is stitched into a small reusable scratch buffer. A Union
+// is walked by merging one sub-cursor per node list.
 type ListCursor struct {
 	l     PostingList
 	nb    int
@@ -83,10 +91,22 @@ type ListCursor struct {
 	spill []Posting // scratch for runs spanning blocks
 	sid   int32
 	valid bool
+
+	// Union mode (l is a Union, walked in union.go): one sub-cursor per node
+	// list and the valid ones as a min-heap on sid. run is nil until Run
+	// stitches it; spill holds stitched runs.
+	union bool
+	subs  []ListCursor
+	heap  []*ListCursor
 }
 
 // Reset points the cursor at the first run of l (which may be nil or empty).
 func (c *ListCursor) Reset(l PostingList) {
+	if u, ok := l.(Union); ok {
+		c.resetUnion(u)
+		return
+	}
+	c.union = false
 	c.l = l
 	c.nb = 0
 	if l != nil {
@@ -115,7 +135,12 @@ func (c *ListCursor) Sid() int32 { return c.sid }
 
 // Run returns the current run: every posting of the current sid, in tid
 // order. The slice is only valid until the cursor advances.
-func (c *ListCursor) Run() []Posting { return c.run }
+func (c *ListCursor) Run() []Posting {
+	if c.run == nil && c.union && c.valid {
+		c.stitch()
+	}
+	return c.run
+}
 
 // loadRun delimits the run starting at (bi, off), pulling continuation
 // prefixes from following blocks when the run crosses block boundaries.
@@ -155,6 +180,10 @@ func (c *ListCursor) NextRun() {
 	if !c.valid {
 		return
 	}
+	if c.union {
+		c.unionNext()
+		return
+	}
 	c.off = c.end
 	for c.off >= len(c.blk) {
 		c.bi++
@@ -172,6 +201,10 @@ func (c *ListCursor) NextRun() {
 // whose max sid is below the target are skipped by bound comparison alone.
 func (c *ListCursor) SeekSid(target int32) {
 	if !c.valid || c.sid >= target {
+		return
+	}
+	if c.union {
+		c.unionSeek(target)
 		return
 	}
 	if _, max := c.l.BlockBounds(c.bi); max < target {
@@ -248,85 +281,6 @@ func seekSidSlice(ps []Posting, from int, sid int32) int {
 		}
 	}
 	return lo
-}
-
-// MergeLists merges sorted posting lists into one sorted, deduplicated
-// slice — UnionPostings over lazy lists. Only the output materializes;
-// input blocks stream through their cache entries one at a time.
-type mergePos struct {
-	l   PostingList
-	bi  int
-	blk []Posting
-	i   int
-}
-
-func (m *mergePos) cur() Posting { return m.blk[m.i] }
-
-func (m *mergePos) next() bool {
-	m.i++
-	for m.i >= len(m.blk) {
-		m.bi++
-		if m.bi >= m.l.NumBlocks() {
-			return false
-		}
-		m.blk = m.l.Block(m.bi)
-		m.i = 0
-	}
-	return true
-}
-
-// MergeLists performs a k-way heap merge of sorted posting lists,
-// deduplicating exact-equal postings like UnionPostings.
-func MergeLists(lists []PostingList) []Posting {
-	var heap []*mergePos
-	total := 0
-	for _, l := range lists {
-		if ListLen(l) == 0 {
-			continue
-		}
-		total += l.Len()
-		heap = append(heap, &mergePos{l: l, blk: l.Block(0)})
-	}
-	if len(heap) == 0 {
-		return nil
-	}
-	less := func(a, b *mergePos) bool { return a.cur().Less(b.cur()) }
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				return
-			}
-			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
-				c++
-			}
-			if !less(heap[c], heap[i]) {
-				return
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	out := make([]Posting, 0, total)
-	for len(heap) > 0 {
-		p := heap[0].cur()
-		if n := len(out); n == 0 || out[n-1] != p {
-			out = append(out, p)
-		}
-		if heap[0].next() {
-			siftDown(0)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			if len(heap) > 0 {
-				siftDown(0)
-			}
-		}
-	}
-	return out
 }
 
 // HierKind names one of the two hierarchy indices when addressing a

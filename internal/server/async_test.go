@@ -371,9 +371,13 @@ func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.Parse
 // stallQuerier streams a complete first shard, then stalls every later
 // shard until the request context dies — the instrument for the
 // client-disconnect test. The override sits on StreamShard because that is
-// the per-shard call the registry's mutable wrapper fans out to.
+// the per-shard call the registry's mutable wrapper fans out to. stalled
+// closes once a later shard is parked, so the test disconnects only while
+// an evaluation is in flight (a shard the fan-out has not yet started when
+// the cancel lands is skipped, never entering StreamShard at all).
 type stallQuerier struct {
 	koko.Querier
+	stalled   chan struct{}
 	cancelled chan struct{}
 }
 
@@ -381,6 +385,7 @@ func (s *stallQuerier) StreamShard(ctx context.Context, shard int, p *koko.Parse
 	if shard == 0 {
 		return s.Querier.StreamShard(ctx, 0, p, qo, emit)
 	}
+	close(s.stalled)
 	<-ctx.Done()
 	close(s.cancelled)
 	return nil, ctx.Err()
@@ -392,7 +397,7 @@ func (s *stallQuerier) StreamShard(ctx context.Context, shard int, p *koko.Parse
 func TestStreamClientDisconnect(t *testing.T) {
 	svc := NewService(Config{CacheSize: -1, MaxConcurrent: 1})
 	RegisterDemoCorpora(svc.Registry(), 2)
-	stall := &stallQuerier{Querier: mustEngine(svc, "demo-cafes"), cancelled: make(chan struct{})}
+	stall := &stallQuerier{Querier: mustEngine(svc, "demo-cafes"), stalled: make(chan struct{}), cancelled: make(chan struct{})}
 	svc.Registry().Register("stall", stall)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -404,10 +409,15 @@ func TestStreamClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read the first flushed shard, then walk away.
+	// Read the first flushed shard, then walk away while shard 1 is stalled.
 	br := bufio.NewReader(resp.Body)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatalf("reading first stream line: %v", err)
+	}
+	select {
+	case <-stall.stalled:
+	case <-time.After(15 * time.Second):
+		t.Fatal("shard 1 never started evaluating")
 	}
 	cancel()
 	resp.Body.Close()

@@ -32,6 +32,7 @@ var planPhrases = map[string]struct{ source, phrase string }{
 	"cafes":   {"blogs", "on the"},
 	"tweets":  {"tweets", "at the"},
 	"happydb": {"moments", "today and"},
+	"wiki":    {"wiki.article", "born in"},
 }
 
 // TestPlanDifferential: planner-on vs planner-off over three generators,

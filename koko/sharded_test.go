@@ -65,6 +65,21 @@ func diffCases() []diffCase {
 				 satisfying o ("ate" o {0.7}) or (o near "delicious" {1}) with threshold 0.2`,
 			},
 		},
+		{
+			// Multi-node hierarchy unions: //verb matches many POS nodes.
+			name:   "wiki",
+			corpus: func() *Corpus { w, _ := corpus.GenWikipedia(200, 6); return WrapCorpus(w) },
+			queries: []string{
+				// Both hierarchies, a rare word (4 chocolate articles), a
+				// descendant axis between the union and the word.
+				`extract s:Str from wiki.article if (/ROOT:{ v = //verb, o = v//pobj[text="chocolate"], s = v/nsubj })
+				 satisfying v (str(v) ~ "is" {1})`,
+				// One hierarchy's union under a word ancestor.
+				`extract b:Str from wiki.article if (/ROOT:{ v = //"called", p = v/propn, b = (p.subtree) })`,
+				// No word: the PL⋈POS join walks both unions whole.
+				`extract d:Str from wiki.article if (/ROOT:{ v = //verb, o = v/dobj, d = (o.subtree) })`,
+			},
+		},
 	}
 }
 

@@ -1,10 +1,16 @@
 package koko
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/koko/index"
 )
 
 // TestBlockStoreDifferential: the block store must be invisible to query
@@ -62,6 +68,58 @@ func TestBlockStoreDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBlockStoreCorruptNodeBlock: a damaged hierarchy-node block fails the
+// query whose union walks it with a *index.StoreError, not a panic, and the
+// same engine keeps answering queries that touch only undamaged lists.
+func TestBlockStoreCorruptNodeBlock(t *testing.T) {
+	const (
+		unionQuery = `extract d:Str from "moments" if (/ROOT:{ v = //verb, o = v/dobj, d = (o.subtree) })`
+		wordQuery  = `extract d:Str from "moments" if (/ROOT:{ v = //"ate", d = (v.subtree) })`
+	)
+	heap := NewEngine(WrapCorpus(corpus.GenHappyDB(300, 3)), nil)
+	want := mustRun(t, heap, wordQuery, nil)
+	if len(want.Tuples) == 0 {
+		t.Fatal("word query matched nothing; the undamaged-list check is vacuous")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ok.koko")
+	if err := heap.SaveAs(path, FormatBlock); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The posting blob ends the file, and the POS node lists end the blob.
+	// The union query reads only PL and POS node lists (no word, no entity
+	// list), so a flipped blob byte that fails it lies in a node block. Walk
+	// back from the end until one does.
+	blobLen := int(binary.LittleEndian.Uint64(raw[24:32]))
+	for off := len(raw) - 1; off >= len(raw)-blobLen; off -= 61 {
+		bad := bytes.Clone(raw)
+		bad[off] ^= 0xff
+		p := filepath.Join(dir, fmt.Sprintf("bad-%d.koko", off))
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Load(p, nil)
+		if err != nil {
+			t.Fatalf("Open with a damaged blob byte at %d: %v (want lazy failure)", off, err)
+		}
+		_, err = query(e, unionQuery, nil)
+		if err == nil {
+			continue
+		}
+		var se *index.StoreError
+		if !errors.As(err, &se) {
+			t.Fatalf("damaged node block: error %v (%T), want a *index.StoreError", err, err)
+		}
+		sameResults(t, "undamaged word list", want, mustRun(t, e, wordQuery, nil))
+		return
+	}
+	t.Fatal("no damaged byte reached the //verb/dobj union")
 }
 
 // TestStoreFormatConversion: row → block → row via Load + SaveAs preserves
