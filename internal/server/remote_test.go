@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,10 +24,13 @@ import (
 // must behave as documented.
 
 // distCase mirrors the koko package's differential generators.
+// wireEscapes marks a case whose output values must include at least one
+// that JSON has to escape, so escaped strings are known to cross the wire.
 type distCase struct {
-	name    string
-	corpus  func() *koko.Corpus
-	queries []string
+	name        string
+	corpus      func() *koko.Corpus
+	queries     []string
+	wireEscapes bool
 }
 
 func distCases() []distCase {
@@ -67,6 +72,29 @@ func distCases() []distCase {
 				 satisfying o ("ate" o {0.7}) or (o near "delicious" {1}) with threshold 0.2`,
 			},
 		},
+		{
+			// Documents with a quote, a backslash, a tab, a control byte,
+			// non-ASCII letters, U+2028 and an invalid UTF-8 byte. The tab
+			// and U+2028 are whitespace to the tokenizer and the invalid byte
+			// becomes U+FFFD; the rest reach the values verbatim.
+			name: "wire-hostile",
+			corpus: func() *koko.Corpus {
+				return koko.NewCorpus([]string{"a", "b", "c", "d", "e", "f"}, []string{
+					"Ann ate the \"Vita\" cake with a \\ sauce and crème brûlée at 日本 Cafe.",
+					"Bob ate a\tburnt \u2028 waffle near Cafe \xff Ladro with \x01 syrup.",
+					"Cy ate \"toast\" slowly at the \\ bar.",
+					"Dee ate warm bread in Zürich and 東京 today.",
+					"Eve ate the \"best\" cake in town.",
+					"Fay ate plain rice.",
+				})
+			},
+			queries: []string{
+				`extract o:Str from "d" if (/ROOT:{ v = //verb, o = (v.subtree) })`,
+				`extract o:Str from "d" if (/ROOT:{ v = //verb, o = (v.subtree) })
+				 satisfying o ("ate" o {0.7}) or (o near "cake" {1}) with threshold 0.2`,
+			},
+			wireEscapes: true,
+		},
 	}
 }
 
@@ -95,21 +123,38 @@ func fastRemote(workers ...string) RemoteConfig {
 	}
 }
 
-// queryTuples runs one buffered query over HTTP and fails on non-200.
-func httpQuery(t *testing.T, ts *httptest.Server, req QueryRequest) QueryResponse {
+// queryReply is a decoded /v1/query response plus the raw bytes of its
+// "tuples" array.
+type queryReply struct {
+	QueryResponse
+	rawTuples json.RawMessage
+}
+
+// httpQuery runs one buffered query over HTTP and fails on non-200.
+func httpQuery(t *testing.T, ts *httptest.Server, req QueryRequest) queryReply {
 	t.Helper()
 	resp, body := postJSON(t, ts, "/v1/query", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
-	var out QueryResponse
-	if err := json.Unmarshal(body, &out); err != nil {
+	var out queryReply
+	if err := json.Unmarshal(body, &out.QueryResponse); err != nil {
 		t.Fatal(err)
 	}
+	var raw struct {
+		Tuples json.RawMessage `json:"tuples"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	out.rawTuples = raw.Tuples
 	return out
 }
 
-func sameResponses(t *testing.T, label string, want, got QueryResponse) {
+// sameResponses compares the decoded responses and then the raw bytes of
+// their "tuples" arrays: a distributed answer is byte-identical, not just
+// equal once decoded.
+func sameResponses(t *testing.T, label string, want, got queryReply) {
 	t.Helper()
 	if want.Candidates != got.Candidates || want.Matched != got.Matched {
 		t.Errorf("%s: candidates/matched = %d/%d, want %d/%d",
@@ -123,6 +168,14 @@ func sameResponses(t *testing.T, label string, want, got QueryResponse) {
 			t.Fatalf("%s: tuple %d differs:\n got %+v\nwant %+v", label, i, got.Tuples[i], want.Tuples[i])
 		}
 	}
+	if !bytes.Equal(want.rawTuples, got.rawTuples) {
+		t.Fatalf("%s: tuples decode equal but their bytes differ:\n got %s\nwant %s", label, got.rawTuples, want.rawTuples)
+	}
+}
+
+// needsEscape reports whether JSON must escape some byte of s.
+func needsEscape(s string) bool {
+	return strings.ContainsAny(s, "\"\\\u2028\u2029") || strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 })
 }
 
 // TestDistributedDifferential: coordinator over two replicated workers,
@@ -155,19 +208,26 @@ func TestDistributedDifferential(t *testing.T) {
 			coordTS := httptest.NewServer(coord.Handler())
 			defer coordTS.Close()
 
-			refTuples := 0
-			for qi, q := range tc.queries {
+			refTuples, escaped := 0, 0
+			for _, q := range tc.queries {
 				for _, explain := range []bool{false, true} {
 					req := QueryRequest{Corpus: "c", Query: q, Explain: explain, NoCache: true}
 					want := httpQuery(t, refTS, req)
 					got := httpQuery(t, coordTS, req)
 					sameResponses(t, tc.name+"/both-alive", want, got)
 					refTuples += len(want.Tuples)
-					_ = qi
+					for _, tu := range got.Tuples {
+						if slices.ContainsFunc(tu.Values, needsEscape) {
+							escaped++
+						}
+					}
 				}
 			}
 			if refTuples == 0 {
 				t.Fatal("workload produces no tuples; differential is vacuous")
+			}
+			if tc.wireEscapes && escaped == 0 {
+				t.Fatal("no value that JSON escapes crossed the wire; the hostile case is vacuous")
 			}
 
 			// Kill worker 1. Every shard keeps a replica on worker 2, so the
@@ -240,6 +300,63 @@ func TestShardEvalEndpoint(t *testing.T) {
 	}
 	if svc.Metrics().ShardEvalsServed != 1 {
 		t.Errorf("shard_evals_served = %d, want 1", svc.Metrics().ShardEvalsServed)
+	}
+}
+
+// TestShardEvalWireBytes: for the happydb and cafes queries, explain on and
+// off, every shard's tuple lines from the worker are byte-identical to what
+// json.Encoder (SetEscapeHTML(false)) writes for the same shard evaluated
+// locally, batch by batch. The frame codec changed how the bytes are made,
+// not what they are, so nodes on either side of it interoperate.
+func TestShardEvalWireBytes(t *testing.T) {
+	const shards = 3
+	for _, tc := range distCases() {
+		if tc.name != "happydb" && tc.name != "cafes" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.corpus()
+			local := koko.NewShardedEngine(c, shards, nil)
+			_, w := startWorker(t, "c", c, shards)
+			lines := 0
+			for qi, q := range tc.queries {
+				p, err := koko.ParseQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, explain := range []bool{false, true} {
+					for shard := 0; shard < shards; shard++ {
+						resp, body := postJSON(t, w, remote.EvalPath, remote.ShardEvalRequest{
+							Corpus: "c", Shard: shard, Query: p.Canonical(), Explain: explain,
+						})
+						if resp.StatusCode != http.StatusOK {
+							t.Fatalf("shard-eval status %d: %s", resp.StatusCode, body)
+						}
+						var want bytes.Buffer
+						enc := json.NewEncoder(&want)
+						enc.SetEscapeHTML(false)
+						if _, err := local.StreamShard(context.Background(), shard, p, &koko.QueryOptions{Explain: explain}, func(ts []koko.Tuple) error {
+							lines++
+							return enc.Encode(remote.ChunkLine{Tuples: ts, Checksum: remote.TuplesChecksum(ts)})
+						}); err != nil {
+							t.Fatal(err)
+						}
+						// Everything before the done line is tuple batches.
+						doneAt := bytes.LastIndexByte(body[:len(body)-1], '\n') + 1
+						if !bytes.HasPrefix(body[doneAt:], []byte(`{"done":`)) {
+							t.Fatalf("query %d shard %d: the body does not end with a done line: %q", qi, shard, body[doneAt:])
+						}
+						if got := body[:doneAt]; !bytes.Equal(got, want.Bytes()) {
+							t.Fatalf("query %d explain=%v shard %d: tuple lines differ from encoding/json's:\n got %s\nwant %s",
+								qi, explain, shard, got, want.Bytes())
+						}
+					}
+				}
+			}
+			if lines == 0 {
+				t.Fatal("no tuple batch crossed the wire; the comparison is vacuous")
+			}
+		})
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 // implements retry-resume: evaluation is deterministic and generation-pinned,
 // so dropping the first Skip tuples re-creates exactly the suffix a resuming
 // coordinator is missing. Errors after the 200 header travel as a terminal
-// Error line.
+// Error line. Each line is encoded by remote.AppendChunkLine into one buffer
+// reused for the request, and flushed as soon as it is written.
 func (s *Service) handleShardEval(w http.ResponseWriter, r *http.Request) {
 	var req remote.ShardEvalRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -65,10 +66,13 @@ func (s *Service) handleShardEval(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	var buf []byte
 	line := func(l remote.ChunkLine) error {
-		if err := enc.Encode(l); err != nil {
+		var err error
+		if buf, err = remote.AppendChunkLine(buf[:0], &l); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		if flusher != nil {

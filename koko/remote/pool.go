@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -225,8 +226,10 @@ func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEva
 }
 
 // chunkAttempt is the raw chunked transport: injected faults first, then
-// the POST and the NDJSON line loop, verifying each batch's checksum before
-// releasing it downstream. firstLine is set when the first line arrives.
+// the POST and the NDJSON line loop (readLine, ParseChunkLine), verifying
+// each batch's checksum before releasing it downstream. A line the frame
+// parser rejects fails the attempt like a broken stream. firstLine is set
+// when the first line arrives.
 func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequest, idle *time.Timer, firstLine *time.Time, emit func([]koko.Tuple) error) (*ChunkDone, int, error) {
 	corrupt := false
 	if p.cfg.Fault != nil {
@@ -265,12 +268,17 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
 		return nil, 0, fmt.Errorf("remote: node %s: shard-eval status %d: %s", addr, hresp.StatusCode, bytes.TrimSpace(msg))
 	}
-	dec := json.NewDecoder(hresp.Body)
+	br := bufio.NewReaderSize(hresp.Body, 32<<10)
+	var raw []byte
+	var line ChunkLine
 	sent := 0
 	for {
-		var line ChunkLine
-		if err := dec.Decode(&line); err != nil {
+		raw, err = readLine(br, raw)
+		if err != nil {
 			return nil, sent, fmt.Errorf("remote: node %s: chunked stream broke after %d tuples: %w", addr, sent, err)
+		}
+		if err := ParseChunkLine(raw, &line); err != nil {
+			return nil, sent, fmt.Errorf("remote: node %s: after %d tuples: %w", addr, sent, err)
 		}
 		if firstLine.IsZero() {
 			*firstLine = time.Now()

@@ -242,6 +242,101 @@ func TestFailureMatrix(t *testing.T) {
 	}
 }
 
+// malformedWorker fronts a real worker and damages the first tuple line of
+// every shard-eval response in one way; the lines after it pass unchanged.
+type malformedWorker struct {
+	inner http.Handler
+	mode  string
+}
+
+func (m *malformedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != remote.EvalPath {
+		m.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	m.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if rec.Code == http.StatusOK && bytes.HasPrefix(body, []byte(`{"tuples":[`)) {
+		first, rest, _ := bytes.Cut(body, []byte("\n"))
+		var line []byte
+		switch m.mode {
+		case "cut-mid-string":
+			// A few bytes into the first value, then the response ends.
+			body = first[:bytes.Index(first, []byte(`"Values":["`))+len(`"Values":["`)+2]
+		case "spaces":
+			line = bytes.Replace(first, []byte(`{"tuples":[`), []byte(`{ "tuples": [`), 1)
+		case "reordered-keys":
+			i := bytes.LastIndex(first, []byte(`],"checksum":`))
+			tuples, sum := first[len(`{"tuples":`):i+1], first[i+len(`],"checksum":`):len(first)-1]
+			line = []byte(`{"checksum":` + string(sum) + `,"tuples":` + string(tuples) + `}`)
+		case "trailing-bytes":
+			line = append(first[:len(first):len(first)], `{}`...)
+		}
+		if line != nil {
+			body = append(append(line, '\n'), rest...)
+		}
+	}
+	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// TestMalformedLineFailsAttempt: a shard-eval line the frame parser
+// rejects — cut mid-string before EOF, valid JSON in a non-canonical form,
+// or trailing bytes after its closing brace — fails the attempt, never the
+// node's process: with a replica the result is identical and a retry is
+// counted; without one the query fails with ErrShardUnavailable.
+func TestMalformedLineFailsAttempt(t *testing.T) {
+	c := cafesCorpus()
+	ref, err := koko.NewEngine(c, nil).Query(cafeExtract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{"cut-mid-string", "spaces", "reordered-keys", "trailing-bytes"} {
+		for _, withReplica := range []bool{true, false} {
+			name := mode + "/no-replica"
+			if withReplica {
+				name = mode + "/replica"
+			}
+			t.Run(name, func(t *testing.T) {
+				svc := server.NewService(server.Config{MaxConcurrent: 8})
+				if err := svc.Registry().Register("cafes", koko.NewShardedEngine(c, workerShards, nil)); err != nil {
+					t.Fatal(err)
+				}
+				bad := httptest.NewServer(&malformedWorker{inner: svc.Handler(), mode: mode})
+				t.Cleanup(bad.Close)
+				nodes := []string{bad.URL}
+				if withReplica {
+					nodes = append(nodes, newWorker(t, c).URL)
+				}
+				eng := newRemoteEngine(c, remote.PoolConfig{}, nodes...)
+				res, err := eng.Query(cafeExtract)
+				if withReplica {
+					if err != nil {
+						t.Fatalf("with a replica the query must survive a malformed line: %v", err)
+					}
+					sameResult(t, mode, ref, res)
+					if enginePoolCounters(eng).Retries.Load() == 0 {
+						t.Error("no retry counted for the malformed line")
+					}
+					return
+				}
+				if !errors.Is(err, remote.ErrShardUnavailable) {
+					t.Fatalf("without a replica a malformed line must give ErrShardUnavailable, got %v", err)
+				}
+				if mode == "cut-mid-string" {
+					if !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Errorf("a line cut by EOF should surface io.ErrUnexpectedEOF: %v", err)
+					}
+				} else if !strings.Contains(err.Error(), "malformed chunk line") {
+					t.Errorf("error does not name the malformed line: %v", err)
+				}
+			})
+		}
+	}
+}
+
 // TestRetryCountersAndRecovery: a node that 500s a few times then recovers
 // — the query must succeed via retries on the same node set and the
 // counters must show the attempts.

@@ -74,7 +74,8 @@ type ShardEvalRequest struct {
 // ChunkLine is one NDJSON line of a chunked shard-eval response. Exactly
 // one field is set: a tuple batch (with its own checksum, verified before
 // the batch is released downstream), the terminal done line, or a terminal
-// error rendered after the 200 status line was already committed.
+// error rendered after the 200 status line was already committed. Lines
+// cross the wire through AppendChunkLine and ParseChunkLine (frame.go).
 type ChunkLine struct {
 	Tuples []koko.Tuple `json:"tuples,omitempty"`
 	// Checksum is TuplesChecksum(Tuples): per-batch corruption detection, so
