@@ -25,7 +25,7 @@ type Options struct {
 	// Dicts provides the dictionaries referenced by dict(...) conditions,
 	// keyed by name, with lowercase members.
 	Dicts map[string]map[string]bool
-	// ArticleDB, when set, is the on-disk form of the parsed corpus;
+	// ArticleDB, when set, is the paper's DBMS copy of the parsed corpus;
 	// candidate articles are loaded from it (the paper's LoadArticle phase)
 	// instead of served from memory.
 	ArticleDB *store.DB

@@ -28,8 +28,8 @@ import (
 	"repro/internal/koko/index"
 )
 
-// Magic identifies a block-format store file (same length as the row store's
-// KOKODB1 magic, so an 8-byte sniff distinguishes the two).
+// Magic identifies a block-format store file; an 8-byte sniff tells a store
+// from a JSON shard manifest.
 const Magic = "KOKOBS1\n"
 
 // BlockPostings is the target posting count per block. 256 postings ≈ 1–2 KB

@@ -258,7 +258,7 @@ func readHier(br *byteReader, blobLen uint64) (hierMeta, error) {
 }
 
 // decodeCorpus rebuilds the parsed corpus, reconstructing each sentence
-// exactly as the row store's LoadSentence does: raw token columns, then
+// exactly as index.LoadSentence does: raw token columns, then
 // RecomputeDerived, then entities re-linked with texts re-rendered. Token
 // strings alias the section's string table, so repeated words cost one
 // allocation per distinct string, not per token.

@@ -157,8 +157,8 @@ func Write(path string, c *index.Corpus, ix *index.Index) error {
 
 // encodeCorpus serializes the parsed corpus: a string table over token
 // text/POS/label and entity types, then documents and sentences. Only what
-// LoadSentence reads from the row store is kept (text, pos, label, head,
-// entity spans); derived geometry is recomputed at load so both formats
+// index.LoadSentence reads from the paper's T table is kept (text, pos,
+// label, head, entity spans); derived geometry is recomputed at load so both
 // reconstruct identical sentences.
 func encodeCorpus(c *index.Corpus) []byte {
 	strID := map[string]int{}
@@ -188,7 +188,7 @@ func encodeCorpus(c *index.Corpus) []byte {
 			tok := &s.Tokens[i]
 			es.toks[i] = encTok{intern(tok.Text), intern(tok.POS), intern(tok.Label), tok.Head + 1}
 			// Record each entity once, at its first token — the same filter
-			// and order the row store's LoadSentence reproduces.
+			// and order index.LoadSentence reproduces.
 			if e := s.EntityAt(i); e != nil && e.L == i {
 				es.ents = append(es.ents, encEnt{intern(e.Type), e.L, e.R})
 			}

@@ -177,9 +177,8 @@ func LoadSentence(db *store.DB, sid int) (*nlp.Sentence, error) {
 	return s, nil
 }
 
-// LowerASCII exposes the token lowering used when reconstructing sentences
-// from disk, so alternative store formats (the block store) rebuild Token.
-// Lower identically to the row store's LoadSentence.
+// LowerASCII exposes the token lowering used when reconstructing sentences,
+// so the block store rebuilds Token.Lower identically to LoadSentence.
 func LowerASCII(s string) string { return lower(s) }
 
 func lower(s string) string {

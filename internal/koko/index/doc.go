@@ -15,8 +15,9 @@
 //     is what makes the hierarchy index both compact and fast.
 //
 // The package also defines the Corpus (globally sentence-id'd parsed text)
-// and persistence of both corpus and indices into the storage substrate
-// using the paper's §6.2.1 relational schemas: W(word,x,y,u,v,d,plid,posid),
-// E(entity,type,x,u,v), and closure tables PL/POS(id,label,depth,aid,alabel,
-// adepth).
+// and the paper's §6.2.1 relational schemas over the in-memory storage
+// substrate: W(word,x,y,u,v,d,plid,posid), E(entity,type,x,u,v), and closure
+// tables PL/POS(id,label,depth,aid,alabel,adepth), which Figure 6 measures,
+// plus the D/T tables Table 2's LoadArticle phase reads sentences from. On
+// disk, corpus and indices live in the block store (package blockstore).
 package index

@@ -188,36 +188,6 @@ func TestPostingHelpers(t *testing.T) {
 	}
 }
 
-func TestIndexPersistRoundtrip(t *testing.T) {
-	c := paperCorpus()
-	ix := Build(c)
-	db := store.NewDB()
-	ix.Save(db)
-	got, err := LoadIndex(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Word postings survive.
-	for _, w := range []string{"ate", "delicious", "cream", "store"} {
-		if !reflect.DeepEqual(got.LookupWord(w), ix.LookupWord(w)) {
-			t.Errorf("word %q: %v vs %v", w, got.LookupWord(w), ix.LookupWord(w))
-		}
-	}
-	// Entity postings survive (text is lowercased in the table).
-	if len(got.LookupEntityText("grocery store")) != 1 {
-		t.Error("entity lost in roundtrip")
-	}
-	// Hierarchy lookups survive.
-	p := Path{{false, "root"}, {false, "dobj"}, {false, "nn"}}
-	if !reflect.DeepEqual(got.PL.Lookup(p), ix.PL.Lookup(p)) {
-		t.Errorf("PL lookup differs after roundtrip: %v vs %v", got.PL.Lookup(p), ix.PL.Lookup(p))
-	}
-	pv := Path{{true, "verb"}}
-	if !reflect.DeepEqual(got.POS.Lookup(pv), ix.POS.Lookup(pv)) {
-		t.Errorf("POS lookup differs after roundtrip")
-	}
-}
-
 func TestCorpusParsedPersistence(t *testing.T) {
 	c := paperCorpus()
 	db := store.NewDB()

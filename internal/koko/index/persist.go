@@ -7,7 +7,7 @@ import (
 )
 
 // Save materializes the multi-index into db using the paper's §6.2.1
-// schemas:
+// schemas (Figure 6 measures their footprint):
 //
 //	W(word, x, y, u, v, d, plid, posid)   with a B-tree on word
 //	E(entity, etype, x, u, v)             with a B-tree on entity
@@ -90,137 +90,4 @@ func saveClosure(db *store.DB, name string, h *Hierarchy) error {
 	// table on plid/posid (exactly how the paper retrieves them); no extra
 	// storage is needed, which is why the KOKO footprint stays small.
 	return nil
-}
-
-// LoadIndex reconstructs an Index from tables written by Save.
-func LoadIndex(db *store.DB) (*Index, error) {
-	ix := &Index{
-		Word:    map[string][]Posting{},
-		Entity:  map[string][]EntityPosting{},
-		ByType:  map[string][]EntityPosting{},
-		plidOf:  map[int32][]int32{},
-		posidOf: map[int32][]int32{},
-	}
-	w := db.Table("W")
-	if w == nil {
-		return nil, fmt.Errorf("index: no W table")
-	}
-	type tokenNode struct {
-		sid, tid, plid, posid int32
-	}
-	var tokens []tokenNode
-	w.Scan(func(rid int, row []store.Value) bool {
-		p := Posting{
-			Sid: int32(row[1].I), Tid: int32(row[2].I),
-			U: int32(row[3].I), V: int32(row[4].I), D: int32(row[5].I),
-		}
-		ix.Word[row[0].S] = append(ix.Word[row[0].S], p)
-		tokens = append(tokens, tokenNode{p.Sid, p.Tid, int32(row[6].I), int32(row[7].I)})
-		return true
-	})
-	e := db.Table("E")
-	if e == nil {
-		return nil, fmt.Errorf("index: no E table")
-	}
-	e.Scan(func(rid int, row []store.Value) bool {
-		ep := EntityPosting{
-			Sid: int32(row[2].I), U: int32(row[3].I), V: int32(row[4].I),
-			Type: row[1].S, Text: row[0].S,
-		}
-		ix.Entity[row[0].S] = append(ix.Entity[row[0].S], ep)
-		ix.ByType[ep.Type] = append(ix.ByType[ep.Type], ep)
-		return true
-	})
-	var err error
-	ix.PL, err = loadClosure(db, "PL")
-	if err != nil {
-		return nil, err
-	}
-	ix.POS, err = loadClosure(db, "POS")
-	if err != nil {
-		return nil, err
-	}
-	// Re-link token -> hierarchy node and rebuild posting lists of nodes.
-	for _, tn := range tokens {
-		ids := ix.plidOf[tn.sid]
-		for int32(len(ids)) <= tn.tid {
-			ids = append(ids, -1)
-		}
-		ids[tn.tid] = tn.plid
-		ix.plidOf[tn.sid] = ids
-		ids = ix.posidOf[tn.sid]
-		for int32(len(ids)) <= tn.tid {
-			ids = append(ids, -1)
-		}
-		ids[tn.tid] = tn.posid
-		ix.posidOf[tn.sid] = ids
-	}
-	// Node posting lists: join W rows back onto nodes.
-	w.Scan(func(rid int, row []store.Value) bool {
-		p := Posting{
-			Sid: int32(row[1].I), Tid: int32(row[2].I),
-			U: int32(row[3].I), V: int32(row[4].I), D: int32(row[5].I),
-		}
-		plid, posid := int32(row[6].I), int32(row[7].I)
-		if plid >= 0 && int(plid) < len(ix.PL.Postings) {
-			ix.PL.Postings[plid] = append(ix.PL.Postings[plid], p)
-			ix.PL.TotalTokens++
-		}
-		if posid >= 0 && int(posid) < len(ix.POS.Postings) {
-			ix.POS.Postings[posid] = append(ix.POS.Postings[posid], p)
-			ix.POS.TotalTokens++
-		}
-		return true
-	})
-	ix.Finish()
-	return ix, nil
-}
-
-func loadClosure(db *store.DB, name string) (*Hierarchy, error) {
-	t := db.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("index: no %s table", name)
-	}
-	h := NewHierarchy()
-	// First pass: find the max node id.
-	maxID := int32(0)
-	t.Scan(func(rid int, row []store.Value) bool {
-		if id := int32(row[0].I); id > maxID {
-			maxID = id
-		}
-		return true
-	})
-	h.Labels = make([]string, maxID+1)
-	h.Depths = make([]int32, maxID+1)
-	h.Parents = make([]int32, maxID+1)
-	h.Children = make([]map[string]int32, maxID+1)
-	h.Postings = make([][]Posting, maxID+1)
-	for i := range h.Children {
-		h.Children[i] = map[string]int32{}
-	}
-	h.Depths[0] = -1
-	h.Parents[0] = -1
-	// Second pass: self rows give labels/depths; depth-difference-1 rows
-	// give parent links.
-	t.Scan(func(rid int, row []store.Value) bool {
-		id, label, depth := int32(row[0].I), row[1].S, int32(row[2].I)
-		aid, adepth := int32(row[3].I), int32(row[5].I)
-		h.Labels[id] = label
-		h.Depths[id] = depth
-		if adepth == depth-1 {
-			h.Parents[id] = aid
-		} else if depth == 0 {
-			h.Parents[id] = 0
-		}
-		return true
-	})
-	for id := int32(1); id <= maxID; id++ {
-		p := h.Parents[id]
-		if p < 0 {
-			p = 0
-			h.Parents[id] = 0
-		}
-		h.Children[p][h.Labels[id]] = id
-	}
-	return h, nil
 }

@@ -1,11 +1,6 @@
 package index
 
-import (
-	"fmt"
-
-	"repro/internal/nlp"
-	"repro/internal/store"
-)
+import "repro/internal/nlp"
 
 // Sharding: a corpus is split on document boundaries into contiguous
 // doc-range shards. KOKO evaluates queries document-by-document (evidence
@@ -110,130 +105,4 @@ func ShardCorpus(c *Corpus, spec ShardSpec) *Corpus {
 		out.AppendDoc(c.Docs[d].Name, sents)
 	}
 	return out
-}
-
-// --- sharded store layout ---
-//
-// A sharded corpus persists as a tiny manifest store plus one ordinary
-// .koko store per shard. The manifest's SHARDS table names each shard file
-// (relative to the manifest's directory, so the layout is relocatable) and
-// records its ShardSpec; shard files are complete stand-alone stores, so a
-// single shard can also be opened directly for debugging.
-
-const shardManifestTable = "SHARDS"
-
-// Store format names recorded in the shard manifest's FORMAT column. The
-// empty string (and manifests written before the column existed) means row.
-const (
-	FormatNameRow   = "row"   // KOKODB1 table store, whole-file decode
-	FormatNameBlock = "block" // KOKOBS1 block store, mmap + lazy decode
-)
-
-// SaveShardManifest writes the sharded-layout manifest into db: one SHARDS
-// row per shard with its file name, store format, and spec. formats may be
-// nil (all row) or hold one format name per shard — mixed-format shard sets
-// are valid, which is how a durable corpus migrates store formats one
-// compaction at a time.
-func SaveShardManifest(db *store.DB, files []string, formats []string, specs []ShardSpec) {
-	t := db.Create(shardManifestTable,
-		store.Column{Name: "shard", Type: store.ColInt},
-		store.Column{Name: "file", Type: store.ColString},
-		store.Column{Name: "lo_doc", Type: store.ColInt},
-		store.Column{Name: "hi_doc", Type: store.ColInt},
-		store.Column{Name: "first_sid", Type: store.ColInt},
-		store.Column{Name: "num_sents", Type: store.ColInt},
-		store.Column{Name: "tokens", Type: store.ColInt},
-		store.Column{Name: "format", Type: store.ColString},
-	)
-	for i, sp := range specs {
-		format := FormatNameRow
-		if i < len(formats) && formats[i] != "" {
-			format = formats[i]
-		}
-		t.MustInsert(
-			store.IntVal(int64(i)), store.StrVal(files[i]),
-			store.IntVal(int64(sp.LoDoc)), store.IntVal(int64(sp.HiDoc)),
-			store.IntVal(int64(sp.FirstSID)), store.IntVal(int64(sp.NumSents)),
-			store.IntVal(int64(sp.Tokens)), store.StrVal(format),
-		)
-	}
-}
-
-const durableMetaTable = "DURABLE"
-
-// SaveDurableMeta marks db as a durable-corpus manifest: gen is the shard
-// set's generation (bumped by every crash-safe compaction swap) and applied
-// is the highest WAL sequence already folded into the shard files — replay
-// skips records at or below it.
-func SaveDurableMeta(db *store.DB, gen, applied uint64) {
-	t := db.Create(durableMetaTable,
-		store.Column{Name: "generation", Type: store.ColInt},
-		store.Column{Name: "wal_applied", Type: store.ColInt},
-	)
-	t.MustInsert(store.IntVal(int64(gen)), store.IntVal(int64(applied)))
-}
-
-// LoadDurableMeta reads back the generation and applied WAL sequence
-// written by SaveDurableMeta.
-func LoadDurableMeta(db *store.DB) (gen, applied uint64, err error) {
-	t := db.Table(durableMetaTable)
-	if t == nil {
-		return 0, 0, fmt.Errorf("index: no %s table (not a durable manifest)", durableMetaTable)
-	}
-	found := false
-	t.Scan(func(rid int, row []store.Value) bool {
-		gen, applied = uint64(row[0].I), uint64(row[1].I)
-		found = true
-		return false
-	})
-	if !found {
-		return 0, 0, fmt.Errorf("index: %s table is empty", durableMetaTable)
-	}
-	return gen, applied, nil
-}
-
-// IsShardManifest reports whether db is a sharded-layout manifest rather
-// than a plain single-corpus store.
-func IsShardManifest(db *store.DB) bool {
-	return db.Table(shardManifestTable) != nil
-}
-
-// LoadShardManifest reads back the shard file names, store formats, and
-// specs written by SaveShardManifest, in shard order. Manifests from before
-// the FORMAT column report every shard as row format.
-func LoadShardManifest(db *store.DB) ([]string, []string, []ShardSpec, error) {
-	t := db.Table(shardManifestTable)
-	if t == nil {
-		return nil, nil, nil, fmt.Errorf("index: no %s table (not a shard manifest)", shardManifestTable)
-	}
-	var files, formats []string
-	var specs []ShardSpec
-	prev := -1
-	ok := true
-	t.Scan(func(rid int, row []store.Value) bool {
-		if int(row[0].I) != prev+1 {
-			ok = false
-			return false
-		}
-		prev++
-		files = append(files, row[1].S)
-		format := FormatNameRow
-		if len(row) > 7 && row[7].S != "" {
-			format = row[7].S
-		}
-		formats = append(formats, format)
-		specs = append(specs, ShardSpec{
-			LoDoc: int(row[2].I), HiDoc: int(row[3].I),
-			FirstSID: int(row[4].I), NumSents: int(row[5].I),
-			Tokens: int(row[6].I),
-		})
-		return true
-	})
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("index: shard manifest rows out of order")
-	}
-	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("index: shard manifest is empty")
-	}
-	return files, formats, specs, nil
 }

@@ -2,10 +2,7 @@ package index
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
-
-	"repro/internal/store"
 )
 
 func testShardCorpus(t *testing.T, docs int) *Corpus {
@@ -143,66 +140,5 @@ func TestShardCorpusIsolation(t *testing.T) {
 		if c.Sentences[i].ID != before[i] {
 			t.Fatalf("parent corpus sentence %d id mutated: %d -> %d", i, before[i], c.Sentences[i].ID)
 		}
-	}
-}
-
-// TestShardManifestRoundtrip: manifest persistence preserves files and
-// specs, and plain stores are not mistaken for manifests.
-func TestShardManifestRoundtrip(t *testing.T) {
-	specs := []ShardSpec{
-		{LoDoc: 0, HiDoc: 3, FirstSID: 0, NumSents: 7, Tokens: 120},
-		{LoDoc: 3, HiDoc: 5, FirstSID: 7, NumSents: 4, Tokens: 98},
-	}
-	files := []string{"c.koko.shard0", "c.koko.shard1"}
-	formats := []string{FormatNameRow, FormatNameBlock}
-	db := store.NewDB()
-	SaveShardManifest(db, files, formats, specs)
-	if !IsShardManifest(db) {
-		t.Fatal("manifest not detected")
-	}
-	path := filepath.Join(t.TempDir(), "c.koko")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := store.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFiles, gotFormats, gotSpecs, err := LoadShardManifest(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotFiles) != 2 || gotFiles[0] != files[0] || gotFiles[1] != files[1] {
-		t.Fatalf("files = %v", gotFiles)
-	}
-	if len(gotFormats) != 2 || gotFormats[0] != FormatNameRow || gotFormats[1] != FormatNameBlock {
-		t.Fatalf("formats = %v", gotFormats)
-	}
-	for i := range specs {
-		if gotSpecs[i] != specs[i] {
-			t.Fatalf("spec %d = %+v, want %+v", i, gotSpecs[i], specs[i])
-		}
-	}
-
-	// nil formats defaults every shard to row format.
-	dbNil := store.NewDB()
-	SaveShardManifest(dbNil, files, nil, specs)
-	_, defFormats, _, err := LoadShardManifest(dbNil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range defFormats {
-		if f != FormatNameRow {
-			t.Fatalf("format %d = %q, want %q", i, f, FormatNameRow)
-		}
-	}
-
-	plain := store.NewDB()
-	testShardCorpus(t, 2).SaveParsed(plain)
-	if IsShardManifest(plain) {
-		t.Fatal("plain store misdetected as manifest")
-	}
-	if _, _, _, err := LoadShardManifest(plain); err == nil {
-		t.Fatal("LoadShardManifest on plain store should error")
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Order-preserving key encoding and compact row encoding.
@@ -105,41 +104,4 @@ func appendRow(dst []byte, row []Value) []byte {
 		}
 	}
 	return dst
-}
-
-// decodeRow decodes a row written by appendRow and returns the remaining
-// bytes.
-func decodeRow(src []byte) ([]Value, []byte, error) {
-	n, k := binary.Uvarint(src)
-	if k <= 0 || n > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("store: corrupt row header")
-	}
-	src = src[k:]
-	row := make([]Value, n)
-	for i := range row {
-		if len(src) == 0 {
-			return nil, nil, fmt.Errorf("store: truncated row")
-		}
-		t := ColType(src[0])
-		src = src[1:]
-		switch t {
-		case ColInt:
-			v, k := binary.Varint(src)
-			if k <= 0 {
-				return nil, nil, fmt.Errorf("store: corrupt int")
-			}
-			src = src[k:]
-			row[i] = IntVal(v)
-		case ColString:
-			l, k := binary.Uvarint(src)
-			if k <= 0 || uint64(len(src)-k) < l {
-				return nil, nil, fmt.Errorf("store: corrupt string")
-			}
-			row[i] = StrVal(string(src[k : k+int(l)]))
-			src = src[k+int(l):]
-		default:
-			return nil, nil, fmt.Errorf("store: unknown column type %d", t)
-		}
-	}
-	return row, src, nil
 }

@@ -1,13 +1,6 @@
 package store
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"os"
-	"sort"
-)
+import "fmt"
 
 // Column describes one column of a table schema.
 type Column struct {
@@ -112,9 +105,6 @@ func (t *Table) MustInsert(row ...Value) int {
 	return rid
 }
 
-// Row returns the row with the given id.
-func (t *Table) Row(rid int) []Value { return t.rows[rid] }
-
 // Scan calls fn for every row in insertion order; fn may return false to
 // stop.
 func (t *Table) Scan(fn func(rid int, row []Value) bool) {
@@ -147,15 +137,6 @@ func (t *Table) LookupPrefix(indexName string, fn func(rid int, row []Value) boo
 	return nil
 }
 
-// IndexHeight returns the B+tree height of the named index (0 if absent).
-// Used by experiments to report index shape.
-func (t *Table) IndexHeight(indexName string) int {
-	if ix, ok := t.indexes[indexName]; ok {
-		return ix.tree.Height()
-	}
-	return 0
-}
-
 // SizeBytes estimates the serialized footprint of the table including its
 // indexes (key bytes). This is the figure the index-size experiment reports.
 func (t *Table) SizeBytes() int64 {
@@ -171,7 +152,7 @@ func (t *Table) SizeBytes() int64 {
 	return total
 }
 
-// DB is a named collection of tables with whole-database persistence.
+// DB is a named collection of tables.
 type DB struct {
 	tables map[string]*Table
 }
@@ -189,16 +170,6 @@ func (db *DB) Create(name string, cols ...Column) *Table {
 // Table returns the named table or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
-// TableNames returns the sorted table names.
-func (db *DB) TableNames() []string {
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SizeBytes sums the serialized footprint of all tables.
 func (db *DB) SizeBytes() int64 {
 	var total int64
@@ -206,194 +177,4 @@ func (db *DB) SizeBytes() int64 {
 		total += t.SizeBytes()
 	}
 	return total
-}
-
-const dbMagic = "KOKODB1\n"
-
-// Save writes the database to a file. Indexes are persisted as definitions
-// and rebuilt on load (they are derived data).
-func (db *DB) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := db.write(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (db *DB) write(w io.Writer) error {
-	if _, err := io.WriteString(w, dbMagic); err != nil {
-		return err
-	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(db.tables)))
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	for _, name := range db.TableNames() {
-		t := db.tables[name]
-		var hdr []byte
-		hdr = binary.AppendUvarint(hdr, uint64(len(t.Name)))
-		hdr = append(hdr, t.Name...)
-		hdr = binary.AppendUvarint(hdr, uint64(len(t.Columns)))
-		for _, c := range t.Columns {
-			hdr = binary.AppendUvarint(hdr, uint64(len(c.Name)))
-			hdr = append(hdr, c.Name...)
-			hdr = append(hdr, byte(c.Type))
-		}
-		// Index definitions.
-		ixNames := make([]string, 0, len(t.indexes))
-		for n := range t.indexes {
-			ixNames = append(ixNames, n)
-		}
-		sort.Strings(ixNames)
-		hdr = binary.AppendUvarint(hdr, uint64(len(ixNames)))
-		for _, n := range ixNames {
-			ix := t.indexes[n]
-			hdr = binary.AppendUvarint(hdr, uint64(len(n)))
-			hdr = append(hdr, n...)
-			hdr = binary.AppendUvarint(hdr, uint64(len(ix.cols)))
-			for _, c := range ix.cols {
-				hdr = binary.AppendUvarint(hdr, uint64(c))
-			}
-		}
-		hdr = binary.AppendUvarint(hdr, uint64(len(t.rows)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		var rowBuf []byte
-		for _, row := range t.rows {
-			rowBuf = appendRow(rowBuf[:0], row)
-			var lenBuf []byte
-			lenBuf = binary.AppendUvarint(lenBuf, uint64(len(rowBuf)))
-			if _, err := w.Write(lenBuf); err != nil {
-				return err
-			}
-			if _, err := w.Write(rowBuf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Load reads a database written by Save and rebuilds all indexes.
-func Load(path string) (*DB, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(dbMagic) || string(data[:len(dbMagic)]) != dbMagic {
-		return nil, fmt.Errorf("store: %s: not a KOKO database", path)
-	}
-	src := data[len(dbMagic):]
-	nTables, k := binary.Uvarint(src)
-	if k <= 0 {
-		return nil, fmt.Errorf("store: corrupt header")
-	}
-	src = src[k:]
-	db := NewDB()
-	for ti := uint64(0); ti < nTables; ti++ {
-		name, rest, err := readString(src)
-		if err != nil {
-			return nil, err
-		}
-		src = rest
-		nCols, k := binary.Uvarint(src)
-		if k <= 0 {
-			return nil, fmt.Errorf("store: corrupt table %s", name)
-		}
-		src = src[k:]
-		cols := make([]Column, nCols)
-		for i := range cols {
-			cn, rest, err := readString(src)
-			if err != nil {
-				return nil, err
-			}
-			src = rest
-			if len(src) == 0 {
-				return nil, fmt.Errorf("store: truncated column")
-			}
-			cols[i] = Column{Name: cn, Type: ColType(src[0])}
-			src = src[1:]
-		}
-		t := db.Create(name, cols...)
-		nIx, k := binary.Uvarint(src)
-		if k <= 0 {
-			return nil, fmt.Errorf("store: corrupt index count")
-		}
-		src = src[k:]
-		type ixDef struct {
-			name string
-			cols []int
-		}
-		defs := make([]ixDef, nIx)
-		for i := range defs {
-			in, rest, err := readString(src)
-			if err != nil {
-				return nil, err
-			}
-			src = rest
-			nc, k := binary.Uvarint(src)
-			if k <= 0 {
-				return nil, fmt.Errorf("store: corrupt index def")
-			}
-			src = src[k:]
-			ixCols := make([]int, nc)
-			for j := range ixCols {
-				c, k := binary.Uvarint(src)
-				if k <= 0 {
-					return nil, fmt.Errorf("store: corrupt index col")
-				}
-				src = src[k:]
-				ixCols[j] = int(c)
-			}
-			defs[i] = ixDef{name: in, cols: ixCols}
-		}
-		nRows, k := binary.Uvarint(src)
-		if k <= 0 {
-			return nil, fmt.Errorf("store: corrupt row count")
-		}
-		src = src[k:]
-		t.rows = make([][]Value, 0, nRows)
-		for r := uint64(0); r < nRows; r++ {
-			rl, k := binary.Uvarint(src)
-			if k <= 0 || uint64(len(src)-k) < rl {
-				return nil, fmt.Errorf("store: corrupt row length")
-			}
-			src = src[k:]
-			row, _, err := decodeRow(src[:rl])
-			if err != nil {
-				return nil, err
-			}
-			src = src[rl:]
-			t.rows = append(t.rows, row)
-		}
-		for _, d := range defs {
-			colNames := make([]string, len(d.cols))
-			for i, c := range d.cols {
-				colNames[i] = t.Columns[c].Name
-			}
-			if err := t.CreateIndex(d.name, colNames...); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return db, nil
-}
-
-func readString(src []byte) (string, []byte, error) {
-	l, k := binary.Uvarint(src)
-	if k <= 0 || uint64(len(src)-k) < l {
-		return "", nil, fmt.Errorf("store: corrupt string")
-	}
-	return string(src[k : k+int(l)]), src[k+int(l):], nil
 }

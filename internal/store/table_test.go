@@ -1,8 +1,6 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -94,79 +92,4 @@ func TestTableErrors(t *testing.T) {
 	if err := tb.LookupPrefix("missing", func(int, []Value) bool { return true }); err == nil {
 		t.Error("lookup on missing index accepted")
 	}
-}
-
-func TestDBPersistRoundtrip(t *testing.T) {
-	db := NewDB()
-	w := db.Create("W",
-		Column{"word", ColString},
-		Column{"x", ColInt},
-	)
-	if err := w.CreateIndex("by_word", "word"); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 1000; i++ {
-		w.MustInsert(StrVal("w"+string(rune('a'+i%26))), IntVal(i))
-	}
-	e := db.Create("E", Column{"entity", ColString}, Column{"sid", ColInt})
-	e.MustInsert(StrVal("grocery store"), IntVal(1))
-	e.MustInsert(StrVal("chocolate ice cream"), IntVal(0))
-
-	path := filepath.Join(t.TempDir(), "test.kokodb")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.TableNames(), []string{"E", "W"}) {
-		t.Fatalf("tables = %v", got.TableNames())
-	}
-	gw := got.Table("W")
-	if gw.NumRows() != 1000 {
-		t.Fatalf("W rows = %d", gw.NumRows())
-	}
-	// Index must have been rebuilt.
-	count := 0
-	if err := gw.LookupPrefix("by_word", func(rid int, row []Value) bool {
-		count++
-		return true
-	}, StrVal("wa")); err != nil {
-		t.Fatal(err)
-	}
-	if count != len(selectMod26(1000, 0)) {
-		t.Errorf("wa count = %d", count)
-	}
-	ge := got.Table("E")
-	if ge.Row(1)[0].S != "chocolate ice cream" {
-		t.Errorf("E row 1 = %v", ge.Row(1))
-	}
-	if db.SizeBytes() != got.SizeBytes() {
-		t.Errorf("size mismatch: %d vs %d", db.SizeBytes(), got.SizeBytes())
-	}
-}
-
-func selectMod26(n int, rem int64) []int64 {
-	var out []int64
-	for i := int64(0); i < int64(n); i++ {
-		if i%26 == rem {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.db")
-	if err := writeFile(path, []byte("not a database")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -4,11 +4,10 @@ package koko
 //
 // On-disk layout, one directory per corpus:
 //
-//	<dir>/MANIFEST          versioned manifest: shard files + specs
-//	                        (SHARDS table) and {generation, wal_applied}
-//	                        (DURABLE table)
-//	<dir>/gen<G>.shard<I>   one stand-alone store per base shard, named by
-//	                        the generation that wrote it
+//	<dir>/MANIFEST          JSON manifest (manifest.go): shard files + specs
+//	                        and {generation, wal_applied}
+//	<dir>/gen<G>.shard<I>   one stand-alone block store per base shard,
+//	                        named by the generation that wrote it
 //	<dir>/wal.log           append-only log of adds and tombstones since
 //	                        the last compaction swap
 //
@@ -36,9 +35,7 @@ import (
 	"time"
 
 	"repro/internal/koko/index"
-	"repro/internal/koko/index/blockstore"
 	"repro/internal/koko/wal"
-	"repro/internal/store"
 )
 
 const (
@@ -141,23 +138,19 @@ func OpenDurable(seed Querier, cfg DurableConfig) (*Mutable, error) {
 
 // openDurableBase loads the manifest's shard set.
 func openDurableBase(dir string, opts *Options) (*ShardedEngine, []string, uint64, uint64, error) {
-	db, err := store.Load(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("koko: load durable manifest in %s: %w", dir, err)
-	}
-	files, formats, specs, err := index.LoadShardManifest(db)
+	path := filepath.Join(dir, manifestName)
+	m, err := readManifest(path)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	gen, appl, err := index.LoadDurableMeta(db)
+	if m.Durable == nil {
+		return nil, nil, 0, 0, fmt.Errorf("koko: manifest %s is not a durable manifest", path)
+	}
+	base, err := openShardSet(path, m, opts)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	shards, err := loadShardEngines(dir, files, formats, specs, opts, filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	return newSharded(shards, specs), files, gen, appl, nil
+	return base, m.files(), m.Durable.Generation, m.Durable.WALApplied, nil
 }
 
 // persistSeed writes seed (nil = empty corpus) as generation 1: one store
@@ -187,7 +180,7 @@ func persistSeed(dir string, seed Querier, opts *Options) (*ShardedEngine, []str
 			return nil, nil, 0, fmt.Errorf("koko: persist seed shard %d: %w", i, err)
 		}
 	}
-	if err := writeManifest(dir, files, specs, gen, 0); err != nil {
+	if err := writeDurableManifest(dir, files, specs, gen, 0); err != nil {
 		return nil, nil, 0, err
 	}
 	return newSharded(engines, specs), files, gen, nil
@@ -218,33 +211,11 @@ func saveStoreDurable(eng *Engine, path string) error {
 	return fsyncFile(path)
 }
 
-// writeManifest atomically installs the manifest: write to a temp file,
-// fsync, rename over MANIFEST, fsync the directory. Readers see either the
-// old manifest or the new one, never a partial write. The manifest mixes
-// carried-over shard files with freshly compacted ones, so each file's store
-// format is read back from its magic rather than assumed.
-func writeManifest(dir string, files []string, specs []index.ShardSpec, gen, applied uint64) error {
-	formats := make([]string, len(files))
-	for i, f := range files {
-		formats[i] = index.FormatNameRow
-		if blockstore.IsBlockStore(filepath.Join(dir, f)) {
-			formats[i] = index.FormatNameBlock
-		}
-	}
-	db := store.NewDB()
-	index.SaveShardManifest(db, files, formats, specs)
-	index.SaveDurableMeta(db, gen, applied)
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := db.Save(tmp); err != nil {
-		return err
-	}
-	if err := fsyncFile(tmp); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return fsyncDir(dir)
+// writeDurableManifest atomically swaps in the manifest of generation gen.
+func writeDurableManifest(dir string, files []string, specs []index.ShardSpec, gen, applied uint64) error {
+	m := newManifest(files, specs)
+	m.Durable = &durableMeta{Generation: gen, WALApplied: applied}
+	return writeManifest(filepath.Join(dir, manifestName), m)
 }
 
 // sweepOrphans removes generation shard files and temp files a crashed
@@ -348,15 +319,7 @@ func (m *Mutable) compactDurable() (CompactionStats, error) {
 	writeShard := func(c *index.Corpus, slot int) error {
 		eng := NewEngine(&Corpus{c: c}, m.opts)
 		file := shardGenFile(gen, slot)
-		// Compaction rewrites shards in the block format: the rewritten
-		// shard pages lazily on the next open while untouched row-format
-		// shards ride along unchanged (the manifest records each file's
-		// format), so a durable corpus migrates one compaction at a time.
-		path := filepath.Join(m.dir, file)
-		if err := eng.SaveAs(path, FormatBlock); err != nil {
-			return err
-		}
-		if err := fsyncFile(path); err != nil {
+		if err := saveStoreDurable(eng, filepath.Join(m.dir, file)); err != nil {
 			return err
 		}
 		if firstWrite {
@@ -419,7 +382,7 @@ func (m *Mutable) compactDurable() (CompactionStats, error) {
 	if err := m.fail("pre-manifest-swap"); err != nil {
 		return CompactionStats{}, err
 	}
-	if err := writeManifest(m.dir, files, specs, gen, cutSeq); err != nil {
+	if err := writeDurableManifest(m.dir, files, specs, gen, cutSeq); err != nil {
 		return CompactionStats{}, err
 	}
 	if err := m.fail("post-manifest-swap"); err != nil {

@@ -477,6 +477,7 @@ func TestDurableIncrementalCompaction(t *testing.T) {
 		return st.ModTime().UnixNano()
 	}
 	t0, t1 := mtime("gen1.shard0"), mtime("gen1.shard1")
+	requireBlockStores(t, dir, "gen*.shard*")
 
 	// Ingest two docs and delete one document living in the LAST shard, so
 	// shards 0 and 1 stay untouched.
@@ -508,6 +509,7 @@ func TestDurableIncrementalCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "gen2.shard2")); err != nil {
 		t.Fatalf("rebuilt shard file missing: %v", err)
 	}
+	requireBlockStores(t, dir, "gen*.shard*")
 	// A restart loads the mixed-generation manifest cleanly.
 	m.Close()
 	m2, err := OpenDurable(nil, DurableConfig{Dir: dir})
@@ -531,6 +533,7 @@ func TestDurableEmptyAndFullDelete(t *testing.T) {
 	if n := m.Snapshot().NumDocuments(); n != 0 {
 		t.Fatalf("empty durable corpus has %d docs", n)
 	}
+	requireBlockStores(t, dir, "gen*.shard*")
 	for _, d := range docs[:3] {
 		if _, err := m.AddParsedDocument(d.name, d.sents); err != nil {
 			t.Fatal(err)
@@ -539,6 +542,7 @@ func TestDurableEmptyAndFullDelete(t *testing.T) {
 	if _, err := m.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	requireBlockStores(t, dir, "gen*.shard*")
 	for _, d := range docs[:3] {
 		if _, _, err := m.DeleteDocument(d.name); err != nil {
 			t.Fatal(err)
@@ -547,6 +551,7 @@ func TestDurableEmptyAndFullDelete(t *testing.T) {
 	if _, err := m.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	requireBlockStores(t, dir, "gen*.shard*")
 	if n := m.Snapshot().NumDocuments(); n != 0 {
 		t.Fatalf("fully deleted corpus has %d docs", n)
 	}

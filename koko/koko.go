@@ -31,8 +31,6 @@ import (
 	"repro/internal/koko/index"
 	"repro/internal/koko/index/blockstore"
 	"repro/internal/koko/lang"
-	"repro/internal/nlp"
-	"repro/internal/store"
 )
 
 // Corpus is a parsed, sentence-id'd text corpus.
@@ -487,79 +485,38 @@ func (e *Engine) Stats() IndexStats {
 	}
 }
 
-// StoreFormat selects the on-disk layout used by SaveAs. Both formats hold
-// the same corpus and indices and auto-detect on Load/Open, so a store can
-// be rewritten in either direction by a Load + SaveAs round trip.
+// StoreFormat names an on-disk store format. The KOKOBS1 block store is the
+// only one.
+//
+// Deprecated: every Save writes the block store; the type survives only as
+// ShardedEngine.SaveAs's argument.
 type StoreFormat int
 
-const (
-	// FormatRow is the original KOKODB1 table store: simple, decoded in
-	// full at load time.
-	FormatRow StoreFormat = iota
-	// FormatBlock is the KOKOBS1 block store: posting lists laid out as
-	// sorted fixed-size blocks, mmap'd at load time and decoded lazily
-	// into a budgeted shared cache. Use it when the corpus may exceed RAM.
-	FormatBlock
-)
+// FormatBlock is the KOKOBS1 block store.
+//
+// Deprecated: see StoreFormat.
+const FormatBlock StoreFormat = 0
 
-// String names the format as recorded in shard manifests.
-func (f StoreFormat) String() string {
-	if f == FormatBlock {
-		return index.FormatNameBlock
-	}
-	return index.FormatNameRow
-}
-
-// Save persists the parsed corpus and all indices to path (the paper's
-// offline index construction; see Load) in the row format.
+// Save persists the parsed corpus and all indices to path as a KOKOBS1
+// block store (the paper's offline index construction; see Load): posting
+// lists laid out as sorted fixed-size blocks, mmap'd at load time and
+// decoded lazily into a budgeted shared cache. A block-backed engine (one
+// opened from a store) has no heap-resident posting lists, so its index is
+// rebuilt from the corpus first.
 func (e *Engine) Save(path string) error {
-	return e.SaveAs(path, FormatRow)
-}
-
-// SaveAs persists the engine to path in the chosen store format. A
-// block-backed engine (one opened from a block store) has no heap-resident
-// posting lists; both paths rebuild the index from the corpus in that case,
-// so SaveAs also converts between formats.
-func (e *Engine) SaveAs(path string, format StoreFormat) error {
 	ix := e.ix
 	if ix.Source() != nil {
 		ix = index.Build(e.corpus.c)
 	}
-	if format == FormatBlock {
-		return blockstore.Write(path, e.corpus.c, ix)
-	}
-	db := store.NewDB()
-	if err := e.corpus.c.SaveParsed(db); err != nil {
-		return err
-	}
-	if err := ix.Save(db); err != nil {
-		return err
-	}
-	return db.Save(path)
+	return blockstore.Write(path, e.corpus.c, ix)
 }
 
-// Load reopens an engine from a file written by Engine.Save or SaveAs (the
-// store format is auto-detected from the file magic). For a file that may be
-// either a plain store or a sharded manifest, use Open.
+// Load reopens an engine from a block store written by Engine.Save: the
+// corpus is decoded into memory (query evaluation walks sentences freely)
+// but posting lists stay on disk behind the mmap reader, decoded
+// block-by-block into the shared cache as queries touch them. For a file
+// that may be either a store or a sharded manifest, use Open.
 func Load(path string, opts *Options) (*Engine, error) {
-	if blockstore.IsBlockStore(path) {
-		return loadBlockEngine(path, opts)
-	}
-	db, err := store.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if index.IsShardManifest(db) {
-		return nil, fmt.Errorf("koko: %s is a sharded store manifest; use Open or LoadSharded", path)
-	}
-	return engineFromDB(db, opts)
-}
-
-// loadBlockEngine opens a KOKOBS1 block store: the corpus is decoded into
-// memory (query evaluation walks sentences freely) but posting lists stay on
-// disk behind the mmap reader, decoded block-by-block into the shared cache
-// as queries touch them.
-func loadBlockEngine(path string, opts *Options) (*Engine, error) {
 	r, err := blockstore.Open(path)
 	if err != nil {
 		return nil, err
@@ -571,7 +528,7 @@ func loadBlockEngine(path string, opts *Options) (*Engine, error) {
 	return assembleEngine(&Corpus{c: r.Corpus()}, r.NewIndex(), model, dicts, opts), nil
 }
 
-// Open reopens any persisted store: a plain .koko file yields an *Engine, a
+// Open reopens any persisted store: a block store yields an *Engine, a
 // sharded manifest (written by ShardedEngine.Save) yields a *ShardedEngine.
 func Open(path string, opts *Options) (Querier, error) {
 	return OpenWithShards(path, opts, 1)
@@ -584,79 +541,28 @@ func Open(path string, opts *Options) (Querier, error) {
 // directly. A sharded manifest keeps its on-disk shard count regardless
 // of k.
 func OpenWithShards(path string, opts *Options, k int) (Querier, error) {
-	if blockstore.IsBlockStore(path) {
-		if k > 1 {
-			// Re-sharding rebuilds per-shard indices from the corpus, so
-			// only the corpus is needed; close the reader immediately
-			// (decoded corpus strings are heap-owned, not mmap-backed).
-			r, err := blockstore.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			c := r.Corpus()
-			r.Close()
-			return NewShardedEngine(&Corpus{c: c}, k, opts), nil
-		}
-		return loadBlockEngine(path, opts)
-	}
-	db, err := store.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if index.IsShardManifest(db) {
-		return loadShardedFromDB(db, path, opts)
-	}
-	if k > 1 {
-		c, err := loadCorpus(db)
+	if !blockstore.IsBlockStore(path) {
+		m, err := readManifest(path)
 		if err != nil {
 			return nil, err
 		}
-		return NewShardedEngine(&Corpus{c: c}, k, opts), nil
-	}
-	return engineFromDB(db, opts)
-}
-
-// engineFromDB assembles an Engine from an in-memory store image.
-func engineFromDB(db *store.DB, opts *Options) (*Engine, error) {
-	ix, err := index.LoadIndex(db)
-	if err != nil {
-		return nil, err
-	}
-	c, err := loadCorpus(db)
-	if err != nil {
-		return nil, err
-	}
-	if opts == nil {
-		opts = &Options{}
-	}
-	model, dicts := deriveModelDicts(opts)
-	return assembleEngine(&Corpus{c: c}, ix, model, dicts, opts), nil
-}
-
-func loadCorpus(db *store.DB) (*index.Corpus, error) {
-	d := db.Table("D")
-	if d == nil {
-		return nil, fmt.Errorf("koko: corpus tables missing")
-	}
-	c := &index.Corpus{}
-	var fail error
-	d.Scan(func(rid int, row []store.Value) bool {
-		name := row[0].S
-		first, nsents := int(row[1].I), int(row[2].I)
-		sents := make([]nlp.Sentence, 0, nsents)
-		for sid := first; sid < first+nsents; sid++ {
-			s, err := index.LoadSentence(db, sid)
-			if err != nil {
-				fail = err
-				return false
-			}
-			sents = append(sents, *s)
+		se, err := openShardSet(path, m, opts)
+		if err != nil {
+			return nil, err
 		}
-		c.AppendDoc(name, sents)
-		return true
-	})
-	if fail != nil {
-		return nil, fail
+		return se, nil
 	}
-	return c, nil
+	if k <= 1 {
+		return Load(path, opts)
+	}
+	// Re-sharding rebuilds per-shard indices from the corpus, so only the
+	// corpus is needed; close the reader immediately (decoded corpus
+	// strings are heap-owned, not mmap-backed).
+	r, err := blockstore.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	c := r.Corpus()
+	r.Close()
+	return NewShardedEngine(&Corpus{c: c}, k, opts), nil
 }

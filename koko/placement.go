@@ -1,10 +1,6 @@
 package koko
 
-import (
-	"fmt"
-
-	"repro/internal/store"
-)
+import "fmt"
 
 // Placement maps each shard of a corpus to the worker nodes that can serve
 // it, in preference order. It is the routing table of distributed
@@ -52,111 +48,4 @@ func BuildPlacement(shards int, nodes []string, replicas int) Placement {
 		p.Replicas[i] = r
 	}
 	return p
-}
-
-// placementTable is the manifest table the placement persists into; one
-// row per (shard, preference rank, node).
-const placementTable = "PLACEMENT"
-
-// SavePlacement writes a placement into an existing sharded manifest file
-// (a .koko written by ShardedEngine.Save), replacing any placement already
-// there, so the shard-to-node routing travels with the shard layout it
-// routes. The placement must cover exactly the manifest's shard count.
-func SavePlacement(path string, p Placement) error {
-	db, err := store.Load(path)
-	if err != nil {
-		return fmt.Errorf("koko: load manifest %s: %w", path, err)
-	}
-	files, _, err := manifestShards(db)
-	if err != nil {
-		return err
-	}
-	if err := p.Validate(len(files)); err != nil {
-		return err
-	}
-	if db.Table(placementTable) != nil {
-		// The store has no table drop; rebuild the DB without the stale
-		// placement rows. Manifests are tiny (a handful of rows per table).
-		db = rewriteWithoutTable(db, placementTable)
-	}
-	t := db.Create(placementTable,
-		store.Column{Name: "shard", Type: store.ColInt},
-		store.Column{Name: "rank", Type: store.ColInt},
-		store.Column{Name: "node", Type: store.ColString},
-	)
-	for shard, reps := range p.Replicas {
-		for rank, node := range reps {
-			t.MustInsert(store.IntVal(int64(shard)), store.IntVal(int64(rank)), store.StrVal(node))
-		}
-	}
-	return db.Save(path)
-}
-
-// LoadPlacement reads the placement back from a manifest written by
-// SavePlacement. ok is false when the manifest has no placement table.
-func LoadPlacement(path string) (Placement, bool, error) {
-	db, err := store.Load(path)
-	if err != nil {
-		return Placement{}, false, fmt.Errorf("koko: load manifest %s: %w", path, err)
-	}
-	t := db.Table(placementTable)
-	if t == nil {
-		return Placement{}, false, nil
-	}
-	var p Placement
-	var scanErr error
-	t.Scan(func(rid int, row []store.Value) bool {
-		shard, rank, node := int(row[0].I), int(row[1].I), row[2].S
-		if shard < 0 {
-			scanErr = fmt.Errorf("koko: placement row with negative shard %d", shard)
-			return false
-		}
-		for len(p.Replicas) <= shard {
-			p.Replicas = append(p.Replicas, nil)
-		}
-		if rank != len(p.Replicas[shard]) {
-			scanErr = fmt.Errorf("koko: placement shard %d ranks out of order", shard)
-			return false
-		}
-		p.Replicas[shard] = append(p.Replicas[shard], node)
-		return true
-	})
-	if scanErr != nil {
-		return Placement{}, false, scanErr
-	}
-	return p, true, nil
-}
-
-// manifestShards resolves the shard file list of a manifest DB, failing on
-// plain (unsharded) stores.
-func manifestShards(db *store.DB) ([]string, []int, error) {
-	t := db.Table("SHARDS")
-	if t == nil {
-		return nil, nil, fmt.Errorf("koko: store is not a sharded manifest (no SHARDS table)")
-	}
-	var files []string
-	t.Scan(func(rid int, row []store.Value) bool {
-		files = append(files, row[1].S)
-		return true
-	})
-	return files, nil, nil
-}
-
-// rewriteWithoutTable copies every table of db except the named one into a
-// fresh DB (the store has no in-place table drop). Manifest tables carry
-// no secondary indexes, so row copies preserve everything.
-func rewriteWithoutTable(db *store.DB, drop string) *store.DB {
-	out := store.NewDB()
-	for _, name := range db.TableNames() {
-		if name == drop {
-			continue
-		}
-		t := db.Table(name)
-		nt := out.Create(name, t.Columns...)
-		t.Scan(func(rid int, row []store.Value) bool {
-			nt.MustInsert(row...)
-			return true
-		})
-	}
-	return out
 }

@@ -1,11 +1,8 @@
 package koko
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/corpus"
 )
 
 func TestBuildPlacement(t *testing.T) {
@@ -40,64 +37,5 @@ func TestBuildPlacement(t *testing.T) {
 	}
 	if got := BuildPlacement(2, nodes, 9).Replicas[0]; len(got) != len(nodes) {
 		t.Errorf("replicas=9 clamped to %d nodes, want %d", len(got), len(nodes))
-	}
-}
-
-func TestPlacementManifestRoundTrip(t *testing.T) {
-	c := WrapCorpus(corpus.GenCafes(corpus.BaristaMagConfig(5)).Corpus)
-	path := filepath.Join(t.TempDir(), "cafes.koko")
-	if err := NewShardedEngine(c, 3, nil).Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A freshly saved manifest carries no placement.
-	if _, ok, err := LoadPlacement(path); err != nil || ok {
-		t.Fatalf("LoadPlacement on bare manifest: ok=%v err=%v, want absent", ok, err)
-	}
-
-	p := BuildPlacement(3, []string{"http://a:7700", "http://b:7700"}, 2)
-	if err := SavePlacement(path, p); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := LoadPlacement(path)
-	if err != nil || !ok {
-		t.Fatalf("LoadPlacement: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("round-trip placement = %v, want %v", got, p)
-	}
-
-	// Overwrite replaces, not appends: the manifest keeps exactly one
-	// placement and the engine underneath still loads.
-	p2 := BuildPlacement(3, []string{"http://solo:7700"}, 1)
-	if err := SavePlacement(path, p2); err != nil {
-		t.Fatal(err)
-	}
-	got2, ok, err := LoadPlacement(path)
-	if err != nil || !ok {
-		t.Fatalf("LoadPlacement after overwrite: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got2, p2) {
-		t.Fatalf("overwritten placement = %v, want %v", got2, p2)
-	}
-	eng, err := LoadSharded(path, nil)
-	if err != nil {
-		t.Fatalf("manifest unreadable after placement writes: %v", err)
-	}
-	if eng.NumShards() != 3 {
-		t.Fatalf("reloaded engine has %d shards, want 3", eng.NumShards())
-	}
-
-	// Placement that does not match the manifest's shard count is rejected.
-	if err := SavePlacement(path, BuildPlacement(2, []string{"http://a"}, 1)); err == nil {
-		t.Fatal("shard-count mismatch saved into manifest")
-	}
-	// Plain (unsharded) stores cannot carry placements.
-	plain := filepath.Join(t.TempDir(), "plain.koko")
-	if err := NewEngine(c, nil).Save(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := SavePlacement(plain, p2); err == nil {
-		t.Fatal("placement saved into a non-sharded store")
 	}
 }

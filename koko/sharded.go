@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/koko/index"
-	"repro/internal/koko/index/blockstore"
-	"repro/internal/store"
 )
 
 // Querier is the query surface shared by Engine, ShardedEngine, Snapshot,
@@ -309,110 +307,65 @@ func shardFileName(base string, i int) string {
 	return fmt.Sprintf("%s.shard%d", base, i)
 }
 
-// Save persists the sharded layout: path becomes a small manifest store and
-// each shard writes a complete stand-alone store next to it as
-// path.shard<i>. Load the set back with Open or LoadSharded on the manifest
-// path.
+// Save persists the sharded layout: path becomes a small JSON manifest and
+// each shard writes a complete stand-alone block store next to it as
+// path.shard<i>. Open the set back with Open on the manifest path.
 func (e *ShardedEngine) Save(path string) error {
-	return e.SaveAs(path, FormatRow)
-}
-
-// SaveAs persists the sharded layout like Save with every shard written in
-// the chosen store format. The manifest records each shard's format, so
-// mixed-format sets written by incremental compaction load the same way.
-func (e *ShardedEngine) SaveAs(path string, format StoreFormat) error {
 	base := filepath.Base(path)
 	files := make([]string, len(e.shards))
-	formats := make([]string, len(e.shards))
 	for i, s := range e.shards {
 		files[i] = shardFileName(base, i)
-		formats[i] = format.String()
-		if err := s.SaveAs(filepath.Join(filepath.Dir(path), files[i]), format); err != nil {
+		if err := s.Save(filepath.Join(filepath.Dir(path), files[i])); err != nil {
 			return fmt.Errorf("koko: save shard %d: %w", i, err)
 		}
 	}
-	db := store.NewDB()
-	index.SaveShardManifest(db, files, formats, e.specs)
-	return db.Save(path)
+	return writeManifest(path, newManifest(files, e.specs))
 }
 
-// LoadSharded reopens a sharded engine from a manifest written by Save.
-// opts (may be nil) applies to every shard.
-func LoadSharded(path string, opts *Options) (*ShardedEngine, error) {
-	db, err := store.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return loadShardedFromDB(db, path, opts)
-}
+// SaveAs is Save.
+//
+// Deprecated: the block store is the only format; use Save.
+func (e *ShardedEngine) SaveAs(path string, _ StoreFormat) error { return e.Save(path) }
 
-func loadShardedFromDB(db *store.DB, path string, opts *Options) (*ShardedEngine, error) {
-	files, formats, specs, err := index.LoadShardManifest(db)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := loadShardEngines(filepath.Dir(path), files, formats, specs, opts, path)
-	if err != nil {
-		return nil, err
-	}
-	return newSharded(shards, specs), nil
-}
-
-// loadShardEngines loads each named shard store (relative to dir) in
-// parallel and validates it against its spec; label names the manifest in
-// errors. formats holds the manifest's declared store format per shard ("" =
-// unchecked); Load auto-detects the actual format either way, the
-// declaration only guards against a shard file swapped behind the manifest.
+// openShardSet opens each shard store named by m, the manifest read from
+// path, in parallel, checks it against its spec, and assembles the set.
 // Shared by the manifest and durable open paths.
-func loadShardEngines(dir string, files []string, formats []string, specs []index.ShardSpec, opts *Options, label string) ([]*Engine, error) {
-	shards := make([]*Engine, len(files))
-	sem := make(chan struct{}, buildParallelism(len(files)))
+func openShardSet(path string, m manifest, opts *Options) (*ShardedEngine, error) {
+	dir := filepath.Dir(path)
+	shards := make([]*Engine, len(m.Shards))
+	sem := make(chan struct{}, buildParallelism(len(shards)))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	for i, f := range files {
+	for i, sh := range m.Shards {
 		wg.Add(1)
-		go func(i int, f string) {
+		go func(i int, sh manifestShard) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			full := filepath.Join(dir, f)
-			var err error
-			if i < len(formats) && formats[i] != "" {
-				actual := index.FormatNameRow
-				if blockstore.IsBlockStore(full) {
-					actual = index.FormatNameBlock
-				}
-				if actual != formats[i] {
-					err = fmt.Errorf("shard file %s is %s format, manifest declares %s", f, actual, formats[i])
-				}
-			}
-			var s *Engine
-			if err == nil {
-				s, err = Load(full, opts)
-			}
+			s, err := Load(filepath.Join(dir, sh.File), opts)
 			if err == nil {
 				// A shard file that disagrees with its manifest spec would
 				// silently rebase tuples onto the wrong global ids; refuse it.
-				if s.NumDocuments() != specs[i].NumDocs() || s.NumSentences() != specs[i].NumSents {
+				if s.NumDocuments() != sh.HiDoc-sh.LoDoc || s.NumSentences() != sh.NumSents {
 					err = fmt.Errorf("shard file %s has %d docs/%d sents, manifest expects %d/%d",
-						f, s.NumDocuments(), s.NumSentences(), specs[i].NumDocs(), specs[i].NumSents)
+						sh.File, s.NumDocuments(), s.NumSentences(), sh.HiDoc-sh.LoDoc, sh.NumSents)
 				}
 			}
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = fmt.Errorf("koko: load shard %d of %s: %w", i, label, err)
+					firstErr = fmt.Errorf("koko: load shard %d of %s: %w", i, path, err)
 				}
 				mu.Unlock()
 				return
 			}
 			shards[i] = s
-		}(i, f)
+		}(i, sh)
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return shards, nil
+	return newSharded(shards, m.specs()), nil
 }

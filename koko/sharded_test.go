@@ -173,8 +173,8 @@ func TestShardedDocumentAttribution(t *testing.T) {
 }
 
 // TestShardedSaveLoadRoundtrip: Save writes a manifest + per-shard stores;
-// LoadSharded and Open both reopen the set and reproduce the in-memory
-// sharded engine's results exactly.
+// Open reopens the set and reproduces the in-memory sharded engine's
+// results exactly.
 func TestShardedSaveLoadRoundtrip(t *testing.T) {
 	texts := []string{
 		"Anna ate some delicious cheesecake that she bought at a grocery store.",
@@ -191,16 +191,14 @@ func TestShardedSaveLoadRoundtrip(t *testing.T) {
 	if err := mem.Save(path); err != nil {
 		t.Fatal(err)
 	}
+	requireBlockStores(t, filepath.Dir(path), "corpus.koko.shard*")
 
-	loaded, err := LoadSharded(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opened, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := opened.(*ShardedEngine); !ok {
+	loaded, ok := opened.(*ShardedEngine)
+	if !ok {
 		t.Fatalf("Open returned %T, want *ShardedEngine", opened)
 	}
 	// Load on a manifest must refuse with a helpful error.
@@ -210,10 +208,7 @@ func TestShardedSaveLoadRoundtrip(t *testing.T) {
 
 	src := `extract x:Str from f if (/ROOT:{ x = //verb/dobj })`
 	want := mustRun(t, mem, src, nil)
-	for _, q := range []Querier{loaded, opened} {
-		got := mustRun(t, q, src, nil)
-		sameResults(t, "roundtrip", want, got)
-	}
+	sameResults(t, "roundtrip", want, mustRun(t, loaded, src, nil))
 	if loaded.NumShards() != 2 || loaded.NumDocuments() != len(texts) {
 		t.Fatalf("loaded shape: %d shards, %d docs", loaded.NumShards(), loaded.NumDocuments())
 	}
@@ -249,7 +244,7 @@ func TestShardedLoadMismatch(t *testing.T) {
 	if err := other.Save(path + ".shard1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSharded(path, nil); err == nil {
+	if _, err := Open(path, nil); err == nil {
 		t.Fatal("mismatched shard file accepted")
 	}
 }

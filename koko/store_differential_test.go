@@ -26,8 +26,8 @@ func TestBlockStoreDifferential(t *testing.T) {
 
 			heap1 := NewEngine(c, nil)
 			p1 := filepath.Join(dir, "k1.koko")
-			if err := heap1.SaveAs(p1, FormatBlock); err != nil {
-				t.Fatalf("SaveAs(FormatBlock): %v", err)
+			if err := heap1.Save(p1); err != nil {
+				t.Fatalf("Save: %v", err)
 			}
 			blk1, err := Load(p1, nil)
 			if err != nil {
@@ -39,8 +39,8 @@ func TestBlockStoreDifferential(t *testing.T) {
 
 			heap3 := NewShardedEngine(c, 3, nil)
 			p3 := filepath.Join(dir, "k3.koko")
-			if err := heap3.SaveAs(p3, FormatBlock); err != nil {
-				t.Fatalf("ShardedEngine.SaveAs(FormatBlock): %v", err)
+			if err := heap3.Save(p3); err != nil {
+				t.Fatalf("ShardedEngine.Save: %v", err)
 			}
 			blk3, err := Open(p3, nil)
 			if err != nil {
@@ -85,7 +85,7 @@ func TestBlockStoreCorruptNodeBlock(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ok.koko")
-	if err := heap.SaveAs(path, FormatBlock); err != nil {
+	if err := heap.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -122,8 +122,9 @@ func TestBlockStoreCorruptNodeBlock(t *testing.T) {
 	t.Fatal("no damaged byte reached the //verb/dobj union")
 }
 
-// TestStoreFormatConversion: row → block → row via Load + SaveAs preserves
-// query results in both directions.
+// TestStoreFormatConversion: a block-backed engine re-saves by rebuilding a
+// heap index from its corpus first (block → reload → Save → reload), and
+// both reloads answer identically to the engine that wrote the first store.
 func TestStoreFormatConversion(t *testing.T) {
 	tc := diffCases()[0]
 	c := tc.corpus()
@@ -132,37 +133,31 @@ func TestStoreFormatConversion(t *testing.T) {
 	want := mustRun(t, ref, src, nil)
 
 	dir := t.TempDir()
-	row1 := filepath.Join(dir, "a.koko")
-	if err := ref.Save(row1); err != nil {
+	blk1 := filepath.Join(dir, "a.koko")
+	if err := ref.Save(blk1); err != nil {
 		t.Fatal(err)
 	}
-	e1, err := Load(row1, nil)
+	e1, err := Load(blk1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk := filepath.Join(dir, "b.koko")
-	if err := e1.SaveAs(blk, FormatBlock); err != nil {
-		t.Fatal(err)
+	if e1.ix.Source() == nil {
+		t.Fatal("reloaded engine is not block-backed")
 	}
-	e2, err := Load(blk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, "row->block", want, mustRun(t, e2, src, nil))
+	sameResults(t, "block", want, mustRun(t, e1, src, nil))
 
-	// Block-backed engines rebuild a heap index to save row-wise.
-	row2 := filepath.Join(dir, "c.koko")
-	if err := e2.SaveAs(row2, FormatRow); err != nil {
+	blk2 := filepath.Join(dir, "b.koko")
+	if err := e1.Save(blk2); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := Load(row2, nil)
+	e2, err := Load(blk2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3.ix.Source() != nil {
-		t.Fatal("row store reloaded as block-backed")
+	if e2.ix.Source() == nil {
+		t.Fatal("re-saved store reloaded as heap-backed")
 	}
-	sameResults(t, "block->row", want, mustRun(t, e3, src, nil))
+	sameResults(t, "block->block", want, mustRun(t, e2, src, nil))
 }
 
 // TestBlockStoreTypedEntityQueries: typed-entity variables read the entity
@@ -175,8 +170,8 @@ func TestBlockStoreTypedEntityQueries(t *testing.T) {
 	c := WrapCorpus(wiki)
 	heap := NewShardedEngine(c, 2, nil)
 	path := filepath.Join(t.TempDir(), "wiki.koko")
-	if err := heap.SaveAs(path, FormatBlock); err != nil {
-		t.Fatalf("SaveAs(FormatBlock): %v", err)
+	if err := heap.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
 	blk, err := Open(path, nil)
 	if err != nil {

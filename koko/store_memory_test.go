@@ -33,7 +33,7 @@ func TestBlockStoreMemoryBudget(t *testing.T) {
 	}
 	c := WrapCorpus(corpus.GenHappyDB(20000, 5))
 	path := filepath.Join(t.TempDir(), "big.koko")
-	if err := NewEngine(c, nil).SaveAs(path, FormatBlock); err != nil {
+	if err := NewEngine(c, nil).Save(path); err != nil {
 		t.Fatal(err)
 	}
 
