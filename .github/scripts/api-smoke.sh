@@ -151,6 +151,27 @@ fi
 curl -sf "$BASE2/metrics" | grep -q '"wal_replayed_docs":[1-9]'
 kill "$KOKOD2_PID" 2>/dev/null || true
 
+echo "== background compaction: the -max-delta-docs flag reaches the corpus"
+ADDR3="127.0.0.1:7338"
+BASE3="http://$ADDR3/v1"
+/tmp/kokod -demo -max-delta-docs 2 -addr "$ADDR3" &
+KOKOD3_PID=$!
+trap 'kill $KOKOD_PID $KOKOD3_PID 2>/dev/null || true; kill -9 $KOKOD2_PID 2>/dev/null || true; rm -rf "$DATA_DIR"' EXIT
+wait_healthy "$BASE3"
+for doc in Ladro Allegro; do
+  curl -sf -X POST "$BASE3/corpora/demo-cafes/documents" \
+    -d "{\"name\":\"$doc.txt\",\"text\":\"Cafe $doc brews a dark roast.\"}" >/dev/null
+done
+# No compact call: the second ingest fills the delta and the corpus folds it.
+for i in $(seq 1 100); do
+  STATS=$(curl -sf "$BASE3/corpora/demo-cafes/stats")
+  if echo "$STATS" | grep -q '"compactions":1' && echo "$STATS" | grep -q '"delta_docs":0'; then break; fi
+  if [ "$i" = 100 ]; then echo "no background compaction after two ingests: $STATS" >&2; exit 1; fi
+  sleep 0.1
+done
+curl -sf "$BASE3/metrics" | grep -q '"compaction_errors":0'
+kill "$KOKOD3_PID" 2>/dev/null || true
+
 echo "== chaos drill: coordinator + 2 workers, kill -9 one mid-query"
 W1_ADDR="127.0.0.1:7335"; W1_BASE="http://$W1_ADDR/v1"
 W2_ADDR="127.0.0.1:7336"; W2_BASE="http://$W2_ADDR/v1"

@@ -140,12 +140,7 @@ func cmdStats(args []string) error {
 	if err := reg.LoadFile("", *db); err != nil {
 		return err
 	}
-	name := server.DefaultName(*db)
-	info, err := reg.Info(name)
-	if err != nil {
-		return err
-	}
-	st, err := reg.Stats(name)
+	info, st, _, err := reg.Describe(server.DefaultName(*db))
 	if err != nil {
 		return err
 	}

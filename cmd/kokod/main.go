@@ -33,9 +33,11 @@
 // a new generation — the document is queryable immediately and queries are
 // never blocked by ingestion (re-using a document name replaces it).
 // DELETE /v1/corpora/{name}/documents/{doc} tombstones a document by name.
-// The delta folds into the base shards when it reaches -max-delta-docs,
-// every -compact-interval, or on an explicit
-// POST /v1/corpora/{name}/compact.
+// Each corpus owns its compaction: it folds its delta into its base shards
+// in the background when the delta reaches -max-delta-docs, when its WAL
+// reaches -wal-max-bytes, and every -compact-interval; an explicit
+// POST /v1/corpora/{name}/compact folds synchronously. kokod only passes
+// the flags through to the corpus config.
 //
 // Durability: with -data-dir set, every corpus writes ingests and deletes
 // through a per-corpus write-ahead log under <data-dir>/<name>/ before
@@ -43,8 +45,8 @@
 // -data-dir replays each corpus's WAL and serves exactly the acknowledged
 // state; corpora created purely over the API come back too. -wal-sync
 // picks the fsync policy (none, batch group-commit, always) and
-// -wal-max-bytes bounds the log (a background compaction folds it into the
-// shard files past that size).
+// -wal-max-bytes bounds the log (the corpus folds it into the shard files
+// past that size).
 //
 // Distributed execution: -role coordinator -worker host:port -worker ...
 // discovers the workers' corpora, replicates each shard across -replicas
@@ -142,10 +144,9 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable corpus state directory: per-corpus WAL + shard store, replayed on restart (empty = memory-only)")
 	walSync := flag.String("wal-sync", "batch", "WAL fsync policy with -data-dir: none, batch (group commit), or always")
 	walMaxBytes := flag.Int64("wal-max-bytes", 64<<20, "WAL size that triggers a background compaction with -data-dir (0 = no size trigger)")
-	compactEvery := flag.Duration("compact-interval", 0, "background compaction loop period; folds every pending delta into its base shards (0 = disabled)")
+	compactEvery := flag.Duration("compact-interval", 0, "background compaction period: every corpus folds its pending delta into its base shards this often (0 = disabled)")
 	cacheMinCost := flag.Duration("cache-min-cost", 0, "cost-aware cache admission: only cache results whose evaluation took at least this long (0 = cache everything)")
 	storeCache := flag.Int64("store-cache-bytes", 0, "decoded-block cache budget for mmap'd block stores, in bytes (0 = default 256MiB, negative = unbounded)")
-	plan := flag.String("plan", "on", "statistics-free query planner: on (selectivity-ordered condition evaluation) or off (written order; the differential baseline)")
 	role := flag.String("role", "standalone", "node role: standalone, worker (serves shard evaluations; same as standalone), or coordinator (fans queries out to -worker nodes)")
 	var workerAddrs loadFlags
 	flag.Var(&workerAddrs, "worker", "worker node address for -role coordinator, as host:port or URL (repeatable or comma-separated)")
@@ -164,9 +165,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("kokod: %v", err)
 	}
-	if *plan != "on" && *plan != "off" {
-		log.Fatalf("kokod: -plan must be on or off, got %q", *plan)
-	}
 	svc := server.NewService(server.Config{
 		MaxConcurrent:     *pool,
 		CacheSize:         *cache,
@@ -180,8 +178,8 @@ func main() {
 		CacheTTL:          cacheTTL.def,
 		CacheTTLPerCorpus: cacheTTL.per,
 		CacheMinCost:      *cacheMinCost,
-		DisablePlan:       *plan == "off",
 		MaxDeltaDocs:      *maxDelta,
+		CompactInterval:   *compactEvery,
 		DataDir:           *dataDir,
 		WALSync:           syncPolicy,
 		WALMaxBytes:       *walMaxBytes,
@@ -289,10 +287,6 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       time.Minute,
 		IdleTimeout:       2 * time.Minute,
-	}
-	if *compactEvery > 0 {
-		log.Printf("kokod: background compaction every %s", *compactEvery)
-		go svc.CompactLoop(ctx, *compactEvery)
 	}
 	log.Printf("kokod: serving %d corpora on %s", reg.Len(), *addr)
 	errCh := make(chan error, 1)

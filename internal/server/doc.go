@@ -5,22 +5,29 @@
 //
 // The package is organized in three layers:
 //
-//   - Registry: a named, versioned collection of mutable corpora. Each
-//     entry wraps its engines in a koko.Mutable — loaded from a persisted
-//     .koko store (hot-reloadable) or registered in memory — and mirrors
-//     the current immutable koko.Snapshot that queries resolve. Every
-//     mutation (load, reload, single-document ingest, compaction) bumps a
-//     registry-wide generation counter, which downstream caches key on;
-//     readers holding an older snapshot are never disturbed.
+//   - Registry: a name → corpus map. Each local entry is one koko.Mutable —
+//     loaded from a persisted .koko store (hot-reloadable) or registered in
+//     memory — that owns its whole lifecycle (ingest, deletes, compaction
+//     and when to run it, durability) and publishes its current immutable
+//     koko.Snapshot; remote entries are coordinator-side routing engines.
+//     The registry mirrors nothing: an entry's info and generation are
+//     derived from the corpus's snapshot whenever asked, so readers never
+//     wait on a writer. The generation is the snapshot's seal sequence plus
+//     a per-entry offset above every generation served under a removed or
+//     replaced entry — not a registry-wide counter — so it strictly
+//     increases under a name and agrees across nodes that loaded the same
+//     corpora. Downstream caches key on it; readers holding an older
+//     snapshot are never disturbed.
 //
 //   - Service: the execution path shared by the HTTP server, the CLI, and
 //     the benchmarks. It canonicalizes queries, consults a normalized-query
 //     LRU result cache (keyed corpus × generation × canonical text, so any
 //     mutation invalidates implicitly; admission is bounded by size and by
 //     a cost floor), and runs cache misses through a bounded worker pool
-//     over the snapshot's concurrency-safe Run. It also drives the
-//     mutable-corpus lifecycle: ingest, auto- and interval compaction, and
-//     corpus deletion.
+//     over the snapshot's concurrency-safe Run. Ingest, document delete,
+//     and compact call the corpus directly; the service does not drive
+//     compaction — each corpus starts its own background folds from the
+//     triggers in its config.
 //
 //   - HTTP: a JSON API over the Service — POST /v1/query, POST /v1/validate,
 //     GET /v1/corpora, GET /v1/corpora/{name}/stats,

@@ -67,7 +67,8 @@ func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	code := "internal"
 	switch {
-	case errors.Is(err, ErrNotFound), errors.Is(err, jobs.ErrNotFound), errors.Is(err, koko.ErrNoDocument):
+	case errors.Is(err, ErrNotFound), errors.Is(err, jobs.ErrNotFound), errors.Is(err, koko.ErrNoDocument),
+		errors.Is(err, koko.ErrClosed): // a corpus is closed once removed or replaced
 		status, code = http.StatusNotFound, "not_found"
 	case errors.Is(err, ErrBadQuery):
 		status, code = http.StatusBadRequest, "bad_query"

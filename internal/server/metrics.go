@@ -27,13 +27,11 @@ type Metrics struct {
 	// cacheCostSkips counts evaluated results refused cache admission
 	// because they were cheaper than the configured minimum cost.
 	cacheCostSkips atomic.Int64
-	// Mutable-corpus lifecycle counters: documents ingested, compactions
-	// completed (delta folded into base), background compaction failures,
-	// corpora deleted.
-	ingestsTotal     atomic.Int64
-	compactionsTotal atomic.Int64
-	compactionErrors atomic.Int64
-	deletesTotal     atomic.Int64
+	// Mutable-corpus lifecycle counters: documents ingested and corpora
+	// deleted. (Compactions and their failures are counted by the corpora
+	// themselves and summed into the snapshot.)
+	ingestsTotal atomic.Int64
+	deletesTotal atomic.Int64
 	// Durability lifecycle counters: documents tombstoned via the delete
 	// endpoint, and ingests that replaced (updated) an existing document.
 	documentDeletes atomic.Int64
@@ -80,7 +78,9 @@ type MetricsSnapshot struct {
 	// evaluation time fell under the cost-aware admission threshold.
 	CacheCostSkips int64 `json:"cache_cost_skips"`
 	// Mutable-corpus counters: IngestsTotal documents appended via the
-	// ingestion API, CompactionsTotal delta-into-base folds completed,
+	// ingestion API, CompactionsTotal folds the corpora completed (including
+	// tombstone-only ones and those of corpora since removed) and
+	// CompactionErrors background folds that failed — both never decrease —
 	// CorporaDeleted corpora unregistered, DeltaDocs the current total of
 	// ingested-but-uncompacted documents across all corpora.
 	IngestsTotal     int64 `json:"ingests_total"`

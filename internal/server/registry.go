@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/koko/wal"
 	"repro/koko"
 )
 
@@ -19,13 +18,14 @@ type CorpusInfo struct {
 	// Source is the .koko file the corpus was loaded from, or "" for
 	// in-memory corpora.
 	Source string `json:"source,omitempty"`
-	// Generation is the registry-wide mutation counter at the time this
-	// entry's current snapshot was installed. It strictly increases across
-	// loads, ingests, and compactions, so caches keyed on (name,
-	// generation) are implicitly invalidated by any of them.
+	// Generation identifies the snapshot the entry serves: it strictly
+	// increases across the corpus's ingests, deletes, and compactions, and
+	// across loads, reloads, and re-registrations under the same name, so
+	// caches keyed on (name, generation) are implicitly invalidated by any
+	// of them.
 	Generation uint64 `json:"generation"`
 	// Shards is how many doc-range shards serve this corpus, counting a
-	// live delta as one extra shard (1 = a plain unpartitioned engine).
+	// live delta as one extra shard.
 	Shards    int       `json:"shards"`
 	Documents int       `json:"documents"`
 	Sentences int       `json:"sentences"`
@@ -39,7 +39,7 @@ type CorpusInfo struct {
 	// Durable marks a corpus backed by an on-disk WAL + shard store;
 	// StoreGeneration is its persisted shard set's generation (bumped by
 	// every crash-safe compaction swap) and WALBytes the current log size —
-	// the quantity the service's WAL-size compaction trigger watches.
+	// the quantity the corpus's WAL-size compaction trigger watches.
 	// Tombstones and Deletes track delete/update masking for every corpus,
 	// durable or not.
 	Durable         bool   `json:"durable,omitempty"`
@@ -54,97 +54,103 @@ type CorpusInfo struct {
 	Remote bool `json:"remote,omitempty"`
 }
 
-// Registry maps corpus names to mutable corpora, each served through an
-// immutable koko.Snapshot. It supports hot mutation at two granularities:
-// whole-store swaps (load, reload) and live ingestion (one document into
-// the corpus's delta index, sealed into a new snapshot) plus compaction
-// (delta folded into the base shards). Every mutation installs a new
-// snapshot at a new generation while in-flight queries and pinned jobs
-// keep the snapshot they resolved; readers are never blocked by writers.
+// Registry maps corpus names to corpora: a koko.Mutable, which owns its
+// whole lifecycle, or a coordinator-side remote routing engine. It mirrors
+// nothing — an entry's info and generation are derived from the corpus's
+// published snapshot whenever asked, so readers never wait on a writer.
 type Registry struct {
 	mu      sync.RWMutex
-	gen     uint64
 	entries map[string]*regEntry
-	// loadOpts are the engine options applied to every file load (dicts,
-	// ontology, default workers).
-	loadOpts *koko.Options
-	// defShards > 1 re-partitions plain stores into that many doc-range
-	// shards at load time (and is the compaction target for corpora that
-	// came up with fewer shards). Stores persisted as sharded manifests
-	// keep their on-disk shard count.
-	defShards int
-	// shardParallel > 0 bounds each sharded entry's per-query shard
-	// fan-out at install time (the service sets it from its pool size so
-	// concurrent requests don't oversubscribe the CPU).
-	shardParallel int
-	// dataDir != "" makes every installed corpus durable: its documents are
-	// written through a per-corpus WAL under dataDir/<name> and survive a
-	// crash or restart. walSync is the WAL fsync policy applied at open.
+	// retired is the highest generation served under any entry removed or
+	// replaced so far: a new entry's generations start above it.
+	retired uint64
+	// gone keeps the compaction counters of removed corpora, so the
+	// service-wide sums never fall.
+	gone koko.LifecycleStats
+	// corpus is the config every local corpus opens with; install stamps
+	// its Name and, with a data dir, its Dir.
+	corpus koko.MutableConfig
+	// dataDir != "" makes every corpus durable under dataDir/<name>.
 	dataDir string
-	walSync wal.SyncPolicy
+	// shards > 1 re-partitions plain stores into that many doc-range shards
+	// at load time; sharded manifests keep their on-disk shard count.
+	shards int
 }
 
-// regEntry is one corpus: the mutable lifecycle object plus a mirrored
-// (snapshot, seq, info) triple that readers resolve under the registry
-// lock. seq is the Mutable's seal sequence of the mirrored snapshot — the
-// guard that keeps racing ingest/compact installs from regressing the
-// mirror to an older snapshot. Remote corpora have mut == nil (no local
-// lifecycle: their state lives on the workers) and eng holding the
-// coordinator-side routing engine; every mutation path guards on that.
+// regEntry is one registered corpus: a local corpus (mut) or a remote
+// routing engine (mut nil), plus what the registry knows about it.
 type regEntry struct {
-	mut  *koko.Mutable
-	eng  koko.Querier
-	seq  uint64
-	info CorpusInfo
+	// dir is a local corpus's durable directory ("" if memory-only).
+	name, source, dir string
+	loadedAt          time.Time
+	// offset is added to the corpus's seal sequence to give its generation.
+	offset  uint64
+	mut     *koko.Mutable
+	routing koko.Querier
 }
 
-// NewRegistry creates an empty registry. opts (may be nil) is applied to
-// every engine loaded from disk.
+// NewRegistry creates an empty registry of memory-only corpora. opts (may
+// be nil) is applied to every engine loaded from disk.
 func NewRegistry(opts *koko.Options) *Registry {
-	return &Registry{entries: map[string]*regEntry{}, loadOpts: opts}
+	return newRegistry(koko.MutableConfig{Opts: opts}, "", 0)
 }
 
-// SetDefaultShards makes LoadFile partition plain (non-manifest) stores
-// into k doc-range shards (k <= 1 disables re-sharding).
-func (r *Registry) SetDefaultShards(k int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.defShards = k
+func newRegistry(corpus koko.MutableConfig, dataDir string, shards int) *Registry {
+	return &Registry{entries: map[string]*regEntry{}, corpus: corpus, dataDir: dataDir, shards: shards}
 }
 
-// SetShardParallelism bounds the per-query shard fan-out applied to every
-// sharded engine installed from now on (n <= 0 leaves the engine default,
-// min(shards, GOMAXPROCS)).
-func (r *Registry) SetShardParallelism(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shardParallel = n
+// view resolves the entry's read view and the info describing it, both
+// from one snapshot.
+func (e *regEntry) view() (koko.Querier, CorpusInfo) {
+	if e.mut == nil {
+		return e.routing, CorpusInfo{
+			Name:       e.name,
+			Source:     e.source,
+			Generation: e.offset + 1,
+			Shards:     e.routing.NumShards(),
+			Documents:  e.routing.NumDocuments(),
+			Sentences:  e.routing.NumSentences(),
+			LoadedAt:   e.loadedAt,
+			Remote:     true,
+		}
+	}
+	snap := e.mut.Snapshot()
+	return snap, e.info(snap)
 }
 
-// SetDurability makes every subsequently installed corpus durable: its
-// WAL and shard store live under dir/<name> with the given fsync policy.
-// A corpus whose durable directory already holds state is recovered from
-// disk at install, ignoring the registered seed engine.
-func (r *Registry) SetDurability(dir string, sync wal.SyncPolicy) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.dataDir = dir
-	r.walSync = sync
+// info describes one snapshot of a local entry's corpus.
+func (e *regEntry) info(snap *koko.Snapshot) CorpusInfo {
+	ls := snap.Lifecycle()
+	return CorpusInfo{
+		Name:            e.name,
+		Source:          e.source,
+		Generation:      e.offset + snap.Seq(),
+		Shards:          snap.NumShards(),
+		Documents:       snap.NumDocuments(),
+		Sentences:       snap.NumSentences(),
+		LoadedAt:        e.loadedAt,
+		DeltaDocs:       snap.DeltaDocs(),
+		DeltaSentences:  snap.DeltaSentences(),
+		Ingests:         ls.Ingests,
+		Compactions:     ls.Compactions,
+		Durable:         ls.Durable,
+		StoreGeneration: ls.Generation,
+		WALBytes:        ls.WALBytes,
+		Tombstones:      snap.Tombstones(),
+		Deletes:         ls.Deletes,
+	}
 }
 
 // durableDir resolves a corpus's durable directory ("" when durability is
 // off), rejecting names that would escape the data dir.
 func (r *Registry) durableDir(name string) (string, error) {
-	r.mu.RLock()
-	dir := r.dataDir
-	r.mu.RUnlock()
-	if dir == "" {
+	if r.dataDir == "" {
 		return "", nil
 	}
 	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
 		return "", fmt.Errorf("corpus name %q is not usable as a durable directory", name)
 	}
-	return filepath.Join(dir, name), nil
+	return filepath.Join(r.dataDir, name), nil
 }
 
 // DefaultName derives a registry name from a .koko path: the base name
@@ -155,266 +161,144 @@ func DefaultName(path string) string {
 
 // LoadFile loads a persisted store — a plain .koko file or a sharded
 // manifest — and registers it under name (DefaultName(path) if name is "").
-// With SetDefaultShards(k>1), plain stores are re-partitioned into k
-// doc-range shards before registration. An existing entry with the same
-// name is replaced at a new generation (any un-compacted delta documents of
-// the old entry are discarded — reload means "what the file says").
-// When the corpus has durable state on disk (SetDurability + a previous
-// run), the durable state wins: the source file is not even opened, because
-// the persisted shard set plus WAL replay already reproduce the corpus as
-// last served — including ingests and deletes the source file never saw.
+// With the service's Shards > 1, plain stores are re-partitioned into that
+// many doc-range shards. An existing entry with the same name is replaced
+// at a higher generation (any un-compacted delta documents of the old
+// entry are discarded — reload means "what the file says"). When the corpus
+// has durable state on disk, the durable state wins and the file is not
+// even opened: the persisted shard set plus WAL replay reproduce the corpus
+// as last served, including ingests and deletes the file never saw.
 func (r *Registry) LoadFile(name, path string) error {
 	if name == "" {
 		name = DefaultName(path)
 	}
-	dir, err := r.durableDir(name)
-	if err != nil {
-		return fmt.Errorf("load corpus %q: %w", name, err)
-	}
-	var eng koko.Querier
-	if dir == "" || !koko.HasDurableState(dir) {
-		if eng, err = r.open(path); err != nil {
-			return fmt.Errorf("load corpus %q: %w", name, err)
-		}
-	}
-	_, err = r.install(name, path, eng)
+	_, err := r.load(name, path)
 	return err
 }
 
-// open loads a store under the registry's default sharding policy: plain
-// stores come up partitioned into defShards doc-range shards, manifests
-// keep their on-disk shard count.
-func (r *Registry) open(path string) (koko.Querier, error) {
-	r.mu.RLock()
-	k := r.defShards
-	r.mu.RUnlock()
-	return koko.OpenWithShards(path, r.loadOpts, k)
+// load opens path (unless durable state supersedes it) and installs it.
+// Index loading is the slow part and happens outside the registry lock; a
+// sharded corpus's whole shard set is assembled before install swaps it in
+// — one atomic generation flip, never a mix.
+func (r *Registry) load(name, path string) (CorpusInfo, error) {
+	dir, err := r.durableDir(name)
+	if err != nil {
+		return CorpusInfo{}, fmt.Errorf("load corpus %q: %w", name, err)
+	}
+	var eng koko.Querier
+	if dir == "" || !koko.HasDurableState(dir) {
+		if eng, err = koko.OpenWithShards(path, r.corpus.Opts, r.shards); err != nil {
+			return CorpusInfo{}, fmt.Errorf("load corpus %q: %w", name, err)
+		}
+	}
+	return r.install(name, path, eng)
 }
 
 // Register adds an in-memory engine — plain or sharded — under name,
-// replacing any existing entry at a new generation. The engine becomes the
-// base of a fresh mutable corpus (empty delta), so the entry is immediately
-// ingestible. With durability enabled the engine seeds the corpus's durable
-// directory on first registration; on later runs the recovered disk state
-// wins and the engine is ignored. Note that delta engines and compacted
-// bases are built with the registry's load options; register engines built
+// replacing any existing entry at a higher generation. The engine becomes
+// the base of a fresh, immediately ingestible corpus. With durability on,
+// it seeds the corpus's durable directory on first registration; on later
+// runs the recovered disk state wins. Delta engines and compacted shards
+// are built with the registry's load options, so register engines built
 // with the same options if the corpus will be ingested into.
 func (r *Registry) Register(name string, eng koko.Querier) error {
 	_, err := r.install(name, "", eng)
 	return err
 }
 
-// install wraps eng in a mutable corpus and swaps it into the registry at a
-// new generation. The wrap happens OUTSIDE the registry lock: for a durable
-// corpus it persists the seed or replays the WAL (disk IO that must not
-// block queries against other corpora).
+// install opens a corpus over eng and swaps it in under name. The open
+// happens outside the registry lock: for a durable corpus it persists the
+// seed or replays the WAL (disk IO that must not block queries against
+// other corpora).
 func (r *Registry) install(name, source string, eng koko.Querier) (CorpusInfo, error) {
-	mut, err := r.wrap(name, eng)
+	cfg := r.corpus
+	cfg.Name = name
+	dir, err := r.durableDir(name)
 	if err != nil {
 		return CorpusInfo{}, err
 	}
-	return r.installMut(name, source, mut), nil
-}
-
-// wrap builds the mutable lifecycle object for one corpus: durable (WAL +
-// on-disk shard store under the data dir) when durability is configured,
-// memory-only otherwise.
-func (r *Registry) wrap(name string, eng koko.Querier) (*koko.Mutable, error) {
-	dir, err := r.durableDir(name)
+	cfg.Dir = dir
+	mut, err := koko.OpenMutable(eng, cfg)
 	if err != nil {
-		return nil, err
+		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, err)
 	}
-	r.mu.RLock()
-	defShards, shardParallel := r.defShards, r.shardParallel
-	sync := r.walSync
-	opts := r.loadOpts
-	r.mu.RUnlock()
-	var mut *koko.Mutable
-	if dir != "" {
-		mut, err = koko.OpenDurable(eng, koko.DurableConfig{Dir: dir, Sync: sync, Opts: opts})
-		if err != nil {
-			return nil, fmt.Errorf("corpus %q: %w", name, err)
-		}
-	} else {
-		mut = koko.NewMutable(eng, opts)
-	}
-	mut.SetName(name)
-	if defShards > mut.Snapshot().NumShards() {
-		mut.SetCompactShards(defShards)
-	}
-	if shardParallel > 0 {
-		// Retunes the installed base (sharded engines use atomics, so the
-		// already-sealed snapshot picks it up) and every compacted rebuild.
-		mut.SetShardParallelism(shardParallel)
-	}
-	return mut, nil
+	e := &regEntry{name: name, source: source, dir: dir, loadedAt: time.Now().UTC(), mut: mut}
+	r.put(e)
+	return e.info(mut.Snapshot()), nil
 }
 
-// installMut swaps mut into the registry under name at a new generation. A
-// replaced durable entry's WAL is closed — two writers appending to one log
-// file would corrupt it.
-func (r *Registry) installMut(name, source string, mut *koko.Mutable) CorpusInfo {
-	snap, _ := mut.Current()
+// RegisterRemote installs a coordinator-side remote engine under name,
+// replacing any existing entry at a higher generation. The entry is
+// query-only: no local corpus, no durable state — the workers own both.
+// Its info fields that describe local lifecycle stay zero.
+func (r *Registry) RegisterRemote(name, source string, eng koko.Querier) {
+	r.put(&regEntry{name: name, source: source, loadedAt: time.Now().UTC(), routing: eng})
+}
+
+// put swaps e in under its name, its generations above every one served
+// before. A replaced local corpus is closed — two writers appending to one
+// WAL would corrupt it.
+func (r *Registry) put(e *regEntry) {
 	r.mu.Lock()
-	old := r.entries[name]
-	r.gen++
-	e := &regEntry{
-		mut: mut,
-		info: CorpusInfo{
-			Name:     name,
-			Source:   source,
-			LoadedAt: time.Now().UTC(),
-		},
-	}
-	e.applySnapshot(snap, mut, r.gen)
-	r.entries[name] = e
+	old := r.entries[e.name]
+	r.retireLocked(old)
+	e.offset = r.retired
+	r.entries[e.name] = e
 	r.mu.Unlock()
-	if old != nil && old.mut != mut {
+	if old != nil && old.mut != nil {
 		old.mut.Close()
 	}
-	return e.info
 }
 
-// applySnapshot mirrors a snapshot's shape into the entry info at the
-// given generation. Caller holds r.mu.
-func (e *regEntry) applySnapshot(snap *koko.Snapshot, mut *koko.Mutable, gen uint64) {
-	e.eng = snap
-	e.seq = snap.Seq()
-	e.info.Generation = gen
-	e.info.Shards = snap.NumShards()
-	e.info.Documents = snap.NumDocuments()
-	e.info.Sentences = snap.NumSentences()
-	e.info.DeltaDocs = snap.DeltaDocs()
-	e.info.DeltaSentences = snap.DeltaSentences()
-	e.info.Ingests = mut.Ingests()
-	e.info.Compactions = mut.Compactions()
-	e.info.Tombstones = snap.Tombstones()
-	e.info.Deletes = mut.Deletes()
-	ds := mut.Durability()
-	e.info.Durable = ds.Durable
-	e.info.StoreGeneration = ds.Generation
-	e.info.WALBytes = ds.WALBytes
-}
-
-// refresh mirrors mut's current snapshot into the named entry at a new
-// generation. A stale call (another mutation already installed a newer
-// seal) keeps the newer state; a call racing a Delete or replacement of the
-// corpus reports ErrNotFound rather than resurrecting the entry.
-func (r *Registry) refresh(name string, mut *koko.Mutable) (CorpusInfo, error) {
-	snap, _ := mut.Current()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok || e.mut != mut {
-		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
+// retireLocked records what a removed or replaced entry leaves behind —
+// the generation it last served and its compaction counters — and returns
+// its final info. Caller holds r.mu.
+func (r *Registry) retireLocked(e *regEntry) CorpusInfo {
+	if e == nil {
+		return CorpusInfo{}
 	}
-	if snap.Seq() > e.seq {
-		r.gen++
-		e.applySnapshot(snap, mut, r.gen)
+	_, info := e.view()
+	r.retired = max(r.retired, info.Generation)
+	if e.mut != nil {
+		ls := e.mut.Snapshot().Lifecycle()
+		r.gone.Compactions += ls.Compactions
+		r.gone.CompactionErrors += ls.CompactionErrors
 	}
-	return e.info, nil
+	return info
 }
 
-// mutable resolves the entry's lifecycle object. Remote corpora have none:
-// ingest, delete-document, and compact must happen on the workers that own
-// the state.
-func (r *Registry) mutable(name string) (*koko.Mutable, error) {
+// entry resolves a name to its entry.
+func (r *Registry) entry(name string) (*regEntry, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.entries[name]
 	if !ok {
 		return nil, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
 	}
-	if e.mut == nil {
-		return nil, fmt.Errorf("corpus %q is served by remote workers; mutate it there: %w", name, ErrRemoteCorpus)
-	}
-	return e.mut, nil
+	return e, nil
 }
 
-// RegisterRemote installs a coordinator-side remote engine under name,
-// replacing any existing entry at a new generation. The entry is
-// query-only: no mutable wrap, no durable state — the workers own both.
-// info fields that describe local lifecycle (delta, WAL, tombstones) stay
-// zero.
-func (r *Registry) RegisterRemote(name, source string, eng koko.Querier) CorpusInfo {
-	r.mu.Lock()
-	old := r.entries[name]
-	r.gen++
-	e := &regEntry{
-		eng: eng,
-		info: CorpusInfo{
-			Name:       name,
-			Source:     source,
-			Generation: r.gen,
-			Shards:     eng.NumShards(),
-			Documents:  eng.NumDocuments(),
-			Sentences:  eng.NumSentences(),
-			LoadedAt:   time.Now().UTC(),
-			Remote:     true,
-		},
+// local resolves a name to a local corpus's entry. Remote corpora have no
+// local lifecycle: ingest, delete-document, and compact must happen on the
+// workers that own the state.
+func (r *Registry) local(name string) (*regEntry, error) {
+	e, err := r.entry(name)
+	if err == nil && e.mut == nil {
+		err = fmt.Errorf("corpus %q is served by remote workers; mutate it there: %w", name, ErrRemoteCorpus)
 	}
-	r.entries[name] = e
-	r.mu.Unlock()
-	if old != nil && old.mut != nil {
-		old.mut.Close()
-	}
-	return e.info
+	return e, err
 }
 
-// Ingest parses one document and upserts it into the named corpus's delta
-// index, sealing a new snapshot at a new generation: the document is
-// visible to every query from this call on, while queries and jobs already
-// running keep their pinned snapshot. Re-ingesting an existing document
-// name replaces it (the old version is tombstoned; updated reports that).
-// The parse and seal never block concurrent readers (or writers of other
-// corpora). The returned doc index is the ingested document's global id,
-// taken from the seal in which it is the last document — precise even when
-// ingests race (the returned info may already reflect later seals).
-func (r *Registry) Ingest(name, docName, text string) (info CorpusInfo, doc int, updated bool, err error) {
-	mut, err := r.mutable(name)
-	if err != nil {
-		return CorpusInfo{}, 0, false, err
+// describe reports snap's info if e still serves its name: a mutation that
+// raced the corpus's removal or replacement answers ErrNotFound rather than
+// a generation the name no longer serves.
+func (r *Registry) describe(e *regEntry, snap *koko.Snapshot) (CorpusInfo, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.entries[e.name] != e {
+		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", e.name, ErrNotFound)
 	}
-	snap, updated, err := mut.PutDocument(docName, text)
-	if err != nil {
-		return CorpusInfo{}, 0, false, fmt.Errorf("corpus %q: %w", name, err)
-	}
-	info, err = r.refresh(name, mut)
-	return info, snap.NumDocuments() - 1, updated, err
-}
-
-// DeleteDocument tombstones every live document with the given name in the
-// corpus and seals a new snapshot: the document's tuples vanish from every
-// query from this call on; the bytes are reclaimed by the next compaction.
-// Returns how many documents were masked. A name with no live document
-// fails with koko.ErrNoDocument.
-func (r *Registry) DeleteDocument(name, doc string) (CorpusInfo, int, error) {
-	mut, err := r.mutable(name)
-	if err != nil {
-		return CorpusInfo{}, 0, err
-	}
-	_, n, err := mut.DeleteDocument(doc)
-	if err != nil {
-		return CorpusInfo{}, 0, fmt.Errorf("corpus %q: %w", name, err)
-	}
-	info, err := r.refresh(name, mut)
-	return info, n, err
-}
-
-// Compact folds the named corpus's delta into its base shards (see
-// koko.Mutable.Compact) and installs the compacted snapshot at a new
-// generation. An empty delta is a cheap no-op.
-func (r *Registry) Compact(name string) (CorpusInfo, koko.CompactionStats, error) {
-	mut, err := r.mutable(name)
-	if err != nil {
-		return CorpusInfo{}, koko.CompactionStats{}, err
-	}
-	st, err := mut.Compact()
-	if err != nil {
-		return CorpusInfo{}, koko.CompactionStats{}, fmt.Errorf("compact corpus %q: %w", name, err)
-	}
-	info, err := r.refresh(name, mut)
-	return info, st, err
+	return e.info(snap), nil
 }
 
 // Delete unregisters a corpus. New queries, ingests, and job submissions
@@ -430,114 +314,84 @@ func (r *Registry) Delete(name string) (CorpusInfo, error) {
 		r.mu.Unlock()
 		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
 	}
+	info := r.retireLocked(e)
 	delete(r.entries, name)
 	r.mu.Unlock()
 	if e.mut == nil {
 		// Remote entry: unregistering drops only the routing view; the
 		// workers keep their state.
-		return e.info, nil
+		return info, nil
 	}
-	// Close first (stops the WAL sync loop and further appends), then remove
+	// Close first (stops the corpus's timer, folds, and WAL), then remove
 	// the directory.
-	dir := e.mut.Dir()
 	e.mut.Close()
-	if dir != "" {
-		if err := os.RemoveAll(dir); err != nil {
-			return e.info, fmt.Errorf("delete corpus %q durable state: %w", name, err)
+	if e.dir != "" {
+		if err := os.RemoveAll(e.dir); err != nil {
+			return info, fmt.Errorf("delete corpus %q durable state: %w", name, err)
 		}
 	}
-	return e.info, nil
+	return info, nil
 }
 
 // Reload re-reads a file-backed corpus from its source path and swaps it in
-// at a new generation. In-memory corpora cannot be reloaded. Un-compacted
-// delta documents are discarded — the reloaded state is the file's.
+// at a higher generation. In-memory corpora cannot be reloaded.
+// Un-compacted delta documents are discarded — the reloaded state is the
+// file's.
 func (r *Registry) Reload(name string) (CorpusInfo, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	var source string
-	var remote bool
-	if ok {
-		source, remote = e.info.Source, e.info.Remote
+	e, err := r.entry(name)
+	if err != nil {
+		return CorpusInfo{}, err
 	}
-	r.mu.RUnlock()
-	if !ok {
-		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
-	}
-	if remote {
+	switch {
+	case e.mut == nil:
 		return CorpusInfo{}, fmt.Errorf("corpus %q is served by remote workers; reload it there: %w", name, ErrNotReloadable)
-	}
-	if source == "" {
+	case e.source == "":
 		return CorpusInfo{}, fmt.Errorf("corpus %q is in-memory and cannot be reloaded: %w", name, ErrNotReloadable)
-	}
-	if e.mut.Dir() != "" {
+	case e.dir != "":
 		// A durable corpus's authoritative state is its WAL + shard store,
 		// not the source file; "reload from file" would silently discard
 		// ingests and deletes that were durably acknowledged.
 		return CorpusInfo{}, fmt.Errorf("corpus %q is durable; its state comes from the data dir, not the source file: %w", name, ErrNotReloadable)
 	}
-	// Load outside the lock: index loading is the slow part and must not
-	// block concurrent queries against other corpora (or the old engine).
-	// For a sharded corpus the whole new shard set is assembled here before
-	// install swaps it in — one atomic generation flip, never a mix.
-	eng, err := r.open(source)
-	if err != nil {
-		return CorpusInfo{}, fmt.Errorf("reload corpus %q: %w", name, err)
-	}
-	return r.install(name, source, eng)
+	return r.load(name, e.source)
 }
 
-// Engine resolves a corpus name to its current snapshot and generation.
-// The snapshot is immutable: holding it across later ingests, compactions,
-// and reloads is exactly how jobs pin the corpus state they started on.
+// Engine resolves a corpus name to its current snapshot and generation
+// without waiting on any writer. The snapshot is immutable: holding it is
+// how jobs pin the corpus state they started on. It is loaded under the
+// registry lock, so a corpus removed or replaced afterwards can never hand
+// out a generation its successor serves.
 func (r *Registry) Engine(name string) (koko.Querier, uint64, error) {
+	eng, info, err := r.resolve(name)
+	return eng, info.Generation, err
+}
+
+// resolve is Engine plus the info describing the same snapshot.
+func (r *Registry) resolve(name string) (koko.Querier, CorpusInfo, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.entries[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
+		return nil, CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
 	}
-	return e.eng, e.info.Generation, nil
+	eng, info := e.view()
+	return eng, info, nil
 }
 
 // Info returns the metadata of one entry.
 func (r *Registry) Info(name string) (CorpusInfo, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return CorpusInfo{}, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
-	}
-	return e.info, nil
-}
-
-// Stats returns the index statistics of one entry's engine (summed across
-// shards for a sharded corpus, delta included).
-func (r *Registry) Stats(name string) (koko.IndexStats, error) {
-	eng, _, err := r.Engine(name)
-	if err != nil {
-		return koko.IndexStats{}, err
-	}
-	return eng.Stats(), nil
+	_, info, err := r.resolve(name)
+	return info, err
 }
 
 // Describe returns one entry's info, aggregate index stats, and per-shard
-// stats as a consistent snapshot: all three come from the same generation,
-// even if an ingest or reload swaps the entry concurrently. (Snapshots are
-// immutable once installed, so resolving the entry once under the lock
-// suffices.) The aggregate is derived from the per-shard stats — one index
-// walk per shard, not two.
+// stats, all from the same snapshot even if an ingest or reload swaps the
+// entry concurrently. The aggregate is derived from the per-shard stats —
+// one index walk per shard, not two.
 func (r *Registry) Describe(name string) (CorpusInfo, koko.IndexStats, []koko.ShardStat, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	var info CorpusInfo
-	var eng koko.Querier
-	if ok {
-		info, eng = e.info, e.eng
-	}
-	r.mu.RUnlock()
-	if !ok {
-		return CorpusInfo{}, koko.IndexStats{}, nil, fmt.Errorf("corpus %q: %w", name, ErrNotFound)
+	eng, info, err := r.resolve(name)
+	if err != nil {
+		return CorpusInfo{}, koko.IndexStats{}, nil, err
 	}
 	sh := eng.ShardStats()
 	return info, koko.MergeShardStats(sh), sh, nil
@@ -550,7 +404,8 @@ func (r *Registry) List() []CorpusInfo {
 	defer r.mu.RUnlock()
 	out := make([]CorpusInfo, 0, len(r.entries))
 	for _, e := range r.entries {
-		out = append(out, e.info)
+		_, info := e.view()
+		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -563,39 +418,55 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
+// totals sums the lifecycle counters of every local corpus — compactions
+// including those of corpora already removed — and their live delta
+// documents and tombstones.
+func (r *Registry) totals() (sum koko.LifecycleStats, deltaDocs, tombstones int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	sum = r.gone
+	for _, e := range r.entries {
+		if e.mut == nil {
+			continue
+		}
+		snap := e.mut.Snapshot()
+		ls := snap.Lifecycle()
+		sum.Compactions += ls.Compactions
+		sum.CompactionErrors += ls.CompactionErrors
+		sum.Swaps += ls.Swaps
+		sum.WALAppends += ls.WALAppends
+		sum.WALBytes += ls.WALBytes
+		sum.ReplayedDocs += ls.ReplayedDocs
+		sum.Recovery += ls.Recovery
+		deltaDocs += snap.DeltaDocs()
+		tombstones += snap.Tombstones()
+	}
+	return sum, deltaDocs, tombstones
+}
+
 // LoadDurable recovers every durable corpus directory under the data dir
 // that is not already registered, in name order. kokod calls it at startup
 // after the explicit -load/-dir/-demo registrations, so corpora created
 // purely through the API in a previous run come back after a restart.
 // Returns the names recovered.
 func (r *Registry) LoadDurable() ([]string, error) {
-	r.mu.RLock()
-	dataDir := r.dataDir
-	r.mu.RUnlock()
-	if dataDir == "" {
+	if r.dataDir == "" {
 		return nil, nil
 	}
-	dirents, err := os.ReadDir(dataDir)
+	dirents, err := os.ReadDir(r.dataDir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("scan data dir %s: %w", dataDir, err)
+		return nil, fmt.Errorf("scan data dir %s: %w", r.dataDir, err)
 	}
-	var names []string
-	for _, de := range dirents {
-		if !de.IsDir() || !koko.HasDurableState(filepath.Join(dataDir, de.Name())) {
+	var recovered []string
+	for _, de := range dirents { // sorted by name
+		name := de.Name()
+		if !de.IsDir() || !koko.HasDurableState(filepath.Join(r.dataDir, name)) {
 			continue
 		}
-		names = append(names, de.Name())
-	}
-	sort.Strings(names)
-	var recovered []string
-	for _, name := range names {
-		r.mu.RLock()
-		_, exists := r.entries[name]
-		r.mu.RUnlock()
-		if exists {
+		if _, err := r.entry(name); err == nil {
 			continue
 		}
 		// nil seed: the durable state is the corpus.
@@ -607,9 +478,10 @@ func (r *Registry) LoadDurable() ([]string, error) {
 	return recovered, nil
 }
 
-// CloseAll closes every corpus's durable resources (WAL handles and sync
-// loops). The shutdown path: pending batched WAL writes are fsynced, so a
-// clean stop loses nothing even under -wal-sync=batch.
+// CloseAll closes every local corpus: compaction timers stop, folds in
+// flight finish, and WAL handles close. The shutdown path: pending batched
+// WAL writes are fsynced, so a clean stop loses nothing even under
+// -wal-sync=batch.
 func (r *Registry) CloseAll() {
 	r.mu.Lock()
 	muts := make([]*koko.Mutable, 0, len(r.entries))
@@ -622,31 +494,4 @@ func (r *Registry) CloseAll() {
 	for _, m := range muts {
 		m.Close()
 	}
-}
-
-// Durability sums durability counters across all corpora (the /v1/metrics
-// aggregate). Recovery is the total WAL replay time across corpora at their
-// last open.
-func (r *Registry) Durability() koko.DurabilityStats {
-	r.mu.RLock()
-	muts := make([]*koko.Mutable, 0, len(r.entries))
-	for _, e := range r.entries {
-		if e.mut != nil {
-			muts = append(muts, e.mut)
-		}
-	}
-	r.mu.RUnlock()
-	var sum koko.DurabilityStats
-	for _, m := range muts {
-		ds := m.Durability()
-		sum.Durable = sum.Durable || ds.Durable
-		sum.WALAppends += ds.WALAppends
-		sum.WALBytes += ds.WALBytes
-		sum.ReplayedDocs += ds.ReplayedDocs
-		sum.ReplayedTombs += ds.ReplayedTombs
-		sum.TombstonesLive += ds.TombstonesLive
-		sum.Swaps += ds.Swaps
-		sum.Recovery += ds.Recovery
-	}
-	return sum
 }

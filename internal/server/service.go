@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,11 +70,13 @@ type Config struct {
 	// whose evaluation took at least this long are cached, so cheap
 	// queries stop evicting expensive warm entries. 0 admits everything.
 	CacheMinCost time.Duration
-	// MaxDeltaDocs caps how many ingested documents a corpus's delta index
-	// may accumulate before a background compaction is kicked off
-	// automatically. 0 means the default (256); negative disables
-	// auto-compaction (compact via the API or the interval loop).
+	// MaxDeltaDocs is how many ingested documents a corpus's delta index
+	// may accumulate before the corpus starts a background compaction. 0
+	// means the default (256); negative disables this trigger.
 	MaxDeltaDocs int
+	// CompactInterval, when > 0, makes every corpus fold its pending delta
+	// and tombstones in the background that often.
+	CompactInterval time.Duration
 	// CacheTTLPerCorpus overrides CacheTTL for named corpora (the
 	// time-sensitive ones); a zero value for a name disables expiry for it.
 	CacheTTLPerCorpus map[string]time.Duration
@@ -90,10 +90,6 @@ type Config struct {
 	// jobs' results; oldest-finished jobs are purged beyond it (0 = default
 	// 200000, negative = unbounded).
 	JobRetainedTuples int
-	// DisablePlan turns off the statistics-free query planner service-wide:
-	// queries evaluate conditions in written order unless a request says
-	// plan:"on" explicitly (the kokod -plan=off flag).
-	DisablePlan bool
 	// LoadOptions is applied to every corpus loaded from disk.
 	LoadOptions *koko.Options
 	// DataDir, when non-empty, makes every corpus durable: ingested
@@ -103,10 +99,9 @@ type Config struct {
 	// WALSync is the WAL fsync policy for durable corpora (none, batch
 	// group-commit, or always). Ignored without DataDir.
 	WALSync wal.SyncPolicy
-	// WALMaxBytes, when > 0, kicks a background compaction whenever a
-	// corpus's WAL grows past this size — compaction folds the log into the
-	// shard files and truncates it, bounding both log size and restart
-	// replay time. Ignored without DataDir.
+	// WALMaxBytes, when > 0, makes a corpus fold its WAL into its shard
+	// files (truncating it) once the log grows past this size, bounding log
+	// size and restart replay time. Ignored without DataDir.
 	WALMaxBytes int64
 	// StoreCacheBytes sets the process-wide decoded-block cache budget for
 	// mmap'd block stores (bytes of decoded posting lists kept resident).
@@ -127,9 +122,6 @@ type Service struct {
 	cacheTTL     time.Duration
 	cacheTTLBy   map[string]time.Duration
 	cacheMinCost time.Duration
-	maxDeltaDocs int
-	walMaxBytes  int64
-	planOff      bool
 	// shardPar is the resolved per-query shard fan-out bound, kept so
 	// remote engines connected later inherit the same budget as local ones.
 	shardPar int
@@ -137,9 +129,6 @@ type Service struct {
 	// ran); its counters feed the remote_* metrics. Atomic: Metrics() may
 	// race ConnectWorkers.
 	rpool atomic.Pointer[remote.Pool]
-	// compacting tracks corpora with an auto-compaction in flight so a
-	// burst of ingests kicks off at most one background fold per corpus.
-	compacting sync.Map
 }
 
 // NewService builds a Service with an empty registry.
@@ -160,22 +149,24 @@ func NewService(cfg Config) *Service {
 	if workers <= 0 {
 		workers = 1
 	}
-	reg := NewRegistry(cfg.LoadOptions)
-	reg.SetDefaultShards(cfg.Shards)
-	if cfg.DataDir != "" {
-		reg.SetDurability(cfg.DataDir, cfg.WALSync)
-	}
 	sp := cfg.ShardParallel
 	if sp == 0 {
 		if sp = 2 * runtime.GOMAXPROCS(0) / maxc; sp < 1 {
 			sp = 1
 		}
 	}
-	reg.SetShardParallelism(sp)
 	maxDelta := cfg.MaxDeltaDocs
 	if maxDelta == 0 {
 		maxDelta = 256
 	}
+	reg := newRegistry(koko.MutableConfig{
+		Opts:            cfg.LoadOptions,
+		Sync:            cfg.WALSync,
+		ShardParallel:   sp,
+		MaxDeltaDocs:    maxDelta,
+		WALMaxBytes:     cfg.WALMaxBytes,
+		CompactInterval: cfg.CompactInterval,
+	}, cfg.DataDir, cfg.Shards)
 	if cfg.StoreCacheBytes > 0 {
 		blockstore.SetDefaultBudget(cfg.StoreCacheBytes)
 	} else if cfg.StoreCacheBytes < 0 {
@@ -189,9 +180,6 @@ func NewService(cfg Config) *Service {
 		cacheTTL:     cfg.CacheTTL,
 		cacheTTLBy:   cfg.CacheTTLPerCorpus,
 		cacheMinCost: cfg.CacheMinCost,
-		maxDeltaDocs: maxDelta,
-		walMaxBytes:  cfg.WALMaxBytes,
-		planOff:      cfg.DisablePlan,
 		shardPar:     sp,
 	}
 	s.jobs = jobs.New(s, jobs.Config{
@@ -256,10 +244,10 @@ type QueryRequest struct {
 	Explain bool `json:"explain,omitempty"`
 	// Workers overrides the per-query worker count (0 = service default).
 	Workers int `json:"workers,omitempty"`
-	// Plan selects the query planner for this request: "on" orders
-	// conditions by selectivity, "off" evaluates in written order, ""
-	// inherits the service default (-plan flag). Tuples are identical
-	// either way; only evaluation order (and the plan report) changes.
+	// Plan selects the query planner for this request: "on" (or "")
+	// orders conditions by selectivity, "off" evaluates in written order —
+	// the differential baseline. Tuples are identical either way; only
+	// evaluation order (and the plan report) changes.
 	Plan string `json:"plan,omitempty"`
 	// NoCache bypasses the result cache (read and write) for this request.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -362,16 +350,11 @@ func (s *Service) prepare(req QueryRequest) (parsed *koko.ParsedQuery, eng koko.
 	return parsed, eng, gen, cacheKey(req, gen, parsed, plan), plan, nil
 }
 
-// effectivePlan resolves a request's planner selection against the service
-// default to exactly "on" or "off" — the normalized form both the cache key
-// and the engine option use, so "" and an explicit match of the default
-// share one cache entry.
+// effectivePlan normalizes a request's planner selection to exactly "on"
+// or "off" — the form both the cache key and the engine option use, so ""
+// and an explicit "on" share one cache entry.
 func (s *Service) effectivePlan(req string) string {
-	switch req {
-	case "on", "off":
-		return req
-	}
-	if s.planOff {
+	if req == "off" {
 		return "off"
 	}
 	return "on"
@@ -506,12 +489,9 @@ func ctxDone(err error) bool {
 }
 
 // fanoutOf reports how many shard evaluations eng actually runs at once
-// for one query (1 for a plain engine; a mutable-corpus snapshot adds one
-// for a live delta).
+// for one query (see koko.Snapshot.Fanout).
 func fanoutOf(eng koko.Querier) int {
 	switch e := eng.(type) {
-	case *koko.ShardedEngine:
-		return e.Parallelism()
 	case *koko.Snapshot:
 		return e.Fanout()
 	case *remote.Engine:
@@ -609,30 +589,26 @@ func (s *Service) Reload(name string) (CorpusInfo, error) {
 	return info, err
 }
 
-// Ingest upserts one document into a corpus's delta index and seals a new
-// generation: the document is queryable immediately, the corpus's cache
-// entries are invalidated by the generation bump, and queries or jobs
-// already running keep their pinned snapshot. Re-ingesting an existing
-// document name replaces it. The returned doc index is the ingested
-// document's global id. When the delta has grown past the auto-compaction
-// threshold — or a durable corpus's WAL past the configured size bound — a
-// background fold into the base shards is kicked off (at most one per
-// corpus at a time).
+// Ingest upserts one document into a corpus's delta index at a new
+// generation (invalidating the corpus's cache entries): it is queryable
+// immediately, while running queries and jobs keep their pinned snapshot.
+// Re-ingesting a document name replaces it. The returned doc index is the
+// document's global id in the seal that made it visible.
 func (s *Service) Ingest(corpus, docName, text string) (CorpusInfo, int, bool, error) {
-	info, doc, updated, err := s.reg.Ingest(corpus, docName, text)
+	e, err := s.reg.local(corpus)
 	if err != nil {
 		return CorpusInfo{}, 0, false, err
+	}
+	snap, updated, err := e.mut.PutDocument(docName, text)
+	if err != nil {
+		return CorpusInfo{}, 0, false, fmt.Errorf("corpus %q: %w", corpus, err)
 	}
 	s.metrics.ingestsTotal.Add(1)
 	if updated {
 		s.metrics.documentUpdates.Add(1)
 	}
-	if s.maxDeltaDocs > 0 && info.DeltaDocs >= s.maxDeltaDocs {
-		s.kickCompaction(corpus)
-	} else if s.walMaxBytes > 0 && info.WALBytes >= s.walMaxBytes {
-		s.kickCompaction(corpus)
-	}
-	return info, doc, updated, nil
+	info, err := s.reg.describe(e, snap)
+	return info, snap.NumDocuments() - 1, updated, err
 }
 
 // DeleteDocument tombstones a named document in a corpus and seals a new
@@ -640,77 +616,34 @@ func (s *Service) Ingest(corpus, docName, text string) (CorpusInfo, int, bool, e
 // are reclaimed by the next compaction. Returns how many live documents
 // carried the name. Unknown documents map to koko.ErrNoDocument (404).
 func (s *Service) DeleteDocument(corpus, doc string) (CorpusInfo, int, error) {
-	info, n, err := s.reg.DeleteDocument(corpus, doc)
+	e, err := s.reg.local(corpus)
 	if err != nil {
 		return CorpusInfo{}, 0, err
 	}
+	snap, n, err := e.mut.DeleteDocument(doc)
+	if err != nil {
+		return CorpusInfo{}, 0, fmt.Errorf("corpus %q: %w", corpus, err)
+	}
 	s.metrics.documentDeletes.Add(1)
-	return info, n, nil
+	info, err := s.reg.describe(e, snap)
+	return info, n, err
 }
 
-// Compact synchronously folds a corpus's delta into its base shards,
-// installing the compacted snapshot at a new generation. An empty delta is
-// a cheap no-op (Docs == 0 in the returned stats).
+// Compact synchronously folds a corpus's delta and tombstones into its base
+// shards (waiting for a background fold in flight first), installing the
+// compacted snapshot at a new generation. An empty delta is a cheap no-op
+// (Docs == 0 in the returned stats).
 func (s *Service) Compact(name string) (CorpusInfo, koko.CompactionStats, error) {
-	info, st, err := s.reg.Compact(name)
-	if err == nil && st.Docs > 0 {
-		s.metrics.compactionsTotal.Add(1)
+	e, err := s.reg.local(name)
+	if err != nil {
+		return CorpusInfo{}, koko.CompactionStats{}, err
 	}
+	st, err := e.mut.Compact()
+	if err != nil {
+		return CorpusInfo{}, koko.CompactionStats{}, fmt.Errorf("compact corpus %q: %w", name, err)
+	}
+	info, err := s.reg.describe(e, e.mut.Snapshot())
 	return info, st, err
-}
-
-// kickCompaction starts a background compaction of the named corpus unless
-// one is already in flight. No caller can see a background failure, so it
-// is logged and counted (compaction_errors) rather than swallowed — a
-// persistently failing auto-compaction would otherwise let the delta grow
-// in silence.
-func (s *Service) kickCompaction(name string) {
-	if _, inflight := s.compacting.LoadOrStore(name, struct{}{}); inflight {
-		return
-	}
-	go func() {
-		defer s.compacting.Delete(name)
-		s.compactLogged(name)
-	}()
-}
-
-// compactLogged runs one compaction on behalf of a background caller,
-// logging and counting any failure. A corpus deleted or replaced meanwhile
-// surfaces here as ErrNotFound — routine, but still the operator's only
-// signal, so it is logged too.
-func (s *Service) compactLogged(name string) {
-	if _, _, err := s.Compact(name); err != nil {
-		s.metrics.compactionErrors.Add(1)
-		log.Printf("server: background compaction of corpus %q: %v", name, err)
-	}
-}
-
-// CompactLoop folds every corpus's pending delta into its base shards each
-// interval, until ctx is done. kokod runs this as the background compaction
-// loop when -compact-interval is set.
-func (s *Service) CompactLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			s.CompactAll()
-		}
-	}
-}
-
-// CompactAll compacts every corpus with a non-empty delta or live
-// tombstones, sequentially (a compaction rebuilds shard indices in parallel
-// internally; running corpora back-to-back keeps the CPU pressure bounded).
-// Failures are logged and counted per corpus.
-func (s *Service) CompactAll() {
-	for _, info := range s.reg.List() {
-		if info.DeltaDocs > 0 || info.Tombstones > 0 {
-			s.compactLogged(info.Name)
-		}
-	}
 }
 
 // DeleteCorpus unregisters a corpus and drops its result-cache entries.
@@ -736,16 +669,12 @@ func (s *Service) Close() {
 // Metrics returns a point-in-time counter snapshot.
 func (s *Service) Metrics() MetricsSnapshot {
 	m := &s.metrics
-	deltaDocs := 0
-	for _, info := range s.reg.List() {
-		deltaDocs += info.DeltaDocs
-	}
-	dur := s.reg.Durability()
+	life, deltaDocs, tombstones := s.reg.totals()
 	snap := MetricsSnapshot{
 		CacheCostSkips:   m.cacheCostSkips.Load(),
 		IngestsTotal:     m.ingestsTotal.Load(),
-		CompactionsTotal: m.compactionsTotal.Load(),
-		CompactionErrors: m.compactionErrors.Load(),
+		CompactionsTotal: int64(life.Compactions),
+		CompactionErrors: int64(life.CompactionErrors),
 		CorporaDeleted:   m.deletesTotal.Load(),
 		DeltaDocs:        deltaDocs,
 		QueriesTotal:     m.queriesTotal.Load(),
@@ -765,12 +694,12 @@ func (s *Service) Metrics() MetricsSnapshot {
 		QueriesCancelled: m.queryCancels.Load(),
 		DocumentDeletes:  m.documentDeletes.Load(),
 		DocumentUpdates:  m.documentUpdates.Load(),
-		WALAppends:       dur.WALAppends,
-		WALBytes:         dur.WALBytes,
-		WALReplayedDocs:  dur.ReplayedDocs,
-		TombstonesLive:   int64(dur.TombstonesLive),
-		CompactionSwaps:  dur.Swaps,
-		RecoveryMillis:   ms(dur.Recovery),
+		WALAppends:       life.WALAppends,
+		WALBytes:         life.WALBytes,
+		WALReplayedDocs:  life.ReplayedDocs,
+		TombstonesLive:   int64(tombstones),
+		CompactionSwaps:  life.Swaps,
+		RecoveryMillis:   ms(life.Recovery),
 		DegradedQueries:  m.degradedQueries.Load(),
 		ShardEvalsServed: m.shardEvalsServed.Load(),
 		PlansReordered:   m.plansReordered.Load(),

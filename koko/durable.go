@@ -1,6 +1,9 @@
 package koko
 
-// Durable corpora: a Mutable whose mutations survive restarts.
+// Durable corpora: a Mutable (MutableConfig.Dir set) whose mutations
+// survive restarts. The lifecycle — ingest, delete, seal, compaction and
+// its triggers — is the same for every corpus (mutable.go); this file holds
+// only what durability adds to it.
 //
 // On-disk layout, one directory per corpus:
 //
@@ -12,27 +15,26 @@ package koko
 //	                        the last compaction swap
 //
 // Every mutation is logged before it is applied (write-ahead), so the state
-// any query ever observed is reconstructible: OpenDurable loads the
-// manifest's shard set, then replays WAL records with Seq > wal_applied
+// any query ever observed is reconstructible: opening the directory loads
+// the manifest's shard set, then replays WAL records with Seq > wal_applied
 // into a fresh delta — the post-restart snapshot is identical to the
 // pre-crash one.
 //
-// Compaction is incremental and crash-safe: base shards untouched by
-// tombstones keep their engines and files (the new manifest simply
-// references the old-generation file, so the bytes and mtime never change);
-// shards with deleted documents are rebuilt to new-generation files; the
-// cut delta becomes one appended shard. The manifest swap is
-// write-temp + fsync + rename + fsync-dir, and only after the swap is the
-// WAL prefix truncated — a crash at any point recovers to exactly the old
-// or the new generation, never a torn mix. Orphaned new-generation files
-// from a crashed compaction are swept on the next open.
+// Compaction runs the one incremental algorithm (Mutable.Compact) and makes
+// it crash-safe: untouched base shards keep their files (the new manifest
+// simply references the old-generation file, so the bytes and mtime never
+// change); rebuilt and appended shards are written to new-generation files
+// and fsynced; the manifest swap is write-temp + fsync + rename +
+// fsync-dir; and only after the swap is the WAL prefix truncated — a crash
+// at any point recovers to exactly the old or the new generation, never a
+// torn mix. Orphaned new-generation files from a crashed compaction are
+// swept on the next open.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/koko/index"
 	"repro/internal/koko/wal"
@@ -47,15 +49,8 @@ func shardGenFile(gen uint64, i int) string {
 	return fmt.Sprintf("gen%d.shard%d", gen, i)
 }
 
-// DurableConfig configures OpenDurable.
-type DurableConfig struct {
-	// Dir is the corpus's durable directory (created if missing).
-	Dir string
-	// Sync is the WAL fsync policy (zero value: batched group commit).
-	Sync wal.SyncPolicy
-	// Opts configures the query engines, as with NewMutable.
-	Opts *Options
-}
+// DurableConfig is the corpus config under the name OpenDurable takes it.
+type DurableConfig = MutableConfig
 
 // HasDurableState reports whether dir already holds a durable corpus (its
 // manifest exists) — callers then know a seed engine would be ignored.
@@ -64,81 +59,29 @@ func HasDurableState(dir string) bool {
 	return err == nil
 }
 
-// OpenDurable opens (or creates) the durable corpus in cfg.Dir. With no
-// existing state, seed becomes generation 1 of the persisted shard set
-// (seed may be nil for an empty corpus); with a manifest present, seed is
-// ignored and the shard set loads from disk. The WAL then replays every
-// un-compacted mutation into a fresh delta, so the returned Mutable's
-// snapshot matches the pre-restart state exactly. Recovery counters are
-// reported by Durability.
+// OpenDurable is OpenMutable for a corpus that must be durable: cfg.Dir is
+// required.
 func OpenDurable(seed Querier, cfg DurableConfig) (*Mutable, error) {
-	t0 := time.Now()
-	dir := cfg.Dir
-	if dir == "" {
+	if cfg.Dir == "" {
 		return nil, errors.New("koko: durable corpus needs a directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var (
-		base  *ShardedEngine
-		files []string
-		gen   uint64
-		appl  uint64
-		err   error
-	)
-	if HasDurableState(dir) {
-		base, files, gen, appl, err = openDurableBase(dir, cfg.Opts)
-	} else {
-		base, files, gen, err = persistSeed(dir, seed, cfg.Opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sweepOrphans(dir, files)
-
-	m := NewMutable(base, cfg.Opts)
-	m.dir = dir
-	m.baseFiles = files
-	m.storeGen = gen
-	m.appliedSeq = appl
-
-	log, err := wal.Open(filepath.Join(dir, walName), cfg.Sync, func(rec *wal.Record) error {
-		if rec.Seq <= appl {
-			return nil // already folded into the shard set
-		}
-		switch rec.Kind {
-		case wal.KindAdd:
-			m.addLocked(rec.Name, rec.Sents)
-			m.replayedDocs++
-		case wal.KindTombstone:
-			if _, err := m.tombstoneLocked(rec.Name); err != nil {
-				// A tombstone for a name with no live document means the
-				// delete already took effect in the shard set; replay is
-				// idempotent about it.
-				if errors.Is(err, ErrNoDocument) {
-					return nil
-				}
-				return err
-			}
-			m.replayedTombs++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("koko: open wal in %s: %w", dir, err)
-	}
-	m.mu.Lock()
-	m.wal = log
-	m.recovery = time.Since(t0)
-	m.sealLocked()
-	m.mu.Unlock()
-	return m, nil
+	return OpenMutable(seed, cfg)
 }
 
-// openDurableBase loads the manifest's shard set.
-func openDurableBase(dir string, opts *Options) (*ShardedEngine, []string, uint64, uint64, error) {
+// openDurableDir opens (or creates) the durable corpus in dir: with a
+// manifest present its shard set loads from disk and seed is ignored;
+// otherwise seed (a ShardedEngine, see shardedBase) becomes generation 1.
+// Returns the base, its shard files, the generation, and the WAL horizon
+// already folded into the shard set.
+func openDurableDir(dir string, seed Querier, opts *Options) (*ShardedEngine, []string, uint64, uint64, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, 0, 0, err
+	}
 	path := filepath.Join(dir, manifestName)
+	if !HasDurableState(dir) {
+		base, files, err := persistSeed(dir, seed)
+		return base, files, 1, 0, err
+	}
 	m, err := readManifest(path)
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -150,48 +93,63 @@ func openDurableBase(dir string, opts *Options) (*ShardedEngine, []string, uint6
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	sweepOrphans(dir, m.files())
 	return base, m.files(), m.Durable.Generation, m.Durable.WALApplied, nil
 }
 
-// persistSeed writes seed (nil = empty corpus) as generation 1: one store
-// file per shard plus the manifest. A crash partway leaves no manifest, so
-// the next open re-persists from the same seed and sweeps the leftovers.
-func persistSeed(dir string, seed Querier, opts *Options) (*ShardedEngine, []string, uint64, error) {
-	const gen = 1
-	var engines []*Engine
-	var specs []index.ShardSpec
-	switch e := seed.(type) {
-	case nil:
-		engines = []*Engine{NewEngine(&Corpus{c: &index.Corpus{}}, opts)}
-		specs = []index.ShardSpec{{}}
-	case *Engine:
-		engines = []*Engine{e}
-		specs = []index.ShardSpec{singleSpec(e.corpus.c)}
-	case *ShardedEngine:
-		engines = e.shards
-		specs = e.specs
-	default:
-		return nil, nil, 0, fmt.Errorf("koko: cannot persist a seed engine of type %T", seed)
-	}
-	files := make([]string, len(engines))
-	for i, eng := range engines {
-		files[i] = shardGenFile(gen, i)
-		if err := saveStoreDurable(eng, filepath.Join(dir, files[i])); err != nil {
-			return nil, nil, 0, fmt.Errorf("koko: persist seed shard %d: %w", i, err)
+// replay opens the WAL and applies every record past applied into the delta
+// and tombstone set, counting what it replayed. Called once, from
+// OpenMutable, before the corpus is shared.
+func (m *Mutable) replay(applied uint64) error {
+	log, err := wal.Open(filepath.Join(m.cfg.Dir, walName), m.cfg.Sync, func(rec *wal.Record) error {
+		if rec.Seq <= applied {
+			return nil // already folded into the shard set
 		}
+		switch rec.Kind {
+		case wal.KindAdd:
+			m.addLocked(rec.Name, rec.Sents)
+			m.life.ReplayedDocs++
+		case wal.KindTombstone:
+			if _, err := m.tombstoneLocked(rec.Name); err != nil {
+				// A tombstone for a name with no live document means the
+				// delete already took effect in the shard set; replay is
+				// idempotent about it.
+				if errors.Is(err, ErrNoDocument) {
+					return nil
+				}
+				return err
+			}
+			m.life.ReplayedTombs++
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("koko: open wal in %s: %w", m.cfg.Dir, err)
 	}
-	if err := writeDurableManifest(dir, files, specs, gen, 0); err != nil {
-		return nil, nil, 0, err
-	}
-	return newSharded(engines, specs), files, gen, nil
+	m.wal = log
+	return nil
 }
 
-func singleSpec(c *index.Corpus) index.ShardSpec {
-	return index.ShardSpec{
-		LoDoc: 0, HiDoc: c.NumDocs(),
-		FirstSID: 0, NumSents: c.NumSentences(),
-		Tokens: countTokens(c),
+// persistSeed writes seed as generation 1: one store file per shard plus
+// the manifest. A crash partway leaves no manifest, so the next open
+// re-persists from the same seed; the leftovers are swept first.
+func persistSeed(dir string, seed Querier) (*ShardedEngine, []string, error) {
+	se, ok := seed.(*ShardedEngine)
+	if !ok {
+		return nil, nil, fmt.Errorf("koko: cannot persist a seed engine of type %T", seed)
 	}
+	sweepOrphans(dir, nil)
+	files := make([]string, len(se.shards))
+	for i, eng := range se.shards {
+		files[i] = shardGenFile(1, i)
+		if err := saveStoreDurable(eng, filepath.Join(dir, files[i])); err != nil {
+			return nil, nil, fmt.Errorf("koko: persist seed shard %d: %w", i, err)
+		}
+	}
+	if err := writeDurableManifest(dir, files, se.specs, 1, 0); err != nil {
+		return nil, nil, err
+	}
+	return se, files, nil
 }
 
 func countTokens(c *index.Corpus) int {
@@ -208,7 +166,7 @@ func saveStoreDurable(eng *Engine, path string) error {
 	if err := eng.Save(path); err != nil {
 		return err
 	}
-	return fsyncFile(path)
+	return fsync(path)
 }
 
 // writeDurableManifest atomically swaps in the manifest of generation gen.
@@ -244,17 +202,9 @@ func sweepOrphans(dir string, live []string) {
 	}
 }
 
-func fsyncFile(path string) error {
+// fsync flushes a file or a directory (after a rename into it) to disk.
+func fsync(path string) error {
 	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
-
-func fsyncDir(dir string) error {
-	f, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -273,221 +223,4 @@ func (m *Mutable) fail(stage string) error {
 		return fmt.Errorf("koko: durable compaction aborted at %s: %w", stage, err)
 	}
 	return nil
-}
-
-// compactDurable is Compact for a durable corpus: fold the cut delta and
-// every live tombstone into the persisted shard set, incrementally and
-// crash-safely. Caller holds compactMu.
-func (m *Mutable) compactDurable() (CompactionStats, error) {
-	t0 := time.Now()
-
-	// Cut under the writer lock: the delta prefix, the tombstones to fold,
-	// and the WAL horizon. Appends happen under the same lock, so every
-	// record with Seq <= cutSeq is exactly the state being folded.
-	m.mu.Lock()
-	n := m.delta.NumDocs()
-	cutTombs := m.tombs
-	if n == 0 && cutTombs.numDocs() == 0 {
-		m.mu.Unlock()
-		return CompactionStats{}, nil
-	}
-	base, ok := m.base.(*ShardedEngine)
-	if !ok {
-		m.mu.Unlock()
-		return CompactionStats{}, fmt.Errorf("koko: durable base is %T, want *ShardedEngine", m.base)
-	}
-	rawBase := base.NumDocuments()
-	sp := m.shardParallel
-	cut := &index.Corpus{}
-	m.delta.AppendTo(cut, 0, n)
-	cutSeq := m.wal.LastSeq()
-	gen := m.storeGen + 1
-	oldFiles := append([]string(nil), m.baseFiles...)
-	m.mu.Unlock()
-
-	// Merge, shard by shard. A base shard with no tombstones in its doc
-	// range is reused outright — same engine, same file, only its spec's
-	// global offsets shift — so untouched shard files are never rewritten.
-	var (
-		engines  []*Engine
-		specs    []index.ShardSpec
-		files    []string
-		obsolete []string // old files superseded by this generation
-	)
-	docOff, sidOff := 0, 0
-	firstWrite := true
-	writeShard := func(c *index.Corpus, slot int) error {
-		eng := NewEngine(&Corpus{c: c}, m.opts)
-		file := shardGenFile(gen, slot)
-		if err := saveStoreDurable(eng, filepath.Join(m.dir, file)); err != nil {
-			return err
-		}
-		if firstWrite {
-			firstWrite = false
-			if err := m.fail("mid-shard-write"); err != nil {
-				return err
-			}
-		}
-		engines = append(engines, eng)
-		specs = append(specs, index.ShardSpec{
-			LoDoc: docOff, HiDoc: docOff + c.NumDocs(),
-			FirstSID: sidOff, NumSents: c.NumSentences(),
-			Tokens: countTokens(c),
-		})
-		files = append(files, file)
-		docOff += c.NumDocs()
-		sidOff += c.NumSentences()
-		return nil
-	}
-	for si, spec := range base.specs {
-		dead := cutTombs.docsBefore(spec.HiDoc) - cutTombs.docsBefore(spec.LoDoc)
-		if dead == 0 {
-			specs = append(specs, index.ShardSpec{
-				LoDoc: docOff, HiDoc: docOff + spec.NumDocs(),
-				FirstSID: sidOff, NumSents: spec.NumSents,
-				Tokens: spec.Tokens,
-			})
-			engines = append(engines, base.shards[si])
-			files = append(files, oldFiles[si])
-			docOff += spec.NumDocs()
-			sidOff += spec.NumSents
-			continue
-		}
-		obsolete = append(obsolete, oldFiles[si])
-		src := base.shards[si].corpus.c
-		c := &index.Corpus{}
-		appendLiveRange(c, src, 0, src.NumDocs(), cutTombs, spec.LoDoc)
-		if c.NumDocs() == 0 {
-			continue // every document died; the shard vanishes
-		}
-		if err := writeShard(c, si); err != nil {
-			return CompactionStats{}, err
-		}
-	}
-	dc := &index.Corpus{}
-	appendLiveRange(dc, cut, 0, cut.NumDocs(), cutTombs, rawBase)
-	if dc.NumDocs() > 0 {
-		if err := writeShard(dc, len(base.specs)); err != nil {
-			return CompactionStats{}, err
-		}
-	}
-	if len(engines) == 0 {
-		// Everything was deleted. The manifest format requires at least one
-		// shard, so persist a single empty one.
-		if err := writeShard(&index.Corpus{}, 0); err != nil {
-			return CompactionStats{}, err
-		}
-	}
-
-	if err := m.fail("pre-manifest-swap"); err != nil {
-		return CompactionStats{}, err
-	}
-	if err := writeDurableManifest(m.dir, files, specs, gen, cutSeq); err != nil {
-		return CompactionStats{}, err
-	}
-	if err := m.fail("post-manifest-swap"); err != nil {
-		return CompactionStats{}, err
-	}
-
-	newBase := newSharded(engines, specs)
-	if sp > 0 {
-		newBase.SetParallelism(sp)
-	}
-	m.mu.Lock()
-	m.base = newBase
-	m.delta = m.delta.Rebase(n)
-	m.tombs = renumberTombs(m.tombs, cutTombs)
-	renumberNames(m.names, cutTombs)
-	m.baseFiles = files
-	m.storeGen = gen
-	m.appliedSeq = cutSeq
-	m.compactions++
-	m.swaps++
-	m.sealLocked()
-	m.mu.Unlock()
-	stats := CompactionStats{
-		Docs:       n,
-		Sentences:  cut.NumSentences(),
-		Tombstones: cutTombs.numDocs(),
-		Shards:     newBase.NumShards(),
-		Elapsed:    time.Since(t0),
-	}
-
-	if err := m.fail("pre-wal-truncate"); err != nil {
-		return stats, err
-	}
-	// Both cleanups are safe to lose to a crash: replay filters the stale
-	// WAL prefix by wal_applied, and the next open sweeps unreferenced
-	// generation files.
-	if err := m.wal.TruncatePrefix(cutSeq); err != nil {
-		return stats, fmt.Errorf("koko: truncate wal after compaction: %w", err)
-	}
-	for _, f := range obsolete {
-		os.Remove(filepath.Join(m.dir, f))
-	}
-	return stats, nil
-}
-
-// DurabilityStats reports a durable corpus's WAL, tombstone, and recovery
-// counters (the zero value, with Durable false, for memory-only corpora —
-// except TombstonesLive, which every Mutable tracks).
-type DurabilityStats struct {
-	Durable        bool
-	Generation     uint64
-	WALAppends     uint64
-	WALBytes       int64
-	ReplayedDocs   uint64
-	ReplayedTombs  uint64
-	TombstonesLive int
-	Swaps          uint64
-	Recovery       time.Duration
-}
-
-// Durability reports the corpus's durability counters.
-func (m *Mutable) Durability() DurabilityStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ds := DurabilityStats{TombstonesLive: m.tombs.numDocs()}
-	if m.wal == nil {
-		return ds
-	}
-	ds.Durable = true
-	ds.Generation = m.storeGen
-	ds.WALAppends = m.wal.Appends()
-	ds.WALBytes = m.wal.Size()
-	ds.ReplayedDocs = m.replayedDocs
-	ds.ReplayedTombs = m.replayedTombs
-	ds.Swaps = m.swaps
-	ds.Recovery = m.recovery
-	return ds
-}
-
-// Dir returns the corpus's durable directory ("" for memory-only corpora).
-func (m *Mutable) Dir() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dir
-}
-
-// Close releases the WAL handle and stops its sync loop (memory-only
-// corpora no-op). Mutations after Close fail; snapshots already handed out
-// keep working. A compaction in flight finishes first: it uses the WAL
-// outside mu (the post-swap prefix truncation), so Close takes compactMu to
-// wait for it, and any later Compact sees the corpus closed.
-func (m *Mutable) Close() error {
-	m.compactMu.Lock()
-	defer m.compactMu.Unlock()
-	m.mu.Lock()
-	w := m.wal
-	m.wal = nil
-	if w != nil {
-		// Keep mutation paths failing cleanly rather than silently becoming
-		// memory-only: with dir set but wal nil, durable writes are refused.
-		m.closed = true
-	}
-	m.mu.Unlock()
-	if w == nil {
-		return nil
-	}
-	return w.Close()
 }

@@ -133,7 +133,7 @@ func TestMutableDeleteDifferential(t *testing.T) {
 			t.Fatalf("k=%d double delete: %v", k, err)
 		}
 		checkLive(t, fmt.Sprintf("k=%d masked", k), mut.Snapshot(), live)
-		if got := mut.Tombstones(); got != 2 {
+		if got := mut.Snapshot().Tombstones(); got != 2 {
 			t.Fatalf("k=%d tombstones = %d, want 2", k, got)
 		}
 
@@ -159,8 +159,8 @@ func TestMutableDeleteDifferential(t *testing.T) {
 		if st.Tombstones != 3 {
 			t.Fatalf("k=%d compacted %d tombstones, want 3", k, st.Tombstones)
 		}
-		if mut.Tombstones() != 0 || mut.Snapshot().DeltaDocs() != 0 {
-			t.Fatalf("k=%d residue after compact: tombs=%d delta=%d", k, mut.Tombstones(), mut.Snapshot().DeltaDocs())
+		if mut.Snapshot().Tombstones() != 0 || mut.Snapshot().DeltaDocs() != 0 {
+			t.Fatalf("k=%d residue after compact: tombs=%d delta=%d", k, mut.Snapshot().Tombstones(), mut.Snapshot().DeltaDocs())
 		}
 		checkLive(t, fmt.Sprintf("k=%d compacted", k), mut.Snapshot(), live)
 
@@ -183,8 +183,10 @@ func TestMutableDeleteDifferential(t *testing.T) {
 func TestMutableSaveError(t *testing.T) {
 	full := WrapCorpus(corpus.GenHappyDB(60, 9))
 	docs := allDocs(full)
-	mut := NewMutable(baseEngine(prefixCorpus(full, len(docs)-1), 1), nil)
-	mut.SetName("reviews")
+	mut, err := OpenMutable(baseEngine(prefixCorpus(full, len(docs)-1), 1), MutableConfig{Name: "reviews"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := mut.AddParsedDocument(docs[len(docs)-1].name, docs[len(docs)-1].sents); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestMutableSaveError(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.koko")
-	err := mut.Save(path)
+	err = mut.Snapshot().Save(path)
 	if err == nil {
 		t.Fatal("Save succeeded with live delta and tombstones")
 	}
@@ -204,7 +206,7 @@ func TestMutableSaveError(t *testing.T) {
 	if _, err := mut.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mut.Save(path); err != nil {
+	if err := mut.Snapshot().Save(path); err != nil {
 		t.Fatalf("Save after compact: %v", err)
 	}
 }
@@ -259,7 +261,7 @@ func TestDurableRestartReplay(t *testing.T) {
 	}
 	defer m2.Close()
 	checkLive(t, "post-restart", m2.Snapshot(), live)
-	ds := m2.Durability()
+	ds := m2.Snapshot().Lifecycle()
 	if !ds.Durable || ds.ReplayedDocs != uint64(len(docs)-len(docs)/2) || ds.ReplayedTombs != 2 {
 		t.Fatalf("durability stats after replay: %+v", ds)
 	}
@@ -291,7 +293,7 @@ func TestDurableCompactThenRestart(t *testing.T) {
 		t.Fatalf("compacted %d tombstones, want 2", st.Tombstones)
 	}
 	checkLive(t, "compacted", m.Snapshot(), live)
-	ds := m.Durability()
+	ds := m.Snapshot().Lifecycle()
 	if ds.Generation != 2 || ds.Swaps != 1 {
 		t.Fatalf("after compact: %+v", ds)
 	}
@@ -312,7 +314,7 @@ func TestDurableCompactThenRestart(t *testing.T) {
 	}
 	defer m2.Close()
 	checkLive(t, "post-restart", m2.Snapshot(), live)
-	if ds := m2.Durability(); ds.ReplayedDocs != 0 || ds.ReplayedTombs != 1 {
+	if ds := m2.Snapshot().Lifecycle(); ds.ReplayedDocs != 0 || ds.ReplayedTombs != 1 {
 		t.Fatalf("replay after compact: %+v", ds)
 	}
 }
@@ -416,7 +418,7 @@ func TestDurableCloseDuringCompaction(t *testing.T) {
 	}
 	defer m2.Close()
 	checkLive(t, "reopened", m2.Snapshot(), live)
-	if ds := m2.Durability(); ds.Generation != 2 || ds.ReplayedDocs != 0 {
+	if ds := m2.Snapshot().Lifecycle(); ds.Generation != 2 || ds.ReplayedDocs != 0 {
 		t.Fatalf("reopen after compact+close: %+v", ds)
 	}
 }

@@ -149,11 +149,11 @@ func writeManifest(path string, m manifest) error {
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	if err := fsyncFile(tmp); err != nil {
+	if err := fsync(tmp); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return fsyncDir(filepath.Dir(path))
+	return fsync(filepath.Dir(path))
 }

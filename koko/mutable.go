@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/embed"
@@ -19,238 +23,232 @@ var ErrEmptyDocument = errors.New("koko: document has no sentences")
 // ErrNoDocument marks a delete of a document name with no live document.
 var ErrNoDocument = errors.New("koko: no such document")
 
-// Mutable turns an immutable base engine into a live corpus: documents are
-// ingested one at a time into a small delta index (LSM-style) while every
-// query evaluates against an immutable Snapshot of (base shards + sealed
-// delta). Writers never block readers: ingestion appends to the delta and
-// seals a new snapshot; a compaction folds the sealed delta into the base
-// by re-partitioning the combined corpus, with only two brief critical
-// sections around the (slow) shard rebuild. After any sequence of
-// single-document ingests — before or after compaction — query results are
-// byte-identical to an engine rebuilt from scratch over the same documents.
+// ErrClosed marks a mutation attempted after Close.
+var ErrClosed = errors.New("koko: corpus is closed")
+
+// MutableConfig configures a corpus (see OpenMutable). The zero value is a
+// memory-only corpus with default engine options that compacts only when
+// asked to.
+type MutableConfig struct {
+	// Name labels the corpus in errors, logs, and snapshots.
+	Name string
+	// Opts configures the query engines (nil = defaults). Sealed delta
+	// engines and compacted shards are built with it, so it should match
+	// the options the seed was built with.
+	Opts *Options
+	// Dir, when non-empty, makes the corpus durable: its shard set and WAL
+	// live in Dir (see durable.go). Sync is the WAL fsync policy.
+	Dir  string
+	Sync wal.SyncPolicy
+	// ShardParallel > 0 bounds the per-query shard fan-out of the seed and
+	// of every base a compaction installs (<= 0 keeps the engine default).
+	ShardParallel int
+	// The corpus starts a background compaction when its delta holds
+	// MaxDeltaDocs documents, when its WAL reaches WALMaxBytes, and every
+	// CompactInterval; each trigger is off when <= 0.
+	MaxDeltaDocs    int
+	WALMaxBytes     int64
+	CompactInterval time.Duration
+}
+
+// Mutable is the one owner of a live corpus's lifecycle. Documents are
+// ingested one at a time into a small delta index (LSM-style) and deletes
+// are tombstones, while every query evaluates against an immutable Snapshot
+// of (base shards + sealed delta − tombstones). The corpus decides when to
+// compact (MutableConfig's triggers) and — when durable — logs every
+// mutation before applying it. After any sequence of ingests, deletes, and
+// compactions, query results are byte-identical to an engine rebuilt from
+// scratch over the live documents.
 //
-// All methods are safe for concurrent use. Writers (AddDocument, Compact)
-// serialize against each other; readers hold whatever Snapshot they
-// resolved and are never invalidated.
+// All methods are safe for concurrent use. Writers serialize on the writer
+// lock; readers load the published snapshot and never take it, so no
+// reader ever waits on a writer.
 type Mutable struct {
-	opts  *Options
+	cfg MutableConfig
+	// label names the corpus in errors and logs.
+	label string
 	model *embed.Model
 	dicts map[string]map[string]bool
+	// cur is the published snapshot readers load without locking.
+	cur atomic.Pointer[Snapshot]
 
 	// compactMu serializes compactions (held across the whole rebuild);
-	// mu guards the fields below and is held only for short sections.
+	// mu guards the writer state below and is held only for short sections.
 	compactMu sync.Mutex
 	mu        sync.Mutex
 	base      Querier
 	delta     *index.Delta
-	cur       *Snapshot
 	seq       uint64
-	// compactShards is the target shard count compaction re-partitions
-	// into (defaults to the base's shard count at wrap time).
-	compactShards int
-	// shardParallel, when > 0, bounds the per-query shard fan-out applied
-	// to rebuilt sharded bases (mirrors Registry.SetShardParallelism).
-	shardParallel int
-	ingests       uint64
-	compactions   uint64
-
-	// name labels the corpus in errors and durability metadata.
-	name string
 	// tombs is the immutable set of tombstoned documents awaiting
 	// compaction (copy-on-write: sealed snapshots keep the set they saw).
 	tombs *tombSet
 	// names maps each live document name to its raw global indices
 	// (tombstoned documents are removed as they die).
-	names   map[string][]int
-	deletes uint64
+	names map[string][]int
+	// life holds the lifetime counters every seal stamps into its snapshot.
+	life   LifecycleStats
+	closed bool
+	// folding marks a background fold in flight, bg counts the folds Close
+	// waits for, and timer drives the interval trigger.
+	folding bool
+	bg      sync.WaitGroup
+	timer   *time.Timer
 
-	// Durable state — nil/zero for memory-only corpora (see durable.go).
-	wal           *wal.Log
-	dir           string
-	baseFiles     []string
-	storeGen      uint64
-	appliedSeq    uint64
-	replayedDocs  uint64
-	replayedTombs uint64
-	recovery      time.Duration
-	swaps         uint64
-	closed        bool
+	// baseFiles names each base shard's store file ("" for memory-only
+	// corpora, whose wal is nil; see durable.go).
+	wal       *wal.Log
+	baseFiles []string
 	// failpoint, when set by tests, runs at named durable-compaction stages;
 	// a non-nil return simulates a crash at that point.
 	failpoint func(stage string) error
 }
 
-// ErrClosed marks a mutation attempted after Close released the corpus's
-// durable resources.
-var ErrClosed = errors.New("koko: corpus is closed")
-
-// NewMutable wraps base (an Engine or ShardedEngine, typically fresh from
-// NewEngine/Open) as a mutable corpus with an empty delta. opts may be nil
-// and should match the options base was built with — sealed delta engines
-// are built from it.
-func NewMutable(base Querier, opts *Options) *Mutable {
-	if opts == nil {
-		opts = &Options{}
+// OpenMutable opens a corpus over seed. A memory-only corpus (cfg.Dir
+// empty) serves seed as its base: a plain Engine becomes a one-shard
+// ShardedEngine and nil an empty corpus; any other Querier is served as is
+// but cannot be compacted or have documents deleted from it. A durable
+// corpus persists seed as generation 1 when cfg.Dir holds no corpus yet,
+// and otherwise ignores it, loading the persisted shard set and replaying
+// the WAL so the snapshot matches the pre-restart state exactly.
+func OpenMutable(seed Querier, cfg MutableConfig) (*Mutable, error) {
+	t0 := time.Now()
+	if cfg.Opts == nil {
+		cfg.Opts = &Options{}
 	}
-	model, dicts := deriveModelDicts(opts)
+	base := shardedBase(seed, cfg.Opts)
+	files := make([]string, base.NumShards())
+	var gen, applied uint64
+	if cfg.Dir != "" {
+		var err error
+		if base, files, gen, applied, err = openDurableDir(cfg.Dir, base, cfg.Opts); err != nil {
+			return nil, err
+		}
+	}
 	m := &Mutable{
-		opts:          opts,
-		model:         model,
-		dicts:         dicts,
-		base:          base,
-		delta:         index.NewDelta(),
-		compactShards: base.NumShards(),
-		names:         namesOf(base),
+		cfg:       cfg,
+		label:     "corpus",
+		base:      base,
+		delta:     index.NewDelta(),
+		names:     make(map[string][]int, base.NumDocuments()),
+		baseFiles: files,
+	}
+	for i := 0; i < base.NumDocuments(); i++ {
+		n := base.DocumentName(i)
+		m.names[n] = append(m.names[n], i)
+	}
+	if cfg.Name != "" {
+		m.label = fmt.Sprintf("corpus %q", cfg.Name)
+	}
+	m.model, m.dicts = deriveModelDicts(cfg.Opts)
+	m.tune(base)
+	if cfg.Dir != "" {
+		if err := m.replay(applied); err != nil {
+			return nil, err
+		}
+		m.life.Durable, m.life.Generation, m.life.Recovery = true, gen, time.Since(t0)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.sealLocked()
-	m.mu.Unlock()
+	if cfg.CompactInterval > 0 {
+		m.timer = time.AfterFunc(cfg.CompactInterval, m.tick)
+	}
+	return m, nil
+}
+
+// NewMutable wraps base (an Engine or ShardedEngine, typically fresh from
+// NewEngine/Open) as a memory-only corpus with an empty delta; see
+// OpenMutable. opts may be nil.
+func NewMutable(base Querier, opts *Options) *Mutable {
+	m, _ := OpenMutable(base, MutableConfig{Opts: opts}) // memory-only opens cannot fail
 	return m
 }
 
-// namesOf indexes a base engine's live documents by name.
-func namesOf(base Querier) map[string][]int {
-	names := make(map[string][]int, base.NumDocuments())
-	for i := 0; i < base.NumDocuments(); i++ {
-		n := base.DocumentName(i)
-		names[n] = append(names[n], i)
+// shardedBase makes seed a compactable base where it can: nil becomes one
+// empty shard and a plain Engine one shard covering it.
+func shardedBase(seed Querier, opts *Options) Querier {
+	switch e := seed.(type) {
+	case nil:
+		return newSharded([]*Engine{NewEngine(&Corpus{c: &index.Corpus{}}, opts)}, []index.ShardSpec{{}})
+	case *Engine:
+		c := e.corpus.c
+		return newSharded([]*Engine{e}, []index.ShardSpec{{HiDoc: c.NumDocs(), NumSents: c.NumSentences(), Tokens: countTokens(c)}})
 	}
-	return names
+	return seed
 }
 
-// SetName labels the corpus for error messages and stats; the registry sets
-// it to the corpus's registered name.
-func (m *Mutable) SetName(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.name = name
-	m.sealLocked()
-}
-
-// Name returns the corpus label set with SetName.
-func (m *Mutable) Name() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.name
-}
-
-// SetCompactShards overrides how many doc-range shards a compaction
-// re-partitions the merged corpus into (the default is the base's shard
-// count when the Mutable was created). k <= 1 compacts to a single plain
-// engine.
-func (m *Mutable) SetCompactShards(k int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if k < 1 {
-		k = 1
-	}
-	m.compactShards = k
-}
-
-// SetShardParallelism bounds the per-query shard fan-out applied to every
-// sharded base a compaction rebuilds (n <= 0 leaves the engine default).
-// The current base is retuned immediately as well.
-func (m *Mutable) SetShardParallelism(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardParallel = n
-	if se, ok := m.base.(*ShardedEngine); ok && n > 0 {
-		se.SetParallelism(n)
+// tune applies the configured shard fan-out bound to a base.
+func (m *Mutable) tune(base Querier) {
+	if se, ok := base.(*ShardedEngine); ok && m.cfg.ShardParallel > 0 {
+		se.SetParallelism(m.cfg.ShardParallel)
 	}
 }
 
-// Snapshot returns the current immutable read view. The returned value
-// never changes under the caller; later ingests and compactions install new
-// snapshots without touching ones already handed out — this is what pins a
-// running job or streaming query to the corpus state it started on.
-func (m *Mutable) Snapshot() *Snapshot {
-	s, _ := m.Current()
-	return s
-}
+// Snapshot returns the current immutable read view without taking the
+// writer lock. The returned value never changes under the caller; later
+// ingests and compactions publish new snapshots without touching ones
+// already handed out — this is what pins a running job or streaming query
+// to the corpus state it started on.
+func (m *Mutable) Snapshot() *Snapshot { return m.cur.Load() }
 
-// Current returns the current snapshot and its seal sequence number. The
-// sequence increases with every installed snapshot, so callers mirroring
-// the snapshot elsewhere (the server registry) can discard stale installs.
-func (m *Mutable) Current() (*Snapshot, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur, m.seq
-}
-
-// DeltaDocs reports how many ingested documents await compaction.
-func (m *Mutable) DeltaDocs() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delta.NumDocs()
-}
-
-// Ingests reports the lifetime count of ingested documents.
-func (m *Mutable) Ingests() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ingests
-}
-
-// Compactions reports the lifetime count of completed compactions.
-func (m *Mutable) Compactions() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compactions
-}
-
-// Tombstones reports how many tombstoned documents await compaction.
-func (m *Mutable) Tombstones() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tombs.numDocs()
-}
-
-// Deletes reports the lifetime count of delete/update tombstone operations.
-func (m *Mutable) Deletes() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deletes
-}
-
-// AddDocument parses text with the NLP pipeline and appends it to the
-// delta, sealing a new snapshot in which the document is visible as the
-// corpus's last document. Concurrent queries on earlier snapshots are
-// untouched.
-func (m *Mutable) AddDocument(name, text string) (*Snapshot, error) {
-	doc := nlp.NewPipeline().Annotate(0, name, text, 0)
-	return m.AddParsedDocument(name, doc.Sentences)
-}
-
-// AddParsedDocument ingests an already-parsed document (the bridge corpus
-// generators and differential tests use, mirroring WrapCorpus). An empty
-// name defaults positionally to "doc<global index>", matching NewCorpus.
-// The sentence structs are copied before renumbering, so the caller's
-// slice is never mutated.
+// AddParsedDocument appends an already-parsed document to the delta (the
+// bridge corpus generators and differential tests use, mirroring
+// WrapCorpus), sealing a new snapshot in which it is the corpus's last
+// document; concurrent queries on earlier snapshots are untouched. An
+// empty name defaults positionally to "doc<global index>", matching
+// NewCorpus. The sentence structs are copied before renumbering, so the
+// caller's slice is never mutated.
 func (m *Mutable) AddParsedDocument(name string, sents []nlp.Sentence) (*Snapshot, error) {
-	if len(sents) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrEmptyDocument, name)
+	snap, _, err := m.write(name, sents, true, false)
+	return snap, err
+}
+
+// write is the one mutation path. Under the writer lock it tombstones the
+// live documents named name (kill) and ingests sents under name (add),
+// logging both as one WAL batch first when durable — write-ahead, so
+// anything a query sees is replayable after a crash, and an upsert replays
+// whole or not at all — then seals. Returns how many documents died.
+func (m *Mutable) write(name string, sents []nlp.Sentence, add, kill bool) (*Snapshot, int, error) {
+	if add && len(sents) == 0 {
+		return nil, 0, fmt.Errorf("%w: %q", ErrEmptyDocument, name)
 	}
-	own := make([]nlp.Sentence, len(sents))
-	copy(own, sents)
+	own := append([]nlp.Sentence(nil), sents...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
-	if name == "" {
+	if add && name == "" {
 		name = fmt.Sprintf("doc%d", m.base.NumDocuments()+m.delta.NumDocs())
 	}
-	// Write-ahead: a durable corpus logs the document before applying it, so
-	// anything visible to a query is replayable after a crash.
+	var recs []wal.Record
+	if kill = kill && len(m.names[name]) > 0; kill {
+		recs = append(recs, wal.Record{Kind: wal.KindTombstone, Name: name})
+	} else if !add {
+		return nil, 0, fmt.Errorf("%w: %q", ErrNoDocument, name)
+	}
+	if add {
+		recs = append(recs, wal.Record{Kind: wal.KindAdd, Name: name, Sents: own})
+	}
 	if m.wal != nil {
-		if _, err := m.wal.Append(wal.Record{Kind: wal.KindAdd, Name: name, Sents: own}); err != nil {
-			return nil, fmt.Errorf("koko: %s: wal append: %w", m.labelLocked(), err)
+		if _, err := m.wal.Append(recs...); err != nil {
+			return nil, 0, fmt.Errorf("koko: %s: wal append: %w", m.label, err)
 		}
 	}
-	m.addLocked(name, own)
-	m.ingests++
+	died := 0
+	if kill {
+		var err error
+		if died, err = m.tombstoneLocked(name); err != nil {
+			return nil, 0, err
+		}
+		m.life.Deletes++
+	}
+	if add {
+		m.addLocked(name, own)
+		m.life.Ingests++
+	}
 	m.sealLocked()
-	return m.cur, nil
+	return m.cur.Load(), died, nil
 }
 
 // addLocked appends an owned, parsed document to the delta and indexes its
@@ -290,29 +288,17 @@ func (m *Mutable) docSpanLocked(id int) (docSpan, error) {
 		first, n := m.delta.DocSpan(id - rawBase)
 		return docSpan{doc: id, firstSID: m.base.NumSentences() + first, nSents: n}, nil
 	}
-	switch e := m.base.(type) {
-	case *Engine:
-		d := e.corpus.c.Docs[id]
-		return docSpan{doc: id, firstSID: d.FirstSID, nSents: d.NumSents}, nil
-	case *ShardedEngine:
-		for si, sp := range e.specs {
-			if id >= sp.LoDoc && id < sp.HiDoc {
-				d := e.shards[si].corpus.c.Docs[id-sp.LoDoc]
-				return docSpan{doc: id, firstSID: sp.FirstSID + d.FirstSID, nSents: d.NumSents}, nil
-			}
-		}
-		return docSpan{}, fmt.Errorf("koko: document %d outside every shard range", id)
-	default:
+	e, ok := m.base.(*ShardedEngine)
+	if !ok {
 		return docSpan{}, fmt.Errorf("koko: cannot tombstone on a base engine of type %T", m.base)
 	}
-}
-
-// labelLocked names the corpus for error messages. Caller holds m.mu.
-func (m *Mutable) labelLocked() string {
-	if m.name == "" {
-		return "corpus"
+	for si, sp := range e.specs {
+		if id >= sp.LoDoc && id < sp.HiDoc {
+			d := e.shards[si].corpus.c.Docs[id-sp.LoDoc]
+			return docSpan{doc: id, firstSID: sp.FirstSID + d.FirstSID, nSents: d.NumSents}, nil
+		}
 	}
-	return fmt.Sprintf("corpus %q", m.name)
+	return docSpan{}, fmt.Errorf("koko: document %d outside every shard range", id)
 }
 
 // DeleteDocument tombstones every live document named name. The documents
@@ -321,34 +307,14 @@ func (m *Mutable) labelLocked() string {
 // them away. Returns how many documents died; ErrNoDocument if none were
 // live.
 func (m *Mutable) DeleteDocument(name string) (*Snapshot, int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, 0, ErrClosed
-	}
-	if len(m.names[name]) == 0 {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoDocument, name)
-	}
-	if m.wal != nil {
-		if _, err := m.wal.Append(wal.Record{Kind: wal.KindTombstone, Name: name}); err != nil {
-			return nil, 0, fmt.Errorf("koko: %s: wal append: %w", m.labelLocked(), err)
-		}
-	}
-	n, err := m.tombstoneLocked(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	m.deletes++
-	m.sealLocked()
-	return m.cur, n, nil
+	return m.write(name, nil, false, true)
 }
 
 // PutDocument parses text and upserts it under name: any live documents
 // with that name are tombstoned and the new content ingested in their
-// place, atomically (a durable corpus writes tombstone and add as one WAL
-// batch, so a crash replays both or neither). With no existing document
-// this is a plain add; an empty name always adds positionally. Reports
-// whether an existing document was replaced.
+// place, atomically. With no existing document this is a plain add; an
+// empty name always adds positionally. Reports whether an existing
+// document was replaced.
 func (m *Mutable) PutDocument(name, text string) (*Snapshot, bool, error) {
 	doc := nlp.NewPipeline().Annotate(0, name, text, 0)
 	return m.PutParsedDocument(name, doc.Sentences)
@@ -356,134 +322,224 @@ func (m *Mutable) PutDocument(name, text string) (*Snapshot, bool, error) {
 
 // PutParsedDocument upserts an already-parsed document (see PutDocument).
 func (m *Mutable) PutParsedDocument(name string, sents []nlp.Sentence) (*Snapshot, bool, error) {
-	if name == "" {
-		snap, err := m.AddParsedDocument(name, sents)
-		return snap, false, err
-	}
-	if len(sents) == 0 {
-		return nil, false, fmt.Errorf("%w: %q", ErrEmptyDocument, name)
-	}
-	own := make([]nlp.Sentence, len(sents))
-	copy(own, sents)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, false, ErrClosed
-	}
-	replacing := len(m.names[name]) > 0
-	if m.wal != nil {
-		recs := make([]wal.Record, 0, 2)
-		if replacing {
-			recs = append(recs, wal.Record{Kind: wal.KindTombstone, Name: name})
-		}
-		recs = append(recs, wal.Record{Kind: wal.KindAdd, Name: name, Sents: own})
-		if _, err := m.wal.Append(recs...); err != nil {
-			return nil, false, fmt.Errorf("koko: %s: wal append: %w", m.labelLocked(), err)
-		}
-	}
-	if replacing {
-		if _, err := m.tombstoneLocked(name); err != nil {
-			return nil, false, err
-		}
-		m.deletes++
-	}
-	m.addLocked(name, own)
-	m.ingests++
-	m.sealLocked()
-	return m.cur, replacing, nil
+	snap, died, err := m.write(name, sents, true, name != "")
+	return snap, died > 0, err
 }
 
-// sealLocked installs a fresh snapshot of (base, sealed delta). Caller
-// holds m.mu.
+// sealLocked publishes a fresh snapshot of (base, sealed delta, tombstones)
+// at the next sequence number, then starts a background fold if a size
+// trigger has fired. Caller holds m.mu.
 func (m *Mutable) sealLocked() {
 	m.seq++
 	snap := &Snapshot{
 		base:       m.base,
 		tombs:      m.tombs,
-		name:       m.name,
+		label:      m.label,
 		baseShards: m.base.NumShards(),
 		baseDocs:   m.base.NumDocuments(),
 		baseSents:  m.base.NumSentences(),
 		seq:        m.seq,
+		life:       m.lifeLocked(),
 	}
 	if m.delta.NumDocs() > 0 {
 		c, ix := m.delta.Seal()
-		snap.delta = assembleEngine(&Corpus{c: c}, ix, m.model, m.dicts, m.opts)
+		snap.delta = assembleEngine(&Corpus{c: c}, ix, m.model, m.dicts, m.cfg.Opts)
 	}
-	m.cur = snap
+	m.cur.Store(snap)
+	if (m.cfg.MaxDeltaDocs > 0 && m.delta.NumDocs() >= m.cfg.MaxDeltaDocs) ||
+		(m.cfg.WALMaxBytes > 0 && snap.life.WALBytes >= m.cfg.WALMaxBytes) {
+		m.foldLocked()
+	}
 }
 
-// CompactionStats reports what one compaction did.
+// restampLocked republishes the current snapshot with fresh lifetime
+// counters: same data, same sequence number. Caller holds m.mu.
+func (m *Mutable) restampLocked() {
+	snap := *m.cur.Load()
+	snap.life = m.lifeLocked()
+	m.cur.Store(&snap)
+}
+
+// lifeLocked reads the lifetime counters, WAL size included. Caller holds
+// m.mu.
+func (m *Mutable) lifeLocked() LifecycleStats {
+	ls := m.life
+	if m.wal != nil {
+		ls.WALAppends = m.wal.Appends()
+		ls.WALBytes = m.wal.Size()
+	}
+	return ls
+}
+
+// foldLocked starts a background compaction unless one is in flight or the
+// corpus is closed. Caller holds m.mu.
+func (m *Mutable) foldLocked() {
+	if m.folding || m.closed {
+		return
+	}
+	m.folding = true
+	m.bg.Add(1)
+	go func() {
+		defer m.bg.Done()
+		_, err := m.Compact()
+		if errors.Is(err, ErrClosed) {
+			err = nil // Close won the race; nothing failed
+		}
+		if err != nil {
+			// No caller sees a background failure, so log and count it: a
+			// failing fold must not let the delta grow in silence.
+			log.Printf("koko: %s: background compaction: %v", m.label, err)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.folding = false
+		if err != nil {
+			m.life.CompactionErrors++
+			m.restampLocked()
+		}
+	}()
+}
+
+// tick is the interval trigger: fold whatever is pending, then re-arm
+// until Close.
+func (m *Mutable) tick() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
+	if m.delta.NumDocs() > 0 || m.tombs.numDocs() > 0 {
+		m.foldLocked()
+	}
+	m.timer.Reset(m.cfg.CompactInterval)
+}
+
+// CompactionStats reports what one compaction did: the delta documents
+// and sentences folded into the base (0 = the delta was empty), the
+// tombstoned documents removed for good, and the rebuild wall time.
 type CompactionStats struct {
-	// Docs / Sentences are how many delta documents were folded into the
-	// base (0 means the delta was empty and nothing changed).
-	Docs      int
-	Sentences int
-	// Tombstones is how many tombstoned documents the compaction removed
-	// for good.
-	Tombstones int
-	// Shards is the rebuilt base's shard count.
-	Shards int
-	// Elapsed is the rebuild wall time.
-	Elapsed time.Duration
+	Docs, Sentences, Tombstones int
+	Elapsed                     time.Duration
 }
 
-// Compact folds the current sealed delta into the base: the base corpus and
-// the delta's documents are merged in ingestion order and re-partitioned
-// into the target shard count, exactly as a from-scratch build over the
-// same documents would be. Queries keep evaluating on their snapshots
-// throughout; documents ingested while the rebuild runs stay in the delta
-// and become the new delta afterwards. Compactions serialize; a concurrent
-// Compact blocks and then likely no-ops on an empty delta.
+// Compact folds the sealed delta and every live tombstone into the base,
+// incrementally: a base shard with no tombstone in its doc range keeps its
+// engine (and, durable, its file), a shard with deleted documents is rebuilt
+// without them, and the delta's survivors become one appended shard. A
+// durable corpus persists the new shards, swaps its manifest, and only then
+// truncates the WAL — crash-safe at every step (see durable.go). Queries
+// keep evaluating on their snapshots throughout; documents ingested while
+// the rebuild runs stay in the delta. Compactions serialize: an explicit
+// Compact waits for a background fold in flight.
 func (m *Mutable) Compact() (CompactionStats, error) {
 	m.compactMu.Lock()
 	defer m.compactMu.Unlock()
-	m.mu.Lock()
-	closed, durable := m.closed, m.wal != nil
-	m.mu.Unlock()
-	if closed {
-		return CompactionStats{}, ErrClosed
-	}
-	if durable {
-		return m.compactDurable()
-	}
 	t0 := time.Now()
 
-	// Cut: everything in the delta right now gets folded in, and every
-	// tombstone taken so far folds away. Copying the cut is O(delta), tiny
-	// next to the rebuild, and the only part that needs the writer lock —
-	// ingestion resumes while the shards rebuild.
+	// Cut under the writer lock: the delta prefix, the tombstones to fold,
+	// and the WAL horizon. Appends happen under the same lock, so every
+	// record with Seq <= cutSeq is exactly the state being folded. Copying
+	// the cut is O(delta); ingestion resumes while the shards rebuild.
 	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return CompactionStats{}, ErrClosed
+	}
 	n := m.delta.NumDocs()
 	cutTombs := m.tombs
 	if n == 0 && cutTombs.numDocs() == 0 {
 		m.mu.Unlock()
 		return CompactionStats{}, nil
 	}
-	base := m.base
+	base, ok := m.base.(*ShardedEngine)
+	if !ok {
+		m.mu.Unlock()
+		return CompactionStats{}, fmt.Errorf("koko: cannot compact a base engine of type %T", m.base)
+	}
 	rawBase := base.NumDocuments()
-	k := m.compactShards
-	sp := m.shardParallel
 	cut := &index.Corpus{}
 	m.delta.AppendTo(cut, 0, n)
+	durable, dir := m.wal != nil, m.cfg.Dir
+	var cutSeq uint64
+	if durable {
+		cutSeq = m.wal.LastSeq()
+	}
+	gen := m.life.Generation + 1
+	oldFiles := m.baseFiles
 	m.mu.Unlock()
 
-	combined := &index.Corpus{}
-	if err := appendLiveDocs(combined, base, cutTombs); err != nil {
-		return CompactionStats{}, err
+	var (
+		engines  []*Engine
+		specs    []index.ShardSpec
+		files    []string
+		obsolete []string // old files superseded by this generation
+	)
+	docOff, sidOff := 0, 0
+	keep := func(eng *Engine, tokens int, file string) {
+		nd, ns := eng.NumDocuments(), eng.NumSentences()
+		engines, files = append(engines, eng), append(files, file)
+		specs = append(specs, index.ShardSpec{LoDoc: docOff, HiDoc: docOff + nd, FirstSID: sidOff, NumSents: ns, Tokens: tokens})
+		docOff += nd
+		sidOff += ns
 	}
-	appendLiveRange(combined, cut, 0, cut.NumDocs(), cutTombs, rawBase)
-	var newBase Querier
-	if k > 1 {
-		se := NewShardedEngine(&Corpus{c: combined}, k, m.opts)
-		if sp > 0 {
-			se.SetParallelism(sp)
+	build := func(c *index.Corpus, slot int) error {
+		eng, file := NewEngine(&Corpus{c: c}, m.cfg.Opts), ""
+		if durable {
+			file = shardGenFile(gen, slot)
+			if err := saveStoreDurable(eng, filepath.Join(dir, file)); err != nil {
+				return err
+			}
+			if err := m.fail("mid-shard-write"); err != nil {
+				return err
+			}
 		}
-		newBase = se
-	} else {
-		newBase = NewEngine(&Corpus{c: combined}, m.opts)
+		keep(eng, countTokens(c), file)
+		return nil
+	}
+	for si, spec := range base.specs {
+		if cutTombs.docsBefore(spec.HiDoc) == cutTombs.docsBefore(spec.LoDoc) {
+			keep(base.shards[si], spec.Tokens, oldFiles[si])
+			continue
+		}
+		obsolete = append(obsolete, oldFiles[si])
+		src := base.shards[si].corpus.c
+		c := &index.Corpus{}
+		appendLiveRange(c, src, 0, src.NumDocs(), cutTombs, spec.LoDoc)
+		if c.NumDocs() == 0 {
+			continue // every document died; the shard vanishes
+		}
+		if err := build(c, si); err != nil {
+			return CompactionStats{}, err
+		}
+	}
+	dc := &index.Corpus{}
+	appendLiveRange(dc, cut, 0, cut.NumDocs(), cutTombs, rawBase)
+	if dc.NumDocs() > 0 {
+		if err := build(dc, len(base.specs)); err != nil {
+			return CompactionStats{}, err
+		}
+	}
+	if len(engines) == 0 {
+		// Everything was deleted; a base (and a manifest) holds at least one
+		// shard, so keep a single empty one.
+		if err := build(&index.Corpus{}, 0); err != nil {
+			return CompactionStats{}, err
+		}
+	}
+	if durable { // the commit point: swap in the new generation's manifest
+		if err := m.fail("pre-manifest-swap"); err != nil {
+			return CompactionStats{}, err
+		}
+		if err := writeDurableManifest(dir, files, specs, gen, cutSeq); err != nil {
+			return CompactionStats{}, err
+		}
+		if err := m.fail("post-manifest-swap"); err != nil {
+			return CompactionStats{}, err
+		}
 	}
 
+	newBase := newSharded(engines, specs)
+	m.tune(newBase)
 	m.mu.Lock()
 	m.base = newBase
 	m.delta = m.delta.Rebase(n)
@@ -491,34 +547,41 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 	// raw coordinates just shift down by the documents folded away.
 	m.tombs = renumberTombs(m.tombs, cutTombs)
 	renumberNames(m.names, cutTombs)
-	m.compactions++
+	m.baseFiles = files
+	m.life.Compactions++
+	if durable {
+		m.life.Generation = gen
+		m.life.Swaps++
+	}
 	m.sealLocked()
 	m.mu.Unlock()
-	return CompactionStats{
+	stats := CompactionStats{
 		Docs:       n,
 		Sentences:  cut.NumSentences(),
 		Tombstones: cutTombs.numDocs(),
-		Shards:     newBase.NumShards(),
 		Elapsed:    time.Since(t0),
-	}, nil
-}
-
-// appendLiveDocs flattens an immutable base engine's corpus onto dst in
-// global document order, skipping tombstoned documents. Only the engine
-// shapes the registry installs are supported; anything else cannot be
-// compacted.
-func appendLiveDocs(dst *index.Corpus, q Querier, tombs *tombSet) error {
-	switch e := q.(type) {
-	case *Engine:
-		appendLiveRange(dst, e.corpus.c, 0, e.corpus.c.NumDocs(), tombs, 0)
-	case *ShardedEngine:
-		for si, s := range e.shards {
-			appendLiveRange(dst, s.corpus.c, 0, s.corpus.c.NumDocs(), tombs, e.specs[si].LoDoc)
-		}
-	default:
-		return fmt.Errorf("koko: cannot compact a base engine of type %T", q)
 	}
-	return nil
+	if !durable {
+		return stats, nil
+	}
+
+	if err := m.fail("pre-wal-truncate"); err != nil {
+		return stats, err
+	}
+	// Both cleanups are safe to lose to a crash: replay filters the stale
+	// WAL prefix by wal_applied, and the next open sweeps unreferenced
+	// generation files.
+	err := m.wal.TruncatePrefix(cutSeq)
+	m.mu.Lock()
+	m.restampLocked() // publish the shrunken WAL size
+	m.mu.Unlock()
+	if err != nil {
+		return stats, fmt.Errorf("koko: truncate wal after compaction: %w", err)
+	}
+	for _, f := range obsolete {
+		os.Remove(filepath.Join(dir, f))
+	}
+	return stats, nil
 }
 
 // appendLiveRange copies src documents [lo, hi) onto dst in maximal
@@ -549,6 +612,47 @@ func renumberNames(names map[string][]int, cut *tombSet) {
 	}
 }
 
+// Close stops the compaction timer, waits for any fold in flight, and
+// releases a durable corpus's WAL. Mutations and compactions after Close
+// fail with ErrClosed; snapshots already handed out keep working.
+func (m *Mutable) Close() error {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil
+	}
+	m.closed = true
+	if m.timer != nil {
+		m.timer.Stop()
+	}
+	m.mu.Unlock()
+	m.bg.Wait()
+	// An explicit compaction in flight uses the WAL outside mu (the
+	// post-swap prefix truncation), so wait for it before closing the log.
+	m.compactMu.Lock()
+	defer m.compactMu.Unlock()
+	if m.wal == nil {
+		return nil
+	}
+	return m.wal.Close()
+}
+
+// LifecycleStats is a corpus's lifetime counters as of one snapshot:
+// documents ingested, delete/update tombstone operations, completed folds
+// (tombstone-only ones too), and failed background folds. Durable corpora
+// add the persisted shard set's generation, the manifest swaps, WAL
+// appends and size, and what the last open replayed and how long it took.
+type LifecycleStats struct {
+	Ingests, Deletes, Compactions, CompactionErrors uint64
+
+	Durable                     bool
+	Generation, Swaps           uint64
+	WALAppends                  uint64
+	WALBytes                    int64
+	ReplayedDocs, ReplayedTombs uint64
+	Recovery                    time.Duration
+}
+
 // Snapshot is an immutable read view of a mutable corpus: the base engine
 // (one or more doc-range shards) plus, when documents await compaction, a
 // sealed delta engine served as one extra shard after the base's. It
@@ -562,16 +666,21 @@ type Snapshot struct {
 	// tombs masks deleted documents out of every read until a compaction
 	// folds them away (nil when none are live).
 	tombs *tombSet
-	name  string
+	label string
 	seq   uint64
+	life  LifecycleStats
 
 	baseShards, baseDocs, baseSents int
 }
 
 var _ Querier = (*Snapshot)(nil)
 
-// Seq returns the snapshot's seal sequence (monotonic per Mutable).
+// Seq returns the snapshot's seal sequence (monotonic per Mutable, starting
+// at 1).
 func (s *Snapshot) Seq() uint64 { return s.seq }
+
+// Lifecycle returns the corpus's lifetime counters as of this snapshot.
+func (s *Snapshot) Lifecycle() LifecycleStats { return s.life }
 
 // Base returns the underlying immutable base engine (for stats and tests).
 func (s *Snapshot) Base() Querier { return s.base }
@@ -623,14 +732,13 @@ func (s *Snapshot) DocumentName(i int) string {
 }
 
 // Fanout reports how many shard evaluations one query effectively runs
-// concurrently: the base's fan-out. The delta does evaluate alongside the
-// base, but it is bounded by the compaction threshold and tiny next to the
-// base shards, so it is not charged a fan-out slot — charging it one would
-// halve a single-shard corpus's intra-shard worker budget for as long as
-// any ingested document awaits compaction.
+// concurrently: the base's fan-out, capped by its shard count. The delta is
+// not charged a slot — it is tiny next to the base, and charging it would
+// halve a single-shard corpus's worker budget whenever documents await
+// compaction.
 func (s *Snapshot) Fanout() int {
 	if se, ok := s.base.(*ShardedEngine); ok {
-		return se.Parallelism()
+		return min(se.Parallelism(), s.baseShards)
 	}
 	return 1
 }
@@ -760,23 +868,7 @@ func (s *Snapshot) ShardStats() []ShardStat {
 // first, then save; after an explicit Compact, Save always succeeds.
 func (s *Snapshot) Save(path string) error {
 	if s.delta != nil || s.tombs.numDocs() > 0 {
-		label := "snapshot"
-		if s.name != "" {
-			label = fmt.Sprintf("corpus %q", s.name)
-		}
-		return fmt.Errorf("koko: %s has %d uncompacted delta documents and %d live tombstones; compact before saving", label, s.DeltaDocs(), s.tombs.numDocs())
+		return fmt.Errorf("koko: %s has %d uncompacted delta documents and %d live tombstones; compact before saving", s.label, s.DeltaDocs(), s.tombs.numDocs())
 	}
 	return s.base.Save(path)
-}
-
-// Save persists the Mutable's current snapshot (see Snapshot.Save): it
-// fails while delta documents or tombstones await compaction, and succeeds
-// right after an explicit Compact.
-func (m *Mutable) Save(path string) error { return m.Snapshot().Save(path) }
-
-// Run evaluates an already-parsed query against the current snapshot (see
-// Snapshot.Run). The stream stays pinned to that snapshot however many
-// ingests, deletes, or compactions happen while it drains.
-func (m *Mutable) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
-	return m.Snapshot().Run(ctx, p, qo)
 }

@@ -78,7 +78,9 @@ func TestMutableIngestDifferential(t *testing.T) {
 					}
 				}
 
-				// Compact: the delta folds into re-partitioned base shards.
+				// Compact: the untouched base shards stay, and the delta
+				// becomes one appended shard.
+				baseShards := snap.Base().NumShards()
 				st, err := mut.Compact()
 				if err != nil {
 					t.Fatalf("k=%d compact: %v", k, err)
@@ -90,8 +92,8 @@ func TestMutableIngestDifferential(t *testing.T) {
 				if snap.DeltaDocs() != 0 {
 					t.Fatalf("k=%d delta not empty after compact: %d", k, snap.DeltaDocs())
 				}
-				if k <= snap.NumDocuments() && snap.NumShards() != k {
-					t.Fatalf("k=%d compacted into %d shards", k, snap.NumShards())
+				if snap.NumShards() != baseShards+1 {
+					t.Fatalf("k=%d compacted %d base shards into %d, want %d", k, baseShards, snap.NumShards(), baseShards+1)
 				}
 				for qi, src := range tc.queries {
 					qo := &QueryOptions{Workers: 2, Explain: true}
@@ -277,10 +279,10 @@ func TestMutableDocumentNames(t *testing.T) {
 // sentinel, and an unnamed document gets the positional default.
 func TestMutableEmptyDocument(t *testing.T) {
 	mut := NewMutable(NewEngine(NewCorpus(nil, []string{"Cafe Vita serves espresso."}), nil), nil)
-	if _, err := mut.AddDocument("empty.txt", ""); !errors.Is(err, ErrEmptyDocument) {
+	if _, _, err := mut.PutDocument("empty.txt", ""); !errors.Is(err, ErrEmptyDocument) {
 		t.Fatalf("err = %v, want ErrEmptyDocument", err)
 	}
-	snap, err := mut.AddDocument("", "Cafe Umbria opened a second location.")
+	snap, _, err := mut.PutDocument("", "Cafe Umbria opened a second location.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestMutableEmptyDocument(t *testing.T) {
 // persist; after compaction it saves and round-trips.
 func TestMutableSnapshotSave(t *testing.T) {
 	mut := NewMutable(NewEngine(NewCorpus(nil, []string{"Cafe Vita serves espresso daily."}), nil), nil)
-	if _, err := mut.AddDocument("new.txt", "Cafe Umbria opened a second location."); err != nil {
+	if _, _, err := mut.PutDocument("new.txt", "Cafe Umbria opened a second location."); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "mut.koko")

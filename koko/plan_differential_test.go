@@ -87,8 +87,10 @@ func TestPlanDifferential(t *testing.T) {
 // written-order baseline must still match byte for byte.
 func TestPlanDifferentialMutable(t *testing.T) {
 	base := WrapCorpus(corpus.GenHappyDB(200, 3))
-	m := NewMutable(NewEngine(base, nil), nil)
-	m.SetName("moments")
+	m, err := OpenMutable(NewEngine(base, nil), MutableConfig{Name: "moments"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	extra := []string{
 		"I ate a delicious cheesecake today and felt great about it.",
 		"We watched the game today and my team won the whole thing.",
@@ -108,7 +110,7 @@ func TestPlanDifferentialMutable(t *testing.T) {
 	}
 	// Mid-ingest: two docs in the delta, two still to come.
 	for i, text := range extra[:2] {
-		if _, err := m.AddDocument(fmt.Sprintf("extra-%d", i), text); err != nil {
+		if _, _, err := m.PutDocument(fmt.Sprintf("extra-%d", i), text); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +120,7 @@ func TestPlanDifferentialMutable(t *testing.T) {
 	}
 	check("mid-ingest", snap)
 	for i, text := range extra[2:] {
-		if _, err := m.AddDocument(fmt.Sprintf("late-%d", i), text); err != nil {
+		if _, _, err := m.PutDocument(fmt.Sprintf("late-%d", i), text); err != nil {
 			t.Fatal(err)
 		}
 	}
