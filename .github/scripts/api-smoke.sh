@@ -225,6 +225,20 @@ fi
 METRICS=$(curl -sf "$CO_BASE/metrics")
 echo "$METRICS" | grep -q '"remote_attempts":[1-9]'
 echo "$METRICS" | grep -q '"remote_retries":[1-9]'
-kill "$W1_PID" "$CO_PID" 2>/dev/null || true
+
+# Kill the last worker: every shard is now unavailable, and the buffered
+# and streamed modes must classify it alike (502 shard_unavailable).
+kill "$W1_PID"
+wait "$W1_PID" 2>/dev/null || true
+for MODE in "" "?stream=1"; do
+  OUT=$(curl -s -w '\n%{http_code}' "$CO_BASE/query$MODE" -d "{\"corpus\":\"demo-cafes\",\"query\":\"$QUERY_TEXT\",\"no_cache\":true}")
+  STATUS=${OUT##*$'\n'}
+  BODY=${OUT%$'\n'*}
+  if [ "$STATUS" != 502 ] || ! echo "$BODY" | grep -q '"code":"shard_unavailable"'; then
+    echo "query$MODE with every worker down answered $STATUS, want 502 shard_unavailable: $BODY" >&2
+    exit 1
+  fi
+done
+kill "$CO_PID" 2>/dev/null || true
 
 echo "api smoke OK"

@@ -75,7 +75,7 @@ func (r *Runner) Run(rules []Rule) ([]Match, int) {
 					key := rule.Name + "|" + tupleKey(t)
 					if !seen[key] {
 						seen[key] = true
-						out = append(out, Match{Rule: rule.Name, Sid: t.Sid, Values: t.Values})
+						out = append(out, Match{Rule: rule.Name, Sid: t.SentenceID, Values: t.Values})
 						grew = true
 					}
 				}

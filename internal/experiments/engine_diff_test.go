@@ -25,9 +25,9 @@ func requireSameTuples(t *testing.T, label string, a, b *engine.Result) {
 	}
 	for i := range a.Tuples {
 		ta, tb := &a.Tuples[i], &b.Tuples[i]
-		if ta.Sid != tb.Sid || ta.Doc != tb.Doc {
+		if ta.SentenceID != tb.SentenceID || ta.Document != tb.Document {
 			t.Fatalf("%s: tuple %d at sid=%d/doc=%d vs sid=%d/doc=%d",
-				label, i, ta.Sid, ta.Doc, tb.Sid, tb.Doc)
+				label, i, ta.SentenceID, ta.Document, tb.SentenceID, tb.Document)
 		}
 		if !reflect.DeepEqual(ta.Values, tb.Values) {
 			t.Fatalf("%s: tuple %d values %q vs %q", label, i, ta.Values, tb.Values)

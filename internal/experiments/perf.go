@@ -163,7 +163,7 @@ func RunScaleBreakdown(sizes []int, seed int64) []BreakdownPoint {
 			}
 			docs := map[int]bool{}
 			for _, t := range res.Tuples {
-				docs[t.Doc] = true
+				docs[t.Document] = true
 			}
 			out = append(out, BreakdownPoint{
 				Query: name, Articles: n, Times: res.Times, Tuples: len(res.Tuples),

@@ -188,7 +188,7 @@ func (ag *aggregator) confidence(c *normCond, v *spanValue) float64 {
 // CondEvidence is one row of an extraction explanation: a condition with
 // its confidence, weight, and contribution to the clause score.
 type CondEvidence struct {
-	Var          string
+	Variable     string
 	Condition    string
 	Weight       float64
 	Confidence   float64
@@ -203,7 +203,7 @@ func (ag *aggregator) explainClause(sc *normClause, v *spanValue) []CondEvidence
 		c := &sc.conds[i]
 		conf := ag.confidence(c, v)
 		out = append(out, CondEvidence{
-			Var:          sc.name,
+			Variable:     sc.name,
 			Condition:    c.Display(),
 			Weight:       c.Weight,
 			Confidence:   conf,

@@ -75,7 +75,7 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 					return
 				}
 				for i := range res.Tuples {
-					if res.Tuples[i].Sid != want[qi].Tuples[i].Sid ||
+					if res.Tuples[i].SentenceID != want[qi].Tuples[i].SentenceID ||
 						!reflect.DeepEqual(res.Tuples[i].Values, want[qi].Tuples[i].Values) {
 						errs <- fmt.Errorf("goroutine %d query %d tuple %d differs: %v vs %v",
 							g, qi, i, res.Tuples[i], want[qi].Tuples[i])

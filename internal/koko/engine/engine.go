@@ -66,10 +66,15 @@ func New(corpus *index.Corpus, ix *index.Index, model *embed.Model, opts Options
 	}
 }
 
-// Tuple is one output row.
+// Tuple is one output row. It is the only tuple type: the koko package
+// re-exports it, so a tuple reaches the server's JSON encoder without being
+// copied into another type.
 type Tuple struct {
-	Sid    int
-	Doc    int
+	// SentenceID is the corpus-global id of the sentence the extraction
+	// came from; Document is the document index.
+	SentenceID int
+	Document   int
+	// Values holds the output columns in declaration order.
 	Values []string
 	// Scores holds the satisfying-clause score per satisfying variable.
 	Scores map[string]float64
@@ -99,17 +104,17 @@ func (p PhaseTimes) Total() time.Duration {
 // its kind, the DPLI binding estimate the planner ordered by, and the
 // actual candidate bindings enumerated during evaluation.
 type PlanStep struct {
-	Var       string
-	Kind      string
-	Estimated int64
-	Actual    int64
+	Var       string `json:"var"`
+	Kind      string `json:"kind"`
+	Estimated int64  `json:"estimated"`
+	Actual    int64  `json:"actual"`
 }
 
 // PlanInfo surfaces the query plan: the chosen condition order and whether
 // it differs from the written order.
 type PlanInfo struct {
-	Steps     []PlanStep
-	Reordered bool
+	Steps     []PlanStep `json:"steps"`
+	Reordered bool       `json:"reordered"`
 }
 
 // Result is the outcome of a query run.
@@ -382,7 +387,7 @@ func (w *docWorker) finishTuple(s *nlp.Sentence, doc int, a assignment) (Tuple, 
 			return Tuple{}, false
 		}
 	}
-	t := Tuple{Sid: s.ID, Doc: doc, Values: make([]string, len(nq.outputs))}
+	t := Tuple{SentenceID: s.ID, Document: doc, Values: make([]string, len(nq.outputs))}
 	for i, slot := range nq.outSlots {
 		t.Values[i] = w.vals[slot].text()
 	}
@@ -435,9 +440,9 @@ func (e *Engine) MatchingSentences(q *lang.Query) ([]int32, error) {
 	seen := map[int]bool{}
 	var out []int32
 	for _, t := range res.Tuples {
-		if !seen[t.Sid] {
-			seen[t.Sid] = true
-			out = append(out, int32(t.Sid))
+		if !seen[t.SentenceID] {
+			seen[t.SentenceID] = true
+			out = append(out, int32(t.SentenceID))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -446,5 +451,5 @@ func (e *Engine) MatchingSentences(q *lang.Query) ([]int32, error) {
 
 // String renders a tuple compactly for examples and debugging.
 func (t Tuple) String() string {
-	return fmt.Sprintf("sid=%d %v", t.Sid, t.Values)
+	return fmt.Sprintf("sid=%d %v", t.SentenceID, t.Values)
 }

@@ -21,7 +21,7 @@ func engineOver(texts []string, opts Options) *Engine {
 func tupleSet(res *Result) map[string]bool {
 	out := map[string]bool{}
 	for _, t := range res.Tuples {
-		out[fmt.Sprintf("%d|%v", t.Sid, t.Values)] = true
+		out[fmt.Sprintf("%d|%v", t.SentenceID, t.Values)] = true
 	}
 	return out
 }
@@ -84,7 +84,7 @@ func TestExample22EndToEnd(t *testing.T) {
 	}
 	vals := map[string]float64{}
 	for _, tp := range r1.Tuples {
-		if tp.Sid != 1 {
+		if tp.SentenceID != 1 {
 			t.Errorf("Q1 matched S1: %v", tp)
 		}
 		vals[tp.Values[0]] = tp.Scores["a"]
@@ -105,7 +105,7 @@ func TestExample22EndToEnd(t *testing.T) {
 	}
 	vals2 := map[string]float64{}
 	for _, tp := range r2.Tuples {
-		if tp.Sid != 0 {
+		if tp.SentenceID != 0 {
 			t.Errorf("Q2 matched S2: %v", tp)
 		}
 		vals2[tp.Values[0]] = tp.Scores["a"]

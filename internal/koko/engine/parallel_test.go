@@ -46,7 +46,7 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 	for i := range r1.Tuples {
 		if !reflect.DeepEqual(r1.Tuples[i].Values, r2.Tuples[i].Values) ||
-			r1.Tuples[i].Sid != r2.Tuples[i].Sid {
+			r1.Tuples[i].SentenceID != r2.Tuples[i].SentenceID {
 			t.Fatalf("tuple %d differs: %v vs %v", i, r1.Tuples[i], r2.Tuples[i])
 		}
 	}
@@ -89,7 +89,7 @@ func TestExplainEvidence(t *testing.T) {
 			if ev.Contribution != ev.Weight*ev.Confidence {
 				t.Errorf("contribution %v != weight %v * confidence %v", ev.Contribution, ev.Weight, ev.Confidence)
 			}
-			if ev.Condition == "" || ev.Var != "x" {
+			if ev.Condition == "" || ev.Variable != "x" {
 				t.Errorf("bad evidence row: %+v", ev)
 			}
 		}

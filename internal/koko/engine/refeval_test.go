@@ -662,7 +662,7 @@ func refFinishTuple(nq *normQuery, s *nlp.Sentence, doc int, a refAssignment, ag
 		}
 		return s.Text(b.sp.l, b.sp.r)
 	}
-	t := Tuple{Sid: s.ID, Doc: doc, Values: make([]string, len(nq.outputs))}
+	t := Tuple{SentenceID: s.ID, Document: doc, Values: make([]string, len(nq.outputs))}
 	for i, o := range nq.outputs {
 		t.Values[i] = value(o.Name)
 	}
@@ -684,7 +684,7 @@ func refFinishTuple(nq *normQuery, s *nlp.Sentence, doc int, a refAssignment, ag
 					c := &sc.conds[j]
 					conf := ag.confidence(c, val)
 					t.Evidence = append(t.Evidence, CondEvidence{
-						Var: sc.name, Condition: c.Display(), Weight: c.Weight,
+						Variable: sc.name, Condition: c.Display(), Weight: c.Weight,
 						Confidence: conf, Contribution: c.Weight * conf,
 					})
 				}

@@ -24,7 +24,9 @@
 //     LRU result cache (keyed corpus × generation × canonical text, so any
 //     mutation invalidates implicitly; admission is bounded by size and by
 //     a cost floor), and runs cache misses through a bounded worker pool
-//     over the snapshot's concurrency-safe Run. Ingest, document delete,
+//     over the snapshot's concurrency-safe Run. Buffered and NDJSON
+//     answers share that one path and differ only in how they drain the
+//     tuple stream, so they classify errors alike. Ingest, document delete,
 //     and compact call the corpus directly; the service does not drive
 //     compaction — each corpus starts its own background folds from the
 //     triggers in its config.

@@ -8,8 +8,8 @@ import (
 )
 
 // The /v1/jobs endpoints: submit a query batch, poll status, fetch the
-// merged prefix of completed results (before the job finishes, if desired),
-// and cancel. Job results render tuples through the same conversion as
+// prefix of the results streamed so far (before the job finishes, if
+// desired), and cancel. Job results render tuples through the same conversion as
 // interactive queries, so a finished job's results are byte-identical to
 // the equivalent buffered /v1/query responses.
 
@@ -51,7 +51,7 @@ type jobResultsResponse struct {
 	Queries    []jobQueryResults `json:"queries"`
 }
 
-// jobQueryResults is one query's merged result prefix: complete reports
+// jobQueryResults is one query's result prefix: complete reports
 // whether every shard contributed, so a client can distinguish "empty" from
 // "not finished yet".
 type jobQueryResults struct {
@@ -91,7 +91,7 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 			Matched:     q.Result.Matched,
 		}
 		for _, t := range q.Result.Tuples {
-			jq.Tuples = append(jq.Tuples, tupleResultOf(t, 0, 0))
+			jq.Tuples = append(jq.Tuples, tupleResultOf(t))
 		}
 		resp.Queries = append(resp.Queries, jq)
 	}

@@ -1,19 +1,19 @@
 // Package jobs runs query batches asynchronously over the koko serving
 // stack: a job is submitted with POST /v1/jobs, executed shard-at-a-time on
 // the server's bounded worker pool, and observed through a handle — status
-// with per-query/per-shard progress, a merged prefix of the tuples streamed
-// so far fetchable before the job finishes, and context-based cancellation
-// that stops in-flight shard evaluations.
+// with per-query/per-shard progress, a document-ordered prefix of the
+// tuples streamed so far fetchable before the job finishes, and
+// context-based cancellation that stops in-flight shard evaluations.
 //
-// The design leans on the sharded execution layer (PR 3): a query over a
-// K-shard corpus is K independent StreamShard evaluations in shard order,
-// each streaming tuple batches already in global document order, so the
-// tuples delivered so far always concatenate into a document-ordered prefix
-// (koko.MergeResults) and progress reporting needs no separate accounting
-// scheme. Because each shard evaluation
-// claims one slot of the same pool interactive queries use — and releases
-// it between shards — a long batch job interleaves with interactive
-// traffic instead of starving it.
+// The design leans on the sharded execution layer: a query over a K-shard
+// corpus is K independent StreamShard evaluations in shard order, each
+// streaming tuple batches already in global document order, so appending
+// every delivered batch to one slice per query keeps a document-ordered
+// prefix with no merge step, and the shard summaries' counters accumulate
+// in the query's progress record. Because each shard evaluation claims one
+// slot of the same pool interactive queries use — and releases it between
+// shards — a long batch job interleaves with interactive traffic instead of
+// starving it.
 package jobs
 
 import (
@@ -131,17 +131,17 @@ type Status struct {
 	FinishedAt  time.Time `json:"finished_at"`
 }
 
-// QueryResults is one query's merged result prefix.
+// QueryResults is one query's result prefix.
 type QueryResults struct {
 	Index       int
 	Canonical   string
 	Complete    bool
 	ShardsTotal int
 	ShardsDone  int
-	// Result is the merge of every tuple batch streamed so far (completed
-	// shards plus the running shard's delivered batches), in global document
-	// order, and the counters of the completed shards — for a finished
-	// query, exactly the synchronous query result.
+	// Result holds every tuple streamed so far (completed shards plus the
+	// running shard's delivered batches), in global document order, and the
+	// completed shards' Candidates and Matched — for a finished query,
+	// exactly the synchronous query's tuples and counters.
 	Result *koko.Result
 }
 
@@ -175,9 +175,9 @@ type Snapshot struct {
 	RetainedTuples int `json:"retained_tuples"`
 }
 
-// job is the manager-internal record. mu guards the mutable fields; results
-// are appended in stream order per query (tuple batches, then each shard's
-// counters-only summary), so the locked prefix is always mergeable.
+// job is the manager-internal record. mu guards the mutable fields; each
+// query's delivered tuples are appended to its results slice in stream
+// order, so every locked length is a document-ordered prefix.
 type job struct {
 	mu       sync.Mutex
 	id       string
@@ -189,7 +189,7 @@ type job struct {
 	shards   int
 	parsed   []*koko.ParsedQuery
 	progress []QueryProgress
-	results  [][]*koko.Result
+	results  [][]koko.Tuple
 	cancel   context.CancelFunc
 	ctx      context.Context
 	created  time.Time
@@ -292,7 +292,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		gen:     gen,
 		shards:  eng.NumShards(),
 		parsed:  parsed,
-		results: make([][]*koko.Result, len(parsed)),
+		results: make([][]koko.Tuple, len(parsed)),
 		cancel:  cancel,
 		ctx:     ctx,
 		created: time.Now().UTC(),
@@ -330,16 +330,15 @@ func (m *Manager) run(j *job) {
 			if err := m.rt.Acquire(j.ctx); err != nil {
 				return // cancelled while queued for a slot
 			}
-			// Stream the shard: every delivered batch becomes a tuples-only
-			// result (tuples arrive already in global coordinates), so the
-			// fetchable result prefix and the tuple progress counter grow
-			// while the shard is still evaluating — a giant shard's result is
-			// visible long before its summary, and before ShardsDone counts
-			// it. The counters land once, in the tuple-less summary, so the
-			// merged result of a finished query is exactly the buffered one.
+			// Stream the shard: every delivered batch (already in global
+			// coordinates) extends the query's tuples, so the fetchable
+			// prefix and the tuple progress counter grow while the shard is
+			// still evaluating — a giant shard's result is visible long
+			// before its summary, and before ShardsDone counts it. The
+			// counters land once, from the tuple-less summary.
 			sum, err := j.eng.StreamShard(j.ctx, si, j.parsed[qi], qo, func(ts []koko.Tuple) error {
 				j.mu.Lock()
-				j.results[qi] = append(j.results[qi], &koko.Result{Tuples: ts})
+				j.results[qi] = append(j.results[qi], ts...)
 				j.progress[qi].Tuples += len(ts)
 				j.mu.Unlock()
 				return nil
@@ -355,9 +354,6 @@ func (m *Manager) run(j *job) {
 				return
 			}
 			j.mu.Lock()
-			if sum != nil {
-				j.results[qi] = append(j.results[qi], sum)
-			}
 			pr := &j.progress[qi]
 			pr.ShardsDone++
 			if sum != nil {
@@ -461,8 +457,8 @@ func (m *Manager) Get(id string) (Status, error) {
 	return j.status(), nil
 }
 
-// Results returns the job's merged result prefix: for every query, every
-// tuple streamed so far in document order — the completed shards plus the
+// Results returns the job's result prefix: for every query, every tuple
+// streamed so far in document order — the completed shards plus the
 // batches the running shard has already delivered — with the completed
 // shards' counters. For a done job this is exactly the batch's final
 // answer; for a running or cancelled one it is the document-order prefix
@@ -472,28 +468,26 @@ func (m *Manager) Results(id string) (Results, error) {
 	if err != nil {
 		return Results{}, err
 	}
-	// Snapshot under the lock is O(batches) — slice-of-pointer copies and
-	// progress counters. The O(tuples) merge happens outside j.mu so a
-	// client polling results on a large running job never stalls the
-	// executor's progress appends. Stored results are immutable once
-	// appended, so the copied prefix stays consistent.
+	// Copy slice headers under the lock: the executor only ever appends,
+	// which never rewrites the first len elements of a backing array, so a
+	// client polling a large running job reads its prefix without stalling
+	// the executor's appends.
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	out := Results{ID: j.id, State: j.state, Corpus: j.spec.Corpus, Generation: j.gen, Error: j.err}
-	progress := append([]QueryProgress(nil), j.progress...)
-	results := make([][]*koko.Result, len(j.results))
-	for qi := range j.results {
-		results[qi] = append([]*koko.Result(nil), j.results[qi]...)
-	}
-	j.mu.Unlock()
-	for qi := range results {
-		pr := progress[qi]
+	for qi, pr := range j.progress {
+		tuples := j.results[qi]
 		out.Queries = append(out.Queries, QueryResults{
 			Index:       qi,
 			Canonical:   pr.Canonical,
 			Complete:    pr.ShardsDone == pr.ShardsTotal,
 			ShardsTotal: pr.ShardsTotal,
 			ShardsDone:  pr.ShardsDone,
-			Result:      koko.MergeResults(results[qi]),
+			Result: &koko.Result{
+				Tuples:     tuples[:len(tuples):len(tuples)],
+				Candidates: pr.Candidates,
+				Matched:    pr.Matched,
+			},
 		})
 	}
 	return out, nil

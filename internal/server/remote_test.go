@@ -524,6 +524,40 @@ func TestPartialOKDegradedHTTP(t *testing.T) {
 	}
 }
 
+// TestStreamShardUnavailable: with every worker down, a streamed query
+// classifies the failure exactly as a buffered one does — 502
+// shard_unavailable, counted as a query error — because both modes run on
+// one service path.
+func TestStreamShardUnavailable(t *testing.T) {
+	c := koko.WrapCorpus(corpus.GenCafes(corpus.BaristaMagConfig(11)).Corpus)
+	_, w1 := startWorker(t, "c", c, 3)
+	_, w2 := startWorker(t, "c", c, 3)
+	coord := NewService(Config{MaxConcurrent: 8})
+	if _, err := coord.ConnectWorkers(context.Background(), fastRemote(w1.URL, w2.URL)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	w1.Close()
+	w2.Close()
+
+	q := `extract x:Entity from "blogs" if () satisfying x (str(x) contains "Cafe" {1.0}) with threshold 0.5`
+	for _, path := range []string{"/v1/query", "/v1/query?stream=1"} {
+		resp, body := postJSON(t, ts, path, QueryRequest{Corpus: "c", Query: q, NoCache: true})
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: undecodable error body %q: %v", path, body, err)
+		}
+		if resp.StatusCode != http.StatusBadGateway || e.Error.Code != "shard_unavailable" {
+			t.Errorf("%s with every worker down: status %d code %q (%s), want 502 shard_unavailable",
+				path, resp.StatusCode, e.Error.Code, body)
+		}
+	}
+	if m := coord.Metrics(); m.QueryErrors != 2 || m.QueriesCancelled != 0 {
+		t.Errorf("query_errors/queries_cancelled = %d/%d, want 2/0", m.QueryErrors, m.QueriesCancelled)
+	}
+}
+
 // TestRemoteCorpusGuards: a remote corpus rejects local mutation (409) and
 // reload (409), reports Remote in listings, and unregistering drops only
 // the routing view.

@@ -90,8 +90,6 @@ type Config struct {
 	// jobs' results; oldest-finished jobs are purged beyond it (0 = default
 	// 200000, negative = unbounded).
 	JobRetainedTuples int
-	// LoadOptions is applied to every corpus loaded from disk.
-	LoadOptions *koko.Options
 	// DataDir, when non-empty, makes every corpus durable: ingested
 	// documents and deletes are written through a per-corpus WAL under
 	// DataDir/<name> and recovered by replay at the next startup.
@@ -160,7 +158,6 @@ func NewService(cfg Config) *Service {
 		maxDelta = 256
 	}
 	reg := newRegistry(koko.MutableConfig{
-		Opts:            cfg.LoadOptions,
 		Sync:            cfg.WALSync,
 		ShardParallel:   sp,
 		MaxDeltaDocs:    maxDelta,
@@ -330,24 +327,124 @@ func phasesOf(r *koko.Result) PhaseMillis {
 	}
 }
 
-// prepare is the shared prologue of buffered and streamed evaluation:
-// count the query, parse it, resolve the corpus, and derive the cache key.
-// Keeping it in one place is what keeps the two modes' error
-// classification and cache keying from drifting apart.
-func (s *Service) prepare(req QueryRequest) (parsed *koko.ParsedQuery, eng koko.Querier, gen uint64, key, plan string, err error) {
+// A drain consumes one query's tuples for one response mode: the live
+// stream on a cache miss (hit nil) or the stored result on a hit (seq nil).
+// It returns the result the response reports — carrying its tuples when
+// the mode or the cache needs them — and how many tuples it delivered.
+type drain func(seq *koko.TupleSeq, hit *koko.Result) (res *koko.Result, delivered int, err error)
+
+// answer is one query's outcome as run hands it back to a response mode.
+type answer struct {
+	gen    uint64
+	res    *koko.Result
+	tuples int // how many tuples the drain delivered
+	cached bool
+	failed []int // shards a degraded (Partial) run skipped
+}
+
+// consumerGone marks a drain's failure to deliver: the client went away,
+// which is routine client behaviour, not a query error.
+type consumerGone struct{ err error }
+
+func (e consumerGone) Error() string { return e.err.Error() }
+func (e consumerGone) Unwrap() error { return e.err }
+
+// run is the one way the service answers a query, buffered or streamed:
+// count and parse it, resolve the corpus, consult the cache, and on a miss
+// evaluate it under a worker-pool slot, handing the tuples to d. Error
+// classification, metrics, cache admission and the degraded rules live
+// here only, so the two modes cannot drift apart. ctx cancellation is
+// honored while waiting for a slot and between documents.
+func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, error) {
 	s.metrics.queriesTotal.Add(1)
-	parsed, err = koko.ParseQuery(req.Query)
+	parsed, err := koko.ParseQuery(req.Query)
 	if err != nil {
 		s.metrics.queryErrors.Add(1)
-		return nil, nil, 0, "", "", fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return answer{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	eng, gen, err = s.reg.Engine(req.Corpus)
+	eng, gen, err := s.reg.Engine(req.Corpus)
 	if err != nil {
 		s.metrics.queryErrors.Add(1)
-		return nil, nil, 0, "", "", err
+		return answer{}, err
 	}
-	plan = s.effectivePlan(req.Plan)
-	return parsed, eng, gen, cacheKey(req, gen, parsed, plan), plan, nil
+	plan := s.effectivePlan(req.Plan)
+	key := cacheKey(req, gen, parsed, plan)
+	a := answer{gen: gen}
+	if !req.NoCache {
+		if hit, ok := s.cache.get(key); ok {
+			s.metrics.cacheHits.Add(1)
+			a.cached = true
+			if a.res, a.tuples, err = d(nil, hit); err != nil {
+				return answer{}, s.classify(err)
+			}
+			s.metrics.tuplesReturned.Add(int64(a.tuples))
+			return a, nil
+		}
+	}
+	s.metrics.cacheMisses.Add(1)
+
+	if err := s.Acquire(ctx); err != nil {
+		return answer{}, s.classify(err)
+	}
+	s.metrics.enter()
+	seq, err := eng.Run(ctx, parsed, &koko.QueryOptions{
+		Explain: req.Explain,
+		Workers: s.workersFor(req.Workers, fanoutOf(eng)),
+		Plan:    plan,
+		// Engines without failure domains ignore Degraded, so Partial is safe
+		// to thread through unconditionally.
+		Degraded: req.Partial,
+	})
+	if err == nil {
+		a.res, a.tuples, err = d(seq, nil)
+	}
+	if err == nil {
+		a.failed = seq.FailedShards()
+		if n := seq.NumShards(); len(a.failed) > 0 && len(a.failed) == n {
+			// Degradation needs survivors; losing every shard is an outage.
+			err = fmt.Errorf("corpus %q: all %d shards failed: %w", req.Corpus, n, seq.FailedErr())
+		}
+	}
+	s.metrics.exit()
+	s.Release()
+	if err != nil {
+		return answer{}, s.classify(err)
+	}
+	s.metrics.queryNanos.Add(a.res.Elapsed.Nanoseconds())
+	s.metrics.planNanos.Add(a.res.Phases.Plan.Nanoseconds())
+	if a.res.Plan != nil && a.res.Plan.Reordered {
+		s.metrics.plansReordered.Add(1)
+	}
+	if len(a.failed) > 0 {
+		// A degraded result is not the query's true answer; caching it
+		// would serve the gap long after the workers recover.
+		s.metrics.degradedQueries.Add(1)
+	} else {
+		s.cachePut(key, req, a.res)
+	}
+	s.metrics.tuplesReturned.Add(int64(a.tuples))
+	return a, nil
+}
+
+// classify counts a failed query and maps its error for the HTTP layer.
+// The caller giving up (a done ctx, a departed consumer) is a
+// cancellation; a dead shard set is the backend's failure, not the
+// query's; anything else is a bad query.
+func (s *Service) classify(err error) error {
+	var gone consumerGone
+	switch {
+	case errors.As(err, &gone):
+		s.metrics.queryCancels.Add(1)
+		return gone.err
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		s.metrics.queryCancels.Add(1)
+		return err
+	}
+	s.metrics.queryErrors.Add(1)
+	if errors.Is(err, remote.ErrShardUnavailable) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
 // effectivePlan normalizes a request's planner selection to exactly "on"
@@ -360,85 +457,40 @@ func (s *Service) effectivePlan(req string) string {
 	return "on"
 }
 
-// cacheLookup consults the result cache (unless bypassed) and keeps the
-// hit/miss counters for both evaluation modes.
-func (s *Service) cacheLookup(key string, noCache bool) (*koko.Result, bool) {
-	if !noCache {
-		if res, ok := s.cache.get(key); ok {
-			s.metrics.cacheHits.Add(1)
-			return res, true
+// collect is the buffered drain: the whole answer, materialized.
+func collect(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
+	res := hit
+	if seq != nil {
+		var err error
+		if res, err = seq.Collect(); err != nil {
+			return nil, 0, err
 		}
 	}
-	s.metrics.cacheMisses.Add(1)
-	return nil, false
+	return res, len(res.Tuples), nil
 }
 
-// Query canonicalizes, consults the cache, and evaluates on miss under the
-// worker-pool bound. ctx cancellation is honored while waiting for a slot.
+// Query answers req as one buffered response.
 func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	t0 := time.Now()
-	parsed, eng, gen, key, plan, err := s.prepare(req)
+	a, err := s.run(ctx, req, collect)
 	if err != nil {
 		return nil, err
 	}
-	if res, ok := s.cacheLookup(key, req.NoCache); ok {
-		resp := s.respond(req.Corpus, gen, res, true)
-		resp.ServiceMillis = ms(time.Since(t0))
-		return resp, nil
+	resp := &QueryResponse{
+		Corpus:       req.Corpus,
+		Generation:   a.gen,
+		Tuples:       make([]TupleResult, len(a.res.Tuples)),
+		Candidates:   a.res.Candidates,
+		Matched:      a.res.Matched,
+		Cached:       a.cached,
+		Phases:       phasesOf(a.res),
+		Plan:         a.res.Plan,
+		Degraded:     len(a.failed) > 0,
+		FailedShards: a.failed,
 	}
-
-	if err := s.Acquire(ctx); err != nil {
-		s.metrics.queryCancels.Add(1)
-		return nil, err
+	for i, t := range a.res.Tuples {
+		resp.Tuples[i] = tupleResultOf(t)
 	}
-	qo := &koko.QueryOptions{
-		Explain: req.Explain,
-		Workers: s.workersFor(req.Workers, fanoutOf(eng)),
-		Plan:    plan,
-		// Engines without failure domains ignore Degraded, so Partial is safe
-		// to thread through unconditionally.
-		Degraded: req.Partial,
-	}
-	var res *koko.Result
-	var failed []int
-	s.metrics.enter()
-	seq, err2 := eng.Run(ctx, parsed, qo)
-	if err2 == nil {
-		res, err2 = seq.Collect()
-	}
-	if err2 == nil {
-		failed = seq.FailedShards()
-		if n := seq.NumShards(); len(failed) > 0 && len(failed) == n {
-			// Degradation needs survivors; losing every shard is an outage.
-			err2 = fmt.Errorf("corpus %q: all %d shards failed: %w", req.Corpus, n, seq.FailedErr())
-		}
-	}
-	s.metrics.exit()
-	s.Release()
-	if err2 != nil {
-		if ctxDone(err2) {
-			s.metrics.queryCancels.Add(1)
-			return nil, err2
-		}
-		s.metrics.queryErrors.Add(1)
-		if errors.Is(err2, remote.ErrShardUnavailable) {
-			// A dead shard set is the backend's failure, not the query's.
-			return nil, err2
-		}
-		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err2)
-	}
-	s.metrics.queryNanos.Add(res.Elapsed.Nanoseconds())
-	s.recordPlan(res)
-	if len(failed) > 0 {
-		// A degraded result is not the query's true answer; caching it
-		// would serve the gap long after the workers recover.
-		s.metrics.degradedQueries.Add(1)
-	} else {
-		s.cachePut(key, req, res)
-	}
-	resp := s.respond(req.Corpus, gen, res, false)
-	resp.Degraded = len(failed) > 0
-	resp.FailedShards = failed
 	resp.ServiceMillis = ms(time.Since(t0))
 	return resp, nil
 }
@@ -470,22 +522,6 @@ func (s *Service) cachePut(key string, req QueryRequest, res *koko.Result) {
 // result's phase/plan report differs between the two, never its tuples).
 func cacheKey(req QueryRequest, gen uint64, parsed *koko.ParsedQuery, plan string) string {
 	return fmt.Sprintf("%s|%d|%t|%s|%s", req.Corpus, gen, req.Explain, plan, parsed.Canonical())
-}
-
-// recordPlan keeps the planner metrics for one evaluated (non-cached)
-// query: time spent planning and whether the plan reordered evaluation.
-func (s *Service) recordPlan(res *koko.Result) {
-	s.metrics.planNanos.Add(res.Phases.Plan.Nanoseconds())
-	if res.Plan != nil && res.Plan.Reordered {
-		s.metrics.plansReordered.Add(1)
-	}
-}
-
-// ctxDone reports whether err is a context cancellation/deadline error
-// (possibly wrapped with shard attribution) — those are the caller's doing,
-// not a bad query.
-func ctxDone(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // fanoutOf reports how many shard evaluations eng actually runs at once
@@ -526,35 +562,13 @@ func (s *Service) workersFor(reqWorkers, fanout int) int {
 	return w
 }
 
-// respond renders a (possibly shared, cached) engine result without
-// mutating it.
-func (s *Service) respond(corpus string, gen uint64, res *koko.Result, cached bool) *QueryResponse {
-	resp := &QueryResponse{
-		Corpus:     corpus,
-		Generation: gen,
-		Tuples:     make([]TupleResult, 0, len(res.Tuples)),
-		Candidates: res.Candidates,
-		Matched:    res.Matched,
-		Cached:     cached,
-		Phases:     phasesOf(res),
-		Plan:       res.Plan,
-	}
-	s.metrics.tuplesReturned.Add(int64(len(res.Tuples)))
-	for _, t := range res.Tuples {
-		resp.Tuples = append(resp.Tuples, tupleResultOf(t, 0, 0))
-	}
-	return resp
-}
-
-// tupleResultOf renders one engine tuple as its JSON form, rebasing
-// shard-local attribution by the given offsets (0,0 for an already-global
-// tuple). Buffered responses, NDJSON stream events, and job results all
-// encode tuples through this one conversion — that is what makes the three
-// surfaces byte-identical.
-func tupleResultOf(t koko.Tuple, docOff, sentOff int) TupleResult {
+// tupleResultOf renders one tuple as its JSON form. Buffered responses,
+// NDJSON stream events, and job results all encode tuples through this one
+// conversion — that is what makes the three surfaces byte-identical.
+func tupleResultOf(t koko.Tuple) TupleResult {
 	tr := TupleResult{
-		SentenceID: t.SentenceID + sentOff,
-		Document:   t.Document + docOff,
+		SentenceID: t.SentenceID,
+		Document:   t.Document,
 		Values:     t.Values,
 		Scores:     t.Scores,
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -75,124 +74,81 @@ func wantsStream(r *http.Request) bool {
 // before later documents and shards have evaluated, and a paused consumer
 // applies backpressure all the way down to the per-document loop (memory
 // stays bounded by the stream's internal batching, not the result size).
-// A cache hit streams the cached tuples in one flush; a miss that completes
-// populates the cache — unless the request said NoCache, in which case
-// nothing is materialized at all. The worker-pool slot is held for the whole
-// drain: with pull-driven evaluation there is no completed-result handoff
-// point, and a slot that outlives its evaluation would unbound the pool.
-// An emit error (client disconnect) or ctx cancellation stops the remaining
-// evaluation; QueryStream does not return until it has exited.
+// It runs on the same path as Query, with the NDJSON drain: a cache hit
+// streams the cached tuples; a miss that completes populates the cache —
+// unless the request said NoCache, in which case nothing is materialized at
+// all. The worker-pool slot is held for the whole drain: with pull-driven
+// evaluation there is no completed-result handoff point, and a slot that
+// outlives its evaluation would unbound the pool. An emit error (client
+// disconnect) or ctx cancellation stops the remaining evaluation;
+// QueryStream does not return until it has exited. req.Partial is ignored.
 func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(StreamEvent) error) error {
 	t0 := time.Now()
 	s.metrics.streamsTotal.Add(1)
-	parsed, eng, gen, key, plan, err := s.prepare(req)
-	if err != nil {
-		return err
+	req.Partial = false
+	send := func(ev StreamEvent) error {
+		if err := emit(ev); err != nil {
+			return consumerGone{err}
+		}
+		return nil
 	}
-	if res, ok := s.cacheLookup(key, req.NoCache); ok {
-		return s.streamResult(req.Corpus, gen, res, true, t0, emit)
+	sendTuple := func(t koko.Tuple) error {
+		tr := tupleResultOf(t)
+		return send(StreamEvent{Tuple: &tr})
 	}
-
-	if err := s.Acquire(ctx); err != nil {
-		s.metrics.queryCancels.Add(1)
-		return err
-	}
-	defer s.Release()
-	s.metrics.enter()
-	defer s.metrics.exit()
-
-	seq, err := eng.Run(ctx, parsed, &koko.QueryOptions{
-		Explain: req.Explain,
-		Workers: s.workersFor(req.Workers, fanoutOf(eng)),
-		Plan:    plan,
+	a, err := s.run(ctx, req, func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
+		if hit != nil {
+			for _, t := range hit.Tuples {
+				if err := sendTuple(t); err != nil {
+					return nil, 0, err
+				}
+			}
+			return hit, len(hit.Tuples), nil
+		}
+		tEval := time.Now()
+		var collected []koko.Tuple
+		total := 0
+		for ev := range seq.Events() {
+			var err error
+			if t := ev.Tuple; t != nil {
+				if !req.NoCache {
+					collected = append(collected, *t)
+				}
+				total++
+				err = sendTuple(*t)
+			} else {
+				err = send(StreamEvent{Shard: &ShardProgress{
+					Shard: ev.Shard.Shard, Shards: seq.NumShards(),
+					Tuples: ev.Shard.Tuples, TotalTuples: total,
+				}})
+			}
+			if err != nil {
+				return nil, 0, err // leaving the range cancels the remaining evaluation
+			}
+		}
+		if err := seq.Err(); err != nil {
+			return nil, 0, err
+		}
+		// Elapsed is the drain's wall time: with pull-driven evaluation
+		// there is no separate evaluation clock (the consumer's pace IS the
+		// evaluation pace), matching what Collect reports in buffered mode.
+		res := seq.Summary()
+		res.Tuples = collected
+		res.Elapsed = time.Since(tEval)
+		return res, total, nil
 	})
 	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		return fmt.Errorf("%w: %v", ErrBadQuery, err)
+		return err
 	}
-	tEval := time.Now()
-	// The result cache needs the materialized tuple table; collecting is the
-	// only buffering this path does, and NoCache turns it off entirely.
-	var collected []koko.Tuple
-	shards := seq.NumShards()
-	total := 0
-	var emitErr error
-	for ev := range seq.Events() {
-		if t := ev.Tuple; t != nil {
-			if !req.NoCache {
-				collected = append(collected, *t)
-			}
-			tr := tupleResultOf(*t, 0, 0)
-			total++
-			if emitErr = emit(StreamEvent{Tuple: &tr}); emitErr != nil {
-				break // breaking the range cancels the remaining evaluation
-			}
-			continue
-		}
-		if sh := ev.Shard; sh != nil {
-			if emitErr = emit(StreamEvent{Shard: &ShardProgress{
-				Shard: sh.Shard, Shards: shards,
-				Tuples: sh.Tuples, TotalTuples: total,
-			}}); emitErr != nil {
-				break
-			}
-		}
-	}
-	if emitErr != nil {
-		// The consumer went away (disconnect, write failure) — routine
-		// client behavior, not a query error.
-		s.metrics.queryCancels.Add(1)
-		return emitErr
-	}
-	if err := seq.Err(); err != nil {
-		if ctxDone(err) {
-			s.metrics.queryCancels.Add(1)
-			return err
-		}
-		s.metrics.queryErrors.Add(1)
-		return fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-
-	// Elapsed is the drain's wall time: with pull-driven evaluation there is
-	// no separate evaluation clock (the consumer's pace IS the evaluation
-	// pace), matching what Collect reports in buffered mode.
-	res := seq.Summary()
-	res.Tuples = collected
-	res.Elapsed = time.Since(tEval)
-	s.metrics.queryNanos.Add(res.Elapsed.Nanoseconds())
-	s.recordPlan(res)
-	s.metrics.tuplesReturned.Add(int64(total))
-	s.cachePut(key, req, res)
 	return emit(StreamEvent{Done: &StreamSummary{
 		Corpus:        req.Corpus,
-		Generation:    gen,
-		Tuples:        total,
-		Candidates:    res.Candidates,
-		Matched:       res.Matched,
-		Phases:        phasesOf(res),
-		Plan:          res.Plan,
-		ServiceMillis: ms(time.Since(t0)),
-	}})
-}
-
-// streamResult flushes an already-evaluated (cached) result as one stream.
-func (s *Service) streamResult(corpus string, gen uint64, res *koko.Result, cached bool, t0 time.Time, emit func(StreamEvent) error) error {
-	s.metrics.tuplesReturned.Add(int64(len(res.Tuples)))
-	for i := range res.Tuples {
-		tr := tupleResultOf(res.Tuples[i], 0, 0)
-		if err := emit(StreamEvent{Tuple: &tr}); err != nil {
-			return err
-		}
-	}
-	return emit(StreamEvent{Done: &StreamSummary{
-		Corpus:        corpus,
-		Generation:    gen,
-		Tuples:        len(res.Tuples),
-		Candidates:    res.Candidates,
-		Matched:       res.Matched,
-		Cached:        cached,
-		Phases:        phasesOf(res),
-		Plan:          res.Plan,
+		Generation:    a.gen,
+		Tuples:        a.tuples,
+		Candidates:    a.res.Candidates,
+		Matched:       a.res.Matched,
+		Cached:        a.cached,
+		Phases:        phasesOf(a.res),
+		Plan:          a.res.Plan,
 		ServiceMillis: ms(time.Since(t0)),
 	}})
 }

@@ -39,23 +39,23 @@ func collectRun(t *testing.T, q Querier, p *ParsedQuery, qo *QueryOptions) *Resu
 	return res
 }
 
-// streamShardResult evaluates one shard through StreamShard and returns its
-// tuples together with its summary — the unit the job executor appends.
-func streamShardResult(q Querier, shard int, p *ParsedQuery, qo *QueryOptions) (*Result, error) {
-	var tuples []Tuple
+// streamShardInto evaluates one shard through StreamShard and appends its
+// tuples and counters to acc — the job executor's accumulation.
+func streamShardInto(acc *Result, q Querier, shard int, p *ParsedQuery, qo *QueryOptions) error {
 	sum, err := q.StreamShard(context.Background(), shard, p, qo, func(ts []Tuple) error {
-		tuples = append(tuples, ts...)
+		acc.Tuples = append(acc.Tuples, ts...)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sum.Tuples = tuples
-	return sum, nil
+	acc.Candidates += sum.Candidates
+	acc.Matched += sum.Matched
+	return nil
 }
 
 // TestStreamShardPrefixMerge: evaluating shard-at-a-time in shard order and
-// merging the accumulated per-shard results reproduces the fan-out result
+// concatenating the per-shard tuples reproduces the fan-out result
 // exactly — the invariant the server's job progress/partial-fetch design
 // rests on.
 func TestStreamShardPrefixMerge(t *testing.T) {
@@ -65,23 +65,19 @@ func TestStreamShardPrefixMerge(t *testing.T) {
 		if len(want.Tuples) == 0 {
 			t.Fatal("workload produced no tuples")
 		}
-		var parts []*Result
+		got := &Result{}
 		for i := 0; i < eng.NumShards(); i++ {
-			part, err := streamShardResult(eng, i, p, nil)
-			if err != nil {
+			if err := streamShardInto(got, eng, i, p, nil); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			parts = append(parts, part)
-			// Every completed prefix must merge cleanly (tuples in global
-			// doc order, no duplicate attribution).
-			prefix := MergeResults(parts)
-			for j := 1; j < len(prefix.Tuples); j++ {
-				if prefix.Tuples[j].Document < prefix.Tuples[j-1].Document {
+			// Every completed prefix must concatenate cleanly (tuples in
+			// global doc order, no duplicate attribution).
+			for j := 1; j < len(got.Tuples); j++ {
+				if got.Tuples[j].Document < got.Tuples[j-1].Document {
 					t.Fatalf("k=%d prefix %d: tuples out of document order", k, i)
 				}
 			}
 		}
-		got := MergeResults(parts)
 		if !reflect.DeepEqual(got.Tuples, want.Tuples) {
 			t.Fatalf("k=%d: shard-at-a-time merge differs from fan-out:\n got %v\nwant %v", k, got.Tuples, want.Tuples)
 		}

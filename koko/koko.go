@@ -181,60 +181,32 @@ func assembleEngine(c *Corpus, ix *index.Index, model *embed.Model, dicts map[st
 	return e
 }
 
-// Evidence is one row of an extraction explanation: a satisfying condition
-// with its confidence, weight, and contribution to the final score.
-type Evidence struct {
-	Variable     string
-	Condition    string
-	Weight       float64
-	Confidence   float64
-	Contribution float64
-}
-
-// Tuple is one output row of a query.
-type Tuple struct {
-	// SentenceID is the corpus-global id of the sentence the extraction
-	// came from; Document is the document index.
-	SentenceID int
-	Document   int
-	// Values holds the output columns in declaration order.
-	Values []string
-	// Scores holds satisfying-clause scores per satisfying variable.
-	Scores map[string]float64
-	// Evidence explains the scores when Options.Explain is set.
-	Evidence []Evidence
-}
-
-// PhaseTimes is the per-phase execution breakdown of a query (the paper's
-// Table 2 columns, plus the planner's own phase).
-type PhaseTimes struct {
-	Normalize   time.Duration
-	DPLI        time.Duration
-	Plan        time.Duration
-	LoadArticle time.Duration
-	GSP         time.Duration
-	Extract     time.Duration
-	Satisfying  time.Duration
-}
-
-// PlanStep is one step of the planner's chosen evaluation order: the
-// condition variable, its kind, the DPLI binding estimate that ranked it,
-// and the actual candidate bindings observed during evaluation.
-type PlanStep struct {
-	Var       string `json:"var"`
-	Kind      string `json:"kind"`
-	Estimated int64  `json:"estimated"`
-	Actual    int64  `json:"actual"`
-}
-
-// PlanInfo reports the statistics-free planner's decision for a query:
-// the condition evaluation order (smallest estimated binding set first,
-// respecting variable-binding dependencies) and whether that order differs
-// from the written order.
-type PlanInfo struct {
-	Steps     []PlanStep `json:"steps"`
-	Reordered bool       `json:"reordered"`
-}
+// The tuple, evidence, phase and plan types are the engine's own: a tuple
+// crosses every layer from the per-document evaluation loop to the HTTP edge
+// without being copied into another type.
+type (
+	// Tuple is one output row of a query: the corpus-global SentenceID and
+	// Document it came from, the output Values in declaration order, the
+	// satisfying-clause Scores per satisfying variable, and, when
+	// Options.Explain is set, the Evidence behind those scores.
+	Tuple = engine.Tuple
+	// Evidence is one row of an extraction explanation: a satisfying
+	// condition with its confidence, weight, and contribution to the final
+	// score.
+	Evidence = engine.CondEvidence
+	// PhaseTimes is the per-phase execution breakdown of a query (the
+	// paper's Table 2 columns, plus the planner's own phase).
+	PhaseTimes = engine.PhaseTimes
+	// PlanStep is one step of the planner's chosen evaluation order: the
+	// condition variable, its kind, the DPLI binding estimate that ranked
+	// it, and the actual candidate bindings observed during evaluation.
+	PlanStep = engine.PlanStep
+	// PlanInfo reports the statistics-free planner's decision for a query:
+	// the condition evaluation order (smallest estimated binding set first,
+	// respecting variable-binding dependencies) and whether that order
+	// differs from the written order.
+	PlanInfo = engine.PlanInfo
+)
 
 // Result is the outcome of a query.
 type Result struct {
@@ -322,36 +294,17 @@ func (e *Engine) runOptions(ctx context.Context, qo *QueryOptions) engine.RunOpt
 	return ro
 }
 
-// Run evaluates an already-parsed query as a lazy stream: tuples yield in
-// document order as candidate documents are evaluated, followed by a single
+// Run evaluates an already-parsed query as a lazy stream: a plain Engine
+// is a one-shard StreamShards over its own StreamShard, so tuples yield in
+// document order as candidate documents are evaluated, followed by the
 // shard-0 end marker carrying the run's counters. A done ctx stops the
 // evaluation between documents and surfaces through TupleSeq.Err. qo may be
 // nil (engine defaults). Safe for concurrent use; each call returns an
 // independent single-use stream.
 func (e *Engine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
-	st, err := e.eng.Stream(p.q, e.runOptions(ctx, qo))
-	if err != nil {
-		return nil, err
-	}
-	seq := &TupleSeq{shards: 1}
-	seq.produce = func(yield func(Event) bool) error {
-		n := 0
-		for batch := range st.Docs() {
-			ts := tuplesFromEngine(batch)
-			for k := range ts {
-				if !yield(Event{Tuple: &ts[k]}) {
-					return nil
-				}
-				n++
-			}
-		}
-		if err := st.Err(); err != nil {
-			return err
-		}
-		yield(Event{Shard: &ShardEnd{Shard: 0, Tuples: n, Summary: summaryFromEngine(st.Result())}})
-		return nil
-	}
-	return seq, nil
+	return StreamShards(ctx, 1, 1, func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+		return e.StreamShard(ctx, shard, p, qo, emit)
+	}, false), nil
 }
 
 // StreamShard evaluates one shard of the corpus, delivering tuples through
@@ -371,7 +324,7 @@ func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo 
 	var batch []Tuple
 	limit := streamFirstBatchTuples
 	for docTuples := range st.Docs() {
-		batch = append(batch, tuplesFromEngine(docTuples)...)
+		batch = append(batch, docTuples...)
 		if len(batch) >= limit {
 			if err := emit(batch); err != nil {
 				return nil, err
@@ -395,56 +348,13 @@ func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo 
 // times, and plan report to the public form — everything but the tuple
 // table, which the streaming path has already delivered.
 func summaryFromEngine(res *engine.Result) *Result {
-	out := &Result{
+	return &Result{
 		Candidates: res.CandidateSentences,
 		Matched:    res.MatchedSentences,
 		Elapsed:    res.Times.Total(),
-		Phases: PhaseTimes{
-			Normalize:   res.Times.Normalize,
-			DPLI:        res.Times.DPLI,
-			Plan:        res.Times.Plan,
-			LoadArticle: res.Times.LoadArticle,
-			GSP:         res.Times.GSP,
-			Extract:     res.Times.Extract,
-			Satisfying:  res.Times.Satisfying,
-		},
+		Phases:     res.Times,
+		Plan:       res.Plan,
 	}
-	if res.Plan != nil {
-		pi := &PlanInfo{Reordered: res.Plan.Reordered, Steps: make([]PlanStep, len(res.Plan.Steps))}
-		for i, st := range res.Plan.Steps {
-			pi.Steps[i] = PlanStep{Var: st.Var, Kind: st.Kind, Estimated: st.Estimated, Actual: st.Actual}
-		}
-		out.Plan = pi
-	}
-	return out
-}
-
-// tuplesFromEngine converts a batch of internal engine tuples to the public
-// form, preserving order.
-func tuplesFromEngine(ts []engine.Tuple) []Tuple {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]Tuple, 0, len(ts))
-	for _, t := range ts {
-		tp := Tuple{
-			SentenceID: t.Sid,
-			Document:   t.Doc,
-			Values:     t.Values,
-			Scores:     t.Scores,
-		}
-		for _, ev := range t.Evidence {
-			tp.Evidence = append(tp.Evidence, Evidence{
-				Variable:     ev.Var,
-				Condition:    ev.Condition,
-				Weight:       ev.Weight,
-				Confidence:   ev.Confidence,
-				Contribution: ev.Contribution,
-			})
-		}
-		out = append(out, tp)
-	}
-	return out
 }
 
 // Validate parses a query without running it, returning a descriptive error

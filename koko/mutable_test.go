@@ -117,21 +117,19 @@ func TestMutableIngestDifferential(t *testing.T) {
 				}
 
 				// Shard-at-a-time execution (the job executor's path): the
-				// merged StreamShard prefix equals the whole-query result.
+				// concatenated StreamShard tuples equal the whole-query result.
 				p, err := ParseQuery(tc.queries[0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts := make([]*Result, 0, snap.NumShards())
+				got := &Result{}
 				for si := 0; si < snap.NumShards(); si++ {
-					part, err := streamShardResult(snap, si, p, nil)
-					if err != nil {
+					if err := streamShardInto(got, snap, si, p, nil); err != nil {
 						t.Fatalf("k=%d StreamShard(%d): %v", k, si, err)
 					}
-					parts = append(parts, part)
 				}
 				sameResults(t, fmt.Sprintf("k=%d shard-merge", k),
-					mustRun(t, ref, tc.queries[0], nil), MergeResults(parts))
+					mustRun(t, ref, tc.queries[0], nil), got)
 			}
 		})
 	}

@@ -62,24 +62,6 @@ type ShardStat struct {
 	Delta bool `json:"delta,omitempty"`
 }
 
-// MergeResults concatenates per-shard results in the order given. Every
-// Querier emits tuples already in global coordinates, shards cover
-// ascending doc ranges, and each shard emits in document order, so the
-// concatenation is in global document order. Phase times and Elapsed are
-// summed across shards (CPU time, as with Workers > 1); callers that want
-// fan-out wall time overwrite Elapsed afterwards. Nil entries are skipped.
-func MergeResults(parts []*Result) *Result {
-	out := &Result{}
-	for _, r := range parts {
-		if r == nil {
-			continue
-		}
-		out.Tuples = append(out.Tuples, r.Tuples...)
-		mergeResultInto(out, r)
-	}
-	return out
-}
-
 // mergePlanInfo folds one shard's plan report into the merged result: the
 // first shard with a plan sets the step order (every shard plans the same
 // canonical query over per-shard statistics, so orders can differ — the

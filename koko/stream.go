@@ -9,9 +9,11 @@ import (
 )
 
 // Streaming results: TupleSeq is the canonical form every Querier's Run
-// returns. Tuples flow lazily from the per-document evaluation loop through
-// the shard fan-out to the consumer; buffered results, the server's result
-// cache, and job results are thin collectors over the same sequence.
+// returns, and StreamShards is the one producer behind it — a plain Engine
+// is its one-shard case. Tuples flow lazily from the per-document
+// evaluation loop through the shard fan-out to the consumer without
+// changing type; Collect (the buffered mode) and the server's NDJSON drain
+// are thin consumers of the same sequence.
 
 // streamBatchTuples bounds how many tuples a shard accumulates before
 // flushing a batch downstream. Small enough that the first batch of a large
@@ -140,13 +142,13 @@ func (s *TupleSeq) Summary() *Result {
 	return &out
 }
 
-// Collect drains the stream into a materialized Result, byte-identical to
-// the historical buffered mode: tuples concatenated in shard order, counters
-// and plan reports merged exactly as MergeResults would, Elapsed set to the
-// fan-out's wall time. In a degraded stream a shard may fail after some of
-// its tuples were already yielded; Collect keeps only tuples confirmed by a
-// completed shard's ShardEnd, so the result holds surviving shards only and
-// FailedShards never names a shard whose tuples are in the result.
+// Collect drains the stream into a materialized Result: tuples in stream
+// (global document) order, the completed shards' counters and plan reports
+// merged as Summary reports them, Elapsed set to the drain's wall time. In
+// a degraded stream a shard may fail after some of its tuples were already
+// yielded; Collect keeps only tuples confirmed by a completed shard's
+// ShardEnd, so the result holds surviving shards only and FailedShards
+// never names a shard whose tuples are in the result.
 func (s *TupleSeq) Collect() (*Result, error) {
 	t0 := time.Now()
 	var tuples []Tuple
@@ -368,8 +370,8 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 }
 
 // mergeResultInto folds one shard's counters, phase times, and plan report
-// into a merged result — the non-tuple half of MergeResults, shared with
-// the streaming collectors so both modes merge identically.
+// into a merged result (TupleSeq's Summary). Phase times and Elapsed sum
+// across shards: CPU time, as with Workers > 1.
 func mergeResultInto(out *Result, res *Result) {
 	out.Candidates += res.Candidates
 	out.Matched += res.Matched
