@@ -84,7 +84,6 @@ func cmdQuery(args []string) error {
 	q := fs.String("q", "", "KOKO query text")
 	qf := fs.String("f", "", "file containing the KOKO query")
 	explain := fs.Bool("explain", false, "print per-condition evidence for every tuple")
-	workers := fs.Int("workers", 1, "parallel document-evaluation workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -109,7 +108,6 @@ func cmdQuery(args []string) error {
 		Corpus:  server.DefaultName(*db),
 		Query:   src,
 		Explain: *explain,
-		Workers: *workers,
 	})
 	if err != nil {
 		return err

@@ -8,6 +8,11 @@
 //	kokod -demo -shards 4              # partition each corpus into 4 doc-range
 //	                                   # shards; queries fan out and merge
 //
+// A query's only parallelism is its shard fan-out: each shard evaluates its
+// documents in order, and how many shards of one query evaluate at once is
+// derived from -pool (2×GOMAXPROCS / pool, at least 1). -workers is
+// accepted for old command lines and ignored.
+//
 //	curl -s localhost:7333/v1/corpora
 //	curl -s localhost:7333/v1/query -d '{
 //	  "corpus": "demo-cafes",
@@ -134,9 +139,8 @@ func main() {
 	pool := flag.Int("pool", 0, "max queries evaluating concurrently (0 = 2×GOMAXPROCS)")
 	cache := flag.Int("cache", 0, "result-cache entries (0 = default 256, negative = disabled)")
 	cacheTuples := flag.Int("cache-tuples", 0, "result-cache tuple budget across all entries (0 = default 100000, negative = unbounded)")
-	workers := flag.Int("workers", 1, "default per-query document-evaluation workers")
+	flag.Int("workers", 1, "deprecated and ignored: a query parallelizes only across shards")
 	shards := flag.Int("shards", 1, "doc-range shards per loaded corpus; queries fan out across shards (sharded manifests keep their on-disk count)")
-	shardPar := flag.Int("shard-parallel", 0, "per-query shard fan-out bound (0 = auto-scale inversely with -pool, negative = min(shards, GOMAXPROCS))")
 	maxJobs := flag.Int("max-jobs", 0, "max async jobs pending or running at once (0 = default 16)")
 	jobTTL := flag.Duration("job-results-ttl", 0, "how long finished jobs stay fetchable (0 = default 15m, negative = until deleted)")
 	jobTuples := flag.Int("job-retained-tuples", 0, "total tuples retained across finished jobs; oldest evicted beyond it (0 = default 200000, negative = unbounded)")
@@ -169,9 +173,7 @@ func main() {
 		MaxConcurrent:     *pool,
 		CacheSize:         *cache,
 		CacheMaxTuples:    *cacheTuples,
-		DefaultWorkers:    *workers,
 		Shards:            *shards,
-		ShardParallel:     *shardPar,
 		MaxJobs:           *maxJobs,
 		JobResultsTTL:     *jobTTL,
 		JobRetainedTuples: *jobTuples,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -40,6 +41,9 @@ func main() {
 		excluding
 		(str(x) matches "[Ll]a Marzocco") or
 		(str(x) in dict("Location"))`)
+	if err == nil && len(res.Tuples) == 0 {
+		err = errors.New("query returned no tuples")
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -34,6 +35,9 @@ func main() {
 			c = b//"delicious",
 			d = (b.subtree)
 		} (b) in (e))`)
+	if err == nil && len(res.Tuples) == 0 {
+		err = errors.New("query returned no tuples")
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

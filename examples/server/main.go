@@ -74,6 +74,9 @@ func main() {
 	}
 	wg.Wait()
 	for i, res := range results {
+		if len(res.Tuples) == 0 {
+			log.Fatalf("%s: query returned no tuples", reqs[i].Corpus)
+		}
 		fmt.Printf("\n%s: %d tuples (cached=%t, total %.2fms, extract %.2fms, satisfying %.2fms)\n",
 			reqs[i].Corpus, len(res.Tuples), res.Cached,
 			res.Phases.Total, res.Phases.Extract, res.Phases.Satisfying)

@@ -58,6 +58,9 @@ func main() {
 }
 
 func printDistinct(res *koko.Result) {
+	if len(res.Tuples) == 0 {
+		log.Fatal("query returned no tuples")
+	}
 	seen := map[string]bool{}
 	for _, t := range res.Tuples {
 		if !seen[t.Values[0]] {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -45,6 +46,9 @@ func main() {
 	}
 	for _, q := range queries {
 		res, err := eng.Query(q.src)
+		if err == nil && len(res.Tuples) == 0 {
+			err = errors.New(q.name + ": query returned no tuples")
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

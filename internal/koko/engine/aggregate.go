@@ -12,8 +12,7 @@ import (
 
 // globalCache memoizes document-independent condition confidences across
 // the whole run (similarTo, contains, matches, ...). Owned by the Engine and
-// shared across documents — and, when Workers > 1, across goroutines, hence
-// the mutex.
+// shared across documents and across concurrent runs, hence the mutex.
 type globalCache struct {
 	mu sync.Mutex
 	m  map[globalKey]float64

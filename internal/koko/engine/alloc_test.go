@@ -32,7 +32,7 @@ func evalAllCandidates(t *testing.T, e *Engine, src string) (allocs float64, tup
 		t.Fatalf("query has no pruned candidate list: %s", src)
 	}
 	cands := dpli.candSids
-	w := e.newDocWorker(nq, dpli, RunOptions{Workers: 1}, buildQueryPlan(nq, dpli, cands))
+	w := e.newDocWorker(nq, dpli, RunOptions{}, buildQueryPlan(nq, dpli, cands))
 	allocs = testing.AllocsPerRun(3, func() {
 		tuples = 0
 		for i, sid := range cands { // one sentence per document in this corpus

@@ -62,9 +62,8 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				qi := (g + r) % len(queries)
-				// Mix intra-query parallelism and per-run explain into the
-				// cross-request concurrency.
-				res, err := eng.RunWith(queries[qi], RunOptions{Workers: 1 + g%3, Explain: g%2 == 0})
+				// Mix per-run explain into the cross-request concurrency.
+				res, err := eng.RunWith(queries[qi], RunOptions{Explain: g%2 == 0})
 				if err != nil {
 					errs <- err
 					return

@@ -241,7 +241,7 @@ var aggQueries = []string{
 }
 
 // TestSatisfyingMatchesSeedAggregator runs whole queries through the engine
-// (one worker, and several under -race) and through the frozen seed
+// and through the frozen seed
 // evaluator + seed aggregator; tuples, scores and evidence must be identical.
 func TestSatisfyingMatchesSeedAggregator(t *testing.T) {
 	model := embed.NewModel()
@@ -274,18 +274,16 @@ func TestSatisfyingMatchesSeedAggregator(t *testing.T) {
 				}
 			}
 			emitted[qi] += len(want)
-			for _, workers := range []int{1, 4} {
-				res, err := e.RunWith(q, RunOptions{Workers: workers, Explain: true})
-				if err != nil {
-					t.Fatalf("%s q%d: %v", cname, qi, err)
-				}
-				if len(res.Tuples) != len(want) {
-					t.Fatalf("%s q%d workers=%d: %d tuples, seed %d", cname, qi, workers, len(res.Tuples), len(want))
-				}
-				for i := range want {
-					if !reflect.DeepEqual(res.Tuples[i], want[i]) {
-						t.Fatalf("%s q%d workers=%d tuple %d:\n got  %+v\n seed %+v", cname, qi, workers, i, res.Tuples[i], want[i])
-					}
+			res, err := e.RunWith(q, RunOptions{Explain: true})
+			if err != nil {
+				t.Fatalf("%s q%d: %v", cname, qi, err)
+			}
+			if len(res.Tuples) != len(want) {
+				t.Fatalf("%s q%d: %d tuples, seed %d", cname, qi, len(res.Tuples), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(res.Tuples[i], want[i]) {
+					t.Fatalf("%s q%d tuple %d:\n got  %+v\n seed %+v", cname, qi, i, res.Tuples[i], want[i])
 				}
 			}
 		}

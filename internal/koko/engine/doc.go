@@ -27,7 +27,14 @@
 //     clauses); values below the threshold or matching the excluding clause
 //     are dropped.
 //
+// A run evaluates its candidate documents in order on the goroutine that
+// pulls its Stream; the engine starts no goroutines of its own. A query is
+// parallelized one level up, by evaluating shards concurrently (package
+// koko), which is the only intra-query parallelism.
+//
 // The engine reports per-phase wall-clock times (the paper's Table 2
 // breakdown: Normalize / DPLI / LoadArticle / GSP / extract / satisfying)
-// and supports disabling the skip plan for the Table 1 ablation.
+// and supports disabling the skip plan for the Table 1 ablation. Written-
+// order evaluation (RunOptions.NoPlan) is the planner's test oracle, not a
+// serving option.
 package engine

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 
 	"repro/internal/koko/index"
@@ -93,15 +96,31 @@ func countsOfEntities(eps []index.EntityPosting) varCounts {
 // stores: lazy block decode has no error channel (posting-list access is
 // plain slice access), so the block store panics with *index.StoreError on
 // CRC or structural corruption, and this wrapper — every index access of a
-// query happens inside runDPLI — converts that into a query error.
+// query happens inside runDPLI — converts that into a query error. A store
+// file truncated under its live mmap faults (SIGBUS) instead of failing a
+// CRC; panic-on-fault turns that into a runtime error carrying the faulting
+// address, which becomes a *index.StoreError too rather than killing the
+// process.
 func runDPLIGuarded(nq *normQuery, ix *index.Index, planned bool) (res *dpliResult, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
-		if r := recover(); r != nil {
-			se, ok := r.(*index.StoreError)
+		switch r := recover().(type) {
+		case nil:
+		case *index.StoreError:
+			res, err = nil, r
+		case interface {
+			runtime.Error
+			Addr() uintptr
+		}:
+			// Only a mapped store file can fault under a live query; on a
+			// heap index the fault is a program bug and stays a crash.
+			store, ok := ix.Source().(interface{ Path() string })
 			if !ok {
 				panic(r)
 			}
-			res, err = nil, se
+			res, err = nil, &index.StoreError{Path: store.Path(), Err: fmt.Errorf("memory fault at %#x", r.Addr())}
+		default:
+			panic(r)
 		}
 	}()
 	return runDPLI(nq, ix, planned), nil

@@ -29,20 +29,14 @@ type Options struct {
 	// candidate articles are loaded from it (the paper's LoadArticle phase)
 	// instead of served from memory.
 	ArticleDB *store.DB
-	// Workers > 1 evaluates candidate documents concurrently (the paper's
-	// §7 future-work item: "parallelizing the evaluation of satisfying
-	// clauses"). Results are deterministic: tuples are emitted in document
-	// order regardless of scheduling. Phase times then report summed CPU
-	// time across workers rather than wall time.
+	// Deprecated: Workers is read by nothing. Documents evaluate in order
+	// on the goroutine that pulls the stream; a query parallelizes only
+	// across shards. Kept for callers that still set it.
 	Workers int
 	// Explain attaches per-condition evidence breakdowns to tuples (the
 	// paper's debuggability claim: "users can discover the reasons that
 	// led to an extraction").
 	Explain bool
-	// DisablePlan turns the selectivity planner off: conditions evaluate in
-	// the order the query wrote them (the differential baseline for the
-	// plan-on/plan-off comparison).
-	DisablePlan bool
 }
 
 // Engine evaluates KOKO queries over an indexed corpus.
@@ -135,14 +129,15 @@ type Result struct {
 // RunOptions overrides per-run evaluation knobs without rebuilding the
 // engine. The zero value inherits nothing: callers that want the engine
 // defaults should use Run. A server can thus share one Engine across
-// requests while honoring request-level Explain and Workers settings.
+// requests while honoring request-level Explain settings.
 type RunOptions struct {
-	// Workers > 1 evaluates candidate documents concurrently for this run.
+	// Deprecated: Workers is read by nothing; see Options.Workers.
 	Workers int
 	// Explain attaches per-condition evidence to this run's tuples.
 	Explain bool
 	// NoPlan evaluates conditions in written order for this run instead of
-	// the selectivity-ordered plan.
+	// the selectivity-ordered plan. It is the test oracle for the planner's
+	// differentials; nothing on the serving path sets it.
 	NoPlan bool
 	// Ctx, when non-nil, cancels the run: evaluation checks it between
 	// documents (the natural unit — aggregation is document-scoped) and the
@@ -165,9 +160,7 @@ func ctxErr(ctx context.Context) error {
 // (the regexp cache and the global score cache) is mutex-guarded, and each
 // run's working state is private to the call.
 func (e *Engine) Run(q *lang.Query) (*Result, error) {
-	return e.RunWith(q, RunOptions{
-		Workers: e.opts.Workers, Explain: e.opts.Explain, NoPlan: e.opts.DisablePlan,
-	})
+	return e.RunWith(q, RunOptions{Explain: e.opts.Explain})
 }
 
 // RunWith evaluates a parsed query with per-run overrides. Like Run it is
@@ -196,18 +189,11 @@ func (e *Engine) RunNaive(q *lang.Query) (*Result, error) {
 	}
 	res.CandidateSentences = len(cands)
 	st := &Stream{res: res}
-	st.seq = e.streamDocs(nq, &dpliResult{}, cands,
-		RunOptions{Workers: e.opts.Workers, Explain: e.opts.Explain}, nil, st)
+	st.seq = e.streamDocs(nq, &dpliResult{}, cands, RunOptions{Explain: e.opts.Explain}, nil, st)
 	return st.Collect()
 }
 
-// docRange is one document's contiguous slice of the candidate list.
-type docRange struct {
-	doc    int
-	lo, hi int
-}
-
-// addPlanActuals folds one worker's per-slot candidate counts into the
+// addPlanActuals folds the run's per-slot candidate counts into the
 // plan's estimated-vs-actual report.
 func addPlanActuals(res *Result, plan *queryPlan, ev *sentEval) {
 	if plan == nil || res.Plan == nil || ev == nil || ev.actual == nil {
@@ -238,10 +224,10 @@ func mergeDocCounters(res *Result, dr docEvalResult) {
 	res.EvaluatedSentences += dr.evaluated
 }
 
-// docWorker is one evaluation worker's private state: the reusable
+// docWorker is one run's private evaluation state: the reusable
 // per-sentence scratch, the per-document aggregator, and the forward cursor
-// into the DPLI count tables. One exists per goroutine in parallel mode, so
-// nothing here needs locks.
+// into the DPLI count tables. One exists per stream, so nothing here needs
+// locks.
 type docWorker struct {
 	e  *Engine
 	nq *normQuery
@@ -412,7 +398,7 @@ func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	dpli, err := runDPLIGuarded(nq, e.ix, !e.opts.DisablePlan)
+	dpli, err := runDPLIGuarded(nq, e.ix, true)
 	if err != nil {
 		return nil, err
 	}

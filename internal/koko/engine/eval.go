@@ -51,9 +51,9 @@ type gspCost struct {
 }
 
 // sentEval evaluates the extract clause over one sentence (§4.3: skip plan,
-// nested loops, alignment, validation). It is a reusable per-worker scratch:
-// all slices below are allocated once per worker, reset per sentence, and
-// shared with nothing — Workers>1 runs allocate almost nothing per sentence.
+// nested loops, alignment, validation). It is a reusable per-run scratch:
+// all slices below are allocated once per run, reset per sentence, and
+// shared with nothing, so a run allocates almost nothing per sentence.
 type sentEval struct {
 	nq     *normQuery
 	rc     *reCache

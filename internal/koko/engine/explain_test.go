@@ -1,60 +1,12 @@
 package engine
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/embed"
 	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 )
-
-// TestParallelEquivalence: Workers > 1 must return byte-identical tuples in
-// the same order as the sequential engine (the §7 parallelization must be a
-// pure optimization).
-func TestParallelEquivalence(t *testing.T) {
-	var texts []string
-	for i := 0; i < 60; i++ {
-		texts = append(texts,
-			fmt.Sprintf("Cafe Number%d serves smooth espresso daily. Cafe Number%d hired a champion barista.", i, i))
-	}
-	c := index.NewCorpus(nil, texts)
-	ix := index.Build(c)
-	q := lang.MustParse(`
-		extract x:Entity from "blogs" if ()
-		satisfying x
-		(str(x) contains "Cafe" {0.4}) or
-		(x [["serves coffee"]] {0.3}) or
-		(x [["employs baristas"]] {0.3})
-		with threshold 0.5`)
-	seq := New(c, ix, embed.NewModel(), Options{})
-	par := New(c, ix, embed.NewModel(), Options{Workers: 4})
-	r1, err := seq.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := par.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Tuples) == 0 {
-		t.Fatal("no tuples")
-	}
-	if len(r1.Tuples) != len(r2.Tuples) {
-		t.Fatalf("tuple count %d vs %d", len(r1.Tuples), len(r2.Tuples))
-	}
-	for i := range r1.Tuples {
-		if !reflect.DeepEqual(r1.Tuples[i].Values, r2.Tuples[i].Values) ||
-			r1.Tuples[i].SentenceID != r2.Tuples[i].SentenceID {
-			t.Fatalf("tuple %d differs: %v vs %v", i, r1.Tuples[i], r2.Tuples[i])
-		}
-	}
-	if r1.MatchedSentences != r2.MatchedSentences || r1.EvaluatedSentences != r2.EvaluatedSentences {
-		t.Errorf("counters differ: %d/%d vs %d/%d",
-			r1.MatchedSentences, r1.EvaluatedSentences, r2.MatchedSentences, r2.EvaluatedSentences)
-	}
-}
 
 // TestExplainEvidence: Options.Explain attaches per-condition breakdowns
 // whose contributions sum to the clause score.

@@ -72,7 +72,7 @@ func TestPlanOrdersSmallestFirst(t *testing.T) {
 
 // TestPlannedMatchesWrittenOrder is the tentpole differential: planner-on
 // and planner-off runs must produce byte-identical tuple sequences across
-// query shapes, corpora, and worker counts.
+// query shapes and corpora.
 func TestPlannedMatchesWrittenOrder(t *testing.T) {
 	model := embed.NewModel()
 	queries := append(append([]string{}, diffQueries...), planAdversarialQueries...)
@@ -81,25 +81,23 @@ func TestPlannedMatchesWrittenOrder(t *testing.T) {
 		e := New(c, ix, model, Options{})
 		for _, src := range queries {
 			q := lang.MustParse(src)
-			for _, workers := range []int{1, 2} {
-				off, err := e.RunWith(q, RunOptions{Workers: workers, NoPlan: true})
-				if err != nil {
-					t.Fatalf("%s: plan-off: %v", cname, err)
-				}
-				on, err := e.RunWith(q, RunOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: plan-on: %v", cname, err)
-				}
-				if !reflect.DeepEqual(off.Tuples, on.Tuples) {
-					t.Fatalf("%s workers=%d: planned tuples diverge\nquery: %s\noff: %v\non:  %v",
-						cname, workers, src, off.Tuples, on.Tuples)
-				}
-				if off.Plan != nil {
-					t.Fatalf("plan-off run carries a plan")
-				}
-				if on.Plan == nil && on.CandidateSentences > 0 {
-					t.Fatalf("plan-on run missing plan info (%s)", src)
-				}
+			off, err := e.RunWith(q, RunOptions{NoPlan: true})
+			if err != nil {
+				t.Fatalf("%s: plan-off: %v", cname, err)
+			}
+			on, err := e.RunWith(q, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s: plan-on: %v", cname, err)
+			}
+			if !reflect.DeepEqual(off.Tuples, on.Tuples) {
+				t.Fatalf("%s: planned tuples diverge\nquery: %s\noff: %v\non:  %v",
+					cname, src, off.Tuples, on.Tuples)
+			}
+			if off.Plan != nil {
+				t.Fatalf("plan-off run carries a plan")
+			}
+			if on.Plan == nil && on.CandidateSentences > 0 {
+				t.Fatalf("plan-on run missing plan info (%s)", src)
 			}
 		}
 	}
@@ -147,27 +145,25 @@ func TestPlannedMatchesSeedSemantics(t *testing.T) {
 }
 
 // TestPlanActualsAccumulate checks the estimated-vs-actual report: actual
-// candidate counts accumulate across sentences and workers.
+// candidate counts accumulate across sentences.
 func TestPlanActualsAccumulate(t *testing.T) {
 	model := embed.NewModel()
 	c := benchHappyDB(60, 7)
 	ix := index.Build(c)
 	e := New(c, ix, model, Options{})
 	q := lang.MustParse(diffQueries[0])
-	for _, workers := range []int{1, 3} {
-		res, err := e.RunWith(q, RunOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Plan == nil || len(res.Plan.Steps) == 0 {
-			t.Fatal("missing plan info")
-		}
-		var total int64
-		for _, st := range res.Plan.Steps {
-			total += st.Actual
-		}
-		if total == 0 {
-			t.Fatalf("workers=%d: no actual bindings accumulated: %+v", workers, res.Plan.Steps)
-		}
+	res, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan == nil || len(res.Plan.Steps) == 0 {
+		t.Fatal("missing plan info")
+	}
+	var total int64
+	for _, st := range res.Plan.Steps {
+		total += st.Actual
+	}
+	if total == 0 {
+		t.Fatalf("no actual bindings accumulated: %+v", res.Plan.Steps)
 	}
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"context"
 	"iter"
-	"sync"
 	"time"
 
 	"repro/internal/koko/lang"
@@ -13,26 +11,27 @@ import (
 // collectors over. A Stream performs the cheap prologue eagerly (normalize,
 // DPLI pruning, planning) so header fields — candidate count, the chosen
 // plan — are available before any document is evaluated, then yields tuples
-// one document at a time as the consumer pulls. Memory is bounded by the
-// reorder window, not the result size, and the first tuple is available as
-// soon as the first candidate document has been evaluated.
+// one document at a time as the consumer pulls. Memory is bounded by one
+// document's tuples, not the result size, and the first tuple is available
+// as soon as the first candidate document has been evaluated. A stream runs
+// on the goroutine that pulls it; the only intra-query parallelism is the
+// shard fan-out above the engine.
 
 // Stream is a started streaming evaluation. Docs is single-use; Err and
 // Result are meaningful once the iterator has returned (normally or via
 // early break).
 type Stream struct {
-	res      *Result
-	seq      func(yield func([]Tuple) bool)
-	err      error
-	complete bool
-	started  bool
+	res     *Result
+	seq     func(yield func([]Tuple) bool)
+	err     error
+	started bool
 }
 
 // Docs yields each candidate document's tuples, in ascending document order,
 // exactly as the buffered path would have appended them. Empty documents are
 // skipped. The yielded slice is freshly allocated per document and owned by
-// the consumer. Breaking out of the loop stops evaluation promptly (workers
-// are cancelled and joined before the iterator returns).
+// the consumer. Breaking out of the loop stops evaluation before the next
+// document.
 func (s *Stream) Docs() iter.Seq[[]Tuple] {
 	return func(yield func([]Tuple) bool) {
 		if s.started {
@@ -87,7 +86,7 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 	res.Times.DPLI = time.Since(t0)
 	st := &Stream{res: res}
 	if dpli.exhausted {
-		st.seq = func(func([]Tuple) bool) { st.complete = true }
+		st.seq = func(func([]Tuple) bool) {}
 		return st, nil
 	}
 	var cands []int32
@@ -111,141 +110,33 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 	return st, nil
 }
 
-// streamDocs builds the per-document iterator over the candidate list.
-// Counters and phase times accumulate into st.res in document order (the
-// same order the buffered path merged them) as the consumer pulls.
+// streamDocs builds the per-document iterator over the candidate list: one
+// document per pull, evaluated on the pulling goroutine, with no buffering
+// beyond the current document's tuples. Evidence aggregation and article
+// loading are document-scoped; cands is sorted and DocOfSent is
+// non-decreasing in sid, so each document's candidates are one contiguous
+// run and document order falls out ascending. Counters and phase times
+// accumulate into st.res in document order as the consumer pulls.
 func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro RunOptions, plan *queryPlan, st *Stream) func(yield func([]Tuple) bool) {
-	// Group candidate sentences by document (evidence aggregation and
-	// article loading are document-scoped). cands is sorted and DocOfSent is
-	// non-decreasing in sid, so grouping is one linear pass — no map, no
-	// re-sort, and document order falls out ascending.
-	var ranges []docRange
-	for i := 0; i < len(cands); {
-		d := e.corpus.DocOfSent[cands[i]]
-		j := i + 1
-		for j < len(cands) && e.corpus.DocOfSent[cands[j]] == d {
-			j++
-		}
-		ranges = append(ranges, docRange{doc: d, lo: i, hi: j})
-		i = j
-	}
-	if ro.Workers <= 1 {
-		return e.streamSequential(nq, dpli, cands, ranges, ro, plan, st)
-	}
-	return e.streamParallel(nq, dpli, cands, ranges, ro, plan, st)
-}
-
-// streamSequential is the pure pull path: one worker, one document per pull,
-// no goroutines and no buffering beyond the current document's tuples.
-func (e *Engine) streamSequential(nq *normQuery, dpli *dpliResult, cands []int32, ranges []docRange, ro RunOptions, plan *queryPlan, st *Stream) func(yield func([]Tuple) bool) {
 	return func(yield func([]Tuple) bool) {
 		w := e.newDocWorker(nq, dpli, ro, plan)
-		for _, r := range ranges {
+		for i := 0; i < len(cands); {
 			if err := ctxErr(ro.Ctx); err != nil {
 				st.err = err
 				return
 			}
-			dr := w.evalDoc(r.doc, cands[r.lo:r.hi])
+			d := e.corpus.DocOfSent[cands[i]]
+			j := i + 1
+			for j < len(cands) && e.corpus.DocOfSent[cands[j]] == d {
+				j++
+			}
+			dr := w.evalDoc(d, cands[i:j])
+			i = j
 			mergeDocCounters(st.res, dr)
 			if len(dr.tuples) > 0 && !yield(dr.tuples) {
 				return
 			}
 		}
 		addPlanActuals(st.res, plan, w.ev)
-		st.complete = true
-	}
-}
-
-// streamParallel evaluates documents concurrently behind a bounded reorder
-// window. A dispatcher hands each document to both an unbuffered work channel
-// (workers pull) and a bounded in-order channel (the consumer pulls); when
-// the window fills the dispatcher blocks, so a slow consumer applies
-// backpressure to evaluation and completed-but-undelivered results never
-// exceed the window. Tuples are still yielded in strict document order, so
-// output is byte-identical to the sequential path regardless of scheduling.
-func (e *Engine) streamParallel(nq *normQuery, dpli *dpliResult, cands []int32, ranges []docRange, ro RunOptions, plan *queryPlan, st *Stream) func(yield func([]Tuple) bool) {
-	workers := ro.Workers
-	return func(yield func([]Tuple) bool) {
-		base := ro.Ctx
-		if base == nil {
-			base = context.Background()
-		}
-		cctx, cancel := context.WithCancel(base)
-		// docJob's out is buffered to 1: each job has exactly one producer
-		// send and one consumer receive, so workers never block on delivery.
-		type docJob struct {
-			r   docRange
-			out chan docEvalResult
-		}
-		jobs := make(chan docJob)               // workers pull; unbuffered
-		ordered := make(chan docJob, 2*workers) // the reorder window
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() { // dispatcher
-			defer wg.Done()
-			defer close(jobs)
-			defer close(ordered)
-			for _, r := range ranges {
-				j := docJob{r: r, out: make(chan docEvalResult, 1)}
-				select {
-				case ordered <- j:
-				case <-cctx.Done():
-					return
-				}
-				select {
-				case jobs <- j:
-				case <-cctx.Done():
-					return
-				}
-			}
-		}()
-		evs := make([]*sentEval, workers)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				w := e.newDocWorker(nq, dpli, ro, plan)
-				evs[wk] = w.ev
-				for j := range jobs {
-					if cctx.Err() != nil {
-						return
-					}
-					j.out <- w.evalDoc(j.r.doc, cands[j.r.lo:j.r.hi])
-				}
-			}(wk)
-		}
-		drained := false
-		defer func() {
-			// Runs on normal completion, consumer break, and cancellation
-			// alike: stop the fleet, join it, then (only after the join —
-			// evs is written by the workers) fold the plan actuals.
-			cancel()
-			wg.Wait()
-			if !drained {
-				return
-			}
-			if err := ctxErr(ro.Ctx); err != nil {
-				st.err = err
-				return
-			}
-			for _, ev := range evs {
-				addPlanActuals(st.res, plan, ev)
-			}
-			st.complete = true
-		}()
-		for j := range ordered {
-			var dr docEvalResult
-			select {
-			case dr = <-j.out:
-			case <-cctx.Done():
-				st.err = cctx.Err()
-				return
-			}
-			mergeDocCounters(st.res, dr)
-			if len(dr.tuples) > 0 && !yield(dr.tuples) {
-				return
-			}
-		}
-		drained = true
 	}
 }

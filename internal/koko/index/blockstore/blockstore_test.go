@@ -3,6 +3,7 @@ package blockstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/koko/index"
 )
@@ -343,6 +345,60 @@ func TestCacheSingleflight(t *testing.T) {
 	wg.Wait()
 	if st := r.cache.Stats(); st.Decodes != int64(l.NumBlocks()) {
 		t.Fatalf("decodes = %d, want %d (singleflight)", st.Decodes, l.NumBlocks())
+	}
+}
+
+// TestCacheLoadPanicFailsEntry: a decode that panics (a memory fault on a
+// store truncated under its mapping) still fails its cache entry, so a
+// goroutine waiting on that block gets an error instead of blocking forever,
+// the panic reaches the decoding goroutine's caller, and a later access
+// decodes the block afresh.
+func TestCacheLoadPanicFailsEntry(t *testing.T) {
+	c := NewCache(0)
+	key := cacheKey{rid: 1, off: 0}
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan any, 1)
+	go func() {
+		defer func() { owner <- recover() }()
+		c.getPostings(key, func() ([]index.Posting, error) {
+			close(started)
+			<-release
+			panic("fault")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		// If the failed entry is already gone this goroutine decodes itself;
+		// either way it must come back with an error.
+		_, err := c.getPostings(key, func() ([]index.Posting, error) {
+			return nil, errors.New("decoded after the failure")
+		})
+		waiter <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter block on the entry
+	close(release)
+	timeout := time.After(5 * time.Second)
+	select {
+	case r := <-owner:
+		if r != "fault" {
+			t.Fatalf("decoding goroutine recovered %v, want the load's panic", r)
+		}
+	case <-timeout:
+		t.Fatal("decoding goroutine did not return")
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Fatal("waiter on a panicked decode got no error")
+		}
+	case <-timeout:
+		t.Fatal("waiter on a panicked decode blocked forever")
+	}
+	want := []index.Posting{{Sid: 7}}
+	got, err := c.getPostings(key, func() ([]index.Posting, error) { return want, nil })
+	if err != nil || len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("access after the failure = %v, %v; want a fresh decode", got, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"fmt"
 	"sync"
 	"unsafe"
 
@@ -95,6 +96,7 @@ func (c *Cache) getPostings(key cacheKey, load func() ([]index.Posting, error)) 
 		<-e.ready
 		return e.ps, e.err
 	}
+	defer c.abandonOnPanic(e)
 	ps, err := load()
 	c.finish(e, ps, nil, entryBytes+int64(len(ps))*postingBytes, err)
 	return ps, err
@@ -108,9 +110,22 @@ func (c *Cache) getEntities(key cacheKey, load func() ([]index.EntityPosting, er
 		<-e.ready
 		return e.es, e.err
 	}
+	defer c.abandonOnPanic(e)
 	es, err := load()
 	c.finish(e, nil, es, entryBytes+int64(len(es))*entityBytes, err)
 	return es, err
+}
+
+// abandonOnPanic is deferred by the goroutine that owns a decode. If load
+// panics (a memory fault on a store truncated under its mapping), it fails
+// the entry the way finish fails a decode error, so current waiters and
+// later accesses to the block do not block forever on a decode nobody will
+// finish; then the panic goes on to the query's recovery boundary.
+func (c *Cache) abandonOnPanic(e *cacheEntry) {
+	if r := recover(); r != nil {
+		c.finish(e, nil, nil, 0, fmt.Errorf("blockstore: decode of block at %d panicked: %v", e.key.off, r))
+		panic(r)
+	}
 }
 
 // claim finds or creates the entry for key. The second return is true when

@@ -510,16 +510,16 @@ func TestCacheTTLEndToEnd(t *testing.T) {
 	// Unit level.
 	c := newResultCache(4, 0)
 	r := &koko.Result{}
-	c.put("a", r, 25*time.Millisecond)
-	c.put("b", r, 0) // no expiry
-	if _, ok := c.get("a"); !ok {
+	c.put(ck("a"), r, 25*time.Millisecond)
+	c.put(ck("b"), r, 0) // no expiry
+	if _, ok := c.get(ck("a")); !ok {
 		t.Fatal("fresh entry missing")
 	}
 	time.Sleep(50 * time.Millisecond)
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get(ck("a")); ok {
 		t.Error("expired entry served")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.get(ck("b")); !ok {
 		t.Error("no-TTL entry evicted")
 	}
 	if c.len() != 1 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // resultCache is an LRU cache of query results, keyed on
-// corpus|generation|explain|canonical-query by the Service. Values are
+// (corpus, generation, explain, canonical query) by the Service. Values are
 // shared between requests and MUST be treated as immutable by readers.
 //
 // The cache is bounded two ways: by entry count and by the total number of
@@ -30,11 +29,11 @@ type resultCache struct {
 	maxTuples  int        // <= 0 means no tuple budget
 	tuples     int        // current total tuple count across entries
 	ll         *list.List // front = most recently used
-	m          map[string]*list.Element
+	m          map[cacheKey]*list.Element
 }
 
 type cacheEntry struct {
-	key    string
+	key    cacheKey
 	res    *koko.Result
 	tuples int
 	// expires is the entry's lazy expiry deadline; zero means no TTL.
@@ -49,11 +48,11 @@ func newResultCache(maxEntries, maxTuples int) *resultCache {
 		maxEntries: maxEntries,
 		maxTuples:  maxTuples,
 		ll:         list.New(),
-		m:          map[string]*list.Element{},
+		m:          map[cacheKey]*list.Element{},
 	}
 }
 
-func (c *resultCache) get(key string) (*koko.Result, bool) {
+func (c *resultCache) get(key cacheKey) (*koko.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -77,7 +76,7 @@ func (c *resultCache) get(key string) (*koko.Result, bool) {
 // put stores res under key. ttl > 0 gives the entry a lazy expiry deadline;
 // ttl <= 0 means the entry lives until evicted or invalidated by a
 // generation bump.
-func (c *resultCache) put(key string, res *koko.Result, ttl time.Duration) {
+func (c *resultCache) put(key cacheKey, res *koko.Result, ttl time.Duration) {
 	if c == nil {
 		return
 	}
@@ -120,19 +119,19 @@ func (c *resultCache) put(key string, res *koko.Result, ttl time.Duration) {
 	}
 }
 
-// dropCorpus removes every entry belonging to the named corpus (keys are
-// "corpus|generation|..."). Generation bumps already make such entries
-// unreachable; dropping them on corpus deletion returns their tuple budget
-// to live corpora immediately instead of waiting for LRU pressure.
+// dropCorpus removes every entry belonging to the named corpus, and only
+// those: the corpus field must match exactly. Generation bumps already make
+// such entries unreachable; dropping them on corpus deletion returns their
+// tuple budget to live corpora immediately instead of waiting for LRU
+// pressure.
 func (c *resultCache) dropCorpus(name string) {
 	if c == nil {
 		return
 	}
-	prefix := name + "|"
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, el := range c.m {
-		if strings.HasPrefix(key, prefix) {
+		if key.corpus == name {
 			c.ll.Remove(el)
 			c.tuples -= el.Value.(*cacheEntry).tuples
 			delete(c.m, key)

@@ -51,9 +51,6 @@ type Runtime interface {
 	// shard evaluation, never across shards.
 	Acquire(ctx context.Context) error
 	Release()
-	// ShardWorkers clamps a requested per-shard worker count to the
-	// runtime's budget for a single-shard evaluation.
-	ShardWorkers(requested int) int
 }
 
 // Config sizes a Manager.
@@ -95,11 +92,6 @@ type Spec struct {
 	Queries []string `json:"queries"`
 	// Explain attaches per-condition evidence to every tuple.
 	Explain bool `json:"explain,omitempty"`
-	// Workers overrides the per-shard worker count (0 = runtime default).
-	Workers int `json:"workers,omitempty"`
-	// Plan selects the query planner ("on", "off", "" = runtime default),
-	// mirroring the interactive query surface.
-	Plan string `json:"plan,omitempty"`
 }
 
 // QueryProgress is one query's execution progress within a job.
@@ -321,7 +313,7 @@ func (m *Manager) run(j *job) {
 	j.started = time.Now().UTC()
 	j.mu.Unlock()
 
-	qo := &koko.QueryOptions{Explain: j.spec.Explain, Workers: m.rt.ShardWorkers(j.spec.Workers), Plan: j.spec.Plan}
+	qo := &koko.QueryOptions{Explain: j.spec.Explain}
 	for qi := range j.parsed {
 		for si := 0; si < j.shards; si++ {
 			if j.ctx.Err() != nil {

@@ -52,8 +52,7 @@ func (f *fakeRuntime) Acquire(ctx context.Context) error {
 	return nil
 }
 
-func (f *fakeRuntime) Release()               {}
-func (f *fakeRuntime) ShardWorkers(n int) int { return 1 }
+func (f *fakeRuntime) Release() {}
 
 // gatedQuerier wraps a Querier so StreamShard (the executor's per-shard
 // evaluation call) blocks until released (or the context is cancelled),

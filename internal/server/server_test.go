@@ -283,24 +283,60 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	}
 }
 
+// ck is a cache key for unit tests of the cache's own bookkeeping.
+func ck(name string) cacheKey { return cacheKey{corpus: name} }
+
+// TestCacheDropCorpusExactName: deleting a corpus evicts its own cache
+// entries and no other corpus's, even one whose name starts with the
+// deleted name and a separator character.
+func TestCacheDropCorpusExactName(t *testing.T) {
+	svc := NewService(Config{CacheSize: 32})
+	eng := koko.NewEngine(koko.NewCorpus(nil, []string{"Cafe Vita serves espresso daily."}), nil)
+	for _, name := range []string{"a", "a|b"} {
+		if err := svc.Registry().Register(name, eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := `extract x:Entity from "b" if () satisfying x (str(x) contains "Cafe" {1.0}) with threshold 0.5`
+	ctx := context.Background()
+	for _, name := range []string{"a", "a|b"} {
+		if _, err := svc.Query(ctx, QueryRequest{Corpus: name, Query: q}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.DeleteCorpus("a"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := svc.Query(ctx, QueryRequest{Corpus: "a|b", Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Cached {
+		t.Fatal(`deleting corpus "a" evicted the cache entries of corpus "a|b"`)
+	}
+	if n := svc.cache.len(); n != 1 {
+		t.Fatalf("cache holds %d entries after the delete, want 1", n)
+	}
+}
+
 // TestLRUEviction fills the cache past capacity and checks the oldest
 // entry is evicted while recently used ones survive.
 func TestLRUEviction(t *testing.T) {
 	c := newResultCache(2, 0)
 	r := &koko.Result{}
-	c.put("a", r, 0)
-	c.put("b", r, 0)
-	if _, ok := c.get("a"); !ok { // a is now most recently used
+	c.put(ck("a"), r, 0)
+	c.put(ck("b"), r, 0)
+	if _, ok := c.get(ck("a")); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	c.put("c", r, 0) // evicts b
-	if _, ok := c.get("b"); ok {
+	c.put(ck("c"), r, 0) // evicts b
+	if _, ok := c.get(ck("b")); ok {
 		t.Error("b should have been evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(ck("a")); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get(ck("c")); !ok {
 		t.Error("c should be present")
 	}
 	if c.len() != 2 {

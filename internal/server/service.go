@@ -45,22 +45,19 @@ type Config struct {
 	// default (100000); negative disables the tuple budget, leaving only
 	// the entry-count bound.
 	CacheMaxTuples int
-	// DefaultWorkers is the per-query intra-engine worker count applied
-	// when a request does not specify one. Default 1 (sequential): under
-	// concurrent load, cross-request parallelism already saturates cores.
+	// Deprecated: DefaultWorkers is read by nothing. A shard's documents
+	// evaluate in order; a query parallelizes only across shards. Kept for
+	// callers that still set it.
 	DefaultWorkers int
 	// Shards > 1 partitions every corpus loaded from disk (from a plain,
 	// non-manifest store) into that many doc-range shards; queries then fan
 	// out across shard engines and merge in document order. Stores saved as
-	// sharded manifests keep their on-disk shard count.
+	// sharded manifests keep their on-disk shard count. How many shards of
+	// one query evaluate at once scales inversely with the worker pool
+	// (pool × fan-out ≈ 2 × GOMAXPROCS, at least 1), so a saturated server
+	// keeps its evaluation goroutines near the pool size and an interactive
+	// one (small MaxConcurrent) gets wide fan-out.
 	Shards int
-	// ShardParallel bounds how many shards evaluate concurrently within one
-	// query. 0 means auto: the fan-out scales inversely with the worker
-	// pool (pool × fan-out ≈ 2 × GOMAXPROCS), so a saturated server keeps
-	// total evaluation goroutines near the pre-sharding level and an
-	// interactive one (small -pool) gets low-latency wide fan-out.
-	// Negative leaves the engine default, min(shards, GOMAXPROCS).
-	ShardParallel int
 	// CacheTTL, when > 0, expires result-cache entries that many seconds'
 	// worth of time after they are stored (lazily, at lookup). 0 disables
 	// expiry. Per-corpus overrides in CacheTTLPerCorpus win over this
@@ -115,7 +112,6 @@ type Service struct {
 	cache        *resultCache
 	sem          chan struct{}
 	metrics      Metrics
-	defWorkers   int
 	jobs         *jobs.Manager
 	cacheTTL     time.Duration
 	cacheTTLBy   map[string]time.Duration
@@ -143,15 +139,9 @@ func NewService(cfg Config) *Service {
 	if maxTuples == 0 {
 		maxTuples = 100000
 	}
-	workers := cfg.DefaultWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	sp := cfg.ShardParallel
-	if sp == 0 {
-		if sp = 2 * runtime.GOMAXPROCS(0) / maxc; sp < 1 {
-			sp = 1
-		}
+	sp := 2 * runtime.GOMAXPROCS(0) / maxc
+	if sp < 1 {
+		sp = 1
 	}
 	maxDelta := cfg.MaxDeltaDocs
 	if maxDelta == 0 {
@@ -173,7 +163,6 @@ func NewService(cfg Config) *Service {
 		reg:          reg,
 		cache:        newResultCache(size, maxTuples),
 		sem:          make(chan struct{}, maxc),
-		defWorkers:   workers,
 		cacheTTL:     cfg.CacheTTL,
 		cacheTTLBy:   cfg.CacheTTLPerCorpus,
 		cacheMinCost: cfg.CacheMinCost,
@@ -217,13 +206,6 @@ func (s *Service) Acquire(ctx context.Context) error {
 // Release returns a slot claimed with Acquire.
 func (s *Service) Release() { <-s.sem }
 
-// ShardWorkers clamps a requested worker count for a single-shard
-// evaluation (jobs evaluate shards one at a time, so the whole per-query
-// budget applies).
-func (s *Service) ShardWorkers(requested int) int {
-	return s.workersFor(requested, 1)
-}
-
 // ttlFor resolves the result-cache TTL for a corpus: per-corpus override
 // first, then the service default (0 = no expiry).
 func (s *Service) ttlFor(corpus string) time.Duration {
@@ -239,13 +221,6 @@ type QueryRequest struct {
 	Query  string `json:"query"`
 	// Explain attaches per-condition evidence to every tuple.
 	Explain bool `json:"explain,omitempty"`
-	// Workers overrides the per-query worker count (0 = service default).
-	Workers int `json:"workers,omitempty"`
-	// Plan selects the query planner for this request: "on" (or "")
-	// orders conditions by selectivity, "off" evaluates in written order —
-	// the differential baseline. Tuples are identical either way; only
-	// evaluation order (and the plan report) changes.
-	Plan string `json:"plan,omitempty"`
 	// NoCache bypasses the result cache (read and write) for this request.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Partial opts into graceful degradation on a remote corpus
@@ -299,8 +274,8 @@ type QueryResponse struct {
 	Cached bool        `json:"cached"`
 	Phases PhaseMillis `json:"phases"`
 	// Plan reports the planner's chosen condition order with estimated vs
-	// actual binding counts (absent when planning is off or the query
-	// short-circuited before extraction).
+	// actual binding counts (absent when the query short-circuited before
+	// extraction).
 	Plan *koko.PlanInfo `json:"plan,omitempty"`
 	// ServiceMillis is this request's wall time inside the service,
 	// including any wait for a worker slot.
@@ -367,8 +342,7 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 		s.metrics.queryErrors.Add(1)
 		return answer{}, err
 	}
-	plan := s.effectivePlan(req.Plan)
-	key := cacheKey(req, gen, parsed, plan)
+	key := cacheKey{corpus: req.Corpus, gen: gen, explain: req.Explain, canonical: parsed.Canonical()}
 	a := answer{gen: gen}
 	if !req.NoCache {
 		if hit, ok := s.cache.get(key); ok {
@@ -389,8 +363,6 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 	s.metrics.enter()
 	seq, err := eng.Run(ctx, parsed, &koko.QueryOptions{
 		Explain: req.Explain,
-		Workers: s.workersFor(req.Workers, fanoutOf(eng)),
-		Plan:    plan,
 		// Engines without failure domains ignore Degraded, so Partial is safe
 		// to thread through unconditionally.
 		Degraded: req.Partial,
@@ -447,16 +419,6 @@ func (s *Service) classify(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
-// effectivePlan normalizes a request's planner selection to exactly "on"
-// or "off" — the form both the cache key and the engine option use, so ""
-// and an explicit "on" share one cache entry.
-func (s *Service) effectivePlan(req string) string {
-	if req == "off" {
-		return "off"
-	}
-	return "on"
-}
-
 // collect is the buffered drain: the whole answer, materialized.
 func collect(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
 	res := hit
@@ -500,7 +462,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 // admission threshold (re-running it costs less than the warm entries it
 // would evict). Buffered and streamed evaluation share this one admission
 // path.
-func (s *Service) cachePut(key string, req QueryRequest, res *koko.Result) {
+func (s *Service) cachePut(key cacheKey, req QueryRequest, res *koko.Result) {
 	if req.NoCache {
 		return
 	}
@@ -511,55 +473,18 @@ func (s *Service) cachePut(key string, req QueryRequest, res *koko.Result) {
 	s.cache.put(key, res, s.ttlFor(req.Corpus))
 }
 
-// cacheKey derives the result-cache key for a request: buffered and
-// streamed evaluations of the same query MUST share one key derivation so
-// the two modes populate and hit one cache, not two. Workers changes only
-// scheduling, never results, so it is excluded; Explain changes the
-// tuples' evidence, so it is part of it; the generation makes reloads an
-// implicit invalidation. The canonical text is plan-invariant (ParseQuery
-// canonicalizes condition order), so reordered-but-equivalent conjunctions
-// share one entry; plan is the pre-normalized "on"/"off" (the stored
-// result's phase/plan report differs between the two, never its tuples).
-func cacheKey(req QueryRequest, gen uint64, parsed *koko.ParsedQuery, plan string) string {
-	return fmt.Sprintf("%s|%d|%t|%s|%s", req.Corpus, gen, req.Explain, plan, parsed.Canonical())
-}
-
-// fanoutOf reports how many shard evaluations eng actually runs at once
-// for one query (see koko.Snapshot.Fanout).
-func fanoutOf(eng koko.Querier) int {
-	switch e := eng.(type) {
-	case *koko.Snapshot:
-		return e.Fanout()
-	case *remote.Engine:
-		// Remote fan-out costs connections, not local cores, but the
-		// Workers clamp it feeds divides worker-side CPU instead.
-		return e.Parallelism()
-	}
-	return 1
-}
-
-func (s *Service) workersFor(reqWorkers, fanout int) int {
-	w := s.defWorkers
-	if reqWorkers > 0 {
-		w = reqWorkers
-	}
-	// Clamp request-supplied fan-out: a client must not be able to spawn
-	// unbounded goroutines per query. Workers applies inside each of the
-	// fanout concurrently-evaluating shards, so the budget divides by the
-	// engine's effective fan-out (not its shard count — shards that queue
-	// behind the fan-out bound cost nothing extra) to keep total per-query
-	// parallelism at GOMAXPROCS.
-	max := runtime.GOMAXPROCS(0)
-	if fanout > 1 {
-		max /= fanout
-		if max < 1 {
-			max = 1
-		}
-	}
-	if w > max {
-		w = max
-	}
-	return w
+// cacheKey is the result-cache key of a request: buffered and streamed
+// evaluations of the same query share one key, so the two modes populate
+// and hit one cache, not two. Explain changes the tuples' evidence, so it
+// is part of it; the generation makes reloads an implicit invalidation. The
+// canonical text is plan-invariant (ParseQuery canonicalizes condition
+// order), so reordered-but-equivalent conjunctions share one entry. A struct
+// rather than a joined string, so no corpus name can alias another's keys.
+type cacheKey struct {
+	corpus    string
+	gen       uint64
+	explain   bool
+	canonical string
 }
 
 // tupleResultOf renders one tuple as its JSON form. Buffered responses,

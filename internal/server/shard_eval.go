@@ -82,11 +82,7 @@ func (s *Service) handleShardEval(w http.ResponseWriter, r *http.Request) {
 	}
 	skip := req.Skip
 	sent := 0
-	sum, err := eng.StreamShard(r.Context(), req.Shard, parsed, &koko.QueryOptions{
-		Explain: req.Explain,
-		Workers: s.ShardWorkers(req.Workers),
-		Plan:    s.effectivePlan(req.Plan),
-	}, func(ts []koko.Tuple) error {
+	sum, err := eng.StreamShard(r.Context(), req.Shard, parsed, &koko.QueryOptions{Explain: req.Explain}, func(ts []koko.Tuple) error {
 		if skip > 0 {
 			if skip >= len(ts) {
 				skip -= len(ts)

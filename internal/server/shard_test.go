@@ -32,9 +32,11 @@ func TestServiceShardedQuery(t *testing.T) {
 	plainSvc := NewService(Config{CacheSize: -1})
 	plainSvc.Registry().Register("cafes", koko.NewEngine(c, nil))
 	shardSvc := NewService(Config{CacheSize: -1})
-	shardSvc.Registry().Register("cafes", koko.NewShardedEngine(c, 3, nil))
+	se := koko.NewShardedEngine(c, 3, nil)
+	shardSvc.Registry().Register("cafes", se)
+	se.SetParallelism(3) // all shards at once, so -race sees concurrent evaluation
 
-	req := QueryRequest{Corpus: "cafes", Query: cafeQuery, Explain: true, Workers: 2}
+	req := QueryRequest{Corpus: "cafes", Query: cafeQuery, Explain: true}
 	want, err := plainSvc.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -167,34 +169,18 @@ func TestRegistryLoadFileSharded(t *testing.T) {
 
 // TestShardParallelPolicy: the service bounds per-query shard fan-out
 // inversely with its pool size so concurrent requests cannot oversubscribe
-// the CPU; explicit config wins; negative leaves the engine default.
+// the CPU.
 func TestShardParallelPolicy(t *testing.T) {
 	names, texts := shardTestTexts(6)
 	c := koko.NewCorpus(names, texts)
 
-	svc := NewService(Config{MaxConcurrent: 4, ShardParallel: 2})
+	// A pool of 1 hands the whole 2×GOMAXPROCS budget to the single
+	// in-flight query.
+	svc := NewService(Config{MaxConcurrent: 1})
 	se := koko.NewShardedEngine(c, 3, nil)
 	svc.Registry().Register("s", se)
-	if se.Parallelism() != 2 {
-		t.Fatalf("explicit shard parallelism = %d, want 2", se.Parallelism())
-	}
-
-	// Auto: a pool of 1 hands the whole 2×GOMAXPROCS budget to the single
-	// in-flight query.
-	svc2 := NewService(Config{MaxConcurrent: 1})
-	se2 := koko.NewShardedEngine(c, 3, nil)
-	svc2.Registry().Register("s", se2)
-	if want := 2 * runtime.GOMAXPROCS(0); se2.Parallelism() != want {
-		t.Fatalf("auto shard parallelism = %d, want %d", se2.Parallelism(), want)
-	}
-
-	// Negative: the engine keeps its own default.
-	se3 := koko.NewShardedEngine(c, 3, nil)
-	def := se3.Parallelism()
-	svc3 := NewService(Config{MaxConcurrent: 4, ShardParallel: -1})
-	svc3.Registry().Register("s", se3)
-	if se3.Parallelism() != def {
-		t.Fatalf("negative config changed parallelism: %d -> %d", def, se3.Parallelism())
+	if want := 2 * runtime.GOMAXPROCS(0); se.Parallelism() != want {
+		t.Fatalf("auto shard parallelism = %d, want %d", se.Parallelism(), want)
 	}
 }
 
@@ -233,17 +219,17 @@ func TestCacheTupleBudget(t *testing.T) {
 	}
 	c := newResultCache(100, 10)
 
-	c.put("a", mkRes(4), 0)
-	c.put("b", mkRes(4), 0)
+	c.put(ck("a"), mkRes(4), 0)
+	c.put(ck("b"), mkRes(4), 0)
 	if c.len() != 2 || c.tupleCount() != 8 {
 		t.Fatalf("len=%d tuples=%d, want 2/8", c.len(), c.tupleCount())
 	}
 	// +4 tuples exceeds 10: the LRU entry "a" must go.
-	c.put("c", mkRes(4), 0)
-	if _, ok := c.get("a"); ok {
+	c.put(ck("c"), mkRes(4), 0)
+	if _, ok := c.get(ck("a")); ok {
 		t.Error("a should have been evicted by the tuple budget")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.get(ck("b")); !ok {
 		t.Error("b should survive")
 	}
 	if c.tupleCount() != 8 {
@@ -252,46 +238,46 @@ func TestCacheTupleBudget(t *testing.T) {
 
 	// An oversized result is refused at admission — and must NOT drain the
 	// warm entries to make room for something that can never fit.
-	c.put("huge", mkRes(50), 0)
-	if _, ok := c.get("huge"); ok {
+	c.put(ck("huge"), mkRes(50), 0)
+	if _, ok := c.get(ck("huge")); ok {
 		t.Error("oversized result must not be retained")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.get(ck("b")); !ok {
 		t.Error("b should survive an oversized put")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get(ck("c")); !ok {
 		t.Error("c should survive an oversized put")
 	}
 	if c.tupleCount() > 10 {
 		t.Errorf("tuples = %d over budget", c.tupleCount())
 	}
 	// An oversized replacement drops the stale entry under the same key.
-	c.put("b", mkRes(50), 0)
-	if _, ok := c.get("b"); ok {
+	c.put(ck("b"), mkRes(50), 0)
+	if _, ok := c.get(ck("b")); ok {
 		t.Error("oversized replacement must evict the stale entry")
 	}
 
 	// Replacing an entry adjusts the accounting instead of double counting.
 	c2 := newResultCache(100, 10)
-	c2.put("k", mkRes(3), 0)
-	c2.put("k", mkRes(5), 0)
+	c2.put(ck("k"), mkRes(3), 0)
+	c2.put(ck("k"), mkRes(5), 0)
 	if c2.len() != 1 || c2.tupleCount() != 5 {
 		t.Errorf("after replace: len=%d tuples=%d, want 1/5", c2.len(), c2.tupleCount())
 	}
 
 	// Zero-tuple results still obey the entry bound.
 	c3 := newResultCache(2, 10)
-	c3.put("x", mkRes(0), 0)
-	c3.put("y", mkRes(0), 0)
-	c3.put("z", mkRes(0), 0)
+	c3.put(ck("x"), mkRes(0), 0)
+	c3.put(ck("y"), mkRes(0), 0)
+	c3.put(ck("z"), mkRes(0), 0)
 	if c3.len() != 2 {
 		t.Errorf("entry bound ignored: len=%d", c3.len())
 	}
 
 	// Negative budget disables the tuple bound entirely.
 	c4 := newResultCache(100, -1)
-	c4.put("big", mkRes(1000), 0)
-	if _, ok := c4.get("big"); !ok {
+	c4.put(ck("big"), mkRes(1000), 0)
+	if _, ok := c4.get(ck("big")); !ok {
 		t.Error("tuple bound should be disabled when negative")
 	}
 }

@@ -89,12 +89,13 @@ func TestStreamShardPrefixMerge(t *testing.T) {
 
 // TestRunEventsOrderAndEquivalence: ShardEnd markers arrive in strict shard
 // order and the tuples between them concatenate into the collected Run
-// result, with Workers > 1 inside shards so -race exercises the nested
-// parallelism.
+// result, with all shards evaluating at once so -race exercises the
+// concurrent fan-out.
 func TestRunEventsOrderAndEquivalence(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		eng, p := asyncTestEngine(t, k)
-		qo := &QueryOptions{Workers: 2}
+		eng.SetParallelism(k)
+		qo := &QueryOptions{}
 		want := collectRun(t, eng, p, qo)
 		seq, err := eng.Run(context.Background(), p, qo)
 		if err != nil {

@@ -77,16 +77,9 @@ type Options struct {
 	DisableSkipPlan bool
 	// ExpansionLimit bounds descriptor expansion (0 = default).
 	ExpansionLimit int
-	// Workers evaluates candidate documents concurrently when > 1; results
-	// are deterministic regardless.
-	Workers int
 	// Explain attaches per-condition evidence to every tuple — the
 	// debuggability the paper contrasts with opaque learned extractors.
 	Explain bool
-	// DisablePlan turns off the statistics-free query planner: conditions
-	// evaluate in written order instead of selectivity order (the
-	// differential baseline for the planner, and an ablation knob).
-	DisablePlan bool
 }
 
 // Engine indexes a corpus and evaluates KOKO queries against it.
@@ -100,11 +93,9 @@ type Engine struct {
 	ix     *index.Index
 	model  *embed.Model
 	eng    *engine.Engine
-	// optExplain / optWorkers / optNoPlan retain the Options defaults so
-	// runOptions can fall back to them per field.
+	// optExplain retains the Options default so runOptions can fall back
+	// to it.
 	optExplain bool
-	optWorkers int
-	optNoPlan  bool
 }
 
 // Corpus returns the corpus the engine was built over.
@@ -168,14 +159,11 @@ func deriveModelDicts(opts *Options) (*embed.Model, map[string]map[string]bool) 
 // the one constructor behind NewEngine, store loading, and sealed delta
 // views.
 func assembleEngine(c *Corpus, ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, opts *Options) *Engine {
-	e := &Engine{corpus: c, ix: ix, model: model,
-		optExplain: opts.Explain, optWorkers: opts.Workers, optNoPlan: opts.DisablePlan}
+	e := &Engine{corpus: c, ix: ix, model: model, optExplain: opts.Explain}
 	e.eng = engine.New(c.c, ix, model, engine.Options{
 		DisableSkipPlan: opts.DisableSkipPlan,
-		DisablePlan:     opts.DisablePlan,
 		ExpansionLimit:  opts.ExpansionLimit,
 		Dicts:           dicts,
-		Workers:         opts.Workers,
 		Explain:         opts.Explain,
 	})
 	return e
@@ -217,12 +205,13 @@ type Result struct {
 	Matched    int
 	// Elapsed is the total evaluation time.
 	Elapsed time.Duration
-	// Phases breaks Elapsed into the pipeline's phases. With Workers > 1
-	// the per-document phases report summed CPU time across workers.
+	// Phases breaks Elapsed into the pipeline's phases. Over several
+	// shards each phase is summed across shards, so with shards evaluating
+	// concurrently it reports CPU time, not wall time.
 	Phases PhaseTimes
 	// Plan reports the planner's chosen condition order and estimated vs
-	// actual bindings. Nil when planning is disabled or the query
-	// short-circuited before extraction.
+	// actual bindings. Nil when the query short-circuited before
+	// extraction.
 	Plan *PlanInfo
 }
 
@@ -231,17 +220,18 @@ type Result struct {
 type QueryOptions struct {
 	// Explain attaches per-condition evidence to this query's tuples.
 	Explain bool
-	// Workers > 1 evaluates candidate documents concurrently for this query.
+	// Deprecated: Workers is read by nothing. A query parallelizes only
+	// across shards (ShardedEngine.SetParallelism). Kept for callers that
+	// still set it.
 	Workers int
-	// Plan overrides the engine's planner setting for this query:
-	// "on" forces selectivity-ordered evaluation, "off" forces written
-	// order, "" inherits the engine default.
-	Plan string
 	// Degraded lets an engine with failure domains (remote.Engine) answer
 	// from whatever shards survive: a failed shard is skipped and reported
 	// through TupleSeq.FailedShards instead of failing the query. Engines
 	// whose shards cannot fail independently ignore it.
 	Degraded bool
+	// noPlan evaluates conditions in written order instead of the
+	// planner's order: the oracle for this package's planner differentials.
+	noPlan bool
 }
 
 // ParsedQuery is a parsed, reusable KOKO query. Parsing once and running
@@ -276,20 +266,10 @@ func (e *Engine) Query(src string) (*Result, error) { return query(e, src, nil) 
 // runOptions resolves per-query overrides against the engine's defaults —
 // the one translation from the public QueryOptions to the internal run knobs.
 func (e *Engine) runOptions(ctx context.Context, qo *QueryOptions) engine.RunOptions {
-	ro := engine.RunOptions{Explain: e.optExplain, Workers: e.optWorkers, NoPlan: e.optNoPlan, Ctx: ctx}
+	ro := engine.RunOptions{Explain: e.optExplain, Ctx: ctx}
 	if qo != nil {
-		if qo.Explain {
-			ro.Explain = true
-		}
-		if qo.Workers > 0 {
-			ro.Workers = qo.Workers
-		}
-		switch qo.Plan {
-		case "on":
-			ro.NoPlan = false
-		case "off":
-			ro.NoPlan = true
-		}
+		ro.Explain = ro.Explain || qo.Explain
+		ro.NoPlan = qo.noPlan
 	}
 	return ro
 }

@@ -731,18 +731,6 @@ func (s *Snapshot) DocumentName(i int) string {
 	return ""
 }
 
-// Fanout reports how many shard evaluations one query effectively runs
-// concurrently: the base's fan-out, capped by its shard count. The delta is
-// not charged a slot — it is tiny next to the base, and charging it would
-// halve a single-shard corpus's worker budget whenever documents await
-// compaction.
-func (s *Snapshot) Fanout() int {
-	if se, ok := s.base.(*ShardedEngine); ok {
-		return min(se.Parallelism(), s.baseShards)
-	}
-	return 1
-}
-
 // Query parses and evaluates a KOKO query against the snapshot.
 func (s *Snapshot) Query(src string) (*Result, error) { return query(s, src, nil) }
 
@@ -752,15 +740,20 @@ func (s *Snapshot) Query(src string) (*Result, error) { return query(s, src, nil
 // with tombstoned documents masked out batch by batch. The delta's start
 // gate is closed up front (eager admission, see StreamShardsEager), so it
 // evaluates concurrently with the base fan-out from the first moment
-// without charging a fan-out slot (see Fanout); its output parks in the
-// delta shard's bounded buffer until the ordered merge reaches it. Safe
-// for concurrent use.
+// without charging a fan-out slot (it is tiny next to the base); its
+// output parks in the delta shard's bounded buffer until the ordered merge
+// reaches it. The base shards fan out as wide as the base's parallelism,
+// capped by their count. Safe for concurrent use.
 func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	var eager []int
 	if s.delta != nil {
 		eager = []int{s.baseShards} // the delta is the last shard
 	}
-	return StreamShardsEager(ctx, s.NumShards(), s.Fanout(), eager,
+	fanout := 1
+	if se, ok := s.base.(*ShardedEngine); ok {
+		fanout = min(se.Parallelism(), s.baseShards)
+	}
+	return StreamShardsEager(ctx, s.NumShards(), fanout, eager,
 		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
 			return s.StreamShard(ctx, shard, p, qo, emit)
 		}, false), nil

@@ -40,6 +40,18 @@ func baseEngine(c *Corpus, k int) Querier {
 	return NewEngine(c, nil)
 }
 
+// concurrentMutable opens a memory-only corpus over base whose queries fan
+// out at least two shards wide, before and after every compaction, so
+// -race sees shards evaluating concurrently even on a one-CPU runner.
+func concurrentMutable(t *testing.T, base Querier) *Mutable {
+	t.Helper()
+	m, err := OpenMutable(base, MutableConfig{ShardParallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestMutableIngestDifferential: for every generator and K, start from a
 // base over the first half of the documents, ingest the rest one at a time
 // (holding the last one back until after compaction), and compare against
@@ -57,7 +69,7 @@ func TestMutableIngestDifferential(t *testing.T) {
 			refButLast := NewEngine(prefixCorpus(full, nd-1), nil)
 			half := nd / 2
 			for _, k := range []int{1, 3} {
-				mut := NewMutable(baseEngine(prefixCorpus(full, half), k), nil)
+				mut := concurrentMutable(t, baseEngine(prefixCorpus(full, half), k))
 
 				// Ingest all but the last document one at a time.
 				for d := half; d < nd-1; d++ {
@@ -72,7 +84,7 @@ func TestMutableIngestDifferential(t *testing.T) {
 				}
 				for qi, src := range tc.queries {
 					for _, explain := range []bool{false, true} {
-						qo := &QueryOptions{Workers: 2, Explain: explain}
+						qo := &QueryOptions{Explain: explain}
 						label := fmt.Sprintf("k=%d live-delta q=%d explain=%t", k, qi, explain)
 						sameResults(t, label, mustRun(t, refButLast, src, qo), mustRun(t, snap, src, qo))
 					}
@@ -96,7 +108,7 @@ func TestMutableIngestDifferential(t *testing.T) {
 					t.Fatalf("k=%d compacted %d base shards into %d, want %d", k, baseShards, snap.NumShards(), baseShards+1)
 				}
 				for qi, src := range tc.queries {
-					qo := &QueryOptions{Workers: 2, Explain: true}
+					qo := &QueryOptions{Explain: true}
 					label := fmt.Sprintf("k=%d compacted q=%d", k, qi)
 					sameResults(t, label, mustRun(t, refButLast, src, qo), mustRun(t, snap, src, qo))
 				}
@@ -111,7 +123,7 @@ func TestMutableIngestDifferential(t *testing.T) {
 					t.Fatalf("k=%d post-compact snapshot docs=%d delta=%d", k, snap.NumDocuments(), snap.DeltaDocs())
 				}
 				for qi, src := range tc.queries {
-					qo := &QueryOptions{Workers: 2, Explain: true}
+					qo := &QueryOptions{Explain: true}
 					label := fmt.Sprintf("k=%d post-compact-delta q=%d", k, qi)
 					sameResults(t, label, mustRun(t, ref, src, qo), mustRun(t, snap, src, qo))
 				}
@@ -182,7 +194,7 @@ func TestMutableConcurrentIngestCompactQuery(t *testing.T) {
 		/ROOT:{ v = //verb, b = v/dobj, o = (b.subtree) })
 		satisfying o ("ate" o {0.7}) or (o near "delicious" {1}) with threshold 0.2`
 
-	mut := NewMutable(baseEngine(prefixCorpus(full, half), 2), nil)
+	mut := concurrentMutable(t, baseEngine(prefixCorpus(full, half), 2))
 	var wg sync.WaitGroup
 	ingestDone := make(chan struct{})
 	wg.Add(1)
@@ -221,8 +233,8 @@ func TestMutableConcurrentIngestCompactQuery(t *testing.T) {
 				default:
 				}
 				snap := mut.Snapshot()
-				a := mustRun(t, snap, src, &QueryOptions{Workers: 2})
-				b := mustRun(t, snap, src, &QueryOptions{Workers: 2})
+				a := mustRun(t, snap, src, nil)
+				b := mustRun(t, snap, src, nil)
 				if len(a.Tuples) != len(b.Tuples) {
 					panic(fmt.Sprintf("snapshot nondeterministic: %d vs %d tuples", len(a.Tuples), len(b.Tuples)))
 				}

@@ -7,12 +7,12 @@ import (
 	"repro/internal/corpus"
 )
 
-// The planner differential suite: selectivity-ordered evaluation
-// (Plan:"on") must produce byte-identical results to written-order
-// evaluation (Plan:"off" — the frozen seed evaluator's order) for every
-// corpus generator, shard count, and worker setting, including delta-index
-// snapshots taken mid-ingest. Run under -race: Workers=2 exercises the
-// reordered candidate build concurrently.
+// The planner differential suite: selectivity-ordered evaluation must
+// produce byte-identical results to written-order evaluation (the noPlan
+// oracle — the frozen seed evaluator's order) for every corpus generator
+// and shard count, including delta-index snapshots taken mid-ingest. Run
+// under -race: shards evaluating at once exercise the reordered candidate
+// build concurrently.
 
 // planDiffQueries extends a diffCase's workload with a query shaped to make
 // the planner reorder: the elastic span, whose candidate build scans O(t²)
@@ -36,8 +36,9 @@ var planPhrases = map[string]struct{ source, phrase string }{
 }
 
 // TestPlanDifferential: planner-on vs planner-off over three generators,
-// K ∈ {1,3} shards, Workers=2, plain and Explain. At least one query in the
-// suite must actually reorder, or the comparison is vacuous.
+// K ∈ {1,3} shards (all evaluating at once), plain and Explain. At least
+// one query in the suite must actually reorder, or the comparison is
+// vacuous.
 func TestPlanDifferential(t *testing.T) {
 	reorderedAny := false
 	for _, tc := range diffCases() {
@@ -51,14 +52,14 @@ func TestPlanDifferential(t *testing.T) {
 				q    Querier
 			}{
 				{"k=1", NewEngine(c, nil)},
-				{"k=3", NewShardedEngine(c, 3, nil)},
+				{"k=3", concurrentSharded(c, 3)},
 			}
 			tuples := 0
 			for _, eng := range engines {
 				for qi, src := range queries {
 					for _, explain := range []bool{false, true} {
-						off := mustRun(t, eng.q, src, &QueryOptions{Workers: 2, Explain: explain, Plan: "off"})
-						on := mustRun(t, eng.q, src, &QueryOptions{Workers: 2, Explain: explain, Plan: "on"})
+						off := mustRun(t, eng.q, src, &QueryOptions{Explain: explain, noPlan: true})
+						on := mustRun(t, eng.q, src, &QueryOptions{Explain: explain})
 						label := fmt.Sprintf("%s q=%d explain=%t", eng.name, qi, explain)
 						sameResults(t, label, off, on)
 						tuples += len(on.Tuples)
@@ -87,7 +88,7 @@ func TestPlanDifferential(t *testing.T) {
 // written-order baseline must still match byte for byte.
 func TestPlanDifferentialMutable(t *testing.T) {
 	base := WrapCorpus(corpus.GenHappyDB(200, 3))
-	m, err := OpenMutable(NewEngine(base, nil), MutableConfig{Name: "moments"})
+	m, err := OpenMutable(NewEngine(base, nil), MutableConfig{Name: "moments", ShardParallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +102,8 @@ func TestPlanDifferentialMutable(t *testing.T) {
 		/ROOT:{ a = ^[min=1,max=2], v = //verb, w = "today and" } (w) in (a))`
 	check := func(stage string, snap *Snapshot) {
 		t.Helper()
-		off := mustRun(t, snap, src, &QueryOptions{Workers: 2, Plan: "off"})
-		on := mustRun(t, snap, src, &QueryOptions{Workers: 2, Plan: "on"})
+		off := mustRun(t, snap, src, &QueryOptions{noPlan: true})
+		on := mustRun(t, snap, src, nil)
 		sameResults(t, stage, off, on)
 		if len(on.Tuples) == 0 {
 			t.Fatalf("%s: no tuples; differential is vacuous", stage)

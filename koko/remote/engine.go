@@ -88,9 +88,6 @@ func (e *Engine) Pool() *Pool { return e.pool }
 // Placement returns the shard-to-node routing table.
 func (e *Engine) Placement() koko.Placement { return e.placement }
 
-// Parallelism reports the per-query shard fan-out bound.
-func (e *Engine) Parallelism() int { return int(e.parallel.Load()) }
-
 // SetParallelism bounds how many shards evaluate concurrently per query.
 func (e *Engine) SetParallelism(n int) {
 	if n < 1 {
@@ -164,8 +161,6 @@ func (e *Engine) request(shard int, p *koko.ParsedQuery, qo *koko.QueryOptions) 
 	}
 	if qo != nil {
 		req.Explain = qo.Explain
-		req.Workers = qo.Workers
-		req.Plan = qo.Plan
 	}
 	return req
 }

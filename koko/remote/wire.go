@@ -55,10 +55,9 @@ type ShardEvalRequest struct {
 	// agreement).
 	Query   string `json:"query"`
 	Explain bool   `json:"explain,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// Plan overrides the worker's planner setting ("on", "off", or ""
-	// to inherit), mirroring koko.QueryOptions.Plan.
-	Plan string `json:"plan,omitempty"`
+	// Deprecated: Workers is read by nothing; a worker evaluates a shard's
+	// documents in order. Kept for callers that still set it.
+	Workers int `json:"workers,omitempty"`
 	// Generation, when non-zero, pins the snapshot generation the
 	// coordinator discovered: a worker whose corpus has moved on answers
 	// 409 rather than silently evaluating different data.

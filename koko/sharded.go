@@ -206,9 +206,9 @@ func (e *ShardedEngine) Query(src string) (*Result, error) { return query(e, src
 // batches into the K-way ordered merge, so tuples yield in global document
 // order — the first shard's first documents stream out while later shards
 // are still evaluating — and memory stays bounded regardless of result
-// size. qo.Workers applies within each shard; the shard fan-out is bounded
-// separately by SetParallelism. Safe for concurrent use; each call returns
-// an independent single-use stream.
+// size. Each shard evaluates its documents in order; the shard fan-out,
+// bounded by SetParallelism, is the query's only parallelism. Safe for
+// concurrent use; each call returns an independent single-use stream.
 func (e *ShardedEngine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	return StreamShards(ctx, len(e.shards), int(e.parallel.Load()),
 		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {

@@ -12,10 +12,19 @@ import (
 // The differential suite: for every corpus generator and every shard count,
 // ShardedEngine must produce byte-identical results to a single Engine over
 // the unpartitioned corpus — tuples, values, scores, evidence, and global
-// document/sentence attribution — with Workers > 1 inside every shard (so
-// `go test -race` also exercises the nested parallelism).
+// document/sentence attribution — with every shard of a query evaluating at
+// once (so `go test -race` also exercises the concurrent fan-out).
 
 var diffShardCounts = []int{1, 2, 3, 7}
+
+// concurrentSharded is NewShardedEngine with all k shards of a query
+// evaluating at once, so -race sees concurrent shard evaluation even on a
+// one-CPU runner.
+func concurrentSharded(c *Corpus, k int) *ShardedEngine {
+	e := NewShardedEngine(c, k, nil)
+	e.SetParallelism(k)
+	return e
+}
 
 type diffCase struct {
 	name    string
@@ -110,7 +119,7 @@ func sameResults(t *testing.T, label string, want, got *Result) {
 }
 
 // TestShardedDifferential: K ∈ {1,2,3,7} shards over three generators, each
-// query run plain and with Explain, per-shard Workers=2.
+// query run plain and with Explain, all shards evaluating at once.
 func TestShardedDifferential(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +133,7 @@ func TestShardedDifferential(t *testing.T) {
 				t.Fatal("workload produces no tuples; differential test is vacuous")
 			}
 			for _, k := range diffShardCounts {
-				sharded := NewShardedEngine(c, k, nil)
+				sharded := concurrentSharded(c, k)
 				if k <= c.NumDocuments() && sharded.NumShards() != k {
 					t.Fatalf("k=%d: got %d shards", k, sharded.NumShards())
 				}
@@ -134,7 +143,7 @@ func TestShardedDifferential(t *testing.T) {
 				}
 				for qi, src := range tc.queries {
 					for _, explain := range []bool{false, true} {
-						qo := &QueryOptions{Workers: 2, Explain: explain}
+						qo := &QueryOptions{Explain: explain}
 						label := fmt.Sprintf("k=%d q=%d explain=%t", k, qi, explain)
 						sameResults(t, label, mustRun(t, ref, src, qo), mustRun(t, sharded, src, qo))
 					}
@@ -288,7 +297,7 @@ func TestShardedStats(t *testing.T) {
 // mixed options must stay deterministic (run under -race).
 func TestShardedConcurrentQueries(t *testing.T) {
 	c := WrapCorpus(corpus.GenHappyDB(150, 13))
-	e := NewShardedEngine(c, 4, nil)
+	e := concurrentSharded(c, 4)
 	src := `extract o:Str from "moments" if (
 		/ROOT:{ v = //verb, b = v/dobj, o = (b.subtree) })
 		satisfying o ("ate" o {0.7}) or (o near "delicious" {1}) with threshold 0.2`
@@ -297,7 +306,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			for i := 0; i < 4; i++ {
-				res, err := query(e, src, &QueryOptions{Workers: 1 + g%3})
+				res, err := query(e, src, &QueryOptions{Explain: g%2 == 0})
 				if err != nil {
 					done <- err
 					return

@@ -56,14 +56,14 @@ func TestBlockStoreDifferential(t *testing.T) {
 				}
 			}
 
-			for qi, src := range tc.queries {
-				for _, plan := range []string{"on", "off"} {
-					qo := &QueryOptions{Plan: plan}
+			for _, src := range tc.queries {
+				for _, noPlan := range []bool{false, true} {
+					qo := &QueryOptions{noPlan: noPlan}
+					label := fmt.Sprintf("%s/noPlan=%t", tc.name, noPlan)
 					want1 := mustRun(t, heap1, src, qo)
-					sameResults(t, tc.name+"/k1/plan-"+plan, want1, mustRun(t, blk1, src, qo))
+					sameResults(t, label+"/k1", want1, mustRun(t, blk1, src, qo))
 					want3 := mustRun(t, heap3, src, qo)
-					sameResults(t, tc.name+"/k3/plan-"+plan, want3, mustRun(t, blk3, src, qo))
-					_ = qi
+					sameResults(t, label+"/k3", want3, mustRun(t, blk3, src, qo))
 				}
 			}
 		})

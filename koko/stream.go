@@ -371,7 +371,7 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 
 // mergeResultInto folds one shard's counters, phase times, and plan report
 // into a merged result (TupleSeq's Summary). Phase times and Elapsed sum
-// across shards: CPU time, as with Workers > 1.
+// across shards: CPU time when shards evaluate concurrently.
 func mergeResultInto(out *Result, res *Result) {
 	out.Candidates += res.Candidates
 	out.Matched += res.Matched

@@ -13,9 +13,8 @@ import (
 // The streaming differential suite: draining a TupleSeq event by event must
 // reconstruct exactly the buffered Result — same tuples in the same order,
 // same counters — for every corpus generator, shard count, and planner
-// setting. Run under -race: per-shard Workers=2 exercises the nested
-// parallelism, and the fan-out's producer goroutines run against the
-// consumer's pull loop.
+// setting. Run under -race: all shards evaluate at once, so the fan-out's
+// producer goroutines run against each other and the consumer's pull loop.
 
 // drainEvents consumes a stream by hand, rebuilding a buffered Result from
 // the raw events and checking the stream's structural invariants along the
@@ -73,7 +72,7 @@ func TestStreamDifferential(t *testing.T) {
 				q    Querier
 			}{
 				{"k=1", NewEngine(c, nil)},
-				{"k=3", NewShardedEngine(c, 3, nil)},
+				{"k=3", concurrentSharded(c, 3)},
 			}
 			total := 0
 			for _, eng := range engines {
@@ -82,9 +81,9 @@ func TestStreamDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parse: %v", err)
 					}
-					for _, plan := range []string{"off", "on"} {
-						qo := &QueryOptions{Workers: 2, Plan: plan}
-						label := fmt.Sprintf("%s q=%d plan=%s", eng.name, qi, plan)
+					for _, noPlan := range []bool{true, false} {
+						qo := &QueryOptions{noPlan: noPlan}
+						label := fmt.Sprintf("%s q=%d noPlan=%t", eng.name, qi, noPlan)
 						want := mustRun(t, ref, src, qo)
 
 						seq, err := eng.q.Run(context.Background(), p, qo)
