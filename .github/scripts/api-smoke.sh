@@ -186,7 +186,7 @@ wait_healthy "$W1_BASE"
 wait_healthy "$W2_BASE"
 
 /tmp/kokod -role coordinator -worker "http://$W1_ADDR" -worker "http://$W2_ADDR" \
-  -replicas 2 -attempt-timeout 2s -retries 3 -addr "$CO_ADDR" &
+  -replicas 2 -addr "$CO_ADDR" &
 CO_PID=$!
 wait_healthy "$CO_BASE"
 curl -sf "$CO_BASE/corpora" | grep -q '"demo-cafes"'

@@ -19,9 +19,6 @@ type Options struct {
 	// spans, is evaluated by its own nested loop (the Table 1 NOGSP
 	// baseline).
 	DisableSkipPlan bool
-	// ExpansionLimit bounds descriptor expansion (0 = the default fixed
-	// number, matching the paper's note).
-	ExpansionLimit int
 	// Dicts provides the dictionaries referenced by dict(...) conditions,
 	// keyed by name, with lowercase members.
 	Dicts map[string]map[string]bool
@@ -179,7 +176,7 @@ func (e *Engine) RunWith(q *lang.Query, ro RunOptions) (*Result, error) {
 // ground truth for effectiveness measurements.
 func (e *Engine) RunNaive(q *lang.Query) (*Result, error) {
 	res := &Result{}
-	nq, err := normalize(q, e.model, e.opts.ExpansionLimit)
+	nq, err := normalize(q, e.model, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +391,7 @@ func (w *docWorker) finishTuple(s *nlp.Sentence, doc int, a assignment) (Tuple, 
 // query. The index experiments (§6.2.2) measure this module's lookup time
 // and effectiveness across indexing schemes.
 func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
-	nq, err := normalize(q, e.model, e.opts.ExpansionLimit)
+	nq, err := normalize(q, e.model, 0)
 	if err != nil {
 		return nil, err
 	}

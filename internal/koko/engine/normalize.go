@@ -150,7 +150,9 @@ type normQuery struct {
 }
 
 // normalize implements §4.1: absolute-form expansion, synthesized variables
-// for elastic spans and inline atoms, and derived constraints.
+// for elastic spans and inline atoms, and derived constraints. A descriptor
+// expands to at most expansionLimit phrases; the engine passes 0, which
+// takes the embedding model's default limit.
 func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuery, error) {
 	nq := &normQuery{
 		src:     q,

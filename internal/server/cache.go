@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-	"time"
 
 	"repro/koko"
 )
@@ -19,14 +18,13 @@ import (
 // a result larger than the whole tuple budget is simply not retained
 // (admission by size, the ROADMAP's memory-bounds item).
 //
-// Entries may additionally carry a TTL (chosen per put, so per-corpus
-// policies compose): an expired entry is treated as a miss and removed
-// lazily at lookup — no sweeper goroutine, time-sensitive corpora simply
-// stop serving stale results.
+// Entries never expire by time: keys carry the corpus generation, which
+// every ingest, delete, compaction and reload bumps, so an entry is exact
+// for as long as it is reachable.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int
-	maxTuples  int        // <= 0 means no tuple budget
+	maxTuples  int
 	tuples     int        // current total tuple count across entries
 	ll         *list.List // front = most recently used
 	m          map[cacheKey]*list.Element
@@ -36,8 +34,6 @@ type cacheEntry struct {
 	key    cacheKey
 	res    *koko.Result
 	tuples int
-	// expires is the entry's lazy expiry deadline; zero means no TTL.
-	expires time.Time
 }
 
 func newResultCache(maxEntries, maxTuples int) *resultCache {
@@ -62,21 +58,20 @@ func (c *resultCache) get(key cacheKey) (*koko.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && time.Now().After(e.expires) {
-		c.ll.Remove(el)
-		c.tuples -= e.tuples
-		delete(c.m, key)
-		return nil, false
-	}
 	c.ll.MoveToFront(el)
-	return e.res, true
+	return el.Value.(*cacheEntry).res, true
 }
 
-// put stores res under key. ttl > 0 gives the entry a lazy expiry deadline;
-// ttl <= 0 means the entry lives until evicted or invalidated by a
-// generation bump.
-func (c *resultCache) put(key cacheKey, res *koko.Result, ttl time.Duration) {
+// admits reports whether a result of n tuples fits the tuple budget, so a
+// caller materializing a result only for the cache can stop as soon as it
+// no longer would. A nil (disabled) cache admits nothing.
+func (c *resultCache) admits(n int) bool {
+	return c != nil && n <= c.maxTuples
+}
+
+// put stores res under key; the entry lives until evicted or invalidated
+// by a generation bump.
+func (c *resultCache) put(key cacheKey, res *koko.Result) {
 	if c == nil {
 		return
 	}
@@ -89,7 +84,7 @@ func (c *resultCache) put(key cacheKey, res *koko.Result, ttl time.Duration) {
 	// removal below is unreachable under the Service's deterministic keying
 	// (same key ⇒ same tuple count ⇒ it was refused too) but keeps the
 	// cache's accounting self-contained for any other caller.
-	if c.maxTuples > 0 && n > c.maxTuples {
+	if !c.admits(n) {
 		if el, ok := c.m[key]; ok {
 			c.ll.Remove(el)
 			c.tuples -= el.Value.(*cacheEntry).tuples
@@ -97,20 +92,16 @@ func (c *resultCache) put(key cacheKey, res *koko.Result, ttl time.Duration) {
 		}
 		return
 	}
-	var expires time.Time
-	if ttl > 0 {
-		expires = time.Now().Add(ttl)
-	}
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
 		c.tuples += n - e.tuples
-		e.res, e.tuples, e.expires = res, n, expires
+		e.res, e.tuples = res, n
 	} else {
-		c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, tuples: n, expires: expires})
+		c.m[key] = c.ll.PushFront(&cacheEntry{key: key, res: res, tuples: n})
 		c.tuples += n
 	}
-	for c.ll.Len() > 0 && (c.ll.Len() > c.maxEntries || (c.maxTuples > 0 && c.tuples > c.maxTuples)) {
+	for c.ll.Len() > 0 && (c.ll.Len() > c.maxEntries || c.tuples > c.maxTuples) {
 		el := c.ll.Back()
 		c.ll.Remove(el)
 		e := el.Value.(*cacheEntry)

@@ -22,8 +22,8 @@
 //   - Service: the execution path shared by the HTTP server, the CLI, and
 //     the benchmarks. It canonicalizes queries, consults a normalized-query
 //     LRU result cache (keyed corpus × generation × canonical text, so any
-//     mutation invalidates implicitly; admission is bounded by size and by
-//     a cost floor), and runs cache misses through a bounded worker pool
+//     mutation invalidates implicitly and entries never expire by time;
+//     admission is bounded by size), and runs cache misses through a bounded worker pool
 //     over the snapshot's concurrency-safe Run. Buffered and NDJSON
 //     answers share that one path and differ only in how they drain the
 //     tuple stream, so they classify errors alike. Ingest, document delete,

@@ -264,38 +264,6 @@ func TestJobPinnedAcrossIngest(t *testing.T) {
 	}
 }
 
-// TestCacheMinCostAdmission: with a cost threshold above every demo query's
-// evaluation time, nothing is admitted to the cache; with none, everything
-// is.
-func TestCacheMinCostAdmission(t *testing.T) {
-	ctx := context.Background()
-	expensive := NewService(Config{MaxConcurrent: 2, CacheSize: 32, CacheMinCost: time.Hour})
-	RegisterDemoCorpora(expensive.Registry(), 1)
-	req := QueryRequest{Corpus: "demo-cafes", Query: DemoQueries["demo-cafes"]}
-	for i := 0; i < 2; i++ {
-		resp, err := expensive.Query(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Cached {
-			t.Fatalf("query %d served from cache despite min-cost", i)
-		}
-	}
-	m := expensive.Metrics()
-	if m.CacheCostSkips != 2 || m.CacheEntries != 0 {
-		t.Fatalf("metrics %+v", m)
-	}
-
-	free := NewService(Config{MaxConcurrent: 2, CacheSize: 32})
-	RegisterDemoCorpora(free.Registry(), 1)
-	if _, err := free.Query(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if resp, _ := free.Query(ctx, req); !resp.Cached {
-		t.Fatal("no-threshold service did not cache")
-	}
-}
-
 // TestAutoCompaction: crossing MaxDeltaDocs kicks a background fold; the
 // delta drains without an explicit compact call.
 func TestAutoCompaction(t *testing.T) {

@@ -24,9 +24,6 @@ type Metrics struct {
 	queryNanos     atomic.Int64
 	inFlight       atomic.Int64
 	peakInFlight   atomic.Int64
-	// cacheCostSkips counts evaluated results refused cache admission
-	// because they were cheaper than the configured minimum cost.
-	cacheCostSkips atomic.Int64
 	// Mutable-corpus lifecycle counters: documents ingested and corpora
 	// deleted. (Compactions and their failures are counted by the corpora
 	// themselves and summed into the snapshot.)
@@ -74,9 +71,6 @@ type MetricsSnapshot struct {
 	// query errors.
 	StreamsTotal     int64 `json:"streams_total"`
 	QueriesCancelled int64 `json:"queries_cancelled"`
-	// CacheCostSkips counts results evaluated but not cached because their
-	// evaluation time fell under the cost-aware admission threshold.
-	CacheCostSkips int64 `json:"cache_cost_skips"`
 	// Mutable-corpus counters: IngestsTotal documents appended via the
 	// ingestion API, CompactionsTotal folds the corpora completed (including
 	// tombstone-only ones and those of corpora since removed) and

@@ -446,7 +446,7 @@ func (r *Registry) totals() (sum koko.LifecycleStats, deltaDocs, tombstones int)
 
 // LoadDurable recovers every durable corpus directory under the data dir
 // that is not already registered, in name order. kokod calls it at startup
-// after the explicit -load/-dir/-demo registrations, so corpora created
+// after the explicit -load/-demo registrations, so corpora created
 // purely through the API in a previous run come back after a restart.
 // Returns the names recovered.
 func (r *Registry) LoadDurable() ([]string, error) {

@@ -23,23 +23,12 @@ type RemoteConfig struct {
 	// [1, len(Workers)]). With the demo/round-robin placement every worker
 	// holds every corpus, so any replica can serve any shard.
 	Replicas int
-	// AttemptTimeout / MaxAttempts / HedgeAfter / BreakerThreshold /
-	// BreakerCooloff tune the pool (see remote.PoolConfig; zero = default).
-	AttemptTimeout   time.Duration
-	MaxAttempts      int
-	HedgeAfter       time.Duration
-	BreakerThreshold int
-	BreakerCooloff   time.Duration
+	// HedgeAfter tunes hedged shard attempts (see remote.PoolConfig); every
+	// other pool setting keeps its remote.PoolConfig default.
+	HedgeAfter time.Duration
 	// HealthInterval > 0 starts a background health loop pinging every
 	// worker that often.
 	HealthInterval time.Duration
-	// DiscoverTimeout bounds how long ConnectWorkers retries unreachable
-	// workers before failing (default 10s) — workers and coordinator
-	// typically boot together.
-	DiscoverTimeout time.Duration
-	// Fault, when non-nil, injects deterministic faults into the transport
-	// (tests and chaos drills).
-	Fault *remote.FaultPolicy
 }
 
 // ConnectWorkers turns this service into a coordinator: it discovers the
@@ -63,20 +52,8 @@ func (s *Service) ConnectWorkers(ctx context.Context, rc RemoteConfig) ([]string
 		}
 		workers = append(workers, w)
 	}
-	pool := remote.NewPool(remote.PoolConfig{
-		AttemptTimeout:   rc.AttemptTimeout,
-		MaxAttempts:      rc.MaxAttempts,
-		HedgeAfter:       rc.HedgeAfter,
-		BreakerThreshold: rc.BreakerThreshold,
-		BreakerCooloff:   rc.BreakerCooloff,
-		Fault:            rc.Fault,
-	})
-
-	discoverTimeout := rc.DiscoverTimeout
-	if discoverTimeout <= 0 {
-		discoverTimeout = 10 * time.Second
-	}
-	byWorker, err := discoverAll(ctx, workers, discoverTimeout)
+	pool := remote.NewPool(remote.PoolConfig{HedgeAfter: rc.HedgeAfter})
+	byWorker, err := discoverAll(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -146,10 +123,14 @@ func (s *Service) ConnectWorkers(ctx context.Context, rc RemoteConfig) ([]string
 	return registered, nil
 }
 
+// discoverTimeout bounds how long discovery retries unreachable workers
+// before failing: workers and coordinator typically boot together.
+const discoverTimeout = 10 * time.Second
+
 // discoverAll lists every worker's corpora, retrying unreachable workers
-// until the timeout (workers and coordinator usually boot together).
-func discoverAll(ctx context.Context, workers []string, timeout time.Duration) (map[string]map[string]CorpusInfo, error) {
-	deadline := time.Now().Add(timeout)
+// for up to discoverTimeout.
+func discoverAll(ctx context.Context, workers []string) (map[string]map[string]CorpusInfo, error) {
+	deadline := time.Now().Add(discoverTimeout)
 	byWorker := map[string]map[string]CorpusInfo{}
 	for {
 		var lastErr error

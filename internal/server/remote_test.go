@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/koko"
@@ -110,17 +109,10 @@ func startWorker(t *testing.T, name string, c *koko.Corpus, shards int) (*Servic
 	return svc, ts
 }
 
-// fastRemote is RemoteConfig tuned so injected failures resolve in
-// milliseconds, with hedging off for determinism.
+// fastRemote is RemoteConfig with two replicas per shard and hedging off
+// for determinism.
 func fastRemote(workers ...string) RemoteConfig {
-	return RemoteConfig{
-		Workers:         workers,
-		Replicas:        2,
-		AttemptTimeout:  500 * time.Millisecond,
-		MaxAttempts:     3,
-		HedgeAfter:      -1,
-		DiscoverTimeout: 5 * time.Second,
-	}
+	return RemoteConfig{Workers: workers, Replicas: 2, HedgeAfter: -1}
 }
 
 // queryReply is a decoded /v1/query response plus the raw bytes of its

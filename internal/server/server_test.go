@@ -322,14 +322,14 @@ func TestCacheDropCorpusExactName(t *testing.T) {
 // TestLRUEviction fills the cache past capacity and checks the oldest
 // entry is evicted while recently used ones survive.
 func TestLRUEviction(t *testing.T) {
-	c := newResultCache(2, 0)
+	c := newResultCache(2, cacheMaxTuples)
 	r := &koko.Result{}
-	c.put(ck("a"), r, 0)
-	c.put(ck("b"), r, 0)
+	c.put(ck("a"), r)
+	c.put(ck("b"), r)
 	if _, ok := c.get(ck("a")); !ok { // a is now most recently used
 		t.Fatal("a missing")
 	}
-	c.put(ck("c"), r, 0) // evicts b
+	c.put(ck("c"), r) // evicts b
 	if _, ok := c.get(ck("b")); ok {
 		t.Error("b should have been evicted")
 	}

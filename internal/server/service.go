@@ -38,13 +38,9 @@ type Config struct {
 	// Default: 2 × GOMAXPROCS.
 	MaxConcurrent int
 	// CacheSize is the result-cache capacity in entries. 0 means the
-	// default (256); negative disables caching.
+	// default (256); negative disables caching. The cache also holds at
+	// most cacheMaxTuples tuples across its entries.
 	CacheSize int
-	// CacheMaxTuples bounds the total tuples retained across all cache
-	// entries (the dominant memory cost of a cached result). 0 means the
-	// default (100000); negative disables the tuple budget, leaving only
-	// the entry-count bound.
-	CacheMaxTuples int
 	// Deprecated: DefaultWorkers is read by nothing. A shard's documents
 	// evaluate in order; a query parallelizes only across shards. Kept for
 	// callers that still set it.
@@ -58,15 +54,6 @@ type Config struct {
 	// keeps its evaluation goroutines near the pool size and an interactive
 	// one (small MaxConcurrent) gets wide fan-out.
 	Shards int
-	// CacheTTL, when > 0, expires result-cache entries that many seconds'
-	// worth of time after they are stored (lazily, at lookup). 0 disables
-	// expiry. Per-corpus overrides in CacheTTLPerCorpus win over this
-	// default.
-	CacheTTL time.Duration
-	// CacheMinCost is the cost-aware admission threshold: only results
-	// whose evaluation took at least this long are cached, so cheap
-	// queries stop evicting expensive warm entries. 0 admits everything.
-	CacheMinCost time.Duration
 	// MaxDeltaDocs is how many ingested documents a corpus's delta index
 	// may accumulate before the corpus starts a background compaction. 0
 	// means the default (256); negative disables this trigger.
@@ -74,19 +61,6 @@ type Config struct {
 	// CompactInterval, when > 0, makes every corpus fold its pending delta
 	// and tombstones in the background that often.
 	CompactInterval time.Duration
-	// CacheTTLPerCorpus overrides CacheTTL for named corpora (the
-	// time-sensitive ones); a zero value for a name disables expiry for it.
-	CacheTTLPerCorpus map[string]time.Duration
-	// MaxJobs bounds how many async jobs may be pending or running at once
-	// (0 = default 16).
-	MaxJobs int
-	// JobResultsTTL is how long finished jobs stay fetchable (0 = default
-	// 15m, negative = until deleted).
-	JobResultsTTL time.Duration
-	// JobRetainedTuples bounds the total tuples retained across finished
-	// jobs' results; oldest-finished jobs are purged beyond it (0 = default
-	// 200000, negative = unbounded).
-	JobRetainedTuples int
 	// DataDir, when non-empty, makes every corpus durable: ingested
 	// documents and deletes are written through a per-corpus WAL under
 	// DataDir/<name> and recovered by replay at the next startup.
@@ -108,14 +82,11 @@ type Config struct {
 // bounded worker pool. It is the shared execution path of kokod's HTTP
 // handlers, the koko CLI, and the async job executor.
 type Service struct {
-	reg          *Registry
-	cache        *resultCache
-	sem          chan struct{}
-	metrics      Metrics
-	jobs         *jobs.Manager
-	cacheTTL     time.Duration
-	cacheTTLBy   map[string]time.Duration
-	cacheMinCost time.Duration
+	reg     *Registry
+	cache   *resultCache
+	sem     chan struct{}
+	metrics Metrics
+	jobs    *jobs.Manager
 	// shardPar is the resolved per-query shard fan-out bound, kept so
 	// remote engines connected later inherit the same budget as local ones.
 	shardPar int
@@ -124,6 +95,10 @@ type Service struct {
 	// race ConnectWorkers.
 	rpool atomic.Pointer[remote.Pool]
 }
+
+// cacheMaxTuples bounds the total tuples retained across all result-cache
+// entries, the dominant memory cost of a cached result.
+const cacheMaxTuples = 100000
 
 // NewService builds a Service with an empty registry.
 func NewService(cfg Config) *Service {
@@ -134,10 +109,6 @@ func NewService(cfg Config) *Service {
 	size := cfg.CacheSize
 	if size == 0 {
 		size = 256
-	}
-	maxTuples := cfg.CacheMaxTuples
-	if maxTuples == 0 {
-		maxTuples = 100000
 	}
 	sp := 2 * runtime.GOMAXPROCS(0) / maxc
 	if sp < 1 {
@@ -160,19 +131,12 @@ func NewService(cfg Config) *Service {
 		blockstore.SetDefaultBudget(0) // 0 budget = unbounded
 	}
 	s := &Service{
-		reg:          reg,
-		cache:        newResultCache(size, maxTuples),
-		sem:          make(chan struct{}, maxc),
-		cacheTTL:     cfg.CacheTTL,
-		cacheTTLBy:   cfg.CacheTTLPerCorpus,
-		cacheMinCost: cfg.CacheMinCost,
-		shardPar:     sp,
+		reg:      reg,
+		cache:    newResultCache(size, cacheMaxTuples),
+		sem:      make(chan struct{}, maxc),
+		shardPar: sp,
 	}
-	s.jobs = jobs.New(s, jobs.Config{
-		MaxActive:         cfg.MaxJobs,
-		ResultsTTL:        cfg.JobResultsTTL,
-		MaxRetainedTuples: cfg.JobRetainedTuples,
-	})
+	s.jobs = jobs.New(s, jobs.Config{})
 	return s
 }
 
@@ -205,15 +169,6 @@ func (s *Service) Acquire(ctx context.Context) error {
 
 // Release returns a slot claimed with Acquire.
 func (s *Service) Release() { <-s.sem }
-
-// ttlFor resolves the result-cache TTL for a corpus: per-corpus override
-// first, then the service default (0 = no expiry).
-func (s *Service) ttlFor(corpus string) time.Duration {
-	if ttl, ok := s.cacheTTLBy[corpus]; ok {
-		return ttl
-	}
-	return s.cacheTTL
-}
 
 // QueryRequest is one query against a named corpus.
 type QueryRequest struct {
@@ -305,7 +260,8 @@ func phasesOf(r *koko.Result) PhaseMillis {
 // A drain consumes one query's tuples for one response mode: the live
 // stream on a cache miss (hit nil) or the stored result on a hit (seq nil).
 // It returns the result the response reports — carrying its tuples when
-// the mode or the cache needs them — and how many tuples it delivered.
+// the mode or the cache needs them — and how many tuples it delivered. run
+// caches a result only when it carries every tuple delivered.
 type drain func(seq *koko.TupleSeq, hit *koko.Result) (res *koko.Result, delivered int, err error)
 
 // answer is one query's outcome as run hands it back to a response mode.
@@ -387,12 +343,13 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 	if a.res.Plan != nil && a.res.Plan.Reordered {
 		s.metrics.plansReordered.Add(1)
 	}
-	if len(a.failed) > 0 {
+	switch {
+	case len(a.failed) > 0:
 		// A degraded result is not the query's true answer; caching it
 		// would serve the gap long after the workers recover.
 		s.metrics.degradedQueries.Add(1)
-	} else {
-		s.cachePut(key, req, a.res)
+	case !req.NoCache && len(a.res.Tuples) == a.tuples:
+		s.cache.put(key, a.res)
 	}
 	s.metrics.tuplesReturned.Add(int64(a.tuples))
 	return a, nil
@@ -455,22 +412,6 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 	resp.ServiceMillis = ms(time.Since(t0))
 	return resp, nil
-}
-
-// cachePut admits an evaluated result to the cache — unless the request
-// bypassed caching, or the evaluation was cheaper than the cost-aware
-// admission threshold (re-running it costs less than the warm entries it
-// would evict). Buffered and streamed evaluation share this one admission
-// path.
-func (s *Service) cachePut(key cacheKey, req QueryRequest, res *koko.Result) {
-	if req.NoCache {
-		return
-	}
-	if s.cacheMinCost > 0 && res.Elapsed < s.cacheMinCost {
-		s.metrics.cacheCostSkips.Add(1)
-		return
-	}
-	s.cache.put(key, res, s.ttlFor(req.Corpus))
 }
 
 // cacheKey is the result-cache key of a request: buffered and streamed
@@ -610,7 +551,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 	m := &s.metrics
 	life, deltaDocs, tombstones := s.reg.totals()
 	snap := MetricsSnapshot{
-		CacheCostSkips:   m.cacheCostSkips.Load(),
 		IngestsTotal:     m.ingestsTotal.Load(),
 		CompactionsTotal: int64(life.Compactions),
 		CompactionErrors: int64(life.CompactionErrors),

@@ -75,13 +75,15 @@ func wantsStream(r *http.Request) bool {
 // applies backpressure all the way down to the per-document loop (memory
 // stays bounded by the stream's internal batching, not the result size).
 // It runs on the same path as Query, with the NDJSON drain: a cache hit
-// streams the cached tuples; a miss that completes populates the cache —
-// unless the request said NoCache, in which case nothing is materialized at
-// all. The worker-pool slot is held for the whole drain: with pull-driven
-// evaluation there is no completed-result handoff point, and a slot that
-// outlives its evaluation would unbound the pool. An emit error (client
-// disconnect) or ctx cancellation stops the remaining evaluation;
-// QueryStream does not return until it has exited. req.Partial is ignored.
+// streams the cached tuples; a miss that completes populates the cache.
+// Tuples are held only while the cache could take them: with NoCache or the
+// cache disabled none are, and once the result outgrows the cache's tuple
+// budget the held ones are dropped. The worker-pool slot is held for the
+// whole drain: with pull-driven evaluation there is no completed-result
+// handoff point, and a slot that outlives its evaluation would unbound the
+// pool. An emit error (client disconnect) or ctx cancellation stops the
+// remaining evaluation; QueryStream does not return until it has exited.
+// req.Partial is ignored.
 func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(StreamEvent) error) error {
 	t0 := time.Now()
 	s.metrics.streamsTotal.Add(1)
@@ -107,14 +109,17 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(S
 		}
 		tEval := time.Now()
 		var collected []koko.Tuple
+		keep := !req.NoCache && s.cache.admits(0)
 		total := 0
 		for ev := range seq.Events() {
 			var err error
 			if t := ev.Tuple; t != nil {
-				if !req.NoCache {
-					collected = append(collected, *t)
-				}
 				total++
+				if keep = keep && s.cache.admits(total); keep {
+					collected = append(collected, *t)
+				} else {
+					collected = nil
+				}
 				err = sendTuple(*t)
 			} else {
 				err = send(StreamEvent{Shard: &ShardProgress{

@@ -75,8 +75,6 @@ type Options struct {
 	Ontology map[string][]string
 	// DisableSkipPlan turns off the GSP optimization (for ablations).
 	DisableSkipPlan bool
-	// ExpansionLimit bounds descriptor expansion (0 = default).
-	ExpansionLimit int
 	// Explain attaches per-condition evidence to every tuple — the
 	// debuggability the paper contrasts with opaque learned extractors.
 	Explain bool
@@ -162,7 +160,6 @@ func assembleEngine(c *Corpus, ix *index.Index, model *embed.Model, dicts map[st
 	e := &Engine{corpus: c, ix: ix, model: model, optExplain: opts.Explain}
 	e.eng = engine.New(c.c, ix, model, engine.Options{
 		DisableSkipPlan: opts.DisableSkipPlan,
-		ExpansionLimit:  opts.ExpansionLimit,
 		Dicts:           dicts,
 		Explain:         opts.Explain,
 	})

@@ -28,7 +28,7 @@ type nodeState struct {
 	addr string // base URL, e.g. http://10.0.0.2:7333
 
 	mu sync.Mutex
-	// up is the health-check verdict: flipped down after cfg.HealthFails
+	// up is the health-check verdict: flipped down after healthFails
 	// consecutive ping failures, back up on the first success. A down node
 	// is skipped in first-choice selection but still reachable as a last
 	// resort (health checks lag reality; a query beats a guess).
@@ -63,7 +63,7 @@ func (n *nodeState) Up() bool {
 // pingResult folds one active health-check outcome into the up/down state,
 // returning true when the node just transitioned to down (the caller
 // counts transitions, not pings).
-func (n *nodeState) pingResult(ok bool, failThreshold int) (wentDown bool) {
+func (n *nodeState) pingResult(ok bool) (wentDown bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if ok {
@@ -72,7 +72,7 @@ func (n *nodeState) pingResult(ok bool, failThreshold int) (wentDown bool) {
 		return false
 	}
 	n.pingFails++
-	if n.up && n.pingFails >= failThreshold {
+	if n.up && n.pingFails >= healthFails {
 		n.up = false
 		return true
 	}

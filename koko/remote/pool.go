@@ -39,17 +39,12 @@ type PoolConfig struct {
 	// before admitting a half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerCooloff   time.Duration
-	// HealthFails consecutive ping failures mark a node down (default 2).
-	HealthFails int
 	// Fault, when non-nil, injects deterministic faults into the transport.
 	Fault *FaultPolicy
-	// Client overrides the HTTP client (default: fresh client, per-attempt
-	// timeouts only).
-	Client *http.Client
-	// JitterSeed seeds the backoff jitter (0 = fixed default seed; any
-	// seed is fine — jitter decorrelates retries, it is not security).
-	JitterSeed int64
 }
+
+// healthFails consecutive ping failures mark a node down.
+const healthFails = 2
 
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.AttemptTimeout <= 0 {
@@ -69,12 +64,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.BreakerCooloff <= 0 {
 		c.BreakerCooloff = 5 * time.Second
-	}
-	if c.HealthFails <= 0 {
-		c.HealthFails = 2
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -113,18 +102,16 @@ type Pool struct {
 	counters Counters
 }
 
-// NewPool builds a pool with the given tuning.
+// NewPool builds a pool with the given tuning. Its HTTP client has no
+// timeout of its own: attempts are bounded by per-attempt deadlines. The
+// backoff jitter has a fixed seed; jitter decorrelates retries, it is not
+// security.
 func NewPool(cfg PoolConfig) *Pool {
-	cfg = cfg.withDefaults()
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	return &Pool{
-		cfg:    cfg,
-		client: cfg.Client,
+		cfg:    cfg.withDefaults(),
+		client: &http.Client{},
 		nodes:  map[string]*nodeState{},
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -370,7 +357,7 @@ func (p *Pool) CheckHealth(ctx context.Context) {
 		go func(n *nodeState) {
 			defer wg.Done()
 			err := p.ping(ctx, n.addr)
-			if n.pingResult(err == nil, p.cfg.HealthFails) {
+			if n.pingResult(err == nil) {
 				p.counters.NodeUnhealthy.Add(1)
 			}
 		}(n)

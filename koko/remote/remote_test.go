@@ -727,7 +727,7 @@ func TestGenerationPinning(t *testing.T) {
 func TestHealthChecksFlipNodes(t *testing.T) {
 	c := cafesCorpus()
 	w := newWorker(t, c)
-	eng := newRemoteEngine(c, remote.PoolConfig{HealthFails: 2}, w.URL)
+	eng := newRemoteEngine(c, remote.PoolConfig{}, w.URL)
 	pool := enginePool(eng)
 	node := pool.Node(w.URL)
 	if !node.Up() {
