@@ -206,6 +206,8 @@ type EvidenceResult struct {
 
 // PhaseMillis is the Table 2 per-phase breakdown in milliseconds (plus the
 // planner's own phase — planning time is reported, not folded into extract).
+// Phase fields sum every shard's own time; shards evaluate at once, so they
+// can add up to more than Total, which is the query's wall time.
 type PhaseMillis struct {
 	Normalize   float64 `json:"normalize_ms"`
 	DPLI        float64 `json:"dpli_ms"`

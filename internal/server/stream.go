@@ -36,7 +36,8 @@ type StreamEvent struct {
 type ShardProgress struct {
 	Shard  int `json:"shard"`
 	Shards int `json:"shards"`
-	// Tuples is this shard's flush size; TotalTuples the cumulative count.
+	// Tuples is the number of tuples this shard contributed; TotalTuples
+	// the cumulative count over this and every earlier shard.
 	Tuples      int `json:"tuples"`
 	TotalTuples int `json:"total_tuples"`
 }

@@ -741,7 +741,7 @@ func (s *Snapshot) Query(src string) (*Result, error) { return query(s, src, nil
 // gate is closed up front (eager admission, see StreamShardsEager), so it
 // evaluates concurrently with the base fan-out from the first moment
 // without charging a fan-out slot (it is tiny next to the base); its
-// output parks in the delta shard's bounded buffer until the ordered merge
+// output parks in the delta shard's run-ahead until the ordered merge
 // reaches it. The base shards fan out as wide as the base's parallelism,
 // capped by their count. Safe for concurrent use.
 func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -28,11 +29,15 @@ const streamBatchTuples = 256
 // batches use streamBatchTuples to amortize per-batch overhead.
 const streamFirstBatchTuples = 16
 
-// shardStreamBuffer is how many batches a shard may complete ahead of its
-// in-order delivery turn before its producer blocks. Together with
-// streamBatchTuples it bounds the fan-out's buffered tuples at
-// shards × shardStreamBuffer × streamBatchTuples regardless of result size.
-const shardStreamBuffer = 2
+// shardRunAhead is how many batches a shard may complete ahead of its
+// in-order delivery turn: a shard the merge has not reached yet keeps
+// evaluating into its channel until this many batches are parked, so
+// admitted shards really evaluate at once instead of waiting for the
+// shards before them to drain. Together with streamBatchTuples it bounds
+// the fan-out's parked tuples at admitted shards × shardRunAhead ×
+// streamBatchTuples (about 16 384 tuples per admitted shard: the window
+// plus any eager shard) regardless of result size.
+const shardRunAhead = 64
 
 // ShardEnd reports one completed shard within a stream. It follows the
 // shard's tuples, so a consumer that has seen ShardEnd for shard i holds
@@ -180,9 +185,12 @@ func (s *TupleSeq) Collect() (*Result, error) {
 type ShardStreamFunc func(ctx context.Context, shard int, emit func(tuples []Tuple) error) (*Result, error)
 
 // StreamShards composes per-shard streams into one TupleSeq. Shards start
-// in shard order, at most parallel at once; each delivers bounded batches
-// into a small per-shard buffer and blocks when it runs ahead. The consumer
-// drains shard 0's stream, then shard 1's, and so on — shards cover
+// in shard order, at most parallel at once; each evaluates ahead of its
+// delivery turn into a per-shard run-ahead of shardRunAhead batches and
+// pauses only when that is full. After each hand-off a shard yields the
+// processor, so a consumer its send woke runs at once rather than after the
+// scheduler's preemption tick while the shards keep every core busy. The
+// consumer drains shard 0's stream, then shard 1's, and so on — shards cover
 // disjoint ascending document ranges, so this in-order concatenation is the
 // K-way ordered merge (the heap over per-shard heads degenerates to shard
 // order) and tuples arrive in global document order.
@@ -198,8 +206,8 @@ func StreamShards(ctx context.Context, shards, parallel int, run ShardStreamFunc
 // sliding window: every index in eager has its start gate closed up front,
 // so it begins evaluating immediately — concurrently with the windowed
 // shards and without occupying a window slot — while its delivery turn
-// still comes in shard order (its output parks in the shard's bounded
-// buffer until the merge reaches it). Built for small out-of-band shards
+// still comes in shard order (its output parks in the shard's run-ahead
+// until the merge reaches it). Built for small out-of-band shards
 // like a Mutable snapshot's sealed delta, which would otherwise evaluate
 // only after every base shard drained.
 func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, run ShardStreamFunc, degraded bool) *TupleSeq {
@@ -218,7 +226,7 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 		}
 		chans := make([]chan msg, shards)
 		for i := range chans {
-			chans[i] = make(chan msg, shardStreamBuffer)
+			chans[i] = make(chan msg, shardRunAhead)
 		}
 		par := parallel
 		if par < 1 {
@@ -228,9 +236,9 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 		// starts[i] is closed when shard i may begin evaluating, initially
 		// shards 0..par-1, advancing one shard each time the consumer drains
 		// one. A bare semaphore would deadlock here — a later shard could
-		// claim the last slot, fill its bounded buffer, and block on a
-		// consumer that is waiting for an earlier shard which can never
-		// start. An ordered fan-out must grant capacity in delivery order.
+		// claim the last slot, fill its run-ahead, and block on a consumer
+		// that is waiting for an earlier shard which can never start. An
+		// ordered fan-out must grant capacity in delivery order.
 		// Eager shards are admitted up front, outside the window; admit is
 		// idempotent (only ever called from this goroutine) so the window
 		// sliding over an already-eager shard is a no-op.
@@ -274,6 +282,7 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 				send := func(m msg) bool {
 					select {
 					case chans[i] <- m:
+						runtime.Gosched() // let a consumer this send woke run now
 						return true
 					case <-cctx.Done():
 						return false

@@ -138,26 +138,28 @@ func syntheticShards(perBatch, batches, payload int) ShardStreamFunc {
 }
 
 // TestStreamBoundedMemory: draining a stream whose total tuple volume far
-// exceeds the fan-out's buffer must not materialize the result. The producer
-// side generates ~64 MB of tuple payload across 16 shards; the consumer
-// discards tuples as they arrive, and the live-heap growth over the drain
-// must stay well under the produced volume (the bound is the admitted
-// shards × buffer × batch — not the result size). Each sample follows a
-// forced collection, so it measures what the stream retains; uncollected
-// garbage would track GC pacing, which CPU contention from concurrently
-// running tests can stretch past the bound.
+// exceeds the fan-out's run-ahead must not materialize the result. The
+// producer side generates 64 MiB of tuple payload across 16 shards, each
+// producing 4 × its run-ahead, so no shard's whole output fits in its
+// channel; the consumer discards tuples as they arrive, and the live-heap
+// growth over the drain must stay within twice the documented bound —
+// parallel × shardRunAhead × batch bytes — not track the result size. Each
+// sample follows a forced collection, so it measures what the stream
+// retains; uncollected garbage would track GC pacing, which CPU contention
+// from concurrently running tests can stretch past the bound.
 func TestStreamBoundedMemory(t *testing.T) {
 	const (
 		shards   = 16
-		perBatch = 64
-		batches  = 64
+		parallel = 4
+		perBatch = 16
+		batches  = 4 * shardRunAhead
 		payload  = 1024 // 1 KiB per tuple => 64 MiB total
 	)
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	seq := StreamShards(context.Background(), shards, 4, syntheticShards(perBatch, batches, payload), false)
+	seq := StreamShards(context.Background(), shards, parallel, syntheticShards(perBatch, batches, payload), false)
 	n := 0
 	peak := uint64(0)
 	var ms runtime.MemStats
@@ -184,11 +186,62 @@ func TestStreamBoundedMemory(t *testing.T) {
 	if peak > before.HeapAlloc {
 		growth = peak - before.HeapAlloc
 	}
-	// The materialized result is ~64 MiB; a streaming drain must stay far
-	// under it. 16 MiB leaves generous room for in-flight batches while
-	// still failing hard if the stream ever buffers the result.
-	if limit := total / 4; growth > limit {
-		t.Fatalf("heap grew %d bytes during drain (limit %d, result volume %d): stream is materializing", growth, limit, total)
+	// Every admitted shard may park a full run-ahead: 4 MiB here, against a
+	// 64 MiB result. Twice that leaves room for tuple headers and the batch
+	// in hand while still failing hard if the stream ever buffers the result.
+	bound := uint64(parallel * shardRunAhead * perBatch * payload)
+	if limit := 2 * bound; growth > limit {
+		t.Fatalf("heap grew %d bytes during drain (limit %d, run-ahead bound %d, result volume %d): stream is materializing", growth, limit, bound, total)
+	}
+}
+
+// TestStreamLaterShardRunsAhead: a shard that is not yet at the head of the
+// ordered merge must keep evaluating into its run-ahead rather than stall
+// until the shards before it drain. Shard 0 emits nothing until shard 1 has
+// emitted 40 full batches — under the run-ahead, far over what the merge
+// has taken — so a fan-out that parks only a couple of batches per shard
+// stalls shard 1 and shard 0 times out.
+func TestStreamLaterShardRunsAhead(t *testing.T) {
+	const batches = 40 // 10 240 tuples, under shardRunAhead batches
+	ranAhead := make(chan struct{})
+	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+		if shard == 1 {
+			for b := 0; b < batches; b++ {
+				ts := make([]Tuple, streamBatchTuples)
+				for i := range ts {
+					id := 1 + b*streamBatchTuples + i
+					ts[i] = Tuple{SentenceID: id, Document: id}
+				}
+				if err := emit(ts); err != nil {
+					return nil, err
+				}
+			}
+			close(ranAhead)
+			return &Result{}, nil
+		}
+		select {
+		case <-ranAhead:
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("shard 1 stalled ahead of its merge turn instead of running ahead")
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if err := emit([]Tuple{{SentenceID: 0, Document: 0}}); err != nil {
+			return nil, err
+		}
+		return &Result{}, nil
+	}
+	res, err := StreamShards(context.Background(), 2, 2, run, false).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + batches*streamBatchTuples; len(res.Tuples) != want {
+		t.Fatalf("collected %d tuples, want %d", len(res.Tuples), want)
+	}
+	for i, tu := range res.Tuples {
+		if tu.SentenceID != i || tu.Document != i {
+			t.Fatalf("tuple %d is %+v, want document order", i, tu)
+		}
 	}
 }
 
@@ -253,7 +306,7 @@ func TestStreamOrderedAdmission(t *testing.T) {
 		if prev := started.Add(1) - 1; int(prev) != shard {
 			return nil, fmt.Errorf("shard %d admitted %d-th, want shard order", shard, prev)
 		}
-		for b := 0; b < shardStreamBuffer*4; b++ {
+		for b := 0; b < shardRunAhead*4; b++ {
 			if err := emit([]Tuple{{SentenceID: shard*100 + b, Document: shard}}); err != nil {
 				return nil, err
 			}
@@ -270,7 +323,7 @@ func TestStreamOrderedAdmission(t *testing.T) {
 	if err := seq.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if want := shards * shardStreamBuffer * 4; n != want {
+	if want := shards * shardRunAhead * 4; n != want {
 		t.Fatalf("drained %d tuples, want %d", n, want)
 	}
 }
