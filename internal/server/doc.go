@@ -25,8 +25,9 @@
 //     mutation invalidates implicitly and entries never expire by time;
 //     admission is bounded by size), and runs cache misses through a bounded worker pool
 //     over the snapshot's concurrency-safe Run. Buffered and NDJSON
-//     answers share that one path and differ only in how they drain the
-//     tuple stream, so they classify errors alike. Ingest, document delete,
+//     answers, a worker's shard-evals and a job's per-shard steps share
+//     that one path and differ only in how they drain the tuple stream, so
+//     they are counted and classify errors alike. Ingest, document delete,
 //     and compact call the corpus directly; the service does not drive
 //     compaction — each corpus starts its own background folds from the
 //     triggers in its config.

@@ -64,34 +64,39 @@ func writeBadRequest(w http.ResponseWriter, msg string) {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	code := "internal"
+	status, code := errorCode(err)
+	writeJSON(w, status, errorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
+}
+
+// errorCode maps an error to its HTTP status and stable code (the README's
+// table); anything unrecognized, a damaged store among them, is internal.
+func errorCode(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, ErrNotFound), errors.Is(err, jobs.ErrNotFound), errors.Is(err, koko.ErrNoDocument),
 		errors.Is(err, koko.ErrClosed): // a corpus is closed once removed or replaced
-		status, code = http.StatusNotFound, "not_found"
+		return http.StatusNotFound, "not_found"
 	case errors.Is(err, ErrBadQuery):
-		status, code = http.StatusBadRequest, "bad_query"
+		return http.StatusBadRequest, "bad_query"
 	case errors.Is(err, jobs.ErrBadSpec):
-		status, code = http.StatusBadRequest, "bad_spec"
+		return http.StatusBadRequest, "bad_spec"
 	case errors.Is(err, koko.ErrEmptyDocument):
-		status, code = http.StatusBadRequest, "empty_document"
+		return http.StatusBadRequest, "empty_document"
 	case errors.Is(err, ErrNotReloadable):
-		status, code = http.StatusConflict, "not_reloadable"
+		return http.StatusConflict, "not_reloadable"
 	case errors.Is(err, ErrRemoteCorpus):
-		status, code = http.StatusConflict, "remote_corpus"
+		return http.StatusConflict, "remote_corpus"
 	case errors.Is(err, ErrGenerationMoved):
-		status, code = http.StatusConflict, "generation_moved"
+		return http.StatusConflict, "generation_moved"
 	case errors.Is(err, jobs.ErrLimit):
-		status, code = http.StatusTooManyRequests, "job_limit"
+		return http.StatusTooManyRequests, "job_limit"
 	case errors.Is(err, jobs.ErrDraining):
-		status, code = http.StatusServiceUnavailable, "draining"
+		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, remote.ErrShardUnavailable):
 		// Every replica of some shard failed: the backend's fault, not the
 		// client's.
-		status, code = http.StatusBadGateway, "shard_unavailable"
+		return http.StatusBadGateway, "shard_unavailable"
 	}
-	writeJSON(w, status, errorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
+	return http.StatusInternalServerError, "internal"
 }
 
 // maxBodyBytes bounds request bodies: queries are text a human wrote, not

@@ -1,19 +1,17 @@
 // Package jobs runs query batches asynchronously over the koko serving
-// stack: a job is submitted with POST /v1/jobs, executed shard-at-a-time on
-// the server's bounded worker pool, and observed through a handle — status
-// with per-query/per-shard progress, a document-ordered prefix of the
-// tuples streamed so far fetchable before the job finishes, and
-// context-based cancellation that stops in-flight shard evaluations.
+// stack: a job is submitted with POST /v1/jobs, executed one (query, shard)
+// step at a time, and observed through a handle — status with
+// per-query/per-shard progress, a document-ordered prefix of the tuples
+// streamed so far fetchable before the job finishes, and context-based
+// cancellation that stops in-flight shard evaluations.
 //
-// The design leans on the sharded execution layer: a query over a K-shard
-// corpus is K independent StreamShard evaluations in shard order, each
-// streaming tuple batches already in global document order, so appending
-// every delivered batch to one slice per query keeps a document-ordered
-// prefix with no merge step, and the shard summaries' counters accumulate
-// in the query's progress record. Because each shard evaluation claims one
-// slot of the same pool interactive queries use — and releases it between
-// shards — a long batch job interleaves with interactive traffic instead of
-// starving it.
+// A query over a K-shard corpus is K Runtime.RunShard calls in shard
+// order, each streaming batches already in global document order, so
+// appending every batch to one slice per query keeps a document-ordered
+// prefix with no merge step. The server answers each call through its one
+// query path, under a slot of the pool interactive queries use held for
+// that shard only, so a long batch interleaves with interactive traffic
+// instead of starving it.
 package jobs
 
 import (
@@ -41,16 +39,16 @@ var (
 )
 
 // Runtime is what the job executor needs from the serving layer: corpus
-// resolution and the shared bounded worker pool. The server's Service
-// implements it; tests substitute fakes.
+// resolution and one-shard evaluation. The server's Service implements it;
+// tests substitute fakes.
 type Runtime interface {
 	// Engine resolves a corpus name to its engine and current generation.
 	Engine(name string) (koko.Querier, uint64, error)
-	// Acquire claims one worker-pool slot, honoring ctx while waiting;
-	// Release returns it. Jobs hold a slot only for the duration of one
-	// shard evaluation, never across shards.
-	Acquire(ctx context.Context) error
-	Release()
+	// RunShard evaluates query over one shard of eng (the engine the job
+	// pinned at submit), handing every tuple batch to emit in document
+	// order, and returns the shard's counters-only summary. A failure
+	// comes with its stable error code (the server's error table).
+	RunShard(ctx context.Context, eng koko.Querier, shard int, query string, explain bool, emit func([]koko.Tuple)) (sum *koko.Result, code string, err error)
 }
 
 // Config sizes a Manager.
@@ -115,12 +113,15 @@ type Status struct {
 	Queries    []QueryProgress `json:"queries"`
 	// ShardsTotal / ShardsDone aggregate progress across all queries: a job
 	// is len(Queries) × Shards shard evaluations.
-	ShardsTotal int       `json:"shards_total"`
-	ShardsDone  int       `json:"shards_done"`
-	Error       string    `json:"error,omitempty"`
-	CreatedAt   time.Time `json:"created_at"`
-	StartedAt   time.Time `json:"started_at"`
-	FinishedAt  time.Time `json:"finished_at"`
+	ShardsTotal int    `json:"shards_total"`
+	ShardsDone  int    `json:"shards_done"`
+	Error       string `json:"error,omitempty"`
+	// ErrorCode is a failed job's stable machine-readable error code, from
+	// the same table as the /v1 error envelope's.
+	ErrorCode  string    `json:"error_code,omitempty"`
+	CreatedAt  time.Time `json:"created_at"`
+	StartedAt  time.Time `json:"started_at"`
+	FinishedAt time.Time `json:"finished_at"`
 }
 
 // QueryResults is one query's result prefix.
@@ -176,10 +177,10 @@ type job struct {
 	spec     Spec
 	state    State
 	err      string
+	code     string
 	eng      koko.Querier
 	gen      uint64
 	shards   int
-	parsed   []*koko.ParsedQuery
 	progress []QueryProgress
 	results  [][]koko.Tuple
 	cancel   context.CancelFunc
@@ -244,13 +245,13 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	if spec.Corpus == "" || len(spec.Queries) == 0 {
 		return Status{}, fmt.Errorf(`%w: "corpus" and a non-empty "queries" list are required`, ErrBadSpec)
 	}
-	parsed := make([]*koko.ParsedQuery, len(spec.Queries))
+	canonical := make([]string, len(spec.Queries))
 	for i, q := range spec.Queries {
 		p, err := koko.ParseQuery(q)
 		if err != nil {
 			return Status{}, fmt.Errorf("%w: query %d: %v", ErrBadSpec, i, err)
 		}
-		parsed[i] = p
+		canonical[i] = p.Canonical()
 	}
 	eng, gen, err := m.rt.Engine(spec.Corpus)
 	if err != nil {
@@ -263,13 +264,7 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		return Status{}, fmt.Errorf("%w: not accepting new jobs", ErrDraining)
 	}
 	m.sweepLocked(time.Now())
-	active := 0
-	for _, j := range m.jobs {
-		if !j.snapshotState().Terminal() {
-			active++
-		}
-	}
-	if active >= m.maxActive {
+	if active := len(m.activeLocked()); active >= m.maxActive {
 		m.mu.Unlock()
 		return Status{}, fmt.Errorf("%w: %d active, limit %d", ErrLimit, active, m.maxActive)
 	}
@@ -283,15 +278,14 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 		eng:     eng,
 		gen:     gen,
 		shards:  eng.NumShards(),
-		parsed:  parsed,
-		results: make([][]koko.Tuple, len(parsed)),
+		results: make([][]koko.Tuple, len(spec.Queries)),
 		cancel:  cancel,
 		ctx:     ctx,
 		created: time.Now().UTC(),
 	}
-	j.progress = make([]QueryProgress, len(parsed))
-	for i, p := range parsed {
-		j.progress[i] = QueryProgress{Index: i, Canonical: p.Canonical(), ShardsTotal: j.shards}
+	j.progress = make([]QueryProgress, len(canonical))
+	for i, c := range canonical {
+		j.progress[i] = QueryProgress{Index: i, Canonical: c, ShardsTotal: j.shards}
 	}
 	m.jobs[j.id] = j
 	m.mu.Unlock()
@@ -300,8 +294,8 @@ func (m *Manager) Submit(spec Spec) (Status, error) {
 	return j.status(), nil
 }
 
-// run executes the job: for each query, each shard in order, claiming one
-// pool slot per shard evaluation so interactive traffic interleaves.
+// run executes the job: for each query, each shard in order, one RunShard
+// call per shard so interactive traffic interleaves between them.
 func (m *Manager) run(j *job) {
 	defer m.finalize(j)
 	j.mu.Lock()
@@ -313,35 +307,28 @@ func (m *Manager) run(j *job) {
 	j.started = time.Now().UTC()
 	j.mu.Unlock()
 
-	qo := &koko.QueryOptions{Explain: j.spec.Explain}
-	for qi := range j.parsed {
+	for qi, q := range j.spec.Queries {
 		for si := 0; si < j.shards; si++ {
 			if j.ctx.Err() != nil {
 				return
 			}
-			if err := m.rt.Acquire(j.ctx); err != nil {
-				return // cancelled while queued for a slot
-			}
-			// Stream the shard: every delivered batch (already in global
-			// coordinates) extends the query's tuples, so the fetchable
-			// prefix and the tuple progress counter grow while the shard is
-			// still evaluating — a giant shard's result is visible long
-			// before its summary, and before ShardsDone counts it. The
-			// counters land once, from the tuple-less summary.
-			sum, err := j.eng.StreamShard(j.ctx, si, j.parsed[qi], qo, func(ts []koko.Tuple) error {
+			// Every batch extends the query's tuples while the shard is
+			// still evaluating, so a giant shard's prefix is fetchable long
+			// before ShardsDone counts it; the counters land once, from the
+			// tuple-less summary.
+			sum, code, err := m.rt.RunShard(j.ctx, j.eng, si, q, j.spec.Explain, func(ts []koko.Tuple) {
 				j.mu.Lock()
 				j.results[qi] = append(j.results[qi], ts...)
 				j.progress[qi].Tuples += len(ts)
 				j.mu.Unlock()
-				return nil
 			})
-			m.rt.Release()
 			if err != nil {
 				if j.ctx.Err() != nil {
 					return // cancellation surfaced as the shard's error
 				}
 				j.mu.Lock()
 				j.err = fmt.Sprintf("query %d shard %d: %v", qi, si, err)
+				j.code = code
 				j.mu.Unlock()
 				return
 			}
@@ -372,12 +359,11 @@ func (m *Manager) finalize(j *job) {
 	if m.ttl > 0 {
 		j.expires = j.finished.Add(m.ttl)
 	}
-	// Drop the pinned engine and parsed queries: status/results reads only
-	// need progress and results, and holding the engine would keep a whole
-	// superseded generation (indices + corpus) alive for the retention
-	// window after a hot reload.
+	// Drop the pinned engine: status/results reads only need progress and
+	// results, and holding the engine would keep a whole superseded
+	// generation (indices + corpus) alive for the retention window after a
+	// hot reload.
 	j.eng = nil
-	j.parsed = nil
 	for _, pr := range j.progress {
 		j.tuples += pr.Tuples
 	}
@@ -417,9 +403,8 @@ func (m *Manager) evictRetainedLocked(keep string) {
 		return
 	}
 	type done struct {
-		id       string
+		j        *job
 		finished time.Time
-		tuples   int
 	}
 	var finished []done
 	for id, j := range m.jobs {
@@ -427,7 +412,7 @@ func (m *Manager) evictRetainedLocked(keep string) {
 			continue
 		}
 		j.mu.Lock()
-		finished = append(finished, done{id: id, finished: j.finished, tuples: j.tuples})
+		finished = append(finished, done{j: j, finished: j.finished})
 		j.mu.Unlock()
 	}
 	sort.Slice(finished, func(i, k int) bool { return finished[i].finished.Before(finished[k].finished) })
@@ -435,8 +420,7 @@ func (m *Manager) evictRetainedLocked(keep string) {
 		if m.retained <= m.maxTuples {
 			return
 		}
-		delete(m.jobs, d.id)
-		m.retained -= d.tuples
+		m.dropLocked(d.j)
 	}
 }
 
@@ -500,15 +484,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		j.mu.Unlock()
 		m.mu.Lock()
 		if _, ok := m.jobs[id]; ok {
-			delete(m.jobs, id)
-			if j.accounted {
-				// Re-read tuples now: accounted was set under m.mu after
-				// finalize fixed j.tuples, so a snapshot taken before this
-				// block could predate it and corrupt the retained total.
-				j.mu.Lock()
-				m.retained -= j.tuples
-				j.mu.Unlock()
-			}
+			m.dropLocked(j)
 		}
 		m.mu.Unlock()
 		return st, nil
@@ -582,21 +558,16 @@ func (m *Manager) Drain(ctx context.Context) error {
 	tick := time.NewTicker(25 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		if m.activeCount() == 0 {
+		m.mu.Lock()
+		active := m.activeLocked()
+		m.mu.Unlock()
+		if len(active) == 0 {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			m.mu.Lock()
-			js := make([]*job, 0, len(m.jobs))
-			for _, j := range m.jobs {
-				js = append(js, j)
-			}
-			m.mu.Unlock()
-			for _, j := range js {
-				if !j.snapshotState().Terminal() {
-					j.cancel()
-				}
+			for _, j := range active {
+				j.cancel() // a no-op for one that finished meanwhile
 			}
 			return ctx.Err()
 		case <-tick.C:
@@ -604,18 +575,12 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
-// activeCount reports how many jobs are pending or running.
-func (m *Manager) activeCount() int {
-	m.mu.Lock()
-	js := make([]*job, 0, len(m.jobs))
+// activeLocked lists the pending or running jobs. Caller holds m.mu.
+func (m *Manager) activeLocked() []*job {
+	var active []*job
 	for _, j := range m.jobs {
-		js = append(js, j)
-	}
-	m.mu.Unlock()
-	active := 0
-	for _, j := range js {
 		if !j.snapshotState().Terminal() {
-			active++
+			active = append(active, j)
 		}
 	}
 	return active
@@ -637,17 +602,24 @@ func (m *Manager) lookup(id string) (*job, error) {
 // sweepLocked drops finished jobs past their retention deadline. Caller
 // holds m.mu.
 func (m *Manager) sweepLocked(now time.Time) {
-	for id, j := range m.jobs {
+	for _, j := range m.jobs {
 		j.mu.Lock()
 		expired := j.state.Terminal() && !j.expires.IsZero() && now.After(j.expires)
-		tuples := j.tuples
 		j.mu.Unlock()
 		if expired {
-			delete(m.jobs, id)
-			if j.accounted {
-				m.retained -= tuples
-			}
+			m.dropLocked(j)
 		}
+	}
+}
+
+// dropLocked forgets j and returns its retained tuples to the budget.
+// Caller holds m.mu.
+func (m *Manager) dropLocked(j *job) {
+	delete(m.jobs, j.id)
+	if j.accounted {
+		j.mu.Lock()
+		m.retained -= j.tuples
+		j.mu.Unlock()
 	}
 }
 
@@ -672,6 +644,7 @@ func (j *job) statusLocked() Status {
 		Shards:     j.shards,
 		Queries:    append([]QueryProgress(nil), j.progress...),
 		Error:      j.err,
+		ErrorCode:  j.code,
 		CreatedAt:  j.created,
 		StartedAt:  j.started,
 		FinishedAt: j.finished,

@@ -44,15 +44,23 @@ func (f *fakeRuntime) Engine(name string) (koko.Querier, uint64, error) {
 	return f.eng, f.gen, nil
 }
 
-func (f *fakeRuntime) Acquire(ctx context.Context) error {
+// RunShard evaluates the shard directly; each call stands for the one pool
+// slot the server's runtime claims per shard evaluation.
+func (f *fakeRuntime) RunShard(ctx context.Context, eng koko.Querier, shard int, query string, explain bool, emit func([]koko.Tuple)) (*koko.Result, string, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, "", err
 	}
 	f.acquires.Add(1)
-	return nil
+	p, err := koko.ParseQuery(query)
+	if err != nil {
+		return nil, "", err
+	}
+	sum, err := eng.StreamShard(ctx, shard, p, &koko.QueryOptions{Explain: explain}, func(ts []koko.Tuple) error {
+		emit(ts)
+		return nil
+	})
+	return sum, "", err
 }
-
-func (f *fakeRuntime) Release() {}
 
 // gatedQuerier wraps a Querier so StreamShard (the executor's per-shard
 // evaluation call) blocks until released (or the context is cancelled),

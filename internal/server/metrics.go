@@ -49,6 +49,8 @@ type Metrics struct {
 
 // MetricsSnapshot is the JSON form served by GET /v1/metrics.
 type MetricsSnapshot struct {
+	// QueriesTotal counts one per query, per shard-eval served and per
+	// (query, shard) of a job; the other query counters share that unit.
 	QueriesTotal int64 `json:"queries_total"`
 	QueryErrors  int64 `json:"query_errors"`
 	CacheHits    int64 `json:"cache_hits"`

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/server/jobs"
 	"repro/koko"
 	"repro/koko/remote"
 )
@@ -222,6 +223,34 @@ func TestDistributedDifferential(t *testing.T) {
 				t.Fatal("no value that JSON escapes crossed the wire; the hostile case is vacuous")
 			}
 
+			// A job through the coordinator runs each (query, shard) over the
+			// wire too: its fetched tuples must be byte-identical to the
+			// reference node's buffered ones.
+			for _, explain := range []bool{false, true} {
+				resp, body := postJSON(t, coordTS, "/v1/jobs", jobs.Spec{Corpus: "c", Queries: tc.queries, Explain: explain})
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("job submit status %d: %s", resp.StatusCode, body)
+				}
+				var st jobs.Status
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Fatal(err)
+				}
+				waitJobState(t, coordTS, st.ID, jobs.StateDone)
+				var res struct {
+					Queries []struct {
+						Tuples json.RawMessage `json:"tuples"`
+					} `json:"queries"`
+				}
+				getJSON(t, coordTS, "/v1/jobs/"+st.ID+"/results", &res)
+				for qi, q := range tc.queries {
+					want := httpQuery(t, refTS, QueryRequest{Corpus: "c", Query: q, Explain: explain, NoCache: true})
+					if got := res.Queries[qi].Tuples; !bytes.Equal(got, want.rawTuples) {
+						t.Fatalf("%s/job query %d explain=%v: tuples differ from the reference:\n got %s\nwant %s",
+							tc.name, qi, explain, got, want.rawTuples)
+					}
+				}
+			}
+
 			// Kill worker 1. Every shard keeps a replica on worker 2, so the
 			// coordinator must still answer byte-identically via retries.
 			w1.Close()
@@ -273,6 +302,7 @@ func TestShardEvalEndpoint(t *testing.T) {
 		t.Errorf("moved generation status = %d (%s), want 409", resp.StatusCode, body)
 	}
 
+	before := svc.Metrics()
 	resp, body := post(remote.ShardEvalRequest{Corpus: "c", Shard: 1, Query: goodQuery, Generation: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid shard-eval status = %d: %s", resp.StatusCode, body)
@@ -290,8 +320,19 @@ func TestShardEvalEndpoint(t *testing.T) {
 	if done.Summary == nil {
 		t.Fatal("nil summary in the done line")
 	}
-	if svc.Metrics().ShardEvalsServed != 1 {
-		t.Errorf("shard_evals_served = %d, want 1", svc.Metrics().ShardEvalsServed)
+	after := svc.Metrics()
+	if after.ShardEvalsServed != 1 {
+		t.Errorf("shard_evals_served = %d, want 1", after.ShardEvalsServed)
+	}
+	// A shard-eval is a query like any other to the worker's metrics.
+	if got := after.QueriesTotal - before.QueriesTotal; got != 1 {
+		t.Errorf("queries_total rose by %d over one shard-eval, want 1", got)
+	}
+	if got := after.TuplesReturned - before.TuplesReturned; got != int64(len(tuples)) {
+		t.Errorf("tuples_returned rose by %d, want the %d tuples sent", got, len(tuples))
+	}
+	if after.InFlight != 0 {
+		t.Errorf("in_flight = %d after the shard-eval, want 0", after.InFlight)
 	}
 }
 
@@ -547,6 +588,42 @@ func TestStreamShardUnavailable(t *testing.T) {
 	}
 	if m := coord.Metrics(); m.QueryErrors != 2 || m.QueriesCancelled != 0 {
 		t.Errorf("query_errors/queries_cancelled = %d/%d, want 2/0", m.QueryErrors, m.QueriesCancelled)
+	}
+}
+
+// TestJobShardUnavailable: a job on a coordinator whose workers are all
+// down fails with the same stable code a query gets — error_code
+// shard_unavailable on its status — and is counted as a query error.
+func TestJobShardUnavailable(t *testing.T) {
+	c := koko.WrapCorpus(corpus.GenCafes(corpus.BaristaMagConfig(11)).Corpus)
+	_, w1 := startWorker(t, "c", c, 3)
+	_, w2 := startWorker(t, "c", c, 3)
+	coord := NewService(Config{MaxConcurrent: 8})
+	if _, err := coord.ConnectWorkers(context.Background(), fastRemote(w1.URL, w2.URL)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	w1.Close()
+	w2.Close()
+
+	q := `extract x:Entity from "blogs" if () satisfying x (str(x) contains "Cafe" {1.0}) with threshold 0.5`
+	resp, body := postJSON(t, ts, "/v1/jobs", jobs.Spec{Corpus: "c", Queries: []string{q}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit status %d: %s", resp.StatusCode, body)
+	}
+	var st jobs.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, ts, st.ID, jobs.StateFailed)
+	var raw map[string]any
+	getJSON(t, ts, "/v1/jobs/"+st.ID, &raw)
+	if msg, _ := raw["error"].(string); raw["error_code"] != "shard_unavailable" || msg == "" {
+		t.Errorf("failed job status error/error_code = %q/%q, want a message and shard_unavailable", raw["error"], raw["error_code"])
+	}
+	if m := coord.Metrics(); m.QueriesTotal != 1 || m.QueryErrors != 1 {
+		t.Errorf("queries_total/query_errors = %d/%d, want 1/1 (the job's first shard)", m.QueriesTotal, m.QueryErrors)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/koko/index"
 	"repro/internal/koko/index/blockstore"
 	"repro/internal/koko/wal"
 	"repro/internal/server/jobs"
@@ -79,8 +80,9 @@ type Config struct {
 }
 
 // Service executes queries against a Registry through a result cache and a
-// bounded worker pool. It is the shared execution path of kokod's HTTP
-// handlers, the koko CLI, and the async job executor.
+// bounded worker pool. Queries, worker shard-evals and job steps all enter
+// through run, so every evaluation is parsed, pooled, counted and
+// classified in one place.
 type Service struct {
 	reg     *Registry
 	cache   *resultCache
@@ -147,9 +149,9 @@ func (s *Service) Registry() *Registry { return s.reg }
 // benchmark drive it directly).
 func (s *Service) Jobs() *jobs.Manager { return s.jobs }
 
-// The Service is the job executor's runtime: it hands out corpus engines
-// and worker-pool slots so batch jobs and interactive queries contend for
-// exactly the same bounded resources.
+// The Service is the job executor's runtime: jobs pin engines through it and
+// evaluate each (query, shard) through run, so batch jobs and interactive
+// queries contend for exactly the same bounded pool.
 var _ jobs.Runtime = (*Service)(nil)
 
 // Engine resolves a corpus name to its engine and current generation.
@@ -157,18 +159,20 @@ func (s *Service) Engine(name string) (koko.Querier, uint64, error) {
 	return s.reg.Engine(name)
 }
 
-// Acquire claims one worker-pool slot, honoring ctx while waiting.
-func (s *Service) Acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+// RunShard is the job executor's per-shard step (see jobs.Runtime): a
+// one-shard run over the engine the job pinned.
+func (s *Service) RunShard(ctx context.Context, eng koko.Querier, shard int, query string, explain bool, emit func([]koko.Tuple)) (*koko.Result, string, error) {
+	a, err := s.run(ctx, QueryRequest{Query: query, Explain: explain}, scope{one: true, shard: shard, eng: eng},
+		batches(func(ts []koko.Tuple) (int, error) {
+			emit(ts)
+			return len(ts), nil
+		}))
+	if err != nil {
+		_, code := errorCode(err)
+		return nil, code, err
 	}
+	return a.res, "", nil
 }
-
-// Release returns a slot claimed with Acquire.
-func (s *Service) Release() { <-s.sem }
 
 // QueryRequest is one query against a named corpus.
 type QueryRequest struct {
@@ -266,6 +270,39 @@ func phasesOf(r *koko.Result) PhaseMillis {
 // caches a result only when it carries every tuple delivered.
 type drain func(seq *koko.TupleSeq, hit *koko.Result) (res *koko.Result, delivered int, err error)
 
+// batches is a one-shard run's drain: each consumes one emitted batch and
+// reports how many of its tuples it delivered.
+func batches(each func([]koko.Tuple) (int, error)) drain {
+	return func(seq *koko.TupleSeq, _ *koko.Result) (*koko.Result, int, error) {
+		n := 0
+		for ev := range seq.Events() {
+			if ev.Shard != nil {
+				continue
+			}
+			k, err := each(ev.Tuples)
+			if err != nil {
+				return nil, 0, consumerGone{err}
+			}
+			n += k
+		}
+		if err := seq.Err(); err != nil {
+			return nil, 0, err
+		}
+		return seq.Summary(), n, nil
+	}
+}
+
+// scope selects what run evaluates: the zero scope is every shard of the
+// corpus's current engine, through the result cache; one is just shard,
+// bypassing the cache, of eng if the caller pinned it (a job), else of the
+// current engine, which must be at generation gen when gen is set.
+type scope struct {
+	one   bool
+	shard int
+	eng   koko.Querier
+	gen   uint64
+}
+
 // answer is one query's outcome as run hands it back to a response mode.
 type answer struct {
 	gen    uint64
@@ -282,27 +319,38 @@ type consumerGone struct{ err error }
 func (e consumerGone) Error() string { return e.err.Error() }
 func (e consumerGone) Unwrap() error { return e.err }
 
-// run is the one way the service answers a query, buffered or streamed:
-// count and parse it, resolve the corpus, consult the cache, and on a miss
-// evaluate it under a worker-pool slot, handing the tuples to d. Error
-// classification, metrics, cache admission and the degraded rules live
-// here only, so the two modes cannot drift apart. ctx cancellation is
-// honored while waiting for a slot and between documents.
-func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, error) {
+// run is the one way the service evaluates a query, whatever consumes it:
+// count and parse it, resolve the engine sc selects, consult the cache
+// (all-shards scope only), and on a miss evaluate it under a worker-pool
+// slot, handing the tuples to d. Error classification, metrics, cache
+// admission and the degraded rules live here only, so the buffered, NDJSON,
+// shard-eval and job drains cannot drift apart. ctx cancellation is honored
+// while waiting for a slot and between documents.
+func (s *Service) run(ctx context.Context, req QueryRequest, sc scope, d drain) (answer, error) {
 	s.metrics.queriesTotal.Add(1)
 	parsed, err := koko.ParseQuery(req.Query)
 	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		return answer{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
+		err = fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	eng, gen, err := s.reg.Engine(req.Corpus)
+	eng, gen := sc.eng, sc.gen
+	if err == nil && eng == nil {
+		eng, gen, err = s.reg.Engine(req.Corpus)
+		if err == nil && sc.gen != 0 && sc.gen != gen {
+			err = fmt.Errorf("corpus %q is at generation %d, request pinned %d: %w",
+				req.Corpus, gen, sc.gen, ErrGenerationMoved)
+		}
+	}
+	if err == nil && sc.one && (sc.shard < 0 || sc.shard >= eng.NumShards()) {
+		err = fmt.Errorf("%w: shard %d out of range (corpus %q has %d)", ErrBadQuery, sc.shard, req.Corpus, eng.NumShards())
+	}
 	if err != nil {
 		s.metrics.queryErrors.Add(1)
 		return answer{}, err
 	}
 	key := cacheKey{corpus: req.Corpus, gen: gen, explain: req.Explain, canonical: parsed.Canonical()}
+	cached := !sc.one && !req.NoCache
 	a := answer{gen: gen}
-	if !req.NoCache {
+	if cached {
 		if hit, ok := s.cache.get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			a.cached = true
@@ -313,18 +361,30 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 			return a, nil
 		}
 	}
-	s.metrics.cacheMisses.Add(1)
+	if !sc.one {
+		s.metrics.cacheMisses.Add(1)
+	}
 
-	if err := s.Acquire(ctx); err != nil {
-		return answer{}, s.classify(err)
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return answer{}, s.classify(ctx.Err())
 	}
 	s.metrics.enter()
-	seq, err := eng.Run(ctx, parsed, &koko.QueryOptions{
+	qo := &koko.QueryOptions{
 		Explain: req.Explain,
 		// Engines without failure domains ignore Degraded, so Partial is safe
 		// to thread through unconditionally.
 		Degraded: req.Partial,
-	})
+	}
+	var seq *koko.TupleSeq
+	if sc.one {
+		seq = koko.StreamShards(ctx, 1, 1, func(ctx context.Context, _ int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+			return eng.StreamShard(ctx, sc.shard, parsed, qo, emit)
+		}, false)
+	} else {
+		seq, err = eng.Run(ctx, parsed, qo)
+	}
 	if err == nil {
 		a.res, a.tuples, err = d(seq, nil)
 	}
@@ -336,7 +396,7 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 		}
 	}
 	s.metrics.exit()
-	s.Release()
+	<-s.sem
 	if err != nil {
 		return answer{}, s.classify(err)
 	}
@@ -350,7 +410,7 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 		// A degraded result is not the query's true answer; caching it
 		// would serve the gap long after the workers recover.
 		s.metrics.degradedQueries.Add(1)
-	case !req.NoCache && len(a.res.Tuples) == a.tuples:
+	case cached && len(a.res.Tuples) == a.tuples:
 		s.cache.put(key, a.res)
 	}
 	s.metrics.tuplesReturned.Add(int64(a.tuples))
@@ -359,8 +419,8 @@ func (s *Service) run(ctx context.Context, req QueryRequest, d drain) (answer, e
 
 // classify counts a failed query and maps its error for the HTTP layer.
 // The caller giving up (a done ctx, a departed consumer) is a
-// cancellation; a dead shard set is the backend's failure, not the
-// query's; anything else is a bad query.
+// cancellation; a dead shard set or a damaged store is the backend's
+// failure, not the query's; anything else is a bad query.
 func (s *Service) classify(err error) error {
 	var gone consumerGone
 	switch {
@@ -372,7 +432,8 @@ func (s *Service) classify(err error) error {
 		return err
 	}
 	s.metrics.queryErrors.Add(1)
-	if errors.Is(err, remote.ErrShardUnavailable) {
+	var damaged *index.StoreError
+	if errors.Is(err, remote.ErrShardUnavailable) || errors.As(err, &damaged) {
 		return err
 	}
 	return fmt.Errorf("%w: %v", ErrBadQuery, err)
@@ -393,7 +454,7 @@ func collect(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
 // Query answers req as one buffered response.
 func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	t0 := time.Now()
-	a, err := s.run(ctx, req, collect)
+	a, err := s.run(ctx, req, scope{}, collect)
 	if err != nil {
 		return nil, err
 	}

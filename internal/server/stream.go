@@ -99,7 +99,7 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(S
 		tr := tupleResultOf(t)
 		return send(StreamEvent{Tuple: &tr})
 	}
-	a, err := s.run(ctx, req, func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
+	a, err := s.run(ctx, req, scope{}, func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
 		if hit != nil {
 			for _, t := range hit.Tuples {
 				if err := sendTuple(t); err != nil {
@@ -113,23 +113,24 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(S
 		keep := !req.NoCache && s.cache.admits(0)
 		total := 0
 		for ev := range seq.Events() {
-			var err error
-			if t := ev.Tuple; t != nil {
-				total++
-				if keep = keep && s.cache.admits(total); keep {
-					collected = append(collected, *t)
-				} else {
-					collected = nil
+			if sh := ev.Shard; sh != nil {
+				if err := send(StreamEvent{Shard: &ShardProgress{
+					Shard: sh.Shard, Shards: seq.NumShards(), Tuples: sh.Tuples, TotalTuples: total,
+				}}); err != nil {
+					return nil, 0, err // leaving the range cancels the remaining evaluation
 				}
-				err = sendTuple(*t)
-			} else {
-				err = send(StreamEvent{Shard: &ShardProgress{
-					Shard: ev.Shard.Shard, Shards: seq.NumShards(),
-					Tuples: ev.Shard.Tuples, TotalTuples: total,
-				}})
+				continue
 			}
-			if err != nil {
-				return nil, 0, err // leaving the range cancels the remaining evaluation
+			total += len(ev.Tuples)
+			if keep = keep && s.cache.admits(total); keep {
+				collected = append(collected, ev.Tuples...)
+			} else {
+				collected = nil
+			}
+			for _, t := range ev.Tuples {
+				if err := sendTuple(t); err != nil {
+					return nil, 0, err
+				}
 			}
 		}
 		if err := seq.Err(); err != nil {

@@ -104,8 +104,8 @@ func TestRunEventsOrderAndEquivalence(t *testing.T) {
 		var tuples []Tuple
 		next := 0
 		for ev := range seq.Events() {
-			if ev.Tuple != nil {
-				tuples = append(tuples, *ev.Tuple)
+			if ev.Tuples != nil {
+				tuples = append(tuples, ev.Tuples...)
 				continue
 			}
 			if ev.Shard.Shard != next {

@@ -13,8 +13,8 @@ import (
 // returns, and StreamShards is the one producer behind it — a plain Engine
 // is its one-shard case. Tuples flow lazily from the per-document
 // evaluation loop through the shard fan-out to the consumer without
-// changing type; Collect (the buffered mode) and the server's NDJSON drain
-// are thin consumers of the same sequence.
+// changing type, in the batches the shards emitted; Collect (the buffered
+// mode) and the server's drains are thin consumers of the same sequence.
 
 // streamBatchTuples bounds how many tuples a shard accumulates before
 // flushing a batch downstream. Small enough that the first batch of a large
@@ -60,25 +60,25 @@ type ShardEnd struct {
 
 // Event is one element of a TupleSeq: exactly one field is set.
 type Event struct {
-	// Tuple is one output row, already in the Querier's global document and
-	// sentence coordinates. The pointer is valid only for the duration of
-	// the yield; consumers that retain it must copy.
-	Tuple *Tuple
+	// Tuples is one non-empty batch of output rows, exactly as the shard's
+	// StreamShard emitted it, already in the Querier's global document and
+	// sentence coordinates. The slice is valid only for the duration of the
+	// yield; consumers that retain its tuples must copy them.
+	Tuples []Tuple
 	// Shard marks a shard boundary.
 	Shard *ShardEnd
 }
 
-// TupleSeq is a single-use lazy stream of query results: tuples in global
-// document order interleaved with per-shard completion markers. Memory is
-// bounded by the stream's internal batching, not the result size, and the
-// first tuple is available before evaluation of later documents and shards
-// has finished.
+// TupleSeq is a single-use lazy stream of query results: tuple batches in
+// global document order interleaved with per-shard completion markers.
+// Memory is bounded by the stream's internal batching, not the result size,
+// and the first tuple is available before evaluation of later documents and
+// shards has finished.
 //
-// Iterate with Events (or All for tuples only), then check Err. Breaking
-// out of the iteration cancels the remaining evaluation; all fan-out
-// goroutines have exited by the time the loop returns. Collect drains the
-// stream into a buffered Result — the materialized mode as a collector over
-// the iterator.
+// Iterate with Events, then check Err. Breaking out of the iteration
+// cancels the remaining evaluation; all fan-out goroutines have exited by
+// the time the loop returns. Collect drains the stream into a buffered
+// Result — the materialized mode as a collector over the iterator.
 type TupleSeq struct {
 	shards  int
 	produce func(yield func(Event) bool) error
@@ -116,17 +116,6 @@ func (s *TupleSeq) Events() iter.Seq[Event] {
 	}
 }
 
-// All yields only the tuples, copied out of the stream's batches.
-func (s *TupleSeq) All() iter.Seq[Tuple] {
-	return func(yield func(Tuple) bool) {
-		for ev := range s.Events() {
-			if ev.Tuple != nil && !yield(*ev.Tuple) {
-				return
-			}
-		}
-	}
-}
-
 // Err reports why the stream stopped: nil after a complete drain (or a
 // consumer break), the first shard's error otherwise. Valid once iteration
 // has returned.
@@ -160,11 +149,11 @@ func (s *TupleSeq) Collect() (*Result, error) {
 	mark := 0 // length of tuples at the last completed shard boundary
 	for ev := range s.Events() {
 		switch {
-		case ev.Tuple != nil:
-			tuples = append(tuples, *ev.Tuple)
-		case ev.Shard != nil && ev.Shard.Failed:
+		case ev.Shard == nil:
+			tuples = append(tuples, ev.Tuples...)
+		case ev.Shard.Failed:
 			tuples = tuples[:mark] // drop the failed shard's partial prefix
-		case ev.Shard != nil:
+		default:
 			mark = len(tuples)
 		}
 	}
@@ -359,12 +348,10 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 					}
 					break shard
 				default:
-					for k := range m.tuples {
-						if !yield(Event{Tuple: &m.tuples[k]}) {
-							return nil
-						}
-						shardTuples++
+					if !yield(Event{Tuples: m.tuples}) {
+						return nil
 					}
+					shardTuples += len(m.tuples)
 				}
 			}
 			if next := i + par; next < shards {

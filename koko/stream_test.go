@@ -27,9 +27,9 @@ func drainEvents(t *testing.T, seq *TupleSeq) *Result {
 	sinceMarker := 0
 	lastShard := -1
 	for ev := range seq.Events() {
-		if tu := ev.Tuple; tu != nil {
-			tuples = append(tuples, *tu) // pointer is yield-scoped; copy out
-			sinceMarker++
+		if ev.Tuples != nil {
+			tuples = append(tuples, ev.Tuples...) // the batch is yield-scoped; copy out
+			sinceMarker += len(ev.Tuples)
 			continue
 		}
 		sh := ev.Shard
@@ -164,8 +164,8 @@ func TestStreamBoundedMemory(t *testing.T) {
 	peak := uint64(0)
 	var ms runtime.MemStats
 	for ev := range seq.Events() {
-		if ev.Tuple != nil {
-			n++
+		if ev.Tuples != nil {
+			n += len(ev.Tuples)
 			if n%(perBatch*batches) == 0 { // sample once per shard's volume
 				runtime.GC()
 				runtime.ReadMemStats(&ms)
@@ -272,11 +272,11 @@ func TestStreamFirstTupleLatency(t *testing.T) {
 	go func() {
 		defer close(done)
 		for ev := range seq.Events() {
-			if ev.Tuple != nil {
+			if ev.Tuples != nil {
 				if got == 0 {
 					close(gate) // first tuple arrived before shard 1 ran
 				}
-				got++
+				got += len(ev.Tuples)
 			}
 		}
 	}()
@@ -316,9 +316,7 @@ func TestStreamOrderedAdmission(t *testing.T) {
 	seq := StreamShards(context.Background(), shards, 1, run, false)
 	n := 0
 	for ev := range seq.Events() {
-		if ev.Tuple != nil {
-			n++
-		}
+		n += len(ev.Tuples)
 	}
 	if err := seq.Err(); err != nil {
 		t.Fatal(err)
@@ -395,8 +393,8 @@ func TestStreamEagerAdmission(t *testing.T) {
 	go func() {
 		defer close(done)
 		for ev := range seq.Events() {
-			if ev.Tuple != nil {
-				order = append(order, ev.Tuple.Document)
+			for _, tu := range ev.Tuples {
+				order = append(order, tu.Document)
 			}
 		}
 	}()
