@@ -42,7 +42,7 @@ func TestNearScoreFormula(t *testing.T) {
 	s := &c.Sentences[0]
 	nq, err := normalize(lang.MustParse(`extract x:Entity from f if () satisfying x
 		(x near "coffee" {1}) or (x near "serves" {1}) or (x near "missing" {1})
-		or (x "serves great" {1}) or ("serves" x {1}) or ("." x {1})`), nil, 0)
+		or (x "serves great" {1}) or ("serves" x {1}) or ("." x {1})`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,7 @@ func BenchmarkDPLIJoin(b *testing.B) {
 	e := benchEngine(b)
 	nqs := make([]*normQuery, 0, len(benchJoinQueries))
 	for _, src := range benchJoinQueries {
-		nq, err := normalize(lang.MustParse(src), e.model, 0)
+		nq, err := normalize(lang.MustParse(src), e.model)
 		if err != nil {
 			b.Fatal(err)
 		}

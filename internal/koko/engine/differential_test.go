@@ -73,7 +73,7 @@ func TestSlotEvalMatchesSeedSemantics(t *testing.T) {
 		ix := index.Build(c)
 		for _, src := range diffQueries {
 			for _, gspOff := range []bool{false, true} {
-				nq, err := normalize(lang.MustParse(src), model, 0)
+				nq, err := normalize(lang.MustParse(src), model)
 				if err != nil {
 					t.Fatalf("%s: normalize(%s): %v", cname, src, err)
 				}
@@ -122,7 +122,7 @@ func TestSlotEvalRandomizedCorpora(t *testing.T) {
 		c := benchHappyDB(60, seed*101)
 		ix := index.Build(c)
 		for _, src := range diffQueries {
-			nq, err := normalize(lang.MustParse(src), model, 0)
+			nq, err := normalize(lang.MustParse(src), model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestCompiledStepsMatchSeedMatcher(t *testing.T) {
 	matched := map[string]int{}
 	for cname, c := range aggCorpora() {
 		for _, src := range queries {
-			nq, err := normalize(lang.MustParse(src), nil, 0)
+			nq, err := normalize(lang.MustParse(src), nil)
 			if err != nil {
 				t.Fatalf("normalize(%s): %v", src, err)
 			}
@@ -251,7 +251,7 @@ func TestSatisfyingMatchesSeedAggregator(t *testing.T) {
 		e := New(c, ix, model, Options{})
 		for qi, src := range aggQueries {
 			q := lang.MustParse(src)
-			nq, err := normalize(q, model, 0)
+			nq, err := normalize(q, model)
 			if err != nil {
 				t.Fatalf("normalize(%s): %v", src, err)
 			}

@@ -18,7 +18,9 @@
 //     greedily skipped provided their neighbors are not skipped; the
 //     remaining variables are enumerated by nested loops, skipped variables
 //     are aligned from their neighbors' bindings, and every path expression
-//     and derived constraint is re-validated (this restores soundness).
+//     and derived constraint is re-validated (this restores soundness). A
+//     path is matched bottom-up: tokens passing its last step climb their
+//     head chain through the earlier steps, memoized per (token, step).
 //
 //  4. Aggregate (§4.4) — for every candidate output value, the satisfying
 //     clause's weighted evidence is collected across the whole document

@@ -241,6 +241,32 @@ func TestHorizontalConditionGSP(t *testing.T) {
 	}
 }
 
+// TestPhaseTimesAttribution: on a satisfying query the per-sentence clock
+// reads attribute time to each of GSP, extract and satisfying, and with the
+// skip plan disabled no time at all to GSP; both runs emit the same tuples.
+func TestPhaseTimesAttribution(t *testing.T) {
+	c := benchHappyDB(benchCorpusSents, benchCorpusSeed)
+	ix := index.Build(c)
+	q := lang.MustParse(benchSatisfyingQuery)
+	gsp, err := New(c, ix, embed.NewModel(), Options{}).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nogsp, err := New(c, ix, embed.NewModel(), Options{DisableSkipPlan: true}).Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gsp.Tuples) == 0 || !reflect.DeepEqual(gsp.Tuples, nogsp.Tuples) {
+		t.Fatalf("%d tuples with the skip plan, %d without; want the same non-empty set", len(gsp.Tuples), len(nogsp.Tuples))
+	}
+	if pt := gsp.Times; pt.GSP <= 0 || pt.Extract <= 0 || pt.Satisfying <= 0 {
+		t.Errorf("skip plan on: GSP %v, extract %v, satisfying %v; want each > 0", pt.GSP, pt.Extract, pt.Satisfying)
+	}
+	if pt := nogsp.Times; pt.GSP != 0 || pt.Extract <= 0 || pt.Satisfying <= 0 {
+		t.Errorf("skip plan off: GSP %v, extract %v, satisfying %v; want 0, > 0, > 0", pt.GSP, pt.Extract, pt.Satisfying)
+	}
+}
+
 // TestFollowedByAndNear checks the boolean adjacency and proximity
 // conditions.
 func TestFollowedByAndNear(t *testing.T) {

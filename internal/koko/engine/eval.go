@@ -63,15 +63,13 @@ type sentEval struct {
 	skip  []bool      // slot -> skipped by the plan this sentence
 	cands [][]binding // slot -> candidate bindings (buffers reused)
 
-	// nodeTids caches the sorted matchPath result per node-variable
+	// nodeTids caches the sorted path-match result per node-variable
 	// slot for O(log n) validation of skipped node variables; nodeDone marks
 	// which slots are valid for the current sentence.
 	nodeTids [][]int32
 	nodeDone []bool
 
-	// path-matching scratch (matchPath): the memo table and match bitmap.
-	pathSeen    []bool
-	pathMatched []bool
+	pm pathMatcher // path-matching scratch
 
 	enum []*normVar // enumerable variables this sentence, in loop order
 
@@ -391,7 +389,7 @@ func (ev *sentEval) nodeMatches(v *normVar) []int32 {
 	if ev.nodeDone[v.slot] {
 		return ev.nodeTids[v.slot]
 	}
-	ev.nodeTids[v.slot] = ev.matchPath(v.steps, ev.nodeTids[v.slot][:0])
+	ev.nodeTids[v.slot] = ev.pm.match(ev.s, v.steps, ev.rc, ev.nodeTids[v.slot][:0])
 	ev.nodeDone[v.slot] = true
 	return ev.nodeTids[v.slot]
 }
@@ -410,42 +408,6 @@ func (ev *sentEval) nodeMatchHas(v *normVar, tid int) bool {
 		}
 	}
 	return lo < len(tids) && tids[lo] == int32(tid)
-}
-
-// matchPath is MatchPath against the scratch buffers: the memo table and
-// match bitmap are reused across sentences and the matching tids are
-// appended to dst, ascending.
-func (ev *sentEval) matchPath(steps []compiledStep, dst []int32) []int32 {
-	s := ev.s
-	n := len(s.Tokens)
-	if n == 0 || len(steps) == 0 {
-		return dst
-	}
-	m := len(steps)
-	need := (n + 1) * (m + 1)
-	if cap(ev.pathSeen) < need {
-		ev.pathSeen = make([]bool, need)
-	} else {
-		ev.pathSeen = ev.pathSeen[:need]
-		for i := range ev.pathSeen {
-			ev.pathSeen[i] = false
-		}
-	}
-	if cap(ev.pathMatched) < n {
-		ev.pathMatched = make([]bool, n)
-	} else {
-		ev.pathMatched = ev.pathMatched[:n]
-		for i := range ev.pathMatched {
-			ev.pathMatched[i] = false
-		}
-	}
-	matchPathVisit(ev.s, steps, ev.rc, ev.pathSeen, ev.pathMatched, -1, 0)
-	for i, ok := range ev.pathMatched {
-		if ok {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
 }
 
 // elasticOK checks an elastic span's bracket conditions.

@@ -152,59 +152,95 @@ func stepMatchesToken(s *nlp.Sentence, tid int, st *compiledStep, rc *reCache) b
 // matching for harness code (index-effectiveness experiments). It compiles
 // the steps and runs the evaluator's own matcher.
 func MatchPath(s *nlp.Sentence, steps []lang.PathStep) []int {
-	n := len(s.Tokens)
-	if n == 0 || len(steps) == 0 {
-		return nil
-	}
-	seen := make([]bool, (n+1)*(len(steps)+1))
-	matched := make([]bool, n)
-	matchPathVisit(s, compilePath(steps), newRECache(), seen, matched, -1, 0)
 	var out []int
-	for i, ok := range matched {
-		if ok {
-			out = append(out, i)
-		}
+	for _, t := range (&pathMatcher{}).match(s, compilePath(steps), newRECache(), nil) {
+		out = append(out, int(t))
 	}
 	return out
 }
 
-// matchPathVisit is the memoized traversal behind MatchPath and the hot
-// path's scratch-backed sentEval.matchPath (§4.3's "check that b satisfies
-// the path ..."): seen is the (n+1)×(m+1) memo indexed
-// [(tok+1)*(m+1)+step], so wildcard-heavy patterns stay linear; matched
-// collects the tokens reaching the end of the pattern. It is a plain
-// recursive function (no closure) so scratch-buffer callers allocate nothing.
-func matchPathVisit(s *nlp.Sentence, steps []compiledStep, rc *reCache, seen, matched []bool, tok, step int) {
-	m := len(steps)
-	idx := (tok+1)*(m+1) + step
-	if seen[idx] {
-		return
+// pathMatcher checks that a token "satisfies the path" (§4.3) bottom-up:
+// only tokens that pass the last step are tested, and a token passes step i
+// when its Token.Head chain passes the earlier steps — "/" is the parent,
+// "//" any proper ancestor, and a "/" first step is the root. memo is the
+// reusable per-(token, step) table of the pm* bits below; it holds the "//"
+// ancestor search too, so a match is O(tokens × steps) even on deep chains,
+// and a warm matcher allocates nothing. The heads must form one tree, as
+// Sentence.RecomputeDerived leaves them.
+type pathMatcher struct {
+	s     *nlp.Sentence
+	steps []compiledStep
+	rc    *reCache
+	memo  []uint8
+}
+
+const (
+	pmKnown    = 1 << iota // ok(t, i) is decided
+	pmOK                   // the path up to step i ends at t
+	pmAncKnown             // anc(t, i) is decided
+	pmAnc                  // some proper ancestor of t passes ok(·, i)
+)
+
+// match appends the ids of s's tokens matching the whole path to dst,
+// ascending.
+func (pm *pathMatcher) match(s *nlp.Sentence, steps []compiledStep, rc *reCache, dst []int32) []int32 {
+	n, m := len(s.Tokens), len(steps)
+	if n == 0 || m == 0 {
+		return dst
 	}
-	seen[idx] = true
-	if step == m {
-		if tok >= 0 {
-			matched[tok] = true
-		}
-		return
+	if cap(pm.memo) < n*m {
+		pm.memo = make([]uint8, n*m)
+	} else {
+		pm.memo = pm.memo[:n*m]
+		clear(pm.memo)
 	}
-	st := &steps[step]
-	if tok < 0 {
-		if r := s.Root(); r >= 0 {
-			if stepMatchesToken(s, r, st, rc) {
-				matchPathVisit(s, steps, rc, seen, matched, r, step+1)
-			}
-			if st.desc {
-				matchPathVisit(s, steps, rc, seen, matched, r, step)
-			}
-		}
-		return
-	}
-	for _, c := range s.Children(tok) {
-		if stepMatchesToken(s, c, st, rc) {
-			matchPathVisit(s, steps, rc, seen, matched, c, step+1)
-		}
-		if st.desc {
-			matchPathVisit(s, steps, rc, seen, matched, c, step)
+	pm.s, pm.steps, pm.rc = s, steps, rc
+	for t := 0; t < n; t++ {
+		if pm.ok(t, m-1) {
+			dst = append(dst, int32(t))
 		}
 	}
+	return dst
+}
+
+// ok reports whether the path's steps 0..i match, in order, a chain ending
+// at token t.
+func (pm *pathMatcher) ok(t, i int) bool {
+	c := &pm.memo[t*len(pm.steps)+i]
+	if *c&pmKnown == 0 {
+		*c |= pmKnown
+		st, p := &pm.steps[i], pm.s.Tokens[t].Head
+		if stepMatchesToken(pm.s, t, st, pm.rc) && (i == 0 && (st.desc || t == pm.s.Root()) ||
+			i > 0 && st.desc && pm.anc(t, i-1) ||
+			i > 0 && !st.desc && p >= 0 && pm.ok(p, i-1)) {
+			*c |= pmOK
+		}
+	}
+	return *c&pmOK != 0
+}
+
+// anc reports whether a proper ancestor of t passes ok(·, i). It climbs
+// until an ancestor passes or one whose answer is memoized, then records the
+// answer on every token it climbed past, so each token is climbed past once
+// per step.
+func (pm *pathMatcher) anc(t, i int) bool {
+	m, toks := len(pm.steps), pm.s.Tokens
+	found, p := false, toks[t].Head
+	for ; p >= 0; p = toks[p].Head {
+		if pm.ok(p, i) {
+			found = true
+			break
+		}
+		if c := pm.memo[p*m+i]; c&pmAncKnown != 0 {
+			found = c&pmAnc != 0
+			break
+		}
+	}
+	for x := t; x != p; x = toks[x].Head {
+		pm.memo[x*m+i] |= pmAncKnown
+		if found {
+			pm.memo[x*m+i] |= pmAnc
+		}
+	}
+	return found
 }

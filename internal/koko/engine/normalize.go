@@ -150,10 +150,8 @@ type normQuery struct {
 }
 
 // normalize implements §4.1: absolute-form expansion, synthesized variables
-// for elastic spans and inline atoms, and derived constraints. A descriptor
-// expands to at most expansionLimit phrases; the engine passes 0, which
-// takes the embedding model's default limit.
-func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuery, error) {
+// for elastic spans and inline atoms, and derived constraints.
+func normalize(q *lang.Query, model *embed.Model) (*normQuery, error) {
 	nq := &normQuery{
 		src:     q,
 		byName:  map[string]*normVar{},
@@ -391,7 +389,7 @@ func normalize(q *lang.Query, model *embed.Model, expansionLimit int) (*normQuer
 				if descs == nil {
 					descs = map[string]*descriptor{}
 				}
-				descs[c.Arg] = expandDescriptor(c.Arg, model, expansionLimit)
+				descs[c.Arg] = expandDescriptor(c.Arg, model)
 			}
 			nc.desc = descs[c.Arg]
 		}
@@ -454,11 +452,12 @@ func (nq *normQuery) compileSlots() {
 }
 
 // expandDescriptor pre-expands a descriptor through the paraphrase model
-// (§4.4.1(a)); expansion happens once per query.
-func expandDescriptor(text string, model *embed.Model, limit int) *descriptor {
+// (§4.4.1(a)), to at most the model's default number of phrases; expansion
+// happens once per query.
+func expandDescriptor(text string, model *embed.Model) *descriptor {
 	d := &descriptor{text: text}
 	if model != nil {
-		d.expansions = model.Expand(text, limit)
+		d.expansions = model.Expand(text, 0)
 	}
 	if len(d.expansions) == 0 {
 		d.expansions = []embed.Scored{{Text: strings.ToLower(text), Score: 1}}

@@ -35,7 +35,7 @@ func TestPlanOrdersSmallestFirst(t *testing.T) {
 	c := benchHappyDB(120, 7)
 	ix := index.Build(c)
 
-	nq, err := normalize(lang.MustParse(planAdversarialQueries[0]), model, 0)
+	nq, err := normalize(lang.MustParse(planAdversarialQueries[0]), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestPlanOrdersSmallestFirst(t *testing.T) {
 	// order (ties break toward declaration order), so reordered stays
 	// false and no re-sort cost is paid.
 	well := `extract d:Str from f if (/ROOT:{ v = //verb, o = v/dobj, d = (o.subtree), z = ^[min=1,max=3] } (z) in (d))`
-	nq, err = normalize(lang.MustParse(well), model, 0)
+	nq, err = normalize(lang.MustParse(well), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPlannedMatchesSeedSemantics(t *testing.T) {
 	for cname, c := range diffCorpora() {
 		ix := index.Build(c)
 		for _, src := range queries {
-			nq, err := normalize(lang.MustParse(src), model, 0)
+			nq, err := normalize(lang.MustParse(src), model)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,7 +72,7 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 	}
 	res := &Result{}
 	t0 := time.Now()
-	nq, err := normalize(q, e.model, 0)
+	nq, err := normalize(q, e.model)
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,8 @@ func (s *Sentence) Children(id int) []int {
 }
 
 // Text reconstructs a detokenized form of the span [l,r] (inclusive).
-// Punctuation attaches to the preceding token without a space.
+// Punctuation attaches to the preceding token without a space. The builder
+// is sized exactly up front, so a call allocates once.
 func (s *Sentence) Text(l, r int) string {
 	if l < 0 {
 		l = 0
@@ -177,7 +178,15 @@ func (s *Sentence) Text(l, r int) string {
 	if r >= len(s.Tokens) {
 		r = len(s.Tokens) - 1
 	}
+	size := 0
+	for i := l; i <= r; i++ {
+		size += len(s.Tokens[i].Text)
+		if i > l && s.Tokens[i].POS != PosPunct {
+			size++
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for i := l; i <= r; i++ {
 		t := &s.Tokens[i]
 		if i > l && t.POS != PosPunct {
