@@ -64,7 +64,7 @@ func main() {
 		{Corpus: "food", Query: foodQuery, Explain: true},
 	}
 	var wg sync.WaitGroup
-	results := make([]server.QueryResponse, len(reqs))
+	results := make([]answer, len(reqs))
 	for i, r := range reqs {
 		wg.Add(1)
 		go func(i int, r server.QueryRequest) {
@@ -90,7 +90,7 @@ func main() {
 	}
 
 	// 4. Repeat the cafe query: served from the result cache.
-	var again server.QueryResponse
+	var again answer
 	post(ts.URL+"/v1/query", reqs[0], &again)
 	fmt.Printf("\nrepeat cafes query: cached=%t, %d tuples\n", again.Cached, len(again.Tuples))
 
@@ -98,6 +98,23 @@ func main() {
 	get(ts.URL+"/v1/metrics", &m)
 	fmt.Printf("metrics: queries=%d hits=%d misses=%d peak_in_flight=%d\n",
 		m.QueriesTotal, m.CacheHits, m.CacheMisses, m.PeakInFlight)
+}
+
+// answer is the part of a /v1/query answer this client reads. The server
+// encodes its tuples straight from the engine's; a client decodes them into
+// a struct of its own.
+type answer struct {
+	Tuples []struct {
+		SentenceID int      `json:"sentence_id"`
+		Values     []string `json:"values"`
+		Evidence   []struct {
+			Condition    string  `json:"condition"`
+			Weight       float64 `json:"weight"`
+			Confidence   float64 `json:"confidence"`
+			Contribution float64 `json:"contribution"`
+		} `json:"evidence"`
+	} `json:"tuples"`
+	server.QueryStats
 }
 
 func get(url string, out any) {

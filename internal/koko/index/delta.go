@@ -112,9 +112,6 @@ func (d *Delta) Seal() (*Corpus, *Index) {
 	return c, d.ix.Clone()
 }
 
-// DocName returns delta document i's name.
-func (d *Delta) DocName(i int) string { return d.c.Docs[i].Name }
-
 // DocSpan returns delta document i's first sentence id and sentence count,
 // both delta-local (callers rebase by the base's totals).
 func (d *Delta) DocSpan(i int) (firstSID, nSents int) {

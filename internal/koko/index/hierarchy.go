@@ -101,20 +101,6 @@ func (h *Hierarchy) CompressionRatio() float64 {
 	return 1 - float64(h.NumNodes())/float64(h.TotalTokens)
 }
 
-// PathOf returns the label path of a node from the super-root, excluding the
-// super-root itself.
-func (h *Hierarchy) PathOf(node int32) []string {
-	var rev []string
-	for n := node; n > 0; n = h.Parents[n] {
-		rev = append(rev, h.Labels[n])
-	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
 // Step is one step of a root-anchored path pattern: an axis (child or
 // descendant) and a label ("*" is a wildcard).
 type Step struct {

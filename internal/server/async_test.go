@@ -33,7 +33,7 @@ func readStream(t *testing.T, body []byte) (tuples []TupleResult, shardEvents []
 		if len(line) == 0 {
 			continue
 		}
-		var ev StreamEvent
+		var ev streamJSON
 		if err := json.Unmarshal(line, &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
@@ -103,7 +103,7 @@ func TestStreamAndJobMatchBuffered(t *testing.T) {
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("%s buffered status %d: %s", corpus, resp.StatusCode, body)
 				}
-				var buffered QueryResponse
+				var buffered queryJSON
 				if err := json.Unmarshal(body, &buffered); err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func TestStreamAndJobMatchBuffered(t *testing.T) {
 				if final.ShardsDone != wantShards {
 					t.Fatalf("%s job shards_done = %d, want %d", corpus, final.ShardsDone, wantShards)
 				}
-				var jr jobResultsResponse
+				var jr jobResultsJSON
 				if resp := getJSON(t, ts, "/v1/jobs/"+st.ID+"/results", &jr); resp.StatusCode != http.StatusOK {
 					t.Fatalf("job results status %d", resp.StatusCode)
 				}
@@ -197,7 +197,7 @@ func TestStreamCacheInterplay(t *testing.T) {
 	if done == nil || done.Cached {
 		t.Fatalf("first stream: done=%+v", done)
 	}
-	var buffered QueryResponse
+	var buffered queryJSON
 	_, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "demo-cafes", Query: q})
 	if err := json.Unmarshal(body, &buffered); err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestJobHTTPErrorPaths(t *testing.T) {
 		t.Fatalf("delete = %d %+v", dresp.StatusCode, cancelled)
 	}
 	waitJobState(t, ts, st.ID, jobs.StateCancelled)
-	var jr jobResultsResponse
+	var jr jobResultsJSON
 	if resp := getJSON(t, ts, "/v1/jobs/"+st.ID+"/results", &jr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancelled job results status %d, want 200", resp.StatusCode)
 	}
@@ -498,7 +498,7 @@ func TestQueryDuringReload(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d during reload: status %d: %s", i, resp.StatusCode, body)
 		}
-		var qr QueryResponse
+		var qr queryJSON
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestLegacyQueryFieldsIgnored(t *testing.T) {
 
 	// Buffered: the current body first, the legacy body must hit its entry.
 	req := QueryRequest{Corpus: corpus, Query: query}
-	var buffered [2]QueryResponse // current, legacy
+	var buffered [2]queryJSON // current, legacy
 	for i, body := range []any{req, withLegacy(t, req)} {
 		resp, raw := postJSON(t, ts, "/v1/query", body)
 		if resp.StatusCode != http.StatusOK {
@@ -104,7 +104,7 @@ func TestLegacyQueryFieldsIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitJobState(t, ts, st.ID, jobs.StateDone)
-		var jr jobResultsResponse
+		var jr jobResultsJSON
 		if resp := getJSON(t, ts, "/v1/jobs/"+st.ID+"/results", &jr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("job %d: results status %d", i, resp.StatusCode)
 		}

@@ -37,5 +37,9 @@
 //     POST /v1/corpora/{name}/reload, POST /v1/corpora/{name}/documents,
 //     POST /v1/corpora/{name}/compact, DELETE /v1/corpora/{name},
 //     the /v1/jobs family, GET /v1/healthz, GET /v1/metrics —
-//     served by cmd/kokod.
+//     served by cmd/kokod. Buffered, NDJSON and job answers append-encode
+//     the engine's tuples (remote.ClientFields), byte-identical to
+//     encoding/json's; buffered and NDJSON answers share one drain, which
+//     encodes each batch as the shards deliver it, and a buffered body is
+//     whole before its status line.
 package server

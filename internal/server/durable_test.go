@@ -45,7 +45,7 @@ func queryTuples(t *testing.T, svc *Service, corpus string) []TupleResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.Tuples
+	return oracleTuples(resp.Tuples)
 }
 
 func sameTuples(t *testing.T, label string, got, want []TupleResult) {
@@ -211,7 +211,7 @@ func TestHTTPDocumentDelete(t *testing.T) {
 	}
 
 	// The deleted document's tuples are gone from queries.
-	var q QueryResponse
+	var q queryJSON
 	_, body := postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "demo-cafes", Query: DemoQueries["demo-cafes"]})
 	mustUnmarshal(t, body, &q)
 	if hasValue(q.Tuples, "Cafe Umbria") {

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
+	"sync"
+	"time"
 
 	"repro/internal/server/jobs"
 	"repro/koko"
@@ -49,11 +53,7 @@ type errorResponse struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	writeAppended(w, status, func(dst []byte) ([]byte, error) { return remote.AppendJSON(dst, v) })
 }
 
 // writeBadRequest answers a malformed request (undecodable body, missing
@@ -122,12 +122,75 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("partial") == "ok" {
 		req.Partial = true
 	}
-	resp, err := s.Query(r.Context(), req)
+	writeAppended(w, http.StatusOK, func(dst []byte) ([]byte, error) { return s.appendQuery(r.Context(), req, dst) })
+}
+
+// bodies keeps answer bodies' buffers between requests: grown afresh for
+// every answer, they were a third of kokod's allocation.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAppended answers status with the JSON body build appends, or with
+// the error build returns: the body is whole before the status line.
+func writeAppended(w http.ResponseWriter, status int, build func([]byte) ([]byte, error)) {
+	buf := bodies.Get().(*[]byte)
+	body, err := build((*buf)[:0])
+	*buf = body[:0]
+	defer bodies.Put(buf) // Write does not keep body
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// appendQuery answers req as Query does, appending the JSON of its
+// QueryResponse and a newline to dst: the bytes a json.Encoder with HTML
+// escaping off writes. The tuples are encoded batch by batch as the shards
+// deliver them, not collected first (the NDJSON answer's drain), and a
+// degraded run's failed shard cuts its encoded tuples out again, as Collect
+// drops them. An encoder error (a non-finite score) is returned once the
+// query has run, so it answers 500, not 400.
+func (s *Service) appendQuery(ctx context.Context, req QueryRequest, dst []byte) ([]byte, error) {
+	t0 := time.Now()
+	var sc scope
+	if eng, gen, err := s.reg.Engine(req.Corpus); err == nil {
+		sc.eng, sc.gen = eng, gen // the generation precedes the tuples; run reports a missing corpus
+	}
+	dst = remote.AppendString(append(dst, `{"corpus":`...), req.Corpus)
+	dst = strconv.AppendUint(append(dst, `,"generation":`...), sc.gen, 10)
+	dst = append(dst, `,"tuples":[`...)
+	var encErr error
+	n, markLen := 0, len(dst) // tuples encoded; the body's length at the last completed shard
+	a, err := s.run(ctx, req, sc, s.answerDrain(req.NoCache, func(ts []koko.Tuple) error {
+		for i := 0; i < len(ts) && encErr == nil; i++ {
+			if n++; n > 1 {
+				dst = append(dst, ',')
+			}
+			dst, encErr = remote.AppendTuple(dst, &ts[i], remote.ClientFields)
+		}
+		return nil
+	}, func(sh *koko.ShardEnd, _, total int) error {
+		if sh.Failed {
+			dst = dst[:markLen]
+		}
+		n, markLen = total, len(dst)
+		return nil
+	}))
+	if err == nil {
+		err = encErr
+	}
+	if err != nil {
+		return dst, err
+	}
+	stats := a.stats()
+	stats.ServiceMillis = ms(time.Since(t0))
+	at := len(dst) + 1
+	if dst, err = remote.AppendJSON(append(dst, ']'), &stats); err == nil {
+		dst[at] = ',' // the stats' opening brace becomes the comma before their fields
+	}
+	return dst, err
 }
 
 type validateRequest struct {

@@ -3,15 +3,17 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 
 	"repro/internal/server/jobs"
+	"repro/koko/remote"
 )
 
 // The /v1/jobs endpoints: submit a query batch, poll status, fetch the
 // prefix of the results streamed so far (before the job finishes, if
-// desired), and cancel. Job results render tuples through the same conversion as
-// interactive queries, so a finished job's results are byte-identical to
-// the equivalent buffered /v1/query responses.
+// desired), and cancel. Job results encode tuples through the same tuple
+// encoder as interactive queries, so a finished job's results are
+// byte-identical to the equivalent buffered /v1/query responses.
 
 func (s *Service) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
@@ -40,62 +42,45 @@ func (s *Service) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// jobResultsResponse is the JSON form of a job's (possibly partial)
-// results.
-type jobResultsResponse struct {
-	ID         string            `json:"id"`
-	State      jobs.State        `json:"state"`
-	Corpus     string            `json:"corpus"`
-	Generation uint64            `json:"generation"`
-	Error      string            `json:"error,omitempty"`
-	Queries    []jobQueryResults `json:"queries"`
-}
-
-// jobQueryResults is one query's result prefix: complete reports
-// whether every shard contributed, so a client can distinguish "empty" from
-// "not finished yet".
-type jobQueryResults struct {
-	Index       int           `json:"index"`
-	Canonical   string        `json:"canonical"`
-	Complete    bool          `json:"complete"`
-	ShardsTotal int           `json:"shards_total"`
-	ShardsDone  int           `json:"shards_done"`
-	Tuples      []TupleResult `json:"tuples"`
-	Candidates  int           `json:"candidates"`
-	Matched     int           `json:"matched"`
-}
-
 func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	res, err := s.jobs.Results(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	resp := jobResultsResponse{
-		ID:         res.ID,
-		State:      res.State,
-		Corpus:     res.Corpus,
-		Generation: res.Generation,
-		Error:      res.Error,
-		Queries:    make([]jobQueryResults, 0, len(res.Queries)),
+	writeAppended(w, http.StatusOK, func(dst []byte) ([]byte, error) { return appendJobResults(dst, &res) })
+}
+
+// appendJobResults appends the JSON form of a job's (possibly partial)
+// results and a newline. A query's "complete" reports whether every shard
+// contributed, so a client can tell "empty" from "not finished yet".
+func appendJobResults(dst []byte, res *jobs.Results) ([]byte, error) {
+	dst = remote.AppendString(append(dst, `{"id":`...), res.ID)
+	dst = remote.AppendString(append(dst, `,"state":`...), string(res.State))
+	dst = remote.AppendString(append(dst, `,"corpus":`...), res.Corpus)
+	dst = strconv.AppendUint(append(dst, `,"generation":`...), res.Generation, 10)
+	if res.Error != "" {
+		dst = remote.AppendString(append(dst, `,"error":`...), res.Error)
 	}
-	for _, q := range res.Queries {
-		jq := jobQueryResults{
-			Index:       q.Index,
-			Canonical:   q.Canonical,
-			Complete:    q.Complete,
-			ShardsTotal: q.ShardsTotal,
-			ShardsDone:  q.ShardsDone,
-			Tuples:      make([]TupleResult, 0, len(q.Result.Tuples)),
-			Candidates:  q.Result.Candidates,
-			Matched:     q.Result.Matched,
+	dst = append(dst, `,"queries":[`...)
+	for i, q := range res.Queries {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		for _, t := range q.Result.Tuples {
-			jq.Tuples = append(jq.Tuples, tupleResultOf(t))
+		dst = strconv.AppendInt(append(dst, `{"index":`...), int64(q.Index), 10)
+		dst = remote.AppendString(append(dst, `,"canonical":`...), q.Canonical)
+		dst = strconv.AppendBool(append(dst, `,"complete":`...), q.Complete)
+		dst = strconv.AppendInt(append(dst, `,"shards_total":`...), int64(q.ShardsTotal), 10)
+		dst = strconv.AppendInt(append(dst, `,"shards_done":`...), int64(q.ShardsDone), 10)
+		var err error
+		if dst, err = remote.AppendTuples(append(dst, `,"tuples":`...), q.Result.Tuples, remote.ClientFields); err != nil {
+			return dst, err
 		}
-		resp.Queries = append(resp.Queries, jq)
+		dst = strconv.AppendInt(append(dst, `,"candidates":`...), int64(q.Result.Candidates), 10)
+		dst = strconv.AppendInt(append(dst, `,"matched":`...), int64(q.Result.Matched), 10)
+		dst = append(dst, '}')
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return append(dst, "]}\n"...), nil
 }
 
 func (s *Service) handleJobDelete(w http.ResponseWriter, r *http.Request) {

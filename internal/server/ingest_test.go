@@ -39,7 +39,7 @@ func TestServiceIngestCompactLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hasValue(before.Tuples, "Cafe Ladro") {
+	if hasValue(oracleTuples(before.Tuples), "Cafe Ladro") {
 		t.Fatal("new cafe visible before ingest")
 	}
 	// Warm the cache.
@@ -68,7 +68,7 @@ func TestServiceIngestCompactLifecycle(t *testing.T) {
 	if after.Cached {
 		t.Fatal("ingest did not invalidate the cache (generation key)")
 	}
-	if !hasValue(after.Tuples, "Cafe Ladro") {
+	if !hasValue(oracleTuples(after.Tuples), "Cafe Ladro") {
 		t.Fatalf("ingested document not visible: %+v", after.Tuples)
 	}
 	if after.Generation != info.Generation {
@@ -125,7 +125,7 @@ func TestHTTPIngestCompactDelete(t *testing.T) {
 		t.Fatalf("ingest response %+v", ing)
 	}
 
-	var q QueryResponse
+	var q queryJSON
 	resp, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "demo-cafes", Query: DemoQueries["demo-cafes"]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
@@ -155,7 +155,7 @@ func TestHTTPIngestCompactDelete(t *testing.T) {
 	if comp.CompactedDocs != 1 || comp.Corpus.DeltaDocs != 0 || comp.Corpus.Compactions != 1 {
 		t.Fatalf("compact response %+v", comp)
 	}
-	var q2 QueryResponse
+	var q2 queryJSON
 	_, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "demo-cafes", Query: DemoQueries["demo-cafes"]})
 	mustUnmarshal(t, body, &q2)
 	if !hasValue(q2.Tuples, "Cafe Ladro") || len(q2.Tuples) != len(q.Tuples) {
@@ -299,7 +299,7 @@ func TestAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"Cafe Ladro", "Cafe Allegro", "Cafe Presse"} {
-		if !hasValue(resp.Tuples, name) {
+		if !hasValue(oracleTuples(resp.Tuples), name) {
 			t.Fatalf("missing %s after auto-compaction: %+v", name, resp.Tuples)
 		}
 	}

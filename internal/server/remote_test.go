@@ -119,7 +119,7 @@ func fastRemote(workers ...string) RemoteConfig {
 // queryReply is a decoded /v1/query response plus the raw bytes of its
 // "tuples" array.
 type queryReply struct {
-	QueryResponse
+	queryJSON
 	rawTuples json.RawMessage
 }
 
@@ -131,7 +131,7 @@ func httpQuery(t *testing.T, ts *httptest.Server, req QueryRequest) queryReply {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
 	var out queryReply
-	if err := json.Unmarshal(body, &out.QueryResponse); err != nil {
+	if err := json.Unmarshal(body, &out.queryJSON); err != nil {
 		t.Fatal(err)
 	}
 	var raw struct {
@@ -507,7 +507,7 @@ func TestPartialOKDegradedHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("partial=ok status %d: %s", resp.StatusCode, body)
 	}
-	var deg QueryResponse
+	var deg queryJSON
 	if err := json.Unmarshal(body, &deg); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestPartialOKDegradedHTTP(t *testing.T) {
 
 	// Degraded results are never cached: a repeat must re-evaluate.
 	resp, body = postJSON(t, ts, "/v1/query?partial=ok", QueryRequest{Corpus: "c", Query: q})
-	var again QueryResponse
+	var again queryJSON
 	if err := json.Unmarshal(body, &again); err != nil {
 		t.Fatal(err)
 	}

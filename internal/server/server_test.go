@@ -84,7 +84,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d: %s", resp.StatusCode, body)
 	}
-	var q1 QueryResponse
+	var q1 queryJSON
 	if err := json.Unmarshal(body, &q1); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		Corpus: "cafes",
 		Query:  "extract x:Entity from \"blogs\" if ()\n\t\tsatisfying x (str(x) contains \"Cafe\" {1.0}) with threshold 0.5",
 	})
-	var q2 QueryResponse
+	var q2 queryJSON
 	if err := json.Unmarshal(body, &q2); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cities query status %d: %s", resp.StatusCode, body)
 	}
-	var q3 QueryResponse
+	var q3 queryJSON
 	if err := json.Unmarshal(body, &q3); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	// Explain toggles evidence per request.
 	_, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "cafes", Query: cafeQuery, Explain: true})
-	var q4 QueryResponse
+	var q4 queryJSON
 	if err := json.Unmarshal(body, &q4); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 
 	q := `extract x:Entity from "f" if () satisfying x (str(x) contains "Cafe" {1.0}) with threshold 0.5`
 	_, body := postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "c", Query: q})
-	var r1 QueryResponse
+	var r1 queryJSON
 	if err := json.Unmarshal(body, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	}
 	// Warm the cache, then swap the store on disk and reload.
 	_, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "c", Query: q})
-	var r2 QueryResponse
+	var r2 queryJSON
 	if err := json.Unmarshal(body, &r2); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	}
 
 	_, body = postJSON(t, ts, "/v1/query", QueryRequest{Corpus: "c", Query: q})
-	var r3 QueryResponse
+	var r3 queryJSON
 	if err := json.Unmarshal(body, &r3); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestConcurrentLoadSmoke(t *testing.T) {
 					errs <- err
 					return
 				}
-				var qr QueryResponse
+				var qr queryJSON
 				err = json.NewDecoder(resp.Body).Decode(&qr)
 				resp.Body.Close()
 				if err != nil {

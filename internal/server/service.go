@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -190,22 +191,21 @@ type QueryRequest struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// TupleResult is the JSON form of one output tuple.
-type TupleResult struct {
-	SentenceID int                `json:"sentence_id"`
-	Document   int                `json:"document"`
-	Values     []string           `json:"values"`
-	Scores     map[string]float64 `json:"scores,omitempty"`
-	Evidence   []EvidenceResult   `json:"evidence,omitempty"`
+// Tuples is an answer's tuple table: the engine's own tuples, encoding to
+// JSON in the client form (remote.ClientFields) without a copy.
+type Tuples []koko.Tuple
+
+// MarshalJSON writes ts as a JSON array of client-form tuples.
+func (ts Tuples) MarshalJSON() ([]byte, error) {
+	return remote.AppendTuples(nil, ts, remote.ClientFields)
 }
 
-// EvidenceResult is the JSON form of one explanation row.
-type EvidenceResult struct {
-	Variable     string  `json:"variable"`
-	Condition    string  `json:"condition"`
-	Weight       float64 `json:"weight"`
-	Confidence   float64 `json:"confidence"`
-	Contribution float64 `json:"contribution"`
+// Tuple is one answer tuple, encoding to JSON in the client form.
+type Tuple koko.Tuple
+
+// MarshalJSON writes t as a client-form tuple.
+func (t *Tuple) MarshalJSON() ([]byte, error) {
+	return remote.AppendTuple(nil, (*koko.Tuple)(t), remote.ClientFields)
 }
 
 // PhaseMillis is the Table 2 per-phase breakdown in milliseconds (plus the
@@ -225,11 +225,16 @@ type PhaseMillis struct {
 
 // QueryResponse is the outcome of one QueryRequest.
 type QueryResponse struct {
-	Corpus     string        `json:"corpus"`
-	Generation uint64        `json:"generation"`
-	Tuples     []TupleResult `json:"tuples"`
-	Candidates int           `json:"candidates"`
-	Matched    int           `json:"matched"`
+	Corpus     string `json:"corpus"`
+	Generation uint64 `json:"generation"`
+	Tuples     Tuples `json:"tuples"`
+	QueryStats
+}
+
+// QueryStats is what an answer reports besides its tuples.
+type QueryStats struct {
+	Candidates int `json:"candidates"`
+	Matched    int `json:"matched"`
 	// Cached reports whether the result came from the result cache; Phases
 	// then describes the original (cached) evaluation.
 	Cached bool        `json:"cached"`
@@ -292,10 +297,69 @@ func batches(each func([]koko.Tuple) (int, error)) drain {
 	}
 }
 
+// answerDrain is the drain of the buffered and NDJSON answers. It hands a
+// hit's tuples, flushEvery at a time, and each batch of a live run, valid
+// only for the call, to tuples; and each shard end of a live run, with the
+// run's shard count and the tuples delivered so far, to shard. A failed
+// shard (degraded mode) takes its tuples back out of that count. A live
+// run's tuples are held only while the cache could take them: with noCache
+// or the cache disabled none are, and once the result outgrows the cache's
+// tuple budget, or a shard fails, the held ones are dropped.
+func (s *Service) answerDrain(noCache bool, tuples func([]koko.Tuple) error, shard func(sh *koko.ShardEnd, shards, total int) error) drain {
+	return func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
+		if hit != nil {
+			for ts := range slices.Chunk(hit.Tuples, flushEvery) {
+				if err := tuples(ts); err != nil {
+					return nil, 0, err
+				}
+			}
+			return hit, len(hit.Tuples), nil
+		}
+		tEval := time.Now()
+		var held []koko.Tuple
+		keep := !noCache && s.cache.admits(0)
+		total, mark := 0, 0 // tuples delivered, and delivered by completed shards
+		for ev := range seq.Events() {
+			switch sh := ev.Shard; {
+			case sh == nil:
+				total += len(ev.Tuples)
+				if keep = keep && s.cache.admits(total); keep {
+					held = append(held, ev.Tuples...)
+				} else {
+					held = nil
+				}
+				if err := tuples(ev.Tuples); err != nil {
+					return nil, 0, err
+				}
+				continue
+			case sh.Failed:
+				total, keep, held = mark, false, nil // a degraded result is not cached
+			default:
+				mark = total
+			}
+			if err := shard(ev.Shard, seq.NumShards(), total); err != nil {
+				return nil, 0, err // leaving the range cancels the remaining evaluation
+			}
+		}
+		if err := seq.Err(); err != nil {
+			return nil, 0, err
+		}
+		// Elapsed is the drain's wall time: with pull-driven evaluation
+		// there is no separate evaluation clock (the consumer's pace IS the
+		// evaluation pace), matching what Collect reports.
+		res := seq.Summary()
+		res.Tuples = held
+		res.Elapsed = time.Since(tEval)
+		return res, total, nil
+	}
+}
+
 // scope selects what run evaluates: the zero scope is every shard of the
 // corpus's current engine, through the result cache; one is just shard,
-// bypassing the cache, of eng if the caller pinned it (a job), else of the
-// current engine, which must be at generation gen when gen is set.
+// bypassing the cache. eng, if the caller pinned it (a job, or a buffered
+// answer whose generation is written before its tuples), is evaluated at
+// generation gen; else the current engine is, which must be at generation
+// gen when gen is set.
 type scope struct {
 	one   bool
 	shard int
@@ -310,6 +374,19 @@ type answer struct {
 	tuples int // how many tuples the drain delivered
 	cached bool
 	failed []int // shards a degraded (Partial) run skipped
+}
+
+// stats is what a response to a reports besides its tuples and timing.
+func (a *answer) stats() QueryStats {
+	return QueryStats{
+		Candidates:   a.res.Candidates,
+		Matched:      a.res.Matched,
+		Cached:       a.cached,
+		Phases:       phasesOf(a.res),
+		Plan:         a.res.Plan,
+		Degraded:     len(a.failed) > 0,
+		FailedShards: a.failed,
+	}
 }
 
 // consumerGone marks a drain's failure to deliver: the client went away,
@@ -459,19 +536,10 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	resp := &QueryResponse{
-		Corpus:       req.Corpus,
-		Generation:   a.gen,
-		Tuples:       make([]TupleResult, len(a.res.Tuples)),
-		Candidates:   a.res.Candidates,
-		Matched:      a.res.Matched,
-		Cached:       a.cached,
-		Phases:       phasesOf(a.res),
-		Plan:         a.res.Plan,
-		Degraded:     len(a.failed) > 0,
-		FailedShards: a.failed,
-	}
-	for i, t := range a.res.Tuples {
-		resp.Tuples[i] = tupleResultOf(t)
+		Corpus:     req.Corpus,
+		Generation: a.gen,
+		Tuples:     a.res.Tuples,
+		QueryStats: a.stats(),
 	}
 	resp.ServiceMillis = ms(time.Since(t0))
 	return resp, nil
@@ -489,28 +557,6 @@ type cacheKey struct {
 	gen       uint64
 	explain   bool
 	canonical string
-}
-
-// tupleResultOf renders one tuple as its JSON form. Buffered responses,
-// NDJSON stream events, and job results all encode tuples through this one
-// conversion — that is what makes the three surfaces byte-identical.
-func tupleResultOf(t koko.Tuple) TupleResult {
-	tr := TupleResult{
-		SentenceID: t.SentenceID,
-		Document:   t.Document,
-		Values:     t.Values,
-		Scores:     t.Scores,
-	}
-	for _, ev := range t.Evidence {
-		tr.Evidence = append(tr.Evidence, EvidenceResult{
-			Variable:     ev.Variable,
-			Condition:    ev.Condition,
-			Weight:       ev.Weight,
-			Confidence:   ev.Confidence,
-			Contribution: ev.Contribution,
-		})
-	}
-	return tr
 }
 
 // Validate checks query syntax; a nil error means the query parses.

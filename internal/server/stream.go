@@ -2,12 +2,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"time"
 
 	"repro/koko"
+	"repro/koko/remote"
 )
 
 // Streaming query mode: POST /v1/query with Accept: application/x-ndjson
@@ -26,7 +26,7 @@ import (
 //	{"done": {...}}    the query finished; summary counters and timings
 //	{"error": "..."}   evaluation failed mid-stream (terminal)
 type StreamEvent struct {
-	Tuple *TupleResult   `json:"tuple,omitempty"`
+	Tuple *Tuple         `json:"tuple,omitempty"`
 	Shard *ShardProgress `json:"shard,omitempty"`
 	Done  *StreamSummary `json:"done,omitempty"`
 	Error string         `json:"error,omitempty"`
@@ -45,15 +45,10 @@ type ShardProgress struct {
 // StreamSummary is the terminal line of a streamed response — the buffered
 // QueryResponse minus the tuple table that already went over the wire.
 type StreamSummary struct {
-	Corpus        string         `json:"corpus"`
-	Generation    uint64         `json:"generation"`
-	Tuples        int            `json:"tuples"`
-	Candidates    int            `json:"candidates"`
-	Matched       int            `json:"matched"`
-	Cached        bool           `json:"cached"`
-	Phases        PhaseMillis    `json:"phases"`
-	Plan          *koko.PlanInfo `json:"plan,omitempty"`
-	ServiceMillis float64        `json:"service_ms"`
+	Corpus     string `json:"corpus"`
+	Generation uint64 `json:"generation"`
+	Tuples     int    `json:"tuples"`
+	QueryStats
 }
 
 // flushEvery is the NDJSON flush cadence in tuple lines: small enough that
@@ -75,130 +70,96 @@ func wantsStream(r *http.Request) bool {
 // before later documents and shards have evaluated, and a paused consumer
 // applies backpressure all the way down to the per-document loop (memory
 // stays bounded by the stream's internal batching, not the result size).
-// It runs on the same path as Query, with the NDJSON drain: a cache hit
-// streams the cached tuples; a miss that completes populates the cache.
-// Tuples are held only while the cache could take them: with NoCache or the
-// cache disabled none are, and once the result outgrows the cache's tuple
-// budget the held ones are dropped. The worker-pool slot is held for the
-// whole drain: with pull-driven evaluation there is no completed-result
-// handoff point, and a slot that outlives its evaluation would unbound the
-// pool. An emit error (client disconnect) or ctx cancellation stops the
+// It runs on the same path as Query, with answerDrain: a cache hit streams
+// the cached tuples; a miss that completes populates the cache. The
+// worker-pool slot is held for the whole drain: with pull-driven evaluation
+// there is no completed-result handoff point, and a slot that outlives its
+// evaluation would unbound the pool. An emit error (client disconnect) or ctx cancellation stops the
 // remaining evaluation; QueryStream does not return until it has exited.
 // req.Partial is ignored.
 func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(StreamEvent) error) error {
+	return s.queryStream(ctx, req, func(ts []koko.Tuple) error {
+		for _, t := range ts {
+			if err := emit(StreamEvent{Tuple: (*Tuple)(&t)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, emit)
+}
+
+// queryStream is QueryStream delivering each batch of tuples whole, valid
+// only for the call, to tuples, and every other event to emit.
+func (s *Service) queryStream(ctx context.Context, req QueryRequest, tuples func([]koko.Tuple) error, emit func(StreamEvent) error) error {
 	t0 := time.Now()
 	s.metrics.streamsTotal.Add(1)
 	req.Partial = false
-	send := func(ev StreamEvent) error {
-		if err := emit(ev); err != nil {
+	gone := func(err error) error {
+		if err != nil {
 			return consumerGone{err}
 		}
 		return nil
 	}
-	sendTuple := func(t koko.Tuple) error {
-		tr := tupleResultOf(t)
-		return send(StreamEvent{Tuple: &tr})
-	}
-	a, err := s.run(ctx, req, scope{}, func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
-		if hit != nil {
-			for _, t := range hit.Tuples {
-				if err := sendTuple(t); err != nil {
-					return nil, 0, err
-				}
-			}
-			return hit, len(hit.Tuples), nil
-		}
-		tEval := time.Now()
-		var collected []koko.Tuple
-		keep := !req.NoCache && s.cache.admits(0)
-		total := 0
-		for ev := range seq.Events() {
-			if sh := ev.Shard; sh != nil {
-				if err := send(StreamEvent{Shard: &ShardProgress{
-					Shard: sh.Shard, Shards: seq.NumShards(), Tuples: sh.Tuples, TotalTuples: total,
-				}}); err != nil {
-					return nil, 0, err // leaving the range cancels the remaining evaluation
-				}
-				continue
-			}
-			total += len(ev.Tuples)
-			if keep = keep && s.cache.admits(total); keep {
-				collected = append(collected, ev.Tuples...)
-			} else {
-				collected = nil
-			}
-			for _, t := range ev.Tuples {
-				if err := sendTuple(t); err != nil {
-					return nil, 0, err
-				}
-			}
-		}
-		if err := seq.Err(); err != nil {
-			return nil, 0, err
-		}
-		// Elapsed is the drain's wall time: with pull-driven evaluation
-		// there is no separate evaluation clock (the consumer's pace IS the
-		// evaluation pace), matching what Collect reports in buffered mode.
-		res := seq.Summary()
-		res.Tuples = collected
-		res.Elapsed = time.Since(tEval)
-		return res, total, nil
-	})
+	a, err := s.run(ctx, req, scope{}, s.answerDrain(req.NoCache, func(ts []koko.Tuple) error {
+		return gone(tuples(ts))
+	}, func(sh *koko.ShardEnd, shards, total int) error {
+		return gone(emit(StreamEvent{Shard: &ShardProgress{Shard: sh.Shard, Shards: shards, Tuples: sh.Tuples, TotalTuples: total}}))
+	}))
 	if err != nil {
 		return err
 	}
-	return emit(StreamEvent{Done: &StreamSummary{
-		Corpus:        req.Corpus,
-		Generation:    a.gen,
-		Tuples:        a.tuples,
-		Candidates:    a.res.Candidates,
-		Matched:       a.res.Matched,
-		Cached:        a.cached,
-		Phases:        phasesOf(a.res),
-		Plan:          a.res.Plan,
-		ServiceMillis: ms(time.Since(t0)),
-	}})
+	sum := &StreamSummary{Corpus: req.Corpus, Generation: a.gen, Tuples: a.tuples, QueryStats: a.stats()}
+	sum.ServiceMillis = ms(time.Since(t0))
+	return emit(StreamEvent{Done: sum})
 }
 
-// handleQueryStream answers a query as NDJSON. Errors before the first
-// byte become ordinary HTTP error responses; errors after it are appended
-// as a terminal {"error": ...} line (the status line is long gone).
+// handleQueryStream answers a query as NDJSON, each batch of tuple lines
+// append-encoded into one write. Errors before the first byte become
+// ordinary HTTP error responses; errors after it are appended as a terminal
+// {"error": ...} line (the status line is long gone).
 func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req QueryRequest) {
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	started := false
-	pending := 0
-	err := s.QueryStream(r.Context(), req, func(ev StreamEvent) error {
+	var buf []byte
+	started, pending := false, 0
+	// send writes buf (tuples tuple lines, or one other line) unless building
+	// it failed, and flushes after every other line and once flushEvery
+	// tuple lines are pending: that cadence, not shard completion, puts the
+	// first lines on the wire while evaluation still runs.
+	send := func(tuples int, err error) error {
+		if err != nil {
+			return err
+		}
 		if !started {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 			started = true
 		}
-		if err := enc.Encode(ev); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		// Flush every flushEvery tuple lines and on shard/done boundaries:
-		// tuples arrive one at a time from the pull-driven iterator, so the
-		// cadence — not shard completion — is what puts the first lines on
-		// the wire while evaluation is still running, without paying a
-		// syscall per line.
-		pending++
-		if flusher != nil && (pending >= flushEvery || ev.Shard != nil || ev.Done != nil) {
+		if pending += tuples; flusher != nil && (tuples == 0 || pending >= flushEvery) {
 			flusher.Flush()
 			pending = 0
 		}
 		return nil
-	})
-	if err == nil {
-		return
 	}
-	if !started {
+	line := func(ev StreamEvent) (err error) {
+		buf, err = remote.AppendJSON(buf[:0], ev)
+		return send(0, err)
+	}
+	err := s.queryStream(r.Context(), req, func(ts []koko.Tuple) (err error) {
+		buf = buf[:0]
+		for i := 0; i < len(ts) && err == nil; i++ {
+			buf, err = remote.AppendTuple(append(buf, `{"tuple":`...), &ts[i], remote.ClientFields)
+			buf = append(buf, "}\n"...)
+		}
+		return send(len(ts), err)
+	}, line)
+	switch {
+	case err == nil:
+	case !started:
 		writeError(w, err)
-		return
-	}
-	_ = enc.Encode(StreamEvent{Error: err.Error()})
-	if flusher != nil {
-		flusher.Flush()
+	default:
+		_ = line(StreamEvent{Error: err.Error()})
 	}
 }

@@ -18,7 +18,8 @@ import (
 // The shard-eval frame codec. Both ends of the wire speak NDJSON exactly as
 // encoding/json writes it (json.Encoder, SetEscapeHTML(false)), but tuple
 // batches — nearly every byte of a shard-eval response — are encoded by
-// appending and parsed by hand, without reflection. The bytes are unchanged:
+// appending (the tuple encoder, which also writes kokod's answers) and
+// parsed by hand, without reflection. The bytes are unchanged:
 // a node on either codec interoperates with a node on the other. Parsing is
 // strict: a tuple line must be in the canonical form the encoder writes
 // (key order, spacing, escapes, number formats), and anything else is a
@@ -31,28 +32,15 @@ import (
 // dst then comes back unextended.
 func AppendChunkLine(dst []byte, l *ChunkLine) ([]byte, error) {
 	if l.Done != nil || l.Error != "" {
-		buf := bytes.NewBuffer(dst)
-		enc := json.NewEncoder(buf)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(l); err != nil {
-			return dst, err
-		}
-		return buf.Bytes(), nil
+		return AppendJSON(dst, l)
 	}
 	start := len(dst)
 	dst = append(dst, '{')
 	if len(l.Tuples) > 0 {
-		dst = append(dst, `"tuples":[`...)
-		for i := range l.Tuples {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = appendTuple(dst, &l.Tuples[i]); err != nil {
-				return dst[:start], err
-			}
+		var err error
+		if dst, err = AppendTuples(append(dst, `"tuples":`...), l.Tuples, WireFields); err != nil {
+			return dst[:start], err
 		}
-		dst = append(dst, ']')
 		if l.Checksum != 0 {
 			dst = append(dst, ',')
 		}
@@ -64,12 +52,66 @@ func AppendChunkLine(dst []byte, l *ChunkLine) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-func appendTuple(dst []byte, t *koko.Tuple) ([]byte, error) {
-	dst = append(dst, `{"SentenceID":`...)
+// AppendJSON appends v's JSON and a newline to dst, as a json.Encoder with
+// HTML escaping off writes them; on an error dst comes back unextended.
+func AppendJSON(dst []byte, v any) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// TupleFields is one edge's JSON form of a tuple. tuple and evidence hold,
+// per field in order, the bytes before its value: the opening brace and
+// first key, then a comma and each later key. omitEmpty leaves out empty
+// scores and evidence; otherwise nil is null and empty is {} or [].
+type TupleFields struct {
+	tuple, evidence [5]string
+	omitEmpty       bool
+}
+
+var (
+	// WireFields is the shard-eval frame's form: koko.Tuple as encoding/json
+	// writes the struct.
+	WireFields = &TupleFields{
+		tuple:    [5]string{`{"SentenceID":`, `,"Document":`, `,"Values":`, `,"Scores":`, `,"Evidence":`},
+		evidence: [5]string{`{"Variable":`, `,"Condition":`, `,"Weight":`, `,"Confidence":`, `,"Contribution":`},
+	}
+	// ClientFields is the form of kokod's answers: snake_case keys, with
+	// empty scores and evidence left out.
+	ClientFields = &TupleFields{
+		tuple:     [5]string{`{"sentence_id":`, `,"document":`, `,"values":`, `,"scores":`, `,"evidence":`},
+		evidence:  [5]string{`{"variable":`, `,"condition":`, `,"weight":`, `,"confidence":`, `,"contribution":`},
+		omitEmpty: true,
+	}
+)
+
+// AppendTuples appends ts as a JSON array of tuples in f's form. A
+// non-finite float is an error, as it is for encoding/json; what dst then
+// holds past its original length is unspecified.
+func AppendTuples(dst []byte, ts []koko.Tuple, f *TupleFields) ([]byte, error) {
+	dst = append(dst, '[')
+	for i := range ts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = AppendTuple(dst, &ts[i], f); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// AppendTuple appends t as a JSON object in f's form, failing as
+// AppendTuples does.
+func AppendTuple(dst []byte, t *koko.Tuple, f *TupleFields) ([]byte, error) {
+	dst = append(dst, f.tuple[0]...)
 	dst = strconv.AppendInt(dst, int64(t.SentenceID), 10)
-	dst = append(dst, `,"Document":`...)
+	dst = append(dst, f.tuple[1]...)
 	dst = strconv.AppendInt(dst, int64(t.Document), 10)
-	dst = append(dst, `,"Values":`...)
+	dst = append(dst, f.tuple[2]...)
 	if t.Values == nil {
 		dst = append(dst, "null"...)
 	} else {
@@ -78,72 +120,73 @@ func appendTuple(dst []byte, t *koko.Tuple) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendString(dst, v)
+			dst = AppendString(dst, v)
 		}
 		dst = append(dst, ']')
 	}
-	dst = append(dst, `,"Scores":`...)
-	if t.Scores == nil {
-		dst = append(dst, "null"...)
-	} else {
-		// encoding/json sorts map keys by their raw bytes.
-		var stack [8]string
-		keys := stack[:0]
-		for k := range t.Scores {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		dst = append(dst, '{')
-		for i, k := range keys {
-			if i > 0 {
-				dst = append(dst, ',')
+	var err error
+	if !f.omitEmpty || len(t.Scores) > 0 {
+		dst = append(dst, f.tuple[3]...)
+		if t.Scores == nil {
+			dst = append(dst, "null"...)
+		} else {
+			// encoding/json sorts map keys by their raw bytes.
+			var stack [8]string
+			keys := stack[:0]
+			for k := range t.Scores {
+				keys = append(keys, k)
 			}
-			dst = appendString(dst, k)
-			dst = append(dst, ':')
-			var err error
-			if dst, err = appendFloat(dst, t.Scores[k]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"Evidence":`...)
-	if t.Evidence == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range t.Evidence {
-			ev := &t.Evidence[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"Variable":`...)
-			dst = appendString(dst, ev.Variable)
-			dst = append(dst, `,"Condition":`...)
-			dst = appendString(dst, ev.Condition)
-			var err error
-			for _, f := range [...]struct {
-				key string
-				v   float64
-			}{{`,"Weight":`, ev.Weight}, {`,"Confidence":`, ev.Confidence}, {`,"Contribution":`, ev.Contribution}} {
-				dst = append(dst, f.key...)
-				if dst, err = appendFloat(dst, f.v); err != nil {
+			slices.Sort(keys)
+			dst = append(dst, '{')
+			for i, k := range keys {
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = AppendString(dst, k)
+				dst = append(dst, ':')
+				if dst, err = appendFloat(dst, t.Scores[k]); err != nil {
 					return dst, err
 				}
 			}
 			dst = append(dst, '}')
 		}
-		dst = append(dst, ']')
+	}
+	if !f.omitEmpty || len(t.Evidence) > 0 {
+		dst = append(dst, f.tuple[4]...)
+		if t.Evidence == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for i := range t.Evidence {
+				ev := &t.Evidence[i]
+				if i > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, f.evidence[0]...)
+				dst = AppendString(dst, ev.Variable)
+				dst = append(dst, f.evidence[1]...)
+				dst = AppendString(dst, ev.Condition)
+				for j, v := range [...]float64{ev.Weight, ev.Confidence, ev.Contribution} {
+					dst = append(dst, f.evidence[2+j]...)
+					if dst, err = appendFloat(dst, v); err != nil {
+						return dst, err
+					}
+				}
+				dst = append(dst, '}')
+			}
+			dst = append(dst, ']')
+		}
 	}
 	return append(dst, '}'), nil
 }
 
 // appendFloat writes f as encoding/json does: the shortest representation
 // that round-trips, in 'e' form outside [1e-6, 1e21) with a one-digit
-// negative exponent unpadded.
+// negative exponent unpadded. A non-finite f is an error and leaves dst as
+// it was.
 func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, fmt.Errorf("remote: unsupported value %s in a tuple batch", strconv.FormatFloat(f, 'g', -1, 64))
+		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
@@ -168,10 +211,10 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-// appendString writes s as a JSON string with encoding/json's escapes
+// AppendString writes s as a JSON string with encoding/json's escapes
 // (HTML escaping off): \" \\ \b \f \n \r \t, \u00XX for the other control
 // bytes, \u2028 and \u2029, and \ufffd for each invalid UTF-8 byte.
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

@@ -23,11 +23,60 @@ func jsonLine(l *ChunkLine) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// clientTuple and clientEvidence are the client form of a tuple as kokod
+// once rendered it: copied into these structs and encoded by encoding/json.
+// They are the oracle for the encoder's ClientFields table.
+type clientTuple struct {
+	SentenceID int                `json:"sentence_id"`
+	Document   int                `json:"document"`
+	Values     []string           `json:"values"`
+	Scores     map[string]float64 `json:"scores,omitempty"`
+	Evidence   []clientEvidence   `json:"evidence,omitempty"`
+}
+
+type clientEvidence struct {
+	Variable     string  `json:"variable"`
+	Condition    string  `json:"condition"`
+	Weight       float64 `json:"weight"`
+	Confidence   float64 `json:"confidence"`
+	Contribution float64 `json:"contribution"`
+}
+
+// checkClientForm asserts that AppendTuples in the client form writes
+// exactly what encoding/json writes for ts copied into the client structs,
+// or fails where it fails.
+func checkClientForm(t *testing.T, ts []koko.Tuple) {
+	t.Helper()
+	old := make([]clientTuple, 0, len(ts))
+	for _, tu := range ts {
+		ct := clientTuple{SentenceID: tu.SentenceID, Document: tu.Document, Values: tu.Values, Scores: tu.Scores}
+		for _, ev := range tu.Evidence {
+			ct.Evidence = append(ct.Evidence, clientEvidence(ev))
+		}
+		old = append(old, ct)
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	wantErr := enc.Encode(old)
+	got, err := AppendTuples([]byte("prefix"), ts, ClientFields)
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("client form: AppendTuples error %v, encoding/json error %v", err, wantErr)
+	case !bytes.HasPrefix(got, []byte("prefix")):
+		t.Fatalf("client form: AppendTuples lost dst's prefix: %q", got)
+	case err == nil && string(got) != "prefix"+strings.TrimSuffix(buf.String(), "\n"):
+		t.Fatalf("client form differs from encoding/json:\n got %q\nwant %q", got[len("prefix"):], buf.Bytes())
+	}
+}
+
 // checkCodec asserts the codec's two contracts for l: AppendChunkLine
 // writes exactly json.Encoder's bytes (or fails where it fails), and
-// ParseChunkLine reads those bytes back to what json.Unmarshal reads.
+// ParseChunkLine reads those bytes back to what json.Unmarshal reads. It
+// also checks l's tuples in the client form.
 func checkCodec(t *testing.T, l *ChunkLine) {
 	t.Helper()
+	checkClientForm(t, l.Tuples)
 	want, wantErr := jsonLine(l)
 	got, err := AppendChunkLine([]byte("prefix"), l)
 	if (err != nil) != (wantErr != nil) {
@@ -239,12 +288,14 @@ func (s *fuzzSource) chunkLine() *ChunkLine {
 	return l
 }
 
-// FuzzChunkLine checks the shard-eval frame codec three ways on every
-// input: ParseChunkLine never panics on any bytes; whatever it accepts,
-// json.Unmarshal accepts too and decodes to a reflect.DeepEqual ChunkLine;
-// and for a tuple batch drawn from the same bytes (any checksum, zero
-// included; hostile strings; floats at the 'e'/'f' boundaries),
-// AppendChunkLine writes exactly json.Encoder's bytes and they parse back.
+// FuzzChunkLine checks the tuple encoder and the shard-eval frame codec on
+// every input: ParseChunkLine never panics on any bytes; whatever it
+// accepts, json.Unmarshal accepts too and decodes to a reflect.DeepEqual
+// ChunkLine; and for a tuple batch drawn from the same bytes (any checksum,
+// zero included; nil and empty collections; hostile strings; floats at the
+// 'e'/'f' boundaries), AppendChunkLine writes exactly json.Encoder's bytes
+// and they parse back, and the client form is exactly what encoding/json
+// writes for the old client structs.
 func FuzzChunkLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var parsed ChunkLine

@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/koko"
 )
@@ -101,7 +101,8 @@ type ChunkDone struct {
 // TuplesChecksum hashes the merge-relevant content of one chunk's tuple
 // batch — ids, values, scores, evidence — in order, with FNV-1a. Workers
 // stamp it on every ChunkLine; the coordinator verifies before releasing the
-// batch downstream.
+// batch downstream. Score keys sort in a stack buffer, so a tuple with at
+// most 8 scores costs no allocation.
 func TuplesChecksum(ts []koko.Tuple) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -122,11 +123,12 @@ func TuplesChecksum(ts []koko.Tuple) uint64 {
 			h.Write([]byte{0})
 		}
 		if len(t.Scores) > 0 {
-			keys := make([]string, 0, len(t.Scores))
+			var stack [8]string
+			keys := stack[:0]
 			for k := range t.Scores {
 				keys = append(keys, k)
 			}
-			sort.Strings(keys)
+			slices.Sort(keys)
 			for _, k := range keys {
 				h.Write([]byte(k))
 				h.Write([]byte{0})
