@@ -150,7 +150,7 @@ func TestSyntheticTreeBenchmark(t *testing.T) {
 
 func TestSyntheticSpanBenchmark(t *testing.T) {
 	c := GenHappyDB(300, 8)
-	qs := GenSyntheticSpan(c, 9)
+	qs := GenSyntheticSpanOver(c, 9, 100)
 	if len(qs) != 300 {
 		t.Fatalf("benchmark size = %d, want 300", len(qs))
 	}

@@ -10,8 +10,13 @@ import (
 	"repro/internal/nlp"
 )
 
-// GenSyntheticSpanOver is a convenience wrapper taking a pre-built corpus
-// from any generator in this package.
+// GenSyntheticSpanOver generates the SyntheticSpan benchmark (§6.2.3) over
+// a pre-built corpus from any generator in this package: perSetting
+// span-variable queries each with 1, 3, and 5 atoms (0, 1, and 2 skippable
+// elastic spans respectively) — the paper's 300 queries at perSetting 100.
+// Anchors are sampled from real sentences — tokens in surface order
+// rendered as a word atom, a parse-label path, or a POS path — so every
+// query has matches and varying selectivity.
 func GenSyntheticSpanOver(c *index.Corpus, seed int64, perSetting int) []SpanQuery {
 	r := rand.New(rand.NewSource(seed))
 	var out []SpanQuery
@@ -31,16 +36,6 @@ func GenSyntheticSpanOver(c *index.Corpus, seed int64, perSetting int) []SpanQue
 type SpanQuery struct {
 	Atoms int // 1, 3, or 5
 	Query *lang.Query
-}
-
-// GenSyntheticSpan generates the 300-query SyntheticSpan benchmark (§6.2.3):
-// 100 span-variable queries each with 1, 3, and 5 atoms (0, 1, and 2
-// skippable elastic spans respectively). Anchors are sampled from real
-// sentences — tokens in surface order rendered as a word atom, a
-// parse-label path, or a POS path — so every query has matches and varying
-// selectivity.
-func GenSyntheticSpan(c *index.Corpus, seed int64) []SpanQuery {
-	return GenSyntheticSpanOver(c, seed, 100)
 }
 
 func sampleSpanQuery(c *index.Corpus, r *rand.Rand, atoms int) *lang.Query {

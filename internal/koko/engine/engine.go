@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/embed"
@@ -413,26 +412,6 @@ func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
 		return all, nil
 	}
 	return dpli.candSids, nil
-}
-
-// MatchingSentences returns the sentences where the extract clause has at
-// least one assignment, computed soundly (no index) — the ground truth for
-// effectiveness.
-func (e *Engine) MatchingSentences(q *lang.Query) ([]int32, error) {
-	res, err := e.RunNaive(q)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	var out []int32
-	for _, t := range res.Tuples {
-		if !seen[t.SentenceID] {
-			seen[t.SentenceID] = true
-			out = append(out, int32(t.SentenceID))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }
 
 // String renders a tuple compactly for examples and debugging.

@@ -199,14 +199,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	sort.Strings(words)
 	for _, w := range words {
-		want := ix.LookupWord(w)
-		got := bix.LookupWord(w)
+		want := index.Materialize(ix.WordList(w))
+		got := index.Materialize(bix.WordList(w))
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("word %q postings differ:\n got %+v\nwant %+v", w, got, want)
 		}
 	}
 	for text := range ix.Entity {
-		if want, got := ix.LookupEntityText(text), bix.LookupEntityText(text); !reflect.DeepEqual(want, got) {
+		if want, got := ix.Entity[text], bix.Source().EntityList(text); !reflect.DeepEqual(want, got) {
 			t.Fatalf("entity %q postings differ", text)
 		}
 	}
@@ -280,7 +280,7 @@ func TestStoreRejectsCorruption(t *testing.T) {
 					caught++
 				}
 			}()
-			bix.LookupWord(w)
+			index.Materialize(bix.WordList(w))
 		}()
 	}
 	if caught == 0 {
@@ -302,7 +302,7 @@ func TestCacheBudget(t *testing.T) {
 	bix := r.NewIndex()
 	for pass := 0; pass < 3; pass++ {
 		for w := range ix.Word {
-			bix.LookupWord(w)
+			index.Materialize(bix.WordList(w))
 		}
 	}
 	st := r.cache.Stats()

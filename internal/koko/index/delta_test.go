@@ -105,7 +105,7 @@ func TestDeltaSealIsolation(t *testing.T) {
 	sealedC, sealedIx := d.Seal()
 
 	wantSents := sealedC.NumSentences()
-	wantVita := len(sealedIx.LookupWord("cafe"))
+	wantVita := len(Materialize(sealedIx.WordList("cafe")))
 	wantPL := len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}}))
 
 	var wg sync.WaitGroup
@@ -120,7 +120,7 @@ func TestDeltaSealIsolation(t *testing.T) {
 			default:
 			}
 			if sealedC.NumSentences() != wantSents ||
-				len(sealedIx.LookupWord("cafe")) != wantVita ||
+				len(Materialize(sealedIx.WordList("cafe"))) != wantVita ||
 				len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}})) != wantPL {
 				panic("sealed view changed under reader")
 			}
@@ -132,7 +132,7 @@ func TestDeltaSealIsolation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if sealedC.NumSentences() != wantSents || len(sealedIx.LookupWord("cafe")) != wantVita {
+	if sealedC.NumSentences() != wantSents || len(Materialize(sealedIx.WordList("cafe"))) != wantVita {
 		t.Fatalf("sealed view drifted after appends")
 	}
 	if d.NumDocs() != full.NumDocs() {

@@ -145,15 +145,6 @@ func (ix *Index) Finish() {
 	ix.POS.SortAllPostings()
 }
 
-// LookupWord returns the posting list of a word (case-insensitive), fully
-// materialized.
-func (ix *Index) LookupWord(w string) []Posting {
-	if ix.src != nil {
-		return Materialize(ix.src.WordList(strings.ToLower(w)))
-	}
-	return ix.Word[strings.ToLower(w)]
-}
-
 // WordList returns the posting list of a word (case-insensitive) without
 // forcing materialization: block-backed indexes hand back a lazy list whose
 // blocks decode on first touch.
@@ -165,15 +156,6 @@ func (ix *Index) WordList(w string) PostingList {
 		return SlicePostings(ps)
 	}
 	return nil
-}
-
-// LookupEntityText returns the mentions of an entity by exact text
-// (case-insensitive).
-func (ix *Index) LookupEntityText(text string) []EntityPosting {
-	if ix.src != nil {
-		return ix.src.EntityList(strings.ToLower(text))
-	}
-	return ix.Entity[strings.ToLower(text)]
 }
 
 // EntitiesOfType returns all mentions whose type matches the requested type

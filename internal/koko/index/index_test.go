@@ -29,7 +29,7 @@ func TestExample32WordIndex(t *testing.T) {
 		"cream":     {{Sid: 0, Tid: 5, U: 2, V: 9, D: 1}},
 	}
 	for word, want := range cases {
-		got := ix.LookupWord(word)
+		got := Materialize(ix.WordList(word))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("word %q: postings %v, want %v", word, got, want)
 		}
@@ -48,15 +48,15 @@ func TestExample32EntityIndex(t *testing.T) {
 		"chocolate ice cream": {Sid: 0, U: 3, V: 5, Type: "Other", Text: "chocolate ice cream"},
 	}
 	for text, want := range cases {
-		got := ix.LookupEntityText(text)
+		got := ix.Entity[text]
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("entity %q: %v, want [%v]", text, got, want)
 		}
 	}
 	// Parent-child check from Example 3.2's discussion: ate(1,1) is the
 	// parent of cheesecake's token via the quintuple arithmetic.
-	ate := ix.LookupWord("ate")[2] // (1,1,0-12,0)
-	cheese := ix.LookupWord("cheesecake")[0]
+	ate := Materialize(ix.WordList("ate"))[2] // (1,1,0-12,0)
+	cheese := Materialize(ix.WordList("cheesecake"))[0]
 	if !ate.IsParentOf(cheese) {
 		t.Errorf("IsParentOf(%v, %v) = false", ate, cheese)
 	}

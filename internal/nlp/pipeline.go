@@ -22,9 +22,3 @@ func (p *Pipeline) Annotate(docID int, name, text string, firstSID int) *Documen
 	}
 	return doc
 }
-
-// AnnotateText is a convenience wrapper for single documents starting at
-// sentence id 0.
-func AnnotateText(text string) *Document {
-	return NewPipeline().Annotate(0, "input", text, 0)
-}

@@ -142,7 +142,7 @@ func TestSentenceTextDetokenization(t *testing.T) {
 }
 
 func TestPipelineMultiSentence(t *testing.T) {
-	doc := AnnotateText("I ate a pie. Anna ate cheesecake at a grocery store.")
+	doc := NewPipeline().Annotate(0, "input", "I ate a pie. Anna ate cheesecake at a grocery store.", 0)
 	if len(doc.Sentences) != 2 {
 		t.Fatalf("got %d sentences, want 2", len(doc.Sentences))
 	}

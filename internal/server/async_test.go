@@ -227,7 +227,7 @@ func TestJobHTTPErrorPaths(t *testing.T) {
 	svc := NewService(Config{CacheSize: -1})
 	RegisterDemoCorpora(svc.Registry(), 2)
 	gate := newGatedQuerier(mustEngine(svc, "demo-cafes"))
-	svc.Registry().Register("slow", gate)
+	svc.Registry().RegisterRemote("slow", "", gate)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -378,15 +378,21 @@ func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.Parse
 
 // stallQuerier streams a complete first shard, then stalls every later
 // shard until the request context dies — the instrument for the
-// client-disconnect test. The override sits on StreamShard because that is
-// the per-shard call the registry's mutable wrapper fans out to. stalled
-// closes once a later shard is parked, so the test disconnects only while
-// an evaluation is in flight (a shard the fan-out has not yet started when
-// the cancel lands is skipped, never entering StreamShard at all).
+// client-disconnect test. It is registered as a routing entry, served as it
+// is, so its Run fans out to its own StreamShard. stalled closes once a
+// later shard is parked, so the test disconnects only while an evaluation
+// is in flight (a shard the fan-out has not yet started when the cancel
+// lands is skipped, never entering StreamShard at all).
 type stallQuerier struct {
 	koko.Querier
 	stalled   chan struct{}
 	cancelled chan struct{}
+}
+
+func (s *stallQuerier) Run(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.TupleSeq, error) {
+	return koko.StreamShards(ctx, s.NumShards(), s.NumShards(), func(ctx context.Context, shard int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+		return s.StreamShard(ctx, shard, p, qo, emit)
+	}, false), nil
 }
 
 func (s *stallQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func([]koko.Tuple) error) (*koko.Result, error) {
@@ -406,7 +412,7 @@ func TestStreamClientDisconnect(t *testing.T) {
 	svc := NewService(Config{CacheSize: -1, MaxConcurrent: 1})
 	RegisterDemoCorpora(svc.Registry(), 2)
 	stall := &stallQuerier{Querier: mustEngine(svc, "demo-cafes"), stalled: make(chan struct{}), cancelled: make(chan struct{})}
-	svc.Registry().Register("stall", stall)
+	svc.Registry().RegisterRemote("stall", "", stall)
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 

@@ -16,6 +16,22 @@ var DemoQueries = map[string]string{
 		(/ROOT:{ a = //"ate", b = a/dobj, x = (b.subtree) } (b) eq (b))`,
 }
 
+// demoDocs holds each demo corpus's document names and texts.
+var demoDocs = []struct {
+	name        string
+	docs, texts []string
+}{
+	{"demo-cafes", []string{"seattle.txt", "portland.txt"}, []string{
+		"Cafe Vita serves smooth espresso daily. Cafe Juanita hired a champion barista. " +
+			"The neighborhood bakery sells fresh bread.",
+		"Cafe Umbria opened a second location. The baristas at Cafe Umbria won a latte art championship.",
+	}},
+	{"demo-food", []string{"reviews.txt"}, []string{
+		"I ate a chocolate ice cream, which was delicious, and also ate a pie. " +
+			"Anna ate some delicious cheesecake that she bought at a grocery store.",
+	}},
+}
+
 // RegisterDemoCorpora installs the demo corpora in reg. shards > 1
 // partitions each into that many doc-range shards so the fan-out (and
 // shard-at-a-time jobs/streaming) path is exercisable without a store file.
@@ -23,28 +39,10 @@ var DemoQueries = map[string]string{
 // comes back from disk (with any previous run's ingests and deletes) and
 // the freshly built seed is ignored.
 func RegisterDemoCorpora(reg *Registry, shards int) error {
-	build := func(c *koko.Corpus) koko.Querier {
-		if shards > 1 {
-			return koko.NewShardedEngine(c, shards, nil)
+	for _, d := range demoDocs {
+		if err := reg.Register(d.name, koko.NewShardedEngine(koko.NewCorpus(d.docs, d.texts), shards, nil)); err != nil {
+			return err
 		}
-		return koko.NewEngine(c, nil)
 	}
-	cafes := build(koko.NewCorpus(
-		[]string{"seattle.txt", "portland.txt"},
-		[]string{
-			"Cafe Vita serves smooth espresso daily. Cafe Juanita hired a champion barista. " +
-				"The neighborhood bakery sells fresh bread.",
-			"Cafe Umbria opened a second location. The baristas at Cafe Umbria won a latte art championship.",
-		}))
-	if err := reg.Register("demo-cafes", cafes); err != nil {
-		return err
-	}
-
-	food := build(koko.NewCorpus(
-		[]string{"reviews.txt"},
-		[]string{
-			"I ate a chocolate ice cream, which was delicious, and also ate a pie. " +
-				"Anna ate some delicious cheesecake that she bought at a grocery store.",
-		}))
-	return reg.Register("demo-food", food)
+	return nil
 }

@@ -110,9 +110,9 @@ func TestDamagedStoreIsInternal(t *testing.T) {
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e, err := koko.Load(p, nil)
+		e, err := koko.Open(p, nil)
 		if err != nil {
-			t.Fatalf("Load with a damaged blob byte at %d: %v (want lazy failure)", off, err)
+			t.Fatalf("Open with a damaged blob byte at %d: %v (want lazy failure)", off, err)
 		}
 		var se *index.StoreError
 		if _, err := e.Query(unionQuery); errors.As(err, &se) {

@@ -2,79 +2,10 @@ package server
 
 import (
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/koko"
 )
-
-// parkingQuerier parks the first NumDocuments call after arm until
-// released. A corpus's writer asks its base for the document count while
-// holding its writer lock, so arming it parks the next ingest mid-write.
-type parkingQuerier struct {
-	koko.Querier
-	armed   atomic.Bool
-	parked  chan struct{}
-	release chan struct{}
-}
-
-func (p *parkingQuerier) NumDocuments() int {
-	if p.armed.CompareAndSwap(true, false) {
-		close(p.parked)
-		<-p.release
-	}
-	return p.Querier.NumDocuments()
-}
-
-// TestReadersNeverWaitOnWriter: Engine, Info, and List on a corpus return
-// while one of its writers is parked inside the corpus.
-func TestReadersNeverWaitOnWriter(t *testing.T) {
-	svc := NewService(Config{CacheSize: -1})
-	park := &parkingQuerier{
-		Querier: koko.NewEngine(koko.NewCorpus(nil, []string{"Cafe Vita serves espresso daily."}), nil),
-		parked:  make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	if err := svc.Registry().Register("park", park); err != nil {
-		t.Fatal(err)
-	}
-	before, err := svc.Registry().Info("park")
-	if err != nil {
-		t.Fatal(err)
-	}
-	park.armed.Store(true)
-	ingested := make(chan error, 1)
-	go func() {
-		_, _, _, err := svc.Ingest("park", "ladro.txt", "Cafe Ladro opened a new roastery downtown.")
-		ingested <- err
-	}()
-	<-park.parked
-
-	read := make(chan error, 1)
-	go func() {
-		if _, gen, err := svc.Engine("park"); err != nil || gen != before.Generation {
-			t.Errorf("Engine = gen %d, %v; want gen %d", gen, err, before.Generation)
-		}
-		if info, err := svc.Registry().Info("park"); err != nil || info.Documents != 1 {
-			t.Errorf("Info = %+v, %v", info, err)
-		}
-		svc.Registry().List()
-		read <- nil
-	}()
-	select {
-	case <-read:
-	case <-time.After(time.Second):
-		t.Fatal("a reader waited on the parked writer")
-	}
-	close(park.release)
-	if err := <-ingested; err != nil {
-		t.Fatal(err)
-	}
-	if info, _ := svc.Registry().Info("park"); info.Documents != 2 || info.Generation <= before.Generation {
-		t.Fatalf("after the ingest: %+v", info)
-	}
-}
 
 // TestGenerationAcrossReplacement: deleting a corpus and registering it
 // again, or replacing it through LoadFile, yields generations strictly

@@ -185,7 +185,7 @@ func (r *Registry) load(name, path string) (CorpusInfo, error) {
 	if err != nil {
 		return CorpusInfo{}, fmt.Errorf("load corpus %q: %w", name, err)
 	}
-	var eng koko.Querier
+	var eng *koko.Engine
 	if dir == "" || !koko.HasDurableState(dir) {
 		if eng, err = koko.OpenWithShards(path, r.corpus.Opts, r.shards); err != nil {
 			return CorpusInfo{}, fmt.Errorf("load corpus %q: %w", name, err)
@@ -194,14 +194,14 @@ func (r *Registry) load(name, path string) (CorpusInfo, error) {
 	return r.install(name, path, eng)
 }
 
-// Register adds an in-memory engine — plain or sharded — under name,
+// Register adds an in-memory engine — one shard or several — under name,
 // replacing any existing entry at a higher generation. The engine becomes
 // the base of a fresh, immediately ingestible corpus. With durability on,
 // it seeds the corpus's durable directory on first registration; on later
 // runs the recovered disk state wins. Delta engines and compacted shards
 // are built with the registry's load options, so register engines built
 // with the same options if the corpus will be ingested into.
-func (r *Registry) Register(name string, eng koko.Querier) error {
+func (r *Registry) Register(name string, eng *koko.Engine) error {
 	_, err := r.install(name, "", eng)
 	return err
 }
@@ -210,7 +210,7 @@ func (r *Registry) Register(name string, eng koko.Querier) error {
 // happens outside the registry lock: for a durable corpus it persists the
 // seed or replays the WAL (disk IO that must not block queries against
 // other corpora).
-func (r *Registry) install(name, source string, eng koko.Querier) (CorpusInfo, error) {
+func (r *Registry) install(name, source string, eng *koko.Engine) (CorpusInfo, error) {
 	cfg := r.corpus
 	cfg.Name = name
 	dir, err := r.durableDir(name)

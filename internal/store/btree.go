@@ -41,9 +41,6 @@ func NewBTree() *BTree {
 // Len returns the number of keys.
 func (t *BTree) Len() int { return t.size }
 
-// Height returns the current tree height (levels).
-func (t *BTree) Height() int { return t.height }
-
 // Get returns the value for key and whether it exists.
 func (t *BTree) Get(key []byte) ([]byte, bool) {
 	n := t.root
@@ -191,18 +188,6 @@ func (it *Iter) skipExhausted() {
 func (t *BTree) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) {
 	for it := t.Seek(prefix); it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
-			return
-		}
-		if !fn(it.Key(), it.Value()) {
-			return
-		}
-	}
-}
-
-// ScanRange calls fn for every key in [lo, hi) in order. A nil hi means +inf.
-func (t *BTree) ScanRange(lo, hi []byte, fn func(key, val []byte) bool) {
-	for it := t.Seek(lo); it.Valid(); it.Next() {
-		if hi != nil && bytes.Compare(it.Key(), hi) >= 0 {
 			return
 		}
 		if !fn(it.Key(), it.Value()) {

@@ -45,8 +45,8 @@ func TestBTreeLargeOrdered(t *testing.T) {
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
-	if tr.Height() < 2 {
-		t.Errorf("height = %d, expected splits", tr.Height())
+	if tr.height < 2 {
+		t.Errorf("height = %d, expected splits", tr.height)
 	}
 	// Full in-order scan.
 	var prev []byte
@@ -134,13 +134,12 @@ func TestBTreeSeekAndRange(t *testing.T) {
 		t.Errorf("Seek(k51) = %q", it.Key())
 	}
 	var got []string
-	tr.ScanRange([]byte("k10"), []byte("k20"), func(k, _ []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
+	for it := tr.Seek([]byte("k10")); it.Valid() && bytes.Compare(it.Key(), []byte("k20")) < 0; it.Next() {
+		got = append(got, string(it.Key()))
+	}
 	want := []string{"k10", "k12", "k14", "k16", "k18"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("ScanRange = %v, want %v", got, want)
+		t.Errorf("Seek range = %v, want %v", got, want)
 	}
 	got = nil
 	tr.ScanPrefix([]byte("k1"), func(k, _ []byte) bool {
@@ -214,7 +213,7 @@ func TestKeyEncodingOrder(t *testing.T) {
 		if i > 0 && bytes.Compare(prev, cur) >= 0 {
 			t.Errorf("string key order broken at %q", s)
 		}
-		d, rest := DecodeKeyString(cur)
+		d, rest := decodeKeyString(cur)
 		if d != s || len(rest) != 0 {
 			t.Errorf("roundtrip %q -> %q (rest %d)", s, d, len(rest))
 		}
@@ -250,4 +249,24 @@ func TestKeyEncodingQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// decodeKeyString decodes a string written by AppendKeyString and returns the
+// remaining bytes: the inverse the key-order test round-trips through.
+func decodeKeyString(src []byte) (string, []byte) {
+	var out []byte
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		if c != 0x00 {
+			out = append(out, c)
+			continue
+		}
+		if i+1 < len(src) && src[i+1] == 0xFF {
+			out = append(out, 0x00)
+			i++
+			continue
+		}
+		return string(out), src[i+2:]
+	}
+	return string(out), nil
 }

@@ -40,26 +40,6 @@ func AppendKeyString(dst []byte, s string) []byte {
 	return append(dst, 0x00, 0x01)
 }
 
-// DecodeKeyString decodes a string written by AppendKeyString and returns the
-// remaining bytes.
-func DecodeKeyString(src []byte) (string, []byte) {
-	var out []byte
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c != 0x00 {
-			out = append(out, c)
-			continue
-		}
-		if i+1 < len(src) && src[i+1] == 0xFF {
-			out = append(out, 0x00)
-			i++
-			continue
-		}
-		return string(out), src[i+2:]
-	}
-	return string(out), nil
-}
-
 // Row values are int64 or string.
 
 // ColType is a column type tag.

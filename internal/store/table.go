@@ -29,9 +29,6 @@ func NewTable(name string, cols ...Column) *Table {
 	return &Table{Name: name, Columns: cols, indexes: map[string]*tableIndex{}}
 }
 
-// NumRows returns the row count.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // CreateIndex builds a secondary index over the named columns. Existing rows
 // are indexed immediately.
 func (t *Table) CreateIndex(name string, colNames ...string) error {

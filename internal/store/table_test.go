@@ -22,8 +22,8 @@ func TestTableInsertScanLookup(t *testing.T) {
 	tb.MustInsert(StrVal("ate"), IntVal(0), IntVal(1))
 	tb.MustInsert(StrVal("delicious"), IntVal(0), IntVal(9))
 	tb.MustInsert(StrVal("ate"), IntVal(1), IntVal(1))
-	if tb.NumRows() != 3 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(tb.rows))
 	}
 	var got [][]Value
 	if err := tb.LookupPrefix("by_word", func(rid int, row []Value) bool {

@@ -4,6 +4,7 @@ package koko
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -46,7 +47,7 @@ func TestKokoLayerAllocsPerTuple(t *testing.T) {
 			tuples = len(res.Tuples)
 		})
 		engineAllocs := testing.AllocsPerRun(5, func() {
-			st, err := e.eng.Stream(p.q, e.runOptions(ctx, nil))
+			st, err := e.shards[0].eng.Stream(p.q, e.shards[0].runOptions(ctx, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,5 +67,52 @@ func TestKokoLayerAllocsPerTuple(t *testing.T) {
 		smallExtra, smallTuples, largeExtra, largeTuples, perTuple)
 	if perTuple >= 0.5 {
 		t.Errorf("koko layer adds %.3f allocations per additional tuple, want < 0.5", perTuple)
+	}
+}
+
+// TestStreamBatchAllocs: a shard's stream allocates each batch once at its
+// limit (streamFirstBatchTuples, then streamBatchTuples) instead of growing
+// it from nil, and grows a batch only when one document's tuples overflow
+// it.
+func TestStreamBatchAllocs(t *testing.T) {
+	one, big := make([]Tuple, 1), make([]Tuple, 300)
+	ones := make([][]Tuple, 1000)
+	for i := range ones {
+		ones[i] = one
+	}
+	for _, tc := range []struct {
+		name   string
+		docs   [][]Tuple
+		sizes  []int // emitted batch lengths, then the tail's
+		allocs float64
+	}{
+		{"one tuple per document", ones, []int{16, 256, 256, 256, 216}, 5},
+		{"one document overflows the first batch", [][]Tuple{big}, []int{300, 0}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sizes []int
+			docs := slices.Values(tc.docs)
+			emit := func(ts []Tuple) error {
+				sizes = append(sizes, len(ts))
+				return nil
+			}
+			tail, err := batchDocs(docs, emit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sizes = append(sizes, len(tail)); !slices.Equal(sizes, tc.sizes) {
+				t.Fatalf("batch sizes %v, want %v", sizes, tc.sizes)
+			}
+			sizes = make([]int, 0, 8)
+			got := testing.AllocsPerRun(20, func() {
+				sizes = sizes[:0]
+				if _, err := batchDocs(docs, emit); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > tc.allocs {
+				t.Errorf("%.0f allocations per stream, want at most %.0f (one per batch)", got, tc.allocs)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // the exact Run result, Run's events must deliver shards in order, and
 // cancellation must stop evaluation — mid-run, not at the next call.
 
-func asyncTestEngine(t *testing.T, k int) (*ShardedEngine, *ParsedQuery) {
+func asyncTestEngine(t *testing.T, k int) (*Engine, *ParsedQuery) {
 	t.Helper()
 	c := WrapCorpus(corpus.GenHappyDB(120, 3))
 	p, err := ParseQuery(`extract x:Str from "moments" if
@@ -164,7 +164,7 @@ func TestCancelStopsEvaluation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, q := range []Querier{eng, eng.Shard(0)} {
+	for _, q := range []Querier{eng, oneShard(eng.shards[0])} {
 		seq, err := q.Run(ctx, p, nil)
 		if err == nil {
 			_, err = seq.Collect()

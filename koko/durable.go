@@ -70,10 +70,9 @@ func OpenDurable(seed Querier, cfg DurableConfig) (*Mutable, error) {
 
 // openDurableDir opens (or creates) the durable corpus in dir: with a
 // manifest present its shard set loads from disk and seed is ignored;
-// otherwise seed (a ShardedEngine, see shardedBase) becomes generation 1.
-// Returns the base, its shard files, the generation, and the WAL horizon
-// already folded into the shard set.
-func openDurableDir(dir string, seed Querier, opts *Options) (*ShardedEngine, []string, uint64, uint64, error) {
+// otherwise seed becomes generation 1. Returns the base, its shard files,
+// the generation, and the WAL horizon already folded into the shard set.
+func openDurableDir(dir string, seed *Engine, opts *Options) (*Engine, []string, uint64, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -133,11 +132,7 @@ func (m *Mutable) replay(applied uint64) error {
 // persistSeed writes seed as generation 1: one store file per shard plus
 // the manifest. A crash partway leaves no manifest, so the next open
 // re-persists from the same seed; the leftovers are swept first.
-func persistSeed(dir string, seed Querier) (*ShardedEngine, []string, error) {
-	se, ok := seed.(*ShardedEngine)
-	if !ok {
-		return nil, nil, fmt.Errorf("koko: cannot persist a seed engine of type %T", seed)
-	}
+func persistSeed(dir string, se *Engine) (*Engine, []string, error) {
 	sweepOrphans(dir, nil)
 	files := make([]string, len(se.shards))
 	for i, eng := range se.shards {
@@ -160,10 +155,10 @@ func countTokens(c *index.Corpus) int {
 	return n
 }
 
-// saveStoreDurable persists one shard engine's store and fsyncs it — the
-// file must be on disk before a manifest referencing it is swapped in.
-func saveStoreDurable(eng *Engine, path string) error {
-	if err := eng.Save(path); err != nil {
+// saveStoreDurable persists one shard's store and fsyncs it — the file
+// must be on disk before a manifest referencing it is swapped in.
+func saveStoreDurable(l *leaf, path string) error {
+	if err := l.save(path); err != nil {
 		return err
 	}
 	return fsync(path)

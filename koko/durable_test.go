@@ -63,7 +63,7 @@ func refEngine(live []docRec) *Engine {
 
 // checkLive asserts q matches the reference over live exactly: tuples,
 // matched count, document/sentence totals, and name attribution.
-func checkLive(t *testing.T, label string, q Querier, live []docRec) {
+func checkLive(t *testing.T, label string, q *Snapshot, live []docRec) {
 	t.Helper()
 	ref := refEngine(live)
 	want := mustRun(t, ref, happyQuery, nil)
@@ -466,11 +466,11 @@ func TestDurableIncrementalCompaction(t *testing.T) {
 	live := append([]docRec(nil), docs...)
 
 	// Record the seed generation's shard files.
-	base := m.Snapshot().Base().(*ShardedEngine)
+	base := m.Snapshot().Base()
 	if base.NumShards() != 3 {
 		t.Fatalf("seed persisted as %d shards", base.NumShards())
 	}
-	lastSpec := base.Spec(2)
+	lastSpec := base.specs[2]
 	mtime := func(name string) int64 {
 		st, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {

@@ -18,11 +18,21 @@
 // (word + entity inverted indices, parse-label and POS-tag hierarchy
 // indices) and evaluates queries through the Normalize → DPLI → GSP →
 // Aggregate pipeline.
+//
+// Engine is the one local engine: a set of contiguous doc-range shards,
+// each with its own multi-index — one shard from NewEngine or Open of a
+// plain store, K from NewShardedEngine or Open of a manifest. Three types
+// answer queries behind the Querier interface: Engine, the Snapshot a
+// Mutable corpus publishes (its base engine's shards plus the sealed delta
+// as one more shard, minus tombstoned documents), and remote.Engine, whose
+// shards evaluate on worker nodes. All three merge their shards through
+// the same ordered fan-out (StreamShards), so a query's answer does not
+// depend on how the corpus is split.
 package koko
 
 import (
 	"context"
-	"fmt"
+	"iter"
 	"strings"
 	"time"
 
@@ -73,70 +83,37 @@ type Options struct {
 	// Ontology extends descriptor expansion with domain terms
 	// ("coffee" -> cappuccino, macchiato, ...).
 	Ontology map[string][]string
-	// DisableSkipPlan turns off the GSP optimization (for ablations).
-	DisableSkipPlan bool
 	// Explain attaches per-condition evidence to every tuple — the
 	// debuggability the paper contrasts with opaque learned extractors.
 	Explain bool
 }
 
-// Engine indexes a corpus and evaluates KOKO queries against it.
-//
-// An Engine is safe for concurrent use: Query and Run may be called from
-// multiple goroutines sharing one Engine (the cross-run regexp and
-// score caches are internally synchronized). Save is also read-only with
-// respect to query state.
-type Engine struct {
-	corpus *Corpus
-	ix     *index.Index
-	model  *embed.Model
-	eng    *engine.Engine
+// leaf is one shard's engine: a corpus of shard-local documents and
+// sentences, its multi-index, and the evaluator over both. An Engine is a
+// set of leaves; a leaf is never served on its own.
+type leaf struct {
+	c   *index.Corpus
+	ix  *index.Index
+	eng *engine.Engine
 	// optExplain retains the Options default so runOptions can fall back
 	// to it.
 	optExplain bool
 }
 
-// Corpus returns the corpus the engine was built over.
-func (e *Engine) Corpus() *Corpus { return e.corpus }
-
-// NumDocuments returns the number of documents in the engine's corpus.
-func (e *Engine) NumDocuments() int { return e.corpus.NumDocuments() }
-
-// NumSentences returns the number of sentences in the engine's corpus.
-func (e *Engine) NumSentences() int { return e.corpus.NumSentences() }
-
-// DocumentName returns the name of document i ("" if out of range).
-func (e *Engine) DocumentName(i int) string { return e.corpus.DocumentName(i) }
-
-// NumShards reports 1: a plain Engine is a single shard. The method makes
-// Engine and ShardedEngine interchangeable behind Querier.
-func (e *Engine) NumShards() int { return 1 }
-
-// ShardStats describes the engine as a one-shard set (shard 0 covering the
-// whole corpus), mirroring ShardedEngine.ShardStats.
-func (e *Engine) ShardStats() []ShardStat {
-	return []ShardStat{{
-		Shard:     0,
-		Documents: e.corpus.NumDocuments(),
-		Sentences: e.corpus.NumSentences(),
-		Index:     e.Stats(),
-	}}
-}
-
-// NewEngine builds the multi-index over the corpus and returns an engine.
-// opts may be nil.
-func NewEngine(c *Corpus, opts *Options) *Engine {
+// buildLeaf builds the multi-index over c and returns its leaf. opts may be
+// nil.
+func buildLeaf(c *index.Corpus, opts *Options) *leaf {
 	if opts == nil {
 		opts = &Options{}
 	}
 	model, dicts := deriveModelDicts(opts)
-	return assembleEngine(c, index.Build(c.c), model, dicts, opts)
+	return newLeaf(c, index.Build(c), model, dicts, opts)
 }
 
 // deriveModelDicts materializes the similarity model and lowercased
 // dictionaries an Options describes. Both are read-only once built, so one
-// derivation can be shared across engines (the mutable layer reuses them
-// for every sealed delta engine).
+// derivation can be shared across leaves (the mutable layer reuses them
+// for every sealed delta).
 func deriveModelDicts(opts *Options) (*embed.Model, map[string]map[string]bool) {
 	model := embed.NewModel()
 	for term, rel := range opts.Ontology {
@@ -153,17 +130,13 @@ func deriveModelDicts(opts *Options) (*embed.Model, map[string]map[string]bool) 
 	return model, dicts
 }
 
-// assembleEngine wires an already-built index and corpus into an Engine —
-// the one constructor behind NewEngine, store loading, and sealed delta
-// views.
-func assembleEngine(c *Corpus, ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, opts *Options) *Engine {
-	e := &Engine{corpus: c, ix: ix, model: model, optExplain: opts.Explain}
-	e.eng = engine.New(c.c, ix, model, engine.Options{
-		DisableSkipPlan: opts.DisableSkipPlan,
-		Dicts:           dicts,
-		Explain:         opts.Explain,
-	})
-	return e
+// newLeaf wires an already-built index and corpus into a leaf — the one
+// constructor behind building, store loading, and sealed deltas.
+func newLeaf(c *index.Corpus, ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, opts *Options) *leaf {
+	return &leaf{c: c, ix: ix, optExplain: opts.Explain, eng: engine.New(c, ix, model, engine.Options{
+		Dicts:   dicts,
+		Explain: opts.Explain,
+	})}
 }
 
 // The tuple, evidence, phase and plan types are the engine's own: a tuple
@@ -218,7 +191,7 @@ type QueryOptions struct {
 	// Explain attaches per-condition evidence to this query's tuples.
 	Explain bool
 	// Deprecated: Workers is read by nothing. A query parallelizes only
-	// across shards (ShardedEngine.SetParallelism). Kept for callers that
+	// across shards (Engine.SetParallelism). Kept for callers that
 	// still set it.
 	Workers int
 	// Degraded lets an engine with failure domains (remote.Engine) answer
@@ -257,13 +230,10 @@ func ParseQuery(src string) (*ParsedQuery, error) {
 // only in whitespace or formatting canonicalize identically.
 func (p *ParsedQuery) Canonical() string { return p.canon }
 
-// Query parses and evaluates a KOKO query with the engine's options.
-func (e *Engine) Query(src string) (*Result, error) { return query(e, src, nil) }
-
-// runOptions resolves per-query overrides against the engine's defaults —
+// runOptions resolves per-query overrides against the leaf's defaults —
 // the one translation from the public QueryOptions to the internal run knobs.
-func (e *Engine) runOptions(ctx context.Context, qo *QueryOptions) engine.RunOptions {
-	ro := engine.RunOptions{Explain: e.optExplain, Ctx: ctx}
+func (l *leaf) runOptions(ctx context.Context, qo *QueryOptions) engine.RunOptions {
+	ro := engine.RunOptions{Explain: l.optExplain, Ctx: ctx}
 	if qo != nil {
 		ro.Explain = ro.Explain || qo.Explain
 		ro.NoPlan = qo.noPlan
@@ -271,54 +241,50 @@ func (e *Engine) runOptions(ctx context.Context, qo *QueryOptions) engine.RunOpt
 	return ro
 }
 
-// Run evaluates an already-parsed query as a lazy stream: a plain Engine
-// is a one-shard StreamShards over its own StreamShard, so tuples yield in
-// document order as candidate documents are evaluated, followed by the
-// shard-0 end marker carrying the run's counters. A done ctx stops the
-// evaluation between documents and surfaces through TupleSeq.Err. qo may be
-// nil (engine defaults). Safe for concurrent use; each call returns an
-// independent single-use stream.
-func (e *Engine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
-	return StreamShards(ctx, 1, 1, func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
-		return e.StreamShard(ctx, shard, p, qo, emit)
-	}, false), nil
-}
-
-// StreamShard evaluates one shard of the corpus, delivering tuples through
-// emit in bounded batches (document order, global coordinates — a plain
-// Engine is a single shard, so no rebasing applies) and returning the
-// shard's counters-only summary. Each emitted slice is freshly allocated
-// and owned by the receiver. An emit error stops the evaluation and is
-// returned as-is.
-func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
-	if shard != 0 {
-		return nil, fmt.Errorf("koko: shard %d out of range (plain engine has 1 shard)", shard)
-	}
-	st, err := e.eng.Stream(p.q, e.runOptions(ctx, qo))
+// stream evaluates the leaf, delivering tuples through emit in bounded
+// batches (document order, shard-local coordinates) and returning its
+// counters-only summary. Each emitted slice is freshly allocated and owned
+// by the receiver. An emit error stops the evaluation and is returned
+// as-is.
+func (l *leaf) stream(ctx context.Context, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
+	st, err := l.eng.Stream(p.q, l.runOptions(ctx, qo))
 	if err != nil {
 		return nil, err
 	}
+	tail, err := batchDocs(st.Docs(), emit)
+	if err == nil {
+		err = st.Err()
+	}
+	if err == nil && len(tail) > 0 {
+		err = emit(tail)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return summaryFromEngine(st.Result()), nil
+}
+
+// batchDocs gathers per-document tuples into batches and emits every full
+// one, returning the unfilled tail. The first batch is full at
+// streamFirstBatchTuples, later ones at streamBatchTuples; each is
+// allocated once at its limit and grows only when one document's tuples
+// overflow it.
+func batchDocs(docs iter.Seq[[]Tuple], emit func(tuples []Tuple) error) ([]Tuple, error) {
 	var batch []Tuple
 	limit := streamFirstBatchTuples
-	for docTuples := range st.Docs() {
-		batch = append(batch, docTuples...)
+	for ts := range docs {
+		if batch == nil {
+			batch = make([]Tuple, 0, limit)
+		}
+		batch = append(batch, ts...)
 		if len(batch) >= limit {
 			if err := emit(batch); err != nil {
 				return nil, err
 			}
-			batch = nil
-			limit = streamBatchTuples
+			batch, limit = nil, streamBatchTuples
 		}
 	}
-	if err := st.Err(); err != nil {
-		return nil, err
-	}
-	if len(batch) > 0 {
-		if err := emit(batch); err != nil {
-			return nil, err
-		}
-	}
-	return summaryFromEngine(st.Result()), nil
+	return batch, nil
 }
 
 // summaryFromEngine converts the internal engine result's counters, phase
@@ -362,9 +328,9 @@ type IndexStats struct {
 	POSCompression float64
 }
 
-// Stats reports index shape.
-func (e *Engine) Stats() IndexStats {
-	st := e.ix.Stats()
+// stats reports the leaf's index shape.
+func (l *leaf) stats() IndexStats {
+	st := l.ix.Stats()
 	return IndexStats{
 		Words: st.Words, Entities: st.Entities,
 		PLNodes: st.PLNodes, POSNodes: st.POSNodes,
@@ -376,7 +342,7 @@ func (e *Engine) Stats() IndexStats {
 // only one.
 //
 // Deprecated: every Save writes the block store; the type survives only as
-// ShardedEngine.SaveAs's argument.
+// Engine.SaveAs's argument.
 type StoreFormat int
 
 // FormatBlock is the KOKOBS1 block store.
@@ -384,26 +350,25 @@ type StoreFormat int
 // Deprecated: see StoreFormat.
 const FormatBlock StoreFormat = 0
 
-// Save persists the parsed corpus and all indices to path as a KOKOBS1
-// block store (the paper's offline index construction; see Load): posting
-// lists laid out as sorted fixed-size blocks, mmap'd at load time and
-// decoded lazily into a budgeted shared cache. A block-backed engine (one
-// opened from a store) has no heap-resident posting lists, so its index is
-// rebuilt from the corpus first.
-func (e *Engine) Save(path string) error {
-	ix := e.ix
+// save persists the leaf's parsed corpus and indices to path as a KOKOBS1
+// block store (the paper's offline index construction): posting lists laid
+// out as sorted fixed-size blocks, mmap'd at load time and decoded lazily
+// into a budgeted shared cache. A block-backed leaf (one opened from a
+// store) has no heap-resident posting lists, so its index is rebuilt from
+// the corpus first.
+func (l *leaf) save(path string) error {
+	ix := l.ix
 	if ix.Source() != nil {
-		ix = index.Build(e.corpus.c)
+		ix = index.Build(l.c)
 	}
-	return blockstore.Write(path, e.corpus.c, ix)
+	return blockstore.Write(path, l.c, ix)
 }
 
-// Load reopens an engine from a block store written by Engine.Save: the
-// corpus is decoded into memory (query evaluation walks sentences freely)
-// but posting lists stay on disk behind the mmap reader, decoded
-// block-by-block into the shared cache as queries touch them. For a file
-// that may be either a store or a sharded manifest, use Open.
-func Load(path string, opts *Options) (*Engine, error) {
+// loadLeaf reopens a leaf from a block store: the corpus is decoded into
+// memory (query evaluation walks sentences freely) but posting lists stay
+// on disk behind the mmap reader, decoded block-by-block into the shared
+// cache as queries touch them. opts may be nil.
+func loadLeaf(path string, opts *Options) (*leaf, error) {
 	r, err := blockstore.Open(path)
 	if err != nil {
 		return nil, err
@@ -412,12 +377,12 @@ func Load(path string, opts *Options) (*Engine, error) {
 		opts = &Options{}
 	}
 	model, dicts := deriveModelDicts(opts)
-	return assembleEngine(&Corpus{c: r.Corpus()}, r.NewIndex(), model, dicts, opts), nil
+	return newLeaf(r.Corpus(), r.NewIndex(), model, dicts, opts), nil
 }
 
-// Open reopens any persisted store: a block store yields an *Engine, a
-// sharded manifest (written by ShardedEngine.Save) yields a *ShardedEngine.
-func Open(path string, opts *Options) (Querier, error) {
+// Open reopens any persisted store: a block store as a one-shard Engine, a
+// manifest (written by Save of a multi-shard Engine) as its shard set.
+func Open(path string, opts *Options) (*Engine, error) {
 	return OpenWithShards(path, opts, 1)
 }
 
@@ -425,22 +390,21 @@ func Open(path string, opts *Options) (Querier, error) {
 // re-partitions a plain store into k doc-range shards. Only the parsed
 // corpus is read in that case — the plain store's single index is never
 // assembled just to be thrown away; the per-shard indices are built
-// directly. A sharded manifest keeps its on-disk shard count regardless
-// of k.
-func OpenWithShards(path string, opts *Options, k int) (Querier, error) {
+// directly. A manifest keeps its on-disk shard count regardless of k.
+func OpenWithShards(path string, opts *Options, k int) (*Engine, error) {
 	if !blockstore.IsBlockStore(path) {
 		m, err := readManifest(path)
 		if err != nil {
 			return nil, err
 		}
-		se, err := openShardSet(path, m, opts)
+		return openShardSet(path, m, opts)
+	}
+	if k <= 1 {
+		l, err := loadLeaf(path, opts)
 		if err != nil {
 			return nil, err
 		}
-		return se, nil
-	}
-	if k <= 1 {
-		return Load(path, opts)
+		return oneShard(l), nil
 	}
 	// Re-sharding rebuilds per-shard indices from the corpus, so only the
 	// corpus is needed; close the reader immediately (decoded corpus

@@ -71,7 +71,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err := eng.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path, nil)
+	got, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

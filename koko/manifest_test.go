@@ -117,7 +117,7 @@ func TestOldFormatFailsCleanly(t *testing.T) {
 		name string
 		open func(path string) error
 	}{
-		{"Load", func(path string) error { _, err := Load(path, nil); return err }},
+		{"Load", func(path string) error { _, err := loadLeaf(path, nil); return err }},
 		{"Open", func(path string) error { _, err := Open(path, nil); return err }},
 		{"OpenDurable", func(path string) error {
 			m, err := OpenDurable(nil, DurableConfig{Dir: filepath.Dir(path)})

@@ -34,11 +34,11 @@ func TestBlockStoreTruncatedUnderReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cut, err := Load(victim, nil)
+	cut, err := Open(victim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Load(other, nil)
+	ok, err := Open(other, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ type Mutable struct {
 	// mu guards the writer state below and is held only for short sections.
 	compactMu sync.Mutex
 	mu        sync.Mutex
-	base      Querier
+	base      *Engine
 	delta     *index.Delta
 	seq       uint64
 	// tombs is the immutable set of tombstoned documents awaiting
@@ -103,19 +103,24 @@ type Mutable struct {
 	failpoint func(stage string) error
 }
 
-// OpenMutable opens a corpus over seed. A memory-only corpus (cfg.Dir
-// empty) serves seed as its base: a plain Engine becomes a one-shard
-// ShardedEngine and nil an empty corpus; any other Querier is served as is
-// but cannot be compacted or have documents deleted from it. A durable
-// corpus persists seed as generation 1 when cfg.Dir holds no corpus yet,
-// and otherwise ignores it, loading the persisted shard set and replaying
-// the WAL so the snapshot matches the pre-restart state exactly.
+// OpenMutable opens a corpus over seed, which must be a local *Engine or
+// nil (an empty corpus); any other Querier is refused. A memory-only corpus
+// (cfg.Dir empty) serves seed as its base. A durable corpus persists seed
+// as generation 1 when cfg.Dir holds no corpus yet, and otherwise ignores
+// it, loading the persisted shard set and replaying the WAL so the
+// snapshot matches the pre-restart state exactly.
 func OpenMutable(seed Querier, cfg MutableConfig) (*Mutable, error) {
 	t0 := time.Now()
 	if cfg.Opts == nil {
 		cfg.Opts = &Options{}
 	}
-	base := shardedBase(seed, cfg.Opts)
+	base, ok := seed.(*Engine)
+	if seed != nil && !ok {
+		return nil, fmt.Errorf("koko: a corpus seed must be a local *koko.Engine, not %T", seed)
+	}
+	if base == nil {
+		base = NewEngine(&Corpus{c: &index.Corpus{}}, cfg.Opts)
+	}
 	files := make([]string, base.NumShards())
 	var gen, applied uint64
 	if cfg.Dir != "" {
@@ -156,31 +161,17 @@ func OpenMutable(seed Querier, cfg MutableConfig) (*Mutable, error) {
 	return m, nil
 }
 
-// NewMutable wraps base (an Engine or ShardedEngine, typically fresh from
-// NewEngine/Open) as a memory-only corpus with an empty delta; see
-// OpenMutable. opts may be nil.
-func NewMutable(base Querier, opts *Options) *Mutable {
-	m, _ := OpenMutable(base, MutableConfig{Opts: opts}) // memory-only opens cannot fail
+// NewMutable wraps base (typically fresh from NewEngine or Open) as a
+// memory-only corpus with an empty delta; see OpenMutable. opts may be nil.
+func NewMutable(base *Engine, opts *Options) *Mutable {
+	m, _ := OpenMutable(base, MutableConfig{Opts: opts}) // memory-only opens of an Engine cannot fail
 	return m
 }
 
-// shardedBase makes seed a compactable base where it can: nil becomes one
-// empty shard and a plain Engine one shard covering it.
-func shardedBase(seed Querier, opts *Options) Querier {
-	switch e := seed.(type) {
-	case nil:
-		return newSharded([]*Engine{NewEngine(&Corpus{c: &index.Corpus{}}, opts)}, []index.ShardSpec{{}})
-	case *Engine:
-		c := e.corpus.c
-		return newSharded([]*Engine{e}, []index.ShardSpec{{HiDoc: c.NumDocs(), NumSents: c.NumSentences(), Tokens: countTokens(c)}})
-	}
-	return seed
-}
-
 // tune applies the configured shard fan-out bound to a base.
-func (m *Mutable) tune(base Querier) {
-	if se, ok := base.(*ShardedEngine); ok && m.cfg.ShardParallel > 0 {
-		se.SetParallelism(m.cfg.ShardParallel)
+func (m *Mutable) tune(base *Engine) {
+	if m.cfg.ShardParallel > 0 {
+		base.SetParallelism(m.cfg.ShardParallel)
 	}
 }
 
@@ -288,13 +279,9 @@ func (m *Mutable) docSpanLocked(id int) (docSpan, error) {
 		first, n := m.delta.DocSpan(id - rawBase)
 		return docSpan{doc: id, firstSID: m.base.NumSentences() + first, nSents: n}, nil
 	}
-	e, ok := m.base.(*ShardedEngine)
-	if !ok {
-		return docSpan{}, fmt.Errorf("koko: cannot tombstone on a base engine of type %T", m.base)
-	}
-	for si, sp := range e.specs {
+	for si, sp := range m.base.specs {
 		if id >= sp.LoDoc && id < sp.HiDoc {
-			d := e.shards[si].corpus.c.Docs[id-sp.LoDoc]
+			d := m.base.shards[si].c.Docs[id-sp.LoDoc]
 			return docSpan{doc: id, firstSID: sp.FirstSID + d.FirstSID, nSents: d.NumSents}, nil
 		}
 	}
@@ -332,18 +319,17 @@ func (m *Mutable) PutParsedDocument(name string, sents []nlp.Sentence) (*Snapsho
 func (m *Mutable) sealLocked() {
 	m.seq++
 	snap := &Snapshot{
-		base:       m.base,
-		tombs:      m.tombs,
-		label:      m.label,
-		baseShards: m.base.NumShards(),
-		baseDocs:   m.base.NumDocuments(),
-		baseSents:  m.base.NumSentences(),
-		seq:        m.seq,
-		life:       m.lifeLocked(),
+		base:  m.base,
+		set:   m.base,
+		tombs: m.tombs,
+		label: m.label,
+		seq:   m.seq,
+		life:  m.lifeLocked(),
 	}
 	if m.delta.NumDocs() > 0 {
 		c, ix := m.delta.Seal()
-		snap.delta = assembleEngine(&Corpus{c: c}, ix, m.model, m.dicts, m.cfg.Opts)
+		snap.delta = newLeaf(c, ix, m.model, m.dicts, m.cfg.Opts)
+		snap.set = m.base.withShard(snap.delta)
 	}
 	m.cur.Store(snap)
 	if (m.cfg.MaxDeltaDocs > 0 && m.delta.NumDocs() >= m.cfg.MaxDeltaDocs) ||
@@ -451,11 +437,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 		m.mu.Unlock()
 		return CompactionStats{}, nil
 	}
-	base, ok := m.base.(*ShardedEngine)
-	if !ok {
-		m.mu.Unlock()
-		return CompactionStats{}, fmt.Errorf("koko: cannot compact a base engine of type %T", m.base)
-	}
+	base := m.base
 	rawBase := base.NumDocuments()
 	cut := &index.Corpus{}
 	m.delta.AppendTo(cut, 0, n)
@@ -469,31 +451,31 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 	m.mu.Unlock()
 
 	var (
-		engines  []*Engine
+		leaves   []*leaf
 		specs    []index.ShardSpec
 		files    []string
 		obsolete []string // old files superseded by this generation
 	)
 	docOff, sidOff := 0, 0
-	keep := func(eng *Engine, tokens int, file string) {
-		nd, ns := eng.NumDocuments(), eng.NumSentences()
-		engines, files = append(engines, eng), append(files, file)
+	keep := func(l *leaf, tokens int, file string) {
+		nd, ns := l.c.NumDocs(), l.c.NumSentences()
+		leaves, files = append(leaves, l), append(files, file)
 		specs = append(specs, index.ShardSpec{LoDoc: docOff, HiDoc: docOff + nd, FirstSID: sidOff, NumSents: ns, Tokens: tokens})
 		docOff += nd
 		sidOff += ns
 	}
 	build := func(c *index.Corpus, slot int) error {
-		eng, file := NewEngine(&Corpus{c: c}, m.cfg.Opts), ""
+		l, file := buildLeaf(c, m.cfg.Opts), ""
 		if durable {
 			file = shardGenFile(gen, slot)
-			if err := saveStoreDurable(eng, filepath.Join(dir, file)); err != nil {
+			if err := saveStoreDurable(l, filepath.Join(dir, file)); err != nil {
 				return err
 			}
 			if err := m.fail("mid-shard-write"); err != nil {
 				return err
 			}
 		}
-		keep(eng, countTokens(c), file)
+		keep(l, countTokens(c), file)
 		return nil
 	}
 	for si, spec := range base.specs {
@@ -502,7 +484,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 			continue
 		}
 		obsolete = append(obsolete, oldFiles[si])
-		src := base.shards[si].corpus.c
+		src := base.shards[si].c
 		c := &index.Corpus{}
 		appendLiveRange(c, src, 0, src.NumDocs(), cutTombs, spec.LoDoc)
 		if c.NumDocs() == 0 {
@@ -519,7 +501,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 			return CompactionStats{}, err
 		}
 	}
-	if len(engines) == 0 {
+	if len(leaves) == 0 {
 		// Everything was deleted; a base (and a manifest) holds at least one
 		// shard, so keep a single empty one.
 		if err := build(&index.Corpus{}, 0); err != nil {
@@ -538,7 +520,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 		}
 	}
 
-	newBase := newSharded(engines, specs)
+	newBase := newSharded(leaves, specs)
 	m.tune(newBase)
 	m.mu.Lock()
 	m.base = newBase
@@ -653,24 +635,25 @@ type LifecycleStats struct {
 	Recovery                    time.Duration
 }
 
-// Snapshot is an immutable read view of a mutable corpus: the base engine
-// (one or more doc-range shards) plus, when documents await compaction, a
-// sealed delta engine served as one extra shard after the base's. It
-// implements Querier, so queries, NDJSON streams, and shard-at-a-time jobs
-// all evaluate against it exactly as against a ShardedEngine — with results
-// byte-identical to a from-scratch engine over the same documents, delta
-// doc and sentence ids rebased into global order after the base's.
+// Snapshot is an immutable read view of a mutable corpus: an immutable
+// list of shards — the base engine's, plus, when documents await
+// compaction, the sealed delta as one more shard rebased after the base's —
+// minus the tombstoned documents. It implements Querier, so queries, NDJSON
+// streams, and shard-at-a-time jobs all evaluate against it exactly as
+// against an Engine, with results byte-identical to a from-scratch engine
+// over the same documents.
 type Snapshot struct {
-	base  Querier
-	delta *Engine // nil when the delta is empty
+	base *Engine
+	// set is base's shards followed by the delta's; base itself when the
+	// delta is empty.
+	set   *Engine
+	delta *leaf // nil when the delta is empty
 	// tombs masks deleted documents out of every read until a compaction
 	// folds them away (nil when none are live).
 	tombs *tombSet
 	label string
 	seq   uint64
 	life  LifecycleStats
-
-	baseShards, baseDocs, baseSents int
 }
 
 var _ Querier = (*Snapshot)(nil)
@@ -683,14 +666,14 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 func (s *Snapshot) Lifecycle() LifecycleStats { return s.life }
 
 // Base returns the underlying immutable base engine (for stats and tests).
-func (s *Snapshot) Base() Querier { return s.base }
+func (s *Snapshot) Base() *Engine { return s.base }
 
 // DeltaDocs reports how many documents the sealed delta holds.
 func (s *Snapshot) DeltaDocs() int {
 	if s.delta == nil {
 		return 0
 	}
-	return s.delta.NumDocuments()
+	return s.delta.c.NumDocs()
 }
 
 // DeltaSentences reports the sealed delta's sentence count.
@@ -698,62 +681,44 @@ func (s *Snapshot) DeltaSentences() int {
 	if s.delta == nil {
 		return 0
 	}
-	return s.delta.NumSentences()
+	return s.delta.c.NumSentences()
 }
 
 // Tombstones reports how many tombstoned documents the snapshot masks.
 func (s *Snapshot) Tombstones() int { return s.tombs.numDocs() }
 
 // NumShards counts the base shards plus the delta (when non-empty).
-func (s *Snapshot) NumShards() int {
-	if s.delta == nil {
-		return s.baseShards
-	}
-	return s.baseShards + 1
-}
+func (s *Snapshot) NumShards() int { return s.set.NumShards() }
 
 // NumDocuments counts live documents: base plus delta, minus tombstones.
-func (s *Snapshot) NumDocuments() int { return s.baseDocs + s.DeltaDocs() - s.tombs.numDocs() }
+func (s *Snapshot) NumDocuments() int { return s.set.NumDocuments() - s.tombs.numDocs() }
 
 // NumSentences counts live sentences: base plus delta, minus tombstones.
-func (s *Snapshot) NumSentences() int { return s.baseSents + s.DeltaSentences() - s.tombs.numSents() }
+func (s *Snapshot) NumSentences() int { return s.set.NumSentences() - s.tombs.numSents() }
 
 // DocumentName resolves a masked global document index across base and
 // delta, skipping tombstoned documents.
-func (s *Snapshot) DocumentName(i int) string {
-	i = s.tombs.rawDoc(i)
-	if i < s.baseDocs {
-		return s.base.DocumentName(i)
-	}
-	if s.delta != nil {
-		return s.delta.DocumentName(i - s.baseDocs)
-	}
-	return ""
-}
+func (s *Snapshot) DocumentName(i int) string { return s.set.DocumentName(s.tombs.rawDoc(i)) }
 
 // Query parses and evaluates a KOKO query against the snapshot.
 func (s *Snapshot) Query(src string) (*Result, error) { return query(s, src, nil) }
 
 // Run evaluates an already-parsed query across base shards and the sealed
 // delta as a lazy stream: base shards deliver first in shard order, the
-// delta's tuples (rebased after the base's) last — global document order,
-// with tombstoned documents masked out batch by batch. The delta's start
-// gate is closed up front (eager admission, see StreamShardsEager), so it
-// evaluates concurrently with the base fan-out from the first moment
-// without charging a fan-out slot (it is tiny next to the base); its
-// output parks in the delta shard's run-ahead until the ordered merge
-// reaches it. The base shards fan out as wide as the base's parallelism,
-// capped by their count. Safe for concurrent use.
+// delta's tuples last — global document order, with tombstoned documents
+// masked out batch by batch. The delta's start gate is closed up front
+// (eager admission, see StreamShardsEager), so it evaluates concurrently
+// with the base fan-out from the first moment without charging a fan-out
+// slot (it is tiny next to the base); its output parks in the delta shard's
+// run-ahead until the ordered merge reaches it. The base shards fan out as
+// wide as the base's parallelism, capped by their count. Safe for
+// concurrent use.
 func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	var eager []int
 	if s.delta != nil {
-		eager = []int{s.baseShards} // the delta is the last shard
+		eager = []int{s.base.NumShards()} // the delta is the last shard
 	}
-	fanout := 1
-	if se, ok := s.base.(*ShardedEngine); ok {
-		fanout = min(se.Parallelism(), s.baseShards)
-	}
-	return StreamShardsEager(ctx, s.NumShards(), fanout, eager,
+	return StreamShardsEager(ctx, s.NumShards(), min(s.base.Parallelism(), s.base.NumShards()), eager,
 		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
 			return s.StreamShard(ctx, shard, p, qo, emit)
 		}, false), nil
@@ -761,35 +726,18 @@ func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*
 
 // StreamShard evaluates one shard of the snapshot as a stream: base shards
 // keep their indices, and the sealed delta is addressable as the last
-// shard, its tuples rebased after the base's. Tombstoned documents are
-// masked out of every batch and the returned summary, so emitted tuples are
-// already in masked global coordinates. This is the progress unit the
-// server's job executor schedules — a job submitted against a snapshot stays
-// pinned to it however many ingests happen meanwhile.
+// shard. Tombstoned documents are masked out of every batch and the
+// returned summary, so emitted tuples are already in masked global
+// coordinates. This is the progress unit the server's job executor
+// schedules — a job submitted against a snapshot stays pinned to it however
+// many ingests happen meanwhile.
 func (s *Snapshot) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
 	dropped := map[int]bool{}
-	masked := s.maskEmit(emit, dropped)
-	switch {
-	case shard >= 0 && shard < s.baseShards:
-		sum, err := s.base.StreamShard(ctx, shard, p, qo, masked)
-		if err != nil {
-			return nil, err
-		}
-		return s.maskSummary(sum, dropped), nil
-	case s.delta != nil && shard == s.baseShards:
-		sum, err := s.delta.StreamShard(ctx, 0, p, qo, func(ts []Tuple) error {
-			for k := range ts {
-				ts[k].Document += s.baseDocs
-				ts[k].SentenceID += s.baseSents
-			}
-			return masked(ts)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return s.maskSummary(sum, dropped), nil
+	sum, err := s.set.StreamShard(ctx, shard, p, qo, s.maskEmit(emit, dropped))
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("koko: shard %d out of range (snapshot has %d)", shard, s.NumShards())
+	return s.maskSummary(sum, dropped), nil
 }
 
 // maskEmit wraps a batch consumer with tombstone masking in raw global
@@ -842,15 +790,9 @@ func (s *Snapshot) Stats() IndexStats { return MergeShardStats(s.ShardStats()) }
 // ShardStats reports the base shards followed by the sealed delta (marked
 // Delta) when one rides along.
 func (s *Snapshot) ShardStats() []ShardStat {
-	out := s.base.ShardStats()
+	out := s.set.ShardStats()
 	if s.delta != nil {
-		out = append(out, ShardStat{
-			Shard:     s.baseShards,
-			Documents: s.delta.NumDocuments(),
-			Sentences: s.delta.NumSentences(),
-			Index:     s.delta.Stats(),
-			Delta:     true,
-		})
+		out[len(out)-1].Delta = true
 	}
 	return out
 }

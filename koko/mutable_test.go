@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/koko/index"
@@ -33,12 +34,7 @@ func docSents(c *Corpus, d int) (string, []nlp.Sentence) {
 	return c.c.Docs[d].Name, sents
 }
 
-func baseEngine(c *Corpus, k int) Querier {
-	if k > 1 {
-		return NewShardedEngine(c, k, nil)
-	}
-	return NewEngine(c, nil)
-}
+func baseEngine(c *Corpus, k int) *Engine { return NewShardedEngine(c, k, nil) }
 
 // concurrentMutable opens a memory-only corpus over base whose queries fan
 // out at least two shards wide, before and after every compaction, so
@@ -255,6 +251,44 @@ func TestMutableConcurrentIngestCompactQuery(t *testing.T) {
 		t.Fatalf("final snapshot docs=%d delta=%d", snap.NumDocuments(), snap.DeltaDocs())
 	}
 	sameResults(t, "final", mustRun(t, NewEngine(full, nil), src, nil), mustRun(t, snap, src, nil))
+}
+
+// TestReadersNeverWaitOnWriter: snapshots, their counts, and queries on
+// them return while a writer holds the corpus's writer lock, and the
+// writer's ingest lands once it lets go.
+func TestReadersNeverWaitOnWriter(t *testing.T) {
+	m := NewMutable(NewEngine(NewCorpus(nil, []string{"Cafe Vita serves espresso daily."}), nil), nil)
+	defer m.Close()
+	before := m.Snapshot()
+	m.mu.Lock() // a writer parked inside the corpus
+	ingested := make(chan error, 1)
+	go func() {
+		_, _, err := m.PutDocument("ladro.txt", "Cafe Ladro opened a new roastery downtown.")
+		ingested <- err
+	}()
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		snap := m.Snapshot()
+		if snap != before || snap.NumDocuments() != 1 || len(snap.ShardStats()) != 1 {
+			t.Errorf("snapshot under a parked writer: seq %d, %d docs", snap.Seq(), snap.NumDocuments())
+		}
+		if _, err := snap.Query(happyQuery); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-read:
+	case <-time.After(time.Second):
+		t.Fatal("a reader waited on the parked writer")
+	}
+	m.mu.Unlock()
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+	if snap := m.Snapshot(); snap.NumDocuments() != 2 || snap.Seq() <= before.Seq() {
+		t.Fatalf("after the ingest: seq %d, %d docs", snap.Seq(), snap.NumDocuments())
+	}
 }
 
 // TestMutableDocumentNames: global document attribution spans base and

@@ -105,35 +105,9 @@ func (e *Engine) NumDocuments() int { return e.meta.Documents }
 // NumSentences reports the discovered corpus sentence count.
 func (e *Engine) NumSentences() int { return e.meta.Sentences }
 
-// DocumentName is not resolvable without a round trip; remote engines
-// report "" (the same out-of-range answer local engines give).
-func (e *Engine) DocumentName(i int) string { return "" }
-
-// Stats aggregates the discovered per-shard index statistics.
-func (e *Engine) Stats() koko.IndexStats { return koko.MergeShardStats(e.meta.Shards) }
-
 // ShardStats returns the discovered per-shard statistics.
 func (e *Engine) ShardStats() []koko.ShardStat {
 	return append([]koko.ShardStat(nil), e.meta.Shards...)
-}
-
-// Save is unsupported: a remote engine is a routing view over state owned
-// by the workers.
-func (e *Engine) Save(path string) error {
-	return fmt.Errorf("remote: corpus %q is served by remote workers; save it there", e.corpus)
-}
-
-// Query parses and evaluates a KOKO query across all remote shards.
-func (e *Engine) Query(src string) (*koko.Result, error) {
-	p, err := koko.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := e.Run(context.Background(), p, nil)
-	if err != nil {
-		return nil, err
-	}
-	return seq.Collect()
 }
 
 // Run fans an already-parsed query out across remote shards (bounded by the

@@ -65,13 +65,6 @@ func (f *FaultPolicy) Set(node string, nf NodeFaults) {
 	f.nodes[node] = nf
 }
 
-// Clear removes one node's fault mix (attempts to it run clean again).
-func (f *FaultPolicy) Clear(node string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.nodes, node)
-}
-
 // Decide draws the fault for one attempt against node, with the delay to
 // apply when the kind is FaultDelay.
 func (f *FaultPolicy) Decide(node string) (FaultKind, time.Duration) {

@@ -146,6 +146,19 @@ func newRemoteEngine(c *koko.Corpus, cfg remote.PoolConfig, nodes ...string) *re
 	})
 }
 
+// runQuery parses src and collects its Run on q.
+func runQuery(q koko.Querier, src string) (*koko.Result, error) {
+	p, err := koko.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := q.Run(context.Background(), p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return seq.Collect()
+}
+
 // sameResult compares everything except timing.
 func sameResult(t *testing.T, label string, want, got *koko.Result) {
 	t.Helper()
@@ -213,7 +226,7 @@ func TestFailureMatrix(t *testing.T) {
 					nodes = append(nodes, newWorker(t, c).URL)
 				}
 				eng := newRemoteEngine(c, cfg, nodes...)
-				res, err := eng.Query(cafeExtract)
+				res, err := runQuery(eng, cafeExtract)
 				if withReplica {
 					if err != nil {
 						t.Fatalf("with a replica the query must survive %s: %v", mode, err)
@@ -311,7 +324,7 @@ func TestMalformedLineFailsAttempt(t *testing.T) {
 					nodes = append(nodes, newWorker(t, c).URL)
 				}
 				eng := newRemoteEngine(c, remote.PoolConfig{}, nodes...)
-				res, err := eng.Query(cafeExtract)
+				res, err := runQuery(eng, cafeExtract)
 				if withReplica {
 					if err != nil {
 						t.Fatalf("with a replica the query must survive a malformed line: %v", err)
@@ -350,7 +363,7 @@ func TestRetryCountersAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.failN.Store(2) // first two shard evals 500, then the worker is healthy
-	res, err := eng.Query(cafeExtract)
+	res, err := runQuery(eng, cafeExtract)
 	if err != nil {
 		t.Fatalf("query did not recover: %v", err)
 	}
@@ -385,7 +398,7 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	res, err := eng.Query(cafeExtract)
+	res, err := runQuery(eng, cafeExtract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +428,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		BreakerCooloff:   50 * time.Millisecond,
 	}, w.URL)
 
-	if _, err := eng.Query(cafeExtract); !errors.Is(err, remote.ErrShardUnavailable) {
+	if _, err := runQuery(eng, cafeExtract); !errors.Is(err, remote.ErrShardUnavailable) {
 		t.Fatalf("want ErrShardUnavailable while the worker 500s, got %v", err)
 	}
 	ctrs := enginePoolCounters(eng)
@@ -429,7 +442,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Query(cafeExtract)
+	res, err := runQuery(eng, cafeExtract)
 	if err != nil {
 		t.Fatalf("query after recovery: %v", err)
 	}
@@ -677,7 +690,7 @@ func TestChunkedRetryResumesAfterDeliveredPrefix(t *testing.T) {
 		Placement: koko.Placement{Replicas: [][]string{{dying.URL, healthy.URL}}},
 		Meta:      remote.Meta{Generation: 1, Documents: c.NumDocuments(), Sentences: c.NumSentences()},
 	})
-	got, err := eng.Query(cafeExtract)
+	got, err := runQuery(eng, cafeExtract)
 	if err != nil {
 		t.Fatalf("query did not survive a mid-stream abort: %v", err)
 	}
@@ -713,7 +726,7 @@ func TestGenerationPinning(t *testing.T) {
 		Corpus: "cafes", Placement: placementOver(w.URL),
 		Meta: remote.Meta{Generation: 99, Documents: c.NumDocuments(), Sentences: c.NumSentences()},
 	})
-	_, err := eng.Query(cafeExtract)
+	_, err := runQuery(eng, cafeExtract)
 	if !errors.Is(err, remote.ErrShardUnavailable) {
 		t.Fatalf("want ErrShardUnavailable for a moved generation, got %v", err)
 	}

@@ -11,20 +11,18 @@ import (
 	"repro/internal/koko/index"
 )
 
-// Querier is the query surface shared by Engine, ShardedEngine, Snapshot,
-// and remote.Engine: a registry (or any caller) can hold any of them behind
-// one type and route queries without knowing whether the corpus is
-// partitioned, mutable, or distributed.
+// Querier is the query surface shared by Engine, Snapshot, and
+// remote.Engine: a registry (or any caller) can hold any of them behind one
+// type and route queries without knowing whether the corpus is mutable or
+// distributed.
 //
 // Run is the one evaluation method: context-first, returning a lazy
 // TupleSeq whose memory is bounded by batching rather than result size; a
-// buffered Result is Run + TupleSeq.Collect, which is all Query does.
-// StreamShard is the per-shard unit beneath Run: exactly one shard evaluated
-// as a stream of bounded batches (the progress unit of the server's job
-// executor and of the remote shard-eval protocol).
+// buffered Result is Run + TupleSeq.Collect. StreamShard is the per-shard
+// unit beneath Run: exactly one shard evaluated as a stream of bounded
+// batches (the progress unit of the server's job executor and of the
+// remote shard-eval protocol).
 type Querier interface {
-	// Query parses src and collects its Run with the engine's defaults.
-	Query(src string) (*Result, error)
 	// Run evaluates an already-parsed query as a single-use lazy stream of
 	// tuples in global document order with per-shard end markers. qo may be
 	// nil. A non-nil error means the query never started (parse-adjacent
@@ -36,19 +34,13 @@ type Querier interface {
 	// the shard's counters-only summary.
 	StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error)
 
-	Stats() IndexStats
-	ShardStats() []ShardStat
-	Save(path string) error
+	NumShards() int
 	NumDocuments() int
 	NumSentences() int
-	NumShards() int
-	DocumentName(i int) string
+	ShardStats() []ShardStat
 }
 
-var (
-	_ Querier = (*Engine)(nil)
-	_ Querier = (*ShardedEngine)(nil)
-)
+var _ Querier = (*Engine)(nil)
 
 // ShardStat describes one shard of a corpus: its size and index shape.
 type ShardStat struct {
@@ -91,28 +83,46 @@ func mergePlanInfo(out *Result, p *PlanInfo) {
 	}
 }
 
-// ShardedEngine partitions a corpus into doc-range shards, each with its own
-// multi-index and engine, and evaluates queries by fanning the parsed query
-// out to every shard on a bounded worker pool, then merging the partial
-// results back in global document order. Results are byte-identical to a
-// single Engine over the unpartitioned corpus (modulo timing fields).
+// Engine indexes a corpus and evaluates KOKO queries against it. The
+// corpus is a set of contiguous doc-range shards — one for NewEngine and
+// Open of a plain store — each with its own multi-index and evaluator.
+// Queries fan out to every shard on a bounded worker pool and merge back in
+// global document order, byte-identical to one shard over the whole corpus
+// (modulo timing fields).
 //
-// Like Engine, a ShardedEngine is safe for concurrent use.
-type ShardedEngine struct {
-	shards []*Engine
+// An Engine is safe for concurrent use: Query and Run may be called from
+// multiple goroutines sharing one Engine (the cross-run regexp and score
+// caches are internally synchronized). Save is also read-only with respect
+// to query state.
+type Engine struct {
+	shards []*leaf
 	specs  []index.ShardSpec
 	// parallel bounds how many shards evaluate at once for one query;
 	// atomic so SetParallelism can retune a served engine mid-flight.
 	parallel atomic.Int32
 }
 
+// NewEngine builds the multi-index over the whole corpus as one shard and
+// returns its engine. opts may be nil.
+func NewEngine(c *Corpus, opts *Options) *Engine {
+	return oneShard(buildLeaf(c.c, opts))
+}
+
+// oneShard wraps a leaf as a one-shard engine covering its whole corpus.
+func oneShard(l *leaf) *Engine {
+	return newSharded([]*leaf{l}, []index.ShardSpec{{HiDoc: l.c.NumDocs(), NumSents: l.c.NumSentences(), Tokens: countTokens(l.c)}})
+}
+
 // NewShardedEngine partitions c into (at most) k token-balanced doc-range
-// shards and builds a per-shard engine over each. opts may be nil and is
+// shards and builds a per-shard index over each. opts may be nil and is
 // applied to every shard. Corpora with fewer than k documents get one shard
-// per document.
-func NewShardedEngine(c *Corpus, k int, opts *Options) *ShardedEngine {
+// per document; a single shard is NewEngine.
+func NewShardedEngine(c *Corpus, k int, opts *Options) *Engine {
 	specs := index.PartitionDocs(c.c, k)
-	shards := make([]*Engine, len(specs))
+	if len(specs) == 1 {
+		return NewEngine(c, opts)
+	}
+	shards := make([]*leaf, len(specs))
 	// Shards are independent, so their indices build concurrently (bounded
 	// by GOMAXPROCS) — this is what keeps registry load/reload latency flat
 	// as the shard count grows.
@@ -124,7 +134,7 @@ func NewShardedEngine(c *Corpus, k int, opts *Options) *ShardedEngine {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			shards[i] = NewEngine(&Corpus{c: index.ShardCorpus(c.c, sp)}, opts)
+			shards[i] = buildLeaf(index.ShardCorpus(c.c, sp), opts)
 		}(i, sp)
 	}
 	wg.Wait()
@@ -141,8 +151,8 @@ func buildParallelism(n int) int {
 	return n
 }
 
-func newSharded(shards []*Engine, specs []index.ShardSpec) *ShardedEngine {
-	e := &ShardedEngine{shards: shards, specs: specs}
+func newSharded(shards []*leaf, specs []index.ShardSpec) *Engine {
+	e := &Engine{shards: shards, specs: specs}
 	e.parallel.Store(int32(buildParallelism(len(shards))))
 	return e
 }
@@ -150,7 +160,7 @@ func newSharded(shards []*Engine, specs []index.ShardSpec) *ShardedEngine {
 // SetParallelism bounds how many shards evaluate concurrently per query
 // (default: min(shards, GOMAXPROCS)). n < 1 means sequential. Safe to call
 // while queries are in flight; in-flight fan-outs keep the bound they read.
-func (e *ShardedEngine) SetParallelism(n int) {
+func (e *Engine) SetParallelism(n int) {
 	if n < 1 {
 		n = 1
 	}
@@ -158,48 +168,42 @@ func (e *ShardedEngine) SetParallelism(n int) {
 }
 
 // Parallelism reports the current per-query shard fan-out bound.
-func (e *ShardedEngine) Parallelism() int { return int(e.parallel.Load()) }
+func (e *Engine) Parallelism() int { return int(e.parallel.Load()) }
 
 // NumShards returns the shard count.
-func (e *ShardedEngine) NumShards() int { return len(e.shards) }
-
-// Shard returns shard i's engine (for inspection and tests).
-func (e *ShardedEngine) Shard(i int) *Engine { return e.shards[i] }
-
-// Spec returns shard i's doc-range spec.
-func (e *ShardedEngine) Spec(i int) index.ShardSpec { return e.specs[i] }
+func (e *Engine) NumShards() int { return len(e.shards) }
 
 // NumDocuments sums document counts across shards.
-func (e *ShardedEngine) NumDocuments() int {
+func (e *Engine) NumDocuments() int {
 	n := 0
 	for _, s := range e.shards {
-		n += s.NumDocuments()
+		n += s.c.NumDocs()
 	}
 	return n
 }
 
 // NumSentences sums sentence counts across shards.
-func (e *ShardedEngine) NumSentences() int {
+func (e *Engine) NumSentences() int {
 	n := 0
 	for _, s := range e.shards {
-		n += s.NumSentences()
+		n += s.c.NumSentences()
 	}
 	return n
 }
 
 // DocumentName resolves a global document index to its name ("" if out of
 // range).
-func (e *ShardedEngine) DocumentName(i int) string {
+func (e *Engine) DocumentName(i int) string {
 	for si, sp := range e.specs {
 		if i >= sp.LoDoc && i < sp.HiDoc {
-			return e.shards[si].DocumentName(i - sp.LoDoc)
+			return e.shards[si].c.Docs[i-sp.LoDoc].Name
 		}
 	}
 	return ""
 }
 
-// Query parses and evaluates a KOKO query across all shards.
-func (e *ShardedEngine) Query(src string) (*Result, error) { return query(e, src, nil) }
+// Query parses and evaluates a KOKO query with the engine's options.
+func (e *Engine) Query(src string) (*Result, error) { return query(e, src, nil) }
 
 // Run fans an already-parsed query out across shards (bounded by the
 // engine's parallelism) as a lazy stream: each shard delivers bounded
@@ -207,9 +211,11 @@ func (e *ShardedEngine) Query(src string) (*Result, error) { return query(e, src
 // order — the first shard's first documents stream out while later shards
 // are still evaluating — and memory stays bounded regardless of result
 // size. Each shard evaluates its documents in order; the shard fan-out,
-// bounded by SetParallelism, is the query's only parallelism. Safe for
-// concurrent use; each call returns an independent single-use stream.
-func (e *ShardedEngine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
+// bounded by SetParallelism, is the query's only parallelism. A done ctx
+// stops the evaluation between documents and surfaces through
+// TupleSeq.Err. qo may be nil (engine defaults). Safe for concurrent use;
+// each call returns an independent single-use stream.
+func (e *Engine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	return StreamShards(ctx, len(e.shards), int(e.parallel.Load()),
 		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
 			return e.StreamShard(ctx, shard, p, qo, emit)
@@ -218,14 +224,15 @@ func (e *ShardedEngine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOption
 
 // StreamShard evaluates shard i only, delivering its tuples through emit in
 // bounded batches already rebased to global document and sentence ids, and
-// returns the shard's counters-only summary. The unit beneath Run's fan-out
-// and the chunked delivery of remote workers.
-func (e *ShardedEngine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
+// returns the shard's counters-only summary. Each emitted slice is freshly
+// allocated and owned by the receiver. The unit beneath Run's fan-out and
+// the chunked delivery of remote workers.
+func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return nil, fmt.Errorf("koko: shard %d out of range (engine has %d)", shard, len(e.shards))
 	}
 	docOff, sentOff := e.specs[shard].LoDoc, e.specs[shard].FirstSID
-	return e.shards[shard].StreamShard(ctx, 0, p, qo, func(ts []Tuple) error {
+	return e.shards[shard].stream(ctx, p, qo, func(ts []Tuple) error {
 		for k := range ts {
 			ts[k].Document += docOff
 			ts[k].SentenceID += sentOff
@@ -238,7 +245,7 @@ func (e *ShardedEngine) StreamShard(ctx context.Context, shard int, p *ParsedQue
 // added up: a word indexed in every shard contributes once per shard, so
 // the sum reflects total index footprint rather than distinct terms.
 // Compression ratios are averaged weighted by node count.
-func (e *ShardedEngine) Stats() IndexStats {
+func (e *Engine) Stats() IndexStats {
 	return MergeShardStats(e.ShardStats())
 }
 
@@ -268,18 +275,26 @@ func MergeShardStats(ss []ShardStat) IndexStats {
 }
 
 // ShardStats reports per-shard sizes and index shapes in shard order.
-func (e *ShardedEngine) ShardStats() []ShardStat {
+func (e *Engine) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(e.shards))
 	for i, s := range e.shards {
 		out[i] = ShardStat{
 			Shard:     i,
-			Documents: s.NumDocuments(),
-			Sentences: s.NumSentences(),
+			Documents: s.c.NumDocs(),
+			Sentences: s.c.NumSentences(),
 			Tokens:    e.specs[i].Tokens,
-			Index:     s.Stats(),
+			Index:     s.stats(),
 		}
 	}
 	return out
+}
+
+// withShard returns a new engine over e's shards followed by l, rebased
+// after e's last document and sentence.
+func (e *Engine) withShard(l *leaf) *Engine {
+	nd, ns := e.NumDocuments(), e.NumSentences()
+	spec := index.ShardSpec{LoDoc: nd, HiDoc: nd + l.c.NumDocs(), FirstSID: ns, NumSents: l.c.NumSentences()}
+	return newSharded(append(e.shards[:len(e.shards):len(e.shards)], l), append(e.specs[:len(e.specs):len(e.specs)], spec))
 }
 
 // shardFileName names shard i's store relative to the manifest. The suffix
@@ -289,15 +304,19 @@ func shardFileName(base string, i int) string {
 	return fmt.Sprintf("%s.shard%d", base, i)
 }
 
-// Save persists the sharded layout: path becomes a small JSON manifest and
-// each shard writes a complete stand-alone block store next to it as
-// path.shard<i>. Open the set back with Open on the manifest path.
-func (e *ShardedEngine) Save(path string) error {
+// Save persists the engine to path. One shard writes a plain KOKOBS1
+// block store (see Open). More shards make path a small JSON manifest with
+// each shard's complete stand-alone block store next to it as
+// path.shard<i>; Open the set back with Open on the manifest path.
+func (e *Engine) Save(path string) error {
+	if len(e.shards) == 1 {
+		return e.shards[0].save(path)
+	}
 	base := filepath.Base(path)
 	files := make([]string, len(e.shards))
 	for i, s := range e.shards {
 		files[i] = shardFileName(base, i)
-		if err := s.Save(filepath.Join(filepath.Dir(path), files[i])); err != nil {
+		if err := s.save(filepath.Join(filepath.Dir(path), files[i])); err != nil {
 			return fmt.Errorf("koko: save shard %d: %w", i, err)
 		}
 	}
@@ -307,14 +326,14 @@ func (e *ShardedEngine) Save(path string) error {
 // SaveAs is Save.
 //
 // Deprecated: the block store is the only format; use Save.
-func (e *ShardedEngine) SaveAs(path string, _ StoreFormat) error { return e.Save(path) }
+func (e *Engine) SaveAs(path string, _ StoreFormat) error { return e.Save(path) }
 
 // openShardSet opens each shard store named by m, the manifest read from
 // path, in parallel, checks it against its spec, and assembles the set.
 // Shared by the manifest and durable open paths.
-func openShardSet(path string, m manifest, opts *Options) (*ShardedEngine, error) {
+func openShardSet(path string, m manifest, opts *Options) (*Engine, error) {
 	dir := filepath.Dir(path)
-	shards := make([]*Engine, len(m.Shards))
+	shards := make([]*leaf, len(m.Shards))
 	sem := make(chan struct{}, buildParallelism(len(shards)))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -325,13 +344,13 @@ func openShardSet(path string, m manifest, opts *Options) (*ShardedEngine, error
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			s, err := Load(filepath.Join(dir, sh.File), opts)
+			s, err := loadLeaf(filepath.Join(dir, sh.File), opts)
 			if err == nil {
 				// A shard file that disagrees with its manifest spec would
 				// silently rebase tuples onto the wrong global ids; refuse it.
-				if s.NumDocuments() != sh.HiDoc-sh.LoDoc || s.NumSentences() != sh.NumSents {
+				if s.c.NumDocs() != sh.HiDoc-sh.LoDoc || s.c.NumSentences() != sh.NumSents {
 					err = fmt.Errorf("shard file %s has %d docs/%d sents, manifest expects %d/%d",
-						sh.File, s.NumDocuments(), s.NumSentences(), sh.HiDoc-sh.LoDoc, sh.NumSents)
+						sh.File, s.c.NumDocs(), s.c.NumSentences(), sh.HiDoc-sh.LoDoc, sh.NumSents)
 				}
 			}
 			if err != nil {

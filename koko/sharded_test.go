@@ -10,7 +10,7 @@ import (
 )
 
 // The differential suite: for every corpus generator and every shard count,
-// ShardedEngine must produce byte-identical results to a single Engine over
+// a K-shard Engine must produce byte-identical results to one shard over
 // the unpartitioned corpus — tuples, values, scores, evidence, and global
 // document/sentence attribution — with every shard of a query evaluating at
 // once (so `go test -race` also exercises the concurrent fan-out).
@@ -20,7 +20,7 @@ var diffShardCounts = []int{1, 2, 3, 7}
 // concurrentSharded is NewShardedEngine with all k shards of a query
 // evaluating at once, so -race sees concurrent shard evaluation even on a
 // one-CPU runner.
-func concurrentSharded(c *Corpus, k int) *ShardedEngine {
+func concurrentSharded(c *Corpus, k int) *Engine {
 	e := NewShardedEngine(c, k, nil)
 	e.SetParallelism(k)
 	return e
@@ -202,17 +202,14 @@ func TestShardedSaveLoadRoundtrip(t *testing.T) {
 	}
 	requireBlockStores(t, filepath.Dir(path), "corpus.koko.shard*")
 
-	opened, err := Open(path, nil)
+	loaded, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok := opened.(*ShardedEngine)
-	if !ok {
-		t.Fatalf("Open returned %T, want *ShardedEngine", opened)
-	}
-	// Load on a manifest must refuse with a helpful error.
-	if _, err := Load(path, nil); err == nil {
-		t.Fatal("Load accepted a sharded manifest")
+	// A shard's store loader on a manifest must refuse with a helpful
+	// error.
+	if _, err := loadLeaf(path, nil); err == nil {
+		t.Fatal("loadLeaf accepted a sharded manifest")
 	}
 
 	src := `extract x:Str from f if (/ROOT:{ x = //verb/dobj })`
@@ -222,7 +219,7 @@ func TestShardedSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("loaded shape: %d shards, %d docs", loaded.NumShards(), loaded.NumDocuments())
 	}
 
-	// Open on a plain store still yields a plain engine.
+	// Open on a plain store yields a one-shard engine.
 	plainPath := filepath.Join(t.TempDir(), "plain.koko")
 	if err := NewEngine(c, nil).Save(plainPath); err != nil {
 		t.Fatal(err)
@@ -231,8 +228,8 @@ func TestShardedSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := q.(*Engine); !ok {
-		t.Fatalf("Open(plain) returned %T, want *Engine", q)
+	if q.NumShards() != 1 {
+		t.Fatalf("Open(plain) has %d shards, want 1", q.NumShards())
 	}
 }
 
@@ -293,7 +290,7 @@ func TestShardedStats(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentQueries: one ShardedEngine shared by goroutines with
+// TestShardedConcurrentQueries: one sharded Engine shared by goroutines with
 // mixed options must stay deterministic (run under -race).
 func TestShardedConcurrentQueries(t *testing.T) {
 	c := WrapCorpus(corpus.GenHappyDB(150, 13))

@@ -29,28 +29,24 @@ func TestBlockStoreDifferential(t *testing.T) {
 			if err := heap1.Save(p1); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			blk1, err := Load(p1, nil)
+			blk1, err := Open(p1, nil)
 			if err != nil {
-				t.Fatalf("Load block store: %v", err)
+				t.Fatalf("Open block store: %v", err)
 			}
-			if blk1.ix.Source() == nil {
+			if blk1.shards[0].ix.Source() == nil {
 				t.Fatal("reloaded engine is not block-backed")
 			}
 
 			heap3 := NewShardedEngine(c, 3, nil)
 			p3 := filepath.Join(dir, "k3.koko")
 			if err := heap3.Save(p3); err != nil {
-				t.Fatalf("ShardedEngine.Save: %v", err)
+				t.Fatalf("Save: %v", err)
 			}
 			blk3, err := Open(p3, nil)
 			if err != nil {
 				t.Fatalf("Open block manifest: %v", err)
 			}
-			se, ok := blk3.(*ShardedEngine)
-			if !ok {
-				t.Fatalf("Open returned %T, want *ShardedEngine", blk3)
-			}
-			for i, s := range se.shards {
+			for i, s := range blk3.shards {
 				if s.ix.Source() == nil {
 					t.Fatalf("reloaded shard %d is not block-backed", i)
 				}
@@ -104,7 +100,7 @@ func TestBlockStoreCorruptNodeBlock(t *testing.T) {
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e, err := Load(p, nil)
+		e, err := Open(p, nil)
 		if err != nil {
 			t.Fatalf("Open with a damaged blob byte at %d: %v (want lazy failure)", off, err)
 		}
@@ -137,11 +133,11 @@ func TestStoreFormatConversion(t *testing.T) {
 	if err := ref.Save(blk1); err != nil {
 		t.Fatal(err)
 	}
-	e1, err := Load(blk1, nil)
+	e1, err := Open(blk1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.ix.Source() == nil {
+	if e1.shards[0].ix.Source() == nil {
 		t.Fatal("reloaded engine is not block-backed")
 	}
 	sameResults(t, "block", want, mustRun(t, e1, src, nil))
@@ -150,11 +146,11 @@ func TestStoreFormatConversion(t *testing.T) {
 	if err := e1.Save(blk2); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Load(blk2, nil)
+	e2, err := Open(blk2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.ix.Source() == nil {
+	if e2.shards[0].ix.Source() == nil {
 		t.Fatal("re-saved store reloaded as heap-backed")
 	}
 	sameResults(t, "block->block", want, mustRun(t, e2, src, nil))

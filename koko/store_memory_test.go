@@ -53,11 +53,11 @@ func TestBlockStoreMemoryBudget(t *testing.T) {
 	blockstore.SetDefaultBudget(budget)
 	defer blockstore.SetDefaultBudget(blockstore.DefaultBudgetBytes)
 
-	eng, err := Load(path, nil)
+	eng, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ix.Source() == nil {
+	if eng.shards[0].ix.Source() == nil {
 		t.Fatal("engine is not block-backed")
 	}
 
