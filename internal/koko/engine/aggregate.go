@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/decompose"
 	"repro/internal/embed"
+	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
@@ -44,36 +45,40 @@ func (g *globalCache) put(key globalKey, v float64) {
 // every map cleared and every buffer kept.
 //
 // A value arrives as the token span it is bound to. Its mentions — every
-// occurrence of the span's lowercase token sequence in the document — are
-// found by comparing Token.Lower sequences through the token index; the
-// value is never rendered and re-tokenised for that. Spans with the same
-// sequence share one mention group, and document-scoped confidences are
-// cached per (condition, group).
+// occurrence of the span's Token.Lower sequence in the document — start at
+// postings of the sequence's first word in the shard's word index (keyed by
+// Token.Lower); the value is never rendered and re-tokenised for that.
+// Spans with the same sequence share one mention group, and document-scoped
+// confidences are cached per (condition, group).
 type aggregator struct {
+	ix     *index.Index
 	model  *embed.Model
 	dicts  map[string]map[string]bool
 	rc     *reCache
 	global *globalCache
 
 	// Per-document state, emptied by reset.
-	docSents []*nlp.Sentence
+	first    int32                      // sid of docSents[0]
+	docSents []*nlp.Sentence            // by sid - first; nil where a sentence failed to load
 	clauses  map[int][]decompose.Clause // sid -> canonical clauses
 	groupOf  map[spanKey]int32          // span -> its mention group
 	groups   []mentionRange             // group -> its run of ments
 	ments    []mention                  // (sentence, position) order within a group
 	conf     map[confKey]float64
 
-	// The token index, built on the first mention probe of a document: occ
-	// holds every token occurrence, threaded into one chain per lowercase
-	// token in (sentence, position) order; tokHead maps a token to the
-	// 1-based index of its first occurrence.
-	tokHead map[string]int32
-	occ     []tokOcc
+	cursors map[string]*wordCursor // per probed word, kept across documents
 
 	words []string // spanWords scratch
 }
 
-type tokOcc struct{ si, pos, next int32 }
+// wordCursor walks one word's postings forward and holds those of the
+// document that last asked.
+type wordCursor struct {
+	list  index.PostingList
+	cur   index.ListCursor
+	first int32 // first sid of occ's document; -1 before any
+	occ   []index.Posting
+}
 
 type mention struct {
 	sent *nlp.Sentence
@@ -104,8 +109,9 @@ func (v *spanValue) text() string {
 	return v.str
 }
 
-func newAggregator(model *embed.Model, dicts map[string]map[string]bool, rc *reCache, global *globalCache) *aggregator {
+func newAggregator(ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, rc *reCache, global *globalCache) *aggregator {
 	return &aggregator{
+		ix:      ix,
 		model:   model,
 		dicts:   dicts,
 		rc:      rc,
@@ -113,18 +119,18 @@ func newAggregator(model *embed.Model, dicts map[string]map[string]bool, rc *reC
 		clauses: map[int][]decompose.Clause{},
 		groupOf: map[spanKey]int32{},
 		conf:    map[confKey]float64{},
-		tokHead: map[string]int32{},
+		cursors: map[string]*wordCursor{},
 	}
 }
 
-// reset points the aggregator at a new document.
-func (ag *aggregator) reset(docSents []*nlp.Sentence) {
-	ag.docSents = docSents
+// reset points the aggregator at a new document, whose sentences are
+// docSents with ids from first on.
+func (ag *aggregator) reset(first int, docSents []*nlp.Sentence) {
+	ag.first, ag.docSents = int32(first), docSents
 	clear(ag.clauses)
 	clear(ag.groupOf)
 	clear(ag.conf)
-	clear(ag.tokHead)
-	ag.groups, ag.ments, ag.occ = ag.groups[:0], ag.ments[:0], ag.occ[:0]
+	ag.groups, ag.ments = ag.groups[:0], ag.ments[:0]
 }
 
 // clauseScore computes the satisfying-clause score of a value: the weighted
@@ -240,22 +246,28 @@ func (ag *aggregator) valueConfidence(c *normCond, value string) float64 {
 	return 0
 }
 
-// firstOcc returns the 1-based index in occ of the word's first occurrence
-// in the document (0 if it has none), building the token index on first use.
-// Walking sentences and tokens backwards and pushing each occurrence on the
-// front of its word's chain leaves every chain in forward order.
-func (ag *aggregator) firstOcc(word string) int32 {
-	if len(ag.occ) == 0 {
-		for si := len(ag.docSents) - 1; si >= 0; si-- {
-			toks := ag.docSents[si].Tokens
-			for pos := len(toks) - 1; pos >= 0; pos-- {
-				w := toks[pos].Lower
-				ag.occ = append(ag.occ, tokOcc{si: int32(si), pos: int32(pos), next: ag.tokHead[w]})
-				ag.tokHead[w] = int32(len(ag.occ))
-			}
+// occurrences returns the word's postings in the current document, in
+// (sid, tid) order. Documents arrive in ascending sid order, so the word's
+// cursor seeks forward from the previous one, skipping blocks by their
+// bounds without decoding them; only a re-evaluation starts it over.
+func (ag *aggregator) occurrences(word string) []index.Posting {
+	wc := ag.cursors[word]
+	if wc == nil {
+		wc = &wordCursor{list: ag.ix.WordList(word), first: -1}
+		wc.cur.Reset(wc.list)
+		ag.cursors[word] = wc
+	}
+	if wc.first != ag.first {
+		if ag.first < wc.first {
+			wc.cur.Reset(wc.list)
+		}
+		wc.first, wc.occ = ag.first, wc.occ[:0]
+		end := ag.first + int32(len(ag.docSents))
+		for wc.cur.SeekSid(ag.first); wc.cur.Valid() && wc.cur.Sid() < end; wc.cur.NextRun() {
+			wc.occ = append(wc.occ, wc.cur.Run()...)
 		}
 	}
-	return ag.tokHead[word]
+	return wc.occ
 }
 
 // seqAt reports whether the word sequence occurs in s starting at pos.
@@ -302,7 +314,7 @@ func sameMarkRun(a, b string) bool {
 
 // group returns the mention group of the value bound to s[sp]: every
 // occurrence of its token sequence in the document, found by probing the
-// token index with the sequence's first word. A new group is registered under
+// word index with the sequence's first word. A new group is registered under
 // each of its mentions as well as the span that asked, so a value recurring
 // across the document is collected and scored once.
 func (ag *aggregator) group(s *nlp.Sentence, sp span) int32 {
@@ -313,12 +325,12 @@ func (ag *aggregator) group(s *nlp.Sentence, sp span) int32 {
 	words := ag.spanWords(s, sp)
 	g := int32(len(ag.groups))
 	lo := len(ag.ments)
-	for i := ag.firstOcc(words[0]); i != 0; i = ag.occ[i-1].next {
-		oc := ag.occ[i-1]
-		if ms := ag.docSents[oc.si]; seqAt(ms, int(oc.pos), words) {
-			r := oc.pos + int32(len(words)) - 1
-			ag.ments = append(ag.ments, mention{sent: ms, si: oc.si, l: int(oc.pos), r: int(r)})
-			ag.groupOf[spanKey{int32(ms.ID), oc.pos, r}] = g
+	for _, p := range ag.occurrences(words[0]) {
+		si := p.Sid - ag.first
+		if ms := ag.docSents[si]; ms != nil && seqAt(ms, int(p.Tid), words) {
+			r := p.Tid + int32(len(words)) - 1
+			ag.ments = append(ag.ments, mention{sent: ms, si: si, l: int(p.Tid), r: int(r)})
+			ag.groupOf[spanKey{p.Sid, p.Tid, r}] = g
 		}
 	}
 	ag.groups = append(ag.groups, mentionRange{int32(lo), int32(len(ag.ments))})
@@ -347,32 +359,26 @@ func adjacency(ms []mention, arg []string, followed bool) float64 {
 
 // near implements the proximity condition: 1/(1+distance) for the closest
 // co-occurrence of the value and the string within a sentence, maximized
-// over the document. Mentions and the string's occurrence chain are both in
-// (sentence, position) order, so one forward walk of the chain serves every
-// mention.
+// over the document. Mentions and the string's first word's postings are
+// both in (sentence, position) order, so one forward walk of the postings
+// serves every mention.
 func (ag *aggregator) near(ms []mention, arg []string) float64 {
 	if len(arg) == 0 {
 		return 0
 	}
 	best := 0.0
-	cur := ag.firstOcc(arg[0])
+	occ := ag.occurrences(arg[0])
 	for _, m := range ms {
-		for cur != 0 && ag.occ[cur-1].si < m.si {
-			cur = ag.occ[cur-1].next
+		for len(occ) > 0 && occ[0].Sid-ag.first < m.si {
+			occ = occ[1:]
 		}
-		for i := cur; i != 0 && ag.occ[i-1].si == m.si; i = ag.occ[i-1].next {
-			pos := int(ag.occ[i-1].pos)
+		for i := 0; i < len(occ) && occ[i].Sid-ag.first == m.si; i++ {
+			pos := int(occ[i].Tid)
 			if !seqAt(m.sent, pos, arg) {
 				continue
 			}
-			var dist int
-			end := pos + len(arg) - 1
-			switch {
-			case pos > m.r:
-				dist = pos - m.r - 1
-			case end < m.l:
-				dist = m.l - end - 1
-			}
+			// Tokens between the string and the mention; 0 if they overlap.
+			dist := max(0, pos-m.r-1, m.l-pos-len(arg))
 			if s := 1.0 / float64(1+dist); s > best {
 				best = s
 			}
@@ -468,16 +474,9 @@ func clauseContainsDirectional(cl *decompose.Clause, seq []string, m mention, ri
 		return false, 0
 	}
 	if right {
-		return true, max0(first - m.r - 1)
+		return true, max(0, first-m.r-1)
 	}
-	return true, max0(m.l - last - 1)
-}
-
-func max0(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
+	return true, max(0, m.l-last-1)
 }
 
 // containsTokens reports whole-token containment, case-sensitive.

@@ -13,7 +13,7 @@ import (
 // ice cream" contains "ice", mentions "choc", but does not contain "choc".
 func TestContainsMentionsSemantics(t *testing.T) {
 	value := "chocolate ice cream"
-	ag := newAggregator(nil, nil, newRECache(), newGlobalCache())
+	ag := newAggregator(nil, nil, nil, newRECache(), newGlobalCache())
 	cases := []struct {
 		kind lang.SatKind
 		arg  string
@@ -46,8 +46,8 @@ func TestNearScoreFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag := newAggregator(nil, nil, newRECache(), newGlobalCache())
-	ag.reset([]*nlp.Sentence{s})
+	ag := newAggregator(index.Build(c), nil, nil, newRECache(), newGlobalCache())
+	ag.reset(0, []*nlp.Sentence{s})
 	// The value is handed over as its token span: "Cafe Benz" is tokens 0-1.
 	cafeBenz := &spanValue{s: s, sp: span{0, 1}}
 	cond := func(i int) float64 { return ag.confidence(&nq.satisfying[0].conds[i], cafeBenz) }

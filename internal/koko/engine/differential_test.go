@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/embed"
 	"repro/internal/koko/index"
+	"repro/internal/koko/index/blockstore"
 	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
@@ -296,32 +300,134 @@ func TestSatisfyingMatchesSeedAggregator(t *testing.T) {
 }
 
 // TestSpanMentionsMatchRetokenised: for every span of every sentence, the
-// mention group found from the span's Token.Lower sequence is the mention set
-// the seed found by rendering the span and re-tokenising the string — also
-// where rendering glues punctuation into a token the span does not have.
+// mention group found through the word index from the span's Token.Lower
+// sequence is the mention set the seed found by rendering the span and
+// re-tokenising the string — also where rendering glues punctuation into a
+// token the span does not have. It runs over the heap index and over the
+// same corpus reopened from a block store, whose word lists decode lazily
+// and whose corpus is rebuilt from the store. One aggregator per index
+// probes the first and last documents, then every other one, then all, so
+// its word cursors skip documents (and, on the "blocks" corpus, whole
+// blocks) and start over.
 func TestSpanMentionsMatchRetokenised(t *testing.T) {
-	for cname, c := range aggCorpora() {
-		ag := newAggregator(nil, nil, newRECache(), newGlobalCache())
-		for d := 0; d < c.NumDocs(); d++ {
-			first, end := c.DocSentences(d)
-			var sents []*nlp.Sentence
-			for sid := first; sid < end; sid++ {
-				sents = append(sents, c.Sentence(sid))
+	cs := aggCorpora()
+	cs["blocks"] = blockCrossingCorpus()
+	for cname, c := range cs {
+		r := openBlockStore(t, c)
+		for _, iname := range []string{"heap", "blockstore"} {
+			c, ix := c, index.Build(c)
+			if iname == "blockstore" {
+				c, ix = r.Corpus(), r.NewIndex()
 			}
-			ag.reset(sents)
-			ref := &refAggregator{docSents: sents}
-			for _, s := range sents {
-				for l := range s.Tokens {
-					for r := l; r < len(s.Tokens); r++ {
-						g := ag.groups[ag.group(s, span{l, r})]
-						got := append([]mention(nil), ag.ments[g.lo:g.hi]...)
-						want := ref.valueMentions(s.Text(l, r))
-						if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s doc %d sid %d span [%d,%d] %q: %d mentions, seed %d", cname, d, s.ID, l, r, s.Text(l, r), len(got), len(want))
-						}
+			ag := newAggregator(ix, nil, nil, newRECache(), newGlobalCache())
+			for _, step := range []int{max(1, c.NumDocs()-1), 2, 1} {
+				for d := 0; d < c.NumDocs(); d += step {
+					if err := checkSpanMentions(ag, c, d); err != nil {
+						t.Fatalf("%s %s step %d: %v", cname, iname, step, err)
 					}
 				}
 			}
 		}
 	}
+
+	// The "blocks" corpus must put one document's postings of a word on
+	// both sides of a block boundary.
+	c := cs["blocks"]
+	l := openBlockStore(t, c).NewIndex().WordList("coffee")
+	crossed := false
+	for i := 0; i+1 < l.NumBlocks(); i++ {
+		_, last := l.BlockBounds(i)
+		next, _ := l.BlockBounds(i + 1)
+		crossed = crossed || c.DocOfSent[last] == c.DocOfSent[next]
+	}
+	if !crossed {
+		t.Errorf("no document's \"coffee\" postings cross one of its %d blocks", l.NumBlocks())
+	}
+}
+
+// FuzzSpanMentions: on any text, split into documents at newlines, every
+// span's mention group found through the word index equals the reference
+// aggregator's re-tokenised mentions. The all-spans check against the
+// reference is cubic in a document's tokens, so inputs over 120 tokens are
+// skipped.
+func FuzzSpanMentions(f *testing.F) {
+	for _, seed := range []string{
+		"Wait... . I ate the pour-over cake -- - and the U.S. team won.\nWe ate cake ... . . at 5 p.m. today.",
+		"Über cafes served Éclairs today. I ate ÉCLAIRS with Ödön.\nÉclairs at Über... and éclairs -- Über.",
+		"Gravity Beans serves espresso. gravity beans sells coffee.\n\nAnna ate cake. The cake was delicious.\nCake.",
+		"-- -- . .. ... - -- . -\n.... ---",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if len(text) > 2000 {
+			text = text[:2000]
+		}
+		c := index.NewCorpus(nil, strings.Split(text, "\n"))
+		tokens := 0
+		for i := range c.Sentences {
+			tokens += len(c.Sentences[i].Tokens)
+		}
+		if tokens > 120 {
+			t.Skip("over 120 tokens")
+		}
+		ag := newAggregator(index.Build(c), nil, nil, newRECache(), newGlobalCache())
+		for d := 0; d < c.NumDocs(); d++ {
+			if err := checkSpanMentions(ag, c, d); err != nil {
+				t.Fatalf("%v\ntext %q", err, text)
+			}
+		}
+	})
+}
+
+// checkSpanMentions compares every span's mention group in document d with
+// the reference aggregator's re-tokenised mentions.
+func checkSpanMentions(ag *aggregator, c *index.Corpus, d int) error {
+	first, end := c.DocSentences(d)
+	var sents []*nlp.Sentence
+	for sid := first; sid < end; sid++ {
+		sents = append(sents, c.Sentence(sid))
+	}
+	ag.reset(first, sents)
+	ref := &refAggregator{docSents: sents}
+	for _, s := range sents {
+		for l := range s.Tokens {
+			for r := l; r < len(s.Tokens); r++ {
+				g := ag.groups[ag.group(s, span{l, r})]
+				got := ag.ments[g.lo:g.hi]
+				want := ref.valueMentions(s.Text(l, r))
+				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					return fmt.Errorf("doc %d sid %d span [%d,%d] %q: %d mentions, seed %d", d, s.ID, l, r, s.Text(l, r), len(got), len(want))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// blockCrossingCorpus repeats "coffee" across more documents than one
+// posting block holds, at a per-document count that does not divide the
+// block size, among non-ASCII capitals and mark runs.
+func blockCrossingCorpus() *index.Corpus {
+	texts := make([]string, 70)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("Coffee at Élan Café %d beat coffee -- and coffee. "+
+			"Über coffee... was coffee for Ödön and coffee. The coffee, the COFFEE and the coffee won.", i)
+	}
+	return index.NewCorpus(nil, texts)
+}
+
+// openBlockStore writes c and its index as a block store and opens it.
+func openBlockStore(t *testing.T, c *index.Corpus) *blockstore.Reader {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "c.koko")
+	if err := blockstore.Write(path, c, index.Build(c)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := blockstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
 }

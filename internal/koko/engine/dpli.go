@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -38,10 +39,23 @@ type dpliResult struct {
 	counts []varCounts
 }
 
+// newVarCounts returns empty count arrays with room for n runs, sharing one
+// allocation.
+func newVarCounts(n int) varCounts {
+	buf := make([]int32, 2*n)
+	return varCounts{sids: buf[:0:n], counts: buf[n:n]}
+}
+
 // countsOfPostings collapses a (sid,tid)-sorted posting list into per-sid
-// occurrence counts in one linear pass.
+// occurrence counts: one pass counts the runs, so the arrays are sized once.
 func countsOfPostings(ps []index.Posting) varCounts {
-	var vc varCounts
+	runs := 0
+	for i := range ps {
+		if i == 0 || ps[i].Sid != ps[i-1].Sid {
+			runs++
+		}
+	}
+	vc := newVarCounts(runs)
 	for i := 0; i < len(ps); {
 		j := i + 1
 		for j < len(ps) && ps[j].Sid == ps[i].Sid {
@@ -54,11 +68,34 @@ func countsOfPostings(ps []index.Posting) varCounts {
 	return vc
 }
 
+// runBound bounds a possibly-lazy list's sentence runs without decoding a
+// block: by its posting count and by the sid range its block directories
+// span (a Union's by its node lists', since its own bounds materialize it).
+func runBound(l index.PostingList) int {
+	lists, ok := l.(index.Union)
+	if !ok {
+		lists = index.Union{l}
+	}
+	n, lo, hi := 0, int32(math.MaxInt32), int32(0)
+	for _, l := range lists {
+		if nb := index.ListLen(l); nb > 0 {
+			n += nb
+			first, _ := l.BlockBounds(0)
+			_, last := l.BlockBounds(l.NumBlocks() - 1)
+			lo, hi = min(lo, first), max(hi, last)
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return min(n, int(hi-lo)+1)
+}
+
 // countsOfList is countsOfPostings over a possibly-lazy list: runs stream
-// through the cursor one block at a time, so only the count arrays
-// materialize.
+// through the cursor one block at a time, so only the count arrays — sized
+// once by runBound — materialize.
 func countsOfList(l index.PostingList) varCounts {
-	var vc varCounts
+	vc := newVarCounts(runBound(l))
 	var c index.ListCursor
 	for c.Reset(l); c.Valid(); c.NextRun() {
 		vc.sids = append(vc.sids, c.Sid())
@@ -67,9 +104,10 @@ func countsOfList(l index.PostingList) varCounts {
 	return vc
 }
 
-// sidsOfList is index.SidsOf over a possibly-lazy list.
+// sidsOfList is index.SidsOf over a possibly-lazy list, sized once by
+// runBound.
 func sidsOfList(l index.PostingList) []int32 {
-	var out []int32
+	out := make([]int32, 0, runBound(l))
 	var c index.ListCursor
 	for c.Reset(l); c.Valid(); c.NextRun() {
 		out = append(out, c.Sid())
@@ -79,7 +117,13 @@ func sidsOfList(l index.PostingList) []int32 {
 
 // countsOfEntities is countsOfPostings for (sid,u)-sorted entity postings.
 func countsOfEntities(eps []index.EntityPosting) varCounts {
-	var vc varCounts
+	runs := 0
+	for i := range eps {
+		if i == 0 || eps[i].Sid != eps[i-1].Sid {
+			runs++
+		}
+	}
+	vc := newVarCounts(runs)
 	for i := 0; i < len(eps); {
 		j := i + 1
 		for j < len(eps) && eps[j].Sid == eps[i].Sid {
@@ -92,38 +136,47 @@ func countsOfEntities(eps []index.EntityPosting) varCounts {
 	return vc
 }
 
-// runDPLIGuarded is runDPLI with a recovery boundary for damaged block
-// stores: lazy block decode has no error channel (posting-list access is
-// plain slice access), so the block store panics with *index.StoreError on
-// CRC or structural corruption, and this wrapper — every index access of a
-// query happens inside runDPLI — converts that into a query error. A store
-// file truncated under its live mmap faults (SIGBUS) instead of failing a
-// CRC; panic-on-fault turns that into a runtime error carrying the faulting
-// address, which becomes a *index.StoreError too rather than killing the
-// process.
+// runDPLIGuarded is runDPLI inside the store recovery boundary (storeFault).
 func runDPLIGuarded(nq *normQuery, ix *index.Index, planned bool) (res *dpliResult, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case *index.StoreError:
-			res, err = nil, r
-		case interface {
-			runtime.Error
-			Addr() uintptr
-		}:
-			// Only a mapped store file can fault under a live query; on a
-			// heap index the fault is a program bug and stays a crash.
-			store, ok := ix.Source().(interface{ Path() string })
-			if !ok {
-				panic(r)
-			}
-			res, err = nil, &index.StoreError{Path: store.Path(), Err: fmt.Errorf("memory fault at %#x", r.Addr())}
-		default:
-			panic(r)
+		if e := storeFault(ix, recover()); e != nil {
+			res, err = nil, e
 		}
 	}()
 	return runDPLI(nq, ix, planned), nil
+}
+
+// storeFault is the recovery boundary for damaged block stores, called with
+// recover()'s value by the deferred functions of the two places a query
+// reads postings: runDPLIGuarded and the document loop (the aggregator reads
+// word postings). Lazy block decode has no error channel (posting-list
+// access is plain slice access), so the block store panics with
+// *index.StoreError on CRC or structural corruption, and this returns it as
+// the query's error. A store file truncated under its live mmap faults
+// (SIGBUS) instead of failing a CRC; with panic-on-fault set that is a
+// runtime error carrying the faulting address, which becomes a
+// *index.StoreError too rather than killing the process. Any other panic
+// goes on.
+func storeFault(ix *index.Index, r any) error {
+	switch r := r.(type) {
+	case nil:
+		return nil
+	case *index.StoreError:
+		return r
+	case interface {
+		runtime.Error
+		Addr() uintptr
+	}:
+		// Only a mapped store file can fault under a live query; on a
+		// heap index the fault is a program bug and stays a crash.
+		store, ok := ix.Source().(interface{ Path() string })
+		if !ok {
+			panic(r)
+		}
+		return &index.StoreError{Path: store.Path(), Err: fmt.Errorf("memory fault at %#x", r.Addr())}
+	}
+	panic(r)
 }
 
 // runDPLI implements §4.2 over the multi-index. planned enables the

@@ -221,9 +221,9 @@ func mergeDocCounters(res *Result, dr docEvalResult) {
 }
 
 // docWorker is one run's private evaluation state: the reusable
-// per-sentence scratch, the per-document aggregator, and the forward cursor
-// into the DPLI count tables. One exists per stream, so nothing here needs
-// locks.
+// per-sentence scratch, the per-document aggregator, the reused tuple slice,
+// and the forward cursor into the DPLI count tables. One exists per stream,
+// so nothing here needs locks.
 type docWorker struct {
 	e  *Engine
 	nq *normQuery
@@ -235,6 +235,10 @@ type docWorker struct {
 
 	ag    *aggregator     // nil when the query has no satisfying/excluding clause
 	sents []*nlp.Sentence // the current document's sentences, for the aggregator
+
+	// tuples holds the current document's tuples; the next document reuses
+	// it, so a consumer copies what it keeps.
+	tuples []Tuple
 
 	// finishTuple scratch: the candidate value per variable slot and the
 	// score per satisfying clause.
@@ -254,7 +258,7 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 		epoch:  time.Now(),
 	}
 	if len(nq.satisfying) > 0 || len(nq.excluding) > 0 {
-		w.ag = newAggregator(e.model, e.opts.Dicts, e.rc, e.globalScores)
+		w.ag = newAggregator(e.ix, e.model, e.opts.Dicts, e.rc, e.globalScores)
 	}
 	w.ev.setPlan(plan)
 	return w
@@ -262,55 +266,46 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 
 // evalDoc evaluates every candidate sentence of one document: GSP + nested
 // loops per sentence, then satisfying/excluding per assignment against the
-// aggregator, reset to this document.
+// aggregator, reset to this document. The returned tuples live in the
+// worker's slice, which the next document reuses.
 func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 	e := w.e
-	var dr docEvalResult
+	dr := docEvalResult{tuples: w.tuples[:0]}
 	first, end := e.corpus.DocSentences(d)
-
-	if e.opts.ArticleDB == nil {
+	w.sents = w.sents[:0]
+	if e.opts.ArticleDB != nil {
+		// Article-DB mode: candidate articles load from the on-disk parsed
+		// corpus (the paper's LoadArticle phase); a sentence that fails to
+		// load stays nil and is skipped.
+		t0 := time.Now()
+		for sid := first; sid < end; sid++ {
+			s, _ := index.LoadSentence(e.opts.ArticleDB, sid)
+			w.sents = append(w.sents, s)
+		}
+		dr.times.LoadArticle = time.Since(t0)
+	} else if w.ag != nil {
 		// In-memory corpus: sentences are addressed directly, so setting up a
 		// document allocates nothing (the aggregator's window is reused).
-		if w.ag != nil {
-			w.sents = w.sents[:0]
-			for sid := first; sid < end; sid++ {
-				w.sents = append(w.sents, e.corpus.Sentence(sid))
-			}
-			w.ag.reset(w.sents)
+		for sid := first; sid < end; sid++ {
+			w.sents = append(w.sents, e.corpus.Sentence(sid))
 		}
-		for _, sid := range sids {
-			if int(sid) < first || int(sid) >= end {
-				continue
-			}
-			w.evalOneSentence(&dr, d, e.corpus.Sentence(int(sid)), sid)
-		}
-		return dr
 	}
-
-	// Article-DB mode: candidate articles load from the on-disk parsed
-	// corpus (the paper's LoadArticle phase).
-	t0 := time.Now()
-	w.sents = w.sents[:0]
-	bySid := map[int32]*nlp.Sentence{}
-	for sid := first; sid < end; sid++ {
-		s, err := index.LoadSentence(e.opts.ArticleDB, sid)
-		if err != nil {
-			continue
-		}
-		w.sents = append(w.sents, s)
-		bySid[int32(sid)] = s
-	}
-	dr.times.LoadArticle = time.Since(t0)
 	if w.ag != nil {
-		w.ag.reset(w.sents)
+		w.ag.reset(first, w.sents)
 	}
 	for _, sid := range sids {
-		s := bySid[sid]
-		if s == nil {
+		if int(sid) < first || int(sid) >= end {
 			continue
+		}
+		s := e.corpus.Sentence(int(sid))
+		if e.opts.ArticleDB != nil {
+			if s = w.sents[int(sid)-first]; s == nil {
+				continue
+			}
 		}
 		w.evalOneSentence(&dr, d, s, sid)
 	}
+	w.tuples = dr.tuples
 	return dr
 }
 

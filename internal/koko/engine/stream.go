@@ -2,6 +2,7 @@ package engine
 
 import (
 	"iter"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/koko/lang"
@@ -29,9 +30,9 @@ type Stream struct {
 
 // Docs yields each candidate document's tuples, in ascending document order,
 // exactly as the buffered path would have appended them. Empty documents are
-// skipped. The yielded slice is freshly allocated per document and owned by
-// the consumer. Breaking out of the loop stops evaluation before the next
-// document.
+// skipped. The yielded slice is reused by the next document: a consumer
+// that keeps tuples must copy them out before it asks for the next one.
+// Breaking out of the loop stops evaluation before the next document.
 func (s *Stream) Docs() iter.Seq[[]Tuple] {
 	return func(yield func([]Tuple) bool) {
 		if s.started {
@@ -130,7 +131,11 @@ func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro R
 			for j < len(cands) && e.corpus.DocOfSent[cands[j]] == d {
 				j++
 			}
-			dr := w.evalDoc(d, cands[i:j])
+			dr, err := w.evalDocGuarded(d, cands[i:j])
+			if err != nil {
+				st.err = err
+				return
+			}
 			i = j
 			mergeDocCounters(st.res, dr)
 			if len(dr.tuples) > 0 && !yield(dr.tuples) {
@@ -139,4 +144,17 @@ func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro R
 		}
 		addPlanActuals(st.res, plan, w.ev)
 	}
+}
+
+// evalDocGuarded is evalDoc inside the store recovery boundary
+// (storeFault): the aggregator reads word postings, which a block store
+// decodes lazily.
+func (w *docWorker) evalDocGuarded(d int, sids []int32) (dr docEvalResult, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if e := storeFault(w.e.ix, recover()); e != nil {
+			err = e
+		}
+	}()
+	return w.evalDoc(d, sids), nil
 }

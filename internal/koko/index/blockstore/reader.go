@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/koko/index"
@@ -270,7 +271,7 @@ func decodeCorpus(sec []byte) (*index.Corpus, error) {
 	}
 	lowered := make([]string, len(strs))
 	for i, s := range strs {
-		lowered[i] = index.LowerASCII(s)
+		lowered[i] = strings.ToLower(s)
 	}
 	str := func() (int, error) {
 		id, err := br.count("string id")

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/nlp"
 	"repro/internal/store"
@@ -147,7 +148,7 @@ func LoadSentence(db *store.DB, sid int) (*nlp.Sentence, error) {
 		tok := nlp.Token{
 			ID:       int(row[1].I),
 			Text:     row[2].S,
-			Lower:    lower(row[2].S),
+			Lower:    strings.ToLower(row[2].S),
 			POS:      row[3].S,
 			Label:    row[4].S,
 			Head:     int(row[5].I),
@@ -175,23 +176,4 @@ func LoadSentence(db *store.DB, sid int) (*nlp.Sentence, error) {
 		}
 	}
 	return s, nil
-}
-
-// LowerASCII exposes the token lowering used when reconstructing sentences,
-// so the block store rebuilds Token.Lower identically to LoadSentence.
-func LowerASCII(s string) string { return lower(s) }
-
-func lower(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
 }

@@ -2,7 +2,9 @@ package index
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/store"
 )
@@ -215,6 +217,40 @@ func TestCorpusParsedPersistence(t *testing.T) {
 	}
 	if _, err := LoadSentence(db, 999); err == nil {
 		t.Error("missing sentence loaded")
+	}
+}
+
+// TestLowerIsAWordKey: WordList re-lowers its argument, and the engine
+// probes it with Token.Lower (strings.ToLower of the token), so re-lowering
+// must never change a lowered string — for every rune and for the
+// replacement that invalid UTF-8 lowers to. A sentence reloaded from the
+// parsed corpus carries the same Token.Lower as the parse, non-ASCII
+// capitals included.
+func TestLowerIsAWordKey(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if l := strings.ToLower(string(r)); strings.ToLower(l) != l {
+			t.Fatalf("ToLower(%q) = %q, which re-lowers to %q", string(r), l, strings.ToLower(l))
+		}
+	}
+	if l := strings.ToLower("\xffÉ\xc3"); strings.ToLower(l) != l {
+		t.Fatalf("invalid UTF-8 lowers to %q, which re-lowers to %q", l, strings.ToLower(l))
+	}
+
+	c := NewCorpus(nil, []string{"Über cafes served Éclairs and ÖL today."})
+	db := store.NewDB()
+	c.SaveParsed(db)
+	s, err := LoadSentence(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := Build(c)
+	for i, tok := range c.Sentence(0).Tokens {
+		if got := s.Tokens[i].Lower; got != tok.Lower || got != strings.ToLower(tok.Text) {
+			t.Errorf("token %d %q: reloaded Lower %q, parsed %q", i, tok.Text, got, tok.Lower)
+		}
+		if ListLen(ix.WordList(tok.Lower)) == 0 {
+			t.Errorf("token %d %q: no word list under its Lower %q", i, tok.Text, tok.Lower)
+		}
 	}
 }
 

@@ -66,6 +66,40 @@ func TestBlockStoreDifferential(t *testing.T) {
 	}
 }
 
+// TestBlockStoreNonASCIICapitals: a store lowers its reloaded tokens the
+// way the parser does, so words with non-ASCII capitals answer a path step
+// and the satisfying conditions that read token sequences (near, followed
+// by, and a value's own mentions) exactly as the heap engine they were
+// saved from.
+func TestBlockStoreNonASCIICapitals(t *testing.T) {
+	c := NewCorpus(nil, []string{
+		"I ate Éclairs with my son. Über cafes served Éclairs today.",
+		"Über cafes served Éclairs today. Ödön ate Éclairs at Über cafes.",
+	})
+	queries := []string{
+		`extract x:Str from "c" if (/ROOT:{ x = //"éclairs" })`,
+		`extract x:Str from "c" if (/ROOT:{ x = //verb }) satisfying x (x near "éclairs" {1}) with threshold 0.5`,
+		`extract x:Str from "c" if (/ROOT:{ x = //verb }) satisfying x (x "éclairs" {1}) with threshold 0.5`,
+		`extract x:Str from "c" if (/ROOT:{ v = //verb, x = v/dobj }) satisfying x (x near "über" {1}) with threshold 0.2`,
+	}
+	heap := NewEngine(c, nil)
+	path := filepath.Join(t.TempDir(), "c.koko")
+	if err := heap.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	blk, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, src := range queries {
+		want := mustRun(t, heap, src, nil)
+		if len(want.Tuples) == 0 {
+			t.Fatalf("query %d matched nothing on the heap engine: %s", qi, src)
+		}
+		sameResults(t, fmt.Sprintf("query %d", qi), want, mustRun(t, blk, src, nil))
+	}
+}
+
 // TestBlockStoreCorruptNodeBlock: a damaged hierarchy-node block fails the
 // query whose union walks it with a *index.StoreError, not a panic, and the
 // same engine keeps answering queries that touch only undamaged lists.
@@ -116,6 +150,60 @@ func TestBlockStoreCorruptNodeBlock(t *testing.T) {
 		return
 	}
 	t.Fatal("no damaged byte reached the //verb/dobj union")
+}
+
+// TestBlockStoreCorruptMentionBlock: a damaged word block that only the
+// satisfying clause reads (through a value's mentions or a near argument)
+// fails that query with a *index.StoreError during document evaluation,
+// not a panic, while the same store still answers the extract alone.
+func TestBlockStoreCorruptMentionBlock(t *testing.T) {
+	const (
+		extractQuery = `extract x:Str from "c" if (/ROOT:{ v = //verb, x = v/dobj })`
+		nearQuery    = extractQuery + ` satisfying x (x near "delicious" {1}) with threshold 0.1`
+	)
+	heap := NewEngine(NewCorpus(nil, []string{
+		"Anna ate delicious cake. The cake was delicious.",
+		"Bob ate cake with delicious coffee.",
+	}), nil)
+	if len(mustRun(t, heap, nearQuery, nil).Tuples) == 0 {
+		t.Fatal("near query matched nothing; the damaged-block check is vacuous")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ok.koko")
+	if err := heap.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Word lists open the blob, which ends the file.
+	blobLen := int(binary.LittleEndian.Uint64(raw[24:32]))
+	for off := len(raw) - blobLen; off < len(raw); off++ {
+		bad := bytes.Clone(raw)
+		bad[off] ^= 0xff
+		p := filepath.Join(dir, fmt.Sprintf("bad-%d.koko", off))
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(p, nil)
+		if err != nil {
+			t.Fatalf("Open with a damaged blob byte at %d: %v (want lazy failure)", off, err)
+		}
+		if _, err := query(e, extractQuery, nil); err != nil {
+			continue // the extract itself reads the damaged block
+		}
+		_, err = query(e, nearQuery, nil)
+		if err == nil {
+			continue
+		}
+		var se *index.StoreError
+		if !errors.As(err, &se) {
+			t.Fatalf("damaged word block: error %v (%T), want a *index.StoreError", err, err)
+		}
+		return
+	}
+	t.Fatal("no damaged byte reached a word block the satisfying clause reads")
 }
 
 // TestStoreFormatConversion: a block-backed engine re-saves by rebuilding a
