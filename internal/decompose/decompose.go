@@ -5,7 +5,7 @@
 // canonical clauses before matching expanded descriptors against them,
 // reusing stage (1) of the clause-splitting of Angeli et al. / Stanford
 // OpenIE: "segment a sentence into canonical clauses". This package performs
-// that segmentation over the dependency trees produced by the nlp substrate:
+// that segmentation over the dependency trees of a shard's token columns:
 // every clausal verb (the root verb, coordinated verbs, relative-clause
 // verbs, clausal complements) roots one canonical clause consisting of its
 // subtree minus any nested clausal subtrees; each clause carries a confidence
@@ -16,7 +16,7 @@ package decompose
 import (
 	"sort"
 
-	"repro/internal/nlp"
+	"repro/internal/koko/index"
 )
 
 // Clause is a canonical clause: a subset of a sentence's tokens with a
@@ -40,12 +40,12 @@ const (
 // Decompose segments a parsed sentence into canonical clauses. A sentence
 // with no clausal structure yields a single clause covering every token with
 // score 1.
-func Decompose(s *nlp.Sentence) []Clause {
-	n := len(s.Tokens)
+func Decompose(s *index.Sent) []Clause {
+	n := s.Len()
 	if n == 0 {
 		return nil
 	}
-	root := s.Root()
+	root := s.Root
 
 	// Identify clause roots: the sentence root plus every verb attached by a
 	// clausal relation.
@@ -53,21 +53,20 @@ func Decompose(s *nlp.Sentence) []Clause {
 	score := make([]float64, n)
 	isClauseRoot[root] = true
 	score[root] = scoreMain
-	for i := range s.Tokens {
-		t := &s.Tokens[i]
+	for i := 0; i < n; i++ {
 		if i == root {
 			continue
 		}
-		switch t.Label {
-		case nlp.LblConj:
-			if t.POS == nlp.PosVerb {
+		switch s.Label[i] {
+		case index.IDConj:
+			if s.POS[i] == index.IDVerb {
 				isClauseRoot[i] = true
 				score[i] = scoreConj
 			}
-		case nlp.LblRcmod:
+		case index.IDRcmod:
 			isClauseRoot[i] = true
 			score[i] = scoreRcmod
-		case nlp.LblXcomp:
+		case index.IDXcomp:
 			isClauseRoot[i] = true
 			score[i] = scoreOther
 		}
@@ -78,7 +77,7 @@ func Decompose(s *nlp.Sentence) []Clause {
 	for i := 0; i < n; i++ {
 		o := i
 		for !isClauseRoot[o] {
-			h := s.Tokens[o].Head
+			h := int(s.Head[o])
 			if h < 0 {
 				break
 			}
@@ -94,7 +93,7 @@ func Decompose(s *nlp.Sentence) []Clause {
 	extra := map[int][]int{}
 	for i := 0; i < n; i++ {
 		if isClauseRoot[i] && i != root {
-			if h := s.Tokens[i].Head; h >= 0 {
+			if h := int(s.Head[i]); h >= 0 {
 				extra[i] = append(extra[i], h)
 			}
 		}
@@ -102,16 +101,17 @@ func Decompose(s *nlp.Sentence) []Clause {
 	// Conjoined verbs share the subject of their first conjunct ("Anna ate
 	// and drank": the conj clause gets "Anna").
 	for i := 0; i < n; i++ {
-		if isClauseRoot[i] && s.Tokens[i].Label == nlp.LblConj {
-			h := s.Tokens[i].Head
-			if h >= 0 {
-				for _, c := range s.Children(h) {
-					if s.Tokens[c].Label == nlp.LblNsubj {
-						extra[i] = append(extra[i], c)
-						// Include the whole subject NP.
-						for t := s.Tokens[c].SubL; t <= s.Tokens[c].SubR; t++ {
-							extra[i] = append(extra[i], t)
-						}
+		if isClauseRoot[i] && s.Label[i] == index.IDConj {
+			h := s.Head[i]
+			if h < 0 {
+				continue
+			}
+			for c := 0; c < n; c++ { // h's children, in ascending order
+				if s.Head[c] == h && s.Label[c] == index.IDNsubj {
+					extra[i] = append(extra[i], c)
+					// Include the whole subject NP.
+					for t := int(s.SubL[c]); t <= int(s.SubR[c]); t++ {
+						extra[i] = append(extra[i], t)
 					}
 				}
 			}
@@ -137,8 +137,8 @@ func Decompose(s *nlp.Sentence) []Clause {
 		toks := dedupSorted(byRoot[r])
 		c := Clause{Root: r, Tokens: toks, Score: score[r]}
 		for _, t := range toks {
-			if s.Tokens[t].POS != nlp.PosPunct {
-				c.Words = append(c.Words, s.Tokens[t].Lower)
+			if s.POS[t] != index.IDPunct {
+				c.Words = append(c.Words, s.Dict.Str(s.Lower[t]))
 			}
 		}
 		if len(c.Words) == 0 {

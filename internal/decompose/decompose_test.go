@@ -3,8 +3,15 @@ package decompose
 import (
 	"testing"
 
+	"repro/internal/koko/index"
 	"repro/internal/nlp"
 )
+
+// decomposeParsed decomposes a parsed sentence through its columns.
+func decomposeParsed(s *nlp.Sentence) []Clause {
+	v := index.SentOf(s)
+	return Decompose(&v)
+}
 
 func clauseWords(cs []Clause) [][]string {
 	out := make([][]string, len(cs))
@@ -16,7 +23,7 @@ func clauseWords(cs []Clause) [][]string {
 
 func TestDecomposeSimple(t *testing.T) {
 	s := nlp.AnnotateSentence(0, "Anna ate some delicious cheesecake.")
-	cs := Decompose(&s)
+	cs := decomposeParsed(&s)
 	if len(cs) != 1 {
 		t.Fatalf("got %d clauses, want 1: %v", len(cs), clauseWords(cs))
 	}
@@ -30,7 +37,7 @@ func TestDecomposeSimple(t *testing.T) {
 
 func TestDecomposeRelativeClause(t *testing.T) {
 	s := nlp.AnnotateSentence(0, "Anna ate some delicious cheesecake that she bought at a grocery store.")
-	cs := Decompose(&s)
+	cs := decomposeParsed(&s)
 	if len(cs) != 2 {
 		t.Fatalf("got %d clauses, want 2: %v", len(cs), clauseWords(cs))
 	}
@@ -57,7 +64,7 @@ func TestDecomposeRelativeClause(t *testing.T) {
 
 func TestDecomposeCoordination(t *testing.T) {
 	s := nlp.AnnotateSentence(0, "I ate a chocolate ice cream, which was delicious, and also ate a pie.")
-	cs := Decompose(&s)
+	cs := decomposeParsed(&s)
 	if len(cs) != 3 {
 		t.Fatalf("got %d clauses, want 3: %v", len(cs), clauseWords(cs))
 	}
@@ -80,7 +87,7 @@ func TestDecomposeCoordination(t *testing.T) {
 
 func TestDecomposeNoVerb(t *testing.T) {
 	s := nlp.AnnotateSentence(0, "cities in asian countries such as China and Japan.")
-	cs := Decompose(&s)
+	cs := decomposeParsed(&s)
 	if len(cs) != 1 {
 		t.Fatalf("got %d clauses: %v", len(cs), clauseWords(cs))
 	}
@@ -111,7 +118,7 @@ func TestContainsSequence(t *testing.T) {
 
 func TestDecomposeEmpty(t *testing.T) {
 	s := nlp.Sentence{}
-	if cs := Decompose(&s); cs != nil {
+	if cs := decomposeParsed(&s); cs != nil {
 		t.Errorf("empty sentence: %v", cs)
 	}
 }

@@ -45,30 +45,33 @@ func (g *globalCache) put(key globalKey, v float64) {
 // every map cleared and every buffer kept.
 //
 // A value arrives as the token span it is bound to. Its mentions — every
-// occurrence of the span's Token.Lower sequence in the document — start at
+// occurrence of the span's lowered word sequence in the document — start at
 // postings of the sequence's first word in the shard's word index (keyed by
-// Token.Lower); the value is never rendered and re-tokenised for that.
+// the lowered form); the value is never rendered and re-tokenised for that.
 // Spans with the same sequence share one mention group, and document-scoped
 // confidences are cached per (condition, group).
 type aggregator struct {
 	ix     *index.Index
+	dict   *index.Dict // the dictionary the documents' word ids resolve in
 	model  *embed.Model
 	dicts  map[string]map[string]bool
-	rc     *reCache
 	global *globalCache
 
 	// Per-document state, emptied by reset.
 	first    int32                      // sid of docSents[0]
-	docSents []*nlp.Sentence            // by sid - first; nil where a sentence failed to load
+	docSents []index.Sent               // by sid - first; empty where a sentence failed to load
 	clauses  map[int][]decompose.Clause // sid -> canonical clauses
 	groupOf  map[spanKey]int32          // span -> its mention group
 	groups   []mentionRange             // group -> its run of ments
 	ments    []mention                  // (sentence, position) order within a group
 	conf     map[confKey]float64
 
-	cursors map[string]*wordCursor // per probed word, kept across documents
+	cursors []*wordCursor // by word id: the probed words' cursors, kept across documents
 
-	words []string // spanWords scratch
+	words []uint32 // spanWords scratch
+	// mergedID, when set, resolves merged mark runs in spanWords instead of
+	// the sentence's dictionary (a test interns them to read them back).
+	mergedID func(string) uint32
 }
 
 // wordCursor walks one word's postings forward and holds those of the
@@ -80,9 +83,9 @@ type wordCursor struct {
 	occ   []index.Posting
 }
 
+// mention is one occurrence of a value: sentence docSents[si], tokens l..r.
 type mention struct {
-	sent *nlp.Sentence
-	si   int32 // index into docSents
+	si   int32
 	l, r int
 }
 
@@ -97,7 +100,7 @@ type confKey struct{ cond, group int32 }
 // condition or the output asked for it, its rendered string (an empty span
 // renders "").
 type spanValue struct {
-	s   *nlp.Sentence
+	s   *index.Sent
 	sp  span
 	str string
 }
@@ -109,23 +112,22 @@ func (v *spanValue) text() string {
 	return v.str
 }
 
-func newAggregator(ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, rc *reCache, global *globalCache) *aggregator {
+func newAggregator(ix *index.Index, dict *index.Dict, model *embed.Model, dicts map[string]map[string]bool, global *globalCache) *aggregator {
 	return &aggregator{
 		ix:      ix,
+		dict:    dict,
 		model:   model,
 		dicts:   dicts,
-		rc:      rc,
 		global:  global,
 		clauses: map[int][]decompose.Clause{},
 		groupOf: map[spanKey]int32{},
 		conf:    map[confKey]float64{},
-		cursors: map[string]*wordCursor{},
 	}
 }
 
 // reset points the aggregator at a new document, whose sentences are
 // docSents with ids from first on.
-func (ag *aggregator) reset(first int, docSents []*nlp.Sentence) {
+func (ag *aggregator) reset(first int, docSents []index.Sent) {
 	ag.first, ag.docSents = int32(first), docSents
 	clear(ag.clauses)
 	clear(ag.groupOf)
@@ -175,11 +177,11 @@ func (ag *aggregator) confidence(c *normCond, v *spanValue) float64 {
 		ms := ag.ments[ag.groups[g].lo:ag.groups[g].hi]
 		switch c.Kind {
 		case lang.CondFollowedBy:
-			s = adjacency(ms, c.args, true)
+			s = ag.adjacency(ms, c.argIDs, true)
 		case lang.CondPrecededBy:
-			s = adjacency(ms, c.args, false)
+			s = ag.adjacency(ms, c.argIDs, false)
 		case lang.CondNear:
-			s = ag.near(ms, c.args)
+			s = ag.near(ms, c.argIDs)
 		case lang.CondDescRight:
 			s = ag.descriptorScore(ms, c.desc, true)
 		case lang.CondDescLeft:
@@ -231,7 +233,7 @@ func (ag *aggregator) valueConfidence(c *normCond, value string) float64 {
 	case lang.CondMentions:
 		ok = strings.Contains(value, c.Arg)
 	case lang.CondMatches:
-		ok = ag.rc.fullMatch(c.Arg, value)
+		ok = fullMatch(c.re, value)
 	case lang.CondSimilarTo:
 		if ag.model == nil {
 			return 0
@@ -246,16 +248,23 @@ func (ag *aggregator) valueConfidence(c *normCond, value string) float64 {
 	return 0
 }
 
-// occurrences returns the word's postings in the current document, in
-// (sid, tid) order. Documents arrive in ascending sid order, so the word's
+// occurrences returns the postings of word id w in the current document,
+// in (sid, tid) order. Documents arrive in ascending sid order, so the word's
 // cursor seeks forward from the previous one, skipping blocks by their
-// bounds without decoding them; only a re-evaluation starts it over.
-func (ag *aggregator) occurrences(word string) []index.Posting {
-	wc := ag.cursors[word]
+// bounds without decoding them; only a re-evaluation starts it over. A word
+// is resolved to its posting list once per query.
+func (ag *aggregator) occurrences(w uint32) []index.Posting {
+	if w == index.NoID {
+		return nil
+	}
+	if int(w) >= len(ag.cursors) {
+		ag.cursors = append(ag.cursors, make([]*wordCursor, int(w)+1-len(ag.cursors))...)
+	}
+	wc := ag.cursors[w]
 	if wc == nil {
-		wc = &wordCursor{list: ag.ix.WordList(word), first: -1}
+		wc = &wordCursor{list: ag.ix.WordList(ag.dict.Str(w)), first: -1}
 		wc.cur.Reset(wc.list)
-		ag.cursors[word] = wc
+		ag.cursors[w] = wc
 	}
 	if wc.first != ag.first {
 		if ag.first < wc.first {
@@ -270,34 +279,42 @@ func (ag *aggregator) occurrences(word string) []index.Posting {
 	return wc.occ
 }
 
-// seqAt reports whether the word sequence occurs in s starting at pos.
-func seqAt(s *nlp.Sentence, pos int, words []string) bool {
-	if pos < 0 || pos+len(words) > len(s.Tokens) {
+// seqAt reports whether the word-id sequence occurs in lower (a sentence's
+// lowered-word column) starting at pos.
+func seqAt(lower []uint32, pos int, words []uint32) bool {
+	if pos < 0 || pos+len(words) > len(lower) {
 		return false
 	}
 	for j, w := range words {
-		if s.Tokens[pos+j].Lower != w {
+		if lower[pos+j] != w {
 			return false
 		}
 	}
 	return true
 }
 
-// spanWords returns the lowercase token sequence the value rendered from
-// s[sp] tokenises to: Token.Lower over the span, except that Sentence.Text
-// glues a punctuation token to its predecessor and the tokenizer reads a
-// glued run of one mark ("." or "-") back as a single token, so such
-// neighbours merge here too. The result lives in scratch reused by the next
-// call.
-func (ag *aggregator) spanWords(s *nlp.Sentence, sp span) []string {
+// spanWords returns the lowered word sequence the value rendered from s[sp]
+// tokenises to, as dictionary ids: the span's lowered words, except that
+// Sent.Text glues a punctuation token to its predecessor and the tokenizer
+// reads a glued run of one mark ("." or "-") back as a single token, so such
+// neighbours merge here too (into the merged string's id, index.NoID when no
+// token has it). The result lives in scratch reused by the next call.
+func (ag *aggregator) spanWords(s *index.Sent, sp span) []uint32 {
 	w := ag.words[:0]
+	last := ""
 	for i := sp.l; i <= sp.r; i++ {
-		t := &s.Tokens[i]
-		if i > sp.l && t.POS == nlp.PosPunct && sameMarkRun(w[len(w)-1], t.Lower) {
-			w[len(w)-1] += t.Lower
+		lower := s.Dict.Str(s.Lower[i])
+		if i > sp.l && s.POS[i] == index.IDPunct && sameMarkRun(last, lower) {
+			last += lower
+			if ag.mergedID != nil {
+				w[len(w)-1] = ag.mergedID(last)
+			} else {
+				w[len(w)-1] = s.Dict.ID(last)
+			}
 			continue
 		}
-		w = append(w, t.Lower)
+		last = lower
+		w = append(w, s.Lower[i])
 	}
 	ag.words = w
 	return w
@@ -313,11 +330,11 @@ func sameMarkRun(a, b string) bool {
 }
 
 // group returns the mention group of the value bound to s[sp]: every
-// occurrence of its token sequence in the document, found by probing the
+// occurrence of its word sequence in the document, found by probing the
 // word index with the sequence's first word. A new group is registered under
 // each of its mentions as well as the span that asked, so a value recurring
 // across the document is collected and scored once.
-func (ag *aggregator) group(s *nlp.Sentence, sp span) int32 {
+func (ag *aggregator) group(s *index.Sent, sp span) int32 {
 	key := spanKey{int32(s.ID), int32(sp.l), int32(sp.r)}
 	if g, ok := ag.groupOf[key]; ok {
 		return g
@@ -327,9 +344,9 @@ func (ag *aggregator) group(s *nlp.Sentence, sp span) int32 {
 	lo := len(ag.ments)
 	for _, p := range ag.occurrences(words[0]) {
 		si := p.Sid - ag.first
-		if ms := ag.docSents[si]; ms != nil && seqAt(ms, int(p.Tid), words) {
+		if seqAt(ag.docSents[si].Lower, int(p.Tid), words) {
 			r := p.Tid + int32(len(words)) - 1
-			ag.ments = append(ag.ments, mention{sent: ms, si: si, l: int(p.Tid), r: int(r)})
+			ag.ments = append(ag.ments, mention{si: si, l: int(p.Tid), r: int(r)})
 			ag.groupOf[spanKey{p.Sid, p.Tid, r}] = g
 		}
 	}
@@ -341,7 +358,7 @@ func (ag *aggregator) group(s *nlp.Sentence, sp span) int32 {
 // adjacency implements x "s" (followed=true) and "s" x (followed=false):
 // boolean — some mention of the value is immediately followed/preceded by
 // the literal string.
-func adjacency(ms []mention, arg []string, followed bool) float64 {
+func (ag *aggregator) adjacency(ms []mention, arg []uint32, followed bool) float64 {
 	if len(arg) == 0 {
 		return 0
 	}
@@ -350,7 +367,7 @@ func adjacency(ms []mention, arg []string, followed bool) float64 {
 		if !followed {
 			pos = m.l - len(arg)
 		}
-		if seqAt(m.sent, pos, arg) {
+		if seqAt(ag.docSents[m.si].Lower, pos, arg) {
 			return 1
 		}
 	}
@@ -362,7 +379,7 @@ func adjacency(ms []mention, arg []string, followed bool) float64 {
 // over the document. Mentions and the string's first word's postings are
 // both in (sentence, position) order, so one forward walk of the postings
 // serves every mention.
-func (ag *aggregator) near(ms []mention, arg []string) float64 {
+func (ag *aggregator) near(ms []mention, arg []uint32) float64 {
 	if len(arg) == 0 {
 		return 0
 	}
@@ -374,7 +391,7 @@ func (ag *aggregator) near(ms []mention, arg []string) float64 {
 		}
 		for i := 0; i < len(occ) && occ[i].Sid-ag.first == m.si; i++ {
 			pos := int(occ[i].Tid)
-			if !seqAt(m.sent, pos, arg) {
+			if !seqAt(ag.docSents[m.si].Lower, pos, arg) {
 				continue
 			}
 			// Tokens between the string and the mention; 0 if they overlap.
@@ -404,10 +421,10 @@ func (ag *aggregator) descriptorScore(ms []mention, d *descriptor, right bool) f
 		for j < len(ms) && ms[j].si == ms[i].si {
 			j++
 		}
-		s := ms[i].sent
+		s := &ag.docSents[ms[i].si]
 		clauses := ag.decompose(s)
 		best := 0.0
-		for di, seq := range d.seqs {
+		for di, seq := range d.seqIDs {
 			ki := d.expansions[di].Score
 			var sum float64
 			for _, cl := range clauses {
@@ -416,7 +433,7 @@ func (ag *aggregator) descriptorScore(ms []mention, d *descriptor, right bool) f
 				// the terms similar to descriptor affects the confidence").
 				bestProx := 0.0
 				for _, m := range ms[i:j] {
-					if ok, dist := clauseContainsDirectional(&cl, seq, m, right); ok {
+					if ok, dist := clauseContainsDirectional(&cl, s.Lower, seq, m, right); ok {
 						if prox := 1.0 / float64(1+dist); prox > bestProx {
 							bestProx = prox
 						}
@@ -434,7 +451,7 @@ func (ag *aggregator) descriptorScore(ms []mention, d *descriptor, right bool) f
 	return total
 }
 
-func (ag *aggregator) decompose(s *nlp.Sentence) []decompose.Clause {
+func (ag *aggregator) decompose(s *index.Sent) []decompose.Clause {
 	if cl, ok := ag.clauses[s.ID]; ok {
 		return cl
 	}
@@ -443,11 +460,11 @@ func (ag *aggregator) decompose(s *nlp.Sentence) []decompose.Clause {
 	return cl
 }
 
-// clauseContainsDirectional checks that the clause contains the word
+// clauseContainsDirectional checks that the clause contains the word-id
 // sequence in order, entirely after (right) or before (left) the mention,
 // and returns the token distance between the mention boundary and the
-// nearest matched term.
-func clauseContainsDirectional(cl *decompose.Clause, seq []string, m mention, right bool) (bool, int) {
+// nearest matched term. lower is the sentence's lowered-word column.
+func clauseContainsDirectional(cl *decompose.Clause, lower []uint32, seq []uint32, m mention, right bool) (bool, int) {
 	if len(seq) == 0 {
 		return false, 0
 	}
@@ -462,7 +479,7 @@ func clauseContainsDirectional(cl *decompose.Clause, seq []string, m mention, ri
 		}
 		// cl.Words excludes punctuation while cl.Tokens includes it; match
 		// against the underlying sentence token instead.
-		if i < len(seq) && m.sent.Tokens[tid].Lower == seq[i] {
+		if i < len(seq) && lower[tid] == seq[i] {
 			if i == 0 {
 				first = tid
 			}

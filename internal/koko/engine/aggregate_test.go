@@ -6,14 +6,13 @@ import (
 	"repro/internal/embed"
 	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
-	"repro/internal/nlp"
 )
 
 // TestContainsMentionsSemantics pins the paper's §4.4.1 example: "chocolate
 // ice cream" contains "ice", mentions "choc", but does not contain "choc".
 func TestContainsMentionsSemantics(t *testing.T) {
 	value := "chocolate ice cream"
-	ag := newAggregator(nil, nil, nil, newRECache(), newGlobalCache())
+	ag := newAggregator(nil, nil, nil, nil, newGlobalCache())
 	cases := []struct {
 		kind lang.SatKind
 		arg  string
@@ -29,7 +28,7 @@ func TestContainsMentionsSemantics(t *testing.T) {
 		{lang.CondMatches, "choc", 0}, // full match only
 	}
 	for _, tc := range cases {
-		got := ag.valueConfidence(&normCond{SatCond: lang.SatCond{Kind: tc.kind, Arg: tc.arg, Var: "x"}}, value)
+		got := ag.valueConfidence(&normCond{SatCond: lang.SatCond{Kind: tc.kind, Arg: tc.arg, Var: "x"}, re: compileRegexp(tc.arg)}, value)
 		if got != tc.want {
 			t.Errorf("%v(%q) on %q = %v, want %v", tc.kind, tc.arg, value, got, tc.want)
 		}
@@ -38,18 +37,19 @@ func TestContainsMentionsSemantics(t *testing.T) {
 
 // TestNearScoreFormula pins score = 1/(1+distance).
 func TestNearScoreFormula(t *testing.T) {
-	c := index.NewCorpus(nil, []string{"Cafe Benz serves great coffee."})
-	s := &c.Sentences[0]
+	c := index.ColumnsOf(index.NewCorpus(nil, []string{"Cafe Benz serves great coffee."}))
+	s := c.Sent(0)
 	nq, err := normalize(lang.MustParse(`extract x:Entity from f if () satisfying x
 		(x near "coffee" {1}) or (x near "serves" {1}) or (x near "missing" {1})
 		or (x "serves great" {1}) or ("serves" x {1}) or ("." x {1})`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag := newAggregator(index.Build(c), nil, nil, newRECache(), newGlobalCache())
-	ag.reset(0, []*nlp.Sentence{s})
+	nq.bind(&c.Dict)
+	ag := newAggregator(index.BuildColumns(c), &c.Dict, nil, nil, newGlobalCache())
+	ag.reset(0, []index.Sent{s})
 	// The value is handed over as its token span: "Cafe Benz" is tokens 0-1.
-	cafeBenz := &spanValue{s: s, sp: span{0, 1}}
+	cafeBenz := &spanValue{s: &s, sp: span{0, 1}}
 	cond := func(i int) float64 { return ag.confidence(&nq.satisfying[0].conds[i], cafeBenz) }
 	// "Cafe Benz" tokens 0-1; "coffee" token 4; gap = tokens 2,3 => dist 2.
 	got := cond(0)

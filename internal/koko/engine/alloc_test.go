@@ -24,7 +24,7 @@ import (
 // warmed-up worker and returns the allocations and emitted tuples per pass.
 func evalAllCandidates(t *testing.T, e *Engine, src string) (allocs float64, tuples int) {
 	t.Helper()
-	nq, err := normalize(lang.MustParse(src), e.model)
+	nq, err := e.normalize(lang.MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func evalAllCandidates(t *testing.T, e *Engine, src string) (allocs float64, tup
 	allocs = testing.AllocsPerRun(3, func() {
 		tuples = 0
 		for i, sid := range cands { // one sentence per document in this corpus
-			dr := w.evalDoc(e.corpus.DocOfSent[sid], cands[i:i+1])
+			dr := w.evalDoc(int(e.cols.DocOfSent[sid]), cands[i:i+1])
 			tuples += len(dr.tuples)
 		}
 	})
@@ -121,21 +121,23 @@ func TestDPLIDoesNotMaterializeUnions(t *testing.T) {
 // and the caller's result buffer are reused), and Sentence.Text sizes its
 // builder first, so rendering a span allocates exactly once.
 func TestPathMatchAndTextAllocations(t *testing.T) {
-	c := benchHappyDB(benchCorpusSents, benchCorpusSeed)
+	c := index.ColumnsOf(benchHappyDB(benchCorpusSents, benchCorpusSeed))
 	paths := [][]lang.PathStep{
 		{{Desc: true, Label: "verb"}, {Label: "dobj"}},
 		{{Label: "root"}, {Desc: true, Label: "*", Conds: []lang.LabelCond{{Key: "regex", Value: "[a-z]+"}}}},
 	}
 	var pm pathMatcher
-	rc := newRECache()
 	var dst []int32
+	var s index.Sent // the matcher keeps a pointer to it, so it lives outside the pass
 	for _, p := range paths {
 		steps := compilePath(p)
+		bindSteps(steps, &c.Dict)
 		matched := 0
 		pass := func() {
 			matched = 0
 			for sid := 0; sid < c.NumSentences(); sid++ {
-				dst = pm.match(c.Sentence(sid), steps, rc, dst[:0])
+				s = c.Sent(sid)
+				dst = pm.match(&s, steps, dst[:0])
 				matched += len(dst)
 			}
 		}
@@ -146,9 +148,9 @@ func TestPathMatchAndTextAllocations(t *testing.T) {
 		}
 	}
 
-	s := c.Sentence(0)
+	s = c.Sent(0)
 	var text string
-	allocs := testing.AllocsPerRun(10, func() { text = s.Text(0, len(s.Tokens)-1) })
+	allocs := testing.AllocsPerRun(10, func() { text = s.Text(0, s.Len()-1) })
 	if allocs != 1 || text == "" {
 		t.Errorf("Sentence.Text(%q): %v allocations, want 1", text, allocs)
 	}

@@ -84,12 +84,15 @@ func TestSlotEvalMatchesSeedSemantics(t *testing.T) {
 				dpli := runDPLI(nq, ix, false)
 				rc := newRECache()
 				cc := newCountCursor(dpli, len(nq.vars))
-				ev := newSentEval(nq, rc, gspOff)
+				cols := index.ColumnsOf(c)
+				nq.bind(&cols.Dict)
+				ev := newSentEval(nq, gspOff)
 				total := 0
 				for sid := 0; sid < c.NumSentences(); sid++ {
 					s := c.Sentence(sid)
 					want := refEvalSentence(nq, s, rc, refCountOf(dpli, nq, int32(sid)), gspOff)
-					got := ev.evalSentence(s, &cc, int32(sid))
+					v := cols.Sent(sid)
+					got := ev.evalSentence(&v, &cc, int32(sid))
 					if got != len(want) {
 						t.Fatalf("%s gspOff=%v sid=%d: %d assignments, seed emitted %d\nquery: %s",
 							cname, gspOff, sid, got, len(want), src)
@@ -133,11 +136,14 @@ func TestSlotEvalRandomizedCorpora(t *testing.T) {
 			dpli := runDPLI(nq, ix, false)
 			rc := newRECache()
 			cc := newCountCursor(dpli, len(nq.vars))
-			ev := newSentEval(nq, rc, false)
+			cols := index.ColumnsOf(c)
+			nq.bind(&cols.Dict)
+			ev := newSentEval(nq, false)
 			for sid := 0; sid < c.NumSentences(); sid++ {
 				s := c.Sentence(sid)
 				want := refEvalSentence(nq, s, rc, refCountOf(dpli, nq, int32(sid)), false)
-				got := ev.evalSentence(s, &cc, int32(sid))
+				v := cols.Sent(sid)
+				got := ev.evalSentence(&v, &cc, int32(sid))
 				if got != len(want) {
 					t.Fatalf("seed=%d sid=%d: %d vs %d assignments (%s)", seed, sid, got, len(want), src)
 				}
@@ -315,14 +321,15 @@ func TestSpanMentionsMatchRetokenised(t *testing.T) {
 	for cname, c := range cs {
 		r := openBlockStore(t, c)
 		for _, iname := range []string{"heap", "blockstore"} {
-			c, ix := c, index.Build(c)
+			cols := index.ColumnsOf(c)
+			ix := index.BuildColumns(cols)
 			if iname == "blockstore" {
-				c, ix = r.Corpus(), r.NewIndex()
+				cols, ix = r.Columns(), r.NewIndex()
 			}
-			ag := newAggregator(ix, nil, nil, newRECache(), newGlobalCache())
+			ag := newAggregator(ix, &cols.Dict, nil, nil, newGlobalCache())
 			for _, step := range []int{max(1, c.NumDocs()-1), 2, 1} {
 				for d := 0; d < c.NumDocs(); d += step {
-					if err := checkSpanMentions(ag, c, d); err != nil {
+					if err := checkSpanMentions(ag, c, cols, d); err != nil {
 						t.Fatalf("%s %s step %d: %v", cname, iname, step, err)
 					}
 				}
@@ -371,31 +378,38 @@ func FuzzSpanMentions(f *testing.F) {
 		if tokens > 120 {
 			t.Skip("over 120 tokens")
 		}
-		ag := newAggregator(index.Build(c), nil, nil, newRECache(), newGlobalCache())
+		cols := index.ColumnsOf(c)
+		ag := newAggregator(index.BuildColumns(cols), &cols.Dict, nil, nil, newGlobalCache())
 		for d := 0; d < c.NumDocs(); d++ {
-			if err := checkSpanMentions(ag, c, d); err != nil {
+			if err := checkSpanMentions(ag, c, cols, d); err != nil {
 				t.Fatalf("%v\ntext %q", err, text)
 			}
 		}
 	})
 }
 
-// checkSpanMentions compares every span's mention group in document d with
-// the reference aggregator's re-tokenised mentions.
-func checkSpanMentions(ag *aggregator, c *index.Corpus, d int) error {
+// checkSpanMentions compares every span's mention group in document d, read
+// through the columns cols, with the reference aggregator's re-tokenised
+// mentions over the parsed corpus c.
+func checkSpanMentions(ag *aggregator, c *index.Corpus, cols *index.Columns, d int) error {
 	first, end := c.DocSentences(d)
 	var sents []*nlp.Sentence
+	var views []index.Sent
 	for sid := first; sid < end; sid++ {
 		sents = append(sents, c.Sentence(sid))
+		views = append(views, cols.Sent(sid))
 	}
-	ag.reset(first, sents)
+	ag.reset(first, views)
 	ref := &refAggregator{docSents: sents}
-	for _, s := range sents {
+	for si, s := range sents {
 		for l := range s.Tokens {
 			for r := l; r < len(s.Tokens); r++ {
-				g := ag.groups[ag.group(s, span{l, r})]
+				g := ag.groups[ag.group(&views[si], span{l, r})]
 				got := ag.ments[g.lo:g.hi]
-				want := ref.valueMentions(s.Text(l, r))
+				var want []mention
+				for _, m := range ref.valueMentions(s.Text(l, r)) {
+					want = append(want, mention{si: m.si, l: m.l, r: m.r})
+				}
 				if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
 					return fmt.Errorf("doc %d sid %d span [%d,%d] %q: %d mentions, seed %d", d, s.ID, l, r, s.Text(l, r), len(got), len(want))
 				}

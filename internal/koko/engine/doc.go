@@ -29,6 +29,11 @@
 //     clauses); values below the threshold or matching the excluding clause
 //     are dropped.
 //
+// An engine reads its shard's text only through index.Columns: each run
+// binds the query's words, POS tags and parse labels to the shard
+// dictionary's ids once (normQuery.bind), and compiles its patterns once,
+// so a token test compares ints.
+//
 // A run evaluates its candidate documents in order on the goroutine that
 // pulls its Stream; the engine starts no goroutines of its own. A query is
 // parallelized one level up, by evaluating shards concurrently (package

@@ -35,25 +35,26 @@ type Options struct {
 	Explain bool
 }
 
-// Engine evaluates KOKO queries over an indexed corpus.
+// Engine evaluates KOKO queries over an indexed shard's columns.
 type Engine struct {
-	corpus *index.Corpus
-	ix     *index.Index
-	model  *embed.Model
-	opts   Options
-	rc     *reCache
+	cols  *index.Columns
+	ix    *index.Index
+	model *embed.Model
+	opts  Options
 	// globalScores memoizes document-independent satisfying-condition
 	// confidences across documents and queries.
 	globalScores *globalCache
 }
 
-// New builds an engine. model may be nil (descriptor and similarTo
-// conditions then score 0).
+// New builds an engine over a parsed corpus, converting it to columns once.
+// model may be nil (descriptor and similarTo conditions then score 0).
 func New(corpus *index.Corpus, ix *index.Index, model *embed.Model, opts Options) *Engine {
-	return &Engine{
-		corpus: corpus, ix: ix, model: model, opts: opts,
-		rc: newRECache(), globalScores: newGlobalCache(),
-	}
+	return NewColumns(index.ColumnsOf(corpus), ix, model, opts)
+}
+
+// NewColumns builds an engine over a shard's columns and their index.
+func NewColumns(cols *index.Columns, ix *index.Index, model *embed.Model, opts Options) *Engine {
+	return &Engine{cols: cols, ix: ix, model: model, opts: opts, globalScores: newGlobalCache()}
 }
 
 // Tuple is one output row. It is the only tuple type: the koko package
@@ -152,9 +153,9 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Run evaluates a parsed query with the engine's configured options. It is
-// safe to call concurrently from multiple goroutines: all cross-run state
-// (the regexp cache and the global score cache) is mutex-guarded, and each
-// run's working state is private to the call.
+// safe to call concurrently from multiple goroutines: the one cross-run
+// state (the global score cache) is mutex-guarded, and each run's working
+// state is private to the call.
 func (e *Engine) Run(q *lang.Query) (*Result, error) {
 	return e.RunWith(q, RunOptions{Explain: e.opts.Explain})
 }
@@ -175,11 +176,11 @@ func (e *Engine) RunWith(q *lang.Query, ro RunOptions) (*Result, error) {
 // ground truth for effectiveness measurements.
 func (e *Engine) RunNaive(q *lang.Query) (*Result, error) {
 	res := &Result{}
-	nq, err := normalize(q, e.model)
+	nq, err := e.normalize(q)
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]int32, e.corpus.NumSentences())
+	cands := make([]int32, e.cols.NumSentences())
 	for i := range cands {
 		cands[i] = int32(i)
 	}
@@ -233,8 +234,13 @@ type docWorker struct {
 
 	epoch time.Time // evalOneSentence's phase clock reads are offsets from it
 
-	ag    *aggregator     // nil when the query has no satisfying/excluding clause
-	sents []*nlp.Sentence // the current document's sentences, for the aggregator
+	ag    *aggregator  // nil when the query has no satisfying/excluding clause
+	sents []index.Sent // the current document's sentences, for the aggregator
+
+	// article holds the current document's sentences in Options.ArticleDB
+	// mode, converted from the loaded parsed sentences into columns whose
+	// dictionary extends the engine's (so the query's ids stay valid).
+	article *index.Columns
 
 	// tuples holds the current document's tuples; the next document reuses
 	// it, so a consumer copies what it keeps.
@@ -251,14 +257,19 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 		e:      e,
 		nq:     nq,
 		ro:     ro,
-		ev:     newSentEval(nq, e.rc, e.opts.DisableSkipPlan),
+		ev:     newSentEval(nq, e.opts.DisableSkipPlan),
 		cc:     newCountCursor(dpli, len(nq.vars)),
 		vals:   make([]spanValue, len(nq.vars)),
 		scores: make([]float64, len(nq.satisfying)),
 		epoch:  time.Now(),
 	}
+	dict := &e.cols.Dict
+	if e.opts.ArticleDB != nil {
+		w.article = &index.Columns{Dict: e.cols.Dict.Clone()}
+		dict = &w.article.Dict
+	}
 	if len(nq.satisfying) > 0 || len(nq.excluding) > 0 {
-		w.ag = newAggregator(e.ix, e.model, e.opts.Dicts, e.rc, e.globalScores)
+		w.ag = newAggregator(e.ix, dict, e.model, e.opts.Dicts, e.globalScores)
 	}
 	w.ev.setPlan(plan)
 	return w
@@ -271,23 +282,15 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 	e := w.e
 	dr := docEvalResult{tuples: w.tuples[:0]}
-	first, end := e.corpus.DocSentences(d)
+	first, end := e.cols.DocSentences(d)
 	w.sents = w.sents[:0]
-	if e.opts.ArticleDB != nil {
-		// Article-DB mode: candidate articles load from the on-disk parsed
-		// corpus (the paper's LoadArticle phase); a sentence that fails to
-		// load stays nil and is skipped.
-		t0 := time.Now()
-		for sid := first; sid < end; sid++ {
-			s, _ := index.LoadSentence(e.opts.ArticleDB, sid)
-			w.sents = append(w.sents, s)
-		}
-		dr.times.LoadArticle = time.Since(t0)
+	if w.article != nil {
+		w.loadArticle(&dr, first, end)
 	} else if w.ag != nil {
-		// In-memory corpus: sentences are addressed directly, so setting up a
-		// document allocates nothing (the aggregator's window is reused).
+		// In-memory columns: a sentence view is a few slice headers, so
+		// setting up a document allocates nothing (the window is reused).
 		for sid := first; sid < end; sid++ {
-			w.sents = append(w.sents, e.corpus.Sentence(sid))
+			w.sents = append(w.sents, e.cols.Sent(sid))
 		}
 	}
 	if w.ag != nil {
@@ -297,16 +300,43 @@ func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 		if int(sid) < first || int(sid) >= end {
 			continue
 		}
-		s := e.corpus.Sentence(int(sid))
-		if e.opts.ArticleDB != nil {
-			if s = w.sents[int(sid)-first]; s == nil {
-				continue
-			}
+		var s index.Sent
+		if w.article == nil {
+			s = e.cols.Sent(int(sid))
+		} else if s = w.sents[int(sid)-first]; s.ID < 0 {
+			continue
 		}
-		w.evalOneSentence(&dr, d, s, sid)
+		w.evalOneSentence(&dr, d, &s, sid)
 	}
 	w.tuples = dr.tuples
 	return dr
+}
+
+// loadArticle is the Article-DB mode's document setup: the document's
+// sentences load from the on-disk parsed corpus (the paper's LoadArticle
+// phase) and convert into the worker's article columns. A sentence that
+// fails to load stays an empty view with ID -1 and is skipped.
+func (w *docWorker) loadArticle(dr *docEvalResult, first, end int) {
+	t0 := time.Now()
+	a := w.article
+	*a = index.Columns{Dict: a.Dict, TokOff: []int32{0}, EntOff: []int32{0}}
+	for sid := first; sid < end; sid++ {
+		id := -1
+		if s, err := index.LoadSentence(w.e.opts.ArticleDB, sid); err == nil {
+			a.AppendDoc("", []nlp.Sentence{*s})
+			id = sid
+		}
+		w.sents = append(w.sents, index.Sent{ID: id})
+	}
+	for i, k := 0, 0; i < len(w.sents); i++ {
+		if w.sents[i].ID >= 0 {
+			v := a.Sent(k)
+			v.ID = w.sents[i].ID
+			w.sents[i] = v
+			k++
+		}
+	}
+	dr.times.LoadArticle = time.Since(t0)
 }
 
 // evalOneSentence runs GSP + extract + satisfying over one sentence,
@@ -315,7 +345,7 @@ func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 // read ends one phase and starts the next. GSP, the plan generation, is
 // timed apart from the nested-loop evaluation (Table 2's GSP vs extract
 // columns), and counted only while the skip plan is on.
-func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, sid int32) {
+func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *index.Sent, sid int32) {
 	e, ev := w.e, w.ev
 	dr.evaluated++
 	tg := time.Since(w.epoch)
@@ -333,7 +363,7 @@ func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, s
 	dr.matched++
 
 	for i := 0; i < nout; i++ {
-		tuple, ok := w.finishTuple(s, d, ev.out(i))
+		tuple, ok := w.finishTuple(&ev.s, d, ev.out(i))
 		if ok {
 			dr.tuples = append(dr.tuples, tuple)
 		}
@@ -347,7 +377,7 @@ func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *nlp.Sentence, s
 // candidate allocates nothing unless a condition had to read its string. The
 // assignment is fully bound (deriveAndEmit only emits complete assignments),
 // so every access is a direct slot index.
-func (w *docWorker) finishTuple(s *nlp.Sentence, doc int, a assignment) (Tuple, bool) {
+func (w *docWorker) finishTuple(s *index.Sent, doc int, a assignment) (Tuple, bool) {
 	nq, ag := w.nq, w.ag
 	for slot := range w.vals {
 		w.vals[slot] = spanValue{s: s, sp: a[slot].sp}
@@ -388,7 +418,7 @@ func (w *docWorker) finishTuple(s *nlp.Sentence, doc int, a assignment) (Tuple, 
 // query. The index experiments (§6.2.2) measure this module's lookup time
 // and effectiveness across indexing schemes.
 func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
-	nq, err := normalize(q, e.model)
+	nq, err := e.normalize(q)
 	if err != nil {
 		return nil, err
 	}
@@ -400,13 +430,23 @@ func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
 		return nil, nil
 	}
 	if dpli.allSentences {
-		all := make([]int32, e.corpus.NumSentences())
+		all := make([]int32, e.cols.NumSentences())
 		for i := range all {
 			all[i] = int32(i)
 		}
 		return all, nil
 	}
 	return dpli.candSids, nil
+}
+
+// normalize normalizes a query and binds it to the engine's dictionary.
+func (e *Engine) normalize(q *lang.Query) (*normQuery, error) {
+	nq, err := normalize(q, e.model)
+	if err != nil {
+		return nil, err
+	}
+	nq.bind(&e.cols.Dict)
+	return nq, nil
 }
 
 // String renders a tuple compactly for examples and debugging.

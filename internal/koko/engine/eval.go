@@ -2,8 +2,8 @@ package engine
 
 import (
 	"sort"
-	"strconv"
 
+	"repro/internal/koko/index"
 	"repro/internal/nlp"
 )
 
@@ -56,9 +56,8 @@ type gspCost struct {
 // shared with nothing, so a run allocates almost nothing per sentence.
 type sentEval struct {
 	nq     *normQuery
-	rc     *reCache
 	gspOff bool
-	s      *nlp.Sentence
+	s      index.Sent
 
 	skip  []bool      // slot -> skipped by the plan this sentence
 	cands [][]binding // slot -> candidate bindings (buffers reused)
@@ -109,11 +108,10 @@ type sentEval struct {
 }
 
 // newSentEval builds the reusable scratch for one worker.
-func newSentEval(nq *normQuery, rc *reCache, gspOff bool) *sentEval {
+func newSentEval(nq *normQuery, gspOff bool) *sentEval {
 	n := len(nq.vars)
 	ev := &sentEval{
 		nq:       nq,
-		rc:       rc,
 		gspOff:   gspOff,
 		skip:     make([]bool, n),
 		cands:    make([][]binding, n),
@@ -144,8 +142,8 @@ func (ev *sentEval) setPlan(p *queryPlan) {
 // prepare resets the scratch for sentence sid and generates the skip plan
 // (unless GSP is off). cc supplies the DPLI binding estimates; a cursor
 // with no data (RunNaive) makes every non-elastic cost 0.
-func (ev *sentEval) prepare(s *nlp.Sentence, cc *countCursor, sid int32) {
-	ev.s = s
+func (ev *sentEval) prepare(s *index.Sent, cc *countCursor, sid int32) {
+	ev.s = *s
 	for i := range ev.skip {
 		ev.skip[i] = false
 		ev.nodeDone[i] = false
@@ -234,7 +232,7 @@ func (ev *sentEval) restoreDeclOrder() {
 
 // evalSentence is prepare + extract in one call, for callers that don't
 // split phase timing (tests).
-func (ev *sentEval) evalSentence(s *nlp.Sentence, cc *countCursor, sid int32) int {
+func (ev *sentEval) evalSentence(s *index.Sent, cc *countCursor, sid int32) int {
 	ev.prepare(s, cc, sid)
 	return ev.extract()
 }
@@ -258,7 +256,7 @@ func (ev *sentEval) isEnumerable(v *normVar) bool {
 // extent undetermined, making alignment ambiguous). The paper's own
 // examples (v1, v2 in Example 4.6) skip interior variables only.
 func (ev *sentEval) generateSkipPlan(cc *countCursor, sid int32) {
-	t := len(ev.s.Tokens)
+	t := ev.s.Len()
 	for _, h := range ev.nq.horizontals {
 		costs := ev.costs[:0]
 		for pos, cs := range h.compSlots {
@@ -336,8 +334,8 @@ func (ev *sentEval) buildCandidates() bool {
 // buildCandidateList fills one variable's candidate bindings, returning
 // false when an enumerable variable comes up empty.
 func (ev *sentEval) buildCandidateList(v *normVar) bool {
-	s := ev.s
-	t := len(s.Tokens)
+	s := &ev.s
+	t := s.Len()
 	list := ev.cands[v.slot][:0]
 	if !ev.isEnumerable(v) {
 		ev.cands[v.slot] = list
@@ -349,16 +347,15 @@ func (ev *sentEval) buildCandidateList(v *normVar) bool {
 			list = append(list, binding{sp: span{int(tid), int(tid)}, tid: int(tid)})
 		}
 	case vkEntity:
-		for ei := range s.Entities {
-			e := &s.Entities[ei]
-			if nlp.GPEAlias(v.etype, e.Type) {
-				list = append(list, binding{sp: span{e.L, e.R}, tid: -1})
+		for e := range s.EntType {
+			if nlp.GPEAlias(v.etype, s.Dict.Str(s.EntType[e])) {
+				list = append(list, binding{sp: span{int(s.EntL[e]), int(s.EntR[e])}, tid: -1})
 			}
 		}
 	case vkTokens:
-		for i := 0; i+len(v.words) <= t; i++ {
-			if seqAt(s, i, v.words) {
-				list = append(list, binding{sp: span{i, i + len(v.words) - 1}, tid: -1})
+		for i := 0; i+len(v.wordIDs) <= t; i++ {
+			if seqAt(s.Lower, i, v.wordIDs) {
+				list = append(list, binding{sp: span{i, i + len(v.wordIDs) - 1}, tid: -1})
 			}
 		}
 	case vkElastic:
@@ -389,7 +386,7 @@ func (ev *sentEval) nodeMatches(v *normVar) []int32 {
 	if ev.nodeDone[v.slot] {
 		return ev.nodeTids[v.slot]
 	}
-	ev.nodeTids[v.slot] = ev.pm.match(ev.s, v.steps, ev.rc, ev.nodeTids[v.slot][:0])
+	ev.nodeTids[v.slot] = ev.pm.match(&ev.s, v.steps, ev.nodeTids[v.slot][:0])
 	ev.nodeDone[v.slot] = true
 	return ev.nodeTids[v.slot]
 }
@@ -412,38 +409,39 @@ func (ev *sentEval) nodeMatchHas(v *normVar, tid int) bool {
 
 // elasticOK checks an elastic span's bracket conditions.
 func (ev *sentEval) elasticOK(v *normVar, sp span) bool {
-	for _, c := range v.conds {
-		switch c.Key {
+	for i := range v.elastic {
+		c := &v.elastic[i]
+		switch c.key {
 		case "min":
-			if n, err := strconv.Atoi(c.Value); err == nil && sp.length() < n {
+			if sp.length() < c.n {
 				return false
 			}
 		case "max":
-			if n, err := strconv.Atoi(c.Value); err == nil && sp.length() > n {
+			if sp.length() > c.n {
 				return false
 			}
 		case "regex":
-			if sp.empty() || !ev.rc.fullMatch(c.Value, ev.s.Text(sp.l, sp.r)) {
+			if sp.empty() || !fullMatch(c.re, ev.s.Text(sp.l, sp.r)) {
 				return false
 			}
 		case "etype":
-			if sp.empty() {
-				return false
-			}
-			ok := false
-			for ei := range ev.s.Entities {
-				e := &ev.s.Entities[ei]
-				if e.L == sp.l && e.R == sp.r && nlp.GPEAlias(nlp.CanonicalEntityType(c.Value), e.Type) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if sp.empty() || !ev.entityIs(sp, c.etype) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// entityIs reports whether an entity of the wanted type spans exactly sp.
+func (ev *sentEval) entityIs(sp span, want string) bool {
+	s := &ev.s
+	for e := range s.EntType {
+		if int(s.EntL[e]) == sp.l && int(s.EntR[e]) == sp.r && nlp.GPEAlias(want, s.Dict.Str(s.EntType[e])) {
+			return true
+		}
+	}
+	return false
 }
 
 // enumerate is the nested-loop evaluation over enumerable variables with
@@ -487,7 +485,7 @@ func (ev *sentEval) constraintsOK(justBound int) bool {
 func (ev *sentEval) checkConstraint(kind consKind, ba, bb binding) bool {
 	switch kind {
 	case ckParentOf:
-		return ba.tid >= 0 && bb.tid >= 0 && ev.s.Tokens[bb.tid].Head == ba.tid
+		return ba.tid >= 0 && bb.tid >= 0 && int(ev.s.Head[bb.tid]) == ba.tid
 	case ckAncestorOf:
 		return ba.tid >= 0 && bb.tid >= 0 && ev.s.IsAncestor(ba.tid, bb.tid)
 	case ckInSpan:
@@ -519,8 +517,7 @@ func (ev *sentEval) deriveAndEmit() {
 			if base.tid < 0 {
 				return
 			}
-			tok := &ev.s.Tokens[base.tid]
-			ev.full[v.slot] = binding{sp: span{tok.SubL, tok.SubR}, tid: -1}
+			ev.full[v.slot] = binding{sp: span{int(ev.s.SubL[base.tid]), int(ev.s.SubR[base.tid])}, tid: -1}
 			ev.fullSet.set(v.slot)
 		case vkSpan:
 			if !ev.alignSpan(v) {
@@ -632,23 +629,9 @@ func (ev *sentEval) validateDerived(v *normVar, sp span) bool {
 	case vkNode:
 		return sp.length() == 1 && ev.nodeMatchHas(v, sp.l)
 	case vkTokens:
-		if sp.length() != len(v.words) {
-			return false
-		}
-		for j, w := range v.words {
-			if ev.s.Tokens[sp.l+j].Lower != w {
-				return false
-			}
-		}
-		return true
+		return sp.length() == len(v.wordIDs) && seqAt(ev.s.Lower, sp.l, v.wordIDs)
 	case vkEntity:
-		for ei := range ev.s.Entities {
-			e := &ev.s.Entities[ei]
-			if e.L == sp.l && e.R == sp.r && nlp.GPEAlias(v.etype, e.Type) {
-				return true
-			}
-		}
-		return false
+		return ev.entityIs(sp, v.etype)
 	case vkSubtree:
 		if !ev.fullSet.has(v.baseSlot) {
 			return false
@@ -657,8 +640,7 @@ func (ev *sentEval) validateDerived(v *normVar, sp span) bool {
 		if base.tid < 0 {
 			return false
 		}
-		tok := &ev.s.Tokens[base.tid]
-		return sp.l == tok.SubL && sp.r == tok.SubR
+		return sp.l == int(ev.s.SubL[base.tid]) && sp.r == int(ev.s.SubR[base.tid])
 	}
 	return false
 }

@@ -3,38 +3,27 @@ package engine
 import (
 	"regexp"
 	"strings"
-	"sync"
 
+	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
 
-// reCache compiles and caches the regular expressions appearing in query
-// conditions. Patterns are anchored: "matches" is a full-string match, as in
-// the paper's examples ("[Ll]a Marzocco" matches the whole entity name).
-type reCache struct {
-	mu sync.Mutex
-	m  map[string]*regexp.Regexp
-}
-
-func newRECache() *reCache { return &reCache{m: map[string]*regexp.Regexp{}} }
-
-func (rc *reCache) get(pattern string) *regexp.Regexp {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if re, ok := rc.m[pattern]; ok {
-		return re
-	}
+// compileRegexp compiles a query pattern once per query. Patterns are
+// anchored: "matches" is a full-string match, as in the paper's examples
+// ("[Ll]a Marzocco" matches the whole entity name). A malformed pattern
+// compiles to nil, which matches nothing.
+func compileRegexp(pattern string) *regexp.Regexp {
 	re, err := regexp.Compile("^(?:" + pattern + ")$")
 	if err != nil {
-		re = nil // malformed patterns match nothing
+		return nil
 	}
-	rc.m[pattern] = re
 	return re
 }
 
-func (rc *reCache) fullMatch(pattern, s string) bool {
-	re := rc.get(pattern)
+// fullMatch reports whether a compiled pattern matches s; nil matches
+// nothing.
+func fullMatch(re *regexp.Regexp, s string) bool {
 	return re != nil && re.MatchString(s)
 }
 
@@ -98,48 +87,44 @@ func stepPOS(st lang.PathStep) string {
 
 // stepMatchesToken checks a compiled step's label and all bracket conditions
 // against a concrete token (the validation-side test). Everything the query
-// fixes was resolved by compilePath; this only compares.
-func stepMatchesToken(s *nlp.Sentence, tid int, st *compiledStep, rc *reCache) bool {
-	tok := &s.Tokens[tid]
+// fixes was resolved to dictionary ids by compilePath and bind; this only
+// compares.
+func stepMatchesToken(s *index.Sent, tid int, st *compiledStep) bool {
 	switch st.class {
 	case scParse:
-		if nlp.NormalizeLabel(tok.Label) != st.canon {
+		if s.Label[tid] != st.id {
 			return false
 		}
 	case scPOS:
-		if tok.POS != st.canon {
+		if s.POS[tid] != st.id {
 			return false
 		}
 	case scWord:
-		if tok.Lower != st.canon {
+		if s.Lower[tid] != st.id {
 			return false
 		}
 	case scWild:
-		if st.etype != "" {
-			e := s.EntityAt(tid)
-			if e == nil || !nlp.GPEAlias(st.etype, e.Type) {
-				return false
-			}
+		if st.etype != "" && !entityTypeAt(s, tid, st.etype) {
+			return false
 		}
 	}
 	for i := range st.conds {
 		c := &st.conds[i]
-		switch c.Key {
+		switch c.key {
 		case "pos":
-			if tok.POS != c.Value {
+			if s.POS[tid] != c.id {
 				return false
 			}
 		case "text":
-			if tok.Lower != c.Value {
+			if s.Lower[tid] != c.id {
 				return false
 			}
 		case "etype":
-			e := s.EntityAt(tid)
-			if e == nil || !nlp.GPEAlias(c.Value, e.Type) {
+			if !entityTypeAt(s, tid, c.value) {
 				return false
 			}
 		case "regex":
-			if !rc.fullMatch(c.Value, tok.Text) {
+			if !fullMatch(c.re, s.Dict.Str(s.Surface[tid])) {
 				return false
 			}
 		}
@@ -147,13 +132,24 @@ func stepMatchesToken(s *nlp.Sentence, tid int, st *compiledStep, rc *reCache) b
 	return true
 }
 
-// MatchPath returns the token ids of a sentence whose root path matches the
-// absolute path pattern, in ascending order: sound ground-truth path
-// matching for harness code (index-effectiveness experiments). It compiles
-// the steps and runs the evaluator's own matcher.
+// entityTypeAt reports whether token tid lies in an entity of the wanted
+// type (nlp.GPEAlias semantics).
+func entityTypeAt(s *index.Sent, tid int, want string) bool {
+	e := s.EntityID[tid]
+	return e >= 0 && nlp.GPEAlias(want, s.Dict.Str(s.EntType[e]))
+}
+
+// MatchPath returns the token ids of a parsed sentence whose root path
+// matches the absolute path pattern, in ascending order: sound ground-truth
+// path matching for harness code (index-effectiveness experiments). It
+// converts the sentence to columns, compiles the steps against them and runs
+// the evaluator's own matcher.
 func MatchPath(s *nlp.Sentence, steps []lang.PathStep) []int {
+	v := index.SentOf(s)
+	cs := compilePath(steps)
+	bindSteps(cs, v.Dict)
 	var out []int
-	for _, t := range (&pathMatcher{}).match(s, compilePath(steps), newRECache(), nil) {
+	for _, t := range (&pathMatcher{}).match(&v, cs, nil) {
 		out = append(out, int(t))
 	}
 	return out
@@ -161,16 +157,15 @@ func MatchPath(s *nlp.Sentence, steps []lang.PathStep) []int {
 
 // pathMatcher checks that a token "satisfies the path" (§4.3) bottom-up:
 // only tokens that pass the last step are tested, and a token passes step i
-// when its Token.Head chain passes the earlier steps — "/" is the parent,
-// "//" any proper ancestor, and a "/" first step is the root. memo is the
-// reusable per-(token, step) table of the pm* bits below; it holds the "//"
-// ancestor search too, so a match is O(tokens × steps) even on deep chains,
-// and a warm matcher allocates nothing. The heads must form one tree, as
-// Sentence.RecomputeDerived leaves them.
+// when its head chain passes the earlier steps — "/" is the parent, "//" any
+// proper ancestor, and a "/" first step is the root. memo is the reusable
+// per-(token, step) table of the pm* bits below; it holds the "//" ancestor
+// search too, so a match is O(tokens × steps) even on deep chains, and a
+// warm matcher allocates nothing. The heads must form one tree, as the
+// columns always hold them.
 type pathMatcher struct {
-	s     *nlp.Sentence
+	s     *index.Sent
 	steps []compiledStep
-	rc    *reCache
 	memo  []uint8
 }
 
@@ -183,8 +178,8 @@ const (
 
 // match appends the ids of s's tokens matching the whole path to dst,
 // ascending.
-func (pm *pathMatcher) match(s *nlp.Sentence, steps []compiledStep, rc *reCache, dst []int32) []int32 {
-	n, m := len(s.Tokens), len(steps)
+func (pm *pathMatcher) match(s *index.Sent, steps []compiledStep, dst []int32) []int32 {
+	n, m := s.Len(), len(steps)
 	if n == 0 || m == 0 {
 		return dst
 	}
@@ -194,7 +189,7 @@ func (pm *pathMatcher) match(s *nlp.Sentence, steps []compiledStep, rc *reCache,
 		pm.memo = pm.memo[:n*m]
 		clear(pm.memo)
 	}
-	pm.s, pm.steps, pm.rc = s, steps, rc
+	pm.s, pm.steps = s, steps
 	for t := 0; t < n; t++ {
 		if pm.ok(t, m-1) {
 			dst = append(dst, int32(t))
@@ -209,8 +204,8 @@ func (pm *pathMatcher) ok(t, i int) bool {
 	c := &pm.memo[t*len(pm.steps)+i]
 	if *c&pmKnown == 0 {
 		*c |= pmKnown
-		st, p := &pm.steps[i], pm.s.Tokens[t].Head
-		if stepMatchesToken(pm.s, t, st, pm.rc) && (i == 0 && (st.desc || t == pm.s.Root()) ||
+		st, p := &pm.steps[i], int(pm.s.Head[t])
+		if stepMatchesToken(pm.s, t, st) && (i == 0 && (st.desc || t == pm.s.Root) ||
 			i > 0 && st.desc && pm.anc(t, i-1) ||
 			i > 0 && !st.desc && p >= 0 && pm.ok(p, i-1)) {
 			*c |= pmOK
@@ -224,9 +219,9 @@ func (pm *pathMatcher) ok(t, i int) bool {
 // answer on every token it climbed past, so each token is climbed past once
 // per step.
 func (pm *pathMatcher) anc(t, i int) bool {
-	m, toks := len(pm.steps), pm.s.Tokens
-	found, p := false, toks[t].Head
-	for ; p >= 0; p = toks[p].Head {
+	m, heads := len(pm.steps), pm.s.Head
+	found, p := false, int(heads[t])
+	for ; p >= 0; p = int(heads[p]) {
 		if pm.ok(p, i) {
 			found = true
 			break
@@ -236,7 +231,7 @@ func (pm *pathMatcher) anc(t, i int) bool {
 			break
 		}
 	}
-	for x := t; x != p; x = toks[x].Head {
+	for x := t; x != p; x = int(heads[x]) {
 		pm.memo[x*m+i] |= pmAncKnown
 		if found {
 			pm.memo[x*m+i] |= pmAnc

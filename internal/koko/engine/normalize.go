@@ -2,9 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 
 	"repro/internal/embed"
+	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
@@ -39,6 +42,9 @@ type normVar struct {
 	conds  []lang.LabelCond
 	words  []string // vkTokens: lowercase words
 	comps  []string // vkSpan: component variable names, in order
+
+	elastic []elasticCond // vkElastic: conds compiled
+	wordIDs []uint32      // vkTokens: words as dictionary ids (bind)
 
 	// Slot-compiled views, filled by compileSlots after normalization.
 	baseSlot  int   // vkSubtree: slot of base (-1 otherwise)
@@ -75,18 +81,41 @@ type descriptor struct {
 	text       string
 	expansions []embed.Scored // includes the original, score 1
 	seqs       [][]string     // tokenized expansions
+	seqIDs     [][]uint32     // seqs as dictionary ids (bind)
 }
 
 // compiledStep is a path step with everything the query fixes resolved once,
 // so matching a token is comparisons only: the label's class and canonical
-// form, the entity type a typed wildcard demands, and the bracket conditions
-// with their values normalised for their key.
+// form (as a dictionary id once bound), the entity type a typed wildcard
+// demands, and the bracket conditions compiled for their key.
 type compiledStep struct {
 	desc  bool
 	class stepClass
-	canon string           // scParse/scPOS/scWord: the canonical label
-	etype string           // scWild over an entity-type label: its canonical type
-	conds []lang.LabelCond // pos, text and etype values canonical; regex as written
+	canon string // scParse/scPOS/scWord: the canonical label
+	id    uint32 // canon's dictionary id (bind)
+	etype string // scWild over an entity-type label: its canonical type
+	conds []stepCond
+}
+
+// stepCond is a bracket condition of a path step, compiled for its key:
+// pos, text and etype values canonical (pos and text also bound to
+// dictionary ids), regex compiled.
+type stepCond struct {
+	key   string
+	value string         // pos, text, etype: the canonical value
+	id    uint32         // pos, text: value's dictionary id (bind)
+	re    *regexp.Regexp // regex; nil when malformed
+}
+
+// elasticCond is a bracket condition of an elastic span: min and max parsed
+// to ints, regex compiled, etype canonical. Conditions of other keys, and
+// min/max values that are not integers, are dropped: they never constrained
+// a span.
+type elasticCond struct {
+	key   string
+	n     int            // min, max
+	re    *regexp.Regexp // regex; nil when malformed
+	etype string         // etype: the canonical type
 }
 
 // compilePath compiles an absolute path.
@@ -100,16 +129,57 @@ func compilePath(steps []lang.PathStep) []compiledStep {
 			cs.etype = nlp.CanonicalEntityType(st.Label)
 		}
 		for _, c := range st.Conds {
+			sc := stepCond{key: c.Key}
 			switch c.Key {
 			case "pos":
-				c.Value = nlp.NormalizePOS(c.Value)
+				sc.value = nlp.NormalizePOS(c.Value)
 			case "text":
-				c.Value = strings.ToLower(c.Value)
+				sc.value = strings.ToLower(c.Value)
 			case "etype":
-				c.Value = nlp.CanonicalEntityType(c.Value)
+				sc.value = nlp.CanonicalEntityType(c.Value)
+			case "regex":
+				sc.re = compileRegexp(c.Value)
 			}
-			cs.conds = append(cs.conds, c)
+			cs.conds = append(cs.conds, sc)
 		}
+	}
+	return out
+}
+
+// bindSteps resolves a compiled path's labels and condition values to ids
+// of the dictionary it will be matched against.
+func bindSteps(steps []compiledStep, d *index.Dict) {
+	for i := range steps {
+		st := &steps[i]
+		st.id = d.ID(st.canon)
+		for j := range st.conds {
+			if c := &st.conds[j]; c.key == "pos" || c.key == "text" {
+				c.id = d.ID(c.value)
+			}
+		}
+	}
+}
+
+// compileElastic compiles an elastic span's bracket conditions.
+func compileElastic(conds []lang.LabelCond) []elasticCond {
+	var out []elasticCond
+	for _, c := range conds {
+		ec := elasticCond{key: c.Key}
+		switch c.Key {
+		case "min", "max":
+			n, err := strconv.Atoi(c.Value)
+			if err != nil {
+				continue
+			}
+			ec.n = n
+		case "regex":
+			ec.re = compileRegexp(c.Value)
+		case "etype":
+			ec.etype = nlp.CanonicalEntityType(c.Value)
+		default:
+			continue
+		}
+		out = append(out, ec)
 	}
 	return out
 }
@@ -118,10 +188,12 @@ func compilePath(steps []lang.PathStep) []compiledStep {
 // resolved once per query.
 type normCond struct {
 	lang.SatCond
-	id   int32       // ordinal among the query's conditions (confidence-cache key)
-	slot int         // slot of Var (-1 when the condition names none)
-	args []string    // near/followed-by/preceded-by: lowercase tokens of Arg; similarTo: lowercase fields
-	desc *descriptor // descriptor conditions: the expanded descriptor
+	id     int32          // ordinal among the query's conditions (confidence-cache key)
+	slot   int            // slot of Var (-1 when the condition names none)
+	args   []string       // near/followed-by/preceded-by: lowercase tokens of Arg; similarTo: lowercase fields
+	argIDs []uint32       // near/followed-by/preceded-by: args as dictionary ids (bind)
+	re     *regexp.Regexp // matches: Arg compiled; nil when malformed
+	desc   *descriptor    // descriptor conditions: the expanded descriptor
 }
 
 // normClause is a satisfying clause over one variable slot.
@@ -384,6 +456,8 @@ func normalize(q *lang.Query, model *embed.Model) (*normQuery, error) {
 			nc.args = lowerTokens(c.Arg)
 		case lang.CondSimilarTo:
 			nc.args = lowerFields(c.Arg)
+		case lang.CondMatches:
+			nc.re = compileRegexp(c.Arg)
 		case lang.CondDescLeft, lang.CondDescRight:
 			if descs[c.Arg] == nil {
 				if descs == nil {
@@ -427,6 +501,7 @@ func normalize(q *lang.Query, model *embed.Model) (*normQuery, error) {
 func (nq *normQuery) compileSlots() {
 	for _, v := range nq.vars {
 		v.steps = compilePath(v.path)
+		v.elastic = compileElastic(v.conds)
 		if v.base != "" {
 			v.baseSlot = nq.byName[v.base].slot
 		}
@@ -449,6 +524,43 @@ func (nq *normQuery) compileSlots() {
 	for i, o := range nq.outputs {
 		nq.outSlots[i] = nq.byName[o.Name].slot
 	}
+}
+
+// bind resolves every word, POS tag and parse label the query compares
+// tokens against to ids of the dictionary of the columns it is about to
+// evaluate over: once per query and shard, so a token test compares ints. A
+// string the dictionary lacks binds to index.NoID and equals no token.
+func (nq *normQuery) bind(d *index.Dict) {
+	ids := func(ws []string) []uint32 {
+		out := make([]uint32, len(ws))
+		for i, w := range ws {
+			out[i] = d.ID(w)
+		}
+		return out
+	}
+	for _, v := range nq.vars {
+		bindSteps(v.steps, d)
+		if v.kind == vkTokens {
+			v.wordIDs = ids(v.words)
+		}
+	}
+	bindConds := func(cs []normCond) {
+		for i := range cs {
+			switch c := &cs[i]; c.Kind {
+			case lang.CondFollowedBy, lang.CondPrecededBy, lang.CondNear:
+				c.argIDs = ids(c.args)
+			case lang.CondDescLeft, lang.CondDescRight:
+				c.desc.seqIDs = c.desc.seqIDs[:0]
+				for _, seq := range c.desc.seqs {
+					c.desc.seqIDs = append(c.desc.seqIDs, ids(seq))
+				}
+			}
+		}
+	}
+	for i := range nq.satisfying {
+		bindConds(nq.satisfying[i].conds)
+	}
+	bindConds(nq.excluding)
 }
 
 // expandDescriptor pre-expands a descriptor through the paraphrase model

@@ -120,12 +120,15 @@ func TestPlannedMatchesSeedSemantics(t *testing.T) {
 			plan := buildQueryPlan(nq, dpli, candidatesOf(dpli, c))
 			rc := newRECache()
 			cc := newCountCursor(dpli, len(nq.vars))
-			ev := newSentEval(nq, rc, false)
+			cols := index.ColumnsOf(c)
+			nq.bind(&cols.Dict)
+			ev := newSentEval(nq, false)
 			ev.setPlan(plan)
 			for sid := 0; sid < c.NumSentences(); sid++ {
 				s := c.Sentence(sid)
 				want := refEvalSentence(nq, s, rc, refCountOf(dpli, nq, int32(sid)), false)
-				got := ev.evalSentence(s, &cc, int32(sid))
+				v := cols.Sent(sid)
+				got := ev.evalSentence(&v, &cc, int32(sid))
 				if got != len(want) {
 					t.Fatalf("%s sid=%d: planned emitted %d assignments, seed %d\nquery: %s",
 						cname, sid, got, len(want), src)

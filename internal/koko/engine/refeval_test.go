@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/decompose"
 	"repro/internal/embed"
+	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 	"repro/internal/nlp"
 )
@@ -16,6 +19,27 @@ import (
 // evaluation it used. It exists purely as the reference semantics for the
 // differential tests — the hot path must emit byte-identical assignments,
 // in the same order, as this implementation.
+
+// reCache is the seed's engine-wide regular-expression cache: every pattern
+// compiled once, anchored, under one mutex, never pruned. The engine now
+// compiles a query's patterns with the query; the reference keeps the cache.
+type reCache struct {
+	mu sync.Mutex
+	m  map[string]*regexp.Regexp
+}
+
+func newRECache() *reCache { return &reCache{m: map[string]*regexp.Regexp{}} }
+
+func (rc *reCache) fullMatch(pattern, s string) bool {
+	rc.mu.Lock()
+	re, ok := rc.m[pattern]
+	if !ok {
+		re, _ = regexp.Compile("^(?:" + pattern + ")$")
+		rc.m[pattern] = re
+	}
+	rc.mu.Unlock()
+	return re != nil && re.MatchString(s)
+}
 
 // refAssignment is the seed assignment representation: variable name →
 // binding.
@@ -540,12 +564,19 @@ func tokensOfValue(v string) []string {
 	return toks
 }
 
-func (ag *refAggregator) valueMentions(value string) []mention {
+// refMention is the seed's mention: a sentence and a token span in it.
+type refMention struct {
+	sent *nlp.Sentence
+	si   int32
+	l, r int
+}
+
+func (ag *refAggregator) valueMentions(value string) []refMention {
 	words := tokensOfValue(value)
-	var ms []mention
+	var ms []refMention
 	for si, s := range ag.docSents {
 		for _, pos := range findTokenSeq(s, words) {
-			ms = append(ms, mention{sent: s, si: int32(si), l: pos, r: pos + len(words) - 1})
+			ms = append(ms, refMention{sent: s, si: int32(si), l: pos, r: pos + len(words) - 1})
 		}
 	}
 	return ms
@@ -618,7 +649,7 @@ func (ag *refAggregator) confidence(c *normCond, value string) float64 {
 }
 
 func (ag *refAggregator) descriptorScore(value string, d *descriptor, right bool) float64 {
-	bySent := map[int32][]mention{}
+	bySent := map[int32][]refMention{}
 	var order []int32
 	for _, m := range ag.valueMentions(value) {
 		if _, ok := bySent[m.si]; !ok {
@@ -628,14 +659,15 @@ func (ag *refAggregator) descriptorScore(value string, d *descriptor, right bool
 	}
 	var total float64
 	for _, si := range order {
-		clauses := decompose.Decompose(ag.docSents[si])
+		sv := index.SentOf(ag.docSents[si])
+		clauses := decompose.Decompose(&sv)
 		best := 0.0
 		for di, seq := range d.seqs {
 			var sum float64
 			for _, cl := range clauses {
 				bestProx := 0.0
 				for _, m := range bySent[si] {
-					if ok, dist := clauseContainsDirectional(&cl, seq, m, right); ok {
+					if ok, dist := refClauseContainsDirectional(&cl, seq, m, right); ok {
 						if prox := 1.0 / float64(1+dist); prox > bestProx {
 							bestProx = prox
 						}
@@ -650,6 +682,38 @@ func (ag *refAggregator) descriptorScore(value string, d *descriptor, right bool
 		total += best
 	}
 	return total
+}
+
+// refClauseContainsDirectional is the seed's directional clause test over
+// lowered word strings.
+func refClauseContainsDirectional(cl *decompose.Clause, seq []string, m refMention, right bool) (bool, int) {
+	if len(seq) == 0 {
+		return false, 0
+	}
+	i := 0
+	first, last := -1, -1
+	for _, tid := range cl.Tokens {
+		if right && tid <= m.r {
+			continue
+		}
+		if !right && tid >= m.l {
+			break
+		}
+		if i < len(seq) && m.sent.Tokens[tid].Lower == seq[i] {
+			if i == 0 {
+				first = tid
+			}
+			last = tid
+			i++
+		}
+	}
+	if i < len(seq) {
+		return false, 0
+	}
+	if right {
+		return true, max(0, first-m.r-1)
+	}
+	return true, max(0, m.l-last-1)
 }
 
 // refFinishTuple is the seed finishTuple: render every value, score each

@@ -73,7 +73,7 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 	}
 	res := &Result{}
 	t0 := time.Now()
-	nq, err := normalize(q, e.model)
+	nq, err := e.normalize(q)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 	}
 	var cands []int32
 	if dpli.allSentences {
-		cands = make([]int32, e.corpus.NumSentences())
+		cands = make([]int32, e.cols.NumSentences())
 		for i := range cands {
 			cands[i] = int32(i)
 		}
@@ -126,12 +126,12 @@ func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro R
 				st.err = err
 				return
 			}
-			d := e.corpus.DocOfSent[cands[i]]
+			d := e.cols.DocOfSent[cands[i]]
 			j := i + 1
-			for j < len(cands) && e.corpus.DocOfSent[cands[j]] == d {
+			for j < len(cands) && e.cols.DocOfSent[cands[j]] == d {
 				j++
 			}
-			dr, err := w.evalDocGuarded(d, cands[i:j])
+			dr, err := w.evalDocGuarded(int(d), cands[i:j])
 			if err != nil {
 				st.err = err
 				return

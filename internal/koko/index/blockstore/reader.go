@@ -17,8 +17,8 @@ import (
 var nextReaderID atomic.Uint64
 
 // Reader is an open block store: the file stays mmap'd, metadata (string
-// tables, block directories, hierarchy structure) and the parsed corpus are
-// resident, and posting blocks decode lazily through the shared cache on
+// tables, block directories, hierarchy structure) and the corpus, as token
+// columns, are resident, and posting blocks decode lazily through the shared cache on
 // first touch. It implements index.PostingSource.
 type Reader struct {
 	path  string
@@ -36,7 +36,7 @@ type Reader struct {
 	byType  []listDir
 	typeIdx map[string]int
 	hiers   [2]hierMeta
-	corpus  *index.Corpus
+	corpus  *index.Columns
 
 	totalPostings int
 }
@@ -258,20 +258,32 @@ func readHier(br *byteReader, blobLen uint64) (hierMeta, error) {
 	return h, nil
 }
 
-// decodeCorpus rebuilds the parsed corpus, reconstructing each sentence
-// exactly as index.LoadSentence does: raw token columns, then
-// RecomputeDerived, then entities re-linked with texts re-rendered. Token
-// strings alias the section's string table, so repeated words cost one
-// allocation per distinct string, not per token.
-func decodeCorpus(sec []byte) (*index.Corpus, error) {
+// decodeCorpus decodes the corpus section straight into columns: raw token
+// columns, then the tree geometry derived from the heads (the derivation
+// nlp.Sentence.RecomputeDerived runs), then entities linked in the order the
+// writer recorded them. No nlp.Sentence is built. The section's string
+// table is interned into the columns' dictionary once; lowered,
+// canonical-POS and canonical-label ids are resolved once per distinct
+// string, on first use.
+func decodeCorpus(sec []byte) (*index.Columns, error) {
 	br := byteReader{b: sec}
 	strs, err := readStrings(&br, "corpus string")
 	if err != nil {
 		return nil, err
 	}
-	lowered := make([]string, len(strs))
+	c := index.NewColumns()
+	// Per string-table entry: its id, and its lowered / canonical POS /
+	// canonical label ids (NoID until first needed).
+	ids := make([]uint32, 4*len(strs))
 	for i, s := range strs {
-		lowered[i] = strings.ToLower(s)
+		ids[4*i] = c.Dict.Intern(s)
+		ids[4*i+1], ids[4*i+2], ids[4*i+3] = index.NoID, index.NoID, index.NoID
+	}
+	derived := func(i, k int, f func(string) string) uint32 {
+		if ids[4*i+k] == index.NoID {
+			ids[4*i+k] = c.Dict.Intern(f(strs[i]))
+		}
+		return ids[4*i+k]
 	}
 	str := func() (int, error) {
 		id, err := br.count("string id")
@@ -300,16 +312,20 @@ func decodeCorpus(sec []byte) (*index.Corpus, error) {
 			return nil, err
 		}
 	}
-	c := &index.Corpus{}
+	var (
+		surface, lower, pos, label []uint32
+		head                       []int32
+		ents                       []index.RawEntity
+	)
 	for _, dm := range docs {
-		sents := make([]nlp.Sentence, dm.n)
-		for si := range sents {
-			s := &sents[si]
+		first := c.NumSentences()
+		for si := 0; si < dm.n; si++ {
 			nTok, err := br.count("token")
 			if err != nil {
 				return nil, err
 			}
-			s.Tokens = make([]nlp.Token, nTok)
+			surface, lower, pos, label = surface[:0], lower[:0], pos[:0], label[:0]
+			head, ents = head[:0], ents[:0]
 			for t := 0; t < nTok; t++ {
 				textID, err := str()
 				if err != nil {
@@ -323,24 +339,19 @@ func decodeCorpus(sec []byte) (*index.Corpus, error) {
 				if err != nil {
 					return nil, err
 				}
-				head, err := br.count("head")
+				h, err := br.count("head")
 				if err != nil {
 					return nil, err
 				}
-				if head > nTok {
-					return nil, fmt.Errorf("blockstore: head %d out of range", head-1)
+				if h > nTok {
+					return nil, fmt.Errorf("blockstore: head %d out of range", h-1)
 				}
-				s.Tokens[t] = nlp.Token{
-					ID:       t,
-					Text:     strs[textID],
-					Lower:    lowered[textID],
-					POS:      strs[posID],
-					Label:    strs[labelID],
-					Head:     head - 1,
-					EntityID: -1,
-				}
+				surface = append(surface, ids[4*textID])
+				lower = append(lower, derived(textID, 1, strings.ToLower))
+				pos = append(pos, derived(posID, 2, nlp.NormalizePOS))
+				label = append(label, derived(labelID, 3, nlp.NormalizeLabel))
+				head = append(head, int32(h-1))
 			}
-			s.RecomputeDerived()
 			nEnts, err := br.count("entity")
 			if err != nil {
 				return nil, err
@@ -358,18 +369,14 @@ func decodeCorpus(sec []byte) (*index.Corpus, error) {
 				if err != nil {
 					return nil, err
 				}
-				rr := l + span
-				if rr >= nTok {
-					return nil, fmt.Errorf("blockstore: entity span [%d,%d] outside sentence", l, rr)
+				if l+span >= nTok {
+					return nil, fmt.Errorf("blockstore: entity span [%d,%d] outside sentence", l, l+span)
 				}
-				s.Entities = append(s.Entities, nlp.Entity{Type: strs[typID], L: l, R: rr, Text: s.Text(l, rr)})
-				id := len(s.Entities) - 1
-				for t := l; t <= rr; t++ {
-					s.Tokens[t].EntityID = id
-				}
+				ents = append(ents, index.RawEntity{Type: ids[4*typID], L: int32(l), R: int32(l + span)})
 			}
+			c.AppendRawSentence(surface, lower, pos, label, head, ents)
 		}
-		c.AppendDoc(dm.name, sents)
+		c.EndDoc(dm.name, first)
 	}
 	if !br.done() {
 		return nil, fmt.Errorf("blockstore: %d trailing corpus bytes", len(sec)-br.i)
@@ -377,8 +384,9 @@ func decodeCorpus(sec []byte) (*index.Corpus, error) {
 	return c, nil
 }
 
-// Corpus returns the store's parsed corpus (heap-resident).
-func (r *Reader) Corpus() *index.Corpus { return r.corpus }
+// Columns returns the store's corpus as columns (heap-resident, holding no
+// pointer per token).
+func (r *Reader) Columns() *index.Columns { return r.corpus }
 
 // NewIndex assembles the block-backed Index over this reader: hierarchy
 // structure resident, every posting list lazy.

@@ -11,10 +11,18 @@ import (
 	"repro/internal/koko/index"
 )
 
-// Write serializes a heap-resident corpus + index into the block format at
-// path. The output is deterministic: dictionary and list order is sorted,
-// so two writes of the same engine produce identical bytes.
+// Write serializes a parsed corpus + its heap-resident index into the block
+// format at path, through the corpus's columns (WriteColumns).
 func Write(path string, c *index.Corpus, ix *index.Index) error {
+	return WriteColumns(path, index.ColumnsOf(c), ix)
+}
+
+// WriteColumns serializes a shard's columns + heap-resident index into the
+// block format at path. The output is deterministic: dictionary and list
+// order is sorted, and the corpus section follows the columns' token order,
+// so two writes of the same shard produce identical bytes, and so does a
+// write of the columns a store decodes to.
+func WriteColumns(path string, c *index.Columns, ix *index.Index) error {
 	if ix.Source() != nil {
 		return fmt.Errorf("blockstore: index is already block-backed; rebuild a heap index from the corpus to re-save")
 	}
@@ -155,42 +163,47 @@ func Write(path string, c *index.Corpus, ix *index.Index) error {
 	return f.Close()
 }
 
-// encodeCorpus serializes the parsed corpus: a string table over token
-// text/POS/label and entity types, then documents and sentences. Only what
-// index.LoadSentence reads from the paper's T table is kept (text, pos,
-// label, head, entity spans); derived geometry is recomputed at load so both
-// reconstruct identical sentences.
-func encodeCorpus(c *index.Corpus) []byte {
-	strID := map[string]int{}
+// encodeCorpus serializes a shard's columns: a string table over token
+// text/POS/label and entity types, interned in first-seen order, then
+// documents and sentences. Only what index.LoadSentence reads from the
+// paper's T table is kept (text, pos, label, head, entity spans); derived
+// geometry is recomputed at load so both reconstruct identical sentences.
+func encodeCorpus(c *index.Columns) []byte {
+	fileID := make([]int32, c.Dict.Len()) // dictionary id -> string-table id + 1
 	var strs []string
-	intern := func(s string) int {
-		if id, ok := strID[s]; ok {
-			return id
+	intern := func(id uint32) int {
+		if fileID[id] == 0 {
+			strs = append(strs, c.Dict.Str(id))
+			fileID[id] = int32(len(strs))
 		}
-		id := len(strs)
-		strID[s] = id
-		strs = append(strs, s)
-		return id
+		return int(fileID[id] - 1)
 	}
-	// Intern in a deterministic first-seen order over the corpus walk.
-	type encTok struct{ text, pos, label, head int }
-	type encEnt struct{ typ, l, r int }
-	type encSent struct {
-		toks []encTok
-		ents []encEnt
-	}
-	sents := make([]encSent, len(c.Sentences))
-	for sid := range c.Sentences {
-		s := &c.Sentences[sid]
-		es := &sents[sid]
-		es.toks = make([]encTok, len(s.Tokens))
-		for i := range s.Tokens {
-			tok := &s.Tokens[i]
-			es.toks[i] = encTok{intern(tok.Text), intern(tok.POS), intern(tok.Label), tok.Head + 1}
-			// Record each entity once, at its first token — the same filter
-			// and order index.LoadSentence reproduces.
-			if e := s.EntityAt(i); e != nil && e.L == i {
-				es.ents = append(es.ents, encEnt{intern(e.Type), e.L, e.R})
+	body := &byteWriter{}
+	for sid := 0; sid < c.NumSentences(); sid++ {
+		s := c.Sent(sid)
+		body.uvarint(uint64(s.Len()))
+		nEnts := 0
+		for i := range s.Surface {
+			body.uvarint(uint64(intern(s.Surface[i])))
+			body.uvarint(uint64(intern(s.POS[i])))
+			body.uvarint(uint64(intern(s.Label[i])))
+			body.uvarint(uint64(s.Head[i] + 1))
+			// An entity is recorded when its first token links to it (the
+			// filter index.LoadSentence reproduces); its type is interned
+			// at that token.
+			if e := s.EntityID[i]; e >= 0 && int(s.EntL[e]) == i {
+				intern(s.EntType[e])
+				nEnts++
+			}
+		}
+		// The recorded entities go in the sentence's own order, so a decoded
+		// sentence lists them as the parser did.
+		body.uvarint(uint64(nEnts))
+		for e := range s.EntType {
+			if s.EntityID[s.EntL[e]] == int32(e) {
+				body.uvarint(uint64(intern(s.EntType[e])))
+				body.uvarint(uint64(s.EntL[e]))
+				body.uvarint(uint64(s.EntR[e] - s.EntL[e]))
 			}
 		}
 	}
@@ -204,21 +217,5 @@ func encodeCorpus(c *index.Corpus) []byte {
 		w.str(d.Name)
 		w.uvarint(uint64(d.NumSents))
 	}
-	for i := range sents {
-		s := &sents[i]
-		w.uvarint(uint64(len(s.toks)))
-		for _, t := range s.toks {
-			w.uvarint(uint64(t.text))
-			w.uvarint(uint64(t.pos))
-			w.uvarint(uint64(t.label))
-			w.uvarint(uint64(t.head))
-		}
-		w.uvarint(uint64(len(s.ents)))
-		for _, e := range s.ents {
-			w.uvarint(uint64(e.typ))
-			w.uvarint(uint64(e.l))
-			w.uvarint(uint64(e.r - e.l))
-		}
-	}
-	return w.b
+	return append(w.b, body.b...)
 }

@@ -16,8 +16,8 @@ type DocMeta struct {
 }
 
 // Corpus is a parsed text corpus with corpus-global sentence ids: sentence
-// s has Sentences[s].ID == s. It is the unit both indexing and query
-// evaluation operate on.
+// s has Sentences[s].ID == s. It is the parser's output form; indexing and
+// query evaluation run over its Columns (ColumnsOf).
 type Corpus struct {
 	Sentences []nlp.Sentence
 	Docs      []DocMeta
@@ -56,8 +56,7 @@ func (c *Corpus) AppendDoc(name string, sents []nlp.Sentence) {
 // AppendDocsFrom copies documents [lo, hi) of src onto the end of c,
 // renumbering them to c's global ids. Sentence structs are copied before
 // renumbering (token and entity slices are shared read-only), so src is
-// never mutated — the same discipline as ShardCorpus. This is how the
-// compactor assembles base + delta into one corpus for re-partitioning.
+// never mutated. Columns.AppendDocsFrom is the same step over columns.
 func (c *Corpus) AppendDocsFrom(src *Corpus, lo, hi int) {
 	for d := lo; d < hi; d++ {
 		first, end := src.DocSentences(d)

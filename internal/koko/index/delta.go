@@ -21,13 +21,14 @@ import (
 // A Delta is not itself safe for concurrent use: callers (koko.Mutable)
 // serialize writers and hand readers only sealed views.
 type Delta struct {
-	c  *Corpus
+	c  *Columns
 	ix *Index
+	b  sentBuilder
 }
 
 // NewDelta returns an empty delta.
 func NewDelta() *Delta {
-	return &Delta{c: &Corpus{}, ix: NewIndex()}
+	return &Delta{c: NewColumns(), ix: NewIndex()}
 }
 
 // NumDocs returns the number of documents in the delta.
@@ -37,34 +38,39 @@ func (d *Delta) NumDocs() int { return d.c.NumDocs() }
 func (d *Delta) NumSents() int { return d.c.NumSentences() }
 
 // AddDocument appends one parsed document, merging its sentences into the
-// delta's posting and hierarchy structures incrementally. Because sentence
-// ids are assigned in increasing order, appended word postings land already
-// (sid, tid)-sorted; only the hierarchy-node and entity lists touched by
-// each sentence need their trailing run repaired — O(sentence), never a
-// full re-sort. sents is renumbered in place (pass copies if the caller
-// retains them, as AppendDoc does for shards).
+// delta's columns, posting and hierarchy structures incrementally. Because
+// sentence ids are assigned in increasing order, appended word postings land
+// already (sid, tid)-sorted; only the hierarchy-node and entity lists
+// touched by each sentence need their trailing run repaired — O(sentence),
+// never a full re-sort. sents is only read.
 func (d *Delta) AddDocument(name string, sents []nlp.Sentence) {
-	first := len(d.c.Sentences)
+	first := d.c.NumSentences()
 	d.c.AppendDoc(name, sents)
-	for sid := first; sid < len(d.c.Sentences); sid++ {
-		s := &d.c.Sentences[sid]
-		d.ix.AddSentence(s)
-		d.repairTails(s)
+	d.indexFrom(first)
+}
+
+// indexFrom indexes the delta's sentences from first on.
+func (d *Delta) indexFrom(first int) {
+	for sid := first; sid < d.c.NumSentences(); sid++ {
+		s := d.c.Sent(sid)
+		d.b.add(d.ix, &s)
+		d.repairTails(&s)
 	}
+	d.b.flushWords(d.ix, &d.c.Dict)
 }
 
 // repairTails restores sorted order on the lists AddSentence appended to
 // out of order: hierarchy nodes visit tokens in BFS order (not tid order),
 // and entity postings follow annotation order (not span order).
-func (d *Delta) repairTails(s *nlp.Sentence) {
+func (d *Delta) repairTails(s *Sent) {
 	sid := int32(s.ID)
 	sortHierTails(d.ix.PL, d.ix.plidOf[sid], sid)
 	sortHierTails(d.ix.POS, d.ix.posidOf[sid], sid)
 	texts := map[string]bool{}
 	types := map[string]bool{}
-	for _, e := range s.Entities {
-		texts[strings.ToLower(e.Text)] = true
-		types[e.Type] = true
+	for e := range s.EntType {
+		texts[strings.ToLower(s.Text(int(s.EntL[e]), int(s.EntR[e])))] = true
+		types[s.Dict.Str(s.EntType[e])] = true
 	}
 	for k := range texts {
 		sortEntityTail(d.ix.Entity[k], sid)
@@ -98,18 +104,14 @@ func sortEntityTail(es []EntityPosting, sid int32) {
 	}
 }
 
-// Seal cuts an immutable read view of the delta: a corpus and index that
+// Seal cuts an immutable read view of the delta: columns and an index that
 // concurrent readers may use freely while AddDocument keeps appending to
-// the original. The corpus copy is three slice headers; the index clone
-// copies maps and hierarchy skeletons but shares all posting data (see
-// Index.Clone for why later appends cannot reach a sealed view).
-func (d *Delta) Seal() (*Corpus, *Index) {
-	c := &Corpus{
-		Sentences: d.c.Sentences,
-		Docs:      d.c.Docs,
-		DocOfSent: d.c.DocOfSent,
-	}
-	return c, d.ix.Clone()
+// the original. The columns copy is slice headers and a dictionary prefix
+// view (see Columns); the index clone copies maps and hierarchy skeletons
+// but shares all posting data (see Index.Clone for why later appends cannot
+// reach a sealed view).
+func (d *Delta) Seal() (*Columns, *Index) {
+	return d.c.Seal(), d.ix.Clone()
 }
 
 // DocSpan returns delta document i's first sentence id and sentence count,
@@ -120,22 +122,18 @@ func (d *Delta) DocSpan(i int) (firstSID, nSents int) {
 }
 
 // AppendTo copies documents [lo, hi) of the delta onto dst, renumbered to
-// dst's global ids (the compactor's merge step).
-func (d *Delta) AppendTo(dst *Corpus, lo, hi int) {
+// dst's sentence ids (the compactor's merge step).
+func (d *Delta) AppendTo(dst *Columns, lo, hi int) {
 	dst.AppendDocsFrom(d.c, lo, hi)
 }
 
 // Rebase returns a new delta holding only the documents from index n on,
 // renumbered to start at doc 0 — what remains after a compaction folded the
-// first n documents into the base. The surviving documents are re-appended
-// through AddDocument, rebuilding their (small) index with delta-local ids.
+// first n documents into the base. The surviving documents are copied and
+// their (small) index rebuilt with delta-local ids.
 func (d *Delta) Rebase(n int) *Delta {
 	out := NewDelta()
-	for doc := n; doc < d.c.NumDocs(); doc++ {
-		first, end := d.c.DocSentences(doc)
-		sents := make([]nlp.Sentence, end-first)
-		copy(sents, d.c.Sentences[first:end])
-		out.AddDocument(d.c.Docs[doc].Name, sents)
-	}
+	out.c.AppendDocsFrom(d.c, n, d.c.NumDocs())
+	out.indexFrom(0)
 	return out
 }

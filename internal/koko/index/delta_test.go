@@ -107,6 +107,9 @@ func TestDeltaSealIsolation(t *testing.T) {
 	wantSents := sealedC.NumSentences()
 	wantVita := len(Materialize(sealedIx.WordList("cafe")))
 	wantPL := len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}}))
+	wantDict, wantCafe := sealedC.Dict.Len(), sealedC.Dict.ID("cafe")
+	s0 := sealedC.Sent(0)
+	wantText := s0.String()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -119,7 +122,13 @@ func TestDeltaSealIsolation(t *testing.T) {
 				return
 			default:
 			}
+			// Resolving query words and rendering text read the sealed
+			// dictionary while the writer interns new words.
+			s0 := sealedC.Sent(0)
 			if sealedC.NumSentences() != wantSents ||
+				sealedC.Dict.Len() != wantDict || sealedC.Dict.ID("cafe") != wantCafe ||
+				sealedC.Dict.ID("bakery") != NoID || // interned only after the seal
+				s0.String() != wantText ||
 				len(Materialize(sealedIx.WordList("cafe"))) != wantVita ||
 				len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}})) != wantPL {
 				panic("sealed view changed under reader")
@@ -134,6 +143,9 @@ func TestDeltaSealIsolation(t *testing.T) {
 
 	if sealedC.NumSentences() != wantSents || len(Materialize(sealedIx.WordList("cafe"))) != wantVita {
 		t.Fatalf("sealed view drifted after appends")
+	}
+	if sealedC.Dict.Len() != wantDict || sealedC.Dict.ID("bakery") != NoID || d.c.Dict.ID("bakery") == NoID {
+		t.Fatalf("sealed dictionary sees %d strings and bakery=%d; want %d and none", sealedC.Dict.Len(), sealedC.Dict.ID("bakery"), wantDict)
 	}
 	if d.NumDocs() != full.NumDocs() {
 		t.Fatalf("delta lost documents: %d", d.NumDocs())
@@ -162,9 +174,10 @@ func TestDeltaRebase(t *testing.T) {
 	if !reflect.DeepEqual(gc.Docs, wc.Docs) {
 		t.Fatalf("rebased doc metas differ: %v vs %v", gc.Docs, wc.Docs)
 	}
-	for sid := range wc.Sentences {
-		if gc.Sentences[sid].ID != sid {
-			t.Fatalf("sentence %d has id %d after rebase", sid, gc.Sentences[sid].ID)
+	for sid := 0; sid < wc.NumSentences(); sid++ {
+		g, w := gc.Sent(sid), wc.Sent(sid)
+		if g.String() != w.String() || !reflect.DeepEqual(g.Head, w.Head) {
+			t.Fatalf("sentence %d differs after rebase: %q vs %q", sid, g.String(), w.String())
 		}
 	}
 	for w, ps := range wix.Word {
@@ -172,8 +185,8 @@ func TestDeltaRebase(t *testing.T) {
 			t.Fatalf("rebased word %q postings differ", w)
 		}
 	}
-	// AppendTo round-trips the prefix into a plain corpus.
-	cut := &Corpus{}
+	// AppendTo round-trips the prefix into plain columns.
+	cut := NewColumns()
 	d.AppendTo(cut, 0, 3)
 	if cut.NumDocs() != 3 {
 		t.Fatalf("AppendTo copied %d docs", cut.NumDocs())

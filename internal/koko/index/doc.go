@@ -14,8 +14,17 @@
 //     the overwhelming majority of nodes (the paper reports >99.7%), which
 //     is what makes the hierarchy index both compact and fast.
 //
-// The package also defines the Corpus (globally sentence-id'd parsed text)
-// and the paper's §6.2.1 relational schemas over the in-memory storage
+// The package also defines the two forms of a corpus's text. Corpus is the
+// parser's output: globally sentence-id'd nlp.Sentence values, what callers
+// build and hand in. Columns is what a served shard holds: every token
+// attribute as one flat pointer-free column (uint32 ids of the surface and
+// lowered forms, the canonical POS tag and parse label into the shard's
+// string Dict; int32 head, depth, subtree bounds and entity link), with
+// sentences and entities as offset ranges and Sent as a copy-free view of
+// one sentence. ColumnsOf converts a Corpus once; the block store decodes
+// straight into Columns; indexing (BuildColumns), sharding (ShardCorpus),
+// the Delta and compaction read and write Columns only. The package also
+// holds the paper's §6.2.1 relational schemas over the in-memory storage
 // substrate: W(word,x,y,u,v,d,plid,posid), E(entity,type,x,u,v), and closure
 // tables PL/POS(id,label,depth,aid,alabel,adepth), which Figure 6 measures,
 // plus the D/T tables Table 2's LoadArticle phase reads sentences from. On

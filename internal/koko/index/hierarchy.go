@@ -1,10 +1,6 @@
 package index
 
-import (
-	"sort"
-
-	"repro/internal/nlp"
-)
+import "sort"
 
 // Hierarchy is a hierarchy index (paper §3.2): the dataguide-style merge of
 // all dependency trees over one label alphabet (parse labels for the PL
@@ -21,7 +17,7 @@ type Hierarchy struct {
 
 	// NodeSource, when set, supplies node posting lists lazily (the mmap
 	// block store) and Postings holds only nils. Mutating operations
-	// (AddSentence, SortTail) are never called on a source-backed
+	// (addSentence, SortTail) are never called on a source-backed
 	// hierarchy — block-backed indexes are immutable.
 	NodeSource func(node int32) PostingList
 
@@ -56,36 +52,25 @@ func (h *Hierarchy) child(node int32, label string) int32 {
 	return id
 }
 
-// AddSentence merges one sentence's dependency tree into the hierarchy.
-// labelOf extracts the label alphabet (parse label or POS tag) per token.
-// It returns the hierarchy node id assigned to each token (used to fill the
-// plid/posid columns of the W table).
-func (h *Hierarchy) AddSentence(s *nlp.Sentence, labelOf func(*nlp.Token) string) []int32 {
-	n := len(s.Tokens)
-	nodeOf := make([]int32, n)
-	// Process tokens in BFS order from the dependency root so parents are
-	// merged before children.
-	order := make([]int, 0, n)
-	if r := s.Root(); r >= 0 {
-		order = append(order, r)
-	}
-	for i := 0; i < len(order); i++ {
-		order = append(order, s.Children(order[i])...)
-	}
+// addSentence merges one sentence's dependency tree into the hierarchy.
+// order is the sentence's breadth-first token order (Sent.bfsOrder), so
+// parents merge before children; labels is the label alphabet (parse labels
+// or POS tags) per token. It returns the hierarchy node id assigned to each
+// token (the plid/posid columns of the W table).
+func (h *Hierarchy) addSentence(s *Sent, order []int32, labels []uint32) []int32 {
+	nodeOf := make([]int32, s.Len())
 	for _, tid := range order {
-		tok := &s.Tokens[tid]
 		parentNode := int32(0)
-		if tok.Head >= 0 {
-			parentNode = nodeOf[tok.Head]
+		if hd := s.Head[tid]; hd >= 0 {
+			parentNode = nodeOf[hd]
 		}
-		id := h.child(parentNode, labelOf(tok))
+		id := h.child(parentNode, s.Dict.Str(labels[tid]))
 		nodeOf[tid] = id
 		h.Postings[id] = append(h.Postings[id], Posting{
-			Sid: int32(s.ID), Tid: int32(tid),
-			U: int32(tok.SubL), V: int32(tok.SubR), D: int32(tok.Depth),
+			Sid: int32(s.ID), Tid: tid, U: s.SubL[tid], V: s.SubR[tid], D: s.Depth[tid],
 		})
 	}
-	h.TotalTokens += n
+	h.TotalTokens += s.Len()
 	return nodeOf
 }
 

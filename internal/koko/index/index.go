@@ -24,11 +24,11 @@ type Index struct {
 	// src, when set, supplies all posting data lazily (the mmap block
 	// store); the Word/Entity/ByType maps and hierarchy Postings slices are
 	// empty and every lookup goes through src. Source-backed indexes are
-	// immutable: AddSentence must not be called on them.
+	// immutable: nothing may be added to them.
 	src PostingSource
 }
 
-// NewIndex returns an empty multi-index ready for AddSentence.
+// NewIndex returns an empty multi-index.
 func NewIndex() *Index {
 	return &Index{
 		Word:    map[string][]Posting{},
@@ -65,13 +65,19 @@ func NewBlockBacked(src PostingSource, pl, pos *Hierarchy) *Index {
 // heap-resident index.
 func (ix *Index) Source() PostingSource { return ix.src }
 
-// Build constructs the multi-index over a corpus. The corpus must already be
-// parsed.
-func Build(c *Corpus) *Index {
+// Build constructs the multi-index over a parsed corpus, through its
+// columns.
+func Build(c *Corpus) *Index { return BuildColumns(ColumnsOf(c)) }
+
+// BuildColumns constructs the multi-index over a shard's columns.
+func BuildColumns(c *Columns) *Index {
 	ix := NewIndex()
-	for sid := range c.Sentences {
-		ix.AddSentence(&c.Sentences[sid])
+	var b sentBuilder
+	for sid := 0; sid < c.NumSentences(); sid++ {
+		s := c.Sent(sid)
+		b.add(ix, &s)
 	}
+	b.flushWords(ix, &c.Dict)
 	ix.Finish()
 	return ix
 }
@@ -111,26 +117,59 @@ func (ix *Index) Clone() *Index {
 	return out
 }
 
-// AddSentence merges one sentence into all four indices. The sentence's ID
-// must be its corpus-global sentence id.
-func (ix *Index) AddSentence(s *nlp.Sentence) {
-	sid := int32(s.ID)
-	for i := range s.Tokens {
-		tok := &s.Tokens[i]
-		p := Posting{Sid: sid, Tid: int32(i), U: int32(tok.SubL), V: int32(tok.SubR), D: int32(tok.Depth)}
-		ix.Word[tok.Lower] = append(ix.Word[tok.Lower], p)
-	}
-	for _, e := range s.Entities {
-		ep := EntityPosting{Sid: sid, U: int32(e.L), V: int32(e.R), Type: e.Type, Text: e.Text}
-		key := strings.ToLower(e.Text)
-		ix.Entity[key] = append(ix.Entity[key], ep)
-		ix.ByType[e.Type] = append(ix.ByType[e.Type], ep)
-	}
-	ix.plidOf[sid] = ix.PL.AddSentence(s, func(t *nlp.Token) string { return t.Label })
-	ix.posidOf[sid] = ix.POS.AddSentence(s, func(t *nlp.Token) string { return t.POS })
+// sentBuilder merges sentences into an index. Word postings collect in a
+// slice indexed by lowered-word id and reach the index's word map at
+// flushWords, once per touched word instead of twice per token; the
+// hierarchy walk's scratch is kept across sentences.
+type sentBuilder struct {
+	order, scratch []int32
+	words          [][]Posting // by lowered-word id: the word's whole list
+	dirty          []bool      // by lowered-word id: grew since the last flush
+	touched        []uint32    // the dirty ids
 }
 
-// Finish sorts all posting lists; call once after the last AddSentence.
+// add merges one sentence into the index; its word postings wait for
+// flushWords. s.ID must be its sentence id within the indexed columns.
+func (b *sentBuilder) add(ix *Index, s *Sent) {
+	sid := int32(s.ID)
+	if n := s.Dict.Len(); len(b.words) < n {
+		b.words = append(b.words, make([][]Posting, n-len(b.words))...)
+		b.dirty = append(b.dirty, make([]bool, n-len(b.dirty))...)
+	}
+	for i, w := range s.Lower {
+		if !b.dirty[w] {
+			b.dirty[w] = true
+			b.touched = append(b.touched, w)
+		}
+		b.words[w] = append(b.words[w], Posting{Sid: sid, Tid: int32(i), U: s.SubL[i], V: s.SubR[i], D: s.Depth[i]})
+	}
+	for e := range s.EntType {
+		typ := s.Dict.Str(s.EntType[e])
+		text := s.Text(int(s.EntL[e]), int(s.EntR[e]))
+		ep := EntityPosting{Sid: sid, U: s.EntL[e], V: s.EntR[e], Type: typ, Text: text}
+		key := strings.ToLower(text)
+		ix.Entity[key] = append(ix.Entity[key], ep)
+		ix.ByType[typ] = append(ix.ByType[typ], ep)
+	}
+	if n := 2 * s.Len(); cap(b.scratch) < n {
+		b.scratch = make([]int32, n)
+	}
+	b.order = s.bfsOrder(b.order[:0], b.scratch)
+	ix.plidOf[sid] = ix.PL.addSentence(s, b.order, s.Label)
+	ix.posidOf[sid] = ix.POS.addSentence(s, b.order, s.POS)
+}
+
+// flushWords publishes every word list that grew since the last flush to
+// the index's word map.
+func (b *sentBuilder) flushWords(ix *Index, d *Dict) {
+	for _, w := range b.touched {
+		ix.Word[d.Str(w)] = b.words[w]
+		b.dirty[w] = false
+	}
+	b.touched = b.touched[:0]
+}
+
+// Finish sorts all posting lists; call once after the last sentence.
 func (ix *Index) Finish() {
 	for _, ps := range ix.Word {
 		SortPostings(ps)

@@ -1,7 +1,5 @@
 package index
 
-import "repro/internal/nlp"
-
 // Sharding: a corpus is split on document boundaries into contiguous
 // doc-range shards. KOKO evaluates queries document-by-document (evidence
 // aggregation never crosses documents), so each shard can be indexed and
@@ -32,7 +30,7 @@ func (sp ShardSpec) NumDocs() int { return sp.HiDoc - sp.LoDoc }
 // returned shard covers at least one document, so fewer than k shards come
 // back when the corpus has fewer than k documents. k <= 1 yields a single
 // shard covering everything.
-func PartitionDocs(c *Corpus, k int) []ShardSpec {
+func PartitionDocs(c *Columns, k int) []ShardSpec {
 	nd := c.NumDocs()
 	if nd == 0 {
 		return []ShardSpec{{}}
@@ -47,10 +45,7 @@ func PartitionDocs(c *Corpus, k int) []ShardSpec {
 	total := 0
 	for d := 0; d < nd; d++ {
 		first, end := c.DocSentences(d)
-		w := 0
-		for sid := first; sid < end; sid++ {
-			w += len(c.Sentences[sid].Tokens)
-		}
+		w := int(c.TokOff[end] - c.TokOff[first])
 		docTokens[d] = w
 		total += w
 	}
@@ -92,17 +87,11 @@ func PartitionDocs(c *Corpus, k int) []ShardSpec {
 	return specs
 }
 
-// ShardCorpus materializes spec's document range as a self-contained corpus
-// with shard-local document and sentence ids (both starting at 0). Sentence
-// structs are copied so renumbering never touches the parent corpus; token
-// and entity slices are shared read-only.
-func ShardCorpus(c *Corpus, spec ShardSpec) *Corpus {
-	out := &Corpus{}
-	for d := spec.LoDoc; d < spec.HiDoc; d++ {
-		first, end := c.DocSentences(d)
-		sents := make([]nlp.Sentence, end-first)
-		copy(sents, c.Sentences[first:end])
-		out.AppendDoc(c.Docs[d].Name, sents)
-	}
+// ShardCorpus materializes spec's document range as self-contained columns
+// with shard-local document and sentence ids (both starting at 0) and the
+// shard's own dictionary. c is only read.
+func ShardCorpus(c *Columns, spec ShardSpec) *Columns {
+	out := NewColumns()
+	out.AppendDocsFrom(c, spec.LoDoc, spec.HiDoc)
 	return out
 }

@@ -24,7 +24,7 @@ func testShardCorpus(t *testing.T, docs int) *Corpus {
 func TestPartitionDocsCoverage(t *testing.T) {
 	c := testShardCorpus(t, 13)
 	for _, k := range []int{1, 2, 3, 5, 7, 13, 50} {
-		specs := PartitionDocs(c, k)
+		specs := PartitionDocs(ColumnsOf(c), k)
 		wantShards := k
 		if wantShards > c.NumDocs() {
 			wantShards = c.NumDocs()
@@ -79,7 +79,7 @@ func TestPartitionDocsBalance(t *testing.T) {
 		total += len(c.Sentences[s].Tokens)
 	}
 	for _, k := range []int{2, 4, 5, 8} {
-		specs := PartitionDocs(c, k)
+		specs := PartitionDocs(ColumnsOf(c), k)
 		ideal := float64(total) / float64(k)
 		for i, sp := range specs {
 			if f := float64(sp.Tokens); f < 0.5*ideal || f > 1.5*ideal {
@@ -98,7 +98,7 @@ func TestPartitionDocsSkewed(t *testing.T) {
 	}
 	texts := []string{big, "Tiny doc one.", "Tiny doc two.", "Tiny doc three."}
 	c := NewCorpus(nil, texts)
-	specs := PartitionDocs(c, 2)
+	specs := PartitionDocs(ColumnsOf(c), 2)
 	if len(specs) != 2 {
 		t.Fatalf("got %d shards, want 2", len(specs))
 	}
@@ -107,27 +107,22 @@ func TestPartitionDocsSkewed(t *testing.T) {
 	}
 }
 
-// TestShardCorpusIsolation: materializing shards renumbers only the copies;
-// the parent corpus keeps its global sentence ids, and shard content
-// matches the parent slice exactly.
+// TestShardCorpusIsolation: materializing shards copies the parent's
+// document range into shard-local ids; the parent columns are only read,
+// and shard content matches the parent slice exactly.
 func TestShardCorpusIsolation(t *testing.T) {
 	c := testShardCorpus(t, 9)
-	before := make([]int, c.NumSentences())
-	for i := range c.Sentences {
-		before[i] = c.Sentences[i].ID
-	}
-	specs := PartitionDocs(c, 3)
+	cols := ColumnsOf(c)
+	specs := PartitionDocs(cols, 3)
 	for _, sp := range specs {
-		sc := ShardCorpus(c, sp)
+		sc := ShardCorpus(cols, sp)
 		if sc.NumDocs() != sp.NumDocs() || sc.NumSentences() != sp.NumSents {
 			t.Fatalf("shard corpus %d docs/%d sents, spec %+v", sc.NumDocs(), sc.NumSentences(), sp)
 		}
 		for s := 0; s < sc.NumSentences(); s++ {
-			if sc.Sentences[s].ID != s {
-				t.Fatalf("shard-local sentence %d has ID %d", s, sc.Sentences[s].ID)
-			}
-			if got, want := sc.Sentence(s).String(), c.Sentence(sp.FirstSID+s).String(); got != want {
-				t.Fatalf("shard sentence %d = %q, want %q", s, got, want)
+			got, want := sc.Sent(s), c.Sentence(sp.FirstSID+s)
+			if got.String() != want.String() || got.ID != s {
+				t.Fatalf("shard sentence %d (id %d) = %q, want %q", s, got.ID, got.String(), want.String())
 			}
 		}
 		for d := 0; d < sc.NumDocs(); d++ {
@@ -137,8 +132,8 @@ func TestShardCorpusIsolation(t *testing.T) {
 		}
 	}
 	for i := range c.Sentences {
-		if c.Sentences[i].ID != before[i] {
-			t.Fatalf("parent corpus sentence %d id mutated: %d -> %d", i, before[i], c.Sentences[i].ID)
+		if s := cols.Sent(i); s.String() != c.Sentences[i].String() {
+			t.Fatalf("parent sentence %d changed: %q", i, s.String())
 		}
 	}
 }

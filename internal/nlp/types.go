@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -223,111 +224,117 @@ func (s *Sentence) EntityAt(id int) *Entity {
 func (s *Sentence) RecomputeDerived() { s.computeDerived() }
 
 // computeDerived fills Depth, SubL, SubR, the adjacency list, and rootID from
-// the Head assignments. It must be called whenever heads change. The
-// traversal is iterative so that pathological (deep) trees cannot overflow
-// the stack.
+// the Head assignments through DeriveTree, repairing the heads into one tree.
+// It must be called whenever heads change.
 func (s *Sentence) computeDerived() {
 	n := len(s.Tokens)
+	cols := make([]int32, 4*n)
+	head, depth, subL, subR := cols[:n], cols[n:2*n], cols[2*n:3*n], cols[3*n:]
+	for i := range s.Tokens {
+		head[i] = clampHead(s.Tokens[i].Head)
+	}
+	var ts TreeScratch
+	s.rootID = int(ts.DeriveTree(head, depth, subL, subR))
 	s.children = make([][]int, n)
-	s.rootID = -1
 	for i := range s.Tokens {
-		h := s.Tokens[i].Head
-		if h < 0 || h >= n || h == i {
-			s.Tokens[i].Head = -1
-			if s.rootID == -1 {
-				s.rootID = i
-			} else {
-				// Multiple roots should not happen; reattach to the first.
-				s.Tokens[i].Head = s.rootID
-				s.children[s.rootID] = append(s.children[s.rootID], i)
-			}
-			continue
-		}
-		s.children[h] = append(s.children[h], i)
-	}
-	if s.rootID == -1 && n > 0 {
-		// Cycle with no root: break it at token 0.
-		s.Tokens[0].Head = -1
-		s.rootID = 0
-		s.children = make([][]int, n)
-		for i := 1; i < n; i++ {
-			h := s.Tokens[i].Head
-			if h >= 0 && h < n && h != i {
-				s.children[h] = append(s.children[h], i)
-			}
+		t := &s.Tokens[i]
+		t.Head, t.Depth, t.SubL, t.SubR = int(head[i]), int(depth[i]), int(subL[i]), int(subR[i])
+		if t.Head >= 0 {
+			s.children[t.Head] = append(s.children[t.Head], i)
 		}
 	}
+}
+
+// clampHead narrows a head to int32; any value out of int32 range is out of
+// every sentence's range too, so it becomes -1 (no head).
+func clampHead(h int) int32 {
+	if h < -1 || h > math.MaxInt32 {
+		return -1
+	}
+	return int32(h)
+}
+
+// TreeScratch is DeriveTree's reusable scratch: a decoder that derives many
+// sentences allocates it once.
+type TreeScratch struct{ first, next, queue []int32 }
+
+// DeriveTree repairs one sentence's heads (a token id per token, -1 for the
+// root) in place into a single tree and fills each token's depth and the
+// first (subL) and last (subR) token id of its subtree. An out-of-range or
+// self head makes a root; a second root is attached to the first; a sentence
+// without a root gets token 0 as root; tokens the root cannot reach (cycles)
+// are attached to the root at depth 1. It returns the root, -1 when the
+// sentence is empty. All four slices have one entry per token.
+func (ts *TreeScratch) DeriveTree(head, depth, subL, subR []int32) int32 {
+	n := len(head)
 	if n == 0 {
-		return
+		return -1
 	}
-	// Depth via BFS from the root; unreachable tokens (cycles) get
-	// reattached to the root.
-	for i := range s.Tokens {
-		s.Tokens[i].Depth = -1
-	}
-	queue := []int{s.rootID}
-	s.Tokens[s.rootID].Depth = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, c := range s.children[u] {
-			if s.Tokens[c].Depth == -1 {
-				s.Tokens[c].Depth = s.Tokens[u].Depth + 1
-				queue = append(queue, c)
+	root := int32(-1)
+	for i, h := range head {
+		if h < 0 || int(h) >= n || int(h) == i {
+			if root == -1 {
+				head[i], root = -1, int32(i)
+			} else {
+				head[i] = root
 			}
 		}
 	}
-	changed := false
-	for i := range s.Tokens {
-		if s.Tokens[i].Depth == -1 {
-			s.Tokens[i].Head = s.rootID
-			s.Tokens[i].Depth = 1
-			changed = true
+	if root == -1 {
+		head[0], root = -1, 0
+	}
+	// Children as linked lists in ascending id order, for a breadth-first
+	// walk from the root.
+	ts.first = fill(ts.first, n, -1)
+	ts.next = fill(ts.next, n, -1)
+	for i := n - 1; i >= 0; i-- {
+		if h := head[i]; h >= 0 {
+			ts.next[i], ts.first[h] = ts.first[h], int32(i)
 		}
 	}
-	if changed {
-		s.children = make([][]int, n)
-		for i := range s.Tokens {
-			if h := s.Tokens[i].Head; h >= 0 {
-				s.children[h] = append(s.children[h], i)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[root] = 0
+	q := append(ts.queue[:0], root)
+	for k := 0; k < len(q); k++ {
+		u := q[k]
+		for c := ts.first[u]; c >= 0; c = ts.next[c] {
+			if depth[c] == -1 {
+				depth[c] = depth[u] + 1
+				q = append(q, c)
 			}
 		}
 	}
-	// Subtree intervals via post-order accumulation. Process tokens in
-	// decreasing depth so children are final before parents.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	ts.queue = q
+	for i := range head {
+		subL[i], subR[i] = int32(i), int32(i)
 	}
-	// Counting sort by depth, deepest first.
-	maxd := 0
-	for i := range s.Tokens {
-		if s.Tokens[i].Depth > maxd {
-			maxd = s.Tokens[i].Depth
+	for i := range head {
+		if depth[i] == -1 { // on a cycle: a leaf under the root
+			head[i], depth[i] = root, 1
+			subL[root], subR[root] = min(subL[root], int32(i)), max(subR[root], int32(i))
 		}
 	}
-	buckets := make([][]int, maxd+1)
-	for i := range s.Tokens {
-		buckets[s.Tokens[i].Depth] = append(buckets[s.Tokens[i].Depth], i)
+	// The queue holds the reachable tokens by non-decreasing depth, so in
+	// reverse every subtree is final before it widens its head's.
+	for k := len(q) - 1; k > 0; k-- {
+		c := q[k]
+		h := head[c]
+		subL[h], subR[h] = min(subL[h], subL[c]), max(subR[h], subR[c])
 	}
-	for i := range s.Tokens {
-		s.Tokens[i].SubL = i
-		s.Tokens[i].SubR = i
+	return root
+}
+
+func fill(buf []int32, n int, v int32) []int32 {
+	if cap(buf) < n {
+		buf = make([]int32, n)
 	}
-	for d := maxd; d >= 1; d-- {
-		for _, c := range buckets[d] {
-			h := s.Tokens[c].Head
-			if h < 0 {
-				continue
-			}
-			if s.Tokens[c].SubL < s.Tokens[h].SubL {
-				s.Tokens[h].SubL = s.Tokens[c].SubL
-			}
-			if s.Tokens[c].SubR > s.Tokens[h].SubR {
-				s.Tokens[h].SubR = s.Tokens[c].SubR
-			}
-		}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
 	}
+	return buf
 }
 
 // IsAncestor reports whether token a is a (strict) ancestor of token d in the

@@ -147,14 +147,6 @@ func persistSeed(dir string, se *Engine) (*Engine, []string, error) {
 	return se, files, nil
 }
 
-func countTokens(c *index.Corpus) int {
-	n := 0
-	for i := range c.Sentences {
-		n += len(c.Sentences[i].Tokens)
-	}
-	return n
-}
-
 // saveStoreDurable persists one shard's store and fsyncs it — the file
 // must be on disk before a manifest referencing it is swapped in.
 func saveStoreDurable(l *leaf, path string) error {

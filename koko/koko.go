@@ -88,11 +88,11 @@ type Options struct {
 	Explain bool
 }
 
-// leaf is one shard's engine: a corpus of shard-local documents and
+// leaf is one shard's engine: the columns of its shard-local documents and
 // sentences, its multi-index, and the evaluator over both. An Engine is a
 // set of leaves; a leaf is never served on its own.
 type leaf struct {
-	c   *index.Corpus
+	c   *index.Columns
 	ix  *index.Index
 	eng *engine.Engine
 	// optExplain retains the Options default so runOptions can fall back
@@ -102,12 +102,12 @@ type leaf struct {
 
 // buildLeaf builds the multi-index over c and returns its leaf. opts may be
 // nil.
-func buildLeaf(c *index.Corpus, opts *Options) *leaf {
+func buildLeaf(c *index.Columns, opts *Options) *leaf {
 	if opts == nil {
 		opts = &Options{}
 	}
 	model, dicts := deriveModelDicts(opts)
-	return newLeaf(c, index.Build(c), model, dicts, opts)
+	return newLeaf(c, index.BuildColumns(c), model, dicts, opts)
 }
 
 // deriveModelDicts materializes the similarity model and lowercased
@@ -130,10 +130,10 @@ func deriveModelDicts(opts *Options) (*embed.Model, map[string]map[string]bool) 
 	return model, dicts
 }
 
-// newLeaf wires an already-built index and corpus into a leaf — the one
+// newLeaf wires an already-built index and columns into a leaf — the one
 // constructor behind building, store loading, and sealed deltas.
-func newLeaf(c *index.Corpus, ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, opts *Options) *leaf {
-	return &leaf{c: c, ix: ix, optExplain: opts.Explain, eng: engine.New(c, ix, model, engine.Options{
+func newLeaf(c *index.Columns, ix *index.Index, model *embed.Model, dicts map[string]map[string]bool, opts *Options) *leaf {
+	return &leaf{c: c, ix: ix, optExplain: opts.Explain, eng: engine.NewColumns(c, ix, model, engine.Options{
 		Dicts:   dicts,
 		Explain: opts.Explain,
 	})}
@@ -350,24 +350,24 @@ type StoreFormat int
 // Deprecated: see StoreFormat.
 const FormatBlock StoreFormat = 0
 
-// save persists the leaf's parsed corpus and indices to path as a KOKOBS1
-// block store (the paper's offline index construction): posting lists laid
-// out as sorted fixed-size blocks, mmap'd at load time and decoded lazily
-// into a budgeted shared cache. A block-backed leaf (one opened from a
-// store) has no heap-resident posting lists, so its index is rebuilt from
-// the corpus first.
+// save persists the leaf's columns and indices to path as a KOKOBS1 block
+// store (the paper's offline index construction): posting lists laid out as
+// sorted fixed-size blocks, mmap'd at load time and decoded lazily into a
+// budgeted shared cache. A block-backed leaf (one opened from a store) has
+// no heap-resident posting lists, so its index is rebuilt from the columns
+// first.
 func (l *leaf) save(path string) error {
 	ix := l.ix
 	if ix.Source() != nil {
-		ix = index.Build(l.c)
+		ix = index.BuildColumns(l.c)
 	}
-	return blockstore.Write(path, l.c, ix)
+	return blockstore.WriteColumns(path, l.c, ix)
 }
 
 // loadLeaf reopens a leaf from a block store: the corpus is decoded into
-// memory (query evaluation walks sentences freely) but posting lists stay
-// on disk behind the mmap reader, decoded block-by-block into the shared
-// cache as queries touch them. opts may be nil.
+// token columns in memory (query evaluation walks sentences freely) but
+// posting lists stay on disk behind the mmap reader, decoded block-by-block
+// into the shared cache as queries touch them. opts may be nil.
 func loadLeaf(path string, opts *Options) (*leaf, error) {
 	r, err := blockstore.Open(path)
 	if err != nil {
@@ -377,7 +377,7 @@ func loadLeaf(path string, opts *Options) (*leaf, error) {
 		opts = &Options{}
 	}
 	model, dicts := deriveModelDicts(opts)
-	return newLeaf(r.Corpus(), r.NewIndex(), model, dicts, opts), nil
+	return newLeaf(r.Columns(), r.NewIndex(), model, dicts, opts), nil
 }
 
 // Open reopens any persisted store: a block store as a one-shard Engine, a
@@ -406,14 +406,14 @@ func OpenWithShards(path string, opts *Options, k int) (*Engine, error) {
 		}
 		return oneShard(l), nil
 	}
-	// Re-sharding rebuilds per-shard indices from the corpus, so only the
-	// corpus is needed; close the reader immediately (decoded corpus
+	// Re-sharding rebuilds per-shard indices from the columns, so only the
+	// columns are needed; close the reader immediately (decoded dictionary
 	// strings are heap-owned, not mmap-backed).
 	r, err := blockstore.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	c := r.Corpus()
+	c := r.Columns()
 	r.Close()
-	return NewShardedEngine(&Corpus{c: c}, k, opts), nil
+	return shardColumns(c, k, opts), nil
 }

@@ -187,8 +187,7 @@ func (m *Mutable) Snapshot() *Snapshot { return m.cur.Load() }
 // WrapCorpus), sealing a new snapshot in which it is the corpus's last
 // document; concurrent queries on earlier snapshots are untouched. An
 // empty name defaults positionally to "doc<global index>", matching
-// NewCorpus. The sentence structs are copied before renumbering, so the
-// caller's slice is never mutated.
+// NewCorpus. The caller's sentences are only read.
 func (m *Mutable) AddParsedDocument(name string, sents []nlp.Sentence) (*Snapshot, error) {
 	snap, _, err := m.write(name, sents, true, false)
 	return snap, err
@@ -203,7 +202,6 @@ func (m *Mutable) write(name string, sents []nlp.Sentence, add, kill bool) (*Sna
 	if add && len(sents) == 0 {
 		return nil, 0, fmt.Errorf("%w: %q", ErrEmptyDocument, name)
 	}
-	own := append([]nlp.Sentence(nil), sents...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -219,7 +217,7 @@ func (m *Mutable) write(name string, sents []nlp.Sentence, add, kill bool) (*Sna
 		return nil, 0, fmt.Errorf("%w: %q", ErrNoDocument, name)
 	}
 	if add {
-		recs = append(recs, wal.Record{Kind: wal.KindAdd, Name: name, Sents: own})
+		recs = append(recs, wal.Record{Kind: wal.KindAdd, Name: name, Sents: sents})
 	}
 	if m.wal != nil {
 		if _, err := m.wal.Append(recs...); err != nil {
@@ -235,18 +233,18 @@ func (m *Mutable) write(name string, sents []nlp.Sentence, add, kill bool) (*Sna
 		m.life.Deletes++
 	}
 	if add {
-		m.addLocked(name, own)
+		m.addLocked(name, sents)
 		m.life.Ingests++
 	}
 	m.sealLocked()
 	return m.cur.Load(), died, nil
 }
 
-// addLocked appends an owned, parsed document to the delta and indexes its
-// name. Caller holds m.mu and has already logged the document if durable.
-func (m *Mutable) addLocked(name string, own []nlp.Sentence) {
+// addLocked appends a parsed document to the delta and indexes its name.
+// Caller holds m.mu and has already logged the document if durable.
+func (m *Mutable) addLocked(name string, sents []nlp.Sentence) {
 	id := m.base.NumDocuments() + m.delta.NumDocs()
-	m.delta.AddDocument(name, own)
+	m.delta.AddDocument(name, sents)
 	m.names[name] = append(m.names[name], id)
 }
 
@@ -439,7 +437,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 	}
 	base := m.base
 	rawBase := base.NumDocuments()
-	cut := &index.Corpus{}
+	cut := index.NewColumns()
 	m.delta.AppendTo(cut, 0, n)
 	durable, dir := m.wal != nil, m.cfg.Dir
 	var cutSeq uint64
@@ -464,7 +462,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 		docOff += nd
 		sidOff += ns
 	}
-	build := func(c *index.Corpus, slot int) error {
+	build := func(c *index.Columns, slot int) error {
 		l, file := buildLeaf(c, m.cfg.Opts), ""
 		if durable {
 			file = shardGenFile(gen, slot)
@@ -475,7 +473,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 				return err
 			}
 		}
-		keep(l, countTokens(c), file)
+		keep(l, c.NumTokens(), file)
 		return nil
 	}
 	for si, spec := range base.specs {
@@ -485,7 +483,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 		}
 		obsolete = append(obsolete, oldFiles[si])
 		src := base.shards[si].c
-		c := &index.Corpus{}
+		c := index.NewColumns()
 		appendLiveRange(c, src, 0, src.NumDocs(), cutTombs, spec.LoDoc)
 		if c.NumDocs() == 0 {
 			continue // every document died; the shard vanishes
@@ -494,7 +492,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 			return CompactionStats{}, err
 		}
 	}
-	dc := &index.Corpus{}
+	dc := index.NewColumns()
 	appendLiveRange(dc, cut, 0, cut.NumDocs(), cutTombs, rawBase)
 	if dc.NumDocs() > 0 {
 		if err := build(dc, len(base.specs)); err != nil {
@@ -504,7 +502,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 	if len(leaves) == 0 {
 		// Everything was deleted; a base (and a manifest) holds at least one
 		// shard, so keep a single empty one.
-		if err := build(&index.Corpus{}, 0); err != nil {
+		if err := build(index.NewColumns(), 0); err != nil {
 			return CompactionStats{}, err
 		}
 	}
@@ -569,7 +567,7 @@ func (m *Mutable) Compact() (CompactionStats, error) {
 // appendLiveRange copies src documents [lo, hi) onto dst in maximal
 // contiguous live runs, skipping any document tombstoned at raw global
 // index off + local index.
-func appendLiveRange(dst, src *index.Corpus, lo, hi int, tombs *tombSet, off int) {
+func appendLiveRange(dst, src *index.Columns, lo, hi int, tombs *tombSet, off int) {
 	run := lo
 	for i := lo; i <= hi; i++ {
 		if i == hi || tombs.contains(off+i) {

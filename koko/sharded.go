@@ -105,12 +105,12 @@ type Engine struct {
 // NewEngine builds the multi-index over the whole corpus as one shard and
 // returns its engine. opts may be nil.
 func NewEngine(c *Corpus, opts *Options) *Engine {
-	return oneShard(buildLeaf(c.c, opts))
+	return oneShard(buildLeaf(index.ColumnsOf(c.c), opts))
 }
 
 // oneShard wraps a leaf as a one-shard engine covering its whole corpus.
 func oneShard(l *leaf) *Engine {
-	return newSharded([]*leaf{l}, []index.ShardSpec{{HiDoc: l.c.NumDocs(), NumSents: l.c.NumSentences(), Tokens: countTokens(l.c)}})
+	return newSharded([]*leaf{l}, []index.ShardSpec{{HiDoc: l.c.NumDocs(), NumSents: l.c.NumSentences(), Tokens: l.c.NumTokens()}})
 }
 
 // NewShardedEngine partitions c into (at most) k token-balanced doc-range
@@ -118,9 +118,14 @@ func oneShard(l *leaf) *Engine {
 // applied to every shard. Corpora with fewer than k documents get one shard
 // per document; a single shard is NewEngine.
 func NewShardedEngine(c *Corpus, k int, opts *Options) *Engine {
-	specs := index.PartitionDocs(c.c, k)
+	return shardColumns(index.ColumnsOf(c.c), k, opts)
+}
+
+// shardColumns is NewShardedEngine over columns.
+func shardColumns(c *index.Columns, k int, opts *Options) *Engine {
+	specs := index.PartitionDocs(c, k)
 	if len(specs) == 1 {
-		return NewEngine(c, opts)
+		return oneShard(buildLeaf(c, opts))
 	}
 	shards := make([]*leaf, len(specs))
 	// Shards are independent, so their indices build concurrently (bounded
@@ -134,7 +139,7 @@ func NewShardedEngine(c *Corpus, k int, opts *Options) *Engine {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			shards[i] = buildLeaf(index.ShardCorpus(c.c, sp), opts)
+			shards[i] = buildLeaf(index.ShardCorpus(c, sp), opts)
 		}(i, sp)
 	}
 	wg.Wait()

@@ -100,3 +100,37 @@ func TestBlockStoreMemoryBudget(t *testing.T) {
 		t.Fatalf("no evictions despite %d word-posting bytes vs %d budget: %+v", wordPostingBytes, budget, st)
 	}
 }
+
+// saveWikiStore writes a fixed generated corpus as a one-shard block store
+// and returns its path; nothing it built stays reachable.
+func saveWikiStore(t *testing.T) string {
+	t.Helper()
+	c, _ := corpus.GenWikipedia(2000, 17)
+	path := filepath.Join(t.TempDir(), "wiki.koko")
+	if err := NewEngine(WrapCorpus(c), nil).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenStoreLiveHeapCeiling: opening a store for serving decodes its
+// corpus into pointer-free token columns, so the live heap an opened store
+// adds — columns, dictionary, directories, no posting block — stays under a
+// ceiling. The ceiling is the measured growth (2.5 MB on this corpus, against
+// 8.5 MB when every token was decoded into an nlp.Token) plus headroom.
+// Skipped under -race (build tag); CI runs it in the memory-budget step.
+func TestOpenStoreLiveHeapCeiling(t *testing.T) {
+	path := saveWikiStore(t)
+	before := liveHeap()
+	eng, err := Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(eng)
+	const ceiling = 4 << 20
+	t.Logf("opened store: live heap grew %.1f MB (ceiling %.1f MB)", float64(grew)/(1<<20), float64(ceiling)/(1<<20))
+	if grew > ceiling {
+		t.Errorf("opening the store grew the live heap by %d bytes, over the %d-byte ceiling", grew, ceiling)
+	}
+}
