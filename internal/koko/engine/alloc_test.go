@@ -88,9 +88,10 @@ func TestSatisfyingAllocationCeilings(t *testing.T) {
 }
 
 // TestDPLIDoesNotMaterializeUnions: the planned DPLI of a query whose POS
-// path `//verb/*` matches several hierarchy nodes walks their lazy union,
-// restricted by the query's word, so it allocates less than one
-// materialized copy of that union would take.
+// path `//verb/*` matches several hierarchy nodes never walks their union:
+// the query's word anchors the lookup and the node ids are read from the
+// index's columns, so it allocates less than one materialized copy of that
+// union would take.
 func TestDPLIDoesNotMaterializeUnions(t *testing.T) {
 	e := benchEngineOver(benchHappyDB(benchCorpusSents, benchCorpusSeed))
 	src := benchJoinQueries[1] // //verb/dobj[text="cake"]

@@ -3,10 +3,12 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/embed"
 	"repro/internal/koko/index"
+	"repro/internal/koko/index/blockstore"
 	"repro/internal/koko/lang"
 )
 
@@ -36,16 +38,24 @@ const benchSatisfyingQuery = `
 	/ROOT:{ v = //verb, b = v/dobj, o = (b.subtree) })
 	satisfying o ("ate" o {0.7}) or (o near "delicious" {1}) with threshold 0.2`
 
-// benchJoinQueries exercise the three DPLI join shapes: the word-word
-// ancestor/descendant join, the same-token join of hierarchy and word
-// postings, and the final P⋈Q ancestor join.
+// benchJoinQueries exercise the DPLI join shapes: the word-word
+// ancestor/descendant join, a word on the path's last step checked against
+// both node ids, a word above the last step (the column scan below it,
+// twice), and a path without words (the walk of the hierarchy lists).
 var benchJoinQueries = []string{
 	`extract d:Str from "happydb" if (/ROOT:{ v = //"ate", o = v//"cake", d = (o.subtree) })`,
 	`extract d:Str from "happydb" if (/ROOT:{ v = //verb, o = v/dobj[text="cake"], d = (o.subtree) })`,
 	`extract d:Str from "happydb" if (/ROOT:{ o = //"ate"/dobj, d = (o.subtree) })`,
+	`extract d:Str from "happydb" if (/ROOT:{ v = //verb, o = v/dobj, d = (o.subtree) })`,
+	`extract b:Str from "happydb" if (/ROOT:{ v = //"called", p = v/propn, b = (p.subtree) })`,
 }
 
 func benchHappyDB(n int, seed int64) *index.Corpus {
+	return index.NewCorpus(benchHappyTexts(n, seed))
+}
+
+// benchHappyTexts returns benchHappyDB's document names and texts.
+func benchHappyTexts(n int, seed int64) (names, texts []string) {
 	foods := []string{
 		"chocolate cake", "cheesecake", "ice cream", "fresh bread",
 		"a croissant", "a delicious pie", "seasonal cookies",
@@ -64,7 +74,6 @@ func benchHappyDB(n int, seed int64) *index.Corpus {
 		"completed a marathon", "started a new job",
 	}
 	r := rand.New(rand.NewSource(seed))
-	var texts, names []string
 	for i := 0; i < n; i++ {
 		food := foods[r.Intn(len(foods))]
 		person := people[r.Intn(len(people))]
@@ -92,7 +101,7 @@ func benchHappyDB(n int, seed int64) *index.Corpus {
 		texts = append(texts, s)
 		names = append(names, fmt.Sprintf("moment-%06d", i))
 	}
-	return index.NewCorpus(names, texts)
+	return names, texts
 }
 
 func benchEngine(b *testing.B) *Engine {
@@ -146,38 +155,67 @@ func BenchmarkExtractSatisfying(b *testing.B) {
 	}
 }
 
+// benchJoinCorpus is the HappyDB workload plus one nickname sentence in
+// every tenth document, in corpus.GenWikipedia's form, for the
+// `//"called"/propn` join.
+func benchJoinCorpus() *index.Corpus {
+	nicknames := []string{"Sid", "Ace", "Duke", "Bud", "Dot", "Kit", "Max", "Pip", "Rex", "Sal"}
+	names, texts := benchHappyTexts(benchCorpusSents, benchCorpusSeed)
+	for i := 0; i < len(texts); i += 10 {
+		texts[i] += fmt.Sprintf(" My friend had been called %s for years.", nicknames[i/10%len(nicknames)])
+	}
+	return index.NewCorpus(names, texts)
+}
+
 // BenchmarkDPLIJoin measures the index-pruning module alone: decomposition,
 // posting-list joins, and the candidate-sid intersection, with
 // normalization hoisted out of the loop — in written order (plan=off) and
-// words first (plan=on).
+// with lookups ordered by lead-list size and restricted sideways (plan=on),
+// over the heap index and over the same index reopened from a block store.
 func BenchmarkDPLIJoin(b *testing.B) {
-	e := benchEngine(b)
+	c := benchJoinCorpus()
+	heap := index.Build(c)
+	path := filepath.Join(b.TempDir(), "join.koko")
+	if err := blockstore.Write(path, c, heap); err != nil {
+		b.Fatal(err)
+	}
+	r, err := blockstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	model := embed.NewModel()
 	nqs := make([]*normQuery, 0, len(benchJoinQueries))
 	for _, src := range benchJoinQueries {
-		nq, err := normalize(lang.MustParse(src), e.model)
+		nq, err := normalize(lang.MustParse(src), model)
 		if err != nil {
 			b.Fatal(err)
 		}
 		nqs = append(nqs, nq)
 	}
-	for _, planned := range []bool{false, true} {
-		name := "plan=off"
-		if planned {
-			name = "plan=on"
+	for _, ix := range []struct {
+		name string
+		ix   *index.Index
+	}{{"heap", heap}, {"store", r.NewIndex()}} {
+		for _, planned := range []bool{false, true} {
+			name := ix.name + "/plan=off"
+			if planned {
+				name = ix.name + "/plan=on"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i, nq := range nqs {
+					if d := runDPLI(nq, ix.ix, planned); d.exhausted || len(d.candSids) == 0 {
+						b.Fatalf("benchmark join query %d pruned to nothing", i)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, nq := range nqs {
+						runDPLI(nq, ix.ix, planned)
+					}
+				}
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			for _, nq := range nqs {
-				if d := runDPLI(nq, e.ix, planned); d.exhausted || len(d.candSids) == 0 {
-					b.Fatal("benchmark join query pruned to nothing")
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, nq := range nqs {
-					runDPLI(nq, e.ix, planned)
-				}
-			}
-		})
 	}
 }

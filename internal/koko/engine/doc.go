@@ -9,9 +9,16 @@
 //  2. Decompose Paths & Lookup Indices, DPLI (§4.2) — dominant paths are
 //     identified, each is decomposed into a parse-label path, a POS-tag
 //     path, and a word path; the PL, POS, and word indices are consulted and
-//     their posting lists joined with the paper's interval+depth arithmetic.
-//     The result is a complete (but not necessarily sound) candidate set of
-//     sentences plus per-sentence binding-count estimates.
+//     joined on (sid, tid). The hierarchy side of that join reads the
+//     index's per-token node-id columns (the W table's plid/posid): a token
+//     is in a hierarchy path's lookup when its node id is among the path's
+//     matched nodes. So a path with words joins only the word lists, with
+//     the paper's interval+depth arithmetic, and checks node ids; a path
+//     without words walks the hierarchy lists of its smaller node set as
+//     lead and checks the other alphabet's ids. The lookups run rarest
+//     lead list first, each restricted to the sentences the earlier ones
+//     left. The result is a complete (but not necessarily sound) candidate
+//     set of sentences plus per-sentence binding-count estimates.
 //
 //  3. Generate Skip Plan, GSP (§4.3, Algorithm 2) — for every horizontal
 //     condition the costliest variables (elastic spans cost t(t+1)/2) are

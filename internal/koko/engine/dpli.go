@@ -69,49 +69,93 @@ func countsOfPostings(ps []index.Posting) varCounts {
 }
 
 // runBound bounds a possibly-lazy list's sentence runs without decoding a
-// block: by its posting count and by the sid range its block directories
-// span (a Union's by its node lists', since its own bounds materialize it).
+// block: by its posting count and by the sid range its block directory
+// spans.
 func runBound(l index.PostingList) int {
-	lists, ok := l.(index.Union)
-	if !ok {
-		lists = index.Union{l}
-	}
-	n, lo, hi := 0, int32(math.MaxInt32), int32(0)
-	for _, l := range lists {
-		if nb := index.ListLen(l); nb > 0 {
-			n += nb
-			first, _ := l.BlockBounds(0)
-			_, last := l.BlockBounds(l.NumBlocks() - 1)
-			lo, hi = min(lo, first), max(hi, last)
-		}
-	}
+	n := index.ListLen(l)
 	if n == 0 {
 		return 0
 	}
-	return min(n, int(hi-lo)+1)
+	first, _ := l.BlockBounds(0)
+	_, last := l.BlockBounds(l.NumBlocks() - 1)
+	return min(n, int(last-first)+1)
 }
 
-// countsOfList is countsOfPostings over a possibly-lazy list: runs stream
-// through the cursor one block at a time, so only the count arrays — sized
-// once by runBound — materialize.
-func countsOfList(l index.PostingList) varCounts {
-	vc := newVarCounts(runBound(l))
-	var c index.ListCursor
-	for c.Reset(l); c.Valid(); c.NextRun() {
-		vc.sids = append(vc.sids, c.Sid())
-		vc.counts = append(vc.counts, int32(len(c.Run())))
+// eachIn calls f with the postings of l whose sentence is in the sorted set
+// within — every posting when within is nil — as (sid, tid)-ordered slices
+// of l's blocks. A block whose sid bounds hold no sentence of within is
+// skipped by its directory entry without decoding. One sentence's postings
+// may arrive in several calls (a run spanning blocks).
+func eachIn(l index.PostingList, within []int32, f func([]index.Posting)) {
+	nb := 0
+	if l != nil {
+		nb = l.NumBlocks()
 	}
+	j := 0
+	for i := 0; i < nb; i++ {
+		if within == nil {
+			f(l.Block(i))
+			continue
+		}
+		lo, hi := l.BlockBounds(i)
+		if j = index.SeekSidIn(within, j, lo); j == len(within) {
+			return
+		}
+		if within[j] > hi {
+			continue
+		}
+		blk := l.Block(i)
+		for k := 0; j < len(within) && within[j] <= hi; j++ {
+			k = seekSid(blk, k, within[j])
+			e := seekSid(blk, k, within[j]+1)
+			if e > k {
+				f(blk[k:e])
+			}
+			k = e
+		}
+		if within[j-1] == hi {
+			j-- // the sentence may continue into the next block
+		}
+	}
+}
+
+// countsOfList is countsOfPostings over a possibly-lazy list, restricted to
+// the sentences of within (all when nil): postings stream through block by
+// block, so only the count arrays — sized once by runBound — materialize.
+func countsOfList(l index.PostingList, within []int32) varCounts {
+	n := runBound(l)
+	if within != nil {
+		n = min(n, len(within))
+	}
+	vc := newVarCounts(n)
+	eachIn(l, within, func(ps []index.Posting) {
+		for _, p := range ps {
+			if k := len(vc.sids) - 1; k >= 0 && vc.sids[k] == p.Sid {
+				vc.counts[k]++
+			} else {
+				vc.sids = append(vc.sids, p.Sid)
+				vc.counts = append(vc.counts, 1)
+			}
+		}
+	})
 	return vc
 }
 
-// sidsOfList is index.SidsOf over a possibly-lazy list, sized once by
-// runBound.
-func sidsOfList(l index.PostingList) []int32 {
-	out := make([]int32, 0, runBound(l))
-	var c index.ListCursor
-	for c.Reset(l); c.Valid(); c.NextRun() {
-		out = append(out, c.Sid())
+// sidsOfList is index.SidsOf over a possibly-lazy list, restricted to the
+// sentences of within (all when nil).
+func sidsOfList(l index.PostingList, within []int32) []int32 {
+	n := runBound(l)
+	if within != nil {
+		n = min(n, len(within))
 	}
+	out := make([]int32, 0, n)
+	eachIn(l, within, func(ps []index.Posting) {
+		for _, p := range ps {
+			if k := len(out) - 1; k < 0 || out[k] != p.Sid {
+				out = append(out, p.Sid)
+			}
+		}
+	})
 	return out
 }
 
@@ -179,13 +223,32 @@ func storeFault(ix *index.Index, r any) error {
 	panic(r)
 }
 
-// runDPLI implements §4.2 over the multi-index. planned enables the
-// selectivity-ordered join pre-filter inside decomposed-path lookups (the
-// planner's DPLI-level leg); planned=false reproduces the written-order
-// baseline exactly.
+// runDPLI implements §4.2 over the multi-index. Entity variables, literal
+// token-sequence variables and dominant paths each contribute a sorted
+// candidate sid set, and the candidates are their intersection. planned
+// looks the word conjunctions and dominant paths up in ascending order of
+// their lead list's exact posting count (known from the directories,
+// nothing decoded) and restricts each later lookup to the running
+// candidate set, so a common path walks only the sentences the rarer ones
+// left. Every lookup is per sentence, so a restricted lookup returns the
+// unrestricted one's postings in the surviving sentences: the candidate
+// set is the same either way, and so is every binding estimate at a
+// candidate sid — the only sids plans (sumCounts) and evaluation
+// (countCursor) read. planned=false keeps the written order, unrestricted.
 func runDPLI(nq *normQuery, ix *index.Index, planned bool) *dpliResult {
 	res := &dpliResult{counts: make([]varCounts, len(nq.vars))}
-	var sidSets [][]int32
+	var cand []int32
+	narrowed := false
+	// narrow intersects the running candidate set with sids and reports
+	// whether any candidate is left.
+	narrow := func(sids []int32) bool {
+		if narrowed {
+			cand = index.IntersectSids(cand, sids)
+		} else {
+			cand, narrowed = sids, true
+		}
+		return len(cand) > 0
+	}
 
 	// Entity variables: posting lists from the entity index.
 	for _, v := range nq.vars {
@@ -193,66 +256,82 @@ func runDPLI(nq *normQuery, ix *index.Index, planned bool) *dpliResult {
 			continue
 		}
 		eps := ix.EntitiesOfType(v.etype)
-		if len(eps) == 0 {
+		vc := countsOfEntities(eps)
+		res.counts[v.slot] = vc
+		if !narrow(vc.sids) {
 			res.exhausted = true
 			return res
 		}
-		vc := countsOfEntities(eps)
-		res.counts[v.slot] = vc
-		sidSets = append(sidSets, vc.sids)
 	}
+
+	// A lookup is one index access that narrows the candidates: size is its
+	// lead list's exact posting count, run returns the sids it keeps within a
+	// candidate set (nil: unrestricted).
+	type lookup struct {
+		size int
+		run  func(within []int32) []int32
+	}
+	var lookups []lookup
 
 	// Literal token-sequence variables prune through the word index.
 	for _, v := range nq.vars {
 		if v.kind != vkTokens || len(v.words) == 0 {
 			continue
 		}
-		sids := wordConjunctionSids(ix, v.words)
-		if sids == nil {
+		lists := make([]index.PostingList, len(v.words))
+		size := math.MaxInt
+		for k, w := range v.words {
+			lists[k] = ix.WordList(w)
+			size = min(size, index.ListLen(lists[k]))
+		}
+		if size == 0 {
 			res.exhausted = true
 			return res
 		}
-		res.counts[v.slot] = countsOfList(ix.WordList(v.words[0]))
-		sidSets = append(sidSets, sids)
+		lookups = append(lookups, lookup{size, func(within []int32) []int32 {
+			res.counts[v.slot] = countsOfList(lists[0], within)
+			return wordConjunctionSids(lists, within)
+		}})
 	}
 
 	// Dominant paths (§4.2.1): decompose and look up each; dominated
 	// variables inherit their dominant path's bindings.
 	dominant, repOf := nq.dominantPaths()
-	domCounts := map[string]varCounts{}
+	domCounts := make(map[string]varCounts, len(dominant))
 	for _, dv := range dominant {
-		ps, ok := lookupDecomposed(ix, dv.path, FullMode, planned)
-		if !ok {
+		pq := decomposePath(ix, dv.path, FullMode)
+		if pq.miss {
 			res.exhausted = true
 			return res
 		}
-		vc := countsOfPostings(ps)
-		domCounts[dv.name] = vc
-		sidSets = append(sidSets, vc.sids)
+		lookups = append(lookups, lookup{pq.size, func(within []int32) []int32 {
+			vc := countsOfPostings(pq.lookup(within))
+			domCounts[dv.name] = vc
+			return vc.sids
+		}})
+	}
+
+	if !narrowed && len(lookups) == 0 {
+		res.allSentences = true
+		return res
+	}
+	if planned {
+		sort.SliceStable(lookups, func(i, j int) bool { return lookups[i].size < lookups[j].size })
+	}
+	for _, l := range lookups {
+		var within []int32
+		if planned && narrowed {
+			within = cand
+		}
+		if !narrow(l.run(within)) {
+			res.exhausted = true
+			return res
+		}
 	}
 	for _, v := range nq.nodeVars() {
 		res.counts[v.slot] = domCounts[repOf[v.name].name]
 	}
-
-	if len(sidSets) == 0 {
-		res.allSentences = true
-		return res
-	}
-	// Intersect smallest-first: start from the most selective set so every
-	// later intersection (galloping inside IntersectSids) works on the
-	// smallest possible frontier.
-	sort.Slice(sidSets, func(i, j int) bool { return len(sidSets[i]) < len(sidSets[j]) })
-	cand := sidSets[0]
-	for _, s := range sidSets[1:] {
-		if len(cand) == 0 {
-			break
-		}
-		cand = index.IntersectSids(cand, s)
-	}
 	res.candSids = cand
-	if len(cand) == 0 {
-		res.exhausted = true
-	}
 	return res
 }
 
@@ -304,37 +383,74 @@ var FullMode = AblationMode{UsePL: true, UsePOS: true, UseWords: true}
 // in which case evaluation "immediately ceases" (§4.2.2 Discussion).
 // Exported for the index-scheme comparison harness.
 func LookupDecomposed(ix *index.Index, steps []lang.PathStep) ([]index.Posting, bool) {
-	return lookupDecomposed(ix, steps, FullMode, false)
+	return LookupDecomposedMode(ix, steps, FullMode)
 }
 
 // LookupDecomposedMode is LookupDecomposed restricted to a subset of the
 // index families; disabled families contribute no pruning (their decomposed
 // paths are treated as pure wildcards). Used by the ablation experiments.
 func LookupDecomposedMode(ix *index.Index, steps []lang.PathStep, mode AblationMode) ([]index.Posting, bool) {
-	return lookupDecomposed(ix, steps, mode, false)
+	ps := decomposePath(ix, steps, mode).lookup(nil)
+	return ps, len(ps) > 0
 }
 
-// lookupDecomposed is the shared implementation. planned evaluates words
-// first: the depth-filtered word lists' sentence-id sets are intersected
-// smallest-first, the lazy hierarchy lists are restricted to the survivors
-// by seeking through them (skipping undecoded blocks and never merging a
-// union's other sentences), then the PL⋈POS join runs, and its sid set in
-// turn restricts the word lists before the pairwise joinAncestorDescendant /
-// joinSameToken / joinHasAncestor merges. Every join is per sentence, and any
-// posting the unfiltered joins would emit has a same-sentence witness in
-// every list, so its sentence survives each restriction and the filtered
-// joins emit it too: the output is identical, and the merge work is
-// proportional to the most selective list instead of the first. planned=false
-// keeps the written order (PL⋈POS first), over the same lazy lists.
-func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode, planned bool) ([]index.Posting, bool) {
+// nodeSet is the hierarchy side of one decomposed path on one alphabet: the
+// nodes its concrete path matches, as a set over node ids, and the index's
+// node-id column for that alphabet. "Token t is in the path's lookup" is
+// in[col[t]], because each node's list holds exactly the tokens whose root
+// path is that node.
+type nodeSet struct {
+	lists []index.PostingList // the matched nodes' non-empty lists
+	in    []bool              // by node id
+	col   []int32             // Index.PLNode or Index.POSNode
+	n     int                 // postings under the matched nodes
+}
+
+// matchNodes resolves a concrete hierarchy path to its node set; counting
+// its postings reads only list lengths, so no block decodes.
+func matchNodes(h *index.Hierarchy, p index.Path, col []int32) *nodeSet {
+	ns := &nodeSet{in: make([]bool, len(h.Labels)), col: col}
+	for _, node := range h.LookupNodes(p) {
+		if l := h.NodeList(node); index.ListLen(l) > 0 {
+			ns.in[node] = true
+			ns.lists = append(ns.lists, l)
+			ns.n += l.Len()
+		}
+	}
+	return ns
+}
+
+// wordAt is one word a decomposed path names, with its step.
+type wordAt struct {
+	word string
+	step int
+	list index.PostingList
+}
+
+// pathQuery is one path decomposed into its parse-label, POS and word paths
+// (Example 4.2), resolved against the index but not yet looked up.
+type pathQuery struct {
+	ix      *index.Index
+	steps   []lang.PathStep
+	pl, pos *nodeSet // nil: the alphabet's path is all wildcards
+	words   []wordAt
+	// size is the exact posting count of the lookup's lead list: its
+	// smallest word list, else its smaller node set, else every token.
+	size int
+	// miss: some decomposed path has no index match, so the lookup is empty.
+	miss bool
+}
+
+// decomposePath splits a path into its PL, POS and word paths and resolves
+// them: the matched hierarchy node sets and the words' lists. A decomposed
+// path that is entirely wildcards on one alphabet carries only depth
+// constraints, which the depth rule already enforces — so it is skipped
+// (Algorithm 1 decomposes "if possible").
+func decomposePath(ix *index.Index, steps []lang.PathStep, mode AblationMode) *pathQuery {
 	m := len(steps)
 	plPath := make(index.Path, m)
 	posPath := make(index.Path, m)
-	type wordAt struct {
-		word string
-		step int
-	}
-	var words []wordAt
+	pq := &pathQuery{ix: ix, steps: steps}
 	for i, st := range steps {
 		cls, canon := classifyStep(st)
 		plPath[i] = index.Step{Desc: st.Desc, Label: "*"}
@@ -345,189 +461,243 @@ func lookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMode,
 		case scPOS:
 			posPath[i].Label = canon
 		case scWord:
-			words = append(words, wordAt{word: canon, step: i})
+			pq.words = append(pq.words, wordAt{word: canon, step: i})
 		}
 		if p := stepPOS(st); p != "" && posPath[i].Label == "*" {
 			posPath[i].Label = p
 		}
 		if cls != scWord {
 			if w := stepWord(st); w != "" {
-				words = append(words, wordAt{word: w, step: i})
+				pq.words = append(pq.words, wordAt{word: w, step: i})
 			}
 		}
 	}
-
-	// Hierarchy lookups. A decomposed path that is entirely wildcards on one
-	// alphabet carries only depth constraints, which the other alphabet's
-	// lookup over the isomorphic hierarchy already enforces — so it is
-	// skipped (Algorithm 1 decomposes "if possible").
 	if !mode.UseWords {
-		words = nil
+		pq.words = nil
 	}
-	if !mode.UsePL {
-		for i := range plPath {
-			plPath[i].Label = "*"
+	pq.size = ix.Columns().NumTokens()
+	if mode.UsePL && hasConcrete(plPath) {
+		pq.pl = matchNodes(ix.PL, plPath, ix.PLNode)
+		pq.size = min(pq.size, pq.pl.n)
+		pq.miss = pq.pl.n == 0
+	}
+	if mode.UsePOS && hasConcrete(posPath) {
+		pq.pos = matchNodes(ix.POS, posPath, ix.POSNode)
+		pq.size = min(pq.size, pq.pos.n)
+		pq.miss = pq.miss || pq.pos.n == 0
+	}
+	if len(pq.words) > 0 {
+		pq.size = math.MaxInt
+		for k := range pq.words {
+			w := &pq.words[k]
+			w.list = ix.WordList(w.word)
+			pq.size = min(pq.size, index.ListLen(w.list))
 		}
+		pq.miss = pq.miss || pq.size == 0
 	}
-	if !mode.UsePOS {
-		for i := range posPath {
-			posPath[i].Label = "*"
-		}
-	}
-	// The hierarchy lists stay lazy: one matched node's list is the node's
-	// own (block-backed) list, several are an index.Union walked by a merging
-	// cursor. No union is ever materialized — the cursor joins and filters
-	// below decode only the blocks whose sid bounds survive the merge.
-	var hier []index.PostingList
-	if hasConcrete(plPath) {
-		hier = append(hier, ix.PL.LookupList(plPath))
-	}
-	if hasConcrete(posPath) {
-		hier = append(hier, ix.POS.LookupList(posPath))
-	}
-	for _, l := range hier {
-		if index.ListLen(l) == 0 {
-			return nil, false
-		}
-	}
-	pAll := len(hier) == 0 // neither hierarchy path has concrete labels
-	if pAll && len(words) == 0 {
-		// Pure-wildcard path with no words: fall back to a full
-		// POS-hierarchy walk so the depth constraint still applies.
-		ps := ix.POS.Lookup(posPath)
-		if len(ps) == 0 {
-			return nil, false
-		}
-		return ps, true
-	}
-	// joinHier is P: the PL⋈POS same-token join, or the one hierarchy list.
-	joinHier := func() index.PostingList {
-		if len(hier) == 2 {
-			return index.SlicePostings(joinSameToken(hier[0], hier[1]))
-		}
-		return hier[0]
-	}
+	return pq
+}
 
-	if len(words) == 0 {
-		if p := index.Materialize(joinHier()); len(p) > 0 {
-			return p, true
+// exactBetween reports whether the axes of steps (from, to] are all child
+// axes, so a depth difference across them is exact rather than a lower
+// bound; from = -1 asks about the prefix up to to.
+func (pq *pathQuery) exactBetween(from, to int) bool {
+	for i := from + 1; i <= to; i++ {
+		if pq.steps[i].Desc {
+			return false
 		}
-		return nil, false
 	}
+	return true
+}
 
-	// Word path: access the word index per word left-to-right and join with
-	// the ancestor/descendant depth arithmetic (Example 4.4). minGapExact
-	// tells whether the depth difference is exact (all '/' axes between the
-	// two words) or a lower bound (some '//' axis).
-	exactPrefix := func(upto int) bool { // axes 0..upto all child axes?
-		for i := 0; i <= upto; i++ {
-			if steps[i].Desc {
-				return false
-			}
-		}
-		return true
-	}
-	exactBetween := func(from, to int) bool { // axes (from, to]
-		for i := from + 1; i <= to; i++ {
-			if steps[i].Desc {
-				return false
-			}
-		}
-		return true
-	}
+// nodesOK reports whether token offset t passes both node-id checks.
+func (pq *pathQuery) nodesOK(t int32) bool {
+	return (pq.pl == nil || pq.pl.in[pq.pl.col[t]]) && (pq.pos == nil || pq.pos.in[pq.pos.col[t]])
+}
 
-	lists := make([][]index.Posting, len(words))
-	for k, w := range words {
-		lists[k] = filterByDepth(ix.WordList(w.word), int32(w.step), exactPrefix(w.step))
+// lookup runs the decomposed path's index lookups and joins them (§4.2.2),
+// keeping only the sentences of within (all when nil). The hierarchy side
+// is the node-id columns: a path with words joins only the word lists and
+// then checks its tokens' node ids, and a path without words walks the
+// smaller of its two node sets' lists as its lead, checking the other
+// alphabet's node id. No hierarchy list is walked when a word anchors the
+// path, and no list of one alphabet is ever joined with the other's.
+func (pq *pathQuery) lookup(within []int32) []index.Posting {
+	if pq.miss {
+		return nil
+	}
+	if len(pq.words) == 0 {
+		return pq.lookupNodes(within)
+	}
+	// Word path: access the word index per word left to right and join with
+	// the ancestor/descendant depth arithmetic (Example 4.4).
+	lists := make([][]index.Posting, len(pq.words))
+	for k, w := range pq.words {
+		lists[k] = filterByDepth(w.list, within, int32(w.step), pq.exactBetween(-1, w.step))
 		if len(lists[k]) == 0 {
-			return nil, false
+			return nil
 		}
 	}
-	// One word against at most one lazy hierarchy list is a single merge
-	// join that already seeks through both; restricting first would only
-	// walk them twice.
-	planFilter := planned && (len(words) > 1 || len(hier) == 2)
-	var allowed []int32
-	if planFilter {
-		// Words first: intersect the word lists' sentence ids smallest-first,
-		// then restrict each lazy hierarchy list to the survivors by seeking
-		// through it, so the PL⋈POS join below sees only those sentences.
-		sets := make([][]int32, 0, len(words))
-		for _, l := range lists {
-			sets = append(sets, index.SidsOf(l))
-		}
-		sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-		allowed = sets[0]
-		for _, s := range sets[1:] {
-			if len(allowed) == 0 {
-				break
-			}
-			allowed = index.IntersectSids(allowed, s)
-		}
-		if len(allowed) == 0 {
-			return nil, false
-		}
-		for i, l := range hier {
-			hier[i] = index.SlicePostings(filterBySids(l, allowed))
+	q := lists[0]
+	for k := 1; k < len(pq.words); k++ {
+		prev, next := pq.words[k-1].step, pq.words[k].step
+		if q = joinAncestorDescendant(q, lists[k], int32(next-prev), pq.exactBetween(prev, next)); len(q) == 0 {
+			return nil
 		}
 	}
-	var p index.PostingList
-	if !pAll {
-		p = joinHier()
-		if index.ListLen(p) == 0 {
-			return nil, false
-		}
-	}
-	if planFilter {
-		// P already lies within the word survivors, so its own sid set is the
-		// intersection of every list's: restrict the word lists to it.
-		if !pAll {
-			allowed = sidsOfList(p)
-		}
-		for k := range lists {
-			lists[k] = filterBySids(index.SlicePostings(lists[k]), allowed)
-		}
-	}
-	cur := lists[0]
-	for k := 1; k < len(words); k++ {
-		gap := int32(words[k].step - words[k-1].step)
-		exact := exactBetween(words[k-1].step, words[k].step)
-		cur = joinAncestorDescendant(cur, lists[k], gap, exact)
-		if len(cur) == 0 {
-			return nil, false
-		}
-	}
-	q := cur
 
-	// Join P with Q (§4.2.2 "Join of posting lists from all indices").
-	last := words[len(words)-1]
-	if last.step == m-1 {
-		if pAll {
-			// No hierarchy constraint beyond what the word chain enforced.
-			return q, true
+	m := len(pq.steps)
+	last := pq.words[len(pq.words)-1].step
+	if last == m-1 {
+		// The last path element is the word token: keep the word postings
+		// whose node ids pass (q is this lookup's own slice).
+		out := q[:0]
+		cols := pq.ix.Columns()
+		for _, p := range q {
+			if pq.nodesOK(cols.TokOff[p.Sid] + p.Tid) {
+				out = append(out, p)
+			}
 		}
-		// The last path element is a word token: same-token join.
-		out := joinSameToken(p, index.SlicePostings(q))
-		if len(out) == 0 {
-			return nil, false
+		return out
+	}
+	return pq.belowWords(q, int32(m-1-last), pq.exactBetween(last, m-1))
+}
+
+// belowWords is the final P⋈Q join of §4.2.2 over the columns when the last
+// word is above the path's last step: in each sentence of q it keeps the
+// tokens that sit at the last step's depth, pass the node-id checks, and
+// have an ancestor in the sentence's q postings at the depth difference gap
+// (exact, or a lower bound). Only tokens inside some q posting's subtree are
+// scanned.
+func (pq *pathQuery) belowWords(q []index.Posting, gap int32, exact bool) []index.Posting {
+	cols := pq.ix.Columns()
+	m := int32(len(pq.steps))
+	exactD := pq.exactBetween(-1, int(m-1))
+	var out []index.Posting
+	for i := 0; i < len(q); {
+		sid := q[i].Sid
+		j := seekSid(q, i, sid+1)
+		run := q[i:j]
+		lo, hi := run[0].U, run[0].V
+		for _, a := range run[1:] {
+			lo, hi = min(lo, a.U), max(hi, a.V)
 		}
-		return out, true
+		t0 := cols.TokOff[sid]
+		for tid := lo; tid <= hi; tid++ {
+			t := t0 + tid
+			d := cols.Depth[t]
+			if !depthOK(d, m-1, 0, exactD) || !pq.nodesOK(t) {
+				continue
+			}
+			u, v := cols.SubL[t], cols.SubR[t]
+			for _, a := range run {
+				if a.U <= u && a.V >= v && depthOK(d, a.D, gap, exact) {
+					out = append(out, index.Posting{Sid: sid, Tid: tid, U: u, V: v, D: d})
+					break
+				}
+			}
+		}
+		i = j
 	}
-	if pAll {
-		// The trailing steps are wildcards: the ancestor join seeks through
-		// the depth-pruned POS walk's lazy union.
-		p = ix.POS.LookupList(posPath)
-		if index.ListLen(p) == 0 {
-			return nil, false
+	return out
+}
+
+// lookupNodes answers a path without words. With a concrete hierarchy path
+// it walks the lists of the node set with fewer postings and keeps each
+// token whose other node id passes — one node's list is (sid, tid)-sorted,
+// so only a lead of several nodes merges its kept runs. A pure-wildcard
+// path is a depth rule only, so it scans the columns.
+func (pq *pathQuery) lookupNodes(within []int32) []index.Posting {
+	cols := pq.ix.Columns()
+	lead := pq.pl
+	if lead == nil || (pq.pos != nil && pq.pos.n < lead.n) {
+		lead = pq.pos
+	}
+	if lead == nil {
+		m := int32(len(pq.steps))
+		exact := pq.exactBetween(-1, int(m-1))
+		var out []index.Posting
+		scan := func(sid int32) {
+			t0 := cols.TokOff[sid]
+			for t := t0; t < cols.TokOff[sid+1]; t++ {
+				if d := cols.Depth[t]; depthOK(d, m-1, 0, exact) {
+					out = append(out, index.Posting{Sid: sid, Tid: t - t0, U: cols.SubL[t], V: cols.SubR[t], D: d})
+				}
+			}
+		}
+		if within != nil {
+			for _, sid := range within {
+				scan(sid)
+			}
+		} else {
+			for sid := range int32(cols.NumSentences()) {
+				scan(sid)
+			}
+		}
+		return out
+	}
+	// Room for the lead's postings, or for their average share per
+	// sentence (rounded up) in each sentence of within.
+	size := lead.n
+	if within != nil {
+		size = min(size, len(within)*(lead.n/max(cols.NumSentences(), 1)+1))
+	}
+	out := make([]index.Posting, 0, size)
+	ends := make([]int, 0, len(lead.lists))
+	for _, l := range lead.lists {
+		eachIn(l, within, func(ps []index.Posting) {
+			for _, p := range ps {
+				if pq.nodesOK(cols.TokOff[p.Sid] + p.Tid) {
+					out = append(out, p)
+				}
+			}
+		})
+		ends = append(ends, len(out))
+	}
+	return mergeRuns(out, ends)
+}
+
+// mergeRuns merges the consecutive (sid, tid)-sorted runs of ps — run i
+// ends at ends[i] — into one sorted slice, pairwise through one scratch
+// buffer. ends is consumed.
+func mergeRuns(ps []index.Posting, ends []int) []index.Posting {
+	if len(ends) < 2 {
+		return ps
+	}
+	src, dst := ps, make([]index.Posting, len(ps))
+	for len(ends) > 1 {
+		w, lo := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			hi := ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
+				mergeTwo(dst[lo:hi], src[lo:ends[i]], src[ends[i]:hi])
+			} else {
+				copy(dst[lo:hi], src[lo:hi])
+			}
+			ends[w] = hi
+			w++
+			lo = hi
+		}
+		ends = ends[:w]
+		src, dst = dst, src
+	}
+	return src
+}
+
+// mergeTwo merges the (sid, tid)-sorted a and b into dst, which holds
+// exactly their postings.
+func mergeTwo(dst, a, b []index.Posting) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && (a[i].Sid < b[j].Sid || a[i].Sid == b[j].Sid && a[i].Tid < b[j].Tid)) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
 		}
 	}
-	// Otherwise the last word is an ancestor of the path's final token:
-	// return p's quintuples that have a suitable ancestor in Q.
-	out := joinHasAncestor(p, q, int32(m-1-last.step), exactBetween(last.step, m-1))
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, true
 }
 
 // hasConcrete reports whether any step of a hierarchy path names a concrete
@@ -548,45 +718,23 @@ func depthOK(descD, ancD, gap int32, exact bool) bool {
 	return descD >= ancD+gap
 }
 
-// filterByDepth keeps postings whose depth satisfies the step-position rule:
-// a token matching step i has depth exactly i when every axis up to i is a
-// child axis, and depth >= i otherwise. Blocks of a lazy list stream through
-// one at a time; only the matches materialize.
-func filterByDepth(l index.PostingList, step int32, exact bool) []index.Posting {
-	if index.ListLen(l) == 0 {
-		return nil
+// filterByDepth keeps the postings of l in the sentences of within (all
+// when nil) whose depth satisfies the step-position rule: a token matching
+// step i has depth exactly i when every axis up to i is a child axis, and
+// depth >= i otherwise. Blocks stream through one at a time; only the
+// matches materialize.
+func filterByDepth(l index.PostingList, within []int32, step int32, exact bool) []index.Posting {
+	var out []index.Posting
+	if within == nil {
+		out = make([]index.Posting, 0, index.ListLen(l))
 	}
-	out := make([]index.Posting, 0, l.Len())
-	for i := 0; i < l.NumBlocks(); i++ {
-		for _, p := range l.Block(i) {
-			if (exact && p.D == step) || (!exact && p.D >= step) {
+	eachIn(l, within, func(ps []index.Posting) {
+		for _, p := range ps {
+			if depthOK(p.D, step, 0, exact) {
 				out = append(out, p)
 			}
 		}
-	}
-	return out
-}
-
-// filterBySids keeps the postings whose sentence is in the sorted allowed
-// set, one merge walk. Cursor seeks skip whole undecoded blocks between
-// surviving sentences, so only blocks overlapping the allowed set decode.
-func filterBySids(l index.PostingList, allowed []int32) []index.Posting {
-	var out []index.Posting
-	var c index.ListCursor
-	c.Reset(l)
-	j := 0
-	for c.Valid() && j < len(allowed) {
-		switch {
-		case c.Sid() < allowed[j]:
-			c.SeekSid(allowed[j])
-		case allowed[j] < c.Sid():
-			j++
-		default:
-			out = append(out, c.Run()...)
-			c.NextRun()
-			j++
-		}
-	}
+	})
 	return out
 }
 
@@ -618,44 +766,6 @@ func seekSid(ps []index.Posting, from int, sid int32) int {
 		}
 	}
 	return lo
-}
-
-// joinSameToken intersects two sorted posting lists on (sid, tid), keeping
-// the quintuples of the first list. Runs of non-matching sentences are
-// skipped with galloping cursor seeks, which for block-backed lists skip
-// whole blocks by directory bounds without decoding them.
-func joinSameToken(a, b index.PostingList) []index.Posting {
-	out := make([]index.Posting, 0, min(index.ListLen(a), index.ListLen(b)))
-	var ca, cb index.ListCursor
-	ca.Reset(a)
-	cb.Reset(b)
-	for ca.Valid() && cb.Valid() {
-		if ca.Sid() < cb.Sid() {
-			ca.SeekSid(cb.Sid())
-			continue
-		}
-		if cb.Sid() < ca.Sid() {
-			cb.SeekSid(ca.Sid())
-			continue
-		}
-		ra, rb := ca.Run(), cb.Run()
-		i, j := 0, 0
-		for i < len(ra) && j < len(rb) {
-			switch {
-			case ra[i].Tid < rb[j].Tid:
-				i++
-			case rb[j].Tid < ra[i].Tid:
-				j++
-			default:
-				out = append(out, ra[i])
-				i++
-				j++
-			}
-		}
-		ca.NextRun()
-		cb.NextRun()
-	}
-	return out
 }
 
 // joinAncestorDescendant returns the quintuples of next that have an
@@ -693,57 +803,12 @@ func joinAncestorDescendant(cur, next []index.Posting, gap int32, exact bool) []
 	return out
 }
 
-// joinHasAncestor keeps the quintuples of p that have an ancestor in q at
-// the required depth difference — the final P⋈Q join of §4.2.2. Like
-// joinAncestorDescendant it is a per-sid merge join; p's cursor gallops
-// through the block directory, so sentences q lacks cost no decodes.
-func joinHasAncestor(p index.PostingList, q []index.Posting, gap int32, exact bool) []index.Posting {
-	var out []index.Posting
-	var cp index.ListCursor
-	cp.Reset(p)
-	j := 0
-	for cp.Valid() && j < len(q) {
-		if cp.Sid() < q[j].Sid {
-			cp.SeekSid(q[j].Sid)
-			continue
-		}
-		if q[j].Sid < cp.Sid() {
-			j = seekSid(q, j, cp.Sid())
-			continue
-		}
-		sid := cp.Sid()
-		je := seekSid(q, j, sid+1)
-		for _, pp := range cp.Run() {
-			for k := j; k < je; k++ {
-				qq := q[k]
-				if qq.U <= pp.U && qq.V >= pp.V && depthOK(pp.D, qq.D, gap, exact) {
-					out = append(out, pp)
-					break
-				}
-			}
-		}
-		j = je
-		cp.NextRun()
-	}
-	return out
-}
-
-// wordConjunctionSids returns the sorted sentence ids containing every word,
-// or nil when some word is absent from the corpus.
-func wordConjunctionSids(ix *index.Index, words []string) []int32 {
-	var sids []int32
-	for i, w := range words {
-		l := ix.WordList(w)
-		if index.ListLen(l) == 0 {
-			return nil
-		}
-		s := sidsOfList(l)
-		if i == 0 {
-			sids = s
-		} else {
-			sids = index.IntersectSids(sids, s)
-		}
-		if len(sids) == 0 {
+// wordConjunctionSids returns the sorted ids of the sentences of within
+// (all when nil) that contain every word, nil when there are none.
+func wordConjunctionSids(lists []index.PostingList, within []int32) []int32 {
+	sids := within
+	for _, l := range lists {
+		if sids = sidsOfList(l, sids); len(sids) == 0 {
 			return nil
 		}
 	}

@@ -389,9 +389,10 @@ func decodeCorpus(sec []byte) (*index.Columns, error) {
 func (r *Reader) Columns() *index.Columns { return r.corpus }
 
 // NewIndex assembles the block-backed Index over this reader: hierarchy
-// structure resident, every posting list lazy.
+// structure and the tokens' node-id columns resident, every posting list
+// lazy.
 func (r *Reader) NewIndex() *index.Index {
-	return index.NewBlockBacked(r, r.hierarchy(0), r.hierarchy(1))
+	return index.NewBlockBacked(r, r.corpus, r.hierarchy(0), r.hierarchy(1))
 }
 
 func (r *Reader) hierarchy(k int) *index.Hierarchy {

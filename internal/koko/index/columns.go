@@ -40,6 +40,12 @@ type Dict struct {
 type dictIndex struct {
 	mu  sync.RWMutex
 	ids map[string]uint32
+
+	// posIDs and labelIDs map raw POS tags and parse labels to the ids of
+	// their canonical forms, for the interning goroutine alone: the
+	// parser's tags come from a closed set, so each distinct one is
+	// normalised and interned once.
+	posIDs, labelIDs map[string]uint32
 }
 
 func newDict() Dict {
@@ -77,6 +83,20 @@ func (d *Dict) Intern(s string) uint32 {
 	d.ix.mu.Lock()
 	d.ix.ids[s] = id
 	d.ix.mu.Unlock()
+	return id
+}
+
+// internTag returns the id of raw's canonical form under canon, through
+// cache (one of the dictionary's tag caches).
+func (d *Dict) internTag(cache *map[string]uint32, raw string, canon func(string) string) uint32 {
+	if id, ok := (*cache)[raw]; ok {
+		return id
+	}
+	if *cache == nil {
+		*cache = map[string]uint32{}
+	}
+	id := d.Intern(canon(raw))
+	(*cache)[raw] = id
 	return id
 }
 
@@ -216,8 +236,8 @@ func (c *Columns) appendSentence(s *nlp.Sentence) {
 			id = c.Dict.Intern(t.Lower)
 		}
 		c.Lower = append(c.Lower, id)
-		c.POS = append(c.POS, c.Dict.Intern(nlp.NormalizePOS(t.POS)))
-		c.Label = append(c.Label, c.Dict.Intern(nlp.NormalizeLabel(t.Label)))
+		c.POS = append(c.POS, c.Dict.internTag(&c.Dict.ix.posIDs, t.POS, nlp.NormalizePOS))
+		c.Label = append(c.Label, c.Dict.internTag(&c.Dict.ix.labelIDs, t.Label, nlp.NormalizeLabel))
 		c.Head = append(c.Head, int32(t.Head))
 		c.Depth = append(c.Depth, int32(t.Depth))
 		c.SubL = append(c.SubL, int32(t.SubL))

@@ -28,7 +28,9 @@ type Delta struct {
 
 // NewDelta returns an empty delta.
 func NewDelta() *Delta {
-	return &Delta{c: NewColumns(), ix: NewIndex()}
+	d := &Delta{c: NewColumns(), ix: NewIndex()}
+	d.ix.cols = d.c
+	return d
 }
 
 // NumDocs returns the number of documents in the delta.
@@ -64,8 +66,9 @@ func (d *Delta) indexFrom(first int) {
 // and entity postings follow annotation order (not span order).
 func (d *Delta) repairTails(s *Sent) {
 	sid := int32(s.ID)
-	sortHierTails(d.ix.PL, d.ix.plidOf[sid], sid)
-	sortHierTails(d.ix.POS, d.ix.posidOf[sid], sid)
+	t0 := d.c.TokOff[sid]
+	sortHierTails(d.ix.PL, d.ix.PLNode[t0:], sid)
+	sortHierTails(d.ix.POS, d.ix.POSNode[t0:], sid)
 	texts := map[string]bool{}
 	types := map[string]bool{}
 	for e := range s.EntType {
@@ -81,14 +84,11 @@ func (d *Delta) repairTails(s *Sent) {
 }
 
 // sortHierTails sorts the just-appended run of each hierarchy node touched
-// by the sentence (ids holds one node id per token, with repeats).
+// by the sentence (ids holds one node id per token, with repeats; a run
+// already in order is only checked).
 func sortHierTails(h *Hierarchy, ids []int32, sid int32) {
-	seen := map[int32]bool{}
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			h.SortTail(id, sid)
-		}
+		h.SortTail(id, sid)
 	}
 }
 
@@ -108,10 +108,11 @@ func sortEntityTail(es []EntityPosting, sid int32) {
 // concurrent readers may use freely while AddDocument keeps appending to
 // the original. The columns copy is slice headers and a dictionary prefix
 // view (see Columns); the index clone copies maps and hierarchy skeletons
-// but shares all posting data (see Index.Clone for why later appends cannot
-// reach a sealed view).
+// but shares all posting data and the node-id columns (see Index.Clone for
+// why later appends cannot reach a sealed view).
 func (d *Delta) Seal() (*Columns, *Index) {
-	return d.c.Seal(), d.ix.Clone()
+	c := d.c.Seal()
+	return c, d.ix.Clone(c)
 }
 
 // DocSpan returns delta document i's first sentence id and sentence count,

@@ -64,10 +64,10 @@ func TestDeltaIncrementalMatchesBuild(t *testing.T) {
 	for _, h := range []struct {
 		name       string
 		want, got  *Hierarchy
-		mapW, mapG map[int32][]int32
+		mapW, mapG []int32
 	}{
-		{"PL", want.PL, got.PL, want.plidOf, got.plidOf},
-		{"POS", want.POS, got.POS, want.posidOf, got.posidOf},
+		{"PL", want.PL, got.PL, want.PLNode, got.PLNode},
+		{"POS", want.POS, got.POS, want.POSNode, got.POSNode},
 	} {
 		if !reflect.DeepEqual(h.want.Labels, h.got.Labels) ||
 			!reflect.DeepEqual(h.want.Parents, h.got.Parents) {

@@ -12,7 +12,13 @@
 //     node is identified by its root path and carries a posting list of the
 //     tokens that realize that path. By construction the merge eliminates
 //     the overwhelming majority of nodes (the paper reports >99.7%), which
-//     is what makes the hierarchy index both compact and fast.
+//     is what makes the hierarchy index both compact and fast. Alongside
+//     the lists, every index holds each token's PL and POS node ids
+//     (Index.PLNode, Index.POSNode), aligned with its columns' token
+//     offsets: the plid/posid columns of the W table. Since a node's list
+//     holds exactly the tokens whose root path is that node, membership
+//     of token t in a hierarchy lookup is one column read; the engine
+//     walks hierarchy lists only to lead a path without words.
 //
 // The package also defines the two forms of a corpus's text. Corpus is the
 // parser's output: globally sentence-id'd nlp.Sentence values, what callers

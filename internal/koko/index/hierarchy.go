@@ -1,6 +1,10 @@
 package index
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Hierarchy is a hierarchy index (paper §3.2): the dataguide-style merge of
 // all dependency trees over one label alphabet (parse labels for the PL
@@ -55,10 +59,14 @@ func (h *Hierarchy) child(node int32, label string) int32 {
 // addSentence merges one sentence's dependency tree into the hierarchy.
 // order is the sentence's breadth-first token order (Sent.bfsOrder), so
 // parents merge before children; labels is the label alphabet (parse labels
-// or POS tags) per token. It returns the hierarchy node id assigned to each
-// token (the plid/posid columns of the W table).
-func (h *Hierarchy) addSentence(s *Sent, order []int32, labels []uint32) []int32 {
-	nodeOf := make([]int32, s.Len())
+// or POS tags) per token. It appends the hierarchy node id assigned to each
+// token, in token order, to nodes (the plid/posid columns of the W table)
+// and returns the extended column.
+func (h *Hierarchy) addSentence(s *Sent, order []int32, labels []uint32, nodes []int32) []int32 {
+	base := len(nodes)
+	nodes = slices.Grow(nodes, s.Len())[:base+s.Len()]
+	nodeOf := nodes[base:]
+	clear(nodeOf) // a token the walk misses keeps the super-root's id
 	for _, tid := range order {
 		parentNode := int32(0)
 		if hd := s.Head[tid]; hd >= 0 {
@@ -71,7 +79,7 @@ func (h *Hierarchy) addSentence(s *Sent, order []int32, labels []uint32) []int32
 		})
 	}
 	h.TotalTokens += s.Len()
-	return nodeOf
+	return nodes
 }
 
 // NumNodes returns the number of merged nodes (excluding the super-root).
@@ -115,7 +123,7 @@ func (h *Hierarchy) LookupList(p Path) PostingList {
 	matched := h.LookupNodes(p)
 	lists := make([]PostingList, 0, len(matched))
 	for _, m := range matched {
-		if l := h.nodeList(m); ListLen(l) > 0 {
+		if l := h.NodeList(m); ListLen(l) > 0 {
 			lists = append(lists, l)
 		}
 	}
@@ -128,8 +136,8 @@ func (h *Hierarchy) LookupList(p Path) PostingList {
 	return Union(lists)
 }
 
-// nodeList returns one node's posting list, lazy when source-backed.
-func (h *Hierarchy) nodeList(n int32) PostingList {
+// NodeList returns one node's posting list, lazy when source-backed.
+func (h *Hierarchy) NodeList(n int32) PostingList {
 	if h.NodeSource != nil {
 		return h.NodeSource(n)
 	}
@@ -199,10 +207,12 @@ func (h *Hierarchy) SortTail(node int32, sid int32) {
 	for lo > 0 && ps[lo-1].Sid == sid {
 		lo--
 	}
-	if tail := ps[lo:]; len(tail) > 1 {
-		sort.Slice(tail, func(i, j int) bool { return tail[i].Tid < tail[j].Tid })
+	if tail := ps[lo:]; !slices.IsSortedFunc(tail, cmpTid) {
+		slices.SortFunc(tail, cmpTid)
 	}
 }
+
+func cmpTid(a, b Posting) int { return cmp.Compare(a.Tid, b.Tid) }
 
 // Clone returns an immutable read view of the hierarchy. The per-node
 // children maps are deep-copied (merging a new sentence mutates them in

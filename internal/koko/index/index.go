@@ -16,10 +16,18 @@ type Index struct {
 	PL     *Hierarchy                 // parse-label hierarchy
 	POS    *Hierarchy                 // POS-tag hierarchy
 
-	// plidOf[sid][tid] / posidOf[sid][tid] are each token's node ids in the
-	// hierarchy indices — the W table's plid/posid columns.
-	plidOf  map[int32][]int32
-	posidOf map[int32][]int32
+	// PLNode[t] and POSNode[t] are token t's node ids in the PL and POS
+	// hierarchies — the W table's plid/posid columns — where t is a token
+	// offset of the indexed columns (TokOff[sid]+tid). Every token of a
+	// node's list has that node's id, so "token t is in the lookup of
+	// hierarchy path P" reads as one column entry and a test against
+	// LookupNodes(P). The super-root's id 0, which no path matches, stands
+	// for a token whose path a block store's hierarchy lacks.
+	PLNode, POSNode []int32
+
+	// cols is the text the index covers: the columns the node ids align
+	// with and the engine reads token geometry from.
+	cols *Columns
 
 	// src, when set, supplies all posting data lazily (the mmap block
 	// store); the Word/Entity/ByType maps and hierarchy Postings slices are
@@ -31,39 +39,81 @@ type Index struct {
 // NewIndex returns an empty multi-index.
 func NewIndex() *Index {
 	return &Index{
-		Word:    map[string][]Posting{},
-		Entity:  map[string][]EntityPosting{},
-		ByType:  map[string][]EntityPosting{},
-		PL:      NewHierarchy(),
-		POS:     NewHierarchy(),
-		plidOf:  map[int32][]int32{},
-		posidOf: map[int32][]int32{},
+		Word:   map[string][]Posting{},
+		Entity: map[string][]EntityPosting{},
+		ByType: map[string][]EntityPosting{},
+		PL:     NewHierarchy(),
+		POS:    NewHierarchy(),
 	}
 }
 
-// NewBlockBacked assembles an index whose posting data stays in src (blocks
-// decoded lazily on lookup). The two hierarchies carry the merged dataguide
-// structure (labels, depths, parents, children) but no resident posting
-// lists; their lookups route through src as well. plid/posid columns are not
-// materialized — PLID/POSID return -1 — which only the heap Save path needs.
-func NewBlockBacked(src PostingSource, pl, pos *Hierarchy) *Index {
+// NewBlockBacked assembles an index over cols whose posting data stays in
+// src (blocks decoded lazily on lookup). The two hierarchies carry the
+// merged dataguide structure (labels, depths, parents, children) but no
+// resident posting lists; their lookups route through src as well. The
+// node-id columns are filled here, once, by walking each sentence of cols
+// down the hierarchies' children.
+func NewBlockBacked(src PostingSource, cols *Columns, pl, pos *Hierarchy) *Index {
 	pl.NodeSource = func(n int32) PostingList { return src.NodeList(HierPL, n) }
 	pos.NodeSource = func(n int32) PostingList { return src.NodeList(HierPOS, n) }
-	return &Index{
-		Word:    map[string][]Posting{},
-		Entity:  map[string][]EntityPosting{},
-		ByType:  map[string][]EntityPosting{},
-		PL:      pl,
-		POS:     pos,
-		plidOf:  map[int32][]int32{},
-		posidOf: map[int32][]int32{},
-		src:     src,
+	ix := &Index{
+		Word:   map[string][]Posting{},
+		Entity: map[string][]EntityPosting{},
+		ByType: map[string][]EntityPosting{},
+		PL:     pl,
+		POS:    pos,
+		cols:   cols,
+		src:    src,
 	}
+	ix.PLNode, ix.POSNode = nodeColumns(cols, pl, cols.Label), nodeColumns(cols, pos, cols.POS)
+	return ix
+}
+
+// nodeColumns walks every sentence of c down h's children by the labels
+// column (c.Label or c.POS), parents before children, and returns each
+// token's node id by token offset: the column a heap build appends as it
+// merges (Index.PLNode, Index.POSNode). A token whose root path h lacks,
+// and every token below it, gets the super-root's id 0.
+func nodeColumns(c *Columns, h *Hierarchy, labels []uint32) []int32 {
+	type edge struct {
+		parent int32
+		label  uint32 // id in c's dictionary
+	}
+	kids := make(map[edge]int32, len(h.Parents))
+	for n := 1; n < len(h.Parents); n++ {
+		if id := c.Dict.ID(h.Labels[n]); id != NoID {
+			kids[edge{h.Parents[n], id}] = int32(n)
+		}
+	}
+	nodes := make([]int32, c.NumTokens())
+	var order, scratch []int32
+	for sid := 0; sid < c.NumSentences(); sid++ {
+		s := c.Sent(sid)
+		if n := 2 * s.Len(); cap(scratch) < n {
+			scratch = make([]int32, n)
+		}
+		order = s.bfsOrder(order[:0], scratch)
+		t0 := c.TokOff[sid]
+		for _, tid := range order {
+			parent := int32(0)
+			if hd := s.Head[tid]; hd >= 0 {
+				if parent = nodes[t0+hd]; parent == 0 {
+					continue
+				}
+			}
+			nodes[t0+tid] = kids[edge{parent, labels[t0+tid]}]
+		}
+	}
+	return nodes
 }
 
 // Source returns the lazy posting source backing this index, or nil for a
 // heap-resident index.
 func (ix *Index) Source() PostingSource { return ix.src }
+
+// Columns returns the columns the index covers: its sentence ids and token
+// offsets are theirs.
+func (ix *Index) Columns() *Columns { return ix.cols }
 
 // Build constructs the multi-index over a parsed corpus, through its
 // columns.
@@ -72,6 +122,9 @@ func Build(c *Corpus) *Index { return BuildColumns(ColumnsOf(c)) }
 // BuildColumns constructs the multi-index over a shard's columns.
 func BuildColumns(c *Columns) *Index {
 	ix := NewIndex()
+	ix.cols = c
+	ix.PLNode = make([]int32, 0, c.NumTokens())
+	ix.POSNode = make([]int32, 0, c.NumTokens())
 	var b sentBuilder
 	for sid := 0; sid < c.NumSentences(); sid++ {
 		s := c.Sent(sid)
@@ -87,16 +140,18 @@ func BuildColumns(c *Columns) *Index {
 // larger sids) to the original never mutates anything a clone can reach —
 // appends either land beyond every cloned slice's length or relocate the
 // backing array — so clones serve concurrent readers while the original
-// keeps growing. This is the seal operation of the delta index.
-func (ix *Index) Clone() *Index {
+// keeps growing. This is the seal operation of the delta index; cols is
+// the matching sealed view of the indexed columns.
+func (ix *Index) Clone(cols *Columns) *Index {
 	out := &Index{
 		Word:    make(map[string][]Posting, len(ix.Word)),
 		Entity:  make(map[string][]EntityPosting, len(ix.Entity)),
 		ByType:  make(map[string][]EntityPosting, len(ix.ByType)),
 		PL:      ix.PL.Clone(),
 		POS:     ix.POS.Clone(),
-		plidOf:  make(map[int32][]int32, len(ix.plidOf)),
-		posidOf: make(map[int32][]int32, len(ix.posidOf)),
+		PLNode:  ix.PLNode,
+		POSNode: ix.POSNode,
+		cols:    cols,
 		src:     ix.src,
 	}
 	for k, v := range ix.Word {
@@ -107,12 +162,6 @@ func (ix *Index) Clone() *Index {
 	}
 	for k, v := range ix.ByType {
 		out.ByType[k] = v
-	}
-	for k, v := range ix.plidOf {
-		out.plidOf[k] = v
-	}
-	for k, v := range ix.posidOf {
-		out.posidOf[k] = v
 	}
 	return out
 }
@@ -129,7 +178,9 @@ type sentBuilder struct {
 }
 
 // add merges one sentence into the index; its word postings wait for
-// flushWords. s.ID must be its sentence id within the indexed columns.
+// flushWords. s.ID must be its sentence id within the indexed columns, and
+// every earlier sentence must already be added (the node-id columns grow in
+// token order).
 func (b *sentBuilder) add(ix *Index, s *Sent) {
 	sid := int32(s.ID)
 	if n := s.Dict.Len(); len(b.words) < n {
@@ -155,8 +206,8 @@ func (b *sentBuilder) add(ix *Index, s *Sent) {
 		b.scratch = make([]int32, n)
 	}
 	b.order = s.bfsOrder(b.order[:0], b.scratch)
-	ix.plidOf[sid] = ix.PL.addSentence(s, b.order, s.Label)
-	ix.posidOf[sid] = ix.POS.addSentence(s, b.order, s.POS)
+	ix.PLNode = ix.PL.addSentence(s, b.order, s.Label, ix.PLNode)
+	ix.POSNode = ix.POS.addSentence(s, b.order, s.POS, ix.POSNode)
 }
 
 // flushWords publishes every word list that grew since the last flush to
@@ -232,19 +283,20 @@ func (ix *Index) typeList(t string) []EntityPosting {
 }
 
 // PLID returns the PL hierarchy node id of token (sid, tid), or -1.
-func (ix *Index) PLID(sid, tid int32) int32 {
-	if ids, ok := ix.plidOf[sid]; ok && int(tid) < len(ids) {
-		return ids[tid]
-	}
-	return -1
-}
+func (ix *Index) PLID(sid, tid int32) int32 { return ix.nodeID(ix.PLNode, sid, tid) }
 
 // POSID returns the POS hierarchy node id of token (sid, tid), or -1.
-func (ix *Index) POSID(sid, tid int32) int32 {
-	if ids, ok := ix.posidOf[sid]; ok && int(tid) < len(ids) {
-		return ids[tid]
+func (ix *Index) POSID(sid, tid int32) int32 { return ix.nodeID(ix.POSNode, sid, tid) }
+
+func (ix *Index) nodeID(col []int32, sid, tid int32) int32 {
+	if ix.cols == nil || sid < 0 || int(sid) >= ix.cols.NumSentences() || tid < 0 {
+		return -1
 	}
-	return -1
+	t := ix.cols.TokOff[sid] + tid
+	if t >= ix.cols.TokOff[sid+1] || int(t) >= len(col) {
+		return -1
+	}
+	return col[t]
 }
 
 // Stats summarizes index shape for reports and tests.

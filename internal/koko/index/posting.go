@@ -83,7 +83,7 @@ func IntersectSids(a, b []int32) []int32 {
 	if len(b) >= 16*len(a) {
 		j := 0
 		for _, x := range a {
-			j = seekSidIn(b, j, x)
+			j = SeekSidIn(b, j, x)
 			if j >= len(b) {
 				break
 			}
@@ -110,9 +110,9 @@ func IntersectSids(a, b []int32) []int32 {
 	return out
 }
 
-// seekSidIn returns the smallest index i >= from with s[i] >= sid, by
+// SeekSidIn returns the smallest index i >= from with s[i] >= sid, by
 // galloping forward then binary searching the overshot range.
-func seekSidIn(s []int32, from int, sid int32) int {
+func SeekSidIn(s []int32, from int, sid int32) int {
 	if from >= len(s) || s[from] >= sid {
 		return from
 	}
