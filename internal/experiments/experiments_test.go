@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +103,12 @@ func TestNELLShape(t *testing.T) {
 // TestFig6Shape: build-time and size orderings.
 func TestFig6Shape(t *testing.T) {
 	points := RunIndexConstruction([]int{300}, 41)
+	var golden strings.Builder
+	golden.WriteString("# scheme articles size_bytes\n")
+	for _, p := range points {
+		fmt.Fprintf(&golden, "%s %d %d\n", p.Scheme, p.Articles, p.SizeBytes)
+	}
+	checkGolden(t, "fig6", golden.String())
 	get := func(name string) BuildPoint {
 		for _, p := range points {
 			if p.Scheme == name {
@@ -183,6 +191,12 @@ func TestTable1Shape(t *testing.T) {
 // high-selectivity one.
 func TestTable2Shape(t *testing.T) {
 	points := RunScaleBreakdown([]int{400, 800}, 71)
+	var golden strings.Builder
+	golden.WriteString("# query articles tuples selectivity\n")
+	for _, p := range points {
+		fmt.Fprintf(&golden, "%s %d %d %.6f\n", p.Query, p.Articles, p.Tuples, p.Selectivity)
+	}
+	checkGolden(t, "tab2", golden.String())
 	byQ := map[string]map[int]BreakdownPoint{}
 	for _, p := range points {
 		if byQ[p.Query] == nil {
