@@ -189,7 +189,9 @@ func tab2(seed int64, scale int) {
 	for i := range sizes {
 		sizes[i] *= scale
 	}
-	fmt.Print(experiments.FormatBreakdown(experiments.RunScaleBreakdown(sizes, seed)))
+	points, err := experiments.RunScaleBreakdown(sizes, seed)
+	check(err)
+	fmt.Print(experiments.FormatBreakdown(points))
 }
 
 func odin(seed int64, scale int) {

@@ -159,12 +159,9 @@ func (e *Extractor) matchAt(s *nlp.Sentence, p *Pattern, ai, pos int, cap string
 		}
 	case AtomCapture:
 		// An NP is an entity span starting at pos.
-		if eIdx := s.Tokens[pos].EntityID; pos < len(s.Tokens) && eIdx >= 0 {
-			ent := &s.Entities[eIdx]
-			if ent.L == pos {
-				if c, ok := e.matchAt(s, p, ai+1, ent.R+1, ent.Text); ok && cap == "" {
-					return c, true
-				}
+		if ent := s.EntityAt(pos); ent != nil && ent.L == pos {
+			if c, ok := e.matchAt(s, p, ai+1, ent.R+1, ent.Text); ok && cap == "" {
+				return c, true
 			}
 		}
 	}

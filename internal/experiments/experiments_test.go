@@ -190,7 +190,10 @@ func TestTable1Shape(t *testing.T) {
 // low-selectivity query spends a larger *share* in DPLI than the
 // high-selectivity one.
 func TestTable2Shape(t *testing.T) {
-	points := RunScaleBreakdown([]int{400, 800}, 71)
+	points, err := RunScaleBreakdown([]int{400, 800}, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var golden strings.Builder
 	golden.WriteString("# query articles tuples selectivity\n")
 	for _, p := range points {

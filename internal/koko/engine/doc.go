@@ -46,9 +46,11 @@
 // parallelized one level up, by evaluating shards concurrently (package
 // koko), which is the only intra-query parallelism.
 //
-// The engine reports per-phase wall-clock times (the paper's Table 2
-// breakdown: Normalize / DPLI / LoadArticle / GSP / extract / satisfying)
-// and supports disabling the skip plan for the Table 1 ablation. Written-
+// Evaluation reads sentences from the shard's in-memory Columns only. The
+// engine reports per-phase wall-clock times (the paper's Table 2 breakdown:
+// Normalize / DPLI / GSP / extract / satisfying, plus planning; the paper's
+// LoadArticle phase has no per-query counterpart, since a served store
+// decodes its articles once, at open) and supports disabling the skip plan for the Table 1 ablation. Written-
 // order evaluation (RunOptions.NoPlan) is the planner's test oracle, not a
 // serving option.
 package engine

@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
 )
 
 // This file freezes the merge-join decomposed-path lookup that ran before
-// the hierarchy node-id columns: both hierarchy lookups as lazy unions of
-// node lists, joined on (sid, tid) with each other and with the word chain.
+// the hierarchy node-id columns: both hierarchy lookups as unions of node
+// lists (refUnion), joined on (sid, tid) with each other and with the word
+// chain.
 // It is the reference semantics for FuzzLookupDecomposed — lookupDecomposed
 // must return the same postings, in the same order, for every path and
 // ablation mode. It is the written-order (unplanned) variant; the planned
@@ -58,10 +61,10 @@ func refLookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMo
 	}
 	var hier []index.PostingList
 	if refHasConcrete(plPath) {
-		hier = append(hier, ix.PL.LookupList(plPath))
+		hier = append(hier, refUnion(ix.PL, plPath))
 	}
 	if refHasConcrete(posPath) {
-		hier = append(hier, ix.POS.LookupList(posPath))
+		hier = append(hier, refUnion(ix.POS, posPath))
 	}
 	for _, l := range hier {
 		if index.ListLen(l) == 0 {
@@ -70,7 +73,7 @@ func refLookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMo
 	}
 	pAll := len(hier) == 0
 	if pAll && len(words) == 0 {
-		ps := ix.POS.Lookup(posPath)
+		ps := materialize(refUnion(ix.POS, posPath))
 		if len(ps) == 0 {
 			return nil, false
 		}
@@ -83,7 +86,7 @@ func refLookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMo
 		return hier[0]
 	}
 	if len(words) == 0 {
-		if p := index.Materialize(joinHier()); len(p) > 0 {
+		if p := materialize(joinHier()); len(p) > 0 {
 			return p, true
 		}
 		return nil, false
@@ -140,7 +143,7 @@ func refLookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMo
 		return out, true
 	}
 	if pAll {
-		p = ix.POS.LookupList(posPath)
+		p = refUnion(ix.POS, posPath)
 		if index.ListLen(p) == 0 {
 			return nil, false
 		}
@@ -150,6 +153,33 @@ func refLookupDecomposed(ix *index.Index, steps []lang.PathStep, mode AblationMo
 		return nil, false
 	}
 	return out, true
+}
+
+// materialize concatenates a possibly-lazy list's blocks into one slice.
+func materialize(l index.PostingList) []index.Posting {
+	if l == nil {
+		return nil
+	}
+	var out []index.Posting
+	for i := range l.NumBlocks() {
+		out = append(out, l.Block(i)...)
+	}
+	return out
+}
+
+// refUnion is the union of every hierarchy node list whose root path
+// matches p: the lists concatenated, sorted and deduplicated, nil when
+// empty.
+func refUnion(h *index.Hierarchy, p index.Path) index.PostingList {
+	var ps []index.Posting
+	for _, n := range h.LookupNodes(p) {
+		ps = append(ps, materialize(h.NodeList(n))...)
+	}
+	if len(ps) == 0 {
+		return nil
+	}
+	index.SortPostings(ps)
+	return index.SlicePostings(slices.Compact(ps))
 }
 
 func refHasConcrete(p index.Path) bool {

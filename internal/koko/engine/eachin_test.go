@@ -17,7 +17,7 @@ func TestEachInCrossesBlocks(t *testing.T) {
 	if l.NumBlocks() < 2 {
 		t.Fatalf("coffee fills %d block, want several", l.NumBlocks())
 	}
-	all := index.Materialize(l)
+	all := materialize(l)
 	sids := index.SidsOf(all)
 	for _, within := range [][]int32{nil, sids, everyOther(sids), sids[len(sids)/2:], {sids[len(sids)-1]}} {
 		var want []index.Posting

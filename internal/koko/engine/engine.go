@@ -8,8 +8,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
-	"repro/internal/nlp"
-	"repro/internal/store"
 )
 
 // Options configures evaluation.
@@ -21,10 +19,6 @@ type Options struct {
 	// Dicts provides the dictionaries referenced by dict(...) conditions,
 	// keyed by name, with lowercase members.
 	Dicts map[string]map[string]bool
-	// ArticleDB, when set, is the paper's DBMS copy of the parsed corpus;
-	// candidate articles are loaded from it (the paper's LoadArticle phase)
-	// instead of served from memory.
-	ArticleDB *store.DB
 	// Deprecated: Workers is read by nothing. Documents evaluate in order
 	// on the goroutine that pulls the stream; a query parallelizes only
 	// across shards. Kept for callers that still set it.
@@ -77,18 +71,17 @@ type Tuple struct {
 // PhaseTimes is the Table 2 breakdown, plus the query-planning phase (its
 // own line so BENCH numbers isolate planner overhead from extract time).
 type PhaseTimes struct {
-	Normalize   time.Duration
-	DPLI        time.Duration
-	Plan        time.Duration
-	LoadArticle time.Duration
-	GSP         time.Duration
-	Extract     time.Duration
-	Satisfying  time.Duration
+	Normalize  time.Duration
+	DPLI       time.Duration
+	Plan       time.Duration
+	GSP        time.Duration
+	Extract    time.Duration
+	Satisfying time.Duration
 }
 
 // Total sums all phases.
 func (p PhaseTimes) Total() time.Duration {
-	return p.Normalize + p.DPLI + p.Plan + p.LoadArticle + p.GSP + p.Extract + p.Satisfying
+	return p.Normalize + p.DPLI + p.Plan + p.GSP + p.Extract + p.Satisfying
 }
 
 // PlanStep is one position of the chosen evaluation order: the variable,
@@ -213,7 +206,6 @@ type docEvalResult struct {
 // leaving tuple delivery to the iterator (streaming consumers never touch
 // res.Tuples; collectors append the yielded batches themselves).
 func mergeDocCounters(res *Result, dr docEvalResult) {
-	res.Times.LoadArticle += dr.times.LoadArticle
 	res.Times.GSP += dr.times.GSP
 	res.Times.Extract += dr.times.Extract
 	res.Times.Satisfying += dr.times.Satisfying
@@ -237,11 +229,6 @@ type docWorker struct {
 	ag    *aggregator  // nil when the query has no satisfying/excluding clause
 	sents []index.Sent // the current document's sentences, for the aggregator
 
-	// article holds the current document's sentences in Options.ArticleDB
-	// mode, converted from the loaded parsed sentences into columns whose
-	// dictionary extends the engine's (so the query's ids stay valid).
-	article *index.Columns
-
 	// tuples holds the current document's tuples; the next document reuses
 	// it, so a consumer copies what it keeps.
 	tuples []Tuple
@@ -263,13 +250,8 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 		scores: make([]float64, len(nq.satisfying)),
 		epoch:  time.Now(),
 	}
-	dict := &e.cols.Dict
-	if e.opts.ArticleDB != nil {
-		w.article = &index.Columns{Dict: e.cols.Dict.Clone()}
-		dict = &w.article.Dict
-	}
 	if len(nq.satisfying) > 0 || len(nq.excluding) > 0 {
-		w.ag = newAggregator(e.ix, dict, e.model, e.opts.Dicts, e.globalScores)
+		w.ag = newAggregator(e.ix, &e.cols.Dict, e.model, e.opts.Dicts, e.globalScores)
 	}
 	w.ev.setPlan(plan)
 	return w
@@ -283,60 +265,24 @@ func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
 	e := w.e
 	dr := docEvalResult{tuples: w.tuples[:0]}
 	first, end := e.cols.DocSentences(d)
-	w.sents = w.sents[:0]
-	if w.article != nil {
-		w.loadArticle(&dr, first, end)
-	} else if w.ag != nil {
-		// In-memory columns: a sentence view is a few slice headers, so
-		// setting up a document allocates nothing (the window is reused).
+	if w.ag != nil {
+		// A sentence view is a few slice headers, so setting up a document
+		// allocates nothing (the window is reused).
+		w.sents = w.sents[:0]
 		for sid := first; sid < end; sid++ {
 			w.sents = append(w.sents, e.cols.Sent(sid))
 		}
-	}
-	if w.ag != nil {
 		w.ag.reset(first, w.sents)
 	}
 	for _, sid := range sids {
 		if int(sid) < first || int(sid) >= end {
 			continue
 		}
-		var s index.Sent
-		if w.article == nil {
-			s = e.cols.Sent(int(sid))
-		} else if s = w.sents[int(sid)-first]; s.ID < 0 {
-			continue
-		}
+		s := e.cols.Sent(int(sid))
 		w.evalOneSentence(&dr, d, &s, sid)
 	}
 	w.tuples = dr.tuples
 	return dr
-}
-
-// loadArticle is the Article-DB mode's document setup: the document's
-// sentences load from the on-disk parsed corpus (the paper's LoadArticle
-// phase) and convert into the worker's article columns. A sentence that
-// fails to load stays an empty view with ID -1 and is skipped.
-func (w *docWorker) loadArticle(dr *docEvalResult, first, end int) {
-	t0 := time.Now()
-	a := w.article
-	*a = index.Columns{Dict: a.Dict, TokOff: []int32{0}, EntOff: []int32{0}}
-	for sid := first; sid < end; sid++ {
-		id := -1
-		if s, err := index.LoadSentence(w.e.opts.ArticleDB, sid); err == nil {
-			a.AppendDoc("", []nlp.Sentence{*s})
-			id = sid
-		}
-		w.sents = append(w.sents, index.Sent{ID: id})
-	}
-	for i, k := 0, 0; i < len(w.sents); i++ {
-		if w.sents[i].ID >= 0 {
-			v := a.Sent(k)
-			v.ID = w.sents[i].ID
-			w.sents[i] = v
-			k++
-		}
-	}
-	dr.times.LoadArticle = time.Since(t0)
 }
 
 // evalOneSentence runs GSP + extract + satisfying over one sentence,

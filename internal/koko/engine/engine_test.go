@@ -9,7 +9,6 @@ import (
 	"repro/internal/embed"
 	"repro/internal/koko/index"
 	"repro/internal/koko/lang"
-	"repro/internal/store"
 )
 
 func engineOver(texts []string, opts Options) *Engine {
@@ -389,39 +388,6 @@ func TestGSPNOGSPEquivalenceRandom(t *testing.T) {
 		if !reflect.DeepEqual(tupleSet(r1), tupleSet(r2)) {
 			t.Errorf("query %s: GSP %d tuples, NOGSP %d tuples", src, len(r1.Tuples), len(r2.Tuples))
 		}
-	}
-}
-
-// TestArticleDBPath checks that evaluation through the on-disk article store
-// (LoadArticle) matches the in-memory path and records load time.
-func TestArticleDBPath(t *testing.T) {
-	texts := []string{
-		"Anna ate some delicious cheesecake that she bought at a grocery store.",
-		"I ate a chocolate ice cream, which was delicious, and also ate a pie.",
-	}
-	c := index.NewCorpus(nil, texts)
-	ix := index.Build(c)
-	db := store.NewDB()
-	c.SaveParsed(db)
-	mem := New(c, ix, nil, Options{})
-	disk := New(c, ix, nil, Options{ArticleDB: db})
-	q := lang.MustParse(`extract x:Str from f if (/ROOT:{ x = //verb/dobj })`)
-	r1, err := mem.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := disk.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tupleSet(r1), tupleSet(r2)) {
-		t.Errorf("disk path differs: %v vs %v", r1.Tuples, r2.Tuples)
-	}
-	if r2.Times.LoadArticle == 0 {
-		t.Error("LoadArticle time not recorded")
-	}
-	if r1.Times.LoadArticle != 0 {
-		t.Error("in-memory path recorded LoadArticle time")
 	}
 }
 

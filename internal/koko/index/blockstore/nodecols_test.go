@@ -26,7 +26,7 @@ func checkNodeColumns(t *testing.T, name string, ix *index.Index) {
 	}{{"PL", ix.PL, ix.PLID}, {"POS", ix.POS, ix.POSID}} {
 		covered := 0
 		for n := int32(1); n < int32(len(h.h.Children)); n++ {
-			for _, p := range index.Materialize(h.h.NodeList(n)) {
+			for _, p := range materialize(h.h.NodeList(n)) {
 				if got := h.id(p.Sid, p.Tid); got != n {
 					t.Fatalf("%s: token (%d,%d) is in %s node %d's list but has %s id %d", name, p.Sid, p.Tid, h.alphabet, n, h.alphabet, got)
 				}

@@ -165,9 +165,10 @@ func WriteColumns(path string, c *index.Columns, ix *index.Index) error {
 
 // encodeCorpus serializes a shard's columns: a string table over token
 // text/POS/label and entity types, interned in first-seen order, then
-// documents and sentences. Only what index.LoadSentence reads from the
-// paper's T table is kept (text, pos, label, head, entity spans); derived
-// geometry is recomputed at load so both reconstruct identical sentences.
+// documents and sentences. Only what the parser produces and nothing can
+// recompute is kept (text, pos, label, head, entity spans); derived
+// geometry is recomputed at load, so a decoded sentence equals the parser's,
+// entities in its order (TestColumnsMatchParsedSentences).
 func encodeCorpus(c *index.Columns) []byte {
 	fileID := make([]int32, c.Dict.Len()) // dictionary id -> string-table id + 1
 	var strs []string
@@ -188,9 +189,8 @@ func encodeCorpus(c *index.Columns) []byte {
 			body.uvarint(uint64(intern(s.POS[i])))
 			body.uvarint(uint64(intern(s.Label[i])))
 			body.uvarint(uint64(s.Head[i] + 1))
-			// An entity is recorded when its first token links to it (the
-			// filter index.LoadSentence reproduces); its type is interned
-			// at that token.
+			// An entity is recorded when its first token links to it; its
+			// type is interned at that token.
 			if e := s.EntityID[i]; e >= 0 && int(s.EntL[e]) == i {
 				intern(s.EntType[e])
 				nEnts++

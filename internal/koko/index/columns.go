@@ -100,15 +100,6 @@ func (d *Dict) internTag(cache *map[string]uint32, raw string, canon func(string
 	return id
 }
 
-// Clone returns an independent copy that may intern on its own.
-func (d *Dict) Clone() Dict {
-	out := Dict{strs: append([]string(nil), d.strs...), ix: &dictIndex{ids: make(map[string]uint32, len(d.strs))}}
-	for i, s := range out.strs {
-		out.ix.ids[s] = uint32(i)
-	}
-	return out
-}
-
 // Columns is a shard's parsed text in pointer-free columns: one flat slice
 // per token attribute, sentences and entities as offset ranges into them.
 // Strings are ids into the shard's Dict. POS tags and parse labels are

@@ -105,8 +105,8 @@ func TestDeltaSealIsolation(t *testing.T) {
 	sealedC, sealedIx := d.Seal()
 
 	wantSents := sealedC.NumSentences()
-	wantVita := len(Materialize(sealedIx.WordList("cafe")))
-	wantPL := len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}}))
+	wantVita := len(materialize(sealedIx.WordList("cafe")))
+	wantPL := len(lookupPostings(sealedIx.PL, Path{{Desc: true, Label: "*"}}))
 	wantDict, wantCafe := sealedC.Dict.Len(), sealedC.Dict.ID("cafe")
 	s0 := sealedC.Sent(0)
 	wantText := s0.String()
@@ -129,8 +129,8 @@ func TestDeltaSealIsolation(t *testing.T) {
 				sealedC.Dict.Len() != wantDict || sealedC.Dict.ID("cafe") != wantCafe ||
 				sealedC.Dict.ID("bakery") != NoID || // interned only after the seal
 				s0.String() != wantText ||
-				len(Materialize(sealedIx.WordList("cafe"))) != wantVita ||
-				len(sealedIx.PL.Lookup(Path{{Desc: true, Label: "*"}})) != wantPL {
+				len(materialize(sealedIx.WordList("cafe"))) != wantVita ||
+				len(lookupPostings(sealedIx.PL, Path{{Desc: true, Label: "*"}})) != wantPL {
 				panic("sealed view changed under reader")
 			}
 		}
@@ -141,7 +141,7 @@ func TestDeltaSealIsolation(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if sealedC.NumSentences() != wantSents || len(Materialize(sealedIx.WordList("cafe"))) != wantVita {
+	if sealedC.NumSentences() != wantSents || len(materialize(sealedIx.WordList("cafe"))) != wantVita {
 		t.Fatalf("sealed view drifted after appends")
 	}
 	if sealedC.Dict.Len() != wantDict || sealedC.Dict.ID("bakery") != NoID || d.c.Dict.ID("bakery") == NoID {

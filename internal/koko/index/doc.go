@@ -29,10 +29,10 @@
 // sentences and entities as offset ranges and Sent as a copy-free view of
 // one sentence. ColumnsOf converts a Corpus once; the block store decodes
 // straight into Columns; indexing (BuildColumns), sharding (ShardCorpus),
-// the Delta and compaction read and write Columns only. The package also
-// holds the paper's §6.2.1 relational schemas over the in-memory storage
-// substrate: W(word,x,y,u,v,d,plid,posid), E(entity,type,x,u,v), and closure
-// tables PL/POS(id,label,depth,aid,alabel,adepth), which Figure 6 measures,
-// plus the D/T tables Table 2's LoadArticle phase reads sentences from. On
-// disk, corpus and indices live in the block store (package blockstore).
+// the Delta and compaction read and write Columns only. Index.Save writes
+// the paper's §6.2.1 relational schemas into the in-memory storage
+// substrate (package store), which Figure 6 measures and nothing reads:
+// W(word,x,y,u,v,d,plid,posid), E(entity,type,x,u,v), and closure tables
+// PL/POS(id,label,depth,aid,alabel,adepth). On disk, corpus and indices
+// live in the block store (package blockstore).
 package index

@@ -104,38 +104,6 @@ type Step struct {
 // Path is a root-anchored path pattern.
 type Path []Step
 
-// Lookup returns the union of the posting lists of every hierarchy node
-// whose root path matches the pattern, fully materialized. Matching uses a
-// memoized traversal: state (node, step) is visited at most once, so the
-// cost is bounded by O(nodes × steps) regardless of wildcard structure.
-func (h *Hierarchy) Lookup(p Path) []Posting {
-	return Materialize(h.LookupList(p))
-}
-
-// LookupList is Lookup without materialization: a pattern matching a single
-// hierarchy node returns that node's list as-is, and one matching several
-// returns their lazy Union. Lists stay lazy when the hierarchy is backed by a
-// block store, so no block decodes until the engine's cursors touch it.
-func (h *Hierarchy) LookupList(p Path) PostingList {
-	if len(p) == 0 {
-		return nil
-	}
-	matched := h.LookupNodes(p)
-	lists := make([]PostingList, 0, len(matched))
-	for _, m := range matched {
-		if l := h.NodeList(m); ListLen(l) > 0 {
-			lists = append(lists, l)
-		}
-	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	return Union(lists)
-}
-
 // NodeList returns one node's posting list, lazy when source-backed.
 func (h *Hierarchy) NodeList(n int32) PostingList {
 	if h.NodeSource != nil {
@@ -147,8 +115,10 @@ func (h *Hierarchy) NodeList(n int32) PostingList {
 	return nil
 }
 
-// LookupNodes returns the matching node ids (for tests and the closure-table
-// translation).
+// LookupNodes returns the sorted ids of every hierarchy node whose root
+// path matches the pattern; DPLI reads their NodeLists. Matching uses a
+// memoized traversal: state (node, step) is visited at most once, so the
+// cost is bounded by O(nodes × steps) regardless of wildcard structure.
 func (h *Hierarchy) LookupNodes(p Path) []int32 {
 	type state struct {
 		node int32

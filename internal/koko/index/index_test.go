@@ -2,12 +2,35 @@ package index
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
-
-	"repro/internal/store"
 )
+
+// materialize concatenates a possibly-lazy list's blocks into one slice.
+func materialize(l PostingList) []Posting {
+	if l == nil {
+		return nil
+	}
+	var out []Posting
+	for i := range l.NumBlocks() {
+		out = append(out, l.Block(i)...)
+	}
+	return out
+}
+
+// lookupPostings is the materialized union of every hierarchy node whose
+// root path matches p: the node lists concatenated, sorted and
+// deduplicated, nil when empty.
+func lookupPostings(h *Hierarchy, p Path) []Posting {
+	var out []Posting
+	for _, n := range h.LookupNodes(p) {
+		out = append(out, materialize(h.NodeList(n))...)
+	}
+	SortPostings(out)
+	return slices.Compact(out)
+}
 
 // paperCorpus builds the two-sentence corpus of the paper's Examples 3.1-3.3:
 // sid 0 is the Figure 1 sentence, sid 1 the Anna sentence.
@@ -31,7 +54,7 @@ func TestExample32WordIndex(t *testing.T) {
 		"cream":     {{Sid: 0, Tid: 5, U: 2, V: 9, D: 1}},
 	}
 	for word, want := range cases {
-		got := Materialize(ix.WordList(word))
+		got := materialize(ix.WordList(word))
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("word %q: postings %v, want %v", word, got, want)
 		}
@@ -57,8 +80,8 @@ func TestExample32EntityIndex(t *testing.T) {
 	}
 	// Parent-child check from Example 3.2's discussion: ate(1,1) is the
 	// parent of cheesecake's token via the quintuple arithmetic.
-	ate := Materialize(ix.WordList("ate"))[2] // (1,1,0-12,0)
-	cheese := Materialize(ix.WordList("cheesecake"))[0]
+	ate := materialize(ix.WordList("ate"))[2] // (1,1,0-12,0)
+	cheese := materialize(ix.WordList("cheesecake"))[0]
 	if !ate.IsParentOf(cheese) {
 		t.Errorf("IsParentOf(%v, %v) = false", ate, cheese)
 	}
@@ -92,7 +115,7 @@ func TestExample33PLIndex(t *testing.T) {
 		{childPath("root", "dobj", "nn"), []Posting{{0, 3, 3, 3, 2}, {0, 4, 4, 4, 2}}},
 	}
 	for _, tc := range cases {
-		got := ix.PL.Lookup(tc.path)
+		got := lookupPostings(ix.PL, tc.path)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("PL lookup %v = %v, want %v", tc.path, got, tc.want)
 		}
@@ -111,13 +134,13 @@ func TestHierarchyDescendantAndWildcard(t *testing.T) {
 	// //dobj finds the two root-level dobj tokens (cream, cheesecake), the
 	// pie dobj under the conj verb, and the relative pronoun "that" which is
 	// the dobj of "bought" (Example 3.1).
-	got := ix.PL.Lookup(Path{{Desc: true, Label: "dobj"}})
+	got := lookupPostings(ix.PL, Path{{Desc: true, Label: "dobj"}})
 	if len(got) != 4 {
 		t.Fatalf("//dobj = %v, want 4 postings", got)
 	}
 	// //*/dobj//* — the parse-label path decomposed from the paper's
 	// Example 4.2 — matches everything below any dobj.
-	got = ix.PL.Lookup(Path{{true, "*"}, {false, "dobj"}, {true, "*"}})
+	got = lookupPostings(ix.PL, Path{{true, "*"}, {false, "dobj"}, {true, "*"}})
 	if len(got) == 0 {
 		t.Fatal("//*/dobj//* empty")
 	}
@@ -127,12 +150,12 @@ func TestHierarchyDescendantAndWildcard(t *testing.T) {
 		}
 	}
 	// POS index: //verb matches all verbs (ate, was, ate, ate, bought).
-	verbs := ix.POS.Lookup(Path{{true, "verb"}})
+	verbs := lookupPostings(ix.POS, Path{{true, "verb"}})
 	if len(verbs) != 5 {
 		t.Errorf("//verb = %d postings, want 5 (%v)", len(verbs), verbs)
 	}
 	// Nonexistent label: empty, not panic.
-	if got := ix.PL.Lookup(Path{{false, "nosuchlabel"}}); got != nil {
+	if got := lookupPostings(ix.PL, Path{{false, "nosuchlabel"}}); got != nil {
 		t.Errorf("nosuchlabel = %v", got)
 	}
 }
@@ -175,12 +198,7 @@ func TestEntitiesOfType(t *testing.T) {
 }
 
 func TestPostingHelpers(t *testing.T) {
-	a := []Posting{{Sid: 0, Tid: 1}, {Sid: 2, Tid: 0}}
-	b := []Posting{{Sid: 0, Tid: 1}, {Sid: 1, Tid: 5}}
-	u := Materialize(Union{SlicePostings(a), SlicePostings(b)})
-	if len(u) != 3 {
-		t.Errorf("union = %v", u)
-	}
+	u := []Posting{{Sid: 0, Tid: 1}, {Sid: 1, Tid: 5}, {Sid: 1, Tid: 7}, {Sid: 2, Tid: 0}}
 	sids := SidsOf(u)
 	if !reflect.DeepEqual(sids, []int32{0, 1, 2}) {
 		t.Errorf("sids = %v", sids)
@@ -190,41 +208,11 @@ func TestPostingHelpers(t *testing.T) {
 	}
 }
 
-func TestCorpusParsedPersistence(t *testing.T) {
-	c := paperCorpus()
-	db := store.NewDB()
-	c.SaveParsed(db)
-	s, err := LoadSentence(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.String() != c.Sentence(1).String() {
-		t.Errorf("reloaded sentence %q, want %q", s.String(), c.Sentence(1).String())
-	}
-	if s.Root() != c.Sentence(1).Root() {
-		t.Errorf("root = %d, want %d", s.Root(), c.Sentence(1).Root())
-	}
-	// Derived geometry must be rebuilt identically.
-	for i := range s.Tokens {
-		a, b := s.Tokens[i], c.Sentence(1).Tokens[i]
-		if a.SubL != b.SubL || a.SubR != b.SubR || a.Depth != b.Depth {
-			t.Errorf("token %d geometry: %+v vs %+v", i, a, b)
-		}
-	}
-	// Entities must be re-linked.
-	if e := s.EntityAt(10); e == nil || e.Type != "Location" {
-		t.Errorf("entity at 10 = %+v", e)
-	}
-	if _, err := LoadSentence(db, 999); err == nil {
-		t.Error("missing sentence loaded")
-	}
-}
-
 // TestLowerIsAWordKey: WordList re-lowers its argument, and the engine
 // probes it with Token.Lower (strings.ToLower of the token), so re-lowering
 // must never change a lowered string — for every rune and for the
-// replacement that invalid UTF-8 lowers to. A sentence reloaded from the
-// parsed corpus carries the same Token.Lower as the parse, non-ASCII
+// replacement that invalid UTF-8 lowers to. The columns the engine reads a
+// sentence from carry the same lowered text as the parse, non-ASCII
 // capitals included.
 func TestLowerIsAWordKey(t *testing.T) {
 	for r := rune(0); r <= unicode.MaxRune; r++ {
@@ -237,16 +225,11 @@ func TestLowerIsAWordKey(t *testing.T) {
 	}
 
 	c := NewCorpus(nil, []string{"Über cafes served Éclairs and ÖL today."})
-	db := store.NewDB()
-	c.SaveParsed(db)
-	s, err := LoadSentence(db, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := ColumnsOf(c).Sent(0)
 	ix := Build(c)
 	for i, tok := range c.Sentence(0).Tokens {
-		if got := s.Tokens[i].Lower; got != tok.Lower || got != strings.ToLower(tok.Text) {
-			t.Errorf("token %d %q: reloaded Lower %q, parsed %q", i, tok.Text, got, tok.Lower)
+		if got := s.Dict.Str(s.Lower[i]); got != tok.Lower || got != strings.ToLower(tok.Text) {
+			t.Errorf("token %d %q: column Lower %q, parsed %q", i, tok.Text, got, tok.Lower)
 		}
 		if ListLen(ix.WordList(tok.Lower)) == 0 {
 			t.Errorf("token %d %q: no word list under its Lower %q", i, tok.Text, tok.Lower)

@@ -49,37 +49,12 @@ func ListLen(l PostingList) int {
 	return l.Len()
 }
 
-// Materialize concatenates a list's blocks into one contiguous slice. A
-// SlicePostings comes back as-is (no copy), so heap-path callers see the
-// exact slice the index holds; a Union is drained through its cursor.
-func Materialize(l PostingList) []Posting {
-	switch l := l.(type) {
-	case nil:
-		return nil
-	case SlicePostings:
-		return l
-	case Union:
-		out := make([]Posting, 0, l.Len())
-		var c ListCursor
-		for c.Reset(l); c.Valid(); c.NextRun() {
-			out = append(out, c.Run()...)
-		}
-		return out
-	}
-	out := make([]Posting, 0, l.Len())
-	for i := 0; i < l.NumBlocks(); i++ {
-		out = append(out, l.Block(i)...)
-	}
-	return out
-}
-
 // ListCursor walks a PostingList one sentence run at a time: Run returns the
 // contiguous postings of the current sid, and SeekSid gallops forward using
 // per-block min/max bounds so blocks wholly below the target are skipped
 // without being decoded. This is how the engine's merge joins consume lazy
 // lists: only the touched blocks ever materialize, and a run spanning a
-// block boundary is stitched into a small reusable scratch buffer. A Union
-// is walked by merging one sub-cursor per node list.
+// block boundary is stitched into a small reusable scratch buffer.
 type ListCursor struct {
 	l     PostingList
 	nb    int
@@ -91,22 +66,10 @@ type ListCursor struct {
 	spill []Posting // scratch for runs spanning blocks
 	sid   int32
 	valid bool
-
-	// Union mode (l is a Union, walked in union.go): one sub-cursor per node
-	// list and the valid ones as a min-heap on sid. run is nil until Run
-	// stitches it; spill holds stitched runs.
-	union bool
-	subs  []ListCursor
-	heap  []*ListCursor
 }
 
 // Reset points the cursor at the first run of l (which may be nil or empty).
 func (c *ListCursor) Reset(l PostingList) {
-	if u, ok := l.(Union); ok {
-		c.resetUnion(u)
-		return
-	}
-	c.union = false
 	c.l = l
 	c.nb = 0
 	if l != nil {
@@ -135,12 +98,7 @@ func (c *ListCursor) Sid() int32 { return c.sid }
 
 // Run returns the current run: every posting of the current sid, in tid
 // order. The slice is only valid until the cursor advances.
-func (c *ListCursor) Run() []Posting {
-	if c.run == nil && c.union && c.valid {
-		c.stitch()
-	}
-	return c.run
-}
+func (c *ListCursor) Run() []Posting { return c.run }
 
 // loadRun delimits the run starting at (bi, off), pulling continuation
 // prefixes from following blocks when the run crosses block boundaries.
@@ -180,10 +138,6 @@ func (c *ListCursor) NextRun() {
 	if !c.valid {
 		return
 	}
-	if c.union {
-		c.unionNext()
-		return
-	}
 	c.off = c.end
 	for c.off >= len(c.blk) {
 		c.bi++
@@ -201,10 +155,6 @@ func (c *ListCursor) NextRun() {
 // whose max sid is below the target are skipped by bound comparison alone.
 func (c *ListCursor) SeekSid(target int32) {
 	if !c.valid || c.sid >= target {
-		return
-	}
-	if c.union {
-		c.unionSeek(target)
 		return
 	}
 	if _, max := c.l.BlockBounds(c.bi); max < target {

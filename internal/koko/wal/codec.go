@@ -22,9 +22,10 @@ type Record struct {
 // produces that cannot be recomputed: token text, lower, POS, label, and
 // head, plus entity spans with their detokenized text. Derived tree
 // geometry (Depth, SubL, SubR, adjacency, root) and entity back-links are
-// rebuilt on decode via RecomputeDerived — the same discipline as the
-// store's LoadSentence, which is what makes a replayed document
-// byte-identical to the originally ingested one.
+// rebuilt on decode via RecomputeDerived, and entities keep the sentence's
+// own order: the parser's, which the block store's corpus section keeps
+// too (blockstore's TestColumnsMatchParsedSentences). That is what makes a
+// replayed document byte-identical to the originally ingested one.
 
 func encodeRecord(rec *Record) []byte {
 	b := []byte{byte(rec.Kind)}
@@ -189,8 +190,8 @@ func (d *decoder) sentences() []nlp.Sentence {
 				EntityID: -1,
 			})
 		}
-		// Rebuild derived geometry first (entity construction in
-		// LoadSentence follows the same order).
+		// Rebuild derived geometry, then link the entities in their
+		// recorded order, the parser's.
 		s.RecomputeDerived()
 		ne := d.count(minEntitySize)
 		if d.err != nil {

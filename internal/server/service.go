@@ -213,14 +213,13 @@ func (t *Tuple) MarshalJSON() ([]byte, error) {
 // Phase fields sum every shard's own time; shards evaluate at once, so they
 // can add up to more than Total, which is the query's wall time.
 type PhaseMillis struct {
-	Normalize   float64 `json:"normalize_ms"`
-	DPLI        float64 `json:"dpli_ms"`
-	Plan        float64 `json:"plan_ms"`
-	LoadArticle float64 `json:"load_article_ms"`
-	GSP         float64 `json:"gsp_ms"`
-	Extract     float64 `json:"extract_ms"`
-	Satisfying  float64 `json:"satisfying_ms"`
-	Total       float64 `json:"total_ms"`
+	Normalize  float64 `json:"normalize_ms"`
+	DPLI       float64 `json:"dpli_ms"`
+	Plan       float64 `json:"plan_ms"`
+	GSP        float64 `json:"gsp_ms"`
+	Extract    float64 `json:"extract_ms"`
+	Satisfying float64 `json:"satisfying_ms"`
+	Total      float64 `json:"total_ms"`
 }
 
 // QueryResponse is the outcome of one QueryRequest.
@@ -257,14 +256,13 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 func phasesOf(r *koko.Result) PhaseMillis {
 	return PhaseMillis{
-		Normalize:   ms(r.Phases.Normalize),
-		DPLI:        ms(r.Phases.DPLI),
-		Plan:        ms(r.Phases.Plan),
-		LoadArticle: ms(r.Phases.LoadArticle),
-		GSP:         ms(r.Phases.GSP),
-		Extract:     ms(r.Phases.Extract),
-		Satisfying:  ms(r.Phases.Satisfying),
-		Total:       ms(r.Elapsed),
+		Normalize:  ms(r.Phases.Normalize),
+		DPLI:       ms(r.Phases.DPLI),
+		Plan:       ms(r.Phases.Plan),
+		GSP:        ms(r.Phases.GSP),
+		Extract:    ms(r.Phases.Extract),
+		Satisfying: ms(r.Phases.Satisfying),
+		Total:      ms(r.Elapsed),
 	}
 }
 

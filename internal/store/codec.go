@@ -1,14 +1,12 @@
 package store
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Order-preserving key encoding and compact row encoding.
 //
-// Composite index keys must compare bytewise in the same order as their
-// column tuples compare logically. Integers are encoded big-endian with the
+// Index keys are encoded as a B-tree over them would store them, and only
+// their lengths are counted (Table.SizeBytes). Composite keys compare
+// bytewise in the same order as their column tuples compare logically. Integers are encoded big-endian with the
 // sign bit flipped; strings are escaped (0x00 → 0x00 0xFF) and terminated
 // with 0x00 0x01 so that a shorter string sorts before its extensions and no
 // string is a bytewise prefix of a sibling component.
@@ -19,13 +17,6 @@ func AppendKeyInt(dst []byte, v int64) []byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], u)
 	return append(dst, buf[:]...)
-}
-
-// DecodeKeyInt decodes an integer written by AppendKeyInt and returns the
-// remaining bytes.
-func DecodeKeyInt(src []byte) (int64, []byte) {
-	u := binary.BigEndian.Uint64(src[:8])
-	return int64(u ^ (1 << 63)), src[8:]
 }
 
 // AppendKeyString appends an order-preserving encoding of s.
@@ -62,13 +53,6 @@ func IntVal(v int64) Value { return Value{T: ColInt, I: v} }
 
 // StrVal wraps a string.
 func StrVal(s string) Value { return Value{T: ColString, S: s} }
-
-func (v Value) String() string {
-	if v.T == ColInt {
-		return fmt.Sprintf("%d", v.I)
-	}
-	return v.S
-}
 
 // appendRow encodes a row compactly (varint ints, length-prefixed strings).
 func appendRow(dst []byte, row []Value) []byte {

@@ -8,9 +8,10 @@ type Column struct {
 	Type ColType
 }
 
-// Table is a heap of rows with optional B+tree secondary indexes. Rows get
-// monotonically increasing row ids; indexes map encoded column prefixes to
-// row ids.
+// Table is a heap of rows with optional secondary indexes. Rows get
+// monotonically increasing row ids. An index is sized, not searched: it
+// keeps the byte total of its keys (encoded index columns plus row id), the
+// footprint a B-tree over them would hold. Nothing reads a table back.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -19,9 +20,8 @@ type Table struct {
 }
 
 type tableIndex struct {
-	name string
-	cols []int // column positions forming the key
-	tree *BTree
+	cols     []int // column positions forming the key
+	keyBytes int64 // summed length of every row's key
 }
 
 // NewTable creates an empty table with the given schema.
@@ -29,7 +29,7 @@ func NewTable(name string, cols ...Column) *Table {
 	return &Table{Name: name, Columns: cols, indexes: map[string]*tableIndex{}}
 }
 
-// CreateIndex builds a secondary index over the named columns. Existing rows
+// CreateIndex adds a secondary index over the named columns. Existing rows
 // are indexed immediately.
 func (t *Table) CreateIndex(name string, colNames ...string) error {
 	cols := make([]int, len(colNames))
@@ -40,9 +40,9 @@ func (t *Table) CreateIndex(name string, colNames ...string) error {
 		}
 		cols[i] = p
 	}
-	ix := &tableIndex{name: name, cols: cols, tree: NewBTree()}
+	ix := &tableIndex{cols: cols}
 	for rid, row := range t.rows {
-		ix.tree.Insert(ix.key(row, rid), nil)
+		ix.add(row, rid)
 	}
 	t.indexes[name] = ix
 	return nil
@@ -57,14 +57,15 @@ func (t *Table) colPos(name string) int {
 	return -1
 }
 
-// key encodes the index columns of row followed by the row id (to keep keys
-// unique under duplicate column values).
-func (ix *tableIndex) key(row []Value, rid int) []byte {
+// add counts row's key: its index columns followed by the row id, which
+// keeps keys unique under duplicate column values, so every row's key
+// counts.
+func (ix *tableIndex) add(row []Value, rid int) {
 	var k []byte
 	for _, c := range ix.cols {
 		k = appendKeyValue(k, row[c])
 	}
-	return AppendKeyInt(k, int64(rid))
+	ix.keyBytes += int64(len(AppendKeyInt(k, int64(rid))))
 }
 
 func appendKeyValue(dst []byte, v Value) []byte {
@@ -88,7 +89,7 @@ func (t *Table) Insert(row ...Value) (int, error) {
 	rid := len(t.rows)
 	t.rows = append(t.rows, row)
 	for _, ix := range t.indexes {
-		ix.tree.Insert(ix.key(row, rid), nil)
+		ix.add(row, rid)
 	}
 	return rid, nil
 }
@@ -102,38 +103,6 @@ func (t *Table) MustInsert(row ...Value) int {
 	return rid
 }
 
-// Scan calls fn for every row in insertion order; fn may return false to
-// stop.
-func (t *Table) Scan(fn func(rid int, row []Value) bool) {
-	for rid, row := range t.rows {
-		if !fn(rid, row) {
-			return
-		}
-	}
-}
-
-// LookupPrefix scans an index for rows whose leading index columns equal the
-// given values, in index order.
-func (t *Table) LookupPrefix(indexName string, fn func(rid int, row []Value) bool, vals ...Value) error {
-	ix, ok := t.indexes[indexName]
-	if !ok {
-		return fmt.Errorf("store: table %s has no index %q", t.Name, indexName)
-	}
-	if len(vals) > len(ix.cols) {
-		return fmt.Errorf("store: index %s has %d columns, got %d lookup values", indexName, len(ix.cols), len(vals))
-	}
-	var prefix []byte
-	for _, v := range vals {
-		prefix = appendKeyValue(prefix, v)
-	}
-	ix.tree.ScanPrefix(prefix, func(key, _ []byte) bool {
-		// Row id is the trailing 8 bytes.
-		rid, _ := DecodeKeyInt(key[len(key)-8:])
-		return fn(int(rid), t.rows[rid])
-	})
-	return nil
-}
-
 // SizeBytes estimates the serialized footprint of the table including its
 // indexes (key bytes). This is the figure the index-size experiment reports.
 func (t *Table) SizeBytes() int64 {
@@ -142,9 +111,7 @@ func (t *Table) SizeBytes() int64 {
 		total += int64(len(appendRow(nil, row)))
 	}
 	for _, ix := range t.indexes {
-		for it := ix.tree.Min(); it.Valid(); it.Next() {
-			total += int64(len(it.Key()))
-		}
+		total += ix.keyBytes
 	}
 	return total
 }
@@ -163,9 +130,6 @@ func (db *DB) Create(name string, cols ...Column) *Table {
 	db.tables[name] = t
 	return t
 }
-
-// Table returns the named table or nil.
-func (db *DB) Table(name string) *Table { return db.tables[name] }
 
 // SizeBytes sums the serialized footprint of all tables.
 func (db *DB) SizeBytes() int64 {

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func wordTable() *Table {
 	t := NewTable("W",
@@ -14,67 +11,63 @@ func wordTable() *Table {
 	return t
 }
 
-func TestTableInsertScanLookup(t *testing.T) {
-	tb := wordTable()
-	if err := tb.CreateIndex("by_word", "word"); err != nil {
+// TestTableSizeBytes pins the footprint arithmetic Figure 6 reports: the
+// compact row encoding plus one key per row and index, whether the index
+// exists before the rows or is built over them.
+func TestTableSizeBytes(t *testing.T) {
+	insert := func(tb *Table) {
+		tb.MustInsert(StrVal("ate"), IntVal(0), IntVal(1))
+		tb.MustInsert(StrVal("delicious"), IntVal(0), IntVal(9))
+		tb.MustInsert(StrVal("ate"), IntVal(1), IntVal(1))
+	}
+	// Rows: a count byte, then a tag byte per cell, a length byte before a
+	// string, one varint byte per small int: 10 + 16 + 10. Keys: the
+	// escaped word and its 2-byte terminator, then the 8-byte row id:
+	// 13 + 19 + 13 (the duplicate "ate" key stays distinct by row id).
+	const want = 36 + 45
+	before := wordTable()
+	if err := before.CreateIndex("by_word", "word"); err != nil {
 		t.Fatal(err)
 	}
-	tb.MustInsert(StrVal("ate"), IntVal(0), IntVal(1))
-	tb.MustInsert(StrVal("delicious"), IntVal(0), IntVal(9))
-	tb.MustInsert(StrVal("ate"), IntVal(1), IntVal(1))
-	if len(tb.rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(tb.rows))
+	insert(before)
+	if got := before.SizeBytes(); got != want {
+		t.Errorf("index then rows: SizeBytes = %d, want %d", got, want)
 	}
-	var got [][]Value
-	if err := tb.LookupPrefix("by_word", func(rid int, row []Value) bool {
-		got = append(got, row)
-		return true
-	}, StrVal("ate")); err != nil {
+	after := wordTable()
+	insert(after)
+	if got := after.SizeBytes(); got != 36 {
+		t.Errorf("rows only: SizeBytes = %d, want 36", got)
+	}
+	if err := after.CreateIndex("by_word", "word"); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("lookup ate: %d rows, want 2", len(got))
+	if got := after.SizeBytes(); got != want {
+		t.Errorf("rows then index: SizeBytes = %d, want %d", got, want)
 	}
-	// Index order: insertion order within equal keys (rid tiebreak).
-	if got[0][1].I != 0 || got[1][1].I != 1 {
-		t.Errorf("rows out of order: %v", got)
-	}
-	// Prefix must not match other words.
-	count := 0
-	_ = tb.LookupPrefix("by_word", func(int, []Value) bool { count++; return true }, StrVal("at"))
-	if count != 0 {
-		t.Errorf("prefix 'at' matched %d rows, want 0 (exact component match)", count)
+	db := NewDB()
+	insert(db.Create("W", before.Columns...))
+	insert(db.Create("X", before.Columns...))
+	if got := db.SizeBytes(); got != 2*36 {
+		t.Errorf("DB.SizeBytes = %d, want %d", got, 2*36)
 	}
 }
 
 func TestTableCompositeIndex(t *testing.T) {
-	tb := NewTable("P",
-		Column{"label", ColString},
-		Column{"sid", ColInt},
-		Column{"tid", ColInt},
-	)
-	if err := tb.CreateIndex("by_label_sid", "label", "sid"); err != nil {
+	cols := []Column{{"label", ColString}, {"sid", ColInt}, {"tid", ColInt}}
+	plain, indexed := NewTable("P", cols...), NewTable("P", cols...)
+	if err := indexed.CreateIndex("by_label_sid", "label", "sid"); err != nil {
 		t.Fatal(err)
 	}
-	for sid := int64(0); sid < 5; sid++ {
-		tb.MustInsert(StrVal("dobj"), IntVal(sid), IntVal(sid*2))
-		tb.MustInsert(StrVal("nsubj"), IntVal(sid), IntVal(sid*3))
+	for _, tb := range []*Table{plain, indexed} {
+		for sid := int64(0); sid < 5; sid++ {
+			tb.MustInsert(StrVal("dobj"), IntVal(sid), IntVal(sid*2))
+			tb.MustInsert(StrVal("nsubj"), IntVal(sid), IntVal(sid*3))
+		}
 	}
-	var tids []int64
-	_ = tb.LookupPrefix("by_label_sid", func(rid int, row []Value) bool {
-		tids = append(tids, row[2].I)
-		return true
-	}, StrVal("dobj"), IntVal(3))
-	if !reflect.DeepEqual(tids, []int64{6}) {
-		t.Errorf("composite lookup = %v", tids)
-	}
-	tids = nil
-	_ = tb.LookupPrefix("by_label_sid", func(rid int, row []Value) bool {
-		tids = append(tids, row[2].I)
-		return true
-	}, StrVal("dobj"))
-	if !reflect.DeepEqual(tids, []int64{0, 2, 4, 6, 8}) {
-		t.Errorf("prefix lookup = %v", tids)
+	// A composite key is every index column in order, then the row id:
+	// "dobj" keys are 6+8+8 bytes, "nsubj" keys 7+8+8.
+	if got, want := indexed.SizeBytes()-plain.SizeBytes(), int64(5*22+5*23); got != want {
+		t.Errorf("composite key bytes = %d, want %d", got, want)
 	}
 }
 
@@ -88,8 +81,5 @@ func TestTableErrors(t *testing.T) {
 	}
 	if err := tb.CreateIndex("bad", "nope"); err == nil {
 		t.Error("index on missing column accepted")
-	}
-	if err := tb.LookupPrefix("missing", func(int, []Value) bool { return true }); err == nil {
-		t.Error("lookup on missing index accepted")
 	}
 }

@@ -375,7 +375,6 @@ func mergeResultInto(out *Result, res *Result) {
 	out.Phases.Normalize += res.Phases.Normalize
 	out.Phases.DPLI += res.Phases.DPLI
 	out.Phases.Plan += res.Phases.Plan
-	out.Phases.LoadArticle += res.Phases.LoadArticle
 	out.Phases.GSP += res.Phases.GSP
 	out.Phases.Extract += res.Phases.Extract
 	out.Phases.Satisfying += res.Phases.Satisfying
