@@ -207,13 +207,6 @@ func genWebCorpus(lc *corpus.Labeled, seed int64) (*index.Corpus, []string) {
 	return index.NewCorpus(nil, texts), seeds
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // titleCase capitalizes the first letter of each space-separated word.
 func titleCase(s string) string {
 	words := strings.Fields(s)

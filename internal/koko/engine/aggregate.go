@@ -41,7 +41,7 @@ func (g *globalCache) put(key globalKey, v float64) {
 
 // aggregator evaluates satisfying and excluding conditions for candidate
 // values, aggregating evidence across a document (§4.4). Like sentEval it is
-// per-worker scratch: built once per docWorker and reset per document, with
+// per-worker scratch: built once per blockWorker and reset per document, with
 // every map cleared and every buffer kept.
 //
 // A value arrives as the token span it is bound to. Its mentions — every
@@ -97,8 +97,7 @@ type spanKey struct{ sid, l, r int32 }
 type confKey struct{ cond, group int32 }
 
 // spanValue is a candidate value: the span it is bound to and, once a
-// condition or the output asked for it, its rendered string (an empty span
-// renders "").
+// condition asked for it, its rendered string (an empty span renders "").
 type spanValue struct {
 	s   *index.Sent
 	sp  span

@@ -71,6 +71,18 @@ func refCountOf(d *dpliResult, nq *normQuery, sid int32) func(string) int {
 	}
 }
 
+// evalSentence plans and extracts one sentence as a block of its own, for
+// the tests that compare evaluators sentence by sentence; its emissions are
+// ev.out(0) on.
+func (ev *sentEval) evalSentence(s *index.Sent, cc *countCursor, sid int32) int {
+	skip := make([]bool, len(ev.nq.vars))
+	ev.resetOut()
+	if !ev.gspOff {
+		ev.planSkips(s, cc, sid, skip)
+	}
+	return ev.extract(s, skip)
+}
+
 func TestSlotEvalMatchesSeedSemantics(t *testing.T) {
 	model := embed.NewModel()
 	for cname, c := range diffCorpora() {

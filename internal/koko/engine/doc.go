@@ -42,9 +42,17 @@
 // so a token test compares ints.
 //
 // A run evaluates its candidate documents in order on the goroutine that
-// pulls its Stream; the engine starts no goroutines of its own. A query is
-// parallelized one level up, by evaluating shards concurrently (package
-// koko), which is the only intra-query parallelism.
+// pulls its Stream, a block at a time: a block takes whole documents until
+// it holds at least 64 candidate sentences, then runs stage 3's skip plan
+// for every sentence (each plan kept in a reused slab), the nested loops for
+// every sentence (emissions in one arena, each sentence's run of it restored
+// to declaration order), and stage 4 plus rendering per emission, with the
+// aggregator reset at each document. The clock is read once per phase
+// boundary, and the context checked and the store fault boundary armed once,
+// per block; a block's output values share one string. The engine starts no
+// goroutines of its own. A query is parallelized one level up, by
+// evaluating shards concurrently (package koko), which is the only
+// intra-query parallelism.
 //
 // Evaluation reads sentences from the shard's in-memory Columns only. The
 // engine reports per-phase wall-clock times (the paper's Table 2 breakdown:

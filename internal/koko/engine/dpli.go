@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 
 	"repro/internal/koko/index"
@@ -603,10 +605,10 @@ func (pq *pathQuery) belowWords(q []index.Posting, gap int32, exact bool) []inde
 }
 
 // lookupNodes answers a path without words. With a concrete hierarchy path
-// it walks the lists of the node set with fewer postings and keeps each
-// token whose other node id passes — one node's list is (sid, tid)-sorted,
-// so only a lead of several nodes merges its kept runs. A pure-wildcard
-// path is a depth rule only, so it scans the columns.
+// it walks the lists of the node set with fewer postings together, a
+// sentence at a time, and keeps each token whose other node id passes,
+// straight into the sorted result. A pure-wildcard path is a depth rule
+// only, so it scans the columns.
 func (pq *pathQuery) lookupNodes(within []int32) []index.Posting {
 	cols := pq.ix.Columns()
 	lead := pq.pl
@@ -643,61 +645,52 @@ func (pq *pathQuery) lookupNodes(within []int32) []index.Posting {
 		size = min(size, len(within)*(lead.n/max(cols.NumSentences(), 1)+1))
 	}
 	out := make([]index.Posting, 0, size)
-	ends := make([]int, 0, len(lead.lists))
-	for _, l := range lead.lists {
-		eachIn(l, within, func(ps []index.Posting) {
-			for _, p := range ps {
-				if pq.nodesOK(cols.TokOff[p.Sid] + p.Tid) {
+	curs := make([]index.ListCursor, len(lead.lists))
+	for i, l := range lead.lists {
+		curs[i].Reset(l)
+	}
+	for j := 0; ; j++ {
+		// The next sentence: within's next, or the lowest any list is at.
+		sid := int32(math.MaxInt32)
+		if within != nil {
+			if j == len(within) {
+				break
+			}
+			sid = within[j]
+			for i := range curs {
+				curs[i].SeekSid(sid)
+			}
+		} else {
+			for i := range curs {
+				if curs[i].Valid() {
+					sid = min(sid, curs[i].Sid())
+				}
+			}
+			if sid == math.MaxInt32 {
+				break
+			}
+		}
+		start, runs := len(out), 0
+		for i := range curs {
+			c := &curs[i]
+			if !c.Valid() || c.Sid() != sid {
+				continue
+			}
+			for _, p := range c.Run() {
+				if pq.nodesOK(cols.TokOff[sid] + p.Tid) {
 					out = append(out, p)
 				}
 			}
-		})
-		ends = append(ends, len(out))
-	}
-	return mergeRuns(out, ends)
-}
-
-// mergeRuns merges the consecutive (sid, tid)-sorted runs of ps — run i
-// ends at ends[i] — into one sorted slice, pairwise through one scratch
-// buffer. ends is consumed.
-func mergeRuns(ps []index.Posting, ends []int) []index.Posting {
-	if len(ends) < 2 {
-		return ps
-	}
-	src, dst := ps, make([]index.Posting, len(ps))
-	for len(ends) > 1 {
-		w, lo := 0, 0
-		for i := 0; i < len(ends); i += 2 {
-			hi := ends[i]
-			if i+1 < len(ends) {
-				hi = ends[i+1]
-				mergeTwo(dst[lo:hi], src[lo:ends[i]], src[ends[i]:hi])
-			} else {
-				copy(dst[lo:hi], src[lo:hi])
-			}
-			ends[w] = hi
-			w++
-			lo = hi
+			c.NextRun()
+			runs++
 		}
-		ends = ends[:w]
-		src, dst = dst, src
-	}
-	return src
-}
-
-// mergeTwo merges the (sid, tid)-sorted a and b into dst, which holds
-// exactly their postings.
-func mergeTwo(dst, a, b []index.Posting) {
-	i, j := 0, 0
-	for k := range dst {
-		if j == len(b) || (i < len(a) && (a[i].Sid < b[j].Sid || a[i].Sid == b[j].Sid && a[i].Tid < b[j].Tid)) {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
+		if runs > 1 {
+			// Each list's run is in tid order and a token is in one
+			// node's list only, so ordering by tid merges them.
+			slices.SortFunc(out[start:], func(a, b index.Posting) int { return cmp.Compare(a.Tid, b.Tid) })
 		}
 	}
+	return out
 }
 
 // hasConcrete reports whether any step of a hierarchy path names a concrete

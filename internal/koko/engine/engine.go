@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/embed"
@@ -130,10 +131,11 @@ type RunOptions struct {
 	// differentials; nothing on the serving path sets it.
 	NoPlan bool
 	// Ctx, when non-nil, cancels the run: evaluation checks it between
-	// documents (the natural unit — aggregation is document-scoped) and the
-	// run returns ctx.Err() instead of a partial result. This is what makes
-	// a cancelled job or a disconnected streaming client actually stop
-	// burning CPU mid-evaluation rather than at the next request boundary.
+	// blocks of candidate documents (the unit the evaluation loop runs its
+	// phases over) and the run returns ctx.Err() instead of a partial
+	// result. This is what makes a cancelled job or a disconnected
+	// streaming client actually stop burning CPU mid-evaluation rather than
+	// at the next request boundary.
 	Ctx context.Context
 }
 
@@ -179,7 +181,7 @@ func (e *Engine) RunNaive(q *lang.Query) (*Result, error) {
 	}
 	res.CandidateSentences = len(cands)
 	st := &Stream{res: res}
-	st.seq = e.streamDocs(nq, &dpliResult{}, cands, RunOptions{Explain: e.opts.Explain}, nil, st)
+	st.seq = e.streamBlocks(nq, &dpliResult{}, cands, RunOptions{Explain: e.opts.Explain}, nil, st, blockSents)
 	return st.Collect()
 }
 
@@ -194,44 +196,50 @@ func addPlanActuals(res *Result, plan *queryPlan, ev *sentEval) {
 	}
 }
 
-// docEvalResult is one document's evaluation outcome.
-type docEvalResult struct {
-	tuples    []Tuple
-	times     PhaseTimes
-	matched   int
-	evaluated int
+// blockSents is the evaluation block's size: a block takes whole candidate
+// documents until it holds at least this many candidate sentences, so a
+// document larger than a block stays whole.
+const blockSents = 64
+
+// blockDoc is one document of a block: its candidates are the block's sids
+// up to end, and, when the query aggregates, its sentences are the block's
+// views from view on.
+type blockDoc struct {
+	doc, view, end int
 }
 
-// mergeDocCounters folds one document's counters and phase times into res,
-// leaving tuple delivery to the iterator (streaming consumers never touch
-// res.Tuples; collectors append the yielded batches themselves).
-func mergeDocCounters(res *Result, dr docEvalResult) {
-	res.Times.GSP += dr.times.GSP
-	res.Times.Extract += dr.times.Extract
-	res.Times.Satisfying += dr.times.Satisfying
-	res.MatchedSentences += dr.matched
-	res.EvaluatedSentences += dr.evaluated
-}
-
-// docWorker is one run's private evaluation state: the reusable
-// per-sentence scratch, the per-document aggregator, the reused tuple slice,
-// and the forward cursor into the DPLI count tables. One exists per stream,
-// so nothing here needs locks.
-type docWorker struct {
+// blockWorker is one run's private evaluation state: the reusable
+// per-sentence scratch, the per-document aggregator, the current block and
+// its slabs, and the forward cursor into the DPLI count tables. One exists
+// per stream, so nothing here needs locks.
+type blockWorker struct {
 	e  *Engine
 	nq *normQuery
 	ro RunOptions
 	ev *sentEval
 	cc countCursor
+	ag *aggregator // nil when the query has no satisfying/excluding clause
 
-	epoch time.Time // evalOneSentence's phase clock reads are offsets from it
+	// The current block. sids are its candidate sentences, ascending, and
+	// sent[k] is sids[k]'s index in views: with an aggregator, views holds
+	// every sentence of the block's documents (the aggregator reads them
+	// all), otherwise only the candidates.
+	docs  []blockDoc
+	sids  []int32
+	sent  []int32
+	views []index.Sent
+	// skips is the GSP slab: candidate k's skip plan is
+	// skips[k*numVars : (k+1)*numVars]. outEnd[k] ends candidate k's
+	// emissions in the sentEval arena.
+	skips  []bool
+	outEnd []int32
 
-	ag    *aggregator  // nil when the query has no satisfying/excluding clause
-	sents []index.Sent // the current document's sentences, for the aggregator
-
-	// tuples holds the current document's tuples; the next document reuses
-	// it, so a consumer copies what it keeps.
-	tuples []Tuple
+	// tuples holds the block's tuples; the next block reuses it, so a
+	// consumer copies what it keeps. Their values are rendered into text,
+	// value i ending at textEnd[i], and cut from one string per block.
+	tuples  []Tuple
+	text    []byte
+	textEnd []int32
 
 	// finishTuple scratch: the candidate value per variable slot and the
 	// score per satisfying clause.
@@ -239,8 +247,8 @@ type docWorker struct {
 	scores []float64
 }
 
-func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, plan *queryPlan) *docWorker {
-	w := &docWorker{
+func (e *Engine) newBlockWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, plan *queryPlan) *blockWorker {
+	w := &blockWorker{
 		e:      e,
 		nq:     nq,
 		ro:     ro,
@@ -248,7 +256,6 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 		cc:     newCountCursor(dpli, len(nq.vars)),
 		vals:   make([]spanValue, len(nq.vars)),
 		scores: make([]float64, len(nq.satisfying)),
-		epoch:  time.Now(),
 	}
 	if len(nq.satisfying) > 0 || len(nq.excluding) > 0 {
 		w.ag = newAggregator(e.ix, &e.cols.Dict, e.model, e.opts.Dicts, e.globalScores)
@@ -257,73 +264,117 @@ func (e *Engine) newDocWorker(nq *normQuery, dpli *dpliResult, ro RunOptions, pl
 	return w
 }
 
-// evalDoc evaluates every candidate sentence of one document: GSP + nested
-// loops per sentence, then satisfying/excluding per assignment against the
-// aggregator, reset to this document. The returned tuples live in the
-// worker's slice, which the next document reuses.
-func (w *docWorker) evalDoc(d int, sids []int32) docEvalResult {
-	e := w.e
-	dr := docEvalResult{tuples: w.tuples[:0]}
-	first, end := e.cols.DocSentences(d)
-	if w.ag != nil {
-		// A sentence view is a few slice headers, so setting up a document
-		// allocates nothing (the window is reused).
-		w.sents = w.sents[:0]
-		for sid := first; sid < end; sid++ {
-			w.sents = append(w.sents, e.cols.Sent(sid))
+// fill loads the block that starts at cands[i]: whole documents until it
+// holds at least size candidate sentences. cands is sorted and DocOfSent is
+// non-decreasing in sid, so each document's candidates are one contiguous
+// run. It returns the index of the first candidate after the block.
+func (w *blockWorker) fill(cands []int32, i, size int) int {
+	cols := w.e.cols
+	w.docs, w.sids, w.sent = w.docs[:0], w.sids[:0], w.sent[:0]
+	w.views = slices.Grow(w.views[:0], size) // views are large: size the slab for a block at once
+	for i < len(cands) && len(w.sids) < size {
+		d := cols.DocOfSent[cands[i]]
+		first, end := cols.DocSentences(int(d))
+		bd := blockDoc{doc: int(d), view: len(w.views)}
+		if w.ag != nil {
+			for sid := first; sid < end; sid++ {
+				w.views = append(w.views, cols.Sent(sid))
+			}
 		}
-		w.ag.reset(first, w.sents)
-	}
-	for _, sid := range sids {
-		if int(sid) < first || int(sid) >= end {
-			continue
+		for ; i < len(cands) && cols.DocOfSent[cands[i]] == d; i++ {
+			if w.ag != nil {
+				w.sent = append(w.sent, int32(bd.view+int(cands[i])-first))
+			} else {
+				w.sent = append(w.sent, int32(len(w.views)))
+				w.views = append(w.views, cols.Sent(int(cands[i])))
+			}
+			w.sids = append(w.sids, cands[i])
 		}
-		s := e.cols.Sent(int(sid))
-		w.evalOneSentence(&dr, d, &s, sid)
+		bd.end = len(w.sids)
+		w.docs = append(w.docs, bd)
 	}
-	w.tuples = dr.tuples
-	return dr
+	return i
 }
 
-// evalOneSentence runs GSP + extract + satisfying over one sentence,
-// accumulating phase times and tuples into dr. The clock is read once per
-// phase boundary, monotonic only (a Duration since the worker's epoch): each
-// read ends one phase and starts the next. GSP, the plan generation, is
-// timed apart from the nested-loop evaluation (Table 2's GSP vs extract
-// columns), and counted only while the skip plan is on.
-func (w *docWorker) evalOneSentence(dr *docEvalResult, d int, s *index.Sent, sid int32) {
-	e, ev := w.e, w.ev
-	dr.evaluated++
-	tg := time.Since(w.epoch)
-	ev.prepare(s, &w.cc, sid)
-	tx := time.Since(w.epoch)
-	if !e.opts.DisableSkipPlan {
-		dr.times.GSP += tx - tg
-	}
-	nout := ev.extract()
-	ts := time.Since(w.epoch)
-	dr.times.Extract += ts - tx
-	if nout == 0 {
-		return
-	}
-	dr.matched++
-
-	for i := 0; i < nout; i++ {
-		tuple, ok := w.finishTuple(&ev.s, d, ev.out(i))
-		if ok {
-			dr.tuples = append(dr.tuples, tuple)
+// evalBlock evaluates the loaded block phase by phase: the skip plan (GSP)
+// of every sentence, then every sentence's nested loops (extract), then
+// satisfying/excluding and rendering per emission. The clock is read once
+// per phase boundary, so each phase's time is summed per block rather than
+// per sentence; the skip-plan phase is counted only while GSP is on. It adds
+// the block's counters and phase times to res and returns its tuples, which
+// the next block reuses.
+func (w *blockWorker) evalBlock(res *Result) []Tuple {
+	ev, n := w.ev, len(w.nq.vars)
+	w.skips = slices.Grow(w.skips[:0], len(w.sids)*n)[:len(w.sids)*n]
+	clear(w.skips)
+	t0 := time.Now()
+	if !ev.gspOff {
+		for k, sid := range w.sids {
+			ev.planSkips(&w.views[w.sent[k]], &w.cc, sid, w.skips[k*n:(k+1)*n])
 		}
 	}
-	dr.times.Satisfying += time.Since(w.epoch) - ts
+	t1 := time.Now()
+	ev.resetOut()
+	w.outEnd = w.outEnd[:0]
+	for k := range w.sids {
+		if ev.extract(&w.views[w.sent[k]], w.skips[k*n:(k+1)*n]) > 0 {
+			res.MatchedSentences++
+		}
+		w.outEnd = append(w.outEnd, int32(ev.nout))
+	}
+	t2 := time.Now()
+	w.finishBlock()
+	t3 := time.Now()
+	if !ev.gspOff {
+		res.Times.GSP += t1.Sub(t0)
+	}
+	res.Times.Extract += t2.Sub(t1)
+	res.Times.Satisfying += t3.Sub(t2)
+	res.EvaluatedSentences += len(w.sids)
+	return w.tuples
+}
+
+// finishBlock turns the block's emissions into tuples, in order, resetting
+// the aggregator to each document that emitted anything.
+func (w *blockWorker) finishBlock() {
+	w.tuples, w.text, w.textEnd = w.tuples[:0], w.text[:0], w.textEnd[:0]
+	k, i := 0, 0 // candidate, emission
+	for _, bd := range w.docs {
+		if w.ag != nil && i < int(w.outEnd[bd.end-1]) {
+			first, end := w.e.cols.DocSentences(bd.doc)
+			w.ag.reset(first, w.views[bd.view:bd.view+end-first])
+		}
+		for ; k < bd.end; k++ {
+			s := &w.views[w.sent[k]]
+			for ; i < int(w.outEnd[k]); i++ {
+				w.finishTuple(s, bd.doc, w.ev.out(i))
+			}
+		}
+	}
+	if len(w.tuples) == 0 {
+		return
+	}
+	// One string holds every value of the block, and the Values slices
+	// share one slab, each capped so that appending to it copies.
+	text := string(w.text)
+	vals := make([]string, len(w.textEnd))
+	from := int32(0)
+	for j, to := range w.textEnd {
+		vals[j], from = text[from:to], to
+	}
+	m := len(w.nq.outSlots)
+	for j := range w.tuples {
+		w.tuples[j].Values = vals[j*m : (j+1)*m : (j+1)*m]
+	}
 }
 
 // finishTuple applies satisfying clauses (threshold) and excluding
 // conditions to the assignment's spans, then — only for a surviving
-// assignment — renders the output values and builds the tuple, so a rejected
-// candidate allocates nothing unless a condition had to read its string. The
-// assignment is fully bound (deriveAndEmit only emits complete assignments),
-// so every access is a direct slot index.
-func (w *docWorker) finishTuple(s *index.Sent, doc int, a assignment) (Tuple, bool) {
+// assignment — renders the output values into the block's text and appends
+// the tuple, so a rejected candidate allocates nothing unless a condition
+// had to read its string. The assignment is fully bound (deriveAndEmit only
+// emits complete assignments), so every access is a direct slot index.
+func (w *blockWorker) finishTuple(s *index.Sent, doc int, a assignment) {
 	nq, ag := w.nq, w.ag
 	for slot := range w.vals {
 		w.vals[slot] = spanValue{s: s, sp: a[slot].sp}
@@ -334,19 +385,22 @@ func (w *docWorker) finishTuple(s *index.Sent, doc int, a assignment) (Tuple, bo
 		sc := &nq.satisfying[i]
 		w.scores[i] = ag.clauseScore(sc, &w.vals[sc.slot])
 		if w.scores[i] < sc.threshold {
-			return Tuple{}, false
+			return
 		}
 	}
 	for i := range nq.excluding {
 		c := &nq.excluding[i]
 		if c.slot >= 0 && ag.excluded(c, &w.vals[c.slot]) {
-			return Tuple{}, false
+			return
 		}
 	}
-	t := Tuple{SentenceID: s.ID, Document: doc, Values: make([]string, len(nq.outputs))}
-	for i, slot := range nq.outSlots {
-		t.Values[i] = w.vals[slot].text()
+	for _, slot := range nq.outSlots {
+		if sp := w.vals[slot].sp; !sp.empty() {
+			w.text = s.AppendText(w.text, sp.l, sp.r)
+		}
+		w.textEnd = append(w.textEnd, int32(len(w.text)))
 	}
+	t := Tuple{SentenceID: s.ID, Document: doc}
 	if len(nq.satisfying) > 0 {
 		t.Scores = make(map[string]float64, len(nq.satisfying))
 		for i := range nq.satisfying {
@@ -357,7 +411,7 @@ func (w *docWorker) finishTuple(s *index.Sent, doc int, a assignment) (Tuple, bo
 			}
 		}
 	}
-	return t, true
+	w.tuples = append(w.tuples, t)
 }
 
 // Candidates exposes DPLI pruning alone: the candidate sentence ids for a

@@ -50,16 +50,17 @@ type gspCost struct {
 	cost float64
 }
 
-// sentEval evaluates the extract clause over one sentence (§4.3: skip plan,
-// nested loops, alignment, validation). It is a reusable per-run scratch:
-// all slices below are allocated once per run, reset per sentence, and
-// shared with nothing, so a run allocates almost nothing per sentence.
+// sentEval evaluates the extract clause over one sentence at a time (§4.3:
+// skip plan, nested loops, alignment, validation). It is a reusable per-run
+// scratch: all slices below are allocated once per run, reset per sentence
+// or per block, and shared with nothing, so a run allocates almost nothing
+// per sentence.
 type sentEval struct {
 	nq     *normQuery
 	gspOff bool
-	s      index.Sent
+	s      *index.Sent // the sentence being planned or extracted
 
-	skip  []bool      // slot -> skipped by the plan this sentence
+	skip  []bool      // slot -> skipped by the plan: the sentence's row of the block's skip slab
 	cands [][]binding // slot -> candidate bindings (buffers reused)
 
 	// nodeTids caches the sorted path-match result per node-variable
@@ -101,8 +102,9 @@ type sentEval struct {
 
 	costs []gspCost // generateSkipPlan scratch
 
-	// outB is the flat emission arena: assignment i is
-	// outB[i*numVars : (i+1)*numVars]. Consumed per sentence, reused.
+	// outB is the block's flat emission arena: assignment i is
+	// outB[i*numVars : (i+1)*numVars], each sentence's emissions one run
+	// after the previous sentence's. Emptied per block, reused.
 	outB []binding
 	nout int
 }
@@ -113,7 +115,6 @@ func newSentEval(nq *normQuery, gspOff bool) *sentEval {
 	ev := &sentEval{
 		nq:       nq,
 		gspOff:   gspOff,
-		skip:     make([]bool, n),
 		cands:    make([][]binding, n),
 		nodeTids: make([][]int32, n),
 		nodeDone: make([]bool, n),
@@ -139,29 +140,31 @@ func (ev *sentEval) setPlan(p *queryPlan) {
 	}
 }
 
-// prepare resets the scratch for sentence sid and generates the skip plan
-// (unless GSP is off). cc supplies the DPLI binding estimates; a cursor
-// with no data (RunNaive) makes every non-elastic cost 0.
-func (ev *sentEval) prepare(s *index.Sent, cc *countCursor, sid int32) {
-	ev.s = *s
-	for i := range ev.skip {
-		ev.skip[i] = false
-		ev.nodeDone[i] = false
-	}
-	ev.workSet.reset()
+// resetOut empties the emission arena for a new block.
+func (ev *sentEval) resetOut() {
 	ev.outB = ev.outB[:0]
 	ev.nout = 0
-	if !ev.gspOff {
-		ev.generateSkipPlan(cc, sid)
-	}
 }
 
-// extract runs candidate building and the nested loops. It returns the
-// number of emitted assignments, which live in the scratch arena (read them
-// with out) and stay valid until the next prepare call. With a plan, loops
-// run in plan order and the emissions are re-sorted into declaration order,
-// so the output sequence is identical either way.
-func (ev *sentEval) extract() int {
+// planSkips generates sentence sid's skip plan (GSP) into skip, which must
+// be all false. cc supplies the DPLI binding estimates; a cursor with no
+// data (RunNaive) makes every non-elastic cost 0.
+func (ev *sentEval) planSkips(s *index.Sent, cc *countCursor, sid int32, skip []bool) {
+	ev.s, ev.skip = s, skip
+	ev.generateSkipPlan(cc, sid)
+}
+
+// extract runs candidate building and the nested loops over s under the
+// skip plan skip. It returns the number of assignments emitted for s, which
+// are appended to the block's arena (read them with out) and stay valid
+// until the next resetOut. With a plan, loops run in plan order and the
+// emissions are re-sorted into declaration order, so the output sequence is
+// identical either way.
+func (ev *sentEval) extract(s *index.Sent, skip []bool) int {
+	ev.s, ev.skip = s, skip
+	clear(ev.nodeDone)
+	ev.workSet.reset()
+	start := ev.nout
 	if !ev.buildCandidates() {
 		return 0
 	}
@@ -190,22 +193,23 @@ func (ev *sentEval) extract() int {
 		}
 	}
 	ev.enumerate(0)
-	if ev.trackIdx && ev.nout > 1 {
-		ev.restoreDeclOrder()
+	if ev.trackIdx && ev.nout-start > 1 {
+		ev.restoreDeclOrder(start)
 	}
-	return ev.nout
+	return ev.nout - start
 }
 
-// restoreDeclOrder re-sorts the emission arena into the sequence a
-// declaration-order enumeration would have produced: ascending by the
-// candidate indices of the enumerable variables taken in declaration order.
-// The planned loops emit exactly the same assignment set (each assignment is
-// uniquely identified by its candidate indices), so this sort makes planned
-// and written-order runs byte-identical.
-func (ev *sentEval) restoreDeclOrder() {
+// restoreDeclOrder re-sorts the sentence's emissions, the arena's run from
+// assignment start on, into the sequence a declaration-order enumeration
+// would have produced: ascending by the candidate indices of the enumerable
+// variables taken in declaration order. The planned loops emit exactly the
+// same assignment set (each assignment is uniquely identified by its
+// candidate indices), so this sort makes planned and written-order runs
+// byte-identical.
+func (ev *sentEval) restoreDeclOrder(start int) {
 	n := len(ev.nq.vars)
 	perm := ev.sortPerm[:0]
-	for i := 0; i < ev.nout; i++ {
+	for i := 0; i < ev.nout-start; i++ {
 		perm = append(perm, i)
 	}
 	sort.Slice(perm, func(a, b int) bool {
@@ -219,25 +223,19 @@ func (ev *sentEval) restoreDeclOrder() {
 		return false
 	})
 	ev.sortPerm = perm
-	need := ev.nout * n
-	if cap(ev.outScratch) < need {
-		ev.outScratch = make([]binding, need)
+	src := ev.outB[start*n:]
+	if cap(ev.outScratch) < len(src) {
+		ev.outScratch = make([]binding, len(src))
 	}
-	dst := ev.outScratch[:need]
+	dst := ev.outScratch[:len(src)]
 	for di, si := range perm {
-		copy(dst[di*n:(di+1)*n], ev.outB[si*n:(si+1)*n])
+		copy(dst[di*n:(di+1)*n], src[si*n:(si+1)*n])
 	}
-	ev.outB, ev.outScratch = dst, ev.outB
+	copy(src, dst)
 }
 
-// evalSentence is prepare + extract in one call, for callers that don't
-// split phase timing (tests).
-func (ev *sentEval) evalSentence(s *index.Sent, cc *countCursor, sid int32) int {
-	ev.prepare(s, cc, sid)
-	return ev.extract()
-}
-
-// out returns emitted assignment i (valid until the next evalSentence).
+// out returns emitted assignment i of the block (valid until the next
+// resetOut).
 func (ev *sentEval) out(i int) assignment {
 	n := len(ev.nq.vars)
 	return assignment(ev.outB[i*n : (i+1)*n])
@@ -334,7 +332,7 @@ func (ev *sentEval) buildCandidates() bool {
 // buildCandidateList fills one variable's candidate bindings, returning
 // false when an enumerable variable comes up empty.
 func (ev *sentEval) buildCandidateList(v *normVar) bool {
-	s := &ev.s
+	s := ev.s
 	t := s.Len()
 	list := ev.cands[v.slot][:0]
 	if !ev.isEnumerable(v) {
@@ -386,7 +384,7 @@ func (ev *sentEval) nodeMatches(v *normVar) []int32 {
 	if ev.nodeDone[v.slot] {
 		return ev.nodeTids[v.slot]
 	}
-	ev.nodeTids[v.slot] = ev.pm.match(&ev.s, v.steps, ev.nodeTids[v.slot][:0])
+	ev.nodeTids[v.slot] = ev.pm.match(ev.s, v.steps, ev.nodeTids[v.slot][:0])
 	ev.nodeDone[v.slot] = true
 	return ev.nodeTids[v.slot]
 }
@@ -435,7 +433,7 @@ func (ev *sentEval) elasticOK(v *normVar, sp span) bool {
 
 // entityIs reports whether an entity of the wanted type spans exactly sp.
 func (ev *sentEval) entityIs(sp span, want string) bool {
-	s := &ev.s
+	s := ev.s
 	for e := range s.EntType {
 		if int(s.EntL[e]) == sp.l && int(s.EntR[e]) == sp.r && nlp.GPEAlias(want, s.Dict.Str(s.EntType[e])) {
 			return true

@@ -55,3 +55,12 @@ func DPLIEstimates(ix *index.Index, src string, planned bool) DPLIOutcome {
 	}
 	return out
 }
+
+// StreamBlocks is Stream with blocks of n candidate sentences instead of
+// the evaluation loop's own size.
+func (e *Engine) StreamBlocks(q *lang.Query, ro RunOptions, n int) (*Stream, error) {
+	return e.stream(q, ro, n)
+}
+
+// BlockSents is the evaluation loop's block size.
+const BlockSents = blockSents

@@ -12,9 +12,9 @@ import (
 // collectors over. A Stream performs the cheap prologue eagerly (normalize,
 // DPLI pruning, planning) so header fields — candidate count, the chosen
 // plan — are available before any document is evaluated, then yields tuples
-// one document at a time as the consumer pulls. Memory is bounded by one
-// document's tuples, not the result size, and the first tuple is available
-// as soon as the first candidate document has been evaluated. A stream runs
+// one block of candidate documents at a time as the consumer pulls. Memory
+// is bounded by one block's tuples, not the result size, and the first tuple
+// is available as soon as the first block has been evaluated. A stream runs
 // on the goroutine that pulls it; the only intra-query parallelism is the
 // shard fan-out above the engine.
 
@@ -28,11 +28,12 @@ type Stream struct {
 	started bool
 }
 
-// Docs yields each candidate document's tuples, in ascending document order,
-// exactly as the buffered path would have appended them. Empty documents are
-// skipped. The yielded slice is reused by the next document: a consumer
-// that keeps tuples must copy them out before it asks for the next one.
-// Breaking out of the loop stops evaluation before the next document.
+// Docs yields the tuples of each block of whole candidate documents, in
+// ascending document order, exactly as the buffered path would have
+// appended them. Blocks without tuples are skipped. The yielded slice is
+// reused by the next block: a consumer that keeps tuples must copy them out
+// before it asks for the next one (their values stay valid). Breaking out of
+// the loop stops evaluation before the next block.
 func (s *Stream) Docs() iter.Seq[[]Tuple] {
 	return func(yield func([]Tuple) bool) {
 		if s.started {
@@ -65,9 +66,14 @@ func (s *Stream) Collect() (*Result, error) {
 }
 
 // Stream begins a streaming evaluation with per-run overrides. The prologue
-// (normalize, DPLI, plan) runs before Stream returns; per-document evaluation
-// runs as the returned Stream is pulled.
+// (normalize, DPLI, plan) runs before Stream returns; block evaluation runs
+// as the returned Stream is pulled.
 func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
+	return e.stream(q, ro, blockSents)
+}
+
+// stream is Stream with blocks of size candidate sentences.
+func (e *Engine) stream(q *lang.Query, ro RunOptions, size int) (*Stream, error) {
 	if err := ctxErr(ro.Ctx); err != nil {
 		return nil, err
 	}
@@ -107,38 +113,32 @@ func (e *Engine) Stream(q *lang.Query, ro RunOptions) (*Stream, error) {
 		res.Times.Plan = time.Since(t0)
 		res.Plan = plan.info(nq)
 	}
-	st.seq = e.streamDocs(nq, dpli, cands, ro, plan, st)
+	st.seq = e.streamBlocks(nq, dpli, cands, ro, plan, st, size)
 	return st, nil
 }
 
-// streamDocs builds the per-document iterator over the candidate list: one
-// document per pull, evaluated on the pulling goroutine, with no buffering
-// beyond the current document's tuples. Evidence aggregation and article
-// loading are document-scoped; cands is sorted and DocOfSent is
-// non-decreasing in sid, so each document's candidates are one contiguous
-// run and document order falls out ascending. Counters and phase times
-// accumulate into st.res in document order as the consumer pulls.
-func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro RunOptions, plan *queryPlan, st *Stream) func(yield func([]Tuple) bool) {
+// streamBlocks builds the block iterator over the candidate list. Each pull
+// takes whole documents until it holds at least size candidate sentences
+// (aggregation is document-scoped, so a document never splits), evaluates
+// them phase by phase on the pulling goroutine, and yields their tuples,
+// with no buffering beyond the current block. The context is checked, and
+// the store recovery boundary armed, once per block. Counters and phase
+// times accumulate into st.res in document order as the consumer pulls.
+func (e *Engine) streamBlocks(nq *normQuery, dpli *dpliResult, cands []int32, ro RunOptions, plan *queryPlan, st *Stream, size int) func(yield func([]Tuple) bool) {
 	return func(yield func([]Tuple) bool) {
-		w := e.newDocWorker(nq, dpli, ro, plan)
+		w := e.newBlockWorker(nq, dpli, ro, plan)
 		for i := 0; i < len(cands); {
 			if err := ctxErr(ro.Ctx); err != nil {
 				st.err = err
 				return
 			}
-			d := e.cols.DocOfSent[cands[i]]
-			j := i + 1
-			for j < len(cands) && e.cols.DocOfSent[cands[j]] == d {
-				j++
-			}
-			dr, err := w.evalDocGuarded(int(d), cands[i:j])
+			i = w.fill(cands, i, size)
+			tuples, err := w.evalBlockGuarded(st.res)
 			if err != nil {
 				st.err = err
 				return
 			}
-			i = j
-			mergeDocCounters(st.res, dr)
-			if len(dr.tuples) > 0 && !yield(dr.tuples) {
+			if len(tuples) > 0 && !yield(tuples) {
 				return
 			}
 		}
@@ -146,15 +146,15 @@ func (e *Engine) streamDocs(nq *normQuery, dpli *dpliResult, cands []int32, ro R
 	}
 }
 
-// evalDocGuarded is evalDoc inside the store recovery boundary
+// evalBlockGuarded is evalBlock inside the store recovery boundary
 // (storeFault): the aggregator reads word postings, which a block store
 // decodes lazily.
-func (w *docWorker) evalDocGuarded(d int, sids []int32) (dr docEvalResult, err error) {
+func (w *blockWorker) evalBlockGuarded(res *Result) (tuples []Tuple, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		if e := storeFault(w.e.ix, recover()); e != nil {
 			err = e
 		}
 	}()
-	return w.evalDoc(d, sids), nil
+	return w.evalBlock(res), nil
 }

@@ -392,12 +392,7 @@ func (s *Sent) Len() int { return len(s.Surface) }
 // Text reconstructs the detokenized span [l,r] (inclusive) exactly as
 // nlp.Sentence.Text does: punctuation attaches to the preceding token.
 func (s *Sent) Text(l, r int) string {
-	if l < 0 {
-		l = 0
-	}
-	if r >= len(s.Surface) {
-		r = len(s.Surface) - 1
-	}
+	l, r = s.clip(l, r)
 	size := 0
 	for i := l; i <= r; i++ {
 		size += len(s.Dict.strs[s.Surface[i]])
@@ -414,6 +409,24 @@ func (s *Sent) Text(l, r int) string {
 		b.WriteString(s.Dict.strs[s.Surface[i]])
 	}
 	return b.String()
+}
+
+// AppendText appends the span [l,r] to dst, rendered as Text renders it,
+// so a caller rendering many spans can keep them in one buffer.
+func (s *Sent) AppendText(dst []byte, l, r int) []byte {
+	l, r = s.clip(l, r)
+	for i := l; i <= r; i++ {
+		if i > l && s.POS[i] != IDPunct {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, s.Dict.strs[s.Surface[i]]...)
+	}
+	return dst
+}
+
+// clip bounds the span [l,r] to the sentence's tokens.
+func (s *Sent) clip(l, r int) (int, int) {
+	return max(l, 0), min(r, len(s.Surface)-1)
 }
 
 // String renders the whole sentence.

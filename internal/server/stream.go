@@ -68,7 +68,7 @@ func wantsStream(r *http.Request) bool {
 // StreamEvents by pulling the engine's tuple iterator directly: each tuple
 // is emitted as evaluation yields it, so the first line is on the wire
 // before later documents and shards have evaluated, and a paused consumer
-// applies backpressure all the way down to the per-document loop (memory
+// applies backpressure all the way down to the block loop (memory
 // stays bounded by the stream's internal batching, not the result size).
 // It runs on the same path as Query, with answerDrain: a cache hit streams
 // the cached tuples; a miss that completes populates the cache. The

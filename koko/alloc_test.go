@@ -72,13 +72,16 @@ func TestKokoLayerAllocsPerTuple(t *testing.T) {
 
 // TestStreamBatchAllocs: a shard's stream allocates each batch once at its
 // limit (streamFirstBatchTuples, then streamBatchTuples) instead of growing
-// it from nil, and grows a batch only when one document's tuples overflow
-// it.
+// it from nil, and never grows one: tuples of an engine block that overflow
+// a batch start the next.
 func TestStreamBatchAllocs(t *testing.T) {
-	one, big := make([]Tuple, 1), make([]Tuple, 300)
-	ones := make([][]Tuple, 1000)
+	one, block, big := make([]Tuple, 1), make([]Tuple, 64), make([]Tuple, 300)
+	ones, blocks := make([][]Tuple, 1000), make([][]Tuple, 20)
 	for i := range ones {
 		ones[i] = one
+	}
+	for i := range blocks {
+		blocks[i] = block
 	}
 	for _, tc := range []struct {
 		name   string
@@ -87,7 +90,8 @@ func TestStreamBatchAllocs(t *testing.T) {
 		allocs float64
 	}{
 		{"one tuple per document", ones, []int{16, 256, 256, 256, 216}, 5},
-		{"one document overflows the first batch", [][]Tuple{big}, []int{300, 0}, 2},
+		{"one document overflows the first batch", [][]Tuple{big}, []int{16, 256, 28}, 3},
+		{"64-tuple blocks", blocks, []int{16, 256, 256, 256, 256, 240}, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var sizes []int

@@ -140,7 +140,7 @@ func newLeaf(c *index.Columns, ix *index.Index, model *embed.Model, dicts map[st
 }
 
 // The tuple, evidence, phase and plan types are the engine's own: a tuple
-// crosses every layer from the per-document evaluation loop to the HTTP edge
+// crosses every layer from the block evaluation loop to the HTTP edge
 // without being copied into another type.
 type (
 	// Tuple is one output row of a query: the corpus-global SentenceID and
@@ -264,24 +264,27 @@ func (l *leaf) stream(ctx context.Context, p *ParsedQuery, qo *QueryOptions, emi
 	return summaryFromEngine(st.Result()), nil
 }
 
-// batchDocs gathers per-document tuples into batches and emits every full
-// one, returning the unfilled tail. The first batch is full at
+// batchDocs gathers the engine's per-block tuples into batches and emits
+// every full one, returning the unfilled tail. The first batch is full at
 // streamFirstBatchTuples, later ones at streamBatchTuples; each is
-// allocated once at its limit and grows only when one document's tuples
-// overflow it.
+// allocated once at its limit and never grows: a block's tuples that
+// overflow it start the next batch.
 func batchDocs(docs iter.Seq[[]Tuple], emit func(tuples []Tuple) error) ([]Tuple, error) {
 	var batch []Tuple
 	limit := streamFirstBatchTuples
 	for ts := range docs {
-		if batch == nil {
-			batch = make([]Tuple, 0, limit)
-		}
-		batch = append(batch, ts...)
-		if len(batch) >= limit {
-			if err := emit(batch); err != nil {
-				return nil, err
+		for len(ts) > 0 {
+			if batch == nil {
+				batch = make([]Tuple, 0, limit)
 			}
-			batch, limit = nil, streamBatchTuples
+			n := min(len(ts), limit-len(batch))
+			batch, ts = append(batch, ts[:n]...), ts[n:]
+			if len(batch) == limit {
+				if err := emit(batch); err != nil {
+					return nil, err
+				}
+				batch, limit = nil, streamBatchTuples
+			}
 		}
 	}
 	return batch, nil

@@ -11,7 +11,7 @@ import (
 
 // Streaming results: TupleSeq is the canonical form every Querier's Run
 // returns, and StreamShards is the one producer behind it — a one-shard
-// Engine is its one-shard case. Tuples flow lazily from the per-document
+// Engine is its one-shard case. Tuples flow lazily from the block
 // evaluation loop through the shard fan-out to the consumer without
 // changing type, in the batches the shards emitted; Collect (the buffered
 // mode) and the server's drains are thin consumers of the same sequence.
