@@ -278,7 +278,7 @@ func (w *blockWorker) fill(cands []int32, i, size int) int {
 		bd := blockDoc{doc: int(d), view: len(w.views)}
 		if w.ag != nil {
 			for sid := first; sid < end; sid++ {
-				w.views = append(w.views, cols.Sent(sid))
+				w.loadView(sid)
 			}
 		}
 		for ; i < len(cands) && cols.DocOfSent[cands[i]] == d; i++ {
@@ -286,7 +286,7 @@ func (w *blockWorker) fill(cands []int32, i, size int) int {
 				w.sent = append(w.sent, int32(bd.view+int(cands[i])-first))
 			} else {
 				w.sent = append(w.sent, int32(len(w.views)))
-				w.views = append(w.views, cols.Sent(int(cands[i])))
+				w.loadView(int(cands[i]))
 			}
 			w.sids = append(w.sids, cands[i])
 		}
@@ -294,6 +294,13 @@ func (w *blockWorker) fill(cands []int32, i, size int) int {
 		w.docs = append(w.docs, bd)
 	}
 	return i
+}
+
+// loadView appends sentence sid's view to the slab, written in its slot.
+func (w *blockWorker) loadView(sid int) {
+	n := len(w.views)
+	w.views = slices.Grow(w.views, 1)[:n+1]
+	w.e.cols.LoadSent(&w.views[n], sid)
 }
 
 // evalBlock evaluates the loaded block phase by phase: the skip plan (GSP)

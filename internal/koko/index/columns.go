@@ -348,25 +348,23 @@ func (c *Columns) Seal() *Columns {
 
 // Sent returns the view of sentence sid.
 func (c *Columns) Sent(sid int) Sent {
+	var s Sent
+	c.LoadSent(&s, sid)
+	return s
+}
+
+// LoadSent writes the view of sentence sid into *s field by field: a Sent
+// is large, so a slab of views is filled in place rather than by copying
+// each one in.
+func (c *Columns) LoadSent(s *Sent, sid int) {
 	t0, t1 := c.TokOff[sid], c.TokOff[sid+1]
 	e0, e1 := c.EntOff[sid], c.EntOff[sid+1]
-	return Sent{
-		ID:       sid,
-		Root:     int(c.Root[sid]),
-		Surface:  c.Surface[t0:t1],
-		Lower:    c.Lower[t0:t1],
-		POS:      c.POS[t0:t1],
-		Label:    c.Label[t0:t1],
-		Head:     c.Head[t0:t1],
-		Depth:    c.Depth[t0:t1],
-		SubL:     c.SubL[t0:t1],
-		SubR:     c.SubR[t0:t1],
-		EntityID: c.EntityID[t0:t1],
-		EntType:  c.EntType[e0:e1],
-		EntL:     c.EntL[e0:e1],
-		EntR:     c.EntR[e0:e1],
-		Dict:     &c.Dict,
-	}
+	s.ID, s.Root = sid, int(c.Root[sid])
+	s.Surface, s.Lower, s.POS, s.Label = c.Surface[t0:t1], c.Lower[t0:t1], c.POS[t0:t1], c.Label[t0:t1]
+	s.Head, s.Depth, s.SubL, s.SubR = c.Head[t0:t1], c.Depth[t0:t1], c.SubL[t0:t1], c.SubR[t0:t1]
+	s.EntityID = c.EntityID[t0:t1]
+	s.EntType, s.EntL, s.EntR = c.EntType[e0:e1], c.EntL[e0:e1], c.EntR[e0:e1]
+	s.Dict = &c.Dict
 }
 
 // Sent is one sentence of a Columns: subslices of its columns, so reading a

@@ -364,7 +364,7 @@ func newGatedQuerier(q koko.Querier) *gatedQuerier {
 	return &gatedQuerier{Querier: q, started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func([]koko.Tuple) error) (*koko.Result, error) {
+func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(koko.Batch) error) (*koko.Result, error) {
 	if g.once.CompareAndSwap(false, true) {
 		close(g.started)
 	}
@@ -390,12 +390,12 @@ type stallQuerier struct {
 }
 
 func (s *stallQuerier) Run(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.TupleSeq, error) {
-	return koko.StreamShards(ctx, s.NumShards(), s.NumShards(), func(ctx context.Context, shard int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+	return koko.StreamShards(ctx, s.NumShards(), s.NumShards(), func(ctx context.Context, shard int, emit func(koko.Batch) error) (*koko.Result, error) {
 		return s.StreamShard(ctx, shard, p, qo, emit)
 	}, false), nil
 }
 
-func (s *stallQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func([]koko.Tuple) error) (*koko.Result, error) {
+func (s *stallQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(koko.Batch) error) (*koko.Result, error) {
 	if shard == 0 {
 		return s.Querier.StreamShard(ctx, 0, p, qo, emit)
 	}

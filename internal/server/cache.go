@@ -3,13 +3,13 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"repro/koko"
 )
 
-// resultCache is an LRU cache of query results, keyed on
-// (corpus, generation, explain, canonical query) by the Service. Values are
-// shared between requests and MUST be treated as immutable by readers.
+// resultCache is an LRU cache of drained answers — a query's summary and
+// the batches it delivered, a forwarded batch kept as its worker's bytes —
+// keyed on (corpus, generation, explain, canonical query) by the Service.
+// Values are shared between requests and MUST be treated as immutable by
+// readers.
 //
 // The cache is bounded two ways: by entry count and by the total number of
 // cached tuples (the dominant memory cost of a result). When either budget
@@ -32,7 +32,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key    cacheKey
-	res    *koko.Result
+	res    *drained
 	tuples int
 }
 
@@ -48,7 +48,7 @@ func newResultCache(maxEntries, maxTuples int) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key cacheKey) (*koko.Result, bool) {
+func (c *resultCache) get(key cacheKey) (*drained, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -71,11 +71,11 @@ func (c *resultCache) admits(n int) bool {
 
 // put stores res under key; the entry lives until evicted or invalidated
 // by a generation bump.
-func (c *resultCache) put(key cacheKey, res *koko.Result) {
+func (c *resultCache) put(key cacheKey, res *drained) {
 	if c == nil {
 		return
 	}
-	n := len(res.Tuples)
+	n := res.tuples
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Admission by size: a result larger than the whole tuple budget can

@@ -37,9 +37,11 @@
 //     POST /v1/corpora/{name}/reload, POST /v1/corpora/{name}/documents,
 //     POST /v1/corpora/{name}/compact, DELETE /v1/corpora/{name},
 //     the /v1/jobs family, GET /v1/healthz, GET /v1/metrics —
-//     served by cmd/kokod. Buffered, NDJSON and job answers append-encode
-//     the engine's tuples (remote.ClientFields), byte-identical to
-//     encoding/json's; buffered and NDJSON answers share one drain, which
-//     encodes each batch as the shards deliver it, and a buffered body is
-//     whole before its status line.
+//     served by cmd/kokod. Buffered, NDJSON and job answers append each
+//     batch's JSON (koko.Batch.AppendJSON: the engine's tuples encoded by
+//     the tuple codec, or a worker's bytes copied as they arrived),
+//     byte-identical to encoding/json's; buffered and NDJSON answers share
+//     one drain, which appends each batch as the shards deliver it and
+//     keeps the batches for the result cache, and a buffered body is whole
+//     before its status line.
 package server

@@ -287,9 +287,11 @@ func TestEncoderErrorAnswers500(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A cached result is served as it is: plant one with a NaN score.
-	svc.cache.put(cacheKey{corpus: corpus, gen: gen, canonical: p.Canonical()}, &koko.Result{Tuples: []koko.Tuple{
-		{SentenceID: 1, Values: []string{"Cafe Vita"}, Scores: map[string]float64{"x": math.NaN()}},
-	}})
+	svc.cache.put(cacheKey{corpus: corpus, gen: gen, canonical: p.Canonical()}, &drained{
+		sum: &koko.Result{}, tuples: 1, held: true, batches: []koko.Batch{koko.BatchOf([]koko.Tuple{
+			{SentenceID: 1, Values: []string{"Cafe Vita"}, Scores: map[string]float64{"x": math.NaN()}},
+		})},
+	})
 	resp, body := postJSON(t, ts, "/v1/query", QueryRequest{Corpus: corpus, Query: query})
 	var e errorResponse
 	if err := json.Unmarshal(body, &e); err != nil {
@@ -363,7 +365,7 @@ type lateFailure struct {
 }
 
 func (q lateFailure) Run(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.TupleSeq, error) {
-	return koko.StreamShards(ctx, q.NumShards(), 1, func(ctx context.Context, shard int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+	return koko.StreamShards(ctx, q.NumShards(), 1, func(ctx context.Context, shard int, emit func(koko.Batch) error) (*koko.Result, error) {
 		res, err := q.StreamShard(ctx, shard, p, qo, emit)
 		if err == nil && shard == q.fail {
 			err = errors.New("shard lost after its tuples")
@@ -389,8 +391,8 @@ func TestDegradedBufferedAnswerDropsFailedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	lost := 0
-	if _, err := koko.NewShardedEngine(c, 3, nil).StreamShard(context.Background(), 1, p, nil, func(ts []koko.Tuple) error {
-		lost += len(ts)
+	if _, err := koko.NewShardedEngine(c, 3, nil).StreamShard(context.Background(), 1, p, nil, func(b koko.Batch) error {
+		lost += b.Len()
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -147,28 +147,35 @@ func writeAppended(w http.ResponseWriter, status int, build func([]byte) ([]byte
 
 // appendQuery answers req as Query does, appending the JSON of its
 // QueryResponse and a newline to dst: the bytes a json.Encoder with HTML
-// escaping off writes. The tuples are encoded batch by batch as the shards
-// deliver them, not collected first (the NDJSON answer's drain), and a
-// degraded run's failed shard cuts its encoded tuples out again, as Collect
-// drops them. An encoder error (a non-finite score) is returned once the
-// query has run, so it answers 500, not 400.
+// escaping off writes. Each batch's JSON array is appended as the shards
+// deliver it — a forwarded batch's bytes as the worker sent them — and
+// joined to the array so far, not collected first (the NDJSON answer's
+// drain), and a degraded run's failed shard cuts its tuples out again, as
+// Collect drops them. An encoder error (a non-finite score) is returned
+// once the query has run, so it answers 500, not 400.
 func (s *Service) appendQuery(ctx context.Context, req QueryRequest, dst []byte) ([]byte, error) {
 	t0 := time.Now()
 	var sc scope
 	if eng, gen, err := s.reg.Engine(req.Corpus); err == nil {
 		sc.eng, sc.gen = eng, gen // the generation precedes the tuples; run reports a missing corpus
 	}
-	dst = remote.AppendString(append(dst, `{"corpus":`...), req.Corpus)
+	dst = koko.AppendString(append(dst, `{"corpus":`...), req.Corpus)
 	dst = strconv.AppendUint(append(dst, `,"generation":`...), sc.gen, 10)
-	dst = append(dst, `,"tuples":[`...)
+	dst = append(dst, `,"tuples":`...)
 	var encErr error
-	n, markLen := 0, len(dst) // tuples encoded; the body's length at the last completed shard
-	a, err := s.run(ctx, req, sc, s.answerDrain(req.NoCache, func(ts []koko.Tuple) error {
-		for i := 0; i < len(ts) && encErr == nil; i++ {
-			if n++; n > 1 {
-				dst = append(dst, ',')
+	// n tuples are in the open array (none: not opened yet); markLen is the
+	// body's length at the last completed shard.
+	n, markLen := 0, len(dst)
+	a, err := s.run(ctx, req, sc, s.answerDrain(req.NoCache, func(b koko.Batch) error {
+		if encErr != nil {
+			return nil
+		}
+		at := len(dst)
+		if dst, encErr = b.AppendJSON(dst); encErr == nil {
+			if n > 0 {
+				dst[at] = ',' // the batch's '[' joins the open array
 			}
-			dst, encErr = remote.AppendTuple(dst, &ts[i], remote.ClientFields)
+			dst, n = dst[:len(dst)-1], n+b.Len() // its ']' is left off
 		}
 		return nil
 	}, func(sh *koko.ShardEnd, _, total int) error {
@@ -183,6 +190,9 @@ func (s *Service) appendQuery(ctx context.Context, req QueryRequest, dst []byte)
 	}
 	if err != nil {
 		return dst, err
+	}
+	if n == 0 {
+		dst = append(dst, '[')
 	}
 	stats := a.stats()
 	stats.ServiceMillis = ms(time.Since(t0))

@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/server/jobs"
-	"repro/koko/remote"
+	"repro/koko"
 )
 
 // The /v1/jobs endpoints: submit a query batch, poll status, fetch the
@@ -55,12 +55,12 @@ func (s *Service) handleJobResults(w http.ResponseWriter, r *http.Request) {
 // results and a newline. A query's "complete" reports whether every shard
 // contributed, so a client can tell "empty" from "not finished yet".
 func appendJobResults(dst []byte, res *jobs.Results) ([]byte, error) {
-	dst = remote.AppendString(append(dst, `{"id":`...), res.ID)
-	dst = remote.AppendString(append(dst, `,"state":`...), string(res.State))
-	dst = remote.AppendString(append(dst, `,"corpus":`...), res.Corpus)
+	dst = koko.AppendString(append(dst, `{"id":`...), res.ID)
+	dst = koko.AppendString(append(dst, `,"state":`...), string(res.State))
+	dst = koko.AppendString(append(dst, `,"corpus":`...), res.Corpus)
 	dst = strconv.AppendUint(append(dst, `,"generation":`...), res.Generation, 10)
 	if res.Error != "" {
-		dst = remote.AppendString(append(dst, `,"error":`...), res.Error)
+		dst = koko.AppendString(append(dst, `,"error":`...), res.Error)
 	}
 	dst = append(dst, `,"queries":[`...)
 	for i, q := range res.Queries {
@@ -68,12 +68,12 @@ func appendJobResults(dst []byte, res *jobs.Results) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendInt(append(dst, `{"index":`...), int64(q.Index), 10)
-		dst = remote.AppendString(append(dst, `,"canonical":`...), q.Canonical)
+		dst = koko.AppendString(append(dst, `,"canonical":`...), q.Canonical)
 		dst = strconv.AppendBool(append(dst, `,"complete":`...), q.Complete)
 		dst = strconv.AppendInt(append(dst, `,"shards_total":`...), int64(q.ShardsTotal), 10)
 		dst = strconv.AppendInt(append(dst, `,"shards_done":`...), int64(q.ShardsDone), 10)
 		var err error
-		if dst, err = remote.AppendTuples(append(dst, `,"tuples":`...), q.Result.Tuples, remote.ClientFields); err != nil {
+		if dst, err = koko.AppendTuples(append(dst, `,"tuples":`...), q.Result.Tuples); err != nil {
 			return dst, err
 		}
 		dst = strconv.AppendInt(append(dst, `,"candidates":`...), int64(q.Result.Candidates), 10)

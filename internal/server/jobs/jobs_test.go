@@ -55,9 +55,10 @@ func (f *fakeRuntime) RunShard(ctx context.Context, eng koko.Querier, shard int,
 	if err != nil {
 		return nil, "", err
 	}
-	sum, err := eng.StreamShard(ctx, shard, p, &koko.QueryOptions{Explain: explain}, func(ts []koko.Tuple) error {
+	sum, err := eng.StreamShard(ctx, shard, p, &koko.QueryOptions{Explain: explain}, func(b koko.Batch) error {
+		ts, err := b.Tuples()
 		emit(ts)
-		return nil
+		return err
 	})
 	return sum, "", err
 }
@@ -76,7 +77,7 @@ func newGated(q koko.Querier) *gatedQuerier {
 	return &gatedQuerier{Querier: q, started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func([]koko.Tuple) error) (*koko.Result, error) {
+func (g *gatedQuerier) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(koko.Batch) error) (*koko.Result, error) {
 	if g.calls.Add(1) == 1 {
 		close(g.started)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -171,6 +173,29 @@ func needsEscape(s string) bool {
 	return strings.ContainsAny(s, "\"\\\u2028\u2029") || strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 })
 }
 
+// streamedTuples runs one NDJSON query over HTTP and returns each tuple
+// line's tuple bytes, in order, joined as the buffered answer's "tuples"
+// array would hold them.
+func streamedTuples(t *testing.T, ts *httptest.Server, req QueryRequest) []byte {
+	t.Helper()
+	resp, body := postJSON(t, ts, "/v1/query?stream=1", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d: %s", resp.StatusCode, body)
+	}
+	arr := []byte{'['}
+	for line := range bytes.Lines(body) {
+		if tu, ok := bytes.CutPrefix(line, []byte(`{"tuple":`)); ok {
+			if len(arr) > 1 {
+				arr = append(arr, ',')
+			}
+			arr = append(arr, bytes.TrimSuffix(tu, []byte("}\n"))...)
+		} else if bytes.HasPrefix(line, []byte(`{"error":`)) {
+			t.Fatalf("stream failed: %s", line)
+		}
+	}
+	return append(arr, ']')
+}
+
 // TestDistributedDifferential: coordinator over two replicated workers,
 // byte-identical to single-node for every generator and query — before a
 // worker kill and after it (retries route around the corpse).
@@ -200,8 +225,18 @@ func TestDistributedDifferential(t *testing.T) {
 			}
 			coordTS := httptest.NewServer(coord.Handler())
 			defer coordTS.Close()
+			// A second coordinator places each shard on one worker only, for
+			// the degraded cut once worker 1 is dead.
+			degr := NewService(Config{MaxConcurrent: 8})
+			rc := fastRemote(w1.URL, w2.URL)
+			rc.Replicas = 1
+			if _, err := degr.ConnectWorkers(context.Background(), rc); err != nil {
+				t.Fatalf("connect workers: %v", err)
+			}
+			degrTS := httptest.NewServer(degr.Handler())
+			defer degrTS.Close()
 
-			refTuples, escaped := 0, 0
+			refTuples, escaped, scored, explained := 0, 0, 0, 0
 			for _, q := range tc.queries {
 				for _, explain := range []bool{false, true} {
 					req := QueryRequest{Corpus: "c", Query: q, Explain: explain, NoCache: true}
@@ -213,6 +248,29 @@ func TestDistributedDifferential(t *testing.T) {
 						if slices.ContainsFunc(tu.Values, needsEscape) {
 							escaped++
 						}
+						if len(tu.Scores) > 0 {
+							scored++
+						}
+						if len(tu.Evidence) > 0 {
+							explained++
+						}
+					}
+					// The NDJSON answer's tuple lines carry the same bytes.
+					if got := streamedTuples(t, coordTS, req); !bytes.Equal(got, want.rawTuples) {
+						t.Fatalf("%s: streamed tuples differ from the reference:\n got %s\nwant %s", tc.name, got, want.rawTuples)
+					}
+					// A miss fills the cache with the workers' batches; the hit
+					// after it, buffered and streamed, answers the same bytes.
+					req.NoCache = false
+					for i, wantCached := range []bool{false, true} {
+						got := httpQuery(t, coordTS, req)
+						if got.Cached != wantCached {
+							t.Fatalf("%s: cached = %v on request %d, want %v", tc.name, got.Cached, i, wantCached)
+						}
+						sameResponses(t, tc.name+"/cache", want, got)
+					}
+					if got := streamedTuples(t, coordTS, req); !bytes.Equal(got, want.rawTuples) {
+						t.Fatalf("%s: streamed cache hit differs from the reference:\n got %s\nwant %s", tc.name, got, want.rawTuples)
 					}
 				}
 			}
@@ -221,6 +279,9 @@ func TestDistributedDifferential(t *testing.T) {
 			}
 			if tc.wireEscapes && escaped == 0 {
 				t.Fatal("no value that JSON escapes crossed the wire; the hostile case is vacuous")
+			}
+			if scored == 0 || explained == 0 {
+				t.Fatalf("%d scored and %d explained tuples crossed the wire; want both", scored, explained)
 			}
 
 			// A job through the coordinator runs each (query, shard) over the
@@ -261,6 +322,43 @@ func TestDistributedDifferential(t *testing.T) {
 				sameResponses(t, tc.name+"/after-kill", want, got)
 			}
 
+			// The one-replica coordinator lost the shards on worker 1: its
+			// partial=ok answer is the reference's tuples of the surviving
+			// shards' documents, byte for byte.
+			shardOf := shardOfDocument(koko.NewShardedEngine(c, 3, nil).ShardStats())
+			for _, q := range tc.queries {
+				req := QueryRequest{Corpus: "c", Query: q, Explain: true, NoCache: true}
+				resp, body := postJSON(t, degrTS, "/v1/query?partial=ok", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("partial=ok status %d: %s", resp.StatusCode, body)
+				}
+				var got struct {
+					Tuples       json.RawMessage `json:"tuples"`
+					FailedShards []int           `json:"failed_shards"`
+				}
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatal(err)
+				}
+				if len(got.FailedShards) == 0 || len(got.FailedShards) == 3 {
+					t.Fatalf("failed shards %v; want some but not all", got.FailedShards)
+				}
+				want := httpQuery(t, refTS, req)
+				kept := []byte{'['}
+				i := 0
+				for obj := range koko.TupleObjects(want.rawTuples) {
+					if !slices.Contains(got.FailedShards, shardOf(want.Tuples[i].Document)) {
+						if len(kept) > 1 {
+							kept = append(kept, ',')
+						}
+						kept = append(kept, obj...)
+					}
+					i++
+				}
+				if kept = append(kept, ']'); !bytes.Equal(got.Tuples, kept) {
+					t.Fatalf("%s: degraded tuples differ from the surviving shards' reference tuples:\n got %s\nwant %s", tc.name, got.Tuples, kept)
+				}
+			}
+
 			m := coord.Metrics()
 			if m.RemoteAttempts == 0 {
 				t.Error("remote_attempts stayed 0 on a coordinator")
@@ -272,6 +370,20 @@ func TestDistributedDifferential(t *testing.T) {
 				t.Error("surviving worker served no shard evals")
 			}
 		})
+	}
+}
+
+// shardOfDocument maps a document to its shard, for shards that cover
+// consecutive document ranges in order.
+func shardOfDocument(stats []koko.ShardStat) func(doc int) int {
+	return func(doc int) int {
+		for i, st := range stats {
+			if doc < st.Documents {
+				return i
+			}
+			doc -= st.Documents
+		}
+		return len(stats)
 	}
 }
 
@@ -337,12 +449,13 @@ func TestShardEvalEndpoint(t *testing.T) {
 }
 
 // TestShardEvalWireBytes: for the happydb and cafes queries, explain on and
-// off, every shard's tuple lines from the worker are byte-identical to what
-// json.Encoder (SetEscapeHTML(false)) writes for the same shard evaluated
-// locally, batch by batch. The frame codec changed how the bytes are made,
-// not what they are, so nodes on either side of it interoperate.
+// off, every shard's tuple lines from the worker are, batch by batch, the
+// client form encoding/json writes for the same shard evaluated locally —
+// the bytes kokod's answers carry, so the coordinator can forward them —
+// framed as {"tuples":<array>,"crc32c":N} with N the CRC-32C of <array>.
 func TestShardEvalWireBytes(t *testing.T) {
 	const shards = 3
+	crc := crc32.MakeTable(crc32.Castagnoli)
 	for _, tc := range distCases() {
 		if tc.name != "happydb" && tc.name != "cafes" {
 			continue
@@ -365,12 +478,16 @@ func TestShardEvalWireBytes(t *testing.T) {
 						if resp.StatusCode != http.StatusOK {
 							t.Fatalf("shard-eval status %d: %s", resp.StatusCode, body)
 						}
-						var want bytes.Buffer
-						enc := json.NewEncoder(&want)
-						enc.SetEscapeHTML(false)
-						if _, err := local.StreamShard(context.Background(), shard, p, &koko.QueryOptions{Explain: explain}, func(ts []koko.Tuple) error {
+						var want []byte
+						if _, err := local.StreamShard(context.Background(), shard, p, &koko.QueryOptions{Explain: explain}, func(b koko.Batch) error {
 							lines++
-							return enc.Encode(remote.ChunkLine{Tuples: ts, Checksum: remote.TuplesChecksum(ts)})
+							ts, err := b.Tuples()
+							if err != nil {
+								return err
+							}
+							arr := bytes.TrimSuffix(oracleJSON(t, oracleTuples(ts)), []byte("\n"))
+							want = fmt.Appendf(want, "{\"tuples\":%s,\"crc32c\":%d}\n", arr, crc32.Checksum(arr, crc))
+							return nil
 						}); err != nil {
 							t.Fatal(err)
 						}
@@ -379,9 +496,9 @@ func TestShardEvalWireBytes(t *testing.T) {
 						if !bytes.HasPrefix(body[doneAt:], []byte(`{"done":`)) {
 							t.Fatalf("query %d shard %d: the body does not end with a done line: %q", qi, shard, body[doneAt:])
 						}
-						if got := body[:doneAt]; !bytes.Equal(got, want.Bytes()) {
+						if got := body[:doneAt]; !bytes.Equal(got, want) {
 							t.Fatalf("query %d explain=%v shard %d: tuple lines differ from encoding/json's:\n got %s\nwant %s",
-								qi, explain, shard, got, want.Bytes())
+								qi, explain, shard, got, want)
 						}
 					}
 				}
@@ -394,17 +511,19 @@ func TestShardEvalWireBytes(t *testing.T) {
 }
 
 // readChunks decodes a shard-eval NDJSON body: every line before the last
-// must be a tuple batch whose stamped checksum matches its payload, and the
-// last a done line whose tuple count and counters checksum match the
-// stream. Returns the concatenated tuples and the done line.
+// must be a tuple batch whose stamped CRC matches its bytes and whose
+// tuples decode, and the last a done line whose tuple count and counters
+// checksum match the stream. Returns the concatenated tuples and the done
+// line.
 func readChunks(t *testing.T, body []byte) ([]koko.Tuple, *remote.ChunkDone) {
 	t.Helper()
-	dec := json.NewDecoder(bytes.NewReader(body))
 	var tuples []koko.Tuple
-	for {
+	for len(body) > 0 {
+		raw, rest, _ := bytes.Cut(body, []byte("\n"))
+		body = rest
 		var line remote.ChunkLine
-		if err := dec.Decode(&line); err != nil {
-			t.Fatalf("stream ended without a done line after %d tuples: %v", len(tuples), err)
+		if err := remote.ParseChunkLine(raw, &line); err != nil {
+			t.Fatalf("line after %d tuples: %v", len(tuples), err)
 		}
 		switch {
 		case line.Error != "":
@@ -421,20 +540,20 @@ func readChunks(t *testing.T, body []byte) ([]koko.Tuple, *remote.ChunkDone) {
 			if got := remote.CountersChecksum(cand, matched, d.Tuples); got != d.Checksum {
 				t.Fatalf("done checksum %x does not match its counters %x", d.Checksum, got)
 			}
-			if dec.More() {
+			if len(body) > 0 {
 				t.Fatal("lines after the done line")
 			}
 			return tuples, d
 		default:
-			if len(line.Tuples) == 0 {
-				t.Fatal("empty batch line")
+			ts, err := line.Tuples.Tuples()
+			if err != nil {
+				t.Fatalf("batch after %d tuples does not decode: %v", len(tuples), err)
 			}
-			if got := remote.TuplesChecksum(line.Tuples); got != line.Checksum {
-				t.Fatalf("batch checksum %x does not match its payload %x", line.Checksum, got)
-			}
-			tuples = append(tuples, line.Tuples...)
+			tuples = append(tuples, ts...)
 		}
 	}
+	t.Fatalf("stream ended without a done line after %d tuples", len(tuples))
+	return nil, nil
 }
 
 // TestShardEvalSkipResumesSuffix: the worker half of retry-resume. A

@@ -323,7 +323,7 @@ func TestCacheDropCorpusExactName(t *testing.T) {
 // entry is evicted while recently used ones survive.
 func TestLRUEviction(t *testing.T) {
 	c := newResultCache(2, cacheMaxTuples)
-	r := &koko.Result{}
+	r := &drained{sum: &koko.Result{}, held: true}
 	c.put(ck("a"), r)
 	c.put(ck("b"), r)
 	if _, ok := c.get(ck("a")); !ok { // a is now most recently used

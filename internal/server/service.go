@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -161,10 +160,15 @@ func (s *Service) Engine(name string) (koko.Querier, uint64, error) {
 }
 
 // RunShard is the job executor's per-shard step (see jobs.Runtime): a
-// one-shard run over the engine the job pinned.
+// one-shard run over the engine the job pinned. Jobs keep tuples, so each
+// batch is decoded here.
 func (s *Service) RunShard(ctx context.Context, eng koko.Querier, shard int, query string, explain bool, emit func([]koko.Tuple)) (*koko.Result, string, error) {
 	a, err := s.run(ctx, QueryRequest{Query: query, Explain: explain}, scope{one: true, shard: shard, eng: eng},
-		batches(func(ts []koko.Tuple) (int, error) {
+		batches(func(b koko.Batch) (int, error) {
+			ts, err := b.Tuples()
+			if err != nil {
+				return 0, err
+			}
 			emit(ts)
 			return len(ts), nil
 		}))
@@ -192,20 +196,20 @@ type QueryRequest struct {
 }
 
 // Tuples is an answer's tuple table: the engine's own tuples, encoding to
-// JSON in the client form (remote.ClientFields) without a copy.
+// JSON by the tuple codec (koko.AppendTuples) without a copy.
 type Tuples []koko.Tuple
 
-// MarshalJSON writes ts as a JSON array of client-form tuples.
+// MarshalJSON writes ts as a JSON array of tuples.
 func (ts Tuples) MarshalJSON() ([]byte, error) {
-	return remote.AppendTuples(nil, ts, remote.ClientFields)
+	return koko.AppendTuples(nil, ts)
 }
 
-// Tuple is one answer tuple, encoding to JSON in the client form.
+// Tuple is one answer tuple, encoding to JSON by the tuple codec.
 type Tuple koko.Tuple
 
-// MarshalJSON writes t as a client-form tuple.
+// MarshalJSON writes t as a JSON tuple.
 func (t *Tuple) MarshalJSON() ([]byte, error) {
-	return remote.AppendTuple(nil, (*koko.Tuple)(t), remote.ClientFields)
+	return koko.AppendTuple(nil, (*koko.Tuple)(t))
 }
 
 // PhaseMillis is the Table 2 per-phase breakdown in milliseconds (plus the
@@ -267,88 +271,96 @@ func phasesOf(r *koko.Result) PhaseMillis {
 }
 
 // A drain consumes one query's tuples for one response mode: the live
-// stream on a cache miss (hit nil) or the stored result on a hit (seq nil).
-// It returns the result the response reports — carrying its tuples when
-// the mode or the cache needs them — and how many tuples it delivered. run
-// caches a result only when it carries every tuple delivered.
-type drain func(seq *koko.TupleSeq, hit *koko.Result) (res *koko.Result, delivered int, err error)
+// stream on a cache miss (hit nil) or a cached answer on a hit (seq nil).
+// It returns what it delivered; run caches that when it holds every
+// delivered batch.
+type drain func(seq *koko.TupleSeq, hit *drained) (*drained, error)
+
+// drained is what a drain delivered: the run's counters-only summary, how
+// many tuples went out and, when held is set, every one of their batches
+// in order. Cached, it is shared between requests and immutable.
+type drained struct {
+	sum     *koko.Result
+	tuples  int
+	batches []koko.Batch
+	held    bool
+}
 
 // batches is a one-shard run's drain: each consumes one emitted batch and
 // reports how many of its tuples it delivered.
-func batches(each func([]koko.Tuple) (int, error)) drain {
-	return func(seq *koko.TupleSeq, _ *koko.Result) (*koko.Result, int, error) {
+func batches(each func(koko.Batch) (int, error)) drain {
+	return func(seq *koko.TupleSeq, _ *drained) (*drained, error) {
 		n := 0
 		for ev := range seq.Events() {
 			if ev.Shard != nil {
 				continue
 			}
-			k, err := each(ev.Tuples)
+			k, err := each(ev.Batch)
 			if err != nil {
-				return nil, 0, consumerGone{err}
+				return nil, err
 			}
 			n += k
 		}
 		if err := seq.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return seq.Summary(), n, nil
+		return &drained{sum: seq.Summary(), tuples: n}, nil
 	}
 }
 
-// answerDrain is the drain of the buffered and NDJSON answers. It hands a
-// hit's tuples, flushEvery at a time, and each batch of a live run, valid
-// only for the call, to tuples; and each shard end of a live run, with the
-// run's shard count and the tuples delivered so far, to shard. A failed
-// shard (degraded mode) takes its tuples back out of that count. A live
-// run's tuples are held only while the cache could take them: with noCache
-// or the cache disabled none are, and once the result outgrows the cache's
-// tuple budget, or a shard fails, the held ones are dropped.
-func (s *Service) answerDrain(noCache bool, tuples func([]koko.Tuple) error, shard func(sh *koko.ShardEnd, shards, total int) error) drain {
-	return func(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
+// answerDrain is the drain of the buffered, NDJSON and in-process answers.
+// It hands a hit's batches, and each batch of a live run, to batch; and
+// each shard end of a live run, with the run's shard count and the tuples
+// delivered so far, to shard. A failed shard (degraded mode) takes its
+// tuples back out of that count. A live run's batches are held only while
+// the cache could take them: with noCache or the cache disabled none are,
+// and once the result outgrows the cache's tuple budget, or a shard fails,
+// the held ones are dropped. Holding a batch copies nothing: a forwarded
+// batch stays the worker's bytes.
+func (s *Service) answerDrain(noCache bool, batch func(koko.Batch) error, shard func(sh *koko.ShardEnd, shards, total int) error) drain {
+	return func(seq *koko.TupleSeq, hit *drained) (*drained, error) {
 		if hit != nil {
-			for ts := range slices.Chunk(hit.Tuples, flushEvery) {
-				if err := tuples(ts); err != nil {
-					return nil, 0, err
+			for _, b := range hit.batches {
+				if err := batch(b); err != nil {
+					return nil, err
 				}
 			}
-			return hit, len(hit.Tuples), nil
+			return hit, nil
 		}
 		tEval := time.Now()
-		var held []koko.Tuple
-		keep := !noCache && s.cache.admits(0)
-		total, mark := 0, 0 // tuples delivered, and delivered by completed shards
+		out := &drained{held: !noCache && s.cache.admits(0)}
+		mark := 0 // tuples delivered by completed shards
 		for ev := range seq.Events() {
 			switch sh := ev.Shard; {
 			case sh == nil:
-				total += len(ev.Tuples)
-				if keep = keep && s.cache.admits(total); keep {
-					held = append(held, ev.Tuples...)
+				out.tuples += ev.Batch.Len()
+				if out.held = out.held && s.cache.admits(out.tuples); out.held {
+					out.batches = append(out.batches, ev.Batch)
 				} else {
-					held = nil
+					out.batches = nil
 				}
-				if err := tuples(ev.Tuples); err != nil {
-					return nil, 0, err
+				if err := batch(ev.Batch); err != nil {
+					return nil, err
 				}
 				continue
 			case sh.Failed:
-				total, keep, held = mark, false, nil // a degraded result is not cached
+				out.tuples, out.held, out.batches = mark, false, nil // a degraded result is not cached
 			default:
-				mark = total
+				mark = out.tuples
 			}
-			if err := shard(ev.Shard, seq.NumShards(), total); err != nil {
-				return nil, 0, err // leaving the range cancels the remaining evaluation
+			if err := shard(ev.Shard, seq.NumShards(), out.tuples); err != nil {
+				return nil, err // leaving the range cancels the remaining evaluation
 			}
 		}
 		if err := seq.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		// Elapsed is the drain's wall time: with pull-driven evaluation
 		// there is no separate evaluation clock (the consumer's pace IS the
 		// evaluation pace), matching what Collect reports.
-		res := seq.Summary()
-		res.Tuples = held
-		res.Elapsed = time.Since(tEval)
-		return res, total, nil
+		out.sum = seq.Summary()
+		out.sum.Elapsed = time.Since(tEval)
+		return out, nil
 	}
 }
 
@@ -368,8 +380,8 @@ type scope struct {
 // answer is one query's outcome as run hands it back to a response mode.
 type answer struct {
 	gen    uint64
-	res    *koko.Result
-	tuples int // how many tuples the drain delivered
+	res    *koko.Result // the counters-only summary
+	tuples int          // how many tuples the drain delivered
 	cached bool
 	failed []int // shards a degraded (Partial) run skipped
 }
@@ -429,9 +441,11 @@ func (s *Service) run(ctx context.Context, req QueryRequest, sc scope, d drain) 
 		if hit, ok := s.cache.get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			a.cached = true
-			if a.res, a.tuples, err = d(nil, hit); err != nil {
+			out, err := d(nil, hit)
+			if err != nil {
 				return answer{}, s.classify(err)
 			}
+			a.res, a.tuples = out.sum, out.tuples
 			s.metrics.tuplesReturned.Add(int64(a.tuples))
 			return a, nil
 		}
@@ -454,14 +468,15 @@ func (s *Service) run(ctx context.Context, req QueryRequest, sc scope, d drain) 
 	}
 	var seq *koko.TupleSeq
 	if sc.one {
-		seq = koko.StreamShards(ctx, 1, 1, func(ctx context.Context, _ int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+		seq = koko.StreamShards(ctx, 1, 1, func(ctx context.Context, _ int, emit func(koko.Batch) error) (*koko.Result, error) {
 			return eng.StreamShard(ctx, sc.shard, parsed, qo, emit)
 		}, false)
 	} else {
 		seq, err = eng.Run(ctx, parsed, qo)
 	}
+	var out *drained
 	if err == nil {
-		a.res, a.tuples, err = d(seq, nil)
+		out, err = d(seq, nil)
 	}
 	if err == nil {
 		a.failed = seq.FailedShards()
@@ -475,6 +490,7 @@ func (s *Service) run(ctx context.Context, req QueryRequest, sc scope, d drain) 
 	if err != nil {
 		return answer{}, s.classify(err)
 	}
+	a.res, a.tuples = out.sum, out.tuples
 	s.metrics.queryNanos.Add(a.res.Elapsed.Nanoseconds())
 	s.metrics.planNanos.Add(a.res.Phases.Plan.Nanoseconds())
 	if a.res.Plan != nil && a.res.Plan.Reordered {
@@ -485,8 +501,8 @@ func (s *Service) run(ctx context.Context, req QueryRequest, sc scope, d drain) 
 		// A degraded result is not the query's true answer; caching it
 		// would serve the gap long after the workers recover.
 		s.metrics.degradedQueries.Add(1)
-	case cached && len(a.res.Tuples) == a.tuples:
-		s.cache.put(key, a.res)
+	case cached && out.held:
+		s.cache.put(key, out)
 	}
 	s.metrics.tuplesReturned.Add(int64(a.tuples))
 	return a, nil
@@ -514,29 +530,31 @@ func (s *Service) classify(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
-// collect is the buffered drain: the whole answer, materialized.
-func collect(seq *koko.TupleSeq, hit *koko.Result) (*koko.Result, int, error) {
-	res := hit
-	if seq != nil {
-		var err error
-		if res, err = seq.Collect(); err != nil {
-			return nil, 0, err
-		}
-	}
-	return res, len(res.Tuples), nil
-}
-
-// Query answers req as one buffered response.
+// Query answers req as one buffered response, decoding its tuples: the
+// in-process answer. Like Collect, it cuts a failed shard's tuples out of
+// a degraded answer again.
 func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	t0 := time.Now()
-	a, err := s.run(ctx, req, scope{}, collect)
+	var tuples []koko.Tuple
+	mark := 0 // len(tuples) at the last shard end
+	a, err := s.run(ctx, req, scope{}, s.answerDrain(req.NoCache, func(b koko.Batch) error {
+		ts, err := b.Tuples()
+		tuples = append(tuples, ts...)
+		return err
+	}, func(sh *koko.ShardEnd, _, _ int) error {
+		if sh.Failed {
+			tuples = tuples[:mark]
+		}
+		mark = len(tuples)
+		return nil
+	}))
 	if err != nil {
 		return nil, err
 	}
 	resp := &QueryResponse{
 		Corpus:     req.Corpus,
 		Generation: a.gen,
-		Tuples:     a.res.Tuples,
+		Tuples:     tuples,
 		QueryStats: a.stats(),
 	}
 	resp.ServiceMillis = ms(time.Since(t0))

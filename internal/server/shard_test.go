@@ -210,12 +210,12 @@ func TestRegistryListDeterministic(t *testing.T) {
 // tuple count fits the budget, and refuses to retain a single result larger
 // than the whole budget.
 func TestCacheTupleBudget(t *testing.T) {
-	mkRes := func(n int) *koko.Result {
-		r := &koko.Result{}
-		for i := 0; i < n; i++ {
-			r.Tuples = append(r.Tuples, koko.Tuple{SentenceID: i})
+	mkRes := func(n int) *drained {
+		ts := make([]koko.Tuple, n)
+		for i := range ts {
+			ts[i].SentenceID = i
 		}
-		return r
+		return &drained{sum: &koko.Result{}, tuples: n, batches: []koko.Batch{koko.BatchOf(ts)}, held: true}
 	}
 	c := newResultCache(100, 10)
 

@@ -71,39 +71,40 @@ func wantsStream(r *http.Request) bool {
 // applies backpressure all the way down to the block loop (memory
 // stays bounded by the stream's internal batching, not the result size).
 // It runs on the same path as Query, with answerDrain: a cache hit streams
-// the cached tuples; a miss that completes populates the cache. The
+// the cached batches; a miss that completes populates the cache. The
 // worker-pool slot is held for the whole drain: with pull-driven evaluation
 // there is no completed-result handoff point, and a slot that outlives its
-// evaluation would unbound the pool. An emit error (client disconnect) or ctx cancellation stops the
-// remaining evaluation; QueryStream does not return until it has exited.
+// evaluation would unbound the pool. An emit error (client disconnect) or
+// ctx cancellation stops the remaining evaluation; QueryStream does not
+// return until it has exited. Each batch is decoded for its events.
 // req.Partial is ignored.
 func (s *Service) QueryStream(ctx context.Context, req QueryRequest, emit func(StreamEvent) error) error {
-	return s.queryStream(ctx, req, func(ts []koko.Tuple) error {
-		for _, t := range ts {
-			if err := emit(StreamEvent{Tuple: (*Tuple)(&t)}); err != nil {
-				return err
+	return s.queryStream(ctx, req, func(b koko.Batch) error {
+		ts, err := b.Tuples()
+		if err != nil {
+			return err
+		}
+		for i := range ts {
+			if err := emit(StreamEvent{Tuple: (*Tuple)(&ts[i])}); err != nil {
+				return consumerGone{err}
 			}
 		}
 		return nil
 	}, emit)
 }
 
-// queryStream is QueryStream delivering each batch of tuples whole, valid
-// only for the call, to tuples, and every other event to emit.
-func (s *Service) queryStream(ctx context.Context, req QueryRequest, tuples func([]koko.Tuple) error, emit func(StreamEvent) error) error {
+// queryStream is QueryStream delivering each batch whole to batch, which
+// reports a failure to deliver it as a consumerGone, and every other event
+// to emit.
+func (s *Service) queryStream(ctx context.Context, req QueryRequest, batch func(koko.Batch) error, emit func(StreamEvent) error) error {
 	t0 := time.Now()
 	s.metrics.streamsTotal.Add(1)
 	req.Partial = false
-	gone := func(err error) error {
-		if err != nil {
+	a, err := s.run(ctx, req, scope{}, s.answerDrain(req.NoCache, batch, func(sh *koko.ShardEnd, shards, total int) error {
+		if err := emit(StreamEvent{Shard: &ShardProgress{Shard: sh.Shard, Shards: shards, Tuples: sh.Tuples, TotalTuples: total}}); err != nil {
 			return consumerGone{err}
 		}
 		return nil
-	}
-	a, err := s.run(ctx, req, scope{}, s.answerDrain(req.NoCache, func(ts []koko.Tuple) error {
-		return gone(tuples(ts))
-	}, func(sh *koko.ShardEnd, shards, total int) error {
-		return gone(emit(StreamEvent{Shard: &ShardProgress{Shard: sh.Shard, Shards: shards, Tuples: sh.Tuples, TotalTuples: total}}))
 	}))
 	if err != nil {
 		return err
@@ -113,22 +114,21 @@ func (s *Service) queryStream(ctx context.Context, req QueryRequest, tuples func
 	return emit(StreamEvent{Done: sum})
 }
 
-// handleQueryStream answers a query as NDJSON, each batch of tuple lines
-// append-encoded into one write. Errors before the first byte become
-// ordinary HTTP error responses; errors after it are appended as a terminal
-// {"error": ...} line (the status line is long gone).
+// handleQueryStream answers a query as NDJSON, each batch's tuple lines
+// written at once: the batch's JSON array — a forwarded batch's bytes as
+// the worker sent them — cut at its tuple keys, each tuple wrapped in its
+// line. Errors before the first byte become ordinary HTTP error responses;
+// errors after it are appended as a terminal {"error": ...} line (the
+// status line is long gone).
 func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req QueryRequest) {
 	flusher, _ := w.(http.Flusher)
-	var buf []byte
+	var buf, arr []byte
 	started, pending := false, 0
-	// send writes buf (tuples tuple lines, or one other line) unless building
-	// it failed, and flushes after every other line and once flushEvery
-	// tuple lines are pending: that cadence, not shard completion, puts the
-	// first lines on the wire while evaluation still runs.
-	send := func(tuples int, err error) error {
-		if err != nil {
-			return err
-		}
+	// send writes buf (tuples tuple lines, or one other line) and flushes
+	// after every other line and once flushEvery tuple lines are pending:
+	// that cadence, not shard completion, puts the first lines on the wire
+	// while evaluation still runs.
+	send := func(tuples int) error {
 		if !started {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
@@ -144,16 +144,23 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req 
 		return nil
 	}
 	line := func(ev StreamEvent) (err error) {
-		buf, err = remote.AppendJSON(buf[:0], ev)
-		return send(0, err)
-	}
-	err := s.queryStream(r.Context(), req, func(ts []koko.Tuple) (err error) {
-		buf = buf[:0]
-		for i := 0; i < len(ts) && err == nil; i++ {
-			buf, err = remote.AppendTuple(append(buf, `{"tuple":`...), &ts[i], remote.ClientFields)
-			buf = append(buf, "}\n"...)
+		if buf, err = remote.AppendJSON(buf[:0], ev); err != nil {
+			return err
 		}
-		return send(len(ts), err)
+		return send(0)
+	}
+	err := s.queryStream(r.Context(), req, func(b koko.Batch) (err error) {
+		if arr, err = b.AppendJSON(arr[:0]); err == nil {
+			buf = buf[:0]
+			for t := range koko.TupleObjects(arr) {
+				buf = append(append(append(buf, `{"tuple":`...), t...), "}\n"...)
+			}
+			err = send(b.Len())
+		}
+		if err != nil {
+			return consumerGone{err} // a batch the encoder refuses or the client does not take
+		}
+		return nil
 	}, line)
 	switch {
 	case err == nil:

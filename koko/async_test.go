@@ -42,8 +42,8 @@ func collectRun(t *testing.T, q Querier, p *ParsedQuery, qo *QueryOptions) *Resu
 // streamShardInto evaluates one shard through StreamShard and appends its
 // tuples and counters to acc — the job executor's accumulation.
 func streamShardInto(acc *Result, q Querier, shard int, p *ParsedQuery, qo *QueryOptions) error {
-	sum, err := q.StreamShard(context.Background(), shard, p, qo, func(ts []Tuple) error {
-		acc.Tuples = append(acc.Tuples, ts...)
+	sum, err := q.StreamShard(context.Background(), shard, p, qo, func(b Batch) error {
+		acc.Tuples = append(acc.Tuples, mustTuples(b)...)
 		return nil
 	})
 	if err != nil {
@@ -104,8 +104,8 @@ func TestRunEventsOrderAndEquivalence(t *testing.T) {
 		var tuples []Tuple
 		next := 0
 		for ev := range seq.Events() {
-			if ev.Tuples != nil {
-				tuples = append(tuples, ev.Tuples...)
+			if ev.Batch.Len() > 0 {
+				tuples = append(tuples, mustTuples(ev.Batch)...)
 				continue
 			}
 			if ev.Shard.Shard != next {
@@ -132,7 +132,7 @@ func TestRunEventsOrderAndEquivalence(t *testing.T) {
 func TestRunConsumerBreakCancels(t *testing.T) {
 	eng, p := asyncTestEngine(t, 3)
 	started := make([]bool, eng.NumShards())
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		started[shard] = true // shards start one at a time at parallel=1
 		return eng.StreamShard(ctx, shard, p, nil, emit)
 	}

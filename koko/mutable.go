@@ -717,7 +717,7 @@ func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*
 		eager = []int{s.base.NumShards()} // the delta is the last shard
 	}
 	return StreamShardsEager(ctx, s.NumShards(), min(s.base.Parallelism(), s.base.NumShards()), eager,
-		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+		func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 			return s.StreamShard(ctx, shard, p, qo, emit)
 		}, false), nil
 }
@@ -729,7 +729,7 @@ func (s *Snapshot) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*
 // coordinates. This is the progress unit the server's job executor
 // schedules — a job submitted against a snapshot stays pinned to it however
 // many ingests happen meanwhile.
-func (s *Snapshot) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
+func (s *Snapshot) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(Batch) error) (*Result, error) {
 	dropped := map[int]bool{}
 	sum, err := s.set.StreamShard(ctx, shard, p, qo, s.maskEmit(emit, dropped))
 	if err != nil {
@@ -741,12 +741,17 @@ func (s *Snapshot) StreamShard(ctx context.Context, shard int, p *ParsedQuery, q
 // maskEmit wraps a batch consumer with tombstone masking in raw global
 // coordinates: tuples of tombstoned documents are dropped (their distinct
 // sentences recorded in dropped for the Matched adjustment), survivors
-// renumbered to masked global ids in place.
-func (s *Snapshot) maskEmit(emit func([]Tuple) error, dropped map[int]bool) func([]Tuple) error {
+// renumbered to masked global ids in place: the shard set's batches are
+// local, so their tuples belong to the receiver.
+func (s *Snapshot) maskEmit(emit func(Batch) error, dropped map[int]bool) func(Batch) error {
 	if s.tombs.numDocs() == 0 {
 		return emit
 	}
-	return func(ts []Tuple) error {
+	return func(b Batch) error {
+		ts, err := b.Tuples()
+		if err != nil {
+			return err
+		}
 		out := ts[:0]
 		for _, t := range ts {
 			if s.tombs.contains(t.Document) {
@@ -760,7 +765,7 @@ func (s *Snapshot) maskEmit(emit func([]Tuple) error, dropped map[int]bool) func
 		if len(out) == 0 {
 			return nil
 		}
-		return emit(out)
+		return emit(BatchOf(out))
 	}
 }
 

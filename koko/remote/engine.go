@@ -120,7 +120,7 @@ func (e *Engine) ShardStats() []koko.ShardStat {
 func (e *Engine) Run(ctx context.Context, p *koko.ParsedQuery, qo *koko.QueryOptions) (*koko.TupleSeq, error) {
 	degraded := qo != nil && qo.Degraded
 	return koko.StreamShards(ctx, e.NumShards(), int(e.parallel.Load()),
-		func(ctx context.Context, shard int, emit func([]koko.Tuple) error) (*koko.Result, error) {
+		func(ctx context.Context, shard int, emit func(koko.Batch) error) (*koko.Result, error) {
 			return e.StreamShard(ctx, shard, p, qo, emit)
 		}, degraded), nil
 }
@@ -165,7 +165,8 @@ func (e *Engine) pickNode(shard, rot int, exclude *nodeState) *nodeState {
 
 // StreamShard evaluates one shard remotely as a chunked stream: tuple
 // batches arrive over /v1/internal/shard-eval as the worker evaluates,
-// already in global coordinates, each batch checksum-verified before emit.
+// already in global coordinates, each batch CRC-verified before emit and
+// forwarded as the worker's bytes.
 // Up to MaxAttempts tries walk the shard's replicas (rotating the starting
 // replica by attempt), with jittered exponential backoff between tries.
 // Since earlier batches may already have escaped downstream, a retry
@@ -176,7 +177,7 @@ func (e *Engine) pickNode(shard, rot int, exclude *nodeState) *nodeState {
 // and the hedge is cancelled, so two replicas never interleave into one
 // consumer. Exhausting every attempt yields a typed *ShardUnavailableError
 // (errors.Is(err, ErrShardUnavailable)).
-func (e *Engine) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(tuples []koko.Tuple) error) (*koko.Result, error) {
+func (e *Engine) StreamShard(ctx context.Context, shard int, p *koko.ParsedQuery, qo *koko.QueryOptions, emit func(koko.Batch) error) (*koko.Result, error) {
 	if shard < 0 || shard >= e.NumShards() {
 		return nil, fmt.Errorf("remote: shard %d out of range (corpus %q has %d)", shard, e.corpus, e.NumShards())
 	}
@@ -224,7 +225,7 @@ var errHedgeLost = errors.New("remote: hedged chunked attempt lost the stream cl
 // batch downstream (or to finish successfully, for empty results) claims
 // the stream; the loser is cancelled and its batches are refused at the
 // claim gate, so emit sees exactly one replica's deterministic sequence.
-func (e *Engine) chunkTry(ctx context.Context, shard, rot int, req *ShardEvalRequest, emit func([]koko.Tuple) error) (*ChunkDone, int, error) {
+func (e *Engine) chunkTry(ctx context.Context, shard, rot int, req *ShardEvalRequest, emit func(koko.Batch) error) (*ChunkDone, int, error) {
 	primary := e.pickNode(shard, rot, nil)
 	if primary == nil {
 		return nil, 0, fmt.Errorf("remote: corpus %q shard %d has no replica to try", e.corpus, shard)
@@ -268,11 +269,11 @@ func (e *Engine) chunkTry(ctx context.Context, shard, rot int, req *ShardEvalReq
 		cancels[id] = acancel
 		mu.Unlock()
 		go func() {
-			done, sent, err := e.pool.EvalShardChunked(actx, n, req, func(ts []koko.Tuple) error {
+			done, sent, err := e.pool.EvalShardChunked(actx, n, req, func(b koko.Batch) error {
 				if !claim(id) {
 					return errHedgeLost
 				}
-				return emit(ts)
+				return emit(b)
 			})
 			ch <- outcome{id: id, done: done, sent: sent, err: err, hedge: hedge}
 		}()

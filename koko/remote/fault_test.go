@@ -1,9 +1,15 @@
-package remote
+package remote_test
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"net/http"
 	"sync"
 	"time"
+
+	"repro/koko/remote"
 )
 
 // FaultKind is one injected transport fault.
@@ -12,15 +18,15 @@ type FaultKind int
 const (
 	// FaultNone lets the attempt through untouched.
 	FaultNone FaultKind = iota
-	// FaultDrop black-holes the attempt: no request is sent and the caller
-	// blocks until its per-attempt deadline fires (a dead TCP peer).
+	// FaultDrop black-holes the attempt: the caller blocks until its
+	// per-attempt deadline fires (a dead TCP peer).
 	FaultDrop
-	// FaultDelay sleeps the attempt before sending (a slow worker).
+	// FaultDelay holds the attempt before sending (a slow worker).
 	FaultDelay
 	// FaultError fails the attempt immediately with a transport error
 	// (connection reset).
 	FaultError
-	// FaultCorrupt delivers the response with its payload mangled, so the
+	// FaultCorrupt delivers the response with one byte flipped, so the
 	// coordinator's checksum verification must catch it.
 	FaultCorrupt
 )
@@ -42,10 +48,11 @@ type NodeFaults struct {
 	Delay     time.Duration
 }
 
-// FaultPolicy injects deterministic, seeded faults per node into the
-// Pool's transport. Tests and chaos drills configure it; production pools
-// leave it nil. All methods are safe for concurrent use; the shared seeded
-// source makes a single-goroutine decision sequence reproducible.
+// FaultPolicy is an http.RoundTripper for remote.PoolConfig.Transport that
+// injects deterministic, seeded faults into shard-eval attempts per node;
+// other requests (health pings) pass untouched. All methods are safe for
+// concurrent use; the shared seeded source makes a single-goroutine
+// decision sequence reproducible.
 type FaultPolicy struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -92,4 +99,60 @@ func (f *FaultPolicy) Decide(node string) (FaultKind, time.Duration) {
 		return FaultDelay, nf.Delay
 	}
 	return FaultNone, 0
+}
+
+// RoundTrip applies the fault Decide draws for a shard-eval request's node
+// and sends the request on through http.DefaultTransport.
+func (f *FaultPolicy) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != remote.EvalPath {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	ctx := req.Context()
+	kind, delay := f.Decide(req.URL.Scheme + "://" + req.URL.Host)
+	switch kind {
+	case FaultDrop:
+		req.Body.Close()
+		<-ctx.Done()
+		return nil, ctx.Err()
+	case FaultError:
+		req.Body.Close()
+		return nil, errors.New("injected transport error")
+	case FaultDelay:
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			req.Body.Close()
+			return nil, ctx.Err()
+		}
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || kind != FaultCorrupt {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	corruptBody(body)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// corruptBody flips one bit of a shard-eval body in place: the first digit
+// of the first tuple's sentence id, so the line still frames and only its
+// CRC can tell; or, on an empty stream, the last digit of the done line's
+// counters checksum.
+func corruptBody(body []byte) {
+	if i := bytes.Index(body, []byte(`{"tuples":[{"sentence_id":`)); i >= 0 {
+		body[i+len(`{"tuples":[{"sentence_id":`)] ^= 1
+		return
+	}
+	if i := bytes.LastIndex(body, []byte(`"checksum":`)); i >= 0 {
+		j := i + len(`"checksum":`)
+		for j+1 < len(body) && '0' <= body[j+1] && body[j+1] <= '9' {
+			j++
+		}
+		body[j] ^= 1
+	}
 }

@@ -39,8 +39,9 @@ type PoolConfig struct {
 	// before admitting a half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerCooloff   time.Duration
-	// Fault, when non-nil, injects deterministic faults into the transport.
-	Fault *FaultPolicy
+	// Transport carries every request the pool makes (nil: Go's default
+	// transport); wrapping it is how faults are injected per node.
+	Transport http.RoundTripper
 }
 
 // healthFails consecutive ping failures mark a node down.
@@ -83,7 +84,7 @@ type Counters struct {
 	// breaker trips (closed→open and failed half-open probes).
 	NodeUnhealthy atomic.Int64
 	BreakerOpen   atomic.Int64
-	// CorruptPartials counts responses rejected by checksum verification.
+	// CorruptPartials counts lines rejected by checksum verification.
 	CorruptPartials atomic.Int64
 }
 
@@ -109,7 +110,7 @@ type Pool struct {
 func NewPool(cfg PoolConfig) *Pool {
 	return &Pool{
 		cfg:    cfg.withDefaults(),
-		client: &http.Client{},
+		client: &http.Client{Transport: cfg.Transport},
 		nodes:  map[string]*nodeState{},
 		rng:    rand.New(rand.NewSource(1)),
 	}
@@ -169,7 +170,7 @@ func (e *emitError) Error() string { return e.err.Error() }
 func (e *emitError) Unwrap() error { return e.err }
 
 // EvalShardChunked runs one chunked shard-eval attempt against node n,
-// streaming checksum-verified tuple batches to emit as they arrive instead
+// streaming CRC-verified tuple batches to emit as they arrive instead
 // of buffering the shard's result. The attempt timeout applies per line —
 // an idle deadline re-armed on every received line and suspended while a
 // batch is handed downstream — so a large result is bounded by network
@@ -182,7 +183,7 @@ func (e *emitError) Unwrap() error { return e.err }
 // time to the first line: that is the window a hedge races in (the first
 // batch claims the stream), and unlike the whole stream's duration it
 // excludes time spent blocked in emit on downstream pacing.
-func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEvalRequest, emit func([]koko.Tuple) error) (done *ChunkDone, sent int, err error) {
+func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEvalRequest, emit func(koko.Batch) error) (done *ChunkDone, sent int, err error) {
 	p.counters.Attempts.Add(1)
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -212,30 +213,12 @@ func (p *Pool) EvalShardChunked(ctx context.Context, n *nodeState, req *ShardEva
 	return done, sent, nil
 }
 
-// chunkAttempt is the raw chunked transport: injected faults first, then
-// the POST and the NDJSON line loop (readLine, ParseChunkLine), verifying
-// each batch's checksum before releasing it downstream. A line the frame
-// parser rejects fails the attempt like a broken stream. firstLine is set
-// when the first line arrives.
-func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequest, idle *time.Timer, firstLine *time.Time, emit func([]koko.Tuple) error) (*ChunkDone, int, error) {
-	corrupt := false
-	if p.cfg.Fault != nil {
-		switch kind, delay := p.cfg.Fault.Decide(addr); kind {
-		case FaultDrop:
-			<-ctx.Done()
-			return nil, 0, fmt.Errorf("remote: node %s: %w", addr, ctx.Err())
-		case FaultError:
-			return nil, 0, fmt.Errorf("remote: node %s: injected transport error", addr)
-		case FaultDelay:
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, 0, fmt.Errorf("remote: node %s: %w", addr, ctx.Err())
-			}
-		case FaultCorrupt:
-			corrupt = true
-		}
-	}
+// chunkAttempt is the raw chunked transport: the POST and the NDJSON line
+// loop (readLine, ParseChunkLine, which verifies each batch's CRC before it
+// is released downstream). A batch reaches emit as the worker's bytes,
+// counted but not decoded. A line the framing rejects fails the attempt
+// like a broken stream. firstLine is set when the first line arrives.
+func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequest, idle *time.Timer, firstLine *time.Time, emit func(koko.Batch) error) (*ChunkDone, int, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, 0, fmt.Errorf("remote: encode shard-eval request: %w", err)
@@ -265,6 +248,9 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 			return nil, sent, fmt.Errorf("remote: node %s: chunked stream broke after %d tuples: %w", addr, sent, err)
 		}
 		if err := ParseChunkLine(raw, &line); err != nil {
+			if errors.Is(err, ErrCorruptPartial) {
+				p.counters.CorruptPartials.Add(1)
+			}
 			return nil, sent, fmt.Errorf("remote: node %s: after %d tuples: %w", addr, sent, err)
 		}
 		if firstLine.IsZero() {
@@ -276,11 +262,6 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 			return nil, sent, fmt.Errorf("remote: node %s: worker error mid-stream: %s", addr, line.Error)
 		case line.Done != nil:
 			d := line.Done
-			if corrupt {
-				// Injected bit-flip on the terminal accounting line (an
-				// empty-result stream has no batch to corrupt).
-				d.Checksum ^= 0x6b6f6b6f
-			}
 			var cand, matched int
 			if d.Summary != nil {
 				cand, matched = d.Summary.Candidates, d.Summary.Matched
@@ -296,16 +277,7 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 				return nil, sent, fmt.Errorf("remote: node %s: generation moved (pinned %d, serving %d)", addr, req.Generation, d.Generation)
 			}
 			return d, sent, nil
-		case len(line.Tuples) > 0:
-			if corrupt {
-				// Injected payload bit-flip: per-batch verification below
-				// must catch it before any tuple escapes downstream.
-				line.Tuples[0].SentenceID += 1 << 20
-			}
-			if got := TuplesChecksum(line.Tuples); got != line.Checksum {
-				p.counters.CorruptPartials.Add(1)
-				return nil, sent, fmt.Errorf("remote: node %s: chunk checksum mismatch (got %x, stamped %x): %w", addr, got, line.Checksum, ErrCorruptPartial)
-			}
+		case line.Tuples.Len() > 0:
 			// Suspend the idle deadline for the handoff: emit blocks on
 			// downstream backpressure (the ordered merge admits shards in
 			// turn, an NDJSON client may pause), and consumer pacing must
@@ -317,7 +289,7 @@ func (p *Pool) chunkAttempt(ctx context.Context, addr string, req *ShardEvalRequ
 			if emitErr != nil {
 				return nil, sent, &emitError{emitErr}
 			}
-			sent += len(line.Tuples)
+			sent += line.Tuples.Len()
 		}
 	}
 }

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -21,13 +20,13 @@ func TestHedgeLatencyExcludesConsumerPacing(t *testing.T) {
 	batch := []koko.Tuple{{SentenceID: 1, Document: 0, Values: []string{"Cafe Vita"}}}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		enc.Encode(ChunkLine{Tuples: batch, Checksum: TuplesChecksum(batch)})
-		enc.Encode(ChunkLine{Done: &ChunkDone{
+		line, _ := AppendChunkLine(nil, &ChunkLine{Tuples: koko.BatchOf(batch)})
+		line, _ = AppendChunkLine(line, &ChunkLine{Done: &ChunkDone{
 			Summary:  &koko.Result{Candidates: 1, Matched: 1},
 			Tuples:   1,
 			Checksum: CountersChecksum(1, 1, 1),
 		}})
+		w.Write(line)
 	}))
 	t.Cleanup(ts.Close)
 
@@ -35,7 +34,7 @@ func TestHedgeLatencyExcludesConsumerPacing(t *testing.T) {
 	p := NewPool(PoolConfig{AttemptTimeout: 5 * time.Second, HedgeAfter: -1})
 	n := p.Node(ts.URL)
 	for i := 0; i < 3; i++ {
-		_, sent, err := p.EvalShardChunked(context.Background(), n, &ShardEvalRequest{Corpus: "c", Query: "q"}, func([]koko.Tuple) error {
+		_, sent, err := p.EvalShardChunked(context.Background(), n, &ShardEvalRequest{Corpus: "c", Query: "q"}, func(koko.Batch) error {
 			time.Sleep(pacing)
 			return nil
 		})

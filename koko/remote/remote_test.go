@@ -83,7 +83,7 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// connection snaps (http.ErrAbortHandler resets it).
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(`{"tuples":[{"SentenceID":`))
+		w.Write([]byte(`{"tuples":[{"sentence_id":`))
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
@@ -205,9 +205,9 @@ func TestFailureMatrix(t *testing.T) {
 				case "corrupt-partial":
 					w := newWorker(t, c)
 					faultyURL = w.URL
-					fp := remote.NewFaultPolicy(42)
-					fp.Set(faultyURL, remote.NodeFaults{CorruptProb: 1})
-					cfg.Fault = fp
+					fp := NewFaultPolicy(42)
+					fp.Set(faultyURL, NodeFaults{CorruptProb: 1})
+					cfg.Transport = fp
 				default:
 					w, f := newFlakyWorker(t, c)
 					faultyURL = w.URL
@@ -276,13 +276,13 @@ func (m *malformedWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		switch m.mode {
 		case "cut-mid-string":
 			// A few bytes into the first value, then the response ends.
-			body = first[:bytes.Index(first, []byte(`"Values":["`))+len(`"Values":["`)+2]
+			body = first[:bytes.Index(first, []byte(`"values":["`))+len(`"values":["`)+2]
 		case "spaces":
 			line = bytes.Replace(first, []byte(`{"tuples":[`), []byte(`{ "tuples": [`), 1)
 		case "reordered-keys":
-			i := bytes.LastIndex(first, []byte(`],"checksum":`))
-			tuples, sum := first[len(`{"tuples":`):i+1], first[i+len(`],"checksum":`):len(first)-1]
-			line = []byte(`{"checksum":` + string(sum) + `,"tuples":` + string(tuples) + `}`)
+			i := bytes.LastIndex(first, []byte(`],"crc32c":`))
+			tuples, sum := first[len(`{"tuples":`):i+1], first[i+len(`],"crc32c":`):len(first)-1]
+			line = []byte(`{"crc32c":` + string(sum) + `,"tuples":` + string(tuples) + `}`)
 		case "trailing-bytes":
 			line = append(first[:len(first):len(first)], `{}`...)
 		}
@@ -350,6 +350,112 @@ func TestMalformedLineFailsAttempt(t *testing.T) {
 	}
 }
 
+// corruptWorker fronts a real worker and flips one byte inside the first
+// value of the first tuple line of every shard-eval response, leaving the
+// line's CRC as the worker stamped it. It records the damaged value.
+type corruptWorker struct {
+	inner   http.Handler
+	mu      sync.Mutex
+	damaged []string
+}
+
+func (c *corruptWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != remote.EvalPath {
+		c.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	c.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if i := bytes.Index(body, []byte(`"values":["`)); i >= 0 && bytes.HasPrefix(body, []byte(`{"tuples":`)) {
+		i += len(`"values":["`)
+		body[i] ^= 1 // a letter stays a letter: the tuple is still canonical
+		c.mu.Lock()
+		c.damaged = append(c.damaged, string(body[i-1:i+bytes.IndexByte(body[i:], '"')+1]))
+		c.mu.Unlock()
+	}
+	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// TestCorruptValueNeverForwarded: a worker whose tuple bytes changed under
+// their CRC fails the attempt with ErrCorruptPartial before the coordinator
+// forwards anything of the batch: no answer byte carries the damaged value.
+// With a replica the answer is identical to a single node's; without one
+// the shard is unavailable.
+func TestCorruptValueNeverForwarded(t *testing.T) {
+	c := cafesCorpus()
+	ref, err := koko.NewEngine(c, nil).Query(cafeExtract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := koko.ParseQuery(cafeExtract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withReplica := range []bool{true, false} {
+		t.Run(map[bool]string{true: "replica", false: "no-replica"}[withReplica], func(t *testing.T) {
+			svc := server.NewService(server.Config{MaxConcurrent: 8})
+			if err := svc.Registry().Register("cafes", koko.NewShardedEngine(c, workerShards, nil)); err != nil {
+				t.Fatal(err)
+			}
+			cw := &corruptWorker{inner: svc.Handler()}
+			bad := httptest.NewServer(cw)
+			t.Cleanup(bad.Close)
+			nodes := []string{bad.URL}
+			if withReplica {
+				nodes = append(nodes, newWorker(t, c).URL)
+			}
+			eng := newRemoteEngine(c, remote.PoolConfig{}, nodes...)
+			seq, err := eng.Run(context.Background(), p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var answer []byte
+			var got []koko.Tuple
+			for ev := range seq.Events() {
+				if ev.Shard != nil {
+					continue
+				}
+				if answer, err = ev.Batch.AppendJSON(answer); err != nil {
+					t.Fatal(err)
+				}
+				ts, err := ev.Batch.Tuples()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, ts...)
+			}
+			cw.mu.Lock()
+			damaged := cw.damaged
+			cw.mu.Unlock()
+			if len(damaged) == 0 {
+				t.Fatal("no tuple line was damaged; the test is vacuous")
+			}
+			for _, d := range damaged {
+				if bytes.Contains(answer, []byte(d)) {
+					t.Fatalf("the damaged value %s reached the answer", d)
+				}
+			}
+			if n := enginePoolCounters(eng).CorruptPartials.Load(); n == 0 {
+				t.Error("no corrupt partial counted")
+			}
+			err = seq.Err()
+			if withReplica {
+				if err != nil {
+					t.Fatalf("with a replica the query must survive a corrupt batch: %v", err)
+				}
+				sameResult(t, "corrupt value", ref, &koko.Result{Tuples: got, Candidates: ref.Candidates, Matched: ref.Matched})
+				return
+			}
+			if !errors.Is(err, remote.ErrShardUnavailable) || !errors.Is(err, remote.ErrCorruptPartial) {
+				t.Fatalf("without a replica: %v, want ErrShardUnavailable from ErrCorruptPartial", err)
+			}
+		})
+	}
+}
+
 // TestRetryCountersAndRecovery: a node that 500s a few times then recovers
 // — the query must succeed via retries on the same node set and the
 // counters must show the attempts.
@@ -385,12 +491,12 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 	c := cafesCorpus()
 	slow := newWorker(t, c)
 	fast := newWorker(t, c)
-	fp := remote.NewFaultPolicy(7)
-	fp.Set(slow.URL, remote.NodeFaults{DelayProb: 1, Delay: 2 * time.Second})
+	fp := NewFaultPolicy(7)
+	fp.Set(slow.URL, NodeFaults{DelayProb: 1, Delay: 2 * time.Second})
 	eng := newRemoteEngine(c, remote.PoolConfig{
 		AttemptTimeout: 5 * time.Second,
 		HedgeAfter:     20 * time.Millisecond,
-		Fault:          fp,
+		Transport:      fp,
 	}, slow.URL, fast.URL)
 
 	ref, err := koko.NewEngine(c, nil).Query(cafeExtract)
@@ -545,17 +651,23 @@ func TestChunkedSlowConsumerDoesNotTripIdleTimeout(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc(remote.EvalPath, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
 		fl := w.(http.Flusher)
-		enc.Encode(remote.ChunkLine{Tuples: batch1, Checksum: remote.TuplesChecksum(batch1)})
+		writeLine := func(l *remote.ChunkLine) {
+			line, err := remote.AppendChunkLine(nil, l)
+			if err != nil {
+				panic(err)
+			}
+			w.Write(line)
+		}
+		writeLine(&remote.ChunkLine{Tuples: koko.BatchOf(batch1)})
 		fl.Flush()
 		select {
 		case <-emitted: // the consumer's slow emit has returned
 		case <-r.Context().Done():
 			return // the idle timer killed the attempt mid-emit: the regression
 		}
-		enc.Encode(remote.ChunkLine{Tuples: batch2, Checksum: remote.TuplesChecksum(batch2)})
-		enc.Encode(remote.ChunkLine{Done: &remote.ChunkDone{
+		writeLine(&remote.ChunkLine{Tuples: koko.BatchOf(batch2)})
+		writeLine(&remote.ChunkLine{Done: &remote.ChunkDone{
 			Summary:    &koko.Result{Candidates: 2, Matched: 2},
 			Tuples:     2,
 			Generation: 1,
@@ -581,13 +693,13 @@ func TestChunkedSlowConsumerDoesNotTripIdleTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	total, slept := 0, false
-	_, err = eng.StreamShard(context.Background(), 0, p, nil, func(tuples []koko.Tuple) error {
+	_, err = eng.StreamShard(context.Background(), 0, p, nil, func(b koko.Batch) error {
 		if !slept {
 			slept = true
 			time.Sleep(4 * attemptTimeout) // pure consumer pacing, >> the idle deadline
 			emitted <- struct{}{}
 		}
-		total += len(tuples)
+		total += b.Len()
 		return nil
 	})
 	if err != nil {
@@ -640,9 +752,9 @@ func (p *resumeProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.inner.ServeHTTP(rec, r)
 	first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
 	var line remote.ChunkLine
-	json.Unmarshal(first, &line)
+	remote.ParseChunkLine(first, &line)
 	p.mu.Lock()
-	p.forwarded = append(p.forwarded, len(line.Tuples))
+	p.forwarded = append(p.forwarded, line.Tuples.Len())
 	p.mu.Unlock()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -759,9 +871,9 @@ func TestHealthChecksFlipNodes(t *testing.T) {
 
 // TestFaultPolicyDeterminism: one seed, one decision sequence.
 func TestFaultPolicyDeterminism(t *testing.T) {
-	mk := func() *remote.FaultPolicy {
-		fp := remote.NewFaultPolicy(1234)
-		fp.Set("a", remote.NodeFaults{DropProb: 0.3, ErrorProb: 0.3, CorruptProb: 0.2})
+	mk := func() *FaultPolicy {
+		fp := NewFaultPolicy(1234)
+		fp.Set("a", NodeFaults{DropProb: 0.3, ErrorProb: 0.3, CorruptProb: 0.2})
 		return fp
 	}
 	a, b := mk(), mk()
@@ -775,8 +887,10 @@ func TestFaultPolicyDeterminism(t *testing.T) {
 }
 
 // TestPartialChecksum: the two checksums guarding a shard's streamed
-// partial (TuplesChecksum per batch, CountersChecksum on the done line) are
-// stable for equal content and sensitive to every merge-relevant field.
+// partial (a CRC-32C over each batch line's tuple bytes, CountersChecksum on
+// the done line) are stable for equal content and sensitive to every
+// merge-relevant field: a batch whose bytes changed under its stamp fails
+// with ErrCorruptPartial.
 func TestPartialChecksum(t *testing.T) {
 	batch := func() []koko.Tuple {
 		return []koko.Tuple{{
@@ -785,21 +899,35 @@ func TestPartialChecksum(t *testing.T) {
 			Evidence: []koko.Evidence{{Variable: "x", Condition: "c", Weight: 1, Confidence: 0.7, Contribution: 0.7}},
 		}}
 	}
-	base := remote.TuplesChecksum(batch())
-	if remote.TuplesChecksum(batch()) != base {
-		t.Fatal("tuple checksum not deterministic")
+	encode := func(ts []koko.Tuple) []byte {
+		t.Helper()
+		line, err := remote.AppendChunkLine(nil, &remote.ChunkLine{Tuples: koko.BatchOf(ts)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
 	}
+	base := encode(batch())
+	if !bytes.Equal(encode(batch()), base) {
+		t.Fatal("tuple line not deterministic")
+	}
+	stamp := base[bytes.LastIndex(base, []byte(`,"crc32c":`)):]
 	mutations := []func([]koko.Tuple) []koko.Tuple{
 		func(ts []koko.Tuple) []koko.Tuple { ts[0].SentenceID++; return ts },
 		func(ts []koko.Tuple) []koko.Tuple { ts[0].Document++; return ts },
 		func(ts []koko.Tuple) []koko.Tuple { ts[0].Values[0] = "Cafe Vitb"; return ts },
 		func(ts []koko.Tuple) []koko.Tuple { ts[0].Scores["x"] = 0.8; return ts },
 		func(ts []koko.Tuple) []koko.Tuple { ts[0].Evidence[0].Confidence = 0.8; return ts },
-		func(ts []koko.Tuple) []koko.Tuple { return nil },
+		func(ts []koko.Tuple) []koko.Tuple { return append(ts, ts[0]) },
 	}
 	for i, mutate := range mutations {
-		if remote.TuplesChecksum(mutate(batch())) == base {
-			t.Errorf("tuple mutation %d not reflected in checksum", i)
+		m := encode(mutate(batch()))
+		// The mutated tuples under the original stamp.
+		at := bytes.LastIndex(m, []byte(`,"crc32c":`))
+		forged := append(m[:at:at], stamp...)
+		var l remote.ChunkLine
+		if err := remote.ParseChunkLine(forged, &l); !errors.Is(err, remote.ErrCorruptPartial) {
+			t.Errorf("tuple mutation %d under the original CRC: %v, want ErrCorruptPartial", i, err)
 		}
 	}
 

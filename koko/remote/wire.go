@@ -1,10 +1,12 @@
 // Package remote makes a shard set served by other kokod processes look
 // like a local koko.Querier: an Engine fans StreamShard calls out over HTTP
 // to worker nodes (POST /v1/internal/shard-eval), each answering with one
-// chunked NDJSON stream — checksummed tuple batches as the shard evaluates,
-// then a done line with the shard's counters — and merges the streams with
-// the same ordered merge a local sharded engine uses, so a distributed run
-// is byte-identical to a single-node one.
+// chunked NDJSON stream — tuple batches as the shard evaluates, each in the
+// client's JSON form and stamped with its CRC-32C, then a done line with
+// the shard's counters — and merges the streams with the same ordered
+// merge a local sharded engine uses, forwarding each batch's bytes without
+// decoding them, so a distributed run is byte-identical to a single-node
+// one.
 //
 // The package is dominated by its fault-tolerance layer, because the hard
 // part of distribution is not the RPC but surviving slow, dead, and
@@ -22,10 +24,11 @@
 //     that sheds load from flapping workers;
 //   - opt-in graceful degradation (koko.QueryOptions.Degraded) streaming
 //     the surviving shards' tuples plus the failed shard list instead of
-//     failing the whole query;
-//   - a deterministic, seeded fault-injection hook (FaultPolicy) threaded
-//     through the transport so tests and chaos drills can drop, delay,
-//     error, and corrupt per node without touching the network stack.
+//     failing the whole query.
+//
+// Faults are injected from outside: PoolConfig.Transport takes any
+// http.RoundTripper, so tests can drop, delay, fail or corrupt attempts
+// per node without touching the network stack.
 package remote
 
 import (
@@ -33,8 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"slices"
 
 	"repro/koko"
 )
@@ -71,18 +72,17 @@ type ShardEvalRequest struct {
 }
 
 // ChunkLine is one NDJSON line of a chunked shard-eval response. Exactly
-// one field is set: a tuple batch (with its own checksum, verified before
-// the batch is released downstream), the terminal done line, or a terminal
+// one field is set: a tuple batch, the terminal done line, or a terminal
 // error rendered after the 200 status line was already committed. Lines
 // cross the wire through AppendChunkLine and ParseChunkLine (frame.go).
 type ChunkLine struct {
-	Tuples []koko.Tuple `json:"tuples,omitempty"`
-	// Checksum is TuplesChecksum(Tuples): per-batch corruption detection, so
-	// a corrupt batch fails the attempt before any of its tuples escape to
+	// Tuples is a non-empty batch. Its line carries the CRC-32C of the
+	// batch's bytes, verified before the batch is released downstream, so a
+	// corrupt batch fails the attempt before any of its tuples escape to
 	// the coordinator's merge.
-	Checksum uint64     `json:"checksum,omitempty"`
-	Done     *ChunkDone `json:"done,omitempty"`
-	Error    string     `json:"error,omitempty"`
+	Tuples koko.Batch `json:"-"`
+	Done   *ChunkDone `json:"done,omitempty"`
+	Error  string     `json:"error,omitempty"`
 }
 
 // ChunkDone is the terminal line of a chunked shard-eval response.
@@ -94,59 +94,8 @@ type ChunkDone struct {
 	Tuples     int    `json:"tuples"`
 	Generation uint64 `json:"generation"`
 	// Checksum is CountersChecksum over the summary counters and Tuples —
-	// the end-of-stream cross-check pairing the per-batch checksums.
+	// the end-of-stream cross-check pairing the per-batch CRCs.
 	Checksum uint64 `json:"checksum"`
-}
-
-// TuplesChecksum hashes the merge-relevant content of one chunk's tuple
-// batch — ids, values, scores, evidence — in order, with FNV-1a. Workers
-// stamp it on every ChunkLine; the coordinator verifies before releasing the
-// batch downstream. Score keys sort in a stack buffer, so a tuple with at
-// most 8 scores costs no allocation.
-func TuplesChecksum(ts []koko.Tuple) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
-	}
-	for _, t := range ts {
-		writeInt(int64(t.SentenceID))
-		writeInt(int64(t.Document))
-		writeInt(int64(len(t.Values)))
-		for _, v := range t.Values {
-			h.Write([]byte(v))
-			h.Write([]byte{0})
-		}
-		if len(t.Scores) > 0 {
-			var stack [8]string
-			keys := stack[:0]
-			for k := range t.Scores {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			for _, k := range keys {
-				h.Write([]byte(k))
-				h.Write([]byte{0})
-				writeFloat(t.Scores[k])
-			}
-		}
-		writeInt(int64(len(t.Evidence)))
-		for _, ev := range t.Evidence {
-			h.Write([]byte(ev.Variable))
-			h.Write([]byte{0})
-			h.Write([]byte(ev.Condition))
-			h.Write([]byte{0})
-			writeFloat(ev.Weight)
-			writeFloat(ev.Confidence)
-			writeFloat(ev.Contribution)
-		}
-	}
-	return h.Sum64()
 }
 
 // CountersChecksum hashes a chunked response's end-of-stream accounting:
@@ -166,9 +115,10 @@ func CountersChecksum(candidates, matched, tuples int) uint64 {
 // a *ShardUnavailableError carrying the last per-attempt failure.
 var ErrShardUnavailable = errors.New("shard unavailable")
 
-// ErrCorruptPartial marks a chunk line whose recomputed checksum disagreed
-// with the one the worker stamped — the attempt-level failure
-// that corruption detection turns into a retry.
+// ErrCorruptPartial marks a chunk line whose recomputed checksum (a
+// batch's CRC-32C, or the done line's counters checksum) disagreed with the
+// one the worker stamped — the attempt-level failure that corruption
+// detection turns into a retry.
 var ErrCorruptPartial = errors.New("corrupt shard partial")
 
 // ShardUnavailableError is the typed terminal failure of

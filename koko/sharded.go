@@ -32,7 +32,7 @@ type Querier interface {
 	// StreamShard evaluates exactly one shard, delivering tuples through
 	// emit in bounded batches already in global coordinates, and returns
 	// the shard's counters-only summary.
-	StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error)
+	StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(Batch) error) (*Result, error)
 
 	NumShards() int
 	NumDocuments() int
@@ -222,17 +222,17 @@ func (e *Engine) Query(src string) (*Result, error) { return query(e, src, nil) 
 // each call returns an independent single-use stream.
 func (e *Engine) Run(ctx context.Context, p *ParsedQuery, qo *QueryOptions) (*TupleSeq, error) {
 	return StreamShards(ctx, len(e.shards), int(e.parallel.Load()),
-		func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+		func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 			return e.StreamShard(ctx, shard, p, qo, emit)
 		}, false), nil
 }
 
 // StreamShard evaluates shard i only, delivering its tuples through emit in
 // bounded batches already rebased to global document and sentence ids, and
-// returns the shard's counters-only summary. Each emitted slice is freshly
-// allocated and owned by the receiver. The unit beneath Run's fan-out and
-// the chunked delivery of remote workers.
-func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(tuples []Tuple) error) (*Result, error) {
+// returns the shard's counters-only summary. Each emitted batch's tuples
+// are freshly allocated and owned by the receiver. The unit beneath Run's
+// fan-out and the chunked delivery of remote workers.
+func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo *QueryOptions, emit func(Batch) error) (*Result, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return nil, fmt.Errorf("koko: shard %d out of range (engine has %d)", shard, len(e.shards))
 	}
@@ -242,7 +242,7 @@ func (e *Engine) StreamShard(ctx context.Context, shard int, p *ParsedQuery, qo 
 			ts[k].Document += docOff
 			ts[k].SentenceID += sentOff
 		}
-		return emit(ts)
+		return emit(BatchOf(ts))
 	})
 }
 

@@ -60,11 +60,10 @@ type ShardEnd struct {
 
 // Event is one element of a TupleSeq: exactly one field is set.
 type Event struct {
-	// Tuples is one non-empty batch of output rows, exactly as the shard's
+	// Batch is one non-empty batch of output rows, exactly as the shard's
 	// StreamShard emitted it, already in the Querier's global document and
-	// sentence coordinates. The slice is valid only for the duration of the
-	// yield; consumers that retain its tuples must copy them.
-	Tuples []Tuple
+	// sentence coordinates.
+	Batch Batch
 	// Shard marks a shard boundary.
 	Shard *ShardEnd
 }
@@ -142,23 +141,33 @@ func (s *TupleSeq) Summary() *Result {
 // a degraded stream a shard may fail after some of its tuples were already
 // yielded; Collect keeps only tuples confirmed by a completed shard's
 // ShardEnd, so the result holds surviving shards only and FailedShards
-// never names a shard whose tuples are in the result.
+// never names a shard whose tuples are in the result. A forwarded batch
+// that does not decode ends the drain with its error.
 func (s *TupleSeq) Collect() (*Result, error) {
 	t0 := time.Now()
 	var tuples []Tuple
 	mark := 0 // length of tuples at the last completed shard boundary
+	var err error
+drain:
 	for ev := range s.Events() {
 		switch {
 		case ev.Shard == nil:
-			tuples = append(tuples, ev.Tuples...)
+			var ts []Tuple
+			if ts, err = ev.Batch.Tuples(); err != nil {
+				break drain // leaving the range cancels the remaining evaluation
+			}
+			tuples = append(tuples, ts...)
 		case ev.Shard.Failed:
 			tuples = tuples[:mark] // drop the failed shard's partial prefix
 		default:
 			mark = len(tuples)
 		}
 	}
-	if s.err != nil {
-		return nil, s.err
+	if err == nil {
+		err = s.err
+	}
+	if err != nil {
+		return nil, err
 	}
 	out := s.summary
 	out.Tuples = tuples
@@ -171,7 +180,7 @@ func (s *TupleSeq) Collect() (*Result, error) {
 // rebased to the Querier's global coordinates) and returns the shard's
 // counters-only summary. An emit error means the consumer is gone; the
 // implementation stops evaluating and returns it.
-type ShardStreamFunc func(ctx context.Context, shard int, emit func(tuples []Tuple) error) (*Result, error)
+type ShardStreamFunc func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error)
 
 // StreamShards composes per-shard streams into one TupleSeq. Shards start
 // in shard order, at most parallel at once; each evaluates ahead of its
@@ -208,10 +217,10 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 		}
 		cctx, cancel := context.WithCancel(base)
 		type msg struct {
-			tuples []Tuple
-			sum    *Result
-			last   bool
-			err    error
+			batch Batch
+			sum   *Result
+			last  bool
+			err   error
 		}
 		chans := make([]chan msg, shards)
 		for i := range chans {
@@ -287,11 +296,11 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 					send(msg{last: true, err: err})
 					return
 				}
-				sum, err := run(cctx, i, func(ts []Tuple) error {
-					if len(ts) == 0 {
+				sum, err := run(cctx, i, func(b Batch) error {
+					if b.Len() == 0 {
 						return nil
 					}
-					if !send(msg{tuples: ts}) {
+					if !send(msg{batch: b}) {
 						return cctx.Err()
 					}
 					return nil
@@ -348,10 +357,10 @@ func StreamShardsEager(ctx context.Context, shards, parallel int, eager []int, r
 					}
 					break shard
 				default:
-					if !yield(Event{Tuples: m.tuples}) {
+					if !yield(Event{Batch: m.batch}) {
 						return nil
 					}
-					shardTuples += len(m.tuples)
+					shardTuples += m.batch.Len()
 				}
 			}
 			if next := i + par; next < shards {

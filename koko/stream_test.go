@@ -27,9 +27,9 @@ func drainEvents(t *testing.T, seq *TupleSeq) *Result {
 	sinceMarker := 0
 	lastShard := -1
 	for ev := range seq.Events() {
-		if ev.Tuples != nil {
-			tuples = append(tuples, ev.Tuples...) // the batch is yield-scoped; copy out
-			sinceMarker += len(ev.Tuples)
+		if ev.Batch.Len() > 0 {
+			tuples = append(tuples, mustTuples(ev.Batch)...)
+			sinceMarker += ev.Batch.Len()
 			continue
 		}
 		sh := ev.Shard
@@ -117,7 +117,7 @@ func TestStreamDifferential(t *testing.T) {
 // batch, batches batches per shard, each tuple carrying payload bytes of
 // value data, in ascending global coordinates.
 func syntheticShards(perBatch, batches, payload int) ShardStreamFunc {
-	return func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	return func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		base := shard * perBatch * batches
 		for b := 0; b < batches; b++ {
 			ts := make([]Tuple, perBatch)
@@ -129,7 +129,7 @@ func syntheticShards(perBatch, batches, payload int) ShardStreamFunc {
 					Values:     []string{string(make([]byte, payload))},
 				}
 			}
-			if err := emit(ts); err != nil {
+			if err := emit(BatchOf(ts)); err != nil {
 				return nil, err
 			}
 		}
@@ -164,8 +164,8 @@ func TestStreamBoundedMemory(t *testing.T) {
 	peak := uint64(0)
 	var ms runtime.MemStats
 	for ev := range seq.Events() {
-		if ev.Tuples != nil {
-			n += len(ev.Tuples)
+		if ev.Batch.Len() > 0 {
+			n += ev.Batch.Len()
 			if n%(perBatch*batches) == 0 { // sample once per shard's volume
 				runtime.GC()
 				runtime.ReadMemStats(&ms)
@@ -204,7 +204,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 func TestStreamLaterShardRunsAhead(t *testing.T) {
 	const batches = 40 // 10 240 tuples, under shardRunAhead batches
 	ranAhead := make(chan struct{})
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		if shard == 1 {
 			for b := 0; b < batches; b++ {
 				ts := make([]Tuple, streamBatchTuples)
@@ -212,7 +212,7 @@ func TestStreamLaterShardRunsAhead(t *testing.T) {
 					id := 1 + b*streamBatchTuples + i
 					ts[i] = Tuple{SentenceID: id, Document: id}
 				}
-				if err := emit(ts); err != nil {
+				if err := emit(BatchOf(ts)); err != nil {
 					return nil, err
 				}
 			}
@@ -226,7 +226,7 @@ func TestStreamLaterShardRunsAhead(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if err := emit([]Tuple{{SentenceID: 0, Document: 0}}); err != nil {
+		if err := emit(BatchOf([]Tuple{{SentenceID: 0, Document: 0}})); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -252,7 +252,7 @@ func TestStreamLaterShardRunsAhead(t *testing.T) {
 // this test is itself the proof.
 func TestStreamFirstTupleLatency(t *testing.T) {
 	gate := make(chan struct{})
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		if shard == 1 {
 			select {
 			case <-gate:
@@ -260,7 +260,7 @@ func TestStreamFirstTupleLatency(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		}
-		if err := emit([]Tuple{{SentenceID: shard, Document: shard}}); err != nil {
+		if err := emit(BatchOf([]Tuple{{SentenceID: shard, Document: shard}})); err != nil {
 			return nil, err
 		}
 		return &Result{Matched: 1}, nil
@@ -272,11 +272,11 @@ func TestStreamFirstTupleLatency(t *testing.T) {
 	go func() {
 		defer close(done)
 		for ev := range seq.Events() {
-			if ev.Tuples != nil {
+			if ev.Batch.Len() > 0 {
 				if got == 0 {
 					close(gate) // first tuple arrived before shard 1 ran
 				}
-				got += len(ev.Tuples)
+				got += ev.Batch.Len()
 			}
 		}
 	}()
@@ -302,12 +302,12 @@ func TestStreamFirstTupleLatency(t *testing.T) {
 func TestStreamOrderedAdmission(t *testing.T) {
 	const shards = 8
 	var started atomic.Int32
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		if prev := started.Add(1) - 1; int(prev) != shard {
 			return nil, fmt.Errorf("shard %d admitted %d-th, want shard order", shard, prev)
 		}
 		for b := 0; b < shardRunAhead*4; b++ {
-			if err := emit([]Tuple{{SentenceID: shard*100 + b, Document: shard}}); err != nil {
+			if err := emit(BatchOf([]Tuple{{SentenceID: shard*100 + b, Document: shard}})); err != nil {
 				return nil, err
 			}
 		}
@@ -316,7 +316,7 @@ func TestStreamOrderedAdmission(t *testing.T) {
 	seq := StreamShards(context.Background(), shards, 1, run, false)
 	n := 0
 	for ev := range seq.Events() {
-		n += len(ev.Tuples)
+		n += ev.Batch.Len()
 	}
 	if err := seq.Err(); err != nil {
 		t.Fatal(err)
@@ -333,8 +333,8 @@ func TestStreamOrderedAdmission(t *testing.T) {
 // in the collected result.
 func TestStreamDegradedCollectDropsFailedShardPrefix(t *testing.T) {
 	boom := errors.New("replica died mid-stream")
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
-		if err := emit([]Tuple{{SentenceID: shard * 10, Document: shard}}); err != nil {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
+		if err := emit(BatchOf([]Tuple{{SentenceID: shard * 10, Document: shard}})); err != nil {
 			return nil, err
 		}
 		if shard == 1 {
@@ -371,7 +371,7 @@ func TestStreamDegradedCollectDropsFailedShardPrefix(t *testing.T) {
 // order.
 func TestStreamEagerAdmission(t *testing.T) {
 	started := make(chan struct{})
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		switch shard {
 		case 0:
 			select {
@@ -382,7 +382,7 @@ func TestStreamEagerAdmission(t *testing.T) {
 		case 2:
 			close(started)
 		}
-		if err := emit([]Tuple{{SentenceID: shard, Document: shard}}); err != nil {
+		if err := emit(BatchOf([]Tuple{{SentenceID: shard, Document: shard}})); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -393,7 +393,7 @@ func TestStreamEagerAdmission(t *testing.T) {
 	go func() {
 		defer close(done)
 		for ev := range seq.Events() {
-			for _, tu := range ev.Tuples {
+			for _, tu := range mustTuples(ev.Batch) {
 				order = append(order, tu.Document)
 			}
 		}
@@ -418,12 +418,12 @@ func TestStreamEagerAdmission(t *testing.T) {
 func TestStreamStalledLaterShardDoesNotStarveEarlier(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	run := func(ctx context.Context, shard int, emit func([]Tuple) error) (*Result, error) {
+	run := func(ctx context.Context, shard int, emit func(Batch) error) (*Result, error) {
 		if shard == 2 {
 			<-ctx.Done() // stalled replica: only cancellation ends it
 			return nil, ctx.Err()
 		}
-		if err := emit([]Tuple{{SentenceID: shard, Document: shard}}); err != nil {
+		if err := emit(BatchOf([]Tuple{{SentenceID: shard, Document: shard}})); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -439,4 +439,14 @@ func TestStreamStalledLaterShardDoesNotStarveEarlier(t *testing.T) {
 	if !sawShard1End {
 		t.Fatalf("never saw shard 1 complete while shard 2 stalled: %v", seq.Err())
 	}
+}
+
+// mustTuples returns b's tuples; every batch in these tests is local, so
+// it never fails to decode.
+func mustTuples(b Batch) []Tuple {
+	ts, err := b.Tuples()
+	if err != nil {
+		panic(err)
+	}
+	return ts
 }

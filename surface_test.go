@@ -13,20 +13,18 @@ import (
 
 // surfaceAllowed lists exported names that may have no non-test
 // reference: methods that satisfy interfaces the standard library calls
-// through, the demo probes only tests and scripts read, the seeded
-// fault-injection hook the remote transport's tests build, and the paper's
+// through, the demo probes only tests and scripts read, and the paper's
 // (u,v,d) interval tests and tree rendering, which state the encoding that
 // index/posting_quick_test.go checks against.
 var surfaceAllowed = map[string]bool{
-	"MarshalJSON":    true,
-	"Unwrap":         true,
-	"Error":          true,
-	"String":         true,
-	"DemoQueries":    true,
-	"NewFaultPolicy": true,
-	"IsAncestorOf":   true,
-	"IsParentOf":     true,
-	"TreeString":     true,
+	"MarshalJSON":  true,
+	"Unwrap":       true,
+	"Error":        true,
+	"String":       true,
+	"DemoQueries":  true,
+	"IsAncestorOf": true,
+	"IsParentOf":   true,
+	"TreeString":   true,
 }
 
 // TestExportedNamesHaveCallers: every exported top-level name — function,
