@@ -78,3 +78,33 @@ func TestLoadDirectory(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRefusesKOKOBS1: -load passes on the store's refusal of a
+// first-format block store, which names the format and the rebuild.
+func TestLoadRefusesKOKOBS1(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.koko")
+	c := koko.NewCorpus([]string{"old.txt"}, []string{"Cafe Vita serves smooth espresso daily."})
+	if err := koko.NewEngine(c, nil).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "KOKOBS1\n")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{dir, path, "old=" + path} {
+		err := loadCorpora(server.NewRegistry(nil), []string{spec})
+		if err == nil {
+			t.Fatalf("-load %s: KOKOBS1 store loaded", spec)
+		}
+		for _, want := range []string{path, "KOKOBS1", "koko index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-load %s: error %q does not name %q", spec, err, want)
+			}
+		}
+	}
+}

@@ -50,6 +50,15 @@ var benchJoinQueries = []string{
 	`extract b:Str from "happydb" if (/ROOT:{ v = //"called", p = v/propn, b = (p.subtree) })`,
 }
 
+// benchTypedQueries bind typed entity variables: DPLI reads each type's
+// per-sentence mention counts (all types for Entity) and joins them with
+// the word and path lookups.
+var benchTypedQueries = []string{
+	`extract x:Entity from "happydb" if ()`,
+	`extract x:Entity, d:Str from "happydb" if (/ROOT:{ v = //"ate", o = v/dobj, d = (o.subtree) } (o) in (x))`,
+	`extract p:Person, b:Str from "happydb" if (/ROOT:{ v = //"called", q = v/propn, b = (q.subtree) })`,
+}
+
 func benchHappyDB(n int, seed int64) *index.Corpus {
 	return index.NewCorpus(benchHappyTexts(n, seed))
 }
@@ -171,7 +180,8 @@ func benchJoinCorpus() *index.Corpus {
 // posting-list joins, and the candidate-sid intersection, with
 // normalization hoisted out of the loop — in written order (plan=off) and
 // with lookups ordered by lead-list size and restricted sideways (plan=on),
-// over the heap index and over the same index reopened from a block store.
+// over the heap index and over the same index reopened from a block store;
+// typed runs the typed-entity queries, planned.
 func BenchmarkDPLIJoin(b *testing.B) {
 	c := benchJoinCorpus()
 	heap := index.Build(c)
@@ -185,34 +195,38 @@ func BenchmarkDPLIJoin(b *testing.B) {
 	}
 	defer r.Close()
 	model := embed.NewModel()
-	nqs := make([]*normQuery, 0, len(benchJoinQueries))
-	for _, src := range benchJoinQueries {
-		nq, err := normalize(lang.MustParse(src), model)
-		if err != nil {
-			b.Fatal(err)
+	normAll := func(srcs []string) []*normQuery {
+		nqs := make([]*normQuery, 0, len(srcs))
+		for _, src := range srcs {
+			nq, err := normalize(lang.MustParse(src), model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			nqs = append(nqs, nq)
 		}
-		nqs = append(nqs, nq)
+		return nqs
 	}
+	joins, typed := normAll(benchJoinQueries), normAll(benchTypedQueries)
 	for _, ix := range []struct {
 		name string
 		ix   *index.Index
 	}{{"heap", heap}, {"store", r.NewIndex()}} {
-		for _, planned := range []bool{false, true} {
-			name := ix.name + "/plan=off"
-			if planned {
-				name = ix.name + "/plan=on"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i, nq := range nqs {
-					if d := runDPLI(nq, ix.ix, planned); d.exhausted || len(d.candSids) == 0 {
-						b.Fatalf("benchmark join query %d pruned to nothing", i)
+		for _, v := range []struct {
+			name    string
+			nqs     []*normQuery
+			planned bool
+		}{{"plan=off", joins, false}, {"plan=on", joins, true}, {"typed", typed, true}} {
+			b.Run(ix.name+"/"+v.name, func(b *testing.B) {
+				for i, nq := range v.nqs {
+					if d := runDPLI(nq, ix.ix, v.planned); d.exhausted || len(d.candSids) == 0 {
+						b.Fatalf("benchmark query %d pruned to nothing", i)
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for _, nq := range nqs {
-						runDPLI(nq, ix.ix, planned)
+					for _, nq := range v.nqs {
+						runDPLI(nq, ix.ix, v.planned)
 					}
 				}
 			})

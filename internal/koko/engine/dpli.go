@@ -161,27 +161,6 @@ func sidsOfList(l index.PostingList, within []int32) []int32 {
 	return out
 }
 
-// countsOfEntities is countsOfPostings for (sid,u)-sorted entity postings.
-func countsOfEntities(eps []index.EntityPosting) varCounts {
-	runs := 0
-	for i := range eps {
-		if i == 0 || eps[i].Sid != eps[i-1].Sid {
-			runs++
-		}
-	}
-	vc := newVarCounts(runs)
-	for i := 0; i < len(eps); {
-		j := i + 1
-		for j < len(eps) && eps[j].Sid == eps[i].Sid {
-			j++
-		}
-		vc.sids = append(vc.sids, eps[i].Sid)
-		vc.counts = append(vc.counts, int32(j-i))
-		i = j
-	}
-	return vc
-}
-
 // runDPLIGuarded is runDPLI inside the store recovery boundary (storeFault).
 func runDPLIGuarded(nq *normQuery, ix *index.Index, planned bool) (res *dpliResult, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
@@ -252,13 +231,14 @@ func runDPLI(nq *normQuery, ix *index.Index, planned bool) *dpliResult {
 		return len(cand) > 0
 	}
 
-	// Entity variables: posting lists from the entity index.
+	// Entity variables: the index's per-type mention counts, shared and
+	// read-only (cand may alias them; narrow never writes into it).
 	for _, v := range nq.vars {
 		if v.kind != vkEntity {
 			continue
 		}
-		eps := ix.EntitiesOfType(v.etype)
-		vc := countsOfEntities(eps)
+		var vc varCounts
+		vc.sids, vc.counts = ix.EntityCounts(v.etype)
 		res.counts[v.slot] = vc
 		if !narrow(vc.sids) {
 			res.exhausted = true

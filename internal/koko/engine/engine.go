@@ -423,7 +423,8 @@ func (w *blockWorker) finishTuple(s *index.Sent, doc int, a assignment) {
 
 // Candidates exposes DPLI pruning alone: the candidate sentence ids for a
 // query. The index experiments (§6.2.2) measure this module's lookup time
-// and effectiveness across indexing schemes.
+// and effectiveness across indexing schemes. The slice may be the index's
+// own: callers must not write to it.
 func (e *Engine) Candidates(q *lang.Query) ([]int32, error) {
 	nq, err := e.normalize(q)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,26 +52,6 @@ func TestPostingBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEntityBlockRoundTrip(t *testing.T) {
-	types := []string{"LOC", "ORG", "PER"}
-	texts := []string{"Alice", "Bob", "Paris"}
-	typeID := map[string]int{"LOC": 0, "ORG": 1, "PER": 2}
-	textID := map[string]int{"Alice": 0, "Bob": 1, "Paris": 2}
-	es := []index.EntityPosting{
-		{Sid: 0, U: 0, V: 1, Type: "PER", Text: "Alice"},
-		{Sid: 0, U: 4, V: 5, Type: "PER", Text: "Bob"},
-		{Sid: 3, U: 2, V: 3, Type: "LOC", Text: "Paris"},
-	}
-	enc := encodeEntityBlock(nil, es, typeID, textID)
-	got, err := decodeEntityBlock(enc, len(es), types, texts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(es, got) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, es)
-	}
-}
-
 // TestPostingBlockRejectsCorruption: every truncation of a valid encoding,
 // trailing garbage, and in-block (sid,tid) duplicates are all rejected.
 func TestPostingBlockRejectsCorruption(t *testing.T) {
@@ -92,24 +73,6 @@ func TestPostingBlockRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestEntityBlockRejectsCorruption(t *testing.T) {
-	types, texts := []string{"LOC"}, []string{"Paris"}
-	es := []index.EntityPosting{{Sid: 1, U: 0, V: 1, Type: "LOC", Text: "Paris"}}
-	enc := encodeEntityBlock(nil, es, map[string]int{"LOC": 0}, map[string]int{"Paris": 0})
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeEntityBlock(enc[:cut], 1, types, texts); err == nil {
-			t.Fatalf("truncation to %d bytes accepted", cut)
-		}
-	}
-	// Dictionary ids out of range: same bytes, smaller tables.
-	if _, err := decodeEntityBlock(enc, 1, nil, texts); err == nil {
-		t.Fatal("out-of-range type id accepted")
-	}
-	if _, err := decodeEntityBlock(enc, 1, types, nil); err == nil {
-		t.Fatal("out-of-range text id accepted")
-	}
-}
-
 // FuzzBlockDecode: arbitrary bytes never panic, and anything the decoder
 // accepts must re-encode to the identical bytes (varint coding is canonical,
 // so accept ⇒ canonical form).
@@ -126,14 +89,6 @@ func FuzzBlockDecode(f *testing.F) {
 		if err == nil {
 			if re := encodePostingBlock(nil, ps); !bytes.Equal(re, enc) {
 				t.Fatalf("accepted non-canonical encoding: %x -> %x", enc, re)
-			}
-		}
-		types, texts := []string{"A", "B"}, []string{"x", "y", "z"}
-		if es, err := decodeEntityBlock(enc, n, types, texts); err == nil {
-			typeID := map[string]int{"A": 0, "B": 1}
-			textID := map[string]int{"x": 0, "y": 1, "z": 2}
-			if re := encodeEntityBlock(nil, es, typeID, textID); !bytes.Equal(re, enc) {
-				t.Fatalf("accepted non-canonical entity encoding: %x -> %x", enc, re)
 			}
 		}
 	})
@@ -200,14 +155,11 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatalf("word %q postings differ:\n got %+v\nwant %+v", w, got, want)
 		}
 	}
-	for text := range ix.Entity {
-		if want, got := ix.Entity[text], bix.Source().EntityList(text); !reflect.DeepEqual(want, got) {
-			t.Fatalf("entity %q postings differ", text)
-		}
-	}
-	for _, typ := range []string{"PERSON", "GPE", "ORG", "LOC"} {
-		if want, got := ix.EntitiesOfType(typ), bix.EntitiesOfType(typ); !reflect.DeepEqual(want, got) {
-			t.Fatalf("type %q entities differ:\n got %+v\nwant %+v", typ, got, want)
+	for _, typ := range entityTypes {
+		ws, wc := ix.EntityCounts(typ)
+		gs, gc := bix.EntityCounts(typ)
+		if !reflect.DeepEqual(ws, gs) || !reflect.DeepEqual(wc, gc) {
+			t.Fatalf("type %q counts differ:\n got %v %v\nwant %v %v", typ, gs, gc, ws, wc)
 		}
 	}
 	for _, p := range []index.Path{
@@ -251,7 +203,7 @@ func TestStoreRejectsCorruption(t *testing.T) {
 	// CRC check turns the first touch into a StoreError.
 	metaLen := binary.LittleEndian.Uint64(raw[8:])
 	corpusLen := binary.LittleEndian.Uint64(raw[16:])
-	blobStart := 32 + metaLen + corpusLen
+	blobStart := headerLen + metaLen + corpusLen
 	bad := append([]byte{}, raw...)
 	bad[blobStart] ^= 0xff
 	p3 := filepath.Join(t.TempDir(), "blob.koko")
@@ -280,6 +232,99 @@ func TestStoreRejectsCorruption(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Fatal("no word lookup hit the corrupted block")
+	}
+}
+
+// TestStoreSectionBitFlips: one flipped bit at any offset of the header,
+// the metadata section or the corpus section either fails Open or, if the
+// store opens, fails reading some list with a *index.StoreError. A flip
+// that opens and serves every list unharmed (a changed word or label
+// string, entity span or token) fails the test.
+func TestStoreSectionBitFlips(t *testing.T) {
+	path, _, ix := writeTestStore(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaLen := int(binary.LittleEndian.Uint64(raw[8:]))
+	corpusLen := int(binary.LittleEndian.Uint64(raw[16:]))
+	blobLen := int(binary.LittleEndian.Uint64(raw[24:]))
+	corpusEnd := len(raw) - blobLen
+	metaStart := corpusEnd - corpusLen - metaLen
+	p := filepath.Join(t.TempDir(), "flip.koko")
+	var served []int
+	for off := 0; off < corpusEnd; off++ {
+		bad := bytes.Clone(raw)
+		bad[off] ^= 1 << (off % 8)
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(p)
+		if err != nil {
+			continue
+		}
+		if !failsSomeRead(t, r, ix) {
+			served = append(served, off)
+		}
+		r.Close()
+	}
+	if len(served) > 0 {
+		t.Fatalf("%d of %d flips (header 0-%d, meta to %d, corpus to %d) opened and served, first at offsets %v",
+			len(served), corpusEnd, metaStart, metaStart+metaLen, corpusEnd, served[:min(len(served), 10)])
+	}
+}
+
+// failsSomeRead reads every word list of ix's vocabulary and every
+// hierarchy-node list from r and reports whether one failed with a
+// *index.StoreError; any other panic fails the test.
+func failsSomeRead(t *testing.T, r *Reader, ix *index.Index) (failed bool) {
+	t.Helper()
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(*index.StoreError); !ok {
+				t.Fatalf("panic of type %T (%v), want *index.StoreError", rec, rec)
+			}
+			failed = true
+		}
+	}()
+	bix := r.NewIndex()
+	for w := range ix.Word {
+		materialize(bix.WordList(w))
+	}
+	for _, h := range []*index.Hierarchy{bix.PL, bix.POS} {
+		for n := range h.Labels {
+			materialize(h.NodeList(int32(n)))
+		}
+	}
+	return false
+}
+
+// TestOldStoreRefusedByName: a store of the first block format is still
+// recognised as a block store, and Open refuses it with an error that
+// names the format and says how to rebuild it.
+func TestOldStoreRefusedByName(t *testing.T) {
+	path, _, _ := writeTestStore(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "KOKOBS1\n")
+	old := filepath.Join(t.TempDir(), "old.koko")
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !IsBlockStore(old) {
+		t.Fatal("IsBlockStore = false on a KOKOBS1 store")
+	}
+	r, err := Open(old)
+	if err == nil {
+		r.Close()
+		t.Fatal("KOKOBS1 store opened")
+	}
+	for _, want := range []string{old, "KOKOBS1", "koko index"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

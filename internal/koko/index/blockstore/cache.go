@@ -33,7 +33,6 @@ type cacheKey struct {
 type cacheEntry struct {
 	key   cacheKey
 	ps    []index.Posting
-	es    []index.EntityPosting
 	size  int64
 	ref   bool
 	done  bool
@@ -83,7 +82,6 @@ func (c *Cache) Stats() CacheStats {
 
 const (
 	postingBytes = int64(unsafe.Sizeof(index.Posting{}))
-	entityBytes  = int64(unsafe.Sizeof(index.EntityPosting{}))
 	entryBytes   = int64(unsafe.Sizeof(cacheEntry{})) + 64 // entry + map/ring overhead
 )
 
@@ -98,22 +96,8 @@ func (c *Cache) getPostings(key cacheKey, load func() ([]index.Posting, error)) 
 	}
 	defer c.abandonOnPanic(e)
 	ps, err := load()
-	c.finish(e, ps, nil, entryBytes+int64(len(ps))*postingBytes, err)
+	c.finish(e, ps, entryBytes+int64(len(ps))*postingBytes, err)
 	return ps, err
-}
-
-// getEntities is getPostings for entity blocks. Decoded entity postings
-// alias the reader's string tables, so only struct bytes are charged.
-func (c *Cache) getEntities(key cacheKey, load func() ([]index.EntityPosting, error)) ([]index.EntityPosting, error) {
-	e, owner := c.claim(key)
-	if !owner {
-		<-e.ready
-		return e.es, e.err
-	}
-	defer c.abandonOnPanic(e)
-	es, err := load()
-	c.finish(e, nil, es, entryBytes+int64(len(es))*entityBytes, err)
-	return es, err
 }
 
 // abandonOnPanic is deferred by the goroutine that owns a decode. If load
@@ -123,7 +107,7 @@ func (c *Cache) getEntities(key cacheKey, load func() ([]index.EntityPosting, er
 // finish; then the panic goes on to the query's recovery boundary.
 func (c *Cache) abandonOnPanic(e *cacheEntry) {
 	if r := recover(); r != nil {
-		c.finish(e, nil, nil, 0, fmt.Errorf("blockstore: decode of block at %d panicked: %v", e.key.off, r))
+		c.finish(e, nil, 0, fmt.Errorf("blockstore: decode of block at %d panicked: %v", e.key.off, r))
 		panic(r)
 	}
 }
@@ -153,13 +137,13 @@ func (c *Cache) claim(key cacheKey) (*cacheEntry, bool) {
 // finish publishes a decode result (or failure) for an entry claimed by this
 // goroutine. Failed decodes are not cached: the entry is removed so a later
 // access retries, and every current waiter observes the error.
-func (c *Cache) finish(e *cacheEntry, ps []index.Posting, es []index.EntityPosting, size int64, err error) {
+func (c *Cache) finish(e *cacheEntry, ps []index.Posting, size int64, err error) {
 	c.mu.Lock()
 	if err != nil {
 		e.err = err
 		delete(c.entries, e.key)
 	} else {
-		e.ps, e.es, e.size = ps, es, size
+		e.ps, e.size = ps, size
 		e.done = true
 		e.ref = true
 		c.used += size

@@ -1,22 +1,26 @@
 // Package blockstore implements the block-oriented on-disk store format
-// (format "block", magic KOKOBS1): posting lists, entity lists, and
-// hierarchy-node lists laid out as sorted fixed-size blocks, delta + varint
-// encoded, each with a CRC and min/max sentence id recorded in a directory.
-// A reader mmaps the file and decodes blocks lazily, on first touch, into a
-// shared budgeted cache — so opening a store costs metadata + corpus only,
-// and resident posting memory is bounded by the cache budget rather than
-// corpus size.
+// (format "block", magic KOKOBS2): word and hierarchy-node posting lists
+// laid out as sorted fixed-size blocks, delta + varint encoded, each with
+// a CRC and min/max sentence id recorded in a directory. Entity mentions
+// are stored once, in the corpus section; the index derives what it needs
+// from them at open. A reader mmaps the file and decodes blocks lazily, on
+// first touch, into a shared budgeted cache — so opening a store costs
+// metadata + corpus only, and resident posting memory is bounded by the
+// cache budget rather than corpus size.
 //
 // File layout:
 //
-//	"KOKOBS1\n"                      8-byte magic
+//	"KOKOBS2\n"                      8-byte magic
 //	metaLen, corpusLen, blobLen      3 × uint64 LE
-//	meta                             dictionaries + block directories
+//	metaCRC, corpusCRC               2 × uint32 LE, CRC-32C of the sections
+//	meta                             word dictionary + block directories
 //	corpus                           parsed sentences (custom codec)
 //	blob                             concatenated encoded blocks
 //
 // Everything in meta and corpus is varint-coded; the blob is addressed by
-// (offset, encLen) pairs from the directories.
+// (offset, encLen) pairs from the directories. Open checks both section
+// CRCs. Stores of the first format, KOKOBS1, are refused by name: they
+// must be rebuilt.
 package blockstore
 
 import (
@@ -30,7 +34,15 @@ import (
 
 // Magic identifies a block-format store file; an 8-byte sniff tells a store
 // from a JSON shard manifest.
-const Magic = "KOKOBS1\n"
+const Magic = "KOKOBS2\n"
+
+// oldMagic starts a store of the first block format, which had no section
+// checksums and kept entity postings; Open refuses it.
+const oldMagic = "KOKOBS1\n"
+
+// headerLen is the fixed header's size: magic, section lengths and section
+// CRCs.
+const headerLen = 8 + 3*8 + 2*4
 
 // BlockPostings is the target posting count per block. 256 postings ≈ 1–2 KB
 // encoded; small enough that a point lookup decodes little, large enough
@@ -51,7 +63,7 @@ type blockDir struct {
 	crc    uint32
 }
 
-// listDir is one posting (or entity) list's directory: total count plus its
+// listDir is one posting list's directory: total count plus its
 // blocks in (sid, tid) order.
 type listDir struct {
 	count  int
@@ -229,99 +241,6 @@ func decodePostingBlock(enc []byte, n int) ([]index.Posting, error) {
 	}
 	if !r.done() {
 		return nil, fmt.Errorf("blockstore: %d trailing bytes after %d postings", len(enc)-r.i, n)
-	}
-	return out, nil
-}
-
-// --- entity block codec ---
-
-// encodeEntityBlock appends one (sid,u)-sorted entity block. Type and text
-// are dictionary references into the meta string tables.
-func encodeEntityBlock(dst []byte, es []index.EntityPosting, typeID, textID map[string]int) []byte {
-	w := byteWriter{b: dst}
-	prevSid, prevU := int32(-1), int32(0)
-	for k, e := range es {
-		if k == 0 {
-			w.uvarint(uint64(e.Sid))
-			w.uvarint(uint64(e.U))
-		} else if e.Sid == prevSid {
-			w.uvarint(0)
-			w.uvarint(uint64(e.U - prevU))
-		} else {
-			w.uvarint(uint64(e.Sid - prevSid))
-			w.uvarint(uint64(e.U))
-		}
-		prevSid, prevU = e.Sid, e.U
-		w.uvarint(uint64(e.V - e.U))
-		w.uvarint(uint64(typeID[e.Type]))
-		w.uvarint(uint64(textID[e.Text]))
-	}
-	return w.b
-}
-
-// decodeEntityBlock decodes one entity block, resolving dictionary ids
-// against the shared tables (so decoded postings alias table strings — one
-// copy per store, not per posting).
-func decodeEntityBlock(enc []byte, n int, types, texts []string) ([]index.EntityPosting, error) {
-	r := byteReader{b: enc}
-	out := make([]index.EntityPosting, 0, n)
-	prevSid, prevU := int32(-1), int32(0)
-	for k := 0; k < n; k++ {
-		var sid, u int32
-		if k == 0 {
-			var err error
-			if sid, err = r.i32(); err != nil {
-				return nil, err
-			}
-			if u, err = r.i32(); err != nil {
-				return nil, err
-			}
-		} else {
-			dsid, err := r.i32()
-			if err != nil {
-				return nil, err
-			}
-			x, err := r.i32()
-			if err != nil {
-				return nil, err
-			}
-			if dsid == 0 {
-				sid, u = prevSid, prevU+x
-			} else {
-				sid, u = prevSid+dsid, x
-			}
-			if sid < prevSid || u < 0 {
-				return nil, fmt.Errorf("blockstore: entity order overflow at %d", k)
-			}
-		}
-		prevSid, prevU = sid, u
-		dv, err := r.i32()
-		if err != nil {
-			return nil, err
-		}
-		// Dictionary ids index the store-wide tables, so the tables bound
-		// them — not this block's byte length, which is what count checks.
-		ty, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		tx, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ty >= uint64(len(types)) {
-			return nil, fmt.Errorf("blockstore: type id %d out of range", ty)
-		}
-		if tx >= uint64(len(texts)) {
-			return nil, fmt.Errorf("blockstore: text id %d out of range", tx)
-		}
-		if u > math.MaxInt32-dv {
-			return nil, fmt.Errorf("blockstore: entity interval overflow at %d", k)
-		}
-		out = append(out, index.EntityPosting{Sid: sid, U: u, V: u + dv, Type: types[ty], Text: texts[tx]})
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("blockstore: %d trailing bytes after %d entities", len(enc)-r.i, n)
 	}
 	return out, nil
 }

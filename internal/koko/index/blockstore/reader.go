@@ -29,14 +29,9 @@ type Reader struct {
 
 	closed atomic.Bool
 
-	types   []string
-	texts   []string
-	words   map[string]listDir
-	byText  map[string]listDir
-	byType  []listDir
-	typeIdx map[string]int
-	hiers   [2]hierMeta
-	corpus  *index.Columns
+	words  map[string]listDir
+	hiers  [2]hierMeta
+	corpus *index.Columns
 
 	totalPostings int
 }
@@ -48,7 +43,8 @@ type hierMeta struct {
 	nodes       []listDir
 }
 
-// IsBlockStore sniffs a file's magic without opening the store.
+// IsBlockStore sniffs a file's magic without opening the store. A store of
+// the first block format counts, so that Open can refuse it by name.
 func IsBlockStore(path string) bool {
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,11 +55,12 @@ func IsBlockStore(path string) bool {
 	if _, err := f.Read(m[:]); err != nil {
 		return false
 	}
-	return string(m[:]) == Magic
+	return string(m[:]) == Magic || string(m[:]) == oldMagic
 }
 
-// Open maps a block store and parses its metadata and corpus. No posting
-// block is decoded. The reader shares the process-default cache.
+// Open maps a block store, checks its section CRCs and parses its metadata
+// and corpus. No posting block is decoded. The reader shares the
+// process-default cache.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,7 +72,7 @@ func Open(path string) (*Reader, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < 32 {
+	if size < headerLen {
 		f.Close()
 		return nil, fmt.Errorf("blockstore %s: file too small (%d bytes)", path, size)
 	}
@@ -117,32 +114,31 @@ func (r *Reader) Close() error {
 func (r *Reader) Path() string { return r.path }
 
 func (r *Reader) parse() error {
-	if string(r.data[:8]) != Magic {
+	switch string(r.data[:8]) {
+	case Magic:
+	case oldMagic:
+		return fmt.Errorf("%s is the first block store format, which this build no longer reads: rebuild the store with koko index", strings.TrimSpace(oldMagic))
+	default:
 		return fmt.Errorf("bad magic")
 	}
 	metaLen := binary.LittleEndian.Uint64(r.data[8:])
 	corpusLen := binary.LittleEndian.Uint64(r.data[16:])
 	blobLen := binary.LittleEndian.Uint64(r.data[24:])
 	total := uint64(len(r.data))
-	if metaLen > total || corpusLen > total || blobLen > total || 32+metaLen+corpusLen+blobLen != total {
+	if metaLen > total || corpusLen > total || blobLen > total || headerLen+metaLen+corpusLen+blobLen != total {
 		return fmt.Errorf("section sizes %d+%d+%d inconsistent with file size %d", metaLen, corpusLen, blobLen, total)
 	}
-	meta := r.data[32 : 32+metaLen]
-	corpusSec := r.data[32+metaLen : 32+metaLen+corpusLen]
-	r.blob = r.data[32+metaLen+corpusLen:]
+	meta := r.data[headerLen : headerLen+metaLen]
+	corpusSec := r.data[headerLen+metaLen : headerLen+metaLen+corpusLen]
+	r.blob = r.data[headerLen+metaLen+corpusLen:]
+	if crc32.Checksum(meta, castagnoli) != binary.LittleEndian.Uint32(r.data[32:]) {
+		return fmt.Errorf("metadata section crc mismatch")
+	}
+	if crc32.Checksum(corpusSec, castagnoli) != binary.LittleEndian.Uint32(r.data[36:]) {
+		return fmt.Errorf("corpus section crc mismatch")
+	}
 
 	br := byteReader{b: meta}
-	var err error
-	if r.types, err = readStrings(&br, "type"); err != nil {
-		return err
-	}
-	if r.texts, err = readStrings(&br, "text"); err != nil {
-		return err
-	}
-	r.typeIdx = make(map[string]int, len(r.types))
-	for i, t := range r.types {
-		r.typeIdx[t] = i
-	}
 	nWords, err := br.count("word")
 	if err != nil {
 		return err
@@ -159,33 +155,6 @@ func (r *Reader) parse() error {
 		}
 		r.words[w] = d
 		r.totalPostings += d.count
-	}
-	nKeys, err := br.count("entity key")
-	if err != nil {
-		return err
-	}
-	r.byText = make(map[string]listDir, nKeys)
-	for i := 0; i < nKeys; i++ {
-		k, err := br.str()
-		if err != nil {
-			return err
-		}
-		if r.byText[k], err = decodeDir(&br, blobLen); err != nil {
-			return err
-		}
-	}
-	nTypes, err := br.count("entity type")
-	if err != nil {
-		return err
-	}
-	if nTypes != len(r.types) {
-		return fmt.Errorf("by-type directory count %d != type table size %d", nTypes, len(r.types))
-	}
-	r.byType = make([]listDir, nTypes)
-	for i := range r.byType {
-		if r.byType[i], err = decodeDir(&br, blobLen); err != nil {
-			return err
-		}
 	}
 	for k := range r.hiers {
 		if r.hiers[k], err = readHier(&br, blobLen); err != nil {
@@ -453,34 +422,6 @@ func (r *Reader) decodePostings(b blockDir) ([]index.Posting, error) {
 	return decodePostingBlock(enc, int(b.n))
 }
 
-func (r *Reader) entityBlocks(d listDir) []index.EntityPosting {
-	if d.count == 0 {
-		return nil
-	}
-	var out []index.EntityPosting
-	for i, b := range d.blocks {
-		b := b
-		es, err := r.cache.getEntities(cacheKey{r.id, b.off}, func() ([]index.EntityPosting, error) {
-			enc := r.blob[b.off : b.off+uint64(b.encLen)]
-			if crc32.Checksum(enc, castagnoli) != b.crc {
-				return nil, fmt.Errorf("blockstore: crc mismatch in entity block at %d", b.off)
-			}
-			return decodeEntityBlock(enc, int(b.n), r.types, r.texts)
-		})
-		if err != nil {
-			panic(&index.StoreError{Path: r.path, Err: err})
-		}
-		if len(d.blocks) == 1 {
-			return es
-		}
-		if i == 0 {
-			out = make([]index.EntityPosting, 0, d.count)
-		}
-		out = append(out, es...)
-	}
-	return out
-}
-
 // WordList implements index.PostingSource.
 func (r *Reader) WordList(w string) index.PostingList {
 	d, ok := r.words[w]
@@ -488,23 +429,6 @@ func (r *Reader) WordList(w string) index.PostingList {
 		return nil
 	}
 	return &blockList{r: r, d: d}
-}
-
-// EntityList implements index.PostingSource.
-func (r *Reader) EntityList(text string) []index.EntityPosting {
-	return r.entityBlocks(r.byText[text])
-}
-
-// TypeNames implements index.PostingSource.
-func (r *Reader) TypeNames() []string { return r.types }
-
-// TypeList implements index.PostingSource.
-func (r *Reader) TypeList(etype string) []index.EntityPosting {
-	i, ok := r.typeIdx[etype]
-	if !ok {
-		return nil
-	}
-	return r.entityBlocks(r.byType[i])
 }
 
 // NodeList implements index.PostingSource.
@@ -520,7 +444,6 @@ func (r *Reader) NodeList(kind index.HierKind, node int32) index.PostingList {
 func (r *Reader) SourceStats() index.SourceStats {
 	return index.SourceStats{
 		Words:         len(r.words),
-		Entities:      len(r.byText),
 		TotalPostings: r.totalPostings,
 	}
 }

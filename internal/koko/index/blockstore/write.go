@@ -44,58 +44,7 @@ func WriteColumns(path string, c *index.Columns, ix *index.Index) error {
 		return d
 	}
 
-	// Entity dictionaries: sorted type names and distinct original texts.
-	types := make([]string, 0, len(ix.ByType))
-	for t := range ix.ByType {
-		types = append(types, t)
-	}
-	sort.Strings(types)
-	typeID := make(map[string]int, len(types))
-	for i, t := range types {
-		typeID[t] = i
-	}
-	textSet := map[string]bool{}
-	for _, es := range ix.ByType {
-		for _, e := range es {
-			textSet[e.Text] = true
-		}
-	}
-	texts := make([]string, 0, len(textSet))
-	for t := range textSet {
-		texts = append(texts, t)
-	}
-	sort.Strings(texts)
-	textID := make(map[string]int, len(texts))
-	for i, t := range texts {
-		textID[t] = i
-	}
-	appendEList := func(es []index.EntityPosting) listDir {
-		d := listDir{count: len(es)}
-		for i := 0; i < len(es); i += BlockPostings {
-			j := min(i+BlockPostings, len(es))
-			chunk := es[i:j]
-			start := len(blob)
-			blob = encodeEntityBlock(blob, chunk, typeID, textID)
-			enc := blob[start:]
-			d.blocks = append(d.blocks, blockDir{
-				off: uint64(start), encLen: uint32(len(enc)), n: uint32(len(chunk)),
-				minSid: chunk[0].Sid, maxSid: chunk[len(chunk)-1].Sid,
-				crc: crc32.Checksum(enc, castagnoli),
-			})
-		}
-		return d
-	}
-
 	mw := &byteWriter{}
-	mw.uvarint(uint64(len(types)))
-	for _, t := range types {
-		mw.str(t)
-	}
-	mw.uvarint(uint64(len(texts)))
-	for _, t := range texts {
-		mw.str(t)
-	}
-
 	words := make([]string, 0, len(ix.Word))
 	for w := range ix.Word {
 		words = append(words, w)
@@ -105,23 +54,6 @@ func WriteColumns(path string, c *index.Columns, ix *index.Index) error {
 	for _, w := range words {
 		mw.str(w)
 		encodeDir(mw, appendList(ix.Word[w]))
-	}
-
-	keys := make([]string, 0, len(ix.Entity))
-	for k := range ix.Entity {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	mw.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		mw.str(k)
-		encodeDir(mw, appendEList(ix.Entity[k]))
-	}
-
-	// By-type directories ride the type table's order; no keys repeated.
-	mw.uvarint(uint64(len(types)))
-	for _, t := range types {
-		encodeDir(mw, appendEList(ix.ByType[t]))
 	}
 
 	writeHier := func(h *index.Hierarchy) {
@@ -145,11 +77,13 @@ func WriteColumns(path string, c *index.Columns, ix *index.Index) error {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	var hdr [8 + 24]byte
+	var hdr [headerLen]byte
 	copy(hdr[:8], Magic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(mw.b)))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(corpus)))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(blob)))
+	binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(mw.b, castagnoli))
+	binary.LittleEndian.PutUint32(hdr[36:], crc32.Checksum(corpus, castagnoli))
 	for _, part := range [][]byte{hdr[:], mw.b, corpus, blob} {
 		if _, err := bw.Write(part); err != nil {
 			f.Close()

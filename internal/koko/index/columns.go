@@ -346,6 +346,20 @@ func (c *Columns) Seal() *Columns {
 	return &out
 }
 
+// distinctEntityTexts counts the distinct lowered texts of the columns'
+// entity mentions.
+func (c *Columns) distinctEntityTexts() int {
+	seen := map[string]struct{}{}
+	var s Sent
+	for sid := range c.NumSentences() {
+		c.LoadSent(&s, sid)
+		for e := range s.EntType {
+			seen[strings.ToLower(s.Text(int(s.EntL[e]), int(s.EntR[e])))] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
 // Sent returns the view of sentence sid.
 func (c *Columns) Sent(sid int) Sent {
 	var s Sent

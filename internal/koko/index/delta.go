@@ -1,11 +1,6 @@
 package index
 
-import (
-	"sort"
-	"strings"
-
-	"repro/internal/nlp"
-)
+import "repro/internal/nlp"
 
 // Delta is the write side of a mutable corpus: a small corpus-plus-index
 // that absorbs newly ingested documents one at a time, LSM-style, while the
@@ -42,9 +37,9 @@ func (d *Delta) NumSents() int { return d.c.NumSentences() }
 // AddDocument appends one parsed document, merging its sentences into the
 // delta's columns, posting and hierarchy structures incrementally. Because
 // sentence ids are assigned in increasing order, appended word postings land
-// already (sid, tid)-sorted; only the hierarchy-node and entity lists
-// touched by each sentence need their trailing run repaired — O(sentence),
-// never a full re-sort. sents is only read.
+// already (sid, tid)-sorted, and so do the entity counts; only the
+// hierarchy-node lists touched by each sentence need their trailing run
+// repaired — O(sentence), never a full re-sort. sents is only read.
 func (d *Delta) AddDocument(name string, sents []nlp.Sentence) {
 	first := d.c.NumSentences()
 	d.c.AppendDoc(name, sents)
@@ -62,25 +57,12 @@ func (d *Delta) indexFrom(first int) {
 }
 
 // repairTails restores sorted order on the lists AddSentence appended to
-// out of order: hierarchy nodes visit tokens in BFS order (not tid order),
-// and entity postings follow annotation order (not span order).
+// out of order: hierarchy nodes visit tokens in BFS order (not tid order).
 func (d *Delta) repairTails(s *Sent) {
 	sid := int32(s.ID)
 	t0 := d.c.TokOff[sid]
 	sortHierTails(d.ix.PL, d.ix.PLNode[t0:], sid)
 	sortHierTails(d.ix.POS, d.ix.POSNode[t0:], sid)
-	texts := map[string]bool{}
-	types := map[string]bool{}
-	for e := range s.EntType {
-		texts[strings.ToLower(s.Text(int(s.EntL[e]), int(s.EntR[e])))] = true
-		types[s.Dict.Str(s.EntType[e])] = true
-	}
-	for k := range texts {
-		sortEntityTail(d.ix.Entity[k], sid)
-	}
-	for t := range types {
-		sortEntityTail(d.ix.ByType[t], sid)
-	}
 }
 
 // sortHierTails sorts the just-appended run of each hierarchy node touched
@@ -89,18 +71,6 @@ func (d *Delta) repairTails(s *Sent) {
 func sortHierTails(h *Hierarchy, ids []int32, sid int32) {
 	for _, id := range ids {
 		h.SortTail(id, sid)
-	}
-}
-
-// sortEntityTail sorts the trailing run of entries with the given sid by U
-// (everything before it has smaller sids and is already ordered).
-func sortEntityTail(es []EntityPosting, sid int32) {
-	lo := len(es)
-	for lo > 0 && es[lo-1].Sid == sid {
-		lo--
-	}
-	if tail := es[lo:]; len(tail) > 1 {
-		sort.Slice(tail, func(i, j int) bool { return tail[i].U < tail[j].U })
 	}
 }
 

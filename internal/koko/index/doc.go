@@ -4,8 +4,10 @@
 //     quintuples (sid, tid, u–v, depth) — sentence id, token id, first and
 //     last token of the token's dependency subtree, and the token's depth in
 //     the dependency tree;
-//   - an inverted entity index mapping every entity mention to triples
-//     (sid, u–v), with type information for typed output variables;
+//   - the entity index, whose triples (sid, u–v) with their types are the
+//     columns' entity mentions themselves; the index adds only, per type
+//     and for all types, the sentences holding mentions and how many
+//     (Index.EntityCounts), which DPLI prunes typed variables with;
 //   - two hierarchy indices — the PL index over parse labels and the POS
 //     index over POS tags — built by merging all dependency trees node-wise
 //     from the root (a dataguide over dependency structure). Every merged

@@ -1,20 +1,19 @@
 package index
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/nlp"
 )
 
-// Index is KOKO's multi-index over a corpus: word and entity inverted
-// indices plus the PL and POS hierarchy indices.
+// Index is KOKO's multi-index over a corpus: the word inverted index, the
+// PL and POS hierarchy indices, and per entity type the sentences holding
+// its mentions. The mentions themselves are read from the columns.
 type Index struct {
-	Word   map[string][]Posting       // lowercase word -> quintuples
-	Entity map[string][]EntityPosting // lowercase entity text -> triples
-	ByType map[string][]EntityPosting // entity type -> all mentions
-	PL     *Hierarchy                 // parse-label hierarchy
-	POS    *Hierarchy                 // POS-tag hierarchy
+	Word map[string][]Posting // lowercase word -> quintuples
+	PL   *Hierarchy           // parse-label hierarchy
+	POS  *Hierarchy           // POS-tag hierarchy
 
 	// PLNode[t] and POSNode[t] are token t's node ids in the PL and POS
 	// hierarchies — the W table's plid/posid columns — where t is a token
@@ -25,25 +24,26 @@ type Index struct {
 	// for a token whose path a block store's hierarchy lacks.
 	PLNode, POSNode []int32
 
+	// ents counts each entity type's mentions per sentence of cols.
+	ents entityTable
+
 	// cols is the text the index covers: the columns the node ids align
 	// with and the engine reads token geometry from.
 	cols *Columns
 
 	// src, when set, supplies all posting data lazily (the mmap block
-	// store); the Word/Entity/ByType maps and hierarchy Postings slices are
-	// empty and every lookup goes through src. Source-backed indexes are
-	// immutable: nothing may be added to them.
+	// store); the Word map and hierarchy Postings slices are empty and
+	// every lookup goes through src. Source-backed indexes are immutable:
+	// nothing may be added to them.
 	src PostingSource
 }
 
 // NewIndex returns an empty multi-index.
 func NewIndex() *Index {
 	return &Index{
-		Word:   map[string][]Posting{},
-		Entity: map[string][]EntityPosting{},
-		ByType: map[string][]EntityPosting{},
-		PL:     NewHierarchy(),
-		POS:    NewHierarchy(),
+		Word: map[string][]Posting{},
+		PL:   NewHierarchy(),
+		POS:  NewHierarchy(),
 	}
 }
 
@@ -51,21 +51,23 @@ func NewIndex() *Index {
 // src (blocks decoded lazily on lookup). The two hierarchies carry the
 // merged dataguide structure (labels, depths, parents, children) but no
 // resident posting lists; their lookups route through src as well. The
-// node-id columns are filled here, once, by walking each sentence of cols
-// down the hierarchies' children.
+// node-id columns and the entity table are filled here, once, from cols:
+// each sentence is walked down the hierarchies' children, and its
+// mentions are counted by type.
 func NewBlockBacked(src PostingSource, cols *Columns, pl, pos *Hierarchy) *Index {
 	pl.NodeSource = func(n int32) PostingList { return src.NodeList(HierPL, n) }
 	pos.NodeSource = func(n int32) PostingList { return src.NodeList(HierPOS, n) }
 	ix := &Index{
-		Word:   map[string][]Posting{},
-		Entity: map[string][]EntityPosting{},
-		ByType: map[string][]EntityPosting{},
-		PL:     pl,
-		POS:    pos,
-		cols:   cols,
-		src:    src,
+		Word: map[string][]Posting{},
+		PL:   pl,
+		POS:  pos,
+		cols: cols,
+		src:  src,
 	}
 	ix.PLNode, ix.POSNode = nodeColumns(cols, pl, cols.Label), nodeColumns(cols, pos, cols.POS)
+	for sid := range cols.NumSentences() {
+		ix.ents.add(int32(sid), cols.EntType[cols.EntOff[sid]:cols.EntOff[sid+1]])
+	}
 	return ix
 }
 
@@ -145,23 +147,16 @@ func BuildColumns(c *Columns) *Index {
 func (ix *Index) Clone(cols *Columns) *Index {
 	out := &Index{
 		Word:    make(map[string][]Posting, len(ix.Word)),
-		Entity:  make(map[string][]EntityPosting, len(ix.Entity)),
-		ByType:  make(map[string][]EntityPosting, len(ix.ByType)),
 		PL:      ix.PL.Clone(),
 		POS:     ix.POS.Clone(),
 		PLNode:  ix.PLNode,
 		POSNode: ix.POSNode,
+		ents:    ix.ents.clone(),
 		cols:    cols,
 		src:     ix.src,
 	}
 	for k, v := range ix.Word {
 		out.Word[k] = v
-	}
-	for k, v := range ix.Entity {
-		out.Entity[k] = v
-	}
-	for k, v := range ix.ByType {
-		out.ByType[k] = v
 	}
 	return out
 }
@@ -194,14 +189,7 @@ func (b *sentBuilder) add(ix *Index, s *Sent) {
 		}
 		b.words[w] = append(b.words[w], Posting{Sid: sid, Tid: int32(i), U: s.SubL[i], V: s.SubR[i], D: s.Depth[i]})
 	}
-	for e := range s.EntType {
-		typ := s.Dict.Str(s.EntType[e])
-		text := s.Text(int(s.EntL[e]), int(s.EntR[e]))
-		ep := EntityPosting{Sid: sid, U: s.EntL[e], V: s.EntR[e], Type: typ, Text: text}
-		key := strings.ToLower(text)
-		ix.Entity[key] = append(ix.Entity[key], ep)
-		ix.ByType[typ] = append(ix.ByType[typ], ep)
-	}
+	ix.ents.add(sid, s.EntType)
 	if n := 2 * s.Len(); cap(b.scratch) < n {
 		b.scratch = make([]int32, n)
 	}
@@ -225,12 +213,6 @@ func (ix *Index) Finish() {
 	for _, ps := range ix.Word {
 		SortPostings(ps)
 	}
-	for _, es := range ix.Entity {
-		SortEntityPostings(es)
-	}
-	for _, es := range ix.ByType {
-		SortEntityPostings(es)
-	}
 	ix.PL.SortAllPostings()
 	ix.POS.SortAllPostings()
 }
@@ -248,38 +230,67 @@ func (ix *Index) WordList(w string) PostingList {
 	return nil
 }
 
-// EntitiesOfType returns all mentions whose type matches the requested type
-// name ("Entity" matches every type; "GPE" aliases Location).
-func (ix *Index) EntitiesOfType(want string) []EntityPosting {
-	switch want {
-	case "", "Entity", "entity", "Str":
-		var types []string
-		if ix.src != nil {
-			types = ix.src.TypeNames()
-		} else {
-			types = make([]string, 0, len(ix.ByType))
-			for t := range ix.ByType {
-				types = append(types, t)
-			}
-			sort.Strings(types)
-		}
-		var out []EntityPosting
-		for _, t := range types {
-			out = append(out, ix.typeList(t)...)
-		}
-		SortEntityPostings(out)
-		return out
+// EntityCounts returns, for the entity type etype, the ascending ids of
+// the sentences holding its mentions and, at the same positions, how many
+// they hold. "Entity" (or "") counts every type and "GPE" aliases
+// Location, as nlp.GPEAlias matches them. The slices are the index's own:
+// callers must not write to them.
+func (ix *Index) EntityCounts(etype string) (sids, counts []int32) {
+	switch etype {
+	case "", "Entity", "entity":
+		return ix.ents.all.sids, ix.ents.all.counts
 	case "GPE", "gpe":
-		return ix.typeList(nlp.EntLocation)
+		etype = nlp.EntLocation
 	}
-	return ix.typeList(want)
+	if k := slices.Index(ix.ents.types, ix.cols.Dict.ID(etype)); k >= 0 {
+		return ix.ents.byType[k].sids, ix.ents.byType[k].counts
+	}
+	return nil, nil
 }
 
-func (ix *Index) typeList(t string) []EntityPosting {
-	if ix.src != nil {
-		return ix.src.TypeList(t)
+// sidCounts is one entity type's column of the table: ascending sentence
+// ids and each one's mention count.
+type sidCounts struct {
+	sids, counts []int32
+}
+
+// entityTable counts entity mentions per sentence, by type (types holds
+// dictionary ids, byType their counts) and over all types.
+type entityTable struct {
+	all    sidCounts
+	types  []uint32
+	byType []sidCounts
+}
+
+// add counts the mentions of sentence sid, whose types are the dictionary
+// ids types. Sentences arrive in ascending sid order, so a count is only
+// ever appended or, for a sentence's further mentions, incremented at the
+// entry the same sentence appended: nothing a clone holds is written.
+func (t *entityTable) add(sid int32, types []uint32) {
+	for _, typ := range types {
+		t.all.add(sid)
+		k := slices.Index(t.types, typ)
+		if k < 0 {
+			k = len(t.types)
+			t.types = append(t.types, typ)
+			t.byType = append(t.byType, sidCounts{})
+		}
+		t.byType[k].add(sid)
 	}
-	return ix.ByType[t]
+}
+
+func (c *sidCounts) add(sid int32) {
+	if n := len(c.sids); n > 0 && c.sids[n-1] == sid {
+		c.counts[n-1]++
+		return
+	}
+	c.sids = append(c.sids, sid)
+	c.counts = append(c.counts, 1)
+}
+
+// clone returns a copy whose lengths later adds leave unchanged.
+func (t *entityTable) clone() entityTable {
+	return entityTable{all: t.all, types: slices.Clone(t.types), byType: slices.Clone(t.byType)}
 }
 
 // PLID returns the PL hierarchy node id of token (sid, tid), or -1.
@@ -310,10 +321,12 @@ type Stats struct {
 	TotalPostings  int
 }
 
-// Stats returns summary statistics. For block-backed indexes the counts come
-// from the store's directory — no posting blocks decode.
+// Stats returns summary statistics. Entities counts the distinct lowered
+// mention texts of the columns. For block-backed indexes the word counts
+// come from the store's directory — no posting blocks decode.
 func (ix *Index) Stats() Stats {
 	st := Stats{
+		Entities:       ix.cols.distinctEntityTexts(),
 		PLNodes:        ix.PL.NumNodes(),
 		POSNodes:       ix.POS.NumNodes(),
 		PLCompression:  ix.PL.CompressionRatio(),
@@ -322,12 +335,10 @@ func (ix *Index) Stats() Stats {
 	if ix.src != nil {
 		ss := ix.src.SourceStats()
 		st.Words = ss.Words
-		st.Entities = ss.Entities
 		st.TotalPostings = ss.TotalPostings
 		return st
 	}
 	st.Words = len(ix.Word)
-	st.Entities = len(ix.Entity)
 	for _, ps := range ix.Word {
 		st.TotalPostings += len(ps)
 	}

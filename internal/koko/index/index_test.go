@@ -64,18 +64,31 @@ func TestExample32WordIndex(t *testing.T) {
 	// sentence 0, which the paper's excerpt elides.
 }
 
-// TestExample32EntityIndex pins the entity-index rows.
+// TestExample32EntityIndex pins the entity-index rows: each mention's
+// (sid, u-v) and type, read from the columns that store it.
 func TestExample32EntityIndex(t *testing.T) {
 	ix := Build(paperCorpus())
-	cases := map[string]EntityPosting{
-		"cheesecake":          {Sid: 1, U: 4, V: 4, Type: "Other", Text: "cheesecake"},
-		"grocery store":       {Sid: 1, U: 10, V: 11, Type: "Location", Text: "grocery store"},
-		"chocolate ice cream": {Sid: 0, U: 3, V: 5, Type: "Other", Text: "chocolate ice cream"},
+	type row struct {
+		sid, u, v int32
+		typ       string
+	}
+	cases := map[string]row{
+		"cheesecake":          {1, 4, 4, "Other"},
+		"grocery store":       {1, 10, 11, "Location"},
+		"chocolate ice cream": {0, 3, 5, "Other"},
+	}
+	got := map[string][]row{}
+	cols := ix.Columns()
+	for sid := range cols.NumSentences() {
+		s := cols.Sent(sid)
+		for e := range s.EntType {
+			text := strings.ToLower(s.Text(int(s.EntL[e]), int(s.EntR[e])))
+			got[text] = append(got[text], row{int32(sid), s.EntL[e], s.EntR[e], s.Dict.Str(s.EntType[e])})
+		}
 	}
 	for text, want := range cases {
-		got := ix.Entity[text]
-		if len(got) != 1 || got[0] != want {
-			t.Errorf("entity %q: %v, want [%v]", text, got, want)
+		if len(got[text]) != 1 || got[text][0] != want {
+			t.Errorf("entity %q: %v, want [%v]", text, got[text], want)
 		}
 	}
 	// Parent-child check from Example 3.2's discussion: ate(1,1) is the
@@ -178,22 +191,25 @@ func TestHierarchyCompression(t *testing.T) {
 	}
 }
 
-func TestEntitiesOfType(t *testing.T) {
+// TestEntityCountsOfType pins the per-type mention counts DPLI prunes with:
+// "Entity" counts every type, "GPE" aliases Location, an unknown type
+// holds nothing.
+func TestEntityCountsOfType(t *testing.T) {
 	ix := Build(paperCorpus())
-	all := ix.EntitiesOfType("Entity")
-	if len(all) < 4 {
-		t.Errorf("Entity mentions = %d, want >= 4", len(all))
-	}
-	locs := ix.EntitiesOfType("GPE")
-	if len(locs) != 1 || locs[0].Text != "grocery store" {
-		t.Errorf("GPE = %v", locs)
-	}
-	people := ix.EntitiesOfType("Person")
-	if len(people) != 1 || people[0].Text != "Anna" {
-		t.Errorf("Person = %v", people)
-	}
-	if got := ix.EntitiesOfType("Nonexistent"); got != nil {
-		t.Errorf("unknown type = %v", got)
+	for _, tc := range []struct {
+		etype        string
+		sids, counts []int32
+	}{
+		{"Entity", []int32{0, 1}, []int32{2, 3}}, // pie and chocolate ice cream; Anna, cheesecake, grocery store
+		{"GPE", []int32{1}, []int32{1}},
+		{"Location", []int32{1}, []int32{1}},
+		{"Person", []int32{1}, []int32{1}},
+		{"Nonexistent", nil, nil},
+	} {
+		sids, counts := ix.EntityCounts(tc.etype)
+		if !reflect.DeepEqual(sids, tc.sids) || !reflect.DeepEqual(counts, tc.counts) {
+			t.Errorf("%s: sids %v counts %v, want %v %v", tc.etype, sids, counts, tc.sids, tc.counts)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/store"
 )
@@ -13,7 +14,8 @@ import (
 //	E(entity, etype, x, u, v)             with a B-tree on entity
 //	PL/POS(id, label, depth, aid, alabel, adepth)   — closure tables
 //
-// The closure tables contain one row per (node, ancestor-or-self) pair,
+// E's rows are the columns' entity mentions, keyed by lowered text. The
+// closure tables contain one row per (node, ancestor-or-self) pair,
 // exactly the Closure Table representation the paper cites [25].
 func (ix *Index) Save(db *store.DB) error {
 	if ix.src != nil {
@@ -52,11 +54,14 @@ func (ix *Index) Save(db *store.DB) error {
 	if err := e.CreateIndex("by_entity", "entity"); err != nil {
 		return err
 	}
-	for text, eps := range ix.Entity {
-		for _, ep := range eps {
+	var sent Sent
+	for sid := range ix.cols.NumSentences() {
+		ix.cols.LoadSent(&sent, sid)
+		for k := range sent.EntType {
+			l, r := sent.EntL[k], sent.EntR[k]
 			e.MustInsert(
-				store.StrVal(text), store.StrVal(ep.Type),
-				store.IntVal(int64(ep.Sid)), store.IntVal(int64(ep.U)), store.IntVal(int64(ep.V)),
+				store.StrVal(strings.ToLower(sent.Text(int(l), int(r)))), store.StrVal(sent.Dict.Str(sent.EntType[k])),
+				store.IntVal(int64(sid)), store.IntVal(int64(l)), store.IntVal(int64(r)),
 			)
 		}
 	}

@@ -36,25 +36,6 @@ func SortPostings(ps []Posting) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 }
 
-// EntityPosting is the entity index entry: the paper's triple (x, u-v) plus
-// the entity's type and a reference to its text.
-type EntityPosting struct {
-	Sid  int32
-	U, V int32
-	Type string
-	Text string
-}
-
-// SortEntityPostings orders entity postings by (sid, u).
-func SortEntityPostings(es []EntityPosting) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Sid != es[j].Sid {
-			return es[i].Sid < es[j].Sid
-		}
-		return es[i].U < es[j].U
-	})
-}
-
 // SidsOf returns the sorted distinct sentence ids of a posting list. The
 // input must be (sid,tid)-sorted — true of every index posting list after
 // Finish and of every join result — so a single linear emit-distinct pass

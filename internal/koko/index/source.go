@@ -246,23 +246,15 @@ const (
 // decoding any posting data.
 type SourceStats struct {
 	Words         int
-	Entities      int
 	TotalPostings int
 }
 
 // PostingSource supplies posting data for an Index whose lists live outside
 // the heap (the mmap block store). Word and hierarchy-node lists come back
-// lazy; entity lists materialize on access (they are small relative to word
-// postings). All keys are pre-lowered.
+// lazy. Word keys are pre-lowered.
 type PostingSource interface {
 	// WordList returns the lazy posting list of a lowercased word, or nil.
 	WordList(lowered string) PostingList
-	// EntityList returns the mentions of an entity by lowercased text.
-	EntityList(lowered string) []EntityPosting
-	// TypeNames returns the sorted entity type names present in the source.
-	TypeNames() []string
-	// TypeList returns all mentions of one entity type, (sid,u)-sorted.
-	TypeList(etype string) []EntityPosting
 	// NodeList returns the lazy posting list of one hierarchy node, or nil.
 	NodeList(kind HierKind, node int32) PostingList
 	// SourceStats reports index shape from the source's directory alone.

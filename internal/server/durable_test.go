@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/koko/wal"
@@ -176,6 +177,39 @@ func TestServiceDurableCorpusDelete(t *testing.T) {
 	}
 	if len(queryTuples(t, svc2, "demo-cafes")) == 0 {
 		t.Fatal("recovered corpus returns no tuples")
+	}
+}
+
+// TestLoadDurableRefusesKOKOBS1: a durable corpus whose shard file is a
+// first-format block store is not recovered, and LoadDurable's error names
+// the format and the rebuild.
+func TestLoadDurableRefusesKOKOBS1(t *testing.T) {
+	dir := t.TempDir()
+	durableService(t, dir).Close()
+	shards, err := filepath.Glob(filepath.Join(dir, "demo-cafes", "gen*.shard*"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no demo-cafes shard files (err %v)", err)
+	}
+	for _, p := range shards {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw, "KOKOBS1\n")
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc := NewService(Config{MaxConcurrent: 2, CacheSize: -1, DataDir: dir, WALSync: wal.SyncAlways})
+	defer svc.Close()
+	_, err = svc.Registry().LoadDurable()
+	if err == nil {
+		t.Fatal("LoadDurable recovered a corpus stored as KOKOBS1")
+	}
+	for _, want := range []string{"demo-cafes", "KOKOBS1", "koko index"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
 

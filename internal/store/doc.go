@@ -12,6 +12,6 @@
 // organization rather than storage-engine differences, as the paper's
 // shared-Postgres setup does. Nothing reads a table back.
 //
-// The package has no file format. Stores on disk are KOKOBS1 block stores
+// The package has no file format. Stores on disk are KOKOBS2 block stores
 // (internal/koko/index/blockstore) named by JSON manifests (koko).
 package store

@@ -341,19 +341,19 @@ func (l *leaf) stats() IndexStats {
 	}
 }
 
-// StoreFormat names an on-disk store format. The KOKOBS1 block store is the
+// StoreFormat names an on-disk store format. The KOKOBS2 block store is the
 // only one.
 //
 // Deprecated: every Save writes the block store; the type survives only as
 // Engine.SaveAs's argument.
 type StoreFormat int
 
-// FormatBlock is the KOKOBS1 block store.
+// FormatBlock is the KOKOBS2 block store.
 //
 // Deprecated: see StoreFormat.
 const FormatBlock StoreFormat = 0
 
-// save persists the leaf's columns and indices to path as a KOKOBS1 block
+// save persists the leaf's columns and indices to path as a KOKOBS2 block
 // store (the paper's offline index construction): posting lists laid out as
 // sorted fixed-size blocks, mmap'd at load time and decoded lazily into a
 // budgeted shared cache. A block-backed leaf (one opened from a store) has

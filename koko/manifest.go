@@ -3,7 +3,7 @@ package koko
 // Manifests: one small versioned JSON file naming a store's shard files.
 //
 // A multi-shard store (Engine.Save) and a durable corpus (the MANIFEST
-// in its directory) both persist as a manifest plus one KOKOBS1 block store
+// in its directory) both persist as a manifest plus one KOKOBS2 block store
 // per shard. The manifest lists each shard's file, relative to the
 // manifest's own directory so the layout is relocatable, with the doc-range
 // spec that rebases the shard's local ids to global ones. A durable

@@ -174,8 +174,68 @@ func TestOldFormatFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestKOKOBS1StoreRefusedByName: a store of the first block format (a
+// file the previous format's koko index wrote) is refused by every entry
+// point with an error that names the file and the format and says to
+// rebuild it with koko index — as a plain store, re-sharded at open, and as
+// a durable corpus's shard file.
+func TestKOKOBS1StoreRefusedByName(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "kokobs1.koko"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(old), "KOKOBS1\n") {
+		t.Fatal("fixture is not a KOKOBS1 file")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.koko")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A durable corpus whose generation's shard file is the old store.
+	ddir := filepath.Join(dir, "durable")
+	m, err := OpenDurable(NewEngine(NewCorpus(nil, []string{"Cafe Vita serves espresso."}), nil), DurableConfig{Dir: ddir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	shards, err := filepath.Glob(filepath.Join(ddir, "gen*.shard*"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shard files in %s (err %v)", ddir, err)
+	}
+	for _, p := range shards {
+		if err := os.WriteFile(p, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name, file string
+		open       func() error
+	}{
+		{"Open", path, func() error { _, err := Open(path, nil); return err }},
+		{"OpenWithShards", path, func() error { _, err := OpenWithShards(path, nil, 3); return err }},
+		{"OpenDurable", shards[0], func() error {
+			m, err := OpenDurable(nil, DurableConfig{Dir: ddir})
+			if err == nil {
+				m.Close()
+			}
+			return err
+		}},
+	} {
+		err := tc.open()
+		if err == nil {
+			t.Fatalf("%s: KOKOBS1 store opened", tc.name)
+		}
+		for _, want := range []string{tc.file, "KOKOBS1", "koko index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
+	}
+}
+
 // requireBlockStores fails unless dir holds files matching pattern and
-// every one is a KOKOBS1 block store.
+// every one is a KOKOBS2 block store.
 func requireBlockStores(t *testing.T, dir, pattern string) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, pattern))

@@ -309,7 +309,7 @@ func shardFileName(base string, i int) string {
 	return fmt.Sprintf("%s.shard%d", base, i)
 }
 
-// Save persists the engine to path. One shard writes a plain KOKOBS1
+// Save persists the engine to path. One shard writes a plain KOKOBS2
 // block store (see Open). More shards make path a small JSON manifest with
 // each shard's complete stand-alone block store next to it as
 // path.shard<i>; Open the set back with Open on the manifest path.

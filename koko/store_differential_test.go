@@ -123,9 +123,9 @@ func TestBlockStoreCorruptNodeBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The posting blob ends the file, and the POS node lists end the blob.
-	// The union query reads only PL and POS node lists (no word, no entity
-	// list), so a flipped blob byte that fails it lies in a node block. Walk
-	// back from the end until one does.
+	// The union query reads only PL and POS node lists (no word list), so
+	// a flipped blob byte that fails it lies in a node block. Walk back
+	// from the end until one does.
 	blobLen := int(binary.LittleEndian.Uint64(raw[24:32]))
 	for off := len(raw) - 1; off >= len(raw)-blobLen; off -= 61 {
 		bad := bytes.Clone(raw)
@@ -244,11 +244,11 @@ func TestStoreFormatConversion(t *testing.T) {
 	sameResults(t, "block->block", want, mustRun(t, e2, src, nil))
 }
 
-// TestBlockStoreTypedEntityQueries: typed-entity variables read the entity
-// posting blocks, whose dictionary ids index store-wide tables. A corpus with
-// more distinct entity texts than an entity block has bytes (Wikipedia: one
-// new person per article) used to be rejected at decode time ("text id count
-// 67 exceeds section size 66").
+// TestBlockStoreTypedEntityQueries: typed-entity variables prune through
+// the per-type mention counts a reopened store derives from its columns,
+// and bind the columns' mentions, so a K=2 store answers as the heap
+// engine does. A corpus with many distinct entity texts (Wikipedia: one
+// new person per article) once broke the stored entity blocks' decode.
 func TestBlockStoreTypedEntityQueries(t *testing.T) {
 	wiki, _ := corpus.GenWikipedia(600, 5)
 	c := WrapCorpus(wiki)
